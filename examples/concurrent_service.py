@@ -8,9 +8,9 @@ surface:
 
 * concurrent read queries that overlap their simulated disc stalls
   (the buffer pool releases its latch around page reads);
-* an interleaved update — it takes the store's exclusive write lock,
-  bumps the mutation epoch, and invalidates exactly the affected
-  procedure in every worker's loader cache;
+* an interleaved update — it takes the store's exclusive write lock
+  and moves the mutation epoch; each worker's loader cache drops the
+  affected procedure's blocks at its next call to it;
 * a deadline interrupting a runaway query, and a cancelled ticket;
 * the post-run accounting: pins balanced, epochs monotone;
 * service telemetry: latency histograms, the flight recorder's event

@@ -12,7 +12,7 @@ a byte-payload journal with crash-safe framing:
     frame := magic "WA" (2) | lsn u64 | length u32 | crc32 u32 | payload
 
 All integers are big-endian.  A record is **committed** iff its frame is
-complete and its CRC matches; :meth:`scan` stops at the first torn or
+complete and its CRC matches; a scan stops at the first torn or
 corrupt frame (a crash mid-append) and reports the byte offset of the
 last good frame so recovery can truncate the garbage tail.  LSNs are
 sequential from 0 within one log generation; a gap or repeat is treated
@@ -31,7 +31,7 @@ import os
 import struct
 import time
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import WalError
 from ..obs.registry import Histogram
@@ -147,7 +147,7 @@ class WriteAheadLog:
         self.faults = faults or NULL_FAULTS
         self._f = open(path, "a+b", buffering=0)
         self._end = os.path.getsize(path)
-        self.next_lsn = 0          # fixed up by scan() / truncate()
+        self.next_lsn = 0          # fixed up by recovery / truncate()
         self.records_appended = 0
         self.bytes_appended = 0
         self.syncs = 0
@@ -216,29 +216,12 @@ class WriteAheadLog:
         once; a replica tailer resumes from its last good end by
         passing the offset/LSN pair it remembered.  The cursor borrows
         this log's file handle, so consume it before interleaving other
-        scans.  Unlike :meth:`scan` it does **not** reposition
-        :attr:`next_lsn` — the caller decides what the cursor's end
-        means.
+        scans.  It does **not** reposition :attr:`next_lsn` — the
+        caller decides what the cursor's end means.
         """
         f = self._require_file()
         size = os.path.getsize(self.path)
         return WalScan(f, self.faults, size, offset, expected_lsn)
-
-    def scan(self) -> Tuple[List[bytes], bool, int]:
-        """All committed record payloads, in append order.
-
-        Thin wrapper over :meth:`scan_from`: returns ``(payloads,
-        torn_tail, good_end)`` where *torn_tail* is true when trailing
-        bytes after the last committed frame were found (crash
-        mid-append) and *good_end* is the file offset just past the
-        last committed frame.  Also positions :attr:`next_lsn` after
-        the last committed record, so subsequent appends continue the
-        sequence.
-        """
-        cursor = self.scan_from(0)
-        payloads = list(cursor)
-        self.next_lsn = cursor.next_lsn
-        return payloads, cursor.torn, cursor.offset
 
     # ----------------------------------------------------------- maintenance
 

@@ -19,10 +19,11 @@ Given a call to an EDB-stored procedure, the loader:
 5. splices in control code — try/retry/trust chains and, when more than
    one clause survives, in-memory first-argument indexing — via
    :func:`repro.wam.indexing.build_procedure_code`;
-6. caches the runnable block per (procedure, call-pattern, version) so
-   the session never re-resolves unchanged code — the paper's "freeze
-   the definition of the procedure" behaviour without the poor
-   selectivity it complains about.
+6. caches the runnable block per procedure and call pattern for as
+   long as the procedure's stored version stands, so the session never
+   re-resolves unchanged code — the paper's "freeze the definition of
+   the procedure" behaviour without the poor selectivity it complains
+   about.
 
 Facts relations are loaded by generating unit-clause code directly from
 the matching tuples, with no compiler involvement.
@@ -69,25 +70,28 @@ class DynamicLoader:
         # fetched blocks unoptimized.
         self.optimizer = optimizer
         self.tracer = NULL_TRACER  # session installs its shared tracer
-        # The cache is keyed by (name, arity, version, pattern, depth):
-        # the stored procedure's *version* rides in the key, so an entry
-        # can never serve stale code — invalidation is purely memory
-        # reclamation, done per procedure (see :meth:`invalidate`).
-        # Versions are monotone per indicator even across drop+recreate
-        # (the store keeps a version floor for dropped procedures), so
-        # the key never aliases old code with new in workers whose
-        # caches were not broadcast-invalidated.
-        # Latched because the service's writer path prunes a worker's
-        # cache while the worker is querying (docs/CONCURRENCY.md).
-        self._cache: Dict[tuple, list] = {}
+        # (name, arity) → (stamp, {pattern: block}), with stamp =
+        # (version, depth, opt_level, modes_epoch).  The cache *follows*
+        # the store: a call that finds the procedure's blocks under a
+        # different stamp — a mutator bumped the version, ``:optimize``
+        # or ``:modes apply`` changed the settings — drops them before
+        # loading, so no writer ever has to tell a session about a
+        # write, and a session holds at most the blocks of its live
+        # call patterns.  Versions are monotone per indicator even
+        # across drop+recreate (the store keeps a version floor), so a
+        # stamp never aliases old code with new.
+        # Latched: metric scrapes and explicit invalidate() calls may
+        # come from another thread than the one querying.
+        self._cache: Dict[Tuple[str, int],
+                          Tuple[tuple, Dict[tuple, list]]] = {}
         self._latch = Latch("loader")
         self.loads = 0
         self.cache_hits = 0
         self.clauses_fetched = 0
         self.clauses_delivered = 0
         self.resolutions = 0  # external->internal address resolutions
-        #: monotone: bumped once per invalidation call — the
-        #: differential concurrency suite asserts it never goes back
+        #: monotone: bumped every time blocks are dropped — a stamp
+        #: change noticed at lookup, or an :meth:`invalidate` call
         self.cache_epoch = 0
         self.cache_invalidated_entries = 0
         #: clause records put through the verifier / rejected by it
@@ -103,21 +107,26 @@ class DynamicLoader:
         no stored clause can match."""
         proc = self.store.lookup(name, arity)
         if proc is None:
+            if (name, arity) in self._cache:
+                self.invalidate(name, arity)   # dropped from the store
             return None
         summaries = self.preunifier.summaries_from_registers(machine, arity)
         pattern = tuple(sorted(summaries.items()))
         # The optimization level and the whole-program modes epoch ride
-        # in the key: ``:optimize`` / ``:modes apply`` change them at
+        # in the stamp: ``:optimize`` / ``:modes apply`` change them at
         # runtime and cached blocks must match the active settings.
         if self.optimizer is None:
             opt_level, modes_epoch = "off", 0
         else:
             opt_level = self.optimizer.level
             modes_epoch = self.optimizer.modes_epoch
-        key = (name, arity, proc.version, pattern, self.preunifier.depth,
-               opt_level, modes_epoch)
+        stamp = (proc.version, self.preunifier.depth, opt_level, modes_epoch)
         with self._latch:
-            cached = self._cache.get(key)
+            entry = self._cache.get((name, arity))
+            if entry is not None and entry[0] != stamp:
+                self._drop(name, arity)
+                entry = None
+            cached = entry[1].get(pattern) if entry is not None else None
             if cached is not None:
                 self.cache_hits += 1
         if cached is not None:
@@ -137,47 +146,55 @@ class DynamicLoader:
             if span is not None:
                 span.attrs["bound_args"] = sorted(summaries)
         with self._latch:
-            self._cache[key] = code
+            entry = self._cache.get((name, arity))
+            if entry is None or entry[0] != stamp:
+                entry = self._cache[(name, arity)] = (stamp, {})
+            entry[1][pattern] = code
         return code
+
+    def _drop(self, name: Optional[str], arity: Optional[int]) -> int:
+        """Drop one procedure's blocks (or all, with no name); latch
+        held by the caller."""
+        if name is None:
+            dropped = sum(len(blocks) for _, blocks in self._cache.values())
+            self._cache.clear()
+        else:
+            _, blocks = self._cache.pop((name, arity), (None, ()))
+            dropped = len(blocks)
+        self.cache_epoch += 1
+        self.cache_invalidated_entries += dropped
+        return dropped
 
     def invalidate(self, name: Optional[str] = None,
                    arity: Optional[int] = None) -> int:
-        """Prune cached blocks; returns how many entries were dropped.
+        """Drop cached blocks now; returns how many went.
 
-        With a procedure indicator, only that procedure's entries go —
-        unrelated procedures keep their cached blocks and their
-        ``cache_hits`` keep accruing (no global clear() stampede).  With
-        no arguments, the whole cache is cleared (schema-level events:
-        bulk loads, relation drops).  Correctness never depends on this:
-        cache keys carry the stored procedure's version, so stale code
-        is unreachable the instant a mutator bumps it.  Each call bumps
-        the monotone ``cache_epoch``.
+        With a procedure indicator, only that procedure's blocks go;
+        with no arguments, the whole cache — the explicit cold start
+        (benchmarks' first-run measurements, the REPL).  Correctness
+        never needs this: a lookup drops blocks whose stamp no longer
+        matches the store by itself.  Each call bumps the monotone
+        ``cache_epoch``.
         """
         with self._latch:
-            if name is None:
-                dropped = len(self._cache)
-                self._cache.clear()
-            else:
-                stale = [key for key in self._cache
-                         if key[0] == name and key[1] == arity]
-                for key in stale:
-                    del self._cache[key]
-                dropped = len(stale)
-            self.cache_epoch += 1
-            self.cache_invalidated_entries += dropped
-            return dropped
+            return self._drop(name, arity)
 
     def cached_blocks(self, name: str, arity: int) -> list:
         """Snapshot of this procedure's live cache entries, for EXPLAIN.
 
-        Returns ``[(key, code), ...]`` pairs where *key* is the full
-        cache key ``(name, arity, version, pattern, depth, opt_level)``.
+        Returns ``[(key, code), ...]`` pairs where *key* is ``(name,
+        arity, version, pattern, depth, opt_level, modes_epoch)``.
         Read-only: no counters move and the cache is not touched beyond
         holding the latch for a consistent copy.
         """
         with self._latch:
-            return [(key, code) for key, code in self._cache.items()
-                    if key[0] == name and key[1] == arity]
+            entry = self._cache.get((name, arity))
+            if entry is None:
+                return []
+            (version, depth, opt_level, modes_epoch), blocks = entry
+            return [((name, arity, version, pattern, depth, opt_level,
+                      modes_epoch), code)
+                    for pattern, code in blocks.items()]
 
     # ------------------------------------------------------------ rules path
 
@@ -346,7 +363,8 @@ class DynamicLoader:
             "preunify_rejections": self.preunifier.rejections,
             "cache_epoch": self.cache_epoch,
             "cache_invalidated_entries": self.cache_invalidated_entries,
-            "loader_cache_entries": len(self._cache),
+            "loader_cache_entries": sum(
+                len(blocks) for _, blocks in list(self._cache.values())),
             "verify_checks": self.verify_checks,
             "verify_rejects": self.verify_rejects,
         }

@@ -140,7 +140,7 @@ class StoredProcedure:
     mode: str             # 'rules' | 'facts' | 'source'
     relation: BangRelation
     nclauses: int = 0
-    version: int = 0      # bumped on update; invalidates loader caches
+    version: int = 0      # bumped on update; loader caches follow it
 
     @property
     def key(self) -> str:
@@ -158,9 +158,9 @@ class ExternalStore:
         self._procs: Dict[Tuple[str, int], StoredProcedure] = {}
         #: (name, arity) → smallest version a re-created procedure may
         #: use.  Written on every drop, so versions stay monotone per
-        #: indicator across drop+recreate cycles and a loader cache key
-        #: (which carries the version) can never alias old code with
-        #: new — even in workers whose caches were not invalidated.
+        #: indicator across drop+recreate cycles and a loader cache
+        #: stamp (which carries the version) can never alias old code
+        #: with new.
         self._version_floor: Dict[Tuple[str, int], int] = {}
         self.procs_relation = self.catalog.create(RelationSchema(
             "$procedures",
@@ -188,10 +188,12 @@ class ExternalStore:
         #: runs under :meth:`writing`, service workers run each query
         #: under :meth:`reading`
         self._rw = ReadWriteLock("store")
-        #: bumped once per completed top-level mutation, *before* the
-        #: write lock is released — a reader observing epoch E sees
-        #: exactly the first E mutations, which is what the differential
-        #: concurrency suite linearizes against
+        #: epoch of the last applied record (:meth:`apply`): moves once
+        #: per top-level mutation, *before* the write lock is released —
+        #: a reader observing epoch E sees exactly the first E
+        #: mutations, which is what the differential concurrency suite
+        #: linearizes against.  Identical on the primary, after crash
+        #: recovery and on every follower that applied the same records.
         self.mutation_epoch = 0
 
         # --- durability state (docs/DURABILITY.md) -----------------------
@@ -320,18 +322,17 @@ class ExternalStore:
             self._rw.release_read()
 
     @contextmanager
-    def writing(self, bump: bool = True):
-        """Exclusive-mode access for mutators.  Reentrant (``store_rules``
-        recurses for auxiliary procedures); the mutation epoch is bumped
-        once per *outermost* section, before the lock is released, so a
+    def writing(self):
+        """Exclusive-mode access for mutators, the checkpoint and the
+        admission of shipped records.  Reentrant (recovery holds it
+        around its whole replay loop).  The mutation epoch is not this
+        section's business: it comes from the record being applied
+        (:meth:`apply`), still before the lock is released, so a
         subsequent reader's observed epoch counts exactly the mutations
-        it can see.  ``bump=False`` is for exclusive sections that are
-        not logical mutations (checkpointing)."""
+        it can see."""
         self._rw.acquire_write()
         try:
             yield self
-            if bump and self._rw.write_depth() == 1:
-                self.mutation_epoch += 1
         finally:
             self._rw.release_write()
 
@@ -374,63 +375,74 @@ class ExternalStore:
         """Compile *clauses* and store them as relative code (§3.1).
 
         Auxiliary procedures synthesised for control constructs are
-        stored recursively, so the EDB is self-contained.
+        stored in the same mutation (one record each, one shared
+        epoch), so the EDB is self-contained.
         """
         with self.writing():
             self._check_writable()
-            aux_sink: List[Tuple[str, int, list]] = []
-            store_ctx = CompileContext(
-                context.dictionary,
-                define_procedure=lambda n, a, c: aux_sink.append((n, a, c)))
-            compiler = ClauseCompiler(store_ctx)
+            self._commit(*self._rules_records(name, arity, clauses, context))
+            return self._procs[(name, arity)]
 
-            payloads: List[dict] = []
-            for clause in clauses:
-                compiled = compiler.compile_clause(clause)
-                head, body = split_clause(clause)
-                head_args = head.args if isinstance(head, Struct) else ()
-                relative = encode_code(compiled.code, context.dictionary,
-                                       self.external_dict)
-                payloads.append({
-                    "code": relative,
-                    "summaries": tuple(summarize_arg(a) for a in head_args),
-                    "has_body": bool(body),
-                })
-            proc = self._apply_rules(name, arity, payloads)
-            self.datalog_rules.set((name, arity), clauses)
-            # The surface clauses ride the redo record so replay — WAL
-            # recovery and replica apply alike — restores the rulebase,
-            # keeping the bottom-up path available after a crash or on
-            # a follower.  (A checkpoint alone still drops it: surface
-            # terms are live-session state, not part of the image.)
-            self._log({"op": "rules", "name": name, "arity": arity,
-                       "clauses": payloads,
-                       "surface": list(clauses),
-                       "ext": self._ext_functors(
-                           p["code"] for p in payloads)})
+    def _rules_records(self, name: str, arity: int, clauses: Sequence[Term],
+                       context: CompileContext) -> List[dict]:
+        """The ``rules`` record of one procedure followed, depth-first,
+        by those of its auxiliary procedures."""
+        aux_sink: List[Tuple[str, int, list]] = []
+        compiler = ClauseCompiler(CompileContext(
+            context.dictionary,
+            define_procedure=lambda n, a, c: aux_sink.append((n, a, c))))
+        payloads = [self._rule_payload(compiler, clause, context)
+                    for clause in clauses]
+        # The surface clauses ride the record so that applying it —
+        # live, at recovery or on a follower — tracks the procedure in
+        # the Datalog rulebase.  (A checkpoint alone still drops it:
+        # surface terms are live-session state, not part of the image.)
+        record = {"op": "rules", "name": name, "arity": arity,
+                  "clauses": payloads, "surface": list(clauses)}
+        self._add_ext_functors(record, payloads)
+        records = [record]
+        for aux_name, aux_arity, aux_clauses in aux_sink:
+            records.extend(self._rules_records(aux_name, aux_arity,
+                                               aux_clauses, context))
+        return records
 
-            for aux_name, aux_arity, aux_clauses in aux_sink:
-                self.store_rules(aux_name, aux_arity, aux_clauses, context)
-            return proc
+    def _rule_payload(self, compiler: ClauseCompiler, clause: Term,
+                      context: CompileContext) -> dict:
+        """One clause compiled to its stored form (already-compiled
+        payloads ride the redo record — recovery never recompiles)."""
+        compiled = compiler.compile_clause(clause)
+        head, body = split_clause(clause)
+        head_args = head.args if isinstance(head, Struct) else ()
+        return {
+            "code": encode_code(compiled.code, context.dictionary,
+                                self.external_dict),
+            "summaries": tuple(summarize_arg(a) for a in head_args),
+            "has_body": bool(body),
+        }
 
-    def _apply_rules(self, name: str, arity: int,
-                     payloads: Sequence[dict]) -> StoredProcedure:
-        """Install already-compiled rule clauses (store path and WAL
-        replay share this — recovery never recompiles)."""
+    def _apply_rules(self, record: dict) -> None:
+        name, arity = record["name"], record["arity"]
         relation = self.catalog.create(self._proc_relation_schema(name, arity))
         proc = StoredProcedure(name, arity, "rules", relation)
         self._register(proc)
-        for cid, payload in enumerate(payloads):
-            summaries = tuple(payload["summaries"])
-            relation.insert(summaries + (cid, 1))
-            self.code_bytes_stored += measure_code(payload["code"])
-            # The payload rides as a non-key attribute: it is pickled
-            # with its page, so code size and transfer are page-accounted.
-            self.clauses_relation.insert((proc.key, cid, StoredClause(
-                clause_id=cid, relative_code=payload["code"],
-                summaries=summaries, has_body=payload["has_body"])))
-        proc.nclauses = len(payloads)
-        return proc
+        for payload in record["clauses"]:
+            self._insert_rule_clause(proc, proc.nclauses, payload)
+        # Older logs carry no surface clauses: the procedure then stays
+        # untracked and on the WAM path.
+        if record.get("surface") is not None:
+            self.datalog_rules.set((name, arity), record["surface"])
+
+    def _insert_rule_clause(self, proc: StoredProcedure, cid: int,
+                            payload: dict) -> None:
+        summaries = tuple(payload["summaries"])
+        proc.relation.insert(summaries + (cid, 1))
+        self.code_bytes_stored += measure_code(payload["code"])
+        # The payload rides as a non-key attribute: it is pickled
+        # with its page, so code size and transfer are page-accounted.
+        self.clauses_relation.insert((proc.key, cid, StoredClause(
+            clause_id=cid, relative_code=payload["code"],
+            summaries=summaries, has_body=payload["has_body"])))
+        proc.nclauses += 1
 
     def fetch_clauses(self, name: str, arity: int,
                       assignment: Optional[Dict[int, tuple]] = None
@@ -469,32 +481,7 @@ class ExternalStore:
         """Store an ordinary relation (code attribute false, atomic
         formats only).  ``key_dims`` selects the indexed attributes
         (default: all — full partial-match clustering)."""
-        with self.writing():
-            self._check_writable()
-            if types is None:
-                types = _infer_types(rows, arity)
-            rows = [tuple(row) for row in rows]
-            key_dims = list(key_dims) if key_dims is not None else None
-            proc = self._apply_facts(name, arity, rows, list(types),
-                                     key_dims)
-            self._log({"op": "facts", "name": name, "arity": arity,
-                       "rows": rows, "types": list(types),
-                       "key_dims": key_dims})
-            return proc
-
-    def _apply_facts(self, name: str, arity: int, rows: Sequence[tuple],
-                     types: Sequence[str],
-                     key_dims: Optional[Sequence[int]]) -> StoredProcedure:
-        attrs = [AttributeSpec(f"arg{i + 1}", t)
-                 for i, t in enumerate(types)]
-        schema = RelationSchema(f"$p${name}/{arity}", attrs,
-                                key_dims=list(key_dims)
-                                if key_dims is not None else None)
-        relation = self.catalog.create(schema)
-        proc = StoredProcedure(name, arity, "facts", relation)
-        self._register(proc)
-        proc.nclauses = relation.insert_many(rows)
-        return proc
+        return self._store_facts("facts", name, arity, rows, types, key_dims)
 
     def materialise_facts(self, name: str, arity: int,
                           rows: Sequence[tuple],
@@ -509,19 +496,38 @@ class ExternalStore:
         and store; a service worker holding the shared read lock gets
         :class:`~repro.errors.LockOrderError` before anything mutates.
         """
+        return self._store_facts("materialise", name, arity, rows, types,
+                                 key_dims)
+
+    def _store_facts(self, op: str, name: str, arity: int,
+                     rows: Sequence[tuple], types: Optional[Sequence[str]],
+                     key_dims: Optional[Sequence[int]]) -> StoredProcedure:
         with self.writing():
             self._check_writable()
             if types is None:
                 types = _infer_types(rows, arity)
-            rows = [tuple(row) for row in rows]
-            key_dims = list(key_dims) if key_dims is not None else None
-            self._apply_drop(name, arity)
-            proc = self._apply_facts(name, arity, rows, list(types),
-                                     key_dims)
-            self._log({"op": "materialise", "name": name, "arity": arity,
-                       "rows": rows, "types": list(types),
-                       "key_dims": key_dims})
-            return proc
+            self._commit({
+                "op": op, "name": name, "arity": arity,
+                "rows": [tuple(row) for row in rows], "types": list(types),
+                "key_dims": list(key_dims) if key_dims is not None else None})
+            return self._procs[(name, arity)]
+
+    def _apply_facts(self, record: dict) -> None:
+        name, arity, key_dims = (record["name"], record["arity"],
+                                 record["key_dims"])
+        attrs = [AttributeSpec(f"arg{i + 1}", t)
+                 for i, t in enumerate(record["types"])]
+        schema = RelationSchema(f"$p${name}/{arity}", attrs,
+                                key_dims=list(key_dims)
+                                if key_dims is not None else None)
+        relation = self.catalog.create(schema)
+        proc = StoredProcedure(name, arity, "facts", relation)
+        self._register(proc)
+        proc.nclauses = relation.insert_many(record["rows"])
+
+    def _apply_materialise(self, record: dict) -> None:
+        self._apply_drop(record)
+        self._apply_facts(record)
 
     def fetch_facts(self, name: str, arity: int,
                     assignment: Optional[Dict[int, Any]] = None
@@ -560,17 +566,16 @@ class ExternalStore:
                     "summaries": tuple(summarize_arg(a) for a in head_args),
                     "has_body": bool(body),
                 })
-            proc = self._apply_source(name, arity, payloads)
-            self._log({"op": "source", "name": name, "arity": arity,
-                       "clauses": payloads})
-            return proc
+            self._commit({"op": "source", "name": name, "arity": arity,
+                          "clauses": payloads})
+            return self._procs[(name, arity)]
 
-    def _apply_source(self, name: str, arity: int,
-                      payloads: Sequence[dict]) -> StoredProcedure:
+    def _apply_source(self, record: dict) -> None:
+        name, arity = record["name"], record["arity"]
         relation = self.catalog.create(self._proc_relation_schema(name, arity))
         proc = StoredProcedure(name, arity, "source", relation)
         self._register(proc)
-        for cid, payload in enumerate(payloads):
+        for cid, payload in enumerate(record["clauses"]):
             summaries = tuple(payload["summaries"])
             relation.insert(summaries + (cid, 0))
             self.source_bytes_stored += len(payload["source"])
@@ -578,8 +583,7 @@ class ExternalStore:
                 clause_id=cid, relative_code=[],
                 summaries=summaries, has_body=payload["has_body"],
                 source=payload["source"])))
-        proc.nclauses = len(payloads)
-        return proc
+        proc.nclauses = len(record["clauses"])
 
     # -------------------------------------------------------------- updates
 
@@ -591,66 +595,50 @@ class ExternalStore:
             proc = self.get(name, arity)
             if proc.mode == "facts":
                 head, _ = split_clause(clause)
-                values = _fact_values(head)
-                self._apply_assert_fact(name, arity, values)
-                self._log({"op": "assert_fact", "name": name,
-                           "arity": arity, "values": values})
+                self._commit({"op": "assert_fact", "name": name,
+                              "arity": arity, "values": _fact_values(head)})
                 return
-            compiler = ClauseCompiler(context)
-            compiled = compiler.compile_clause(clause)
-            head, body = split_clause(clause)
-            head_args = head.args if isinstance(head, Struct) else ()
-            relative = encode_code(compiled.code, context.dictionary,
-                                   self.external_dict)
-            payload = {
-                "code": relative,
-                "summaries": tuple(summarize_arg(a) for a in head_args),
-                "has_body": bool(body),
-            }
-            self._apply_assert_rule(name, arity, payload)
-            self.datalog_rules.add((name, arity), clause)
-            self._log({"op": "assert_rule", "name": name, "arity": arity,
-                       "clause": payload, "surface": clause,
-                       "ext": self._ext_functors([payload["code"]])})
+            payload = self._rule_payload(ClauseCompiler(context), clause,
+                                         context)
+            record = {"op": "assert_rule", "name": name, "arity": arity,
+                      "clause": payload, "surface": clause}
+            self._add_ext_functors(record, [payload])
+            self._commit(record)
 
-    def _apply_assert_fact(self, name: str, arity: int,
-                           values: tuple) -> None:
-        proc = self.get(name, arity)
-        proc.relation.insert(values)
+    def _apply_assert_fact(self, record: dict) -> None:
+        proc = self.get(record["name"], record["arity"])
+        proc.relation.insert(tuple(record["values"]))
         proc.nclauses += 1
         proc.version += 1
 
-    def _apply_assert_rule(self, name: str, arity: int,
-                           payload: dict) -> None:
-        proc = self.get(name, arity)
-        summaries = tuple(payload["summaries"])
+    def _apply_assert_rule(self, record: dict) -> None:
+        proc = self.get(record["name"], record["arity"])
         existing = [
             row[1] for row in self.clauses_relation.query({0: proc.key})
         ]
-        cid = max(existing, default=-1) + 1
-        proc.relation.insert(summaries + (cid, 1))
-        self.code_bytes_stored += measure_code(payload["code"])
-        self.clauses_relation.insert((proc.key, cid, StoredClause(
-            clause_id=cid, relative_code=payload["code"],
-            summaries=summaries, has_body=payload["has_body"])))
-        proc.nclauses += 1
+        self._insert_rule_clause(proc, max(existing, default=-1) + 1,
+                                 record["clause"])
         proc.version += 1
+        if record.get("surface") is not None:
+            # add() only extends procedures the rulebase tracks.
+            self.datalog_rules.add((proc.name, proc.arity),
+                                   record["surface"])
 
     def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
         with self.writing():
             self._check_writable()
-            # Retraction is clause_id-based; rather than mirror the id
-            # bookkeeping, stop tracking the procedure — it simply goes
-            # back to the WAM path.
-            self.datalog_rules.drop((name, arity))
-            self._apply_retract(name, arity, clause_id)
-            self._log({"op": "retract", "name": name, "arity": arity,
-                       "clause_id": clause_id})
+            self._commit({"op": "retract", "name": name, "arity": arity,
+                          "clause_id": clause_id})
 
-    def _apply_retract(self, name: str, arity: int, clause_id: int) -> None:
-        proc = self.get(name, arity)
-        proc.relation.delete_where({proc.arity: clause_id})
-        self.clauses_relation.delete_where({0: proc.key, 1: clause_id})
+    def _apply_retract(self, record: dict) -> None:
+        proc = self.get(record["name"], record["arity"])
+        # Retraction is clause_id-based; rather than mirror the id
+        # bookkeeping, stop tracking the procedure — it simply goes
+        # back to the WAM path.
+        self.datalog_rules.drop((proc.name, proc.arity))
+        proc.relation.delete_where({proc.arity: record["clause_id"]})
+        self.clauses_relation.delete_where(
+            {0: proc.key, 1: record["clause_id"]})
         proc.nclauses -= 1
         proc.version += 1
 
@@ -661,38 +649,129 @@ class ExternalStore:
         service worker calling this from inside a query (shared read
         lock held) gets :class:`~repro.errors.LockOrderError` instead
         of silently mutating under concurrent readers.  Returns False
-        when the procedure does not exist (nothing is mutated and the
-        epoch is not bumped)."""
+        when the procedure does not exist (nothing is committed, so
+        the epoch does not move)."""
         if self.lookup(name, arity) is None:
             # Fast path — also keeps db_drop of a missing relation a
             # plain failure (not LockOrderError) under a read hold.
             # Re-checked under the write lock before mutating.
             return False
-        with self.writing(bump=False):
+        with self.writing():
             if (name, arity) not in self._procs:
                 return False
             self._check_writable()
-            self._apply_drop(name, arity)
-            self._log({"op": "drop", "name": name, "arity": arity})
-            if self._rw.write_depth() == 1:
-                self.mutation_epoch += 1
+            self._commit({"op": "drop", "name": name, "arity": arity})
             return True
 
-    def _apply_drop(self, name: str, arity: int) -> bool:
+    def _apply_drop(self, record: dict) -> None:
+        name, arity = record["name"], record["arity"]
         proc = self._procs.pop((name, arity), None)
         if proc is None:
-            return False
+            return
         self.datalog_rules.drop((name, arity))
         self.catalog.drop(proc.relation.schema.name)
         self.procs_relation.delete_where({0: name, 1: arity})
         if proc.mode != "facts":
             self.clauses_relation.delete_where({0: proc.key})
         # A re-created procedure must never reuse a version this one
-        # served under: loader cache keys carry the version.
+        # served under: loader caches are stamped with the version.
         self._version_floor[(name, arity)] = proc.version + 1
-        return True
 
-    # ------------------------------------------------------ write-ahead log
+    # --------------------------------------------- the one write path
+
+    #: op → the function that performs it.  A mutation *is* its redo
+    #: record: these are the only code that changes relations, the
+    #: procedures/clauses tables, the version floor or the Datalog
+    #: rulebase — for live writes, crash recovery and followers alike.
+    _APPLIERS = {
+        "rules": _apply_rules,
+        "source": _apply_source,
+        "facts": _apply_facts,
+        "materialise": _apply_materialise,
+        "assert_rule": _apply_assert_rule,
+        "assert_fact": _apply_assert_fact,
+        "retract": _apply_retract,
+        "drop": _apply_drop,
+    }
+
+    def apply(self, record: dict) -> None:
+        """Perform the state change *record* describes and move the
+        mutation epoch to the record's.  The caller holds the write
+        lock (:meth:`_commit` for live writes, :meth:`admit` for
+        recovery and replication)."""
+        applier = self._APPLIERS[record["op"]]
+        # Functors the code references, re-interned even when the
+        # checkpoint this record replays onto predates them.
+        for name, arity in record.get("ext", ()):
+            self.external_dict.intern(name, arity)
+        applier(self, record)
+        self.mutation_epoch = record["epoch"]
+
+    def _commit(self, *records: dict) -> None:
+        """The one commit step of every mutator: stamp each record with
+        the checkpoint era and the epoch this mutation commits as (the
+        records of one mutation share it), apply it, then log it.
+
+        Operations are atomic at record granularity — a crash before
+        the append simply loses the whole operation, never half of it.
+        """
+        epoch = self.mutation_epoch + 1
+        for record in records:
+            record["era"] = self.wal_era
+            record["epoch"] = epoch
+            self.apply(record)
+            self._log(record)
+
+    def admit(self, payload: bytes) -> Tuple[str, str]:
+        """Admit one WAL payload that this store did not write itself —
+        crash recovery and followers both feed every shipped record
+        through here: decode → era fence → :meth:`apply`.
+
+        Returns ``(verdict, detail)``:
+
+        * ``"applied"`` — current-era record, applied (*detail*: its op);
+        * ``"stale"`` — logged before the loaded checkpoint, which
+          already contains it; skipped (*detail*: its op);
+        * ``"ahead"`` — logged under a *later* era than the loaded
+          checkpoint: log and checkpoint diverged (recovery), or a
+          newer checkpoint generation exists (follower);
+        * ``"undecodable"`` — not a record this store can apply: the
+          payload does not unpickle to a record of a known op, or
+          applying it raised a typed error.  Nothing after it in the
+          stream can be trusted.
+
+        For the last two *detail* says what was wrong; what to do about
+        them is the caller's policy (recovery stops replaying, a
+        follower re-bootstraps).  Bypasses the read-only fence — that
+        fence is for *local* mutators.
+        """
+        try:
+            record = pickle.loads(payload)
+        except Exception as exc:
+            return "undecodable", (f"undecodable WAL record "
+                                   f"({type(exc).__name__}: {exc})")
+        if not isinstance(record, dict):
+            return "undecodable", (f"WAL payload is a "
+                                   f"{type(record).__name__}, not a record")
+        era = record.get("era")
+        if not isinstance(era, int) or era > self.wal_era:
+            return "ahead", (f"WAL record era {era!r} is ahead of "
+                             f"checkpoint era {self.wal_era}")
+        op = str(record.get("op"))
+        if era < self.wal_era:
+            self.wal_records_skipped += 1
+            return "stale", op
+        if (op not in self._APPLIERS
+                or not isinstance(record.get("epoch"), int)):
+            return "undecodable", (f"WAL record with unknown op {op!r} "
+                                   f"or no epoch")
+        try:
+            with self.writing():
+                self.apply(record)
+        except ReproError as exc:
+            return "undecodable", f"replay of {op!r} failed ({exc})"
+        self.wal_records_replayed += 1
+        return "applied", op
 
     def _check_writable(self) -> None:
         """Refuse mutations while the live state is ahead of the log.
@@ -714,26 +793,16 @@ class ExternalStore:
                 "of the log; save() a fresh checkpoint to resume updates")
 
     def _log(self, record: dict) -> None:
-        """Durably append one redo record (no-op without a WAL home).
+        """Durably append one applied record (no-op without a WAL home).
 
-        Called *after* the in-memory/page mutation succeeded: operations
-        are atomic at record granularity — a crash before the append
-        simply loses the whole operation, never half of it.  If the
-        append *fails* while the session lives on (disc full, EIO), the
-        in-memory mutation has no durable redo record, so the store is
-        poisoned: subsequent mutations raise
+        If the append *fails* while the session lives on (disc full,
+        EIO), the in-memory mutation has no durable redo record, so the
+        store is poisoned: subsequent mutations raise
         :class:`~repro.errors.WalError` until a checkpoint
         re-establishes durability.
         """
         if self.wal is None:
             return
-        record["era"] = self.wal_era
-        # The epoch this mutation will commit as (the outermost writing()
-        # section bumps once on exit, so nested auxiliary records share
-        # the outer mutation's epoch).  Replicas track their applied
-        # position in these units, which is what lag gauges and the
-        # differential suite's per-epoch comparisons are denominated in.
-        record["epoch"] = self.mutation_epoch + 1
         payload = pickle.dumps(record, protocol=4)
         try:
             self.wal.append(payload)
@@ -746,67 +815,19 @@ class ExternalStore:
         self.wal_records_appended += 1
         self.wal_bytes_appended += len(payload)
 
-    def _ext_functors(self, codes) -> List[Tuple[str, int]]:
-        """(name, arity) of every external-dictionary reference in the
-        given relative-code blocks; logged with the record so replay can
-        re-intern them even when the checkpoint predates them."""
+    def _add_ext_functors(self, record: dict,
+                          payloads: Sequence[dict]) -> None:
+        """Attach ``ext`` — (name, arity) of every external-dictionary
+        reference in the payloads' relative code — so that applying the
+        *logged* record can re-intern them even when the checkpoint
+        predates them.  Without a WAL nothing ever reads it."""
+        if self.wal is None:
+            return
         refs: set = set()
-        for code in codes:
-            _collect_ext_refs(code, refs)
-        out = []
-        for ext_id in sorted(refs):
-            out.append(self.external_dict.resolve(ext_id))
-        return out
-
-    def _replay(self, record: dict) -> None:
-        """Re-apply one committed WAL record (recovery path)."""
-        op = record.get("op")
-        for name, arity in record.get("ext", ()):
-            self.external_dict.intern(name, arity)
-        if op == "rules":
-            self._apply_rules(record["name"], record["arity"],
-                              record["clauses"])
-            # Records carry the surface clauses (older logs may not):
-            # replaying one re-tracks the procedure, so the bottom-up
-            # evaluator works after recovery and on replicas.
-            surface = record.get("surface")
-            if surface is not None:
-                self.datalog_rules.set(
-                    (record["name"], record["arity"]), surface)
-        elif op == "source":
-            self._apply_source(record["name"], record["arity"],
-                               record["clauses"])
-        elif op == "facts":
-            self._apply_facts(record["name"], record["arity"],
-                              record["rows"], record["types"],
-                              record["key_dims"])
-        elif op == "assert_rule":
-            self._apply_assert_rule(record["name"], record["arity"],
-                                    record["clause"])
-            surface = record.get("surface")
-            if surface is not None:
-                # add() only extends procedures the rulebase tracks —
-                # identical to the live assert path's semantics.
-                self.datalog_rules.add(
-                    (record["name"], record["arity"]), surface)
-        elif op == "assert_fact":
-            self._apply_assert_fact(record["name"], record["arity"],
-                                    tuple(record["values"]))
-        elif op == "retract":
-            # Mirror the live path: retraction stops tracking the
-            # procedure (it goes back to the WAM).
-            self.datalog_rules.drop((record["name"], record["arity"]))
-            self._apply_retract(record["name"], record["arity"],
-                                record["clause_id"])
-        elif op == "drop":
-            self._apply_drop(record["name"], record["arity"])
-        elif op == "materialise":
-            self._apply_drop(record["name"], record["arity"])
-            self._apply_facts(record["name"], record["arity"],
-                              record["rows"], record["types"],
-                              record["key_dims"])
-        else:
-            raise CatalogError(f"unknown WAL record op {op!r}")
+        for payload in payloads:
+            _collect_ext_refs(payload["code"], refs)
+        record["ext"] = [self.external_dict.resolve(ext_id)
+                         for ext_id in sorted(refs)]
 
     # ----------------------------------------------------------- replication
 
@@ -816,22 +837,6 @@ class ExternalStore:
         :class:`~repro.errors.ReadOnlyStore` until :meth:`promote`
         lifts the fence; reads are unaffected."""
         self.read_only_reason = reason
-
-    def apply_replicated(self, record: dict) -> None:
-        """Apply one decoded primary WAL record on a follower.
-
-        Runs under the exclusive write lock with the normal epoch bump,
-        so concurrent read-only queries on this replica linearize
-        against replicated mutations exactly as they would against
-        local ones (and loader caches, keyed on procedure versions,
-        stay correct without any invalidation broadcast).  Bypasses the
-        read-only fence — that fence is for *local* mutators.  Era
-        fencing is the caller's job (:mod:`repro.replication`): this
-        method trusts the record.
-        """
-        with self.writing():
-            self._replay(record)
-            self.wal_records_replayed += 1
 
     def promote(self, path: str) -> None:
         """Promote a follower to primary.
@@ -864,11 +869,11 @@ class ExternalStore:
         success the store is *homed* at *path*: a fresh WAL generation
         starts and subsequent mutations are logged for replay.
 
-        Runs under the write lock (non-bumping): the checkpoint excludes
+        Runs under the write lock: the checkpoint excludes
         concurrent queries while it compacts pages and reshapes the
         WAL, but is not itself a logical mutation.
         """
-        with self.writing(bump=False):
+        with self.writing():
             self._save_locked(path)
 
     def _save_locked(self, path: str) -> None:
@@ -1038,51 +1043,33 @@ class ExternalStore:
             wal = WriteAheadLog(path + ".wal", faults=faults)
             # Incremental replay: one committed frame at a time, so
             # recovery memory is bounded by the largest record, not the
-            # whole log.  After a replay error the cursor is still
-            # drained (without applying) to find the true good end.
+            # whole log.  After a record that cannot be admitted the
+            # cursor is still drained (without applying) to find the
+            # true good end.
             cursor = wal.scan_from(0)
             stopped = False
-            for payload in cursor:
-                report.wal_records_seen += 1
-                if stopped:
-                    continue
-                try:
-                    record = pickle.loads(payload)
-                except Exception as exc:
-                    report.errors.append(
-                        f"undecodable WAL record ({type(exc).__name__}: "
-                        f"{exc}); replay stopped")
-                    stopped = True
-                    continue
-                era = record.get("era")
-                if not isinstance(era, int) or era > store.wal_era:
-                    # A record from *after* the loaded checkpoint's era
-                    # should be impossible (save commits the era bump
-                    # only once the checkpoint is durable); it means
-                    # the log and checkpoint diverged, so refuse to
-                    # guess rather than silently drop committed writes.
-                    report.errors.append(
-                        f"WAL record era {era!r} is ahead of checkpoint "
-                        f"era {store.wal_era}; replay stopped")
-                    stopped = True
-                    continue
-                if era < store.wal_era:
-                    report.wal_records_stale += 1
-                    store.wal_records_skipped += 1
-                    continue
-                op = str(record.get("op"))
-                try:
-                    store._replay(record)
-                except ReproError as exc:
-                    report.errors.append(
-                        f"replay of {op!r} failed ({exc}); replay stopped")
-                    stopped = True
-                    continue
-                report.ops_replayed[op] = report.ops_replayed.get(op, 0) + 1
-                report.wal_records_replayed += 1
-                store.wal_records_replayed += 1
-                if tracer.enabled:
-                    tracer.event("wal.replay", op=op)
+            with store.writing():
+                for payload in cursor:
+                    report.wal_records_seen += 1
+                    if stopped:
+                        continue
+                    verdict, detail = store.admit(payload)
+                    if verdict == "applied":
+                        report.ops_replayed[detail] = (
+                            report.ops_replayed.get(detail, 0) + 1)
+                        report.wal_records_replayed += 1
+                        if tracer.enabled:
+                            tracer.event("wal.replay", op=detail)
+                    elif verdict == "stale":
+                        report.wal_records_stale += 1
+                    else:
+                        # Ahead of the checkpoint (save commits the era
+                        # bump only once the checkpoint is durable, so
+                        # log and checkpoint diverged) or undecodable:
+                        # refuse to guess rather than silently drop or
+                        # misapply committed writes.
+                        report.errors.append(f"{detail}; replay stopped")
+                        stopped = True
             report.wal_torn_tail = cursor.torn
             report.wal_good_end = cursor.offset
             if cursor.torn:

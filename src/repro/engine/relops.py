@@ -105,7 +105,6 @@ class RelationalOps:
         # LockOrderError before mutating anything — route db_* writers
         # through QueryService.execute_admin instead.
         self.session.store.materialise_facts(name, arity, rows)
-        self.session.loader.invalidate(name, arity)
         self.materialised += 1
 
     def _pattern_assignment(self, m, cell, arity: int) -> Dict[int, object]:
@@ -190,10 +189,7 @@ class RelationalOps:
 
     def db_drop(self, m, args):
         name, arity = _indicator(m, args[0])
-        if not self.session.store.drop_procedure(name, arity):
-            return False
-        self.session.loader.invalidate(name, arity)
-        return True
+        return self.session.store.drop_procedure(name, arity)
 
 
 def install_relop_builtins(machine, ops: RelationalOps) -> None:

@@ -130,38 +130,26 @@ class EduceStar:
         self.parsed_chars += len(text)
         self.machine.consult(text)
 
-    def store_program(self, text: str) -> List[Tuple[str, int]]:
-        """Compile a program and store it in the EDB as relative code.
-
-        Returns the affected procedure indicators (the service uses
-        them to broadcast per-procedure cache invalidation)."""
+    def store_program(self, text: str) -> None:
+        """Compile a program and store it in the EDB as relative code."""
         self.parsed_chars += len(text)
-        clauses = list(self.machine.reader.read_terms(text))
-        return self.store_clauses(clauses)
+        self.store_clauses(list(self.machine.reader.read_terms(text)))
 
-    def store_clauses(self, clauses: List[Term]) -> List[Tuple[str, int]]:
+    def store_clauses(self, clauses: List[Term]) -> None:
         from ..edb.store import summarize_arg
         grouped: Dict[Tuple[str, int], List[Term]] = {}
-        order: List[Tuple[str, int]] = []
         for clause in clauses:
             head, _ = split_clause(clause)
             ind = (head.name,
                    head.arity if isinstance(head, Struct) else 0)
-            if ind not in grouped:
-                grouped[ind] = []
-                order.append(ind)
-            grouped[ind].append(clause)
+            grouped.setdefault(ind, []).append(clause)
             if isinstance(head, Struct) and ind in self.types:
                 # Store-time type checking of rule heads (§3.2.3).
                 self.types.check_summaries(
                     ind[0], ind[1],
                     [summarize_arg(a) for a in head.args])
-        for name, arity in order:
-            self.store.store_rules(name, arity, grouped[(name, arity)],
-                                   self.machine.ctx)
-        for name, arity in order:
-            self.loader.invalidate(name, arity)
-        return order
+        for (name, arity), group in grouped.items():
+            self.store.store_rules(name, arity, group, self.machine.ctx)
 
     def store_relation(self, name: str, rows: List[tuple],
                        types: Optional[List[str]] = None,
@@ -181,16 +169,13 @@ class EduceStar:
             for row in rows:
                 self.types.check_fact_row(name, row)
         self.store.store_facts(name, arity, rows, types, key_dims)
-        self.loader.invalidate(name, arity)
 
-    def assert_external(self, clause_text: str) -> Tuple[str, int]:
+    def assert_external(self, clause_text: str) -> None:
         """Assert a clause into a stored EDB procedure."""
         clause = self.machine.reader.read_term(clause_text)
         head, _ = split_clause(clause)
         arity = head.arity if isinstance(head, Struct) else 0
         self.store.assert_clause(head.name, arity, clause, self.machine.ctx)
-        self.loader.invalidate(head.name, arity)
-        return (head.name, arity)
 
     # ----------------------------------------------------------------- query
 
@@ -430,9 +415,10 @@ class EduceStar:
             self.profiler.disable()
 
     def solve_once(self, goal) -> Optional[Solution]:
-        if isinstance(goal, str):
-            self.parsed_chars += len(goal)
-        return self.machine.solve_once(goal)
+        """First solution or None, routed exactly like :meth:`solve`."""
+        for solution in self.solve(goal, limit=1):
+            return solution
+        return None
 
     def count_solutions(self, goal) -> int:
         return sum(1 for _ in self.solve(goal))
@@ -500,8 +486,8 @@ class EduceStar:
     def set_optimize(self, level: str) -> None:
         """Change the optimization level at runtime (the REPL's
         ``:optimize``).  Main-memory procedures are rebuilt immediately;
-        EDB-backed blocks rebuild on next fetch (the loader cache is
-        keyed by level, so stale-level blocks are unreachable)."""
+        EDB-backed blocks rebuild on next fetch (the loader's cache
+        stamp carries the level, so stale-level blocks are dropped)."""
         self.machine.set_optimize(level)
 
     # ------------------------------------------- whole-program analysis
@@ -529,7 +515,7 @@ class EduceStar:
         """Run (or reuse) the whole-program analysis and install its
         bound-argument map into the optimizer: main-memory blocks are
         rebuilt immediately, loader-cached blocks refresh on next fetch
-        (``modes_epoch`` rides in the cache key).  Returns the report.
+        (``modes_epoch`` rides in the cache stamp).  Returns the report.
 
         The installed facts are profitability hints only — the
         generalized guards are observationally equivalent for every

@@ -112,8 +112,8 @@ class ReadWriteLock:
       queueing there would deadlock against the writer waiting for the
       very reader to drain.
     * One thread holds *write* mode exclusively and may re-enter both
-      write and read mode (``store_rules`` recursing for auxiliary
-      procedures; mutators reading the procedures table).
+      write and read mode (recovery admitting records inside its
+      loop-wide hold; mutators reading the procedures table).
     * Fresh readers queue behind waiting writers, so a stream of
       queries cannot starve an update.
     * Releasing the write hold while a writer-nested read is still
@@ -262,13 +262,6 @@ class ReadWriteLock:
                 self._active_readers += 1
                 self._local.read_counted = True
             self._cond.notify_all()
-
-    def write_depth(self) -> int:
-        """Reentrancy depth of the *current thread's* write hold (0 when
-        it does not hold the write lock)."""
-        if self._writer != threading.get_ident():
-            return 0
-        return self._writer_depth
 
     # ------------------------------------------------------------ counters
 

@@ -523,11 +523,12 @@ class DatalogRulebase:
     """Surface clauses of stored rules procedures, kept beside the
     compiled code for the set-at-a-time evaluator.
 
-    This is *live-session* state, like the store's locks and tracer: a
-    checkpoint persists compiled code only, so a reopened store starts
-    with an empty rulebase and recursive queries fall back to the WAM
-    until their programs are stored again (a documented failure mode in
-    ``docs/DATALOG.md``).  Mutated only under the store's write lock.
+    Changed only by applying redo records (``ExternalStore.apply``,
+    under the store's write lock), so live writes, WAL recovery and
+    followers track the same procedures.  A *checkpoint* persists
+    compiled code only: procedures stored before it come back
+    untracked and their recursive queries fall back to the WAM until
+    stored again (a documented failure mode in ``docs/DATALOG.md``).
     """
 
     def __init__(self) -> None:
@@ -541,8 +542,9 @@ class DatalogRulebase:
 
     def add(self, ind: Indicator, clause: Term) -> None:
         """Append an asserted clause — only for procedures this
-        rulebase already tracks (an untracked procedure, e.g. one
-        replayed from the WAL, stays untracked and on the WAM path)."""
+        rulebase already tracks (an untracked procedure, e.g. one that
+        came back from a checkpoint, stays untracked and on the WAM
+        path)."""
         if ind in self._clauses:
             self._clauses[ind].append(clause)
             self.epoch += 1

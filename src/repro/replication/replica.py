@@ -7,12 +7,12 @@ reads and writes its own files only; the single shared artefact is the
 primary's WAL, and that is only ever *read* (via
 :class:`~repro.replication.stream.WalTailer`).
 
-A background apply loop polls the tailer and replays committed records
-through :meth:`~repro.edb.store.ExternalStore.apply_replicated`, under
-the same era-fencing rules as crash recovery: stale-era records are
-skipped, and an era from *after* the loaded checkpoint means a fresh
-checkpoint generation exists — re-bootstrap.  The loop is
-robustness-first:
+A background apply loop polls the tailer and feeds committed records
+through :meth:`~repro.edb.store.ExternalStore.admit` — the admission
+function crash recovery uses, so fencing and apply are the same code:
+stale records are skipped, and a record *ahead* of the loaded
+checkpoint means a fresh checkpoint generation exists — re-bootstrap.
+The loop is robustness-first:
 
 * a torn tail is an append in flight → wait and retry (never
   truncate someone else's log);
@@ -40,7 +40,6 @@ now owns.
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
 import threading
 import time
@@ -229,7 +228,7 @@ class Replica:
             self._try_rebootstrap("corrupt stream")
             return True, self.poll_interval
         if fate == "rebootstrap" or status == RESET:
-            reason = ("era ahead of checkpoint" if fate == "rebootstrap"
+            reason = ("record ahead of checkpoint" if fate == "rebootstrap"
                       else "log truncated below our offset")
             self._try_rebootstrap(reason)
             return True, self.poll_interval
@@ -247,27 +246,23 @@ class Replica:
         return False, self.poll_interval
 
     def _apply_batch(self, records) -> str:
-        """Replay shipped records under era fencing.  Returns ``"ok"``,
-        ``"rebootstrap"`` (era ahead — a newer checkpoint generation
-        exists) or ``"quarantine"`` (undecodable payload)."""
+        """Admit shipped records into the store.  Returns ``"ok"``,
+        ``"rebootstrap"`` (a record ahead of our checkpoint — a newer
+        checkpoint generation exists) or ``"quarantine"`` (a record
+        the store cannot apply)."""
         store = self.store
         for _lsn, payload in records:
-            try:
-                record = pickle.loads(payload)
-            except Exception:
+            self.faults.crash_point("replica.apply.before")
+            verdict, _detail = store.admit(payload)
+            if verdict == "undecodable":
                 return "quarantine"
-            era = record.get("era")
-            if not isinstance(era, int) or era > store.wal_era:
+            if verdict == "ahead":
                 return "rebootstrap"
-            if era < store.wal_era:
+            if verdict == "stale":
                 self.records_stale += 1
                 continue
-            self.faults.crash_point("replica.apply.before")
-            store.apply_replicated(record)
             self.records_applied += 1
-            epoch = record.get("epoch")
-            if isinstance(epoch, int) and epoch > self.applied_epoch:
-                self.applied_epoch = epoch
+            self.applied_epoch = store.mutation_epoch
         return "ok"
 
     def _try_rebootstrap(self, reason: str) -> None:

@@ -18,10 +18,10 @@ Design (full locking discipline in ``docs/CONCURRENCY.md``):
   from exactly these epochs).
 * Updates go through :meth:`QueryService.store_program` /
   :meth:`store_relation` / :meth:`assert_external`, which run on a
-  dedicated admin session under the exclusive write lock and then
-  broadcast **per-procedure** cache invalidation to every worker's
-  loader — never a global ``clear()`` stampede; unrelated procedures
-  keep their cached code blocks.
+  dedicated admin session under the exclusive write lock.  Nothing is
+  broadcast to the workers: each worker's loader cache follows the
+  stored procedure versions, dropping a mutated procedure's blocks at
+  its next call to it; unrelated procedures keep their cached blocks.
 * Submissions are tickets on a bounded queue (`ServiceSaturated` when
   full, `ServiceClosed` after shutdown begins).  A ticket may carry a
   deadline; a running query is interrupted cooperatively through the
@@ -376,26 +376,21 @@ class QueryService:
         self.read_only = False
 
     def store_program(self, text: str) -> None:
-        """Store a program in the shared EDB (exclusive write lock),
-        then invalidate exactly the affected procedures everywhere."""
+        """Store a program in the shared EDB (exclusive write lock)."""
         self._check_mutable()
         with self._admin_lock:
-            indicators = self.admin.store_program(text)
-        self._broadcast_invalidate(indicators)
+            self.admin.store_program(text)
 
     def store_relation(self, name: str, rows: List[tuple],
                        **kwargs) -> None:
         self._check_mutable()
         with self._admin_lock:
             self.admin.store_relation(name, rows, **kwargs)
-            arity = len(rows[0])
-        self._broadcast_invalidate([(name, arity)])
 
     def assert_external(self, clause_text: str) -> None:
         self._check_mutable()
         with self._admin_lock:
-            indicator = self.admin.assert_external(clause_text)
-        self._broadcast_invalidate([indicator])
+            self.admin.assert_external(clause_text)
 
     def execute_admin(self, goal: Goal,
                       limit: Optional[int] = None) -> object:
@@ -405,27 +400,12 @@ class QueryService:
         worker those raise :class:`~repro.errors.LockOrderError`
         because the query holds the shared read lock; here the goal
         runs outside any read hold, so its mutators take the exclusive
-        write lock normally.  The affected procedures are not known up
-        front, so every worker's loader cache is cleared afterwards
-        (a schema-level invalidation, not the per-procedure path)."""
+        write lock normally."""
         self._check_mutable()
         with self._admin_lock:
             if callable(goal):
-                value = goal(self.admin)
-            else:
-                value = list(self.admin.solve(goal, limit=limit))
-        for session in self.sessions:
-            session.loader.invalidate()
-        return value
-
-    def _broadcast_invalidate(
-            self, indicators: Iterable[Tuple[str, int]]) -> None:
-        # Correctness never depends on this broadcast — cache keys
-        # carry the procedure version — it reclaims worker memory and
-        # keeps every loader's cache_epoch advancing with the writer.
-        for name, arity in indicators:
-            for session in self.sessions:
-                session.loader.invalidate(name, arity)
+                return goal(self.admin)
+            return list(self.admin.solve(goal, limit=limit))
 
     # -------------------------------------------------------------- shutdown
 

@@ -517,8 +517,10 @@ class TestRegressionCorpus:
         from repro.engine.session import EduceStar
         session = EduceStar(verify="full")
         with open(path, "r", encoding="utf-8") as f:
-            stored = session.store_program(f.read())
+            session.store_program(f.read())
         from repro.errors import ReproError
+        stored = [(p.name, p.arity) for p in session.store.procedures()
+                  if not p.name.startswith("$aux_")]
         for name, arity in stored:
             goal = name if arity == 0 else \
                 f"{name}({', '.join('_' for _ in range(arity))})"

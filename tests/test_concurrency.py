@@ -134,10 +134,18 @@ def test_differential_against_serial_oracle(seed):
         "pin leak: every pin must be released after a quiescent run")
     assert snapshot["buffer_pinned"] == 0
     assert store.mutation_epoch == base + len(ops)
-    # setup (store_program broadcasts per procedure) + one broadcast
-    # per writer op reached every worker's loader, monotonically.
+    # No writer told any worker about a write; each loader followed
+    # the stored versions by itself.  So no worker holds a block of a
+    # superseded version (each of the three procedures is only ever
+    # called with one pattern), every block ever loaded is either live
+    # or was reclaimed, and the reclamation epoch never went back.
     for session, before in zip(svc.sessions, epochs_before):
-        assert session.loader.cache_epoch >= before + len(ops)
+        counters = session.loader.counters()
+        assert counters["loader_cache_entries"] <= len(GOALS)
+        assert (counters["loader_cache_entries"]
+                + counters["cache_invalidated_entries"]
+                == counters["loads"])
+        assert counters["cache_epoch"] >= before
 
 
 # =====================================================================
@@ -331,8 +339,8 @@ class TestServiceAPI:
     def test_drop_recreate_never_serves_stale_cached_code(self):
         # Versions are monotone per indicator across drop+recreate (the
         # store keeps a version floor), so a worker whose loader cached
-        # the old code under (name, arity, version, ...) can never hit
-        # that key again after the relation is dropped and rebuilt —
+        # the old code under the old version's stamp can never be
+        # served it again after the relation is dropped and rebuilt —
         # even though nobody invalidated its cache.
         store = ExternalStore()
         admin = EduceStar(store=store)
@@ -344,21 +352,52 @@ class TestServiceAPI:
         got = sorted(str(s["X"]) for s in worker.solve("r(X)"))
         assert got == ["7", "8", "9"]
 
-    def test_per_procedure_invalidation_broadcast(self):
+    def test_non_writer_cache_stays_bounded_under_writes(self):
+        # Regression: only the writing session's loader was pruned, so
+        # any other session over the same store (every replica worker)
+        # kept one unreachable block per write it had read past.
+        store = ExternalStore()
+        writer = EduceStar(store=store)
+        reader = EduceStar(store=store)
+        writer.store_relation("r", [(0,)])
+        for k in range(1, 201):
+            writer.assert_external(f"r({k}).")
+            assert len(list(reader.solve("r(X)"))) == k + 1
+            assert reader.solve_once(f"r({k})") is not None
+        counters = reader.loader.counters()
+        # two live call patterns of r/1: free, and bound to an integer
+        assert counters["loader_cache_entries"] <= 2
+        assert (counters["loader_cache_entries"]
+                + counters["cache_invalidated_entries"]
+                == counters["loads"])
+
+    def test_worker_caches_follow_versions_without_broadcast(self):
+        # A write reaches no worker's loader.  Each worker reclaims the
+        # mutated procedure's blocks at its own next call to it;
+        # unrelated procedures keep their blocks and their cache_hits.
         with QueryService(workers=2, queue_size=8) as svc:
             svc.store_relation("edge", [(1, 2)])
-            for _ in range(4):
-                svc.execute("edge(X, Y)")
-            before = [s.loader.counters() for s in svc.sessions]
             svc.store_relation("other", [(9,)])
+            for session in svc.sessions:   # workers idle: warm directly
+                for _ in range(2):
+                    assert len(list(session.solve("edge(X, Y)"))) == 1
+                    assert len(list(session.solve("other(X)"))) == 1
+            before = [s.loader.counters() for s in svc.sessions]
+            svc.assert_external("edge(2, 3).")
             for session, b in zip(svc.sessions, before):
+                assert session.loader.counters() == b   # nothing sent
+                assert len(list(session.solve("other(X)"))) == 1
+                mid = session.loader.counters()
+                assert mid["cache_hits"] == b["cache_hits"] + 1
+                assert mid["cache_epoch"] == b["cache_epoch"]
+                assert len(list(session.solve("edge(X, Y)"))) == 2
                 after = session.loader.counters()
-                # unrelated procedure: cached blocks survive, hit
-                # counter never reset
-                assert after["cache_hits"] >= b["cache_hits"]
-                assert (after["loader_cache_entries"]
-                        >= b["loader_cache_entries"])
                 assert after["cache_epoch"] == b["cache_epoch"] + 1
+                assert (after["cache_invalidated_entries"]
+                        == b["cache_invalidated_entries"] + 1)
+                assert after["loads"] == b["loads"] + 1
+                assert (after["loader_cache_entries"]
+                        == b["loader_cache_entries"])
 
 
 def EduceStarWith(name, rows):

@@ -337,6 +337,22 @@ class TestEngine:
         kb = self.reach_kb(20)
         assert len(list(kb.solve("reach(n0, X)", limit=5))) == 5
 
+    def test_solve_once_routes_like_solve(self):
+        # Regression: solve_once went straight to the WAM, where this
+        # left-recursive reach/2 over a cyclic edge/2 never returns.
+        kb = EduceStar(datalog="force")
+        kb.store_relation("edge", [("a", "b"), ("b", "a")])
+        kb.store_program("""
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Z) :- reach(X, Y), edge(Y, Z).
+        """)
+        assert list(kb.solve("reach(zzz, X)", limit=1)) == []
+        parsed = kb.parsed_chars
+        assert kb.solve_once("reach(zzz, X)") is None
+        assert kb.parsed_chars == parsed + len("reach(zzz, X)")
+        assert kb.solve_once("reach(a, X)") is not None
+        assert kb.datalog.bottomup == 3
+
     def test_solutions_deterministic(self):
         kb = self.reach_kb(15)
         first = [s.bindings for s in kb.solve("reach(n0, X)")]
@@ -377,7 +393,6 @@ class TestEngine:
         assert list(kb.solve("reach(n0, X)"))
         assert kb.datalog.bottomup == 1
         kb.store.retract_clause("reach", 2, 1)       # drop recursive rule
-        kb.loader.invalidate("reach", 2)
         answers = list(kb.solve("reach(n0, X)"))
         assert len(answers) == 1                     # only the base rule
         assert kb.datalog.bottomup == 1              # not routed again

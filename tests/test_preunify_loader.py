@@ -124,9 +124,11 @@ class TestLoader:
         s.assert_external("r(2)")
         assert [sol["X"] for sol in s.solve("r(X)")] == [1, 2]
 
-    def test_per_procedure_invalidation_spares_unrelated(self):
-        # Regression: invalidate() used to clear the WHOLE cache on any
-        # mutation — every procedure re-resolved after every assert.
+    def test_mutation_reclaims_only_that_procedures_blocks(self):
+        # Regression: any mutation used to clear the WHOLE cache —
+        # every procedure re-resolved after every assert.  Now a
+        # mutated procedure's blocks go at the next call to it and
+        # nothing else moves.
         s = make_session()
         s.store_program(PROG)
         s.store_program("r(1).")
@@ -134,15 +136,20 @@ class TestLoader:
         s.solve_once("r(X)")
         loads = s.loader.loads
         hits = s.loader.cache_hits
-        entries = s.loader.counters()["loader_cache_entries"]
+        before = s.loader.counters()
 
-        s.assert_external("r(2)")           # invalidates r/1 only
-        assert s.loader.counters()["loader_cache_entries"] < entries
+        s.assert_external("r(2)")
         s.solve_once("p(a, _)")             # unrelated: still cached
         assert s.loader.loads == loads
         assert s.loader.cache_hits == hits + 1, (
             "cache_hits must keep accruing, never reset")
         assert [sol["X"] for sol in s.solve("r(X)")] == [1, 2]
+        after = s.loader.counters()
+        # r/1's old block was replaced, not kept beside the new one
+        assert after["loader_cache_entries"] == before["loader_cache_entries"]
+        assert (after["cache_invalidated_entries"]
+                == before["cache_invalidated_entries"] + 1)
+        assert after["cache_epoch"] == before["cache_epoch"] + 1
 
     def test_invalidate_returns_dropped_and_bumps_epoch(self):
         s = make_session()

@@ -14,6 +14,7 @@ The replication contract under test (docs/REPLICATION.md):
 """
 
 import os
+import pickle
 import random
 import threading
 
@@ -64,7 +65,7 @@ def wait_until(predicate, timeout=10.0, interval=0.002):
 class TestScanFrom:
     """The incremental WAL cursor shared by recovery and tailing."""
 
-    def test_scan_from_zero_equals_scan(self, tmp_path):
+    def test_scan_from_zero_reads_every_committed_frame(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "t.wal"))
         payloads = [b"a", b"bb", b"ccc"]
         for p in payloads:
@@ -73,9 +74,8 @@ class TestScanFrom:
         assert list(cursor) == payloads
         assert cursor.status == "ok"
         assert not cursor.torn
-        scanned, torn, good_end = wal.scan()
-        assert scanned == payloads and not torn
-        assert good_end == cursor.offset
+        assert cursor.offset == os.path.getsize(wal.path)
+        assert cursor.next_lsn == len(payloads)
 
     def test_scan_from_mid_offset_resumes(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "t.wal"))
@@ -284,6 +284,125 @@ class TestReplica:
             assert set(replica.gauge_keys()) <= set(counters)
         finally:
             replica.shutdown()
+
+
+# ------------------------------- one write path: recovery vs follower
+
+
+def store_state(store):
+    """Everything a redo record can change, in comparable form."""
+    return {
+        "epoch": store.mutation_epoch,
+        "procedures": {p.key: (p.mode, p.version, p.nclauses)
+                       for p in store.procedures()},
+        "rulebase": {ind: [str(c) for c in clauses] for ind, clauses
+                     in store.datalog_rules.clauses().items()},
+    }
+
+
+class TestOneWritePath:
+    """Live writes, crash recovery and followers run one ``apply``
+    behind one admission function (docs/DURABILITY.md): the same
+    shipped bytes must leave a recovered store and a follower in the
+    same state, with the same verdicts."""
+
+    TERMINAL = {
+        "ahead": lambda rec: pickle.dumps(dict(rec, era=rec["era"] + 1)),
+        "undecodable": lambda rec: b"\x80\x04 not a pickle",
+        "unknown_op": lambda rec: pickle.dumps(dict(rec, op="vacuum")),
+    }
+
+    def _shipped_stream(self, path, ctx, terminal):
+        """A primary's log, rewritten as: one stale-era record, every
+        record of a real mutation sequence (a ``rules`` record with two
+        auxiliaries, ``assert_fact``, ``assert_rule``, ``retract``,
+        ``materialise``, ``drop``), one record no store may apply, and
+        a well-formed record after it that must never be reached."""
+        primary = seeded_primary(path, ctx)
+        primary.store_rules("pick", 1, read_terms(
+            "pick(X) :- ( edge(X,_) ; edge(_,X) ), \\+ X = 0."), ctx)
+        primary.assert_clause("edge", 2, read_terms("edge(9,9).")[0], ctx)
+        primary.assert_clause(
+            "path", 2, read_terms("path(X,X) :- edge(X,_).")[0], ctx)
+        primary.retract_clause("path", 2, 0)
+        primary.materialise_facts("tmp", 1, [(1,), (2,)])
+        primary.materialise_facts("tmp", 1, [(3,)])
+        primary.drop_procedure("tmp", 1)
+        live = store_state(primary)
+        primary.wal.close()                 # the primary dies here
+
+        wal = WriteAheadLog(path + ".wal")
+        good = list(wal.scan_from(0))
+        records = [pickle.loads(p) for p in good]
+        assert [r["op"] for r in records] == [
+            "rules", "rules", "rules", "assert_fact", "assert_rule",
+            "retract", "materialise", "materialise", "drop"]
+        last = records[-1]
+        stale = pickle.dumps(dict(records[3], era=last["era"] - 1))
+        unreachable = pickle.dumps(dict(records[3],
+                                        epoch=last["epoch"] + 1))
+        wal.truncate()
+        for payload in ([stale] + good
+                        + [self.TERMINAL[terminal](last), unreachable]):
+            wal.append(payload)
+        wal.close()
+        return live, len(good)
+
+    @pytest.mark.parametrize("terminal", sorted(TERMINAL))
+    def test_recovery_and_follower_agree(self, tmp_path, ctx, terminal):
+        path = str(tmp_path / "db.edb")
+        live, n_good = self._shipped_stream(path, ctx, terminal)
+
+        replica = Replica("r0", path, str(tmp_path / "r0"),
+                          workers=1, start=False)
+        try:
+            status, shipped = replica.tailer.poll(None)
+            assert status == OK and len(shipped) == n_good + 3
+            fate = replica._apply_batch(shipped)
+            follower = store_state(replica.store)
+            assert (replica.records_applied, replica.records_stale) \
+                == (n_good, 1)
+            assert replica.applied_epoch == live["epoch"]
+        finally:
+            replica.shutdown()
+        assert fate == ("rebootstrap" if terminal == "ahead"
+                        else "quarantine")
+
+        reopened = ExternalStore.open(path, create=False)
+        report, recovered = reopened.recovery, store_state(reopened)
+        assert report.wal_records_seen == n_good + 3
+        assert (report.wal_records_replayed, report.wal_records_stale) \
+            == (n_good, 1)
+        assert len(report.errors) == 1      # the terminal record
+        assert "replay stopped" in report.errors[0]
+
+        # Same epoch, procedure versions and rulebase on all three.
+        # (path/2's retract untracks it on the live primary; the
+        # checkpoint never tracked it on the other two.)
+        assert recovered == follower == live
+
+    def test_follower_epoch_equals_primary_after_multi_record_store(
+            self, tmp_path):
+        """Regression: a follower bumped its epoch once per *record*,
+        the primary once per *mutation* — one store_program with two
+        auxiliary procedures left the follower two epochs ahead."""
+        cluster = ReplicaSet(str(tmp_path / "db.edb"), replicas=1,
+                             primary_workers=1, replica_workers=1)
+        try:
+            cluster.store_relation("edge", [(1, 2), (2, 3)])
+            before = cluster.primary_store.mutation_epoch
+            cluster.store_program(
+                "pick(X) :- ( edge(X,_) ; edge(_,X) ), \\+ X = 0.")
+            assert cluster.primary_store.mutation_epoch == before + 1
+            replica = cluster.replicas[0]
+            assert wait_until(lambda: replica.records_applied >= 4)
+            assert replica.store.mutation_epoch \
+                == cluster.primary_store.mutation_epoch
+            assert replica.applied_epoch \
+                == cluster.primary_store.mutation_epoch
+            assert replica.lag()[0] == 0
+        finally:
+            cluster.shutdown()
 
 
 # ------------------------------------------------- differential suite

@@ -52,6 +52,16 @@ def arm(store, faults):
     return faults
 
 
+def scan(wal):
+    """Every committed payload, the way recovery reads a log: returns
+    ``(payloads, torn_tail, good_end)`` and positions ``next_lsn``
+    after the last committed record."""
+    cursor = wal.scan_from(0)
+    payloads = list(cursor)
+    wal.next_lsn = cursor.next_lsn
+    return payloads, cursor.torn, cursor.offset
+
+
 def edge_rows(store):
     return sorted(store.lookup("edge", 2).relation.scan())
 
@@ -121,7 +131,7 @@ class TestWriteAheadLog:
         wal.close()
 
         wal2 = WriteAheadLog(path)
-        records, torn, good_end = wal2.scan()
+        records, torn, good_end = scan(wal2)
         assert records == payloads
         assert not torn
         assert good_end == os.path.getsize(path)
@@ -137,12 +147,12 @@ class TestWriteAheadLog:
         wal.close()
 
         wal2 = WriteAheadLog(path)
-        records, torn, good_end = wal2.scan()
+        records, torn, good_end = scan(wal2)
         assert records == [b"committed"]
         assert torn
         wal2.truncate_to(good_end)
         assert wal2.append(b"after repair") == 1
-        records, torn, _ = WriteAheadLog(path).scan()
+        records, torn, _ = scan(WriteAheadLog(path))
         assert records == [b"committed", b"after repair"] and not torn
 
     def test_corrupt_frame_stops_scan(self, tmp_path):
@@ -157,7 +167,7 @@ class TestWriteAheadLog:
             byte = f.read(1)
             f.seek(size - 1)
             f.write(bytes([byte[0] ^ 0x40]))
-        records, torn, _ = WriteAheadLog(path).scan()
+        records, torn, _ = scan(WriteAheadLog(path))
         assert records == [b"good record"]
         assert torn
 
@@ -168,7 +178,7 @@ class TestWriteAheadLog:
         wal.close()
         with open(path, "ab") as f:
             f.write(b"\x01\x02\x03")        # shorter than a header
-        records, torn, _ = WriteAheadLog(path).scan()
+        records, torn, _ = scan(WriteAheadLog(path))
         assert records == [b"fine"] and torn
 
     def test_truncate_resets_lsn(self, tmp_path):
@@ -191,7 +201,7 @@ class TestWriteAheadLog:
         wal.close()
         wal.close()                         # idempotent
         for operation in (lambda: wal.append(b"y"),
-                          wal.scan,
+                          wal.scan_from,
                           lambda: wal.truncate_to(0),
                           wal.truncate):
             with pytest.raises(WalError, match="closed"):
@@ -439,6 +449,26 @@ class TestCrashRecovery:
         assert len(edge_rows(reopened)) == 4
         assert reopened.recovery.wal_records_replayed == 2
         assert not reopened.recovery.errors
+
+    def test_replay_restores_the_live_mutation_epoch(self, tmp_path, ctx):
+        """Regression: replay never advanced ``mutation_epoch``, so a
+        reopened store went back to the checkpoint's epoch, post-restart
+        records reused epoch numbers and replica lag under-reported."""
+        path = str(tmp_path / "db.edb")
+        store = seeded_store(path, ctx)
+        checkpointed = store.mutation_epoch
+        for k in range(5):
+            store.assert_clause("edge", 2, read_term(f"edge({k},{k})"), ctx)
+        store.retract_clause("path", 2, 1)
+        live = store.mutation_epoch
+        assert live == checkpointed + 6
+        del store                            # abandoned, no checkpoint
+
+        reopened = ExternalStore.open(path, create=False)
+        assert reopened.recovery.wal_records_replayed == 6
+        assert reopened.mutation_epoch == live
+        reopened.assert_clause("edge", 2, read_term("edge(7,7)"), ctx)
+        assert reopened.mutation_epoch == live + 1   # no epoch reused
 
     def test_future_era_wal_record_is_an_error_not_stale(self, tmp_path,
                                                          ctx):
@@ -722,7 +752,7 @@ class TestIncrementalScan:
         assert os.path.getsize(wal.path) == size
         # the owner's own recovery truncates its crashed tail; the
         # tailer then resumes cleanly from its committed offset
-        payloads, torn, good_end = wal.scan()
+        payloads, torn, good_end = scan(wal)
         assert torn and payloads == [b"committed"]
         wal.truncate_to(good_end)
         wal.next_lsn = 1
