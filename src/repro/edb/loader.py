@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.verifier import verify_code
-from ..errors import VerifyError
+from ..errors import CatalogError, VerifyError
 from ..locks import Latch
 from ..obs.registry import Histogram
 from ..obs.tracing import NULL_TRACER
@@ -135,6 +135,12 @@ class DynamicLoader:
                                   procedure=f"{name}/{arity}")
             return cached
 
+        if proc.mode == "source":
+            # The Educe baseline's scheme: that engine fetches and
+            # interprets the text by itself.
+            raise CatalogError(
+                f"{name}/{arity} is stored as source text: only "
+                "EduceBaseline runs it, the loader serves compiled code")
         self.loads += 1
         with self.tracer.span("loader.fetch",
                               procedure=f"{name}/{arity}",
@@ -204,10 +210,6 @@ class DynamicLoader:
         self.clauses_fetched += len(clauses)
         if not clauses:
             return build_procedure_code([])
-
-        proc = self.store.get(name, arity)
-        if proc.mode == "source":
-            return self._load_source(machine, clauses, name, arity)
 
         faults = self.store.faults
         with self.tracer.span("codec.resolve",
@@ -306,21 +308,6 @@ class DynamicLoader:
             first_arg_kind=kind, first_arg_key=key,
             arg_keys=tuple(_summary_key(machine, s)
                            for s in sc.summaries))
-
-    # ----------------------------------------------------------- source path
-
-    def _load_source(self, machine, clauses: List[StoredClause],
-                     name: str, arity: int) -> list:
-        """The Educe baseline inside Educe*: parse stored source text and
-        compile it now.  Kept for completeness; the Educe baseline engine
-        (:mod:`repro.engine.educe_baseline`) is the primary consumer of
-        source mode."""
-        compiled = []
-        for sc in clauses:
-            term = machine.reader.read_term(sc.source)
-            compiled.append(machine.compiler.compile_clause(term))
-            machine.compile_count += 1
-        return self._build(machine, compiled, name, arity)
 
     # ------------------------------------------------------------ facts path
 

@@ -13,8 +13,10 @@ Two layers:
   caller's argument registers into the typed summaries the per-procedure
   BANG relation is keyed on; the grid answers the partial match;
 * **code execution** — :meth:`filter_by_execution` runs the retrieved
-  clause's ``get``/``unify`` prefix in a scratch interpreter against the
-  live argument registers, at a configurable *depth*:
+  clause's ``get``/``unify`` prefix on the session emulator's own
+  dispatch table against the live argument registers (``Machine`` owns
+  what a head instruction does; this module only where the prefix ends
+  and what ``shallow`` leaves out), at a *depth*:
 
   - ``"none"``   — trust the attribute filter only;
   - ``"shallow"``— execute top-level ``get`` instructions, skipping the
@@ -35,15 +37,14 @@ from ..obs.tracing import NULL_TRACER
 from ..wam import instructions as I
 from .store import StoredClause
 
-_HEAD_GET_OPS = {
-    I.GET_VARIABLE, I.GET_VALUE, I.GET_CONSTANT, I.GET_NIL,
+#: the instructions that make up a clause's head prefix; the first
+#: opcode outside this set (``get_level`` apart) ends the prefix
+_HEAD_PREFIX_OPS = frozenset({
+    I.ALLOCATE, I.GET_VARIABLE, I.GET_VALUE, I.GET_CONSTANT, I.GET_NIL,
     I.GET_STRUCTURE, I.GET_LIST,
-}
-_HEAD_UNIFY_OPS = {
     I.UNIFY_VARIABLE, I.UNIFY_VALUE, I.UNIFY_LOCAL_VALUE,
     I.UNIFY_CONSTANT, I.UNIFY_NIL, I.UNIFY_VOID,
-}
-_HEAD_SKIP_OPS = {I.ALLOCATE, I.GET_LEVEL}
+})
 
 DEPTHS = ("none", "shallow", "full")
 
@@ -58,8 +59,6 @@ class PreUnifier:
         self.executions = 0
         self.rejections = 0
         self.tracer = NULL_TRACER  # session installs its shared tracer
-
-    # ------------------------------------------------------ summary builder
 
     @staticmethod
     def summaries_from_registers(machine, arity: int) -> Dict[int, tuple]:
@@ -85,8 +84,6 @@ class PreUnifier:
                 out[i] = ("struct", name, fa)
         return out
 
-    # ------------------------------------------------------- code execution
-
     def filter_by_execution(self, machine, clauses: List[StoredClause],
                             decoded: List[list]) -> List[int]:
         """Indices of clauses whose head prefix executes successfully
@@ -95,188 +92,50 @@ class PreUnifier:
             return list(range(len(clauses)))
         with self.tracer.span("preunify.filter", depth=self.depth,
                               candidates=len(clauses)) as span:
-            survivors = []
-            for idx, code in enumerate(decoded):
-                self.executions += 1
-                if self._head_matches(machine, code):
-                    survivors.append(idx)
-                else:
-                    self.rejections += 1
+            survivors = [idx for idx, code in enumerate(decoded)
+                         if self._head_matches(machine, code)]
+            self.executions += len(decoded)
+            self.rejections += len(decoded) - len(survivors)
             if span is not None:
                 span.attrs["survivors"] = len(survivors)
         return survivors
 
     def _head_matches(self, machine, code: List[tuple]) -> bool:
-        """Run the head prefix of *code* in a scratch register file;
-        every side effect (bindings, heap growth) is undone."""
-        # A barrier choice point forces conditional trailing to record
-        # every binding below the current heap top, so the undo in the
-        # finally block is complete (bindings above the mark vanish with
-        # the heap truncation).
+        """Run the head prefix of *code* on the emulator's handlers; every
+        side effect (bindings, heap, registers, environment) is undone."""
+        # A barrier makes conditional trailing record every binding below
+        # the heap top; popping it undoes them and truncates the heap.
         barrier = machine._push_barrier()
-        trail_mark = len(machine.trail)
-        heap_mark = len(machine.heap)
-        heap = machine.heap
-        regs: Dict[tuple, object] = {}
-        for i in range(len(machine.x)):
-            if machine.x[i] is not None:
-                regs[("x", i)] = machine.x[i]
-
-        shallow = self.depth == "shallow"
-        ok = True
-        mode = "read"
-        s = 0
-        skip_unify = False
+        saved = (machine.x[:], machine.e, machine.mode, machine.s)
+        dispatch, shallow = machine._dispatch, self.depth == "shallow"
+        skipping = False  # shallow: inside a nested unify_* run
         try:
             for instr in code:
                 op = instr[0]
-                if op in _HEAD_SKIP_OPS:
+                if op == I.GET_LEVEL:
                     continue
-                if op not in _HEAD_GET_OPS and op not in _HEAD_UNIFY_OPS:
-                    break  # end of head prefix
-                if op in _HEAD_UNIFY_OPS:
-                    if skip_unify:
-                        if op == I.UNIFY_VARIABLE:
-                            # The skipped instruction would have defined
-                            # this register; leaving a stale caller value
-                            # in place would make later get_* tests
-                            # spuriously fail (unsound).  Fresh var =
-                            # sound over-approximation.
-                            regs[instr[1]] = machine.new_var()
-                        continue
+                if op not in _HEAD_PREFIX_OPS:
+                    break
+                if not op.startswith("unify_"):
+                    skipping = False
+                elif skipping:
                     if op == I.UNIFY_VARIABLE:
-                        if mode == "read":
-                            regs[instr[1]] = heap[s]
-                            s += 1
-                        else:
-                            regs[instr[1]] = machine.new_var()
-                        continue
-                    if op == I.UNIFY_VALUE or op == I.UNIFY_LOCAL_VALUE:
-                        if mode == "read":
-                            if not machine.unify(
-                                    regs.get(instr[1], machine.new_var()),
-                                    heap[s]):
-                                ok = False
-                                break
-                            s += 1
-                        else:
-                            heap.append(machine.deref_cell(
-                                regs.get(instr[1], machine.new_var())))
-                        continue
-                    if op == I.UNIFY_CONSTANT:
-                        want = _const_cell(machine, instr[1])
-                        if mode == "read":
-                            cell = machine.deref_cell(heap[s])
-                            s += 1
-                            if cell[0] == "REF":
-                                machine.bind(cell[1], want)
-                            elif cell[0] != want[0] or cell[1] != want[1]:
-                                ok = False
-                                break
-                        else:
-                            heap.append(want)
-                        continue
-                    if op == I.UNIFY_NIL:
-                        want = ("CON", machine._nil_id)
-                        if mode == "read":
-                            cell = machine.deref_cell(heap[s])
-                            s += 1
-                            if cell[0] == "REF":
-                                machine.bind(cell[1], want)
-                            elif cell != want:
-                                ok = False
-                                break
-                        else:
-                            heap.append(want)
-                        continue
-                    if op == I.UNIFY_VOID:
-                        if mode == "read":
-                            s += instr[1]
-                        else:
-                            for _ in range(instr[1]):
-                                machine.new_var()
-                        continue
-                # --- get instructions -----------------------------------
-                skip_unify = False
-                if op == I.GET_VARIABLE:
-                    regs[instr[1]] = regs.get(
-                        ("x", instr[2][1]), machine.new_var())
+                        # It would have defined this register, and a
+                        # stale caller value could fail a later get_*
+                        # (unsound); a fresh variable over-approximates.
+                        machine._reg_write(instr[1], machine.new_var())
                     continue
-                if op == I.GET_VALUE:
-                    a = regs.get(instr[1], machine.new_var())
-                    b = regs.get(("x", instr[2][1]), machine.new_var())
-                    if not machine.unify(a, b):
-                        ok = False
-                        break
-                    continue
-                if op == I.GET_CONSTANT:
-                    cell = machine.deref_cell(
-                        regs.get(("x", instr[2][1]), machine.new_var()))
-                    want = _const_cell(machine, instr[1])
-                    if cell[0] == "REF":
-                        machine.bind(cell[1], want)
-                    elif cell[0] != want[0] or cell[1] != want[1]:
-                        ok = False
-                        break
-                    continue
-                if op == I.GET_NIL:
-                    cell = machine.deref_cell(
-                        regs.get(("x", instr[1][1]), machine.new_var()))
-                    if cell[0] == "REF":
-                        machine.bind(cell[1], ("CON", machine._nil_id))
-                    elif cell != ("CON", machine._nil_id):
-                        ok = False
-                        break
-                    continue
-                if op == I.GET_STRUCTURE:
-                    cell = machine.deref_cell(
-                        regs.get(("x", instr[2][1]), machine.new_var()))
-                    if cell[0] == "REF":
-                        h = len(heap)
-                        heap.append(("FUN", instr[1]))
-                        machine.bind(cell[1], ("STR", h))
-                        mode = "write"
-                    elif cell[0] == "STR" and heap[cell[1]][1] == instr[1]:
-                        s = cell[1] + 1
-                        mode = "read"
-                    else:
-                        ok = False
-                        break
-                    skip_unify = shallow
-                    if skip_unify and mode == "write":
-                        # Complete the skipped structure with fresh vars
-                        # so later unifications see a well-formed term.
-                        for _ in range(machine.dictionary.arity(instr[1])):
-                            machine.new_var()
-                    continue
-                if op == I.GET_LIST:
-                    cell = machine.deref_cell(
-                        regs.get(("x", instr[1][1]), machine.new_var()))
-                    if cell[0] == "REF":
-                        machine.bind(cell[1], ("LIS", len(heap)))
-                        mode = "write"
-                    elif cell[0] == "LIS":
-                        s = cell[1]
-                        mode = "read"
-                    else:
-                        ok = False
-                        break
-                    skip_unify = shallow
-                    if skip_unify and mode == "write":
-                        machine.new_var()
-                        machine.new_var()
-                    continue
+                if dispatch[op](instr) == "fail":
+                    return False
+                if shallow and op in (I.GET_STRUCTURE, I.GET_LIST):
+                    # In place of the nested run, void every argument:
+                    # steps over an existing term, completes a new one
+                    # with fresh cells so later unifications are sound.
+                    skipping = True
+                    arity = (2 if op == I.GET_LIST
+                             else machine.dictionary.arity(instr[1]))
+                    dispatch[I.UNIFY_VOID]((I.UNIFY_VOID, arity))
+            return True
         finally:
-            machine._unwind_trail(trail_mark)
-            del machine.heap[heap_mark:]
-            machine.b = barrier.prev
-        return ok
-
-
-def _const_cell(machine, const) -> tuple:
-    kind = const[0]
-    if kind == "atom":
-        return ("CON", const[1])
-    if kind == "int":
-        return ("INT", const[1])
-    return ("FLT", const[1])
+            machine._pop_barrier(barrier)
+            machine.x[:], machine.e, machine.mode, machine.s = saved

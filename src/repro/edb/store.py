@@ -2,8 +2,8 @@
 
 Implements the four structures of §4:
 
-1. **Procedures table** — every external procedure has an entry
-   (mirrored in the ``$procedures`` BANG relation and an in-memory map);
+1. **Procedures table** — every external procedure has an entry in an
+   in-memory map that the checkpoint persists;
 2. **External dictionary** — see :mod:`repro.edb.external_dict`;
 3. **Per-procedure relation** — one BANG relation per stored procedure,
    one tuple per clause: a ``term`` attribute per head argument (typed,
@@ -162,15 +162,6 @@ class ExternalStore:
         #: stamp (which carries the version) can never alias old code
         #: with new.
         self._version_floor: Dict[Tuple[str, int], int] = {}
-        self.procs_relation = self.catalog.create(RelationSchema(
-            "$procedures",
-            [
-                AttributeSpec("name", "atom"),
-                AttributeSpec("arity", "int"),
-                AttributeSpec("mode", "atom"),
-            ],
-            key_dims=[0, 1],
-        ))
         self.clauses_relation = self.catalog.create(RelationSchema(
             "$clauses",
             [
@@ -290,6 +281,10 @@ class ExternalStore:
             self._rw = ReadWriteLock("store")
         self.__dict__.setdefault("mutation_epoch", 0)
         self.__dict__.setdefault("_version_floor", {})
+        # Older checkpoints carry the write-only ``$procedures`` mirror
+        # of ``_procs``; nothing reads it, so it is shed on load.
+        if self.__dict__.pop("procs_relation", None) is not None:
+            self.catalog.drop("$procedures")
         if getattr(self, "events", None) is None:
             self.events = EventRing()
         self.pager.events = self.events
@@ -359,7 +354,6 @@ class ExternalStore:
         if floor is not None and proc.version < floor:
             proc.version = floor
         self._procs[(proc.name, proc.arity)] = proc
-        self.procs_relation.insert((proc.name, proc.arity, proc.mode))
 
     def _proc_relation_schema(self, name: str, arity: int) -> RelationSchema:
         attrs = [AttributeSpec(f"arg{i + 1}", "term") for i in range(arity)]
@@ -670,7 +664,6 @@ class ExternalStore:
             return
         self.datalog_rules.drop((name, arity))
         self.catalog.drop(proc.relation.schema.name)
-        self.procs_relation.delete_where({0: name, 1: arity})
         if proc.mode != "facts":
             self.clauses_relation.delete_where({0: proc.key})
         # A re-created procedure must never reuse a version this one

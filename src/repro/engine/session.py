@@ -47,14 +47,11 @@ class EduceStar:
                  verify: str = "structural",
                  gc_enabled: bool = True,
                  gc_threshold: int = 200_000,
-                 dictionary_segment: int = 32000,
                  cost_model: Optional[CostModel] = None,
                  datalog: str = "auto",
                  datalog_min_rows: Optional[int] = None,
                  optimize: Optional[str] = None):
-        from ..dictionary import SegmentedDictionary
-        dictionary = SegmentedDictionary(segment_capacity=dictionary_segment)
-        self.machine = Machine(dictionary=dictionary, index=index,
+        self.machine = Machine(index=index,
                                gc_enabled=gc_enabled,
                                gc_threshold=gc_threshold,
                                optimize=optimize)

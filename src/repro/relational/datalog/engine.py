@@ -20,14 +20,15 @@ Every decision and evaluation is visible in the session's telemetry:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...obs.registry import Histogram
 from ...obs.tracing import NULL_TRACER
 from ...terms import Atom, Struct, Var, deref
 from ...wam.machine import Solution
-from .magic import rewrite
-from .rules import (Analysis, Indicator, analyze, const_to_term,
+from .magic import MagicProgram, rewrite
+from .rules import (Analysis, Indicator, Rule, analyze, const_to_term,
                     indicator_str, term_to_const)
 from .seminaive import FixpointStats, SemiNaiveEvaluator
 from .strategy import DEFAULT_MIN_ROWS, Decision, choose
@@ -39,6 +40,44 @@ _ITER_BOUNDARIES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 _CONTROL = {(",", 2), (";", 2), ("->", 2), ("\\+", 1), ("not", 1),
             ("call", 1), ("findall", 3), ("bagof", 3), ("setof", 3)}
+
+
+@dataclass
+class GoalPlan:
+    """What the engine decides about one goal before anything runs:
+    :meth:`DatalogEngine.route` evaluates it, ``explain_plan`` and
+    ``explain`` render it as a tree and as text."""
+
+    ind: Indicator
+    #: ``("var", name)`` / ``("const", value)`` per argument
+    items: List[tuple]
+    varmap: dict
+    #: None when *ind* is not a stored rules procedure (WAM territory)
+    decision: Optional[Decision] = None
+    # --- bottom-up decisions only: the program an evaluation runs ----
+    #: bound argument positions of the goal
+    bound: Set[int] = field(default_factory=set)
+    #: the magic rewrite, or None with the reason in ``magic_note``
+    program: Optional[MagicProgram] = None
+    magic_note: Optional[str] = None
+    #: rules and strata handed to the fixpoint (the rewritten ones when
+    #: ``program`` is set)
+    rules: Dict[Indicator, List[Rule]] = field(default_factory=dict)
+    strata: Dict[Indicator, int] = field(default_factory=dict)
+
+    def levels(self) -> List[Tuple[int, List[Indicator]]]:
+        """``(level, members)`` per stratum, bottom level first."""
+        by_level: Dict[int, List[Indicator]] = {}
+        for pred, level in self.strata.items():
+            by_level.setdefault(level, []).append(pred)
+        return [(level, sorted(by_level[level]))
+                for level in sorted(by_level)]
+
+
+def _feeds_on(rule: Rule, members: List[Indicator]) -> bool:
+    """Does *rule* feed on its own stratum (needs semi-naive passes)?"""
+    return any(not lit.negated and lit.pred in members
+               for lit in rule.body)
 
 
 class DatalogEngine:
@@ -132,19 +171,15 @@ class DatalogEngine:
             if self.store.datalog_rules_dropped:
                 self._note_rulebase_missing(goal)
             return None
-        spec = self._goal_spec(goal)
-        if spec is None:
+        plan = self.plan(goal)
+        if plan is None:
             return None
-        ind, items, varmap = spec
-        if ind not in self.store.datalog_rules:
+        decision = plan.decision
+        if decision is None:
             if self.store.datalog_rules_dropped:
-                self._note_missing_indicator(ind)
+                self._note_missing_indicator(plan.ind)
             return None
 
-        analysis = self.analysis()
-        decision = choose(analysis, ind, self.store, self.mode,
-                          self.min_rows,
-                          global_info=self._global_info(ind))
         self.queries += 1
         self.last_decision = decision
         if decision.mode_shortcut:
@@ -153,8 +188,54 @@ class DatalogEngine:
             self.topdown += 1
             return None
         self.bottomup += 1
-        answers = self._solve_bottom_up(ind, items, analysis, decision)
-        return self._bind(answers, items, varmap, limit)
+        if plan.program is not None:
+            self.magic_rewrites += 1
+        elif self.magic and plan.bound:
+            self.magic_fallbacks += 1
+        answers = self._solve_bottom_up(plan)
+        return self._bind(answers, plan.items, plan.varmap, limit)
+
+    def plan(self, goal) -> Optional[GoalPlan]:
+        """Plan *goal* without evaluating or counting anything: goal
+        shape, strategy decision and — for a bottom-up decision — the
+        (magic-rewritten) program a fixpoint would run.  None when the
+        goal is not a single positive literal with atomic arguments."""
+        spec = self._goal_spec(goal)
+        if spec is None:
+            return None
+        plan = GoalPlan(*spec)
+        ind = plan.ind
+        if ind not in self.store.datalog_rules:
+            return plan
+        analysis = self.analysis()
+        decision = plan.decision = choose(
+            analysis, ind, self.store, self.mode, self.min_rows,
+            global_info=self._global_info(ind))
+        if decision.strategy != "bottomup":
+            return plan
+
+        deps = analysis.dependencies(ind)
+        plan.rules = {d: analysis.rules[d] for d in deps
+                      if d in analysis.rules}
+        plan.strata = {d: analysis.strata[d] for d in plan.rules}
+        consts = tuple((pos, value) for pos, (kind, value)
+                       in enumerate(plan.items) if kind == "const")
+        plan.bound = {pos for pos, _value in consts}
+        if not plan.bound:
+            plan.magic_note = "no bound arguments"
+        elif not self.magic:
+            plan.magic_note = "magic rewriting disabled"
+        else:
+            program = plan.program = rewrite(plan.rules, ind, plan.bound,
+                                             consts)
+            if program is None:
+                plan.magic_note = ("rewrite abandoned (rewritten program "
+                                   "unstratifiable)")
+            else:
+                decision.magic = True
+                decision.adornment = program.adornment
+                plan.rules, plan.strata = program.rules, program.strata
+        return plan
 
     def _note_rulebase_missing(self, goal) -> None:
         spec = self._goal_spec(goal)
@@ -216,46 +297,23 @@ class DatalogEngine:
 
     # ----------------------------------------------------------- evaluation
 
-    def _solve_bottom_up(self, ind: Indicator, items: List[tuple],
-                         analysis: Analysis,
-                         decision: Decision) -> Set[tuple]:
-        deps = analysis.dependencies(ind)
-        rules = {d: analysis.rules[d] for d in deps if d in analysis.rules}
-        strata = {d: analysis.strata[d] for d in rules}
-        bound = {pos for pos, (kind, _v) in enumerate(items)
-                 if kind == "const"}
-        consts = tuple((pos, value) for pos, (kind, value)
-                       in enumerate(items) if kind == "const")
-
-        program = None
-        if self.magic and bound:
-            program = rewrite(rules, ind, bound, consts)
-            if program is not None:
-                self.magic_rewrites += 1
-                decision.magic = True
-                decision.adornment = program.adornment
-            else:
-                self.magic_fallbacks += 1
-
+    def _solve_bottom_up(self, plan: GoalPlan) -> Set[tuple]:
+        decision = plan.decision
         with self.store.reading():
             with self.tracer.span(
-                    "datalog.evaluate", goal=indicator_str(ind),
+                    "datalog.evaluate", goal=indicator_str(plan.ind),
                     strategy=decision.strategy,
                     magic=decision.magic) as span:
-                if program is not None:
-                    evaluator = SemiNaiveEvaluator(
-                        self.store, program.rules, program.strata,
-                        self.tracer)
-                    totals = evaluator.run()
-                    answers = totals.get(program.query_pred, set())
+                evaluator = SemiNaiveEvaluator(
+                    self.store, plan.rules, plan.strata, self.tracer)
+                totals = evaluator.run()
+                if plan.program is None:
+                    answers = totals.get(plan.ind, set())
+                else:
+                    answers = totals.get(plan.program.query_pred, set())
                     self.magic_facts += sum(
                         len(totals.get(m, ()))
-                        for m in program.magic_preds)
-                else:
-                    evaluator = SemiNaiveEvaluator(
-                        self.store, rules, strata, self.tracer)
-                    totals = evaluator.run()
-                    answers = totals.get(ind, set())
+                        for m in plan.program.magic_preds)
                 self._account(evaluator.stats)
                 self.last_stats = evaluator.stats
                 if span is not None:
@@ -317,73 +375,58 @@ class DatalogEngine:
 
     def explain(self, goal) -> str:
         """Human-readable strategy report for ``:plan <goal>`` — the
-        decision, evaluable strata, and the magic adornment (nothing is
-        evaluated)."""
-        spec = self._goal_spec(goal)
-        if spec is None:
+        text rendering of :meth:`plan` (nothing is evaluated)."""
+        plan = self.plan(goal)
+        if plan is None:
             return ("not routable: goal is not a single positive literal "
                     "with atomic arguments")
-        ind, items, _varmap = spec
-        if ind not in self.store.datalog_rules:
-            return (f"{indicator_str(ind)}: topdown (not a stored rules "
-                    "procedure)")
-        analysis = self.analysis()
-        decision = choose(analysis, ind, self.store, self.mode,
-                          self.min_rows,
-                          global_info=self._global_info(ind))
+        decision = plan.decision
+        if decision is None:
+            return (f"{indicator_str(plan.ind)}: topdown (not a stored "
+                    "rules procedure)")
         lines = [f"strategy: {decision.strategy}",
                  f"reason:   {decision.reason}"]
         if decision.call_modes or decision.determinism:
             lines.append(f"analysis: call={decision.call_modes or '?'} "
                          f"det={decision.determinism or '?'}")
         if decision.evaluable:
+            analysis = self.analysis()
+            base = sorted(indicator_str(d) for d in
+                          analysis.dependencies(plan.ind) & analysis.edb)
             lines.append(f"base:     {decision.base_rows} EDB rows in "
-                         f"{sorted(indicator_str(d) for d in analysis.dependencies(ind) & analysis.edb)}")
-            for level, members in enumerate(decision.strata):
-                marks = ", ".join(
-                    indicator_str(m)
-                    + (" (recursive)" if m in analysis.recursive else "")
-                    for m in members)
-                lines.append(f"stratum {level}: {marks}")
-            bound = {pos for pos, (kind, _v) in enumerate(items)
-                     if kind == "const"}
-            if bound and self.magic:
-                consts = tuple((pos, v) for pos, (kind, v)
-                               in enumerate(items) if kind == "const")
-                deps = analysis.dependencies(ind)
-                rules = {d: analysis.rules[d] for d in deps
-                         if d in analysis.rules}
-                program = rewrite(rules, ind, bound, consts)
-                if program is not None:
-                    lines.append(f"adornment: {program.adornment} "
-                                 f"({len(program.magic_preds)} magic "
-                                 "predicates)")
-                else:
-                    lines.append("adornment: magic rewrite abandoned "
-                                 "(rewritten program unstratifiable)")
-            elif not bound:
-                lines.append("adornment: none (no bound arguments)")
+                         f"{base}")
+        if decision.strategy != "bottomup":
+            return "\n".join(lines)
+        for level, members in plan.levels():
+            marks = ", ".join(
+                indicator_str(m)
+                + (" (recursive)" if any(_feeds_on(rule, members)
+                                         for rule in plan.rules[m])
+                   else "")
+                for m in members)
+            lines.append(f"stratum {level}: {marks}")
+        if plan.program is not None:
+            lines.append(f"adornment: {plan.program.adornment} "
+                         f"({len(plan.program.magic_preds)} magic "
+                         "predicates)")
+        else:
+            lines.append(f"adornment: none ({plan.magic_note})")
         return "\n".join(lines)
 
     def explain_plan(self, goal):
-        """EXPLAIN subtree for a stored-rules goal — the strategy
-        decision with its cost inputs, the magic adornment, and the
-        evaluable strata/rules exactly as a bottom-up run would see
-        them.  Returns a :class:`~repro.obs.explain.PlanNode` or None
-        when the goal is not routable (wrong shape, or not a stored
-        rules procedure); nothing is evaluated."""
+        """EXPLAIN subtree for a stored-rules goal — the tree rendering
+        of :meth:`plan`: the strategy decision with its cost inputs,
+        the magic adornment, and the evaluable strata/rules exactly as
+        a bottom-up run would see them.  Returns a
+        :class:`~repro.obs.explain.PlanNode` or None when the goal is
+        not routable (wrong shape, or not a stored rules procedure);
+        nothing is evaluated."""
         from ...obs.explain import PlanNode
-        spec = self._goal_spec(goal)
-        if spec is None:
+        plan = self.plan(goal)
+        if plan is None or plan.decision is None:
             return None
-        ind, items, _varmap = spec
-        if ind not in self.store.datalog_rules:
-            return None
-        analysis = self.analysis()
-        decision = choose(analysis, ind, self.store, self.mode,
-                          self.min_rows,
-                          global_info=self._global_info(ind))
-        node = PlanNode("decision", indicator_str(ind),
+        decision = plan.decision
+        node = PlanNode("decision", indicator_str(plan.ind),
                         strategy=decision.strategy,
                         reason=decision.reason,
                         mode=self.mode, min_rows=self.min_rows,
@@ -399,51 +442,26 @@ class DatalogEngine:
         if decision.strategy != "bottomup":
             return node
 
-        # Mirror _solve_bottom_up's program construction so the plan
-        # names exactly what an evaluation would run.
-        deps = analysis.dependencies(ind)
-        rules = {d: analysis.rules[d] for d in deps if d in analysis.rules}
-        strata = {d: analysis.strata[d] for d in rules}
-        bound = {pos for pos, (kind, _v) in enumerate(items)
-                 if kind == "const"}
-        consts = tuple((pos, value) for pos, (kind, value)
-                       in enumerate(items) if kind == "const")
-        program = None
-        if self.magic and bound:
-            program = rewrite(rules, ind, bound, consts)
-        if program is not None:
-            node.add(PlanNode("magic", program.adornment,
-                              adornment=program.adornment,
-                              magic_preds=len(program.magic_preds),
-                              bound_args=len(bound)))
-            rules, strata = program.rules, program.strata
-        elif bound and self.magic:
-            node.add(PlanNode(
-                "magic", "none", bound_args=len(bound),
-                note="rewrite abandoned (rewritten program "
-                     "unstratifiable)"))
+        if plan.program is not None:
+            node.add(PlanNode("magic", plan.program.adornment,
+                              adornment=plan.program.adornment,
+                              magic_preds=len(plan.program.magic_preds),
+                              bound_args=len(plan.bound)))
         else:
-            node.add(PlanNode("magic", "none", bound_args=len(bound),
-                              note="no bound arguments"))
-
-        by_level: Dict[int, List[Indicator]] = {}
-        for d, level in strata.items():
-            by_level.setdefault(level, []).append(d)
-        for level in sorted(by_level):
-            members = sorted(by_level[level])
-            scc = set(members)
+            node.add(PlanNode("magic", "none", bound_args=len(plan.bound),
+                              note=plan.magic_note))
+        for level, members in plan.levels():
             snode = node.add(PlanNode(
                 "stratum", str(level),
                 members=",".join(indicator_str(m) for m in members)))
             for d in members:
-                for i, rule in enumerate(rules[d]):
+                for i, rule in enumerate(plan.rules[d]):
                     body = ",".join(
                         ("\\+" if lit.negated else "")
                         + indicator_str(lit.pred) for lit in rule.body)
                     snode.add(PlanNode(
                         "rule", f"{indicator_str(d)}#{i}", body=body,
-                        recursive=any(not lit.negated and lit.pred in scc
-                                      for lit in rule.body)))
+                        recursive=_feeds_on(rule, members)))
         return node
 
     # ------------------------------------------------------------ telemetry

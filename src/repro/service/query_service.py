@@ -67,6 +67,10 @@ _CANCELLED = "cancelled"
 _TIMEOUT = "timeout"
 _FAILED = "failed"
 
+#: how many finished tickets / captured trace trees the service remembers
+_RECENT_TICKETS = 256
+_TRACE_CAPACITY = 64
+
 
 class QueryTicket:
     """A submitted query: future-style handle with cancellation.
@@ -185,8 +189,6 @@ class QueryService:
                  queue_size: int = 64, poll_interval: int = 512,
                  tracing: bool = False,
                  slow_query_ms: Optional[float] = None,
-                 recent_tickets: int = 256,
-                 trace_capacity: int = 64,
                  read_only: bool = False,
                  explain: bool = False,
                  profiling: bool = False,
@@ -260,8 +262,8 @@ class QueryService:
         self.events = self.store.events
         self._service_id = uuid.uuid4().hex[:6]
         self._span_seq = itertools.count(1)
-        self._recent: "deque[Dict[str, Any]]" = deque(maxlen=recent_tickets)
-        self._traces: "deque[Span]" = deque(maxlen=trace_capacity)
+        self._recent: "deque[Dict[str, Any]]" = deque(maxlen=_RECENT_TICKETS)
+        self._traces: "deque[Span]" = deque(maxlen=_TRACE_CAPACITY)
         self._slow: "deque[Dict[str, Any]]" = deque(maxlen=32)
         #: full :meth:`telemetry` aggregate captured by :meth:`shutdown`
         self.final_telemetry: Optional[Dict[str, Any]] = None

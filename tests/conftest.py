@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis strategies."""
 
+import os
+
 import pytest
 from hypothesis import strategies as st
 
@@ -16,9 +18,11 @@ enable_self_verify()
 # runs at the highest optimization level, so the whole suite doubles as
 # the optimizer's regression net (docs/OPTIMIZER.md).  Tests pinning
 # exact unoptimized codegen pass ``optimize="off"`` explicitly.
+# ``REPRO_TEST_OPTIMIZE=off`` (a CI matrix leg; test-only, not a product
+# option) runs the suite at the level the product ships with instead.
 from repro.wam.optimizer import set_default_level  # noqa: E402
 
-set_default_level("full")
+set_default_level(os.environ.get("REPRO_TEST_OPTIMIZE", "full"))
 
 
 @pytest.fixture

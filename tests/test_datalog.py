@@ -433,6 +433,36 @@ class TestEngine:
         assert "bf" in text
         assert "not routable" in kb.datalog.explain("foo(X), bar(X)")
 
+    @pytest.mark.parametrize("goal", ["reach(n0, X)", "reach(X, Y)",
+                                      "edge(n0, X)"])
+    def test_text_and_tree_render_one_plan(self, goal):
+        """``:plan`` text and the EXPLAIN subtree are two renderings of
+        one ``plan()``: same strategy, adornment and strata — and
+        planning counts nothing."""
+        kb = self.reach_kb()
+        before = kb.datalog.counters()
+        text = kb.datalog.explain(goal)
+        tree = kb.datalog.explain_plan(goal)
+        del before["datalog_extractions"]      # the cached analysis
+        after = kb.datalog.counters()
+        del after["datalog_extractions"]
+        assert after == before
+        if tree is None:                       # not a stored rules procedure
+            assert "topdown" in text and "stratum" not in text
+            return
+        lines = dict(line.split(":", 1) for line in text.splitlines())
+        assert lines["strategy"].strip() == tree.attrs["strategy"]
+        magic = tree.find("magic")
+        assert lines["adornment"].split()[0] == magic.label
+        strata = [n for n in tree.walk() if n.op == "stratum"]
+        assert strata
+        for node in strata:
+            members = [m.split(" ")[0] for m in
+                       lines[f"stratum {node.label}"].strip().split(", ")]
+            assert ",".join(members) == node.attrs["members"]
+        assert (sum(line.startswith("stratum") for line in lines)
+                == len(strata))
+
     def test_conjunction_not_routed(self):
         kb = self.reach_kb(10)
         answers = list(kb.solve("reach(n0, X), reach(X, n10)"))

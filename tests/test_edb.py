@@ -202,6 +202,17 @@ class TestStoreSource:
         store.store_source("s2", 1, read_terms("s2(hello_world_atom)."))
         assert store.source_bytes_stored > before
 
+    def test_loader_refuses_source_mode(self, store):
+        """Source text is the Educe baseline's scheme; a compiled-code
+        session that reaches such a procedure gets a typed error naming
+        it, not an attempt to run text."""
+        from repro.engine.session import EduceStar
+        store.store_source("s3", 1, read_terms("s3(a)."))
+        session = EduceStar(store=store)
+        with pytest.raises(CatalogError, match="s3/1"):
+            session.solve_once("s3(X)")
+        assert session.loader.loads == 0
+
 
 class TestUpdates:
     def test_assert_appends(self, store, ctx):

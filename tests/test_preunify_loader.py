@@ -87,9 +87,15 @@ class TestFilteringSemantics:
         from repro.lang.writer import term_to_text
         assert term_to_text(sol["L"]) == "[0,1]"
 
-    def test_filter_leaves_no_residue(self):
-        """Pre-unification must not leak bindings or heap cells."""
-        s = make_session(depth="full")
+    @pytest.mark.parametrize("depth", ["shallow", "full"])
+    def test_filter_leaves_no_residue(self, depth):
+        """Pre-unification must not leak bindings or heap cells — nor
+        registers or an environment frame: the head prefix runs on the
+        machine's real register file and ``allocate`` pushes a real
+        frame, and all of it is put back whether the clause matched or
+        was rejected."""
+        from repro.edb.codec import decode_code
+        s = make_session(depth=depth)
         s.store_program(PROG)
         m = s.machine
         list(s.solve("p(a, N)"))
@@ -98,6 +104,27 @@ class TestFilteringSemantics:
         list(s.solve("p(f(1), N)"))
         assert len(m.heap) == heap_before
         assert len(m.trail) == trail_before
+
+        # Permanent variables put ``allocate`` and Y slots in the
+        # prefix; the third clause writes X registers above the
+        # initial register file.
+        big = "big(" + ", ".join(f"V{i}" for i in range(70)) + ")"
+        s.store_program(
+            "q(f(X), [Y|T], W) :- r(X), r(Y), r(T), r(W).\n"
+            "q(g(X), Y, Y) :- r(X), r(Y).\n"
+            f"q(_, {big}, {big}).\n")
+        clauses = s.store.fetch_clauses("q", 3, {})
+        decoded = [decode_code(sc.relative_code, m.dictionary,
+                               s.store.external_dict) for sc in clauses]
+        cell, _ = m._build(m.reader.read_term("probe(f(1), L, Z)"), {})
+        for i in range(3):
+            m.x[i] = m.heap[cell[1] + 1 + i]
+        m.mode, m.s = "write", 12345
+        before = (list(m.x), m.e, m.mode, m.s, m.b, list(m.heap),
+                  list(m.trail))
+        survivors = s.preunifier.filter_by_execution(m, clauses, decoded)
+        assert survivors == [0, 2]
+        assert before == (m.x, m.e, m.mode, m.s, m.b, m.heap, m.trail)
 
 
 class TestLoader:

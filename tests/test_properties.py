@@ -4,6 +4,8 @@ These pin the system's load-bearing invariants:
 
 * pre-unification soundness — the filter never loses a clause the
   emulator could use, at any depth (§4's "necessary but not sufficient");
+* pre-unification exactness — at depth ``full`` it delivers no clause
+  whose head does not unify with the call;
 * codec totality — every compilable clause round-trips through the
   relative-address encoding;
 * EDB-vs-main-memory equivalence — a program answers identically
@@ -11,11 +13,12 @@ These pin the system's load-bearing invariants:
   loaded.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.engine.session import EduceStar
 from repro.lang.writer import format_clause, term_to_text
-from repro.terms import Atom, Struct, Var
+from repro.terms import (Atom, Struct, Var, deref, make_list, rename_term,
+                         term_variables)
 from repro.wam.machine import Machine
 
 # ------------------------------------------------------------ term makers
@@ -25,36 +28,95 @@ _functors = st.sampled_from(["f", "g", "h"])
 
 
 def head_args(depth=2):
-    """Head-argument terms: constants, ints, vars, nested structures."""
+    """Head-argument terms: constants, ints, vars (fresh or one of
+    three that may repeat), nested structures, lists (proper or with a
+    tail)."""
     leaves = st.one_of(
         _const_names.map(Atom),
         st.integers(0, 9),
         st.just(None),  # placeholder for a fresh Var (built later)
+        st.integers(0, 2).map(lambda k: ("var", k)),
     )
     return st.recursive(
         leaves,
-        lambda children: st.builds(
-            lambda n, args: ("struct", n, tuple(args)),
-            _functors,
-            st.lists(children, min_size=1, max_size=2),
+        lambda children: st.one_of(
+            st.builds(
+                lambda n, args: ("struct", n, tuple(args)),
+                _functors,
+                st.lists(children, min_size=1, max_size=2),
+            ),
+            st.builds(
+                lambda items, tail: ("list", tuple(items), tail),
+                st.lists(children, max_size=2),
+                st.one_of(st.just(Atom("[]")), children),
+            ),
         ),
         max_leaves=4,
     )
 
 
-def _reify(spec):
+def _reify(spec, scope=None):
+    """*scope* maps ``("var", k)`` placeholders to the Var they share;
+    terms reified with the same scope share those variables."""
+    if scope is None:
+        scope = {}
     if spec is None:
         return Var()
+    if isinstance(spec, tuple) and spec[0] == "var":
+        return scope.setdefault(spec[1], Var())
     if isinstance(spec, tuple) and spec[0] == "struct":
-        return Struct(spec[1], tuple(_reify(a) for a in spec[2]))
+        return Struct(spec[1], tuple(_reify(a, scope) for a in spec[2]))
+    if isinstance(spec, tuple) and spec[0] == "list":
+        return make_list([_reify(a, scope) for a in spec[1]],
+                         _reify(spec[2], scope))
     return spec
+
+
+def _clause(a, b, i, with_body=False):
+    """``p(A, B, i)``, or ``p(A, B, i) :- ok(A), ok(B)`` — the body makes
+    every variable of B permanent, so the head prefix starts with
+    ``allocate`` and reads/writes environment slots."""
+    scope = {}
+    a, b = _reify(a, scope), _reify(b, scope)
+    head = Struct("p", (a, b, i))
+    if not with_body:
+        return head
+    return Struct(":-", (head, Struct(",", (Struct("ok", (a,)),
+                                            Struct("ok", (b,))))))
 
 
 def _probe_goal(probe):
     """findall(I, p(A, B, I), L) as a term with named query vars."""
     ivar, lvar = Var("I"), Var("Found")
-    call = Struct("p", (_reify(probe[0]), _reify(probe[1]), ivar))
+    scope = {}
+    call = Struct("p", (_reify(probe[0], scope), _reify(probe[1], scope),
+                        ivar))
     return Struct("findall", (ivar, call, lvar))
+
+
+def _surface_unify(a, b, trail):
+    """Reference unifier over ``repro.terms`` (with occurs check: None
+    where the WAM, which has none, would build a cyclic term)."""
+    a, b = deref(a), deref(b)
+    if a is b:
+        return True
+    if isinstance(b, Var) and not isinstance(a, Var):
+        a, b = b, a
+    if isinstance(a, Var):
+        if any(v is a for v in term_variables(b)):
+            return None
+        a.ref = b
+        trail.append(a)
+        return True
+    if isinstance(a, Struct) and isinstance(b, Struct):
+        if a.indicator != b.indicator:
+            return False
+        for x, y in zip(a.args, b.args):
+            ok = _surface_unify(x, y, trail)
+            if not ok:
+                return ok
+        return True
+    return type(a) is type(b) and a == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,10 +129,7 @@ def test_preunification_soundness(heads, probe):
     """At every depth, querying the EDB-stored facts returns exactly
     what the in-memory compiled program returns (same clause ids, same
     order)."""
-    clauses = [
-        Struct("p", (_reify(a), _reify(b), i))
-        for i, (a, b) in enumerate(heads)
-    ]
+    clauses = [_clause(a, b, i) for i, (a, b) in enumerate(heads)]
     program = "\n".join(format_clause(c) for c in clauses)
 
     reference = Machine()
@@ -83,6 +142,41 @@ def test_preunification_soundness(heads, probe):
         got = term_to_text(
             session.solve_once(_probe_goal(probe))["Found"])
         assert got == want, f"depth={depth}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    heads=st.lists(st.tuples(head_args(), head_args(), st.booleans()),
+                   min_size=1, max_size=8),
+    probe=st.tuples(head_args(), head_args()),
+)
+def test_preunification_exactness(heads, probe):
+    """At depth ``full`` the clauses delivered to the emulator are
+    exactly those whose head unifies with the call — no more (the
+    oracle is surface-term unification), no fewer (the answers)."""
+    clauses = [_clause(a, b, i, with_body)
+               for i, (a, b, with_body) in enumerate(heads)]
+    goal = _probe_goal(probe)
+    call = goal.args[1]
+    unifying = []
+    for i, clause in enumerate(clauses):
+        head = rename_term(clause.args[0] if clause.name == ":-" else clause)
+        trail = []
+        ok = _surface_unify(head, call, trail)
+        for var in trail:
+            var.ref = None
+        assume(ok is not None)      # cyclic without the occurs check
+        if ok:
+            unifying.append(i)
+
+    session = EduceStar(preunify_depth="full")
+    session.consult("ok(_).")
+    session.store_program("\n".join(format_clause(c) for c in clauses))
+    got = term_to_text(session.solve_once(goal)["Found"])
+    assert got == term_to_text(make_list(unifying))
+    assert session.loader.clauses_delivered == len(unifying)
+    assert session.preunifier.rejections == (
+        session.preunifier.executions - len(unifying))
 
 
 @settings(max_examples=40, deadline=None)
