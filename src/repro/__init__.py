@@ -32,7 +32,7 @@ Layers (bottom-up)
 from .engine.educe_baseline import EduceBaseline
 from .engine.interpreter import Interpreter
 from .engine.session import EduceStar
-from .engine.stats import CostModel, Measurement, measure
+from .engine.stats import CostModel, Measurement, QueryProfile, measure
 from .errors import PrologError, ReproError, ServiceError, StorageError
 from .service import QueryService, QueryTicket
 from .lang.reader import read_program, read_term
@@ -50,6 +50,7 @@ __all__ = [
     "Solution",
     "CostModel",
     "Measurement",
+    "QueryProfile",
     "measure",
     "Atom",
     "Var",

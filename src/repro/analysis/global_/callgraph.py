@@ -92,10 +92,6 @@ class CallGraph:
     sccs: List[List[Indicator]]
     scc_of: Dict[Indicator, int]
 
-    def callers_of(self, ind: Indicator) -> Set[Indicator]:
-        return {caller for caller, callees in self.edges.items()
-                if ind in callees}
-
     def recursive(self, ind: Indicator) -> bool:
         """In a cycle: its SCC has >1 member, or it calls itself."""
         scc = self.sccs[self.scc_of[ind]]

@@ -250,7 +250,6 @@ class FileDiskStore(DiskStore):
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE,
                  faults: Optional[FaultInjector] = None, epoch: int = 1):
         super().__init__(page_size)
-        self._pages = {}   # unused in this subclass; kept for pickles
         self.path = path
         self.epoch = epoch
         self.faults = faults or NULL_FAULTS

@@ -185,10 +185,11 @@ class BangRelation:
         """
         for box in self._boxes_for(assignment):
             for row in self.grid.query(box):
-                if self._row_matches(row, assignment):
+                if self.row_matches(row, assignment):
                     yield row
 
-    def _row_matches(self, row: tuple, assignment: Dict[int, Any]) -> bool:
+    def row_matches(self, row: tuple, assignment: Dict[int, Any]) -> bool:
+        """Does *row* satisfy the exact partial-match *assignment*?"""
         for idx, want in assignment.items():
             have = row[idx]
             if self._types[idx] == "term":
@@ -218,7 +219,7 @@ class BangRelation:
             for row in self.grid.query(box):
                 if not (low <= row[attr] <= high):
                     continue
-                if self._row_matches(row, extra):
+                if self.row_matches(row, extra):
                     yield row
 
     def type_query(self, attr: int, band: str,
@@ -237,7 +238,7 @@ class BangRelation:
                 if not (isinstance(value, tuple) and value
                         and value[0] == band):
                     continue
-                if self._row_matches(row, extra):
+                if self.row_matches(row, extra):
                     yield row
 
     # ------------------------------------------------------------- planning

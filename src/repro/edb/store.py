@@ -66,7 +66,6 @@ from ..errors import (CatalogError, ExistenceError, ReadOnlyStore,
 from ..locks import ReadWriteLock
 from ..obs.events import EventRing
 from ..obs.registry import Histogram, merge_histogram_maps
-from ..obs.tracing import NULL_TRACER
 from ..relational.datalog.rules import DatalogRulebase
 from ..terms import Atom, Struct, Term, Var, deref
 from ..wam.compiler import ClauseCompiler, CompileContext, split_clause
@@ -459,11 +458,6 @@ class ExternalStore:
             ]
             fetched.sort(key=lambda sc: sc.clause_id)
             return fetched
-
-    def clause_count_pages(self, name: str, arity: int) -> int:
-        with self.reading():
-            proc = self.get(name, arity)
-            return self.clauses_relation.pages_for({0: proc.key})
 
     # ----------------------------------------------------------- facts mode
 
@@ -993,8 +987,7 @@ class ExternalStore:
 
     @classmethod
     def open(cls, path: str, *, create: bool = True,
-             faults: Optional[FaultInjector] = None,
-             tracer=None, verify_pages: bool = True) -> "ExternalStore":
+             faults: Optional[FaultInjector] = None) -> "ExternalStore":
         """Open a durable EDB at *path*, performing crash recovery.
 
         * no file and ``create=True`` → a fresh file-backed
@@ -1008,7 +1001,6 @@ class ExternalStore:
         :class:`~repro.edb.recovery.RecoveryReport` in ``.recovery``.
         """
         faults = faults or NULL_FAULTS
-        tracer = tracer or NULL_TRACER
         if not os.path.exists(path):
             if not create:
                 raise CatalogError(
@@ -1029,51 +1021,47 @@ class ExternalStore:
         report = RecoveryReport(path=path)
         report.checkpoint_bytes = max(
             0, os.path.getsize(path) - _CKPT_HEADER.size)
-        with tracer.span("recovery", path=path):
-            if verify_pages:
-                report.pages_scanned = disk.page_count
-                report.pages_quarantined = disk.verify_all()
-            wal = WriteAheadLog(path + ".wal", faults=faults)
-            # Incremental replay: one committed frame at a time, so
-            # recovery memory is bounded by the largest record, not the
-            # whole log.  After a record that cannot be admitted the
-            # cursor is still drained (without applying) to find the
-            # true good end.
-            cursor = wal.scan_from(0)
-            stopped = False
-            with store.writing():
-                for payload in cursor:
-                    report.wal_records_seen += 1
-                    if stopped:
-                        continue
-                    verdict, detail = store.admit(payload)
-                    if verdict == "applied":
-                        report.ops_replayed[detail] = (
-                            report.ops_replayed.get(detail, 0) + 1)
-                        report.wal_records_replayed += 1
-                        if tracer.enabled:
-                            tracer.event("wal.replay", op=detail)
-                    elif verdict == "stale":
-                        report.wal_records_stale += 1
-                    else:
-                        # Ahead of the checkpoint (save commits the era
-                        # bump only once the checkpoint is durable, so
-                        # log and checkpoint diverged) or undecodable:
-                        # refuse to guess rather than silently drop or
-                        # misapply committed writes.
-                        report.errors.append(f"{detail}; replay stopped")
-                        stopped = True
-            report.wal_torn_tail = cursor.torn
-            report.wal_good_end = cursor.offset
-            if cursor.torn:
-                # Drop the uncommitted tail so future appends never sit
-                # behind unreadable garbage.  (A *live tailer* seeing a
-                # torn tail must wait and retry instead — truncation is
-                # only ever the crashed owner's recovery action.)
-                wal.truncate_to(cursor.offset)
-            wal.next_lsn = cursor.next_lsn
-            store.wal = wal
-            store._home = path
+        report.pages_scanned = disk.page_count
+        report.pages_quarantined = disk.verify_all()
+        wal = WriteAheadLog(path + ".wal", faults=faults)
+        # Incremental replay: one committed frame at a time, so
+        # recovery memory is bounded by the largest record, not the
+        # whole log.  After a record that cannot be admitted the
+        # cursor is still drained (without applying) to find the
+        # true good end.
+        cursor = wal.scan_from(0)
+        stopped = False
+        with store.writing():
+            for payload in cursor:
+                report.wal_records_seen += 1
+                if stopped:
+                    continue
+                verdict, detail = store.admit(payload)
+                if verdict == "applied":
+                    report.ops_replayed[detail] = (
+                        report.ops_replayed.get(detail, 0) + 1)
+                    report.wal_records_replayed += 1
+                elif verdict == "stale":
+                    report.wal_records_stale += 1
+                else:
+                    # Ahead of the checkpoint (save commits the era
+                    # bump only once the checkpoint is durable, so
+                    # log and checkpoint diverged) or undecodable:
+                    # refuse to guess rather than silently drop or
+                    # misapply committed writes.
+                    report.errors.append(f"{detail}; replay stopped")
+                    stopped = True
+        report.wal_torn_tail = cursor.torn
+        report.wal_good_end = cursor.offset
+        if cursor.torn:
+            # Drop the uncommitted tail so future appends never sit
+            # behind unreadable garbage.  (A *live tailer* seeing a
+            # torn tail must wait and retry instead — truncation is
+            # only ever the crashed owner's recovery action.)
+            wal.truncate_to(cursor.offset)
+        wal.next_lsn = cursor.next_lsn
+        store.wal = wal
+        store._home = path
         cls._clean_leftovers(path, disk)
         store.recovery = report
         store.events.record(

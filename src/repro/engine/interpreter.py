@@ -77,11 +77,6 @@ class Interpreter:
         self.database.setdefault(key, []).insert(0, clause)
         self.asserts += 1
 
-    def retract_all(self, name: str, arity: int) -> int:
-        clauses = self.database.pop((name, arity), [])
-        self.erases += len(clauses)
-        return len(clauses)
-
     # ---------------------------------------------------------------- query
 
     def solve(self, goal, limit: Optional[int] = None) -> Iterator[dict]:

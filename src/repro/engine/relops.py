@@ -131,9 +131,8 @@ class RelationalOps:
     def db_select(self, m, args):
         relation = self._relation(m, args[0])
         assignment = self._pattern_assignment(m, args[1], relation.arity)
-        rows = (execute(best_access_path(relation, assignment),
-                        tracer=self.session.tracer)
-                if not assignment else list(relation.query(assignment)))
+        rows = execute(best_access_path(relation, assignment),
+                       tracer=self.session.tracer)
         self._materialise(_atom_name(m, args[2]), rows, relation.arity)
         return True
 

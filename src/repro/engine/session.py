@@ -21,19 +21,25 @@ Both evaluation strategies of §4 are available and freely mixable:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..bang.pager import Pager
 from ..bang.relation import BangRelation
 from ..edb.loader import DynamicLoader
 from ..edb.preunify import PreUnifier
 from ..edb.store import ExternalStore
-from ..obs import MetricsRegistry, QueryProfile, Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..terms import Atom, Struct, Term, deref
 from ..wam.compiler import split_clause
 from ..wam.machine import Machine, Procedure, Solution
-from .stats import CostModel, Measurement, measure
+from .stats import CostModel, QueryProfile, measuring
+
+
+#: the counter deltas ANALYZE copies from the run record onto the plan
+#: root's ``actual`` (docs/OBSERVABILITY.md, "The run record")
+ANALYZE_COUNTERS = ("instr_count", "data_refs", "edb_fetches",
+                    "cache_hits", "pages_read", "datalog_iterations",
+                    "datalog_facts_derived", "datalog_magic_facts",
+                    "datalog_edb_rows")
 
 
 class EduceStar:
@@ -41,32 +47,23 @@ class EduceStar:
 
     def __init__(self,
                  store: Optional[ExternalStore] = None,
-                 pager: Optional[Pager] = None,
                  preunify_depth: str = "full",
-                 index: bool = True,
                  verify: str = "structural",
-                 gc_enabled: bool = True,
-                 gc_threshold: int = 200_000,
-                 cost_model: Optional[CostModel] = None,
                  datalog: str = "auto",
-                 datalog_min_rows: Optional[int] = None,
                  optimize: Optional[str] = None):
-        self.machine = Machine(index=index,
-                               gc_enabled=gc_enabled,
-                               gc_threshold=gc_threshold,
-                               optimize=optimize)
-        self.store = store or ExternalStore(pager=pager)
+        self.machine = Machine(optimize=optimize)
+        self.store = store or ExternalStore()
         self.preunifier = PreUnifier(preunify_depth)
         # The loader shares the machine's optimizer: one level knob, one
         # set of wam_opt_* counters per session (docs/OPTIMIZER.md).
         self.loader = DynamicLoader(self.store, self.preunifier,
-                                    index=index, verify=verify,
+                                    verify=verify,
                                     optimizer=self.machine.optimizer)
         self.machine.unknown_handler = self._edb_trap
         # Gate fallbacks (wam_opt.reject) land on the store's flight
         # recorder, next to the WAL/pager events they interleave with.
         self.machine.optimizer.events = self.store.events
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.parsed_chars = 0
         self.explain_queries = 0
         self.analyze_queries = 0
@@ -79,8 +76,7 @@ class EduceStar:
         # enable it for the extent of one query.
         self.metrics = MetricsRegistry()
         self.metrics.attach(self)   # counters() + io_counters()
-        self.tracer = Tracer(snapshot=self.metrics.snapshot,
-                             diff=self.metrics.diff)
+        self.tracer = Tracer(self.metrics)
         self.machine.tracer = self.tracer
         self.loader.tracer = self.tracer
         self.preunifier.tracer = self.tracer
@@ -106,12 +102,10 @@ class EduceStar:
         # docs/DATALOG.md): solve() consults the strategy planner and
         # routes evaluable recursive goals through the semi-naive
         # bottom-up engine instead of the WAM.
-        from ..relational.datalog import DEFAULT_MIN_ROWS, DatalogEngine
+        from ..relational.datalog import DatalogEngine
         self.datalog = DatalogEngine(
             self.store, self.machine.reader, tracer=self.tracer,
-            mode=datalog,
-            min_rows=(DEFAULT_MIN_ROWS if datalog_min_rows is None
-                      else datalog_min_rows))
+            mode=datalog)
         # Whole-program analysis (docs/ANALYSIS.md): cached report +
         # counters; the Datalog planner folds inferred classes into its
         # decisions once :meth:`global_analysis` has run.
@@ -181,7 +175,7 @@ class EduceStar:
         """Solve *goal*; yield :class:`Solution` objects.
 
         With ``profile=True``, tracing is enabled for this query and a
-        :class:`~repro.obs.profile.QueryProfile` (span tree + counter
+        :class:`~repro.engine.stats.QueryProfile` (span tree + counter
         deltas + simulated-ms breakdown) is stored in
         :attr:`last_profile` once the solution iterator is exhausted or
         closed.  Use :meth:`profile` to run to completion and get the
@@ -191,7 +185,8 @@ class EduceStar:
             self.parsed_chars += len(goal)
         if not profile:
             return self._solve_routed(goal, limit)
-        return self._solve_profiled(goal, limit)
+        return self._solve_measured(goal, limit, self._run_record(goal),
+                                    spans=True)
 
     def _solve_routed(self, goal,
                       limit: Optional[int]) -> Iterator[Solution]:
@@ -203,30 +198,35 @@ class EduceStar:
             return iter(routed)
         return self.machine.solve(goal, limit=limit)
 
-    def _solve_profiled(self, goal,
-                        limit: Optional[int]) -> Iterator[Solution]:
-        was_enabled = self.tracer.enabled
-        self.tracer.enabled = True
-        before = self.metrics.snapshot()
-        start = time.perf_counter()
-        solutions = 0
+    def _run_record(self, goal) -> QueryProfile:
+        return QueryProfile(
+            goal=goal if isinstance(goal, str) else str(goal),
+            cost_model=self.cost_model, trace_id=self.tracer.trace_id)
+
+    def _solve_measured(self, goal, limit: Optional[int],
+                        run: QueryProfile,
+                        spans: bool) -> Iterator[Solution]:
+        """Run *goal* between two registry snapshots, filling in *run*
+        — the one measuring path behind ``solve(profile=True)``,
+        :meth:`profile` and :meth:`analyze`.  With *spans* the tracer is
+        on for the extent of the run, and once the iterator is exhausted
+        or closed the record carries the query's span tree and becomes
+        :attr:`last_profile`."""
+        tracer = self.tracer
+        was_enabled = tracer.enabled
+        if spans:
+            tracer.enabled = True
         try:
-            for solution in self._solve_routed(goal, limit):
-                solutions += 1
-                yield solution
+            with measuring(self.metrics, run):
+                for solution in self._solve_routed(goal, limit):
+                    run.solutions += 1
+                    yield solution
         finally:
-            wall_s = time.perf_counter() - start
-            counters = self.metrics.diff(self.metrics.snapshot(), before)
-            roots = self.tracer.take_roots()
-            self.tracer.enabled = was_enabled
-            self.last_profile = QueryProfile(
-                goal=goal if isinstance(goal, str) else str(goal),
-                counters=counters,
-                root=roots[-1] if roots else None,
-                solutions=solutions,
-                wall_s=wall_s,
-                cost_model=self.cost_model,
-                trace_id=self.tracer.trace_id)
+            if spans:
+                roots = tracer.take_roots()
+                run.root = roots[-1] if roots else None
+                self.last_profile = run
+            tracer.enabled = was_enabled
 
     def profile(self, goal, limit: Optional[int] = None) -> QueryProfile:
         """Run *goal* to completion under tracing; return its profile."""
@@ -280,23 +280,19 @@ class EduceStar:
         plan = self.explain(goal)
         plan.mode = "analyze"
         self.analyze_queries += 1
-        before = self.metrics.snapshot()
-        start = time.perf_counter()
-        answers = sum(1 for _ in self.solve(goal, limit=limit))
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        delta = self.metrics.diff(self.metrics.snapshot(), before)
-        executed = ("bottomup" if delta.get("datalog_bottomup")
-                    else "topdown")
+        if isinstance(goal, str):
+            self.parsed_chars += len(goal)
+        run = self._run_record(goal)
+        for _ in self._solve_measured(goal, limit, run, spans=False):
+            pass
+        executed = "bottomup" if run["datalog_bottomup"] else "topdown"
         actual = plan.root.actual
         actual["executed"] = executed
-        actual["answers"] = answers
-        actual["wall_ms"] = round(wall_ms, 3)
-        for key in ("instr_count", "data_refs", "edb_fetches",
-                    "cache_hits", "pages_read", "datalog_iterations",
-                    "datalog_facts_derived", "datalog_magic_facts",
-                    "datalog_edb_rows"):
-            if delta.get(key):
-                actual[key] = delta[key]
+        actual["answers"] = run.solutions
+        actual["wall_ms"] = round(run.wall_s * 1000.0, 3)
+        for key in ANALYZE_COUNTERS:
+            if run[key]:
+                actual[key] = run[key]
         if executed == "bottomup" and self.datalog.last_stats is not None:
             stats = self.datalog.last_stats
             attach_fixpoint(plan, stats.passes, stats.facts)
@@ -543,9 +539,9 @@ class EduceStar:
     # ------------------------------------------------------------- counters
 
     def local_counters(self) -> dict:
-        """Only the counters the session owns itself — what a service
-        registry attaches alongside the machine/loader/datalog sources
-        it already has, without double counting them."""
+        """Only the counters the session owns itself — what the query
+        service folds into its own ``counters()`` next to the
+        machine/loader/datalog sources it attaches per worker."""
         out = {"parsed_chars": self.parsed_chars,
                "explain_queries": self.explain_queries,
                "analyze_queries": self.analyze_queries,
@@ -578,10 +574,3 @@ class EduceStar:
         self.machine.reset_counters()
         self.store.reset_counters()
         self.parsed_chars = 0
-
-    def measure(self):
-        """Context manager capturing a Measurement across a block."""
-        return measure(self)
-
-    def simulated_ms(self, measurement: Measurement) -> float:
-        return measurement.simulated_ms(self.cost_model)

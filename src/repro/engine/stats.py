@@ -1,4 +1,4 @@
-"""Counters and the hardware cost model.
+"""The hardware cost model, the run record and :func:`measure`.
 
 The paper's numbers come from a Sun 3/280S — a 25 MHz MC68020 the paper
 rates at 4 MIPS — with a Hitachi disc.  Our substrate is a Python
@@ -18,10 +18,14 @@ same counters at 3 MIPS instead of 4.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
+
+from ..obs.registry import MetricsRegistry
+from ..obs.tracing import Span
 
 SUN_3_280S_MIPS = 4.0   # 25 MHz MC68020 (paper §5.4)
 SUN_3_60_MIPS = 3.0     # 20 MHz diskless client (paper §5.4)
@@ -108,89 +112,145 @@ class CostModel:
         return dataclasses.replace(self, mips=mips)
 
 
-@dataclass
 class Measurement:
-    """One experiment run: wall time + merged counters."""
+    """The run record: what one measured extent of work cost.
 
-    wall_s: float = 0.0
-    counters: Dict[str, int] = field(default_factory=dict)
+    Every way of measuring a run — :func:`measure` blocks (the paper
+    tables E1–E16), ``EduceStar.profile`` / ``solve(profile=True)`` and
+    ``EduceStar.analyze`` — fills in one of these: the counter delta
+    :meth:`MetricsRegistry.diff` reported across the extent, its wall
+    time, and — for a goal — its label, answer count and (when tracing
+    was asked for) the root of its span tree.  The pricing methods take
+    an optional :class:`CostModel`; the default is the record's own.
+    ``QueryProfile`` is the same class under the name the observability
+    surfaces use.
+    """
 
-    def simulated_ms(self, model: Optional[CostModel] = None) -> float:
-        model = model or CostModel()
-        return model.total_ms(self.counters)
+    def __init__(self, goal: str = "",
+                 counters: Optional[Dict[str, float]] = None,
+                 root: Optional[Span] = None,
+                 solutions: int = 0,
+                 wall_s: float = 0.0,
+                 cost_model: Optional[CostModel] = None,
+                 trace_id: Optional[str] = None):
+        self.goal = goal
+        self.counters: Dict[str, float] = dict(counters or {})
+        self.root = root
+        self.solutions = solutions
+        self.wall_s = wall_s
+        self.cost_model = cost_model or CostModel()
+        #: service-minted trace id when the query ran as a ticket
+        #: (None for standalone sessions); joins this record to the
+        #: service's ticket trace and flight-recorder events.
+        self.trace_id = trace_id
 
-    def cpu_ms(self, model: Optional[CostModel] = None) -> float:
-        return (model or CostModel()).cpu_ms(self.counters)
-
-    def io_ms(self, model: Optional[CostModel] = None) -> float:
-        return (model or CostModel()).io_ms(self.counters)
-
-    def __getitem__(self, key: str) -> int:
+    def __getitem__(self, key: str) -> float:
         return self.counters.get(key, 0)
 
+    # ------------------------------------------------------------- pricing
 
-def merge_counters(*sources: Dict[str, int]) -> Dict[str, int]:
-    """Sum counter dicts key-wise; non-numeric values are skipped.
+    def cpu_ms(self, model: Optional[CostModel] = None) -> float:
+        return (model or self.cost_model).cpu_ms(self.counters)
 
-    Works for float-valued counters too (fractional work units).  The
-    :class:`~repro.obs.registry.MetricsRegistry` snapshot API subsumes
-    this helper; it is kept for direct use by benchmarks and tests.
-    """
-    out: Dict[str, int] = {}
-    for source in sources:
-        for key, value in source.items():
-            if isinstance(value, (int, float)):
-                out[key] = out.get(key, 0) + value
-    return out
+    def io_ms(self, model: Optional[CostModel] = None) -> float:
+        return (model or self.cost_model).io_ms(self.counters)
+
+    def total_ms(self, model: Optional[CostModel] = None) -> float:
+        return (model or self.cost_model).total_ms(self.counters)
+
+    #: the name the paper-table scripts use for :meth:`total_ms`
+    simulated_ms = total_ms
+
+    def breakdown(self, model: Optional[CostModel] = None) -> Dict[str, Any]:
+        """Simulated-ms breakdown, per cost-model term (see the
+        "Cost-model terms" table in docs/OBSERVABILITY.md)."""
+        return (model or self.cost_model).breakdown(self.counters)
+
+    # -------------------------------------------------------------- export
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The record header (span tree exported separately)."""
+        out = {
+            "kind": "query_profile",
+            "goal": self.goal,
+            "solutions": self.solutions,
+            "wall_s": round(self.wall_s, 6),
+            "counters": self.counters,
+            "simulated": self.breakdown(),
+            "spans": sum(1 for _ in self.root.walk()) if self.root else 0,
+        }
+        if self.trace_id is not None:
+            out["trace_id"] = self.trace_id
+        return out
+
+    def to_json_lines(self) -> List[str]:
+        """One header line, then one line per span (pre-order)."""
+        lines = [json.dumps(self.to_dict(), sort_keys=True, default=str)]
+        if self.root is not None:
+            lines.extend(self.root.to_json_lines())
+        return lines
+
+    def format(self, top: int = 8) -> str:
+        """Human-readable block: headline, cost breakdown, span tree."""
+        sim = self.breakdown()
+        lines = [
+            f"goal: {self.goal}",
+            f"  solutions: {self.solutions}   wall: {self.wall_s:.4f} s   "
+            f"simulated 1990: {sim['total_ms']:.2f} ms "
+            f"(cpu {sim['cpu_ms']:.2f} + io {sim['io_ms']:.2f})",
+        ]
+        cpu_terms = [(k, v) for k, v in sim["cpu"].items() if v]
+        io_terms = [(k, v) for k, v in sim["io"].items() if v]
+        for label, terms in (("cpu", cpu_terms), ("io", io_terms)):
+            if terms:
+                body = "  ".join(f"{k}={v:.2f}" for k, v in terms)
+                lines.append(f"  {label} ms: {body}")
+        hot = sorted(((k, v) for k, v in self.counters.items() if v),
+                     key=lambda kv: -abs(kv[1]))[:top]
+        if hot:
+            lines.append("  counters: " + "  ".join(
+                f"{k}={v:g}" for k, v in hot))
+        if self.root is not None:
+            lines.append("  spans:")
+            for line in self.root.format_tree().splitlines():
+                lines.append("    " + line)
+        return "\n".join(lines)
+
+    def __repr__(self) -> str:
+        return (f"Measurement(goal={self.goal!r}, "
+                f"solutions={self.solutions}, "
+                f"total_ms={self.total_ms():.2f})")
 
 
-def diff_counters(after: Dict[str, int], before: Dict[str, int],
-                  clamp_resets: bool = False) -> Dict[str, int]:
-    """Key-wise ``after - before``.
-
-    Edge cases (pinned by tests/test_stats.py):
-
-    * a key missing from *before* is treated as 0 there;
-    * a key that disappeared (present only in *before*) is omitted —
-      its source is gone, so no delta is attributable;
-    * a counter that *shrank* means it was reset between the snapshots.
-      By default the raw (negative) difference is returned, preserving
-      historical behaviour for gauges; with ``clamp_resets=True`` the
-      post-reset accumulation (the *after* value) is reported instead,
-      which is the right reading for monotonic counters.  The
-      gauge-aware variant lives on ``MetricsRegistry.diff``.
-    """
-    out = {}
-    for key, value in after.items():
-        if isinstance(value, (int, float)):
-            delta = value - before.get(key, 0)
-            if clamp_resets and delta < 0:
-                delta = value
-            out[key] = delta
-    return out
+QueryProfile = Measurement
 
 
 @contextmanager
-def measure(*counter_sources) -> Iterator[Measurement]:
-    """Collect wall time + counter deltas across a block.
-
-    Each *counter_source* is an object with a ``counters()`` or
-    ``io_counters()`` method (machines, pagers, loaders, baselines).
-    """
-    def snap():
-        merged: Dict[str, int] = {}
-        for src in counter_sources:
-            if hasattr(src, "counters"):
-                merged = merge_counters(merged, src.counters())
-            if hasattr(src, "io_counters"):
-                merged = merge_counters(merged, src.io_counters())
-        return merged
-
-    before = snap()
-    result = Measurement()
+def measuring(registry: MetricsRegistry,
+              record: Measurement) -> Iterator[Measurement]:
+    """Fill *record* with the wall time and *registry*'s counter delta
+    across the block — the one snapshot → run → diff loop behind
+    :func:`measure` and the session's profile/ANALYZE runs."""
+    before = registry.snapshot()
     start = time.perf_counter()
     try:
-        yield result
+        yield record
     finally:
-        result.wall_s = time.perf_counter() - start
-        result.counters = diff_counters(snap(), before)
+        record.wall_s = time.perf_counter() - start
+        record.counters = registry.diff(registry.snapshot(), before)
+
+
+def measure(*counter_sources) -> ContextManager[Measurement]:
+    """Collect wall time + counter deltas across a block.
+
+    Each *counter_source* is an object with a ``counters()`` and/or
+    ``io_counters()`` method (machines, pagers, loaders, sessions,
+    baselines).  The sources are attached to a throw-away
+    :class:`~repro.obs.registry.MetricsRegistry`, so the delta reads
+    exactly like a span's or a profile's: a counter reset inside the
+    block reports the work done since the reset, a gauge its level.
+    """
+    registry = MetricsRegistry()
+    for source in counter_sources:
+        registry.attach(source)
+    return measuring(registry, Measurement())

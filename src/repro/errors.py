@@ -61,11 +61,6 @@ class EvaluationError(PrologError):
     """Arithmetic evaluation failed (zero divisor, undefined function...)."""
 
 
-class RepresentationError(PrologError):
-    """A value cannot be represented (e.g. functor arity overflow in the
-    code serialisation format)."""
-
-
 class ResourceError(PrologError):
     """A machine resource was exhausted (heap, trail, dictionary...)."""
 

@@ -18,6 +18,11 @@ from .tokenizer import _SYMBOL_CHARS  # shared symbolic-char set
 
 _ATOM_NOQUOTE = {"[]", "{}", "!", ";", ",", "|"}
 
+#: The standard operator set, built once: rendering only looks operators
+#: up.  Never handed out or mutated — a reader that takes ``op/3``
+#: directives owns its own table (``default_operators()``).
+_DEFAULT_OPERATORS = default_operators()
+
 
 def _atom_needs_quotes(name: str) -> bool:
     if name in _ATOM_NOQUOTE:
@@ -47,7 +52,7 @@ def term_to_text(
     max_priority: int = 1200,
 ) -> str:
     """Render *term* using operator notation (``writeq``-like)."""
-    ops = operators or default_operators()
+    ops = operators or _DEFAULT_OPERATORS
     return _write(term, ops, quoted, max_priority, {})
 
 

@@ -3,15 +3,17 @@
 Three pieces, designed to be threaded through every layer of Educe*:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — one namespace for every
-  work counter in the system; subsumes the ad-hoc
-  ``merge_counters``/``diff_counters`` glue with a snapshot/diff API
-  that understands counter resets and gauges.
+  work counter in the system, and the only code that merges counter
+  sources or subtracts two snapshots (it understands counter resets,
+  gauges and histogram families).
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — nested spans (query → loader fetch → pre-unify → codec resolve)
   with per-span counter deltas and page-I/O events; zero cost when
   disabled (:data:`~repro.obs.tracing.NULL_TRACER`).
-* :class:`~repro.obs.profile.QueryProfile` — per-query span tree +
-  counter delta + simulated-1990-ms breakdown, exportable as JSON lines.
+* the run record (``QueryProfile`` / ``Measurement``: counter delta +
+  span tree + simulated-1990-ms breakdown) lives next to the cost model
+  in :mod:`repro.engine.stats`; :func:`~repro.obs.tracing.write_json_lines`
+  exports records and spans alike.
 * :class:`~repro.obs.explain.ExplainPlan` /
   :class:`~repro.obs.explain.PlanNode` — EXPLAIN/ANALYZE plan trees
   (strategy decision, magic adornment, strata/rules, optimizer code
@@ -32,11 +34,11 @@ session imports us), so any layer — ``wam``, ``bang``, ``edb``,
 from .registry import (DEFAULT_BOUNDARIES, DEFAULT_GAUGE_KEYS, Histogram,
                        MetricsRegistry, merge_histogram_maps)
 from .threadlocal import ThreadLocalCounters
-from .tracing import NULL_TRACER, NullTracer, Span, Tracer
+from .tracing import (NULL_TRACER, NullTracer, Span, Tracer,
+                      write_json_lines)
 from .events import NULL_EVENTS, EventRing
 from .explain import ExplainPlan, PlanNode, attach_fixpoint, code_shape
 from .exposition import render_prometheus
-from .profile import QueryProfile, write_json_lines
 from .profiler import WamProfiler
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "Span",
     "ThreadLocalCounters",
     "Tracer",
-    "QueryProfile",
     "WamProfiler",
     "attach_fixpoint",
     "code_shape",

@@ -160,13 +160,6 @@ class WamProfiler:
 
     # ------------------------------------------------------------- sampling
 
-    @property
-    def last_instr(self) -> int:
-        """Machine instruction count at the last sample — the call
-        dispatch path uses it to decide when a sample is due, which
-        also carries the sample phase across ``_run`` entries."""
-        return self._last[0]
-
     def chain(self, machine, inner):
         """The poll callable ``Machine._run`` installs while this
         profiler is active *and* a hook is already present: sample when

@@ -1,11 +1,11 @@
 """The metrics registry: one namespace for every work counter.
 
-Before this module existed, counters were scattered: the WAM kept
-instruction and data-reference tallies (§3.2.1), the dynamic loader
-counted fetches and cache hits (§3.1), the pager counted page transfers
-(§2.2), and callers glued them together ad hoc with
-``merge_counters``/``diff_counters``.  The registry subsumes that glue
-behind a single snapshot/diff API:
+Counters are kept where the work happens: the WAM keeps instruction
+and data-reference tallies (§3.2.1), the dynamic loader counts fetches
+and cache hits (§3.1), the pager counts page transfers (§2.2).  The
+registry is the one place that sums those sources and subtracts two
+snapshots — ``measure`` blocks, profiles, ANALYZE and span deltas all
+go through it:
 
 * **sources** — any object with ``counters()`` and/or ``io_counters()``
   (machines, loaders, pagers, sessions, baselines) can be attached; its
@@ -196,7 +196,7 @@ class MetricsRegistry:
         """Every metric this registry can see, merged into one dict.
 
         Source counters are *summed* when two sources emit the same key
-        (exactly the old ``merge_counters`` contract); gauges and
+        (non-numeric values are skipped); gauges and
         histogram summaries are included under their own names.  A
         source may also expose ``histograms()`` (name →
         :class:`Histogram`); same-named histograms from different
@@ -254,8 +254,8 @@ class MetricsRegistry:
 
     @staticmethod
     def merge(*snapshots: Dict[str, float]) -> Dict[str, float]:
-        """Sum several snapshots key-wise (the ``merge_counters``
-        contract: non-numeric values are skipped).  Histogram families
+        """Sum several snapshots key-wise (non-numeric values are
+        skipped).  Histogram families
         are merged structurally: bucket counts and sums add, ``.min``/
         ``.max`` take the extremes across the snapshots, and the
         percentile keys are recomputed from the merged buckets — the

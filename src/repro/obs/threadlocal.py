@@ -21,6 +21,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List
 
+from .registry import MetricsRegistry
+
 
 class ThreadLocalCounters:
     """Per-thread counter cells, merged on read.
@@ -57,17 +59,5 @@ class ThreadLocalCounters:
     def counters(self) -> Dict[str, int]:
         """Merged view over every thread's cell, keys sorted."""
         with self._register:
-            cells = list(self._cells)
-        merged: Dict[str, int] = {}
-        for cell in cells:
-            for key, value in list(cell.items()):
-                merged[key] = merged.get(key, 0) + value
-        return dict(sorted(merged.items()))
-
-    def reset(self) -> None:
-        """Zero every cell in place (cells stay registered)."""
-        with self._register:
-            cells = list(self._cells)
-        for cell in cells:
-            for key in list(cell):
-                cell[key] = 0
+            cells = [dict(cell) for cell in self._cells]
+        return dict(sorted(MetricsRegistry.merge(*cells).items()))

@@ -18,9 +18,9 @@ but well under a microsecond of real work, so span-per-page would
 distort exactly the measurements this module exists to protect.
 
 Every span carries the *counter delta* observed across its extent (the
-tracer snapshots a :class:`~repro.obs.registry.MetricsRegistry` at entry
-and exit), so a span tree is a per-phase breakdown of the same work
-units the cost model prices.
+tracer asks its :class:`~repro.obs.registry.MetricsRegistry` for a
+snapshot at entry and exit and for their ``diff``), so a span tree is a
+per-phase breakdown of the same work units the cost model prices.
 
 Design constraints:
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class Span:
@@ -126,17 +126,16 @@ class Span:
 class Tracer:
     """Records nested spans; shared by every component of one session.
 
-    *snapshot* is a zero-argument callable returning the current merged
-    counter dict (typically ``MetricsRegistry.snapshot``); when present,
-    each span records the counter delta across its extent.
+    With a *registry* (a :class:`~repro.obs.registry.MetricsRegistry`)
+    each span records the registry's counter delta across its extent;
+    without one spans carry wall time, attributes and events only.
     """
 
-    def __init__(self, snapshot: Optional[Callable[[], Dict]] = None,
+    def __init__(self, registry=None,
                  enabled: bool = False,
                  max_spans: int = 100_000,
-                 max_events_per_span: int = 256,
-                 diff: Optional[Callable[[Dict, Dict], Dict]] = None):
-        self._snapshot = snapshot
+                 max_events_per_span: int = 256):
+        self._registry = registry
         self.enabled = enabled
         self.max_spans = max_spans
         self.max_events_per_span = max_events_per_span
@@ -144,7 +143,6 @@ class Tracer:
         self.roots: List[Span] = []
         self.dropped_spans = 0
         self._next_id = 1
-        self._diff = diff or _plain_diff
         #: current trace identity.  The query service mints a trace id
         #: per ticket at ``submit()`` and installs it here for the
         #: extent of the ticket's execution, so every span the session
@@ -179,17 +177,16 @@ class Tracer:
             span.attrs.setdefault("trace_id", self.trace_id)
         self._next_id += 1
         span.start_s = time.perf_counter()
-        before = self._snapshot() if self._snapshot else None
+        registry = self._registry
+        before = registry.snapshot() if registry is not None else None
         self._stack.append(span)
         try:
             yield span
         finally:
             span.wall_s = time.perf_counter() - span.start_s
             if before is not None:
-                span.counters = {
-                    k: v
-                    for k, v in self._diff(self._snapshot(), before).items()
-                    if v}
+                delta = registry.diff(registry.snapshot(), before)
+                span.counters = {k: v for k, v in delta.items() if v}
             # Pop *this* span even if an inner span leaked (generator
             # abandoned mid-consumption): discard anything above it.
             while self._stack and self._stack[-1] is not span:
@@ -251,20 +248,16 @@ class NullTracer(Tracer):
                 "NULL_TRACER cannot be enabled; construct a Tracer")
 
 
-def _plain_diff(after: Dict, before: Dict) -> Dict[str, float]:
-    """Counter delta with monotonic-reset handling (a counter that shrank
-    between snapshots was reset: report what accumulated after the
-    reset).  Gauge keys are handled upstream by the registry."""
-    out: Dict[str, float] = {}
-    for key, value in after.items():
-        if not isinstance(value, (int, float)):
-            continue
-        prev = before.get(key, 0)
-        if not isinstance(prev, (int, float)):
-            prev = 0
-        delta = value - prev
-        out[key] = value if delta < 0 else delta
-    return out
-
-
 NULL_TRACER = NullTracer()
+
+
+def write_json_lines(path: str, records: List[Any]) -> int:
+    """Append the JSON lines of every record (run records, spans —
+    anything with ``to_json_lines()``) to *path*; returns lines written."""
+    lines: List[str] = []
+    for record in records:
+        lines.extend(record.to_json_lines())
+    with open(path, "a", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line + "\n")
+    return len(lines)

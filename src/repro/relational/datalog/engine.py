@@ -84,7 +84,7 @@ class DatalogEngine:
     """Bottom-up evaluation subsystem of one session."""
 
     def __init__(self, store, reader, tracer=None, mode: str = "auto",
-                 min_rows: int = DEFAULT_MIN_ROWS, magic: bool = True):
+                 min_rows: int = DEFAULT_MIN_ROWS):
         if mode not in ("auto", "force", "off"):
             raise ValueError(f"datalog mode {mode!r} "
                              "(expected auto/force/off)")
@@ -93,7 +93,10 @@ class DatalogEngine:
         self.tracer = tracer or NULL_TRACER
         self.mode = mode
         self.min_rows = min_rows
-        self.magic = magic
+        #: rewrite bound-argument goals with magic sets; the
+        #: differential suite clears it to compare against the plain
+        #: fixpoint
+        self.magic = True
 
         self._analysis: Optional[Analysis] = None
         self._analysis_key: Optional[Tuple[int, int]] = None

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ...analysis.global_.callgraph import tarjan_sccs
 from ...terms import Atom, Struct, Term, Var
 
 __all__ = [
@@ -303,58 +304,6 @@ class Analysis:
         return [sorted(by_level[level]) for level in sorted(by_level)]
 
 
-def _tarjan_sccs(graph: Dict[Indicator, Set[Indicator]]
-                 ) -> List[List[Indicator]]:
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
-    index: Dict[Indicator, int] = {}
-    low: Dict[Indicator, int] = {}
-    on_stack: Set[Indicator] = set()
-    stack: List[Indicator] = []
-    sccs: List[List[Indicator]] = []
-    counter = [0]
-
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for succ in edges:
-                if succ not in graph:
-                    continue
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc: List[Indicator] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-    return sccs
-
-
 def stratify(rules: Dict[Indicator, List[Rule]]
              ) -> Tuple[Optional[Dict[Indicator, int]],
                         Set[Indicator], Optional[str]]:
@@ -375,7 +324,7 @@ def stratify(rules: Dict[Indicator, List[Rule]]
                     if literal.negated:
                         negative.add((ind, literal.pred))
 
-    sccs = _tarjan_sccs(graph)
+    sccs = tarjan_sccs(graph)
     scc_of: Dict[Indicator, int] = {}
     for i, scc in enumerate(sccs):
         for member in scc:
@@ -481,7 +430,7 @@ def analyze(clause_map: Dict[Indicator, Sequence[Term]],
         graph = {ind: {l.pred for r in rules for l in r.body
                        if l.pred in candidates}
                  for ind, rules in candidates.items()}
-        sccs = _tarjan_sccs(graph)
+        sccs = tarjan_sccs(graph)
         poisoned: Set[Indicator] = set()
         for scc in sccs:
             members = set(scc)

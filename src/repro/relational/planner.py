@@ -17,19 +17,23 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..bang.relation import BangRelation
-from .algebra import HashJoin, IndexJoin, Plan, Scan, Select
+from .algebra import Filter, HashJoin, IndexJoin, Plan, Scan, Select
 
 
 def best_access_path(relation: BangRelation,
                      assignment: Dict[int, Any]) -> Plan:
-    """Select vs Scan by estimated page count."""
+    """Grid partial match vs clustered scan by estimated page count.
+
+    Either way the plan yields exactly the rows matching *assignment*:
+    a scan chosen for an unselective pattern filters as it goes."""
     if not assignment:
         return Scan(relation)
     probe_pages = relation.pages_for(assignment)
     scan_pages = relation.grid.leaf_count
     if probe_pages < scan_pages:
         return Select(relation, assignment)
-    return Scan(relation)
+    return Filter(Scan(relation),
+                  lambda row: relation.row_matches(row, assignment))
 
 
 def estimate_rows(relation: BangRelation,

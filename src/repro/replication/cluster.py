@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..bang.faults import NULL_FAULTS, FaultInjector
 from ..edb.store import ExternalStore
 from ..errors import PromotionError, ReplicaLagExceeded, ReplicationError
+from ..obs import MetricsRegistry
 from ..service import QueryService
 from .replica import Replica
 
@@ -63,7 +64,7 @@ class ReplicaSet:
                                     workers=primary_workers,
                                     queue_size=queue_size,
                                     **service_kwargs)
-        #: service configuration (tracing, explain, session knobs) is
+        #: service configuration (tracing, session knobs) is
         #: cluster-wide: replicas attached now or later get the same
         #: kwargs as the primary, so e.g. replica-drained spans carry
         #: trace ids exactly like primary ones.
@@ -271,13 +272,10 @@ class ReplicaSet:
     # ------------------------------------------------------------ telemetry
 
     def counters(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
         with self._lock:
             pool = list(self.replicas)
-        for replica in pool:
-            for key, value in replica.counters().items():
-                merged[key] = merged.get(key, 0) + value
-        return merged
+        return MetricsRegistry.merge(
+            *(replica.counters() for replica in pool))
 
     def telemetry(self, events: Optional[int] = 200) -> Dict[str, Any]:
         """Cluster-wide aggregate: the primary service's telemetry plus

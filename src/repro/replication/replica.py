@@ -54,6 +54,11 @@ from .stream import CORRUPT, OK, RESET, WAIT, WalTailer
 
 __all__ = ["Replica"]
 
+#: ceiling of the stream-retry exponential backoff, in seconds
+_BACKOFF_CAP = 0.5
+#: records fetched from the tailer per apply step
+_BATCH = 64
+
 #: primary-state probe: () -> (mutation_epoch, wal_next_lsn) | None
 PrimaryState = Callable[[], Optional[Tuple[int, int]]]
 
@@ -63,8 +68,7 @@ class Replica:
 
     def __init__(self, name: str, primary_path: str, directory: str,
                  *, workers: int = 2, queue_size: int = 64,
-                 poll_interval: float = 0.005, backoff_cap: float = 0.5,
-                 batch: int = 64,
+                 poll_interval: float = 0.005,
                  faults: Optional[FaultInjector] = None,
                  primary_state: Optional[PrimaryState] = None,
                  start: bool = True,
@@ -77,8 +81,6 @@ class Replica:
         self.workers = workers
         self.queue_size = queue_size
         self.poll_interval = poll_interval
-        self.backoff_cap = backoff_cap
-        self.batch = batch
         self.faults = faults or NULL_FAULTS
         self._primary_state = primary_state
         self._service_kwargs = service_kwargs
@@ -208,14 +210,14 @@ class Replica:
         next_backoff)``; the loop sleeps *next_backoff* when no
         progress was made."""
         try:
-            status, records = self.tailer.poll(self.batch)
+            status, records = self.tailer.poll(_BATCH)
         except OSError as exc:
             self.stream_retries += 1
             if self.events.enabled:
                 self.events.record("replica.stream_retry",
                                    replica=self.name, error=str(exc),
                                    backoff_s=round(backoff, 4))
-            return False, min(backoff * 2, self.backoff_cap)
+            return False, min(backoff * 2, _BACKOFF_CAP)
 
         fate = self._apply_batch(records)
         if fate == "quarantine" or status == CORRUPT:
@@ -241,7 +243,7 @@ class Replica:
             # frame is the primary's append in flight (or its crashed
             # tail, which its own recovery will clean up).
             return False, min(max(backoff, self.poll_interval) * 2,
-                              self.backoff_cap)
+                              _BACKOFF_CAP)
         self._update_lag()
         return False, self.poll_interval
 

@@ -42,7 +42,6 @@ import threading
 import time
 import uuid
 from collections import deque
-from types import SimpleNamespace
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -66,6 +65,11 @@ _DONE = "done"
 _CANCELLED = "cancelled"
 _TIMEOUT = "timeout"
 _FAILED = "failed"
+
+#: instructions between two cancellation/deadline polls of a worker's
+#: machine — tighter than the machine's own default, so a cancelled or
+#: expired ticket releases its worker promptly
+_POLL_INTERVAL = 512
 
 #: how many finished tickets / captured trace trees the service remembers
 _RECENT_TICKETS = 256
@@ -181,18 +185,15 @@ class QueryService:
     ``store`` may be an existing :class:`ExternalStore` (e.g. one
     opened from a durable path) or None for a fresh in-memory EDB.
     Extra keyword arguments are forwarded to every worker's
-    :class:`EduceStar` constructor (``preunify_depth``, ``index``,
+    :class:`EduceStar` constructor (``preunify_depth``, ``verify``,
     ...).
     """
 
     def __init__(self, store=None, workers: int = 4,
-                 queue_size: int = 64, poll_interval: int = 512,
+                 queue_size: int = 64,
                  tracing: bool = False,
                  slow_query_ms: Optional[float] = None,
                  read_only: bool = False,
-                 explain: bool = False,
-                 profiling: bool = False,
-                 profile_interval: Optional[int] = None,
                  **session_kwargs):
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -208,9 +209,6 @@ class QueryService:
         #: ticket; with both off the tracing path costs nothing.
         self.trace_tickets = bool(tracing)
         self.slow_query_ms = slow_query_ms
-        #: capture an EXPLAIN plan on every string-goal ticket
-        #: (per-submit ``explain=`` overrides this default)
-        self.explain_tickets = bool(explain)
         #: the admin session is built first: it creates the store when
         #: none is given and is the single session used for updates.
         self.admin = EduceStar(store=store, **session_kwargs)
@@ -220,7 +218,7 @@ class QueryService:
             for _ in range(workers)
         ]
         for session in self.sessions:
-            session.machine.poll_interval = poll_interval
+            session.machine.poll_interval = _POLL_INTERVAL
         # Every EduceStar constructor re-points the *shared* pager's
         # tracer at its own; under concurrency a shared mutable tracer
         # is a race, so the pager reverts to the free null tracer.
@@ -278,10 +276,6 @@ class QueryService:
             # Strategy-planner decisions and fixpoint work, per worker
             # (counters + the fixpoint-iteration histogram).
             self.metrics.attach(session.datalog)
-            # Session-local counters (explain/analyze queries, parsed
-            # chars) — not part of the three sources above.
-            self.metrics.attach(
-                SimpleNamespace(counters=session.local_counters))
 
         self._threads = [
             threading.Thread(target=self._worker_loop,
@@ -291,22 +285,19 @@ class QueryService:
         ]
         for thread in self._threads:
             thread.start()
-        if profiling:
-            self.enable_profiling(profile_interval)
 
     # ------------------------------------------------------------ submission
 
     def submit(self, goal: Goal, limit: Optional[int] = None,
                timeout: Optional[float] = None,
-               explain: Optional[bool] = None) -> QueryTicket:
+               explain: bool = False) -> QueryTicket:
         """Enqueue one query; returns its ticket.
 
         *timeout* is the query's deadline in seconds, measured from
-        submission (queue wait counts).  *explain* overrides the
-        service-wide explain-on-submit default for this ticket: the
-        worker captures an EXPLAIN plan (``ticket.explain``) right
-        before execution, under the same read lock, so the plan names
-        the planner state the query actually ran against.  Raises
+        submission (queue wait counts).  With *explain* the worker
+        captures an EXPLAIN plan (``ticket.explain``) right before
+        execution, under the same read lock, so the plan names the
+        planner state the query actually ran against.  Raises
         :exc:`ServiceClosed` after shutdown began,
         :exc:`ServiceSaturated` when the bounded queue is full."""
         return self._admit([(goal, limit, timeout)], explain=explain)[0]
@@ -325,10 +316,8 @@ class QueryService:
 
     def _admit(self, specs: Iterable[Tuple[Goal, Optional[int],
                                            Optional[float]]],
-               explain: Optional[bool] = None) -> List[QueryTicket]:
+               explain: bool = False) -> List[QueryTicket]:
         specs = list(specs)
-        want_explain = (self.explain_tickets if explain is None
-                        else bool(explain))
         with self._submit_lock:
             if self._closed:
                 self._stats.add("service_rejected", len(specs))
@@ -348,7 +337,7 @@ class QueryService:
             for goal, limit, timeout in specs:
                 deadline = None if timeout is None else now + timeout
                 ticket = QueryTicket(next(self._ids), goal, limit,
-                                     deadline, explain=want_explain)
+                                     deadline, explain=explain)
                 ticket.trace_id = f"tk-{self._service_id}-{ticket.id}"
                 ticket._submitted_perf = time.perf_counter()
                 with self._gauge_lock:
@@ -703,14 +692,9 @@ class QueryService:
         :meth:`~repro.obs.profiler.WamProfiler.report`."""
         preds: Dict[str, Dict[str, Any]] = {}
         folded: Dict[str, int] = {}
-        counters: Dict[str, int] = {}
-        interval = None
-        for session in self.sessions:
+        profiled = [s for s in self.sessions if s.profiler is not None]
+        for session in profiled:
             prof = session.profiler
-            if prof is None:
-                continue
-            if interval is None:
-                interval = prof.interval
             for rec in prof.attribution(session.cost_model):
                 agg = preds.get(rec["predicate"])
                 if agg is None:
@@ -722,16 +706,17 @@ class QueryService:
             for line in prof.folded():
                 stack, _, n = line.rpartition(" ")
                 folded[stack] = folded.get(stack, 0) + int(n)
-            for key, val in prof.counters().items():
-                counters[key] = counters.get(key, 0) + val
         records = sorted(preds.values(),
                          key=lambda r: (-r["excl_instr"],
                                         -r["incl_instr"], r["predicate"]))
-        return {"kind": "wam_profile", "interval": interval,
+        return {"kind": "wam_profile",
+                "interval": (profiled[0].profiler.interval
+                             if profiled else None),
                 "predicates": records,
                 "folded": [f"{stack} {n}"
                            for stack, n in sorted(folded.items())],
-                "counters": counters}
+                "counters": MetricsRegistry.merge(
+                    *(s.profiler.counters() for s in profiled))}
 
     def exposition(self) -> str:
         """The service's merged snapshot in Prometheus text format."""
@@ -741,10 +726,15 @@ class QueryService:
     # -------------------------------------------------------------- counters
 
     def counters(self) -> dict:
-        counters = dict.fromkeys((
+        # The workers' session-local tallies (explain/analyze queries,
+        # parsed chars) — not part of the machine/loader/datalog
+        # sources attached per worker.
+        counters = MetricsRegistry.merge(
+            *(session.local_counters() for session in self.sessions))
+        counters.update(dict.fromkeys((
             "service_submitted", "service_completed", "service_failed",
             "service_cancelled", "service_timeouts", "service_rejected",
-        ), 0)
+        ), 0))
         counters.update(self._stats.counters())
         with self._gauge_lock:
             counters["service_queue_depth"] = self._depth

@@ -174,12 +174,6 @@ def is_proper_list(term: Term) -> bool:
     return term is NIL
 
 
-def is_callable(term: Term) -> bool:
-    """True for atoms and compound terms (things that can be goals)."""
-    term = deref(term)
-    return isinstance(term, (Atom, Struct))
-
-
 def indicator_of(term: Term) -> Tuple[str, int]:
     """Predicate indicator of a callable term."""
     term = deref(term)

@@ -44,14 +44,6 @@ def builtin(name: str, arity: int):
 # helpers
 # ====================================================================
 
-def _type_name(m, cell) -> str:
-    tag = m.deref_cell(cell)[0]
-    return {
-        "REF": "var", "CON": "atom", "INT": "integer", "FLT": "float",
-        "LIS": "compound", "STR": "compound",
-    }[tag]
-
-
 def _undo(m, trail_mark: int) -> None:
     m._unwind_trail(trail_mark)
 

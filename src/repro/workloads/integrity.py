@@ -33,7 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..engine.educe_baseline import EduceBaseline
 from ..engine.session import EduceStar
 from ..wam.machine import Machine
 
@@ -274,14 +273,6 @@ def load_educestar(session: Optional[EduceStar] = None,
     else:
         session.consult(PROGRAM)
     return session
-
-
-def load_interpreter_baseline(
-        baseline: Optional[EduceBaseline] = None) -> EduceBaseline:
-    """Educe-style baseline: specialiser in the EDB in source form."""
-    baseline = baseline or EduceBaseline()
-    baseline.store_program(PROGRAM)
-    return baseline
 
 
 def load_database(engine, data: ICData) -> None:

@@ -324,6 +324,19 @@ class TestEngine:
         assert len(answers) == 55                    # 10+9+...+1
         assert kb.datalog.magic_rewrites == 0
 
+    def test_constant_in_edb_literal_on_a_one_page_relation(self):
+        # Regression: for a relation the planner would rather scan than
+        # probe (one leaf), the access path dropped the constant and
+        # every edge/2 row seeded r/1.
+        kb = EduceStar(datalog="force")
+        kb.store_relation("edge", [(1, 2), (2, 3), (3, 4), (7, 8)])
+        kb.store_program("""
+            r(X) :- edge(3, X).
+            r(X) :- r(Y), edge(Y, X).
+        """)
+        assert sorted(s["X"] for s in kb.solve("r(X)")) == [4]
+        assert kb.datalog.bottomup == 1
+
     def test_ground_query(self):
         kb = self.reach_kb(10)
         assert list(kb.solve("reach(n0, n10)")) != []

@@ -236,7 +236,7 @@ class TestDatalogDoc:
         names = documented(datalog_doc)
         for mode in ('"auto"', '"force"', '"off"'):
             assert mode in names, mode
-        assert "datalog_min_rows" in names
+        assert "kb.datalog.min_rows" in names
 
 
 # =====================================================================

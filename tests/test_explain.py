@@ -226,6 +226,41 @@ class TestBottomup:
 
 
 # =====================================================================
+# One run record behind ANALYZE and profile()
+# =====================================================================
+
+class TestAnalyzeAgreesWithProfile:
+    PROGRAM = ("path(X, Y) :- edge(X, Y).\n"
+               "path(X, Z) :- edge(X, Y), path(Y, Z).\n")
+
+    @pytest.mark.parametrize("mode, executed", [
+        ("off", "topdown"), ("force", "bottomup")])
+    def test_whitelisted_deltas_agree_key_for_key(self, mode, executed):
+        """Twin sessions, one analyzed and one profiled: the actuals on
+        the plan root are the profile's counter deltas, key for key."""
+        from repro.engine.session import ANALYZE_COUNTERS
+        twins = []
+        for _ in range(2):
+            kb = EduceStar(datalog=mode)
+            kb.store_relation("edge", [(i, i + 1) for i in range(12)])
+            kb.store_program(self.PROGRAM)
+            twins.append(kb)
+        plan = twins[0].analyze("path(3, X)")
+        prof = twins[1].profile("path(3, X)")
+        assert plan.executed == executed
+        actual = plan.root.actual
+        assert actual["answers"] == prof.solutions == 9
+        for key in ANALYZE_COUNTERS:
+            assert actual.get(key, 0) == prof[key], key
+        assert actual["instr_count" if executed == "topdown"
+                      else "datalog_facts_derived"] > 0
+        # analyze() measures through the same helper without asking for
+        # spans, and leaves last_profile to the profiling entry points
+        assert twins[0].last_profile is None
+        assert twins[1].last_profile is prof and prof.root is not None
+
+
+# =====================================================================
 # EDB procedures and cached blocks
 # =====================================================================
 
@@ -265,21 +300,21 @@ class TestStoredProcedures:
 class TestServiceExplain:
     def test_explain_on_submit(self):
         from repro.service import QueryService
-        svc = QueryService(workers=1, queue_size=8, explain=True)
+        svc = QueryService(workers=1, queue_size=8)
         try:
             svc.store_relation("edge", [(1, 2), (2, 3), (3, 4)])
             svc.store_program(
                 "reach(X, Y) :- edge(X, Y).\n"
                 "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n")
-            ticket = svc.submit("reach(1, X)")
+            ticket = svc.submit("reach(1, X)", explain=True)
             answers = ticket.result(timeout=30)
             assert len(answers) == 3
             assert ticket.explain is not None
             assert ticket.explain.strategy in ("topdown", "bottomup")
             assert json.loads(ticket.explain.to_json())["kind"] == \
                 "explain_plan"
-            # Per-ticket override: explain=False suppresses capture.
-            quiet = svc.submit("reach(1, X)", explain=False)
+            # Capture is per ticket: the next one does not ask.
+            quiet = svc.submit("reach(1, X)")
             quiet.result(timeout=30)
             assert quiet.explain is None
         finally:

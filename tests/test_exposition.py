@@ -207,12 +207,12 @@ class TestObservabilityCounters:
         """The profiler/explain counters introduced for EXPLAIN/ANALYZE
         and sampled profiling survive the strict parser as ordinary
         counters with their exact values."""
-        svc = QueryService(workers=1, queue_size=8, profiling=True,
-                           profile_interval=64, explain=True)
+        svc = QueryService(workers=1, queue_size=8)
+        svc.enable_profiling(64)
         try:
             svc.store_relation("edge", [(i, i + 1) for i in range(40)])
-            for t in svc.submit_many(["edge(X, Y)"] * 4):
-                t.result(timeout=30)
+            for _ in range(4):
+                svc.submit("edge(X, Y)", explain=True).result(timeout=30)
             report = svc.profile_report()
             samples, types = parse_prometheus(svc.exposition())
             for key in ("profiler_samples", "profiler_sampled_instr",

@@ -8,13 +8,12 @@ import json
 
 import pytest
 
-from repro import EduceStar
+from repro import EduceStar, QueryProfile
 from repro.obs import (
     DEFAULT_GAUGE_KEYS,
     Histogram,
     MetricsRegistry,
     NULL_TRACER,
-    QueryProfile,
     Span,
     Tracer,
     write_json_lines,
@@ -99,22 +98,27 @@ class TestMetricsRegistry:
         assert diff["depth"] == 2
         assert "depth" in reg.gauge_keys()
 
-    def test_counter_diff_plain(self):
-        reg = MetricsRegistry()
-        assert reg.diff({"n": 9}, {"n": 4}) == {"n": 5}
-
-    def test_counter_reset_reports_post_reset_value(self):
-        # n was reset between snapshots; 3 accumulated since.
-        reg = MetricsRegistry()
-        assert reg.diff({"n": 3}, {"n": 100}) == {"n": 3}
-
-    def test_disappeared_key_omitted(self):
-        reg = MetricsRegistry()
-        assert reg.diff({}, {"gone": 12}) == {}
-
-    def test_new_key_is_full_value(self):
-        reg = MetricsRegistry()
-        assert reg.diff({"fresh": 6}, {}) == {"fresh": 6}
+    # The registry's diff/merge are the only ones in the tree, so the
+    # edge cases the old engine/stats.py helpers pinned live here.  (The
+    # helpers' "negative delta on reset" reading is gone with them.)
+    @pytest.mark.parametrize("after, before, expected", [
+        ({"n": 9}, {"n": 4}, {"n": 5}),
+        # n was reset between snapshots; 3 accumulated since
+        ({"n": 3}, {"n": 100}, {"n": 3}),
+        # key only in *before*: its source is gone, nothing attributable
+        ({}, {"gone": 12}, {}),
+        ({"a": 5}, {"a": 2, "gone": 9}, {"a": 3}),
+        # key missing from *before* counts from 0
+        ({"fresh": 6}, {}, {"fresh": 6}),
+        ({"a": 5, "b": 1}, {"a": 2}, {"a": 3, "b": 1}),
+        # non-numeric values: skipped in *after*, 0 in *before*
+        ({"a": 1, "s": "str"}, {"a": 1}, {"a": 0}),
+        ({"a": 4}, {"a": "str"}, {"a": 4}),
+        # fractional work units
+        ({"ms": 3.75}, {"ms": 1.5}, {"ms": 2.25}),
+    ])
+    def test_counter_diff(self, after, before, expected):
+        assert MetricsRegistry().diff(after, before) == expected
 
     def test_histogram_summary_in_snapshot(self):
         reg = MetricsRegistry()
@@ -132,9 +136,15 @@ class TestMetricsRegistry:
         assert h.mean == 0.0
         assert h.as_dict("x") == {"x.count": 0, "x.sum": 0.0}
 
-    def test_static_merge(self):
-        merged = MetricsRegistry.merge({"a": 1}, {"a": 2, "b": 3})
-        assert merged == {"a": 3, "b": 3}
+    @pytest.mark.parametrize("snapshots, expected", [
+        (({"a": 1}, {"a": 2, "b": 3}), {"a": 3, "b": 3}),
+        (({"a": 1, "s": "str"},), {"a": 1}),
+        (({"ms": 1.5, "n": 1}, {"ms": 2.25}), {"ms": 3.75, "n": 1}),
+    ])
+    def test_static_merge(self, snapshots, expected):
+        merged = MetricsRegistry.merge(*snapshots)
+        assert merged == expected
+        assert all(type(merged[k]) is type(v) for k, v in expected.items())
 
 
 # =====================================================================
@@ -365,7 +375,7 @@ class TestTracer:
 
     def test_counter_deltas_per_span(self):
         reg = MetricsRegistry()
-        tracer = Tracer(snapshot=reg.snapshot, diff=reg.diff, enabled=True)
+        tracer = Tracer(reg, enabled=True)
         with tracer.span("outer"):
             reg.inc("work", 2)
             with tracer.span("inner"):
@@ -377,7 +387,7 @@ class TestTracer:
     def test_zero_deltas_filtered(self):
         reg = MetricsRegistry()
         reg.inc("idle", 3)
-        tracer = Tracer(snapshot=reg.snapshot, diff=reg.diff, enabled=True)
+        tracer = Tracer(reg, enabled=True)
         with tracer.span("quiet"):
             pass
         assert tracer.roots[0].counters == {}
@@ -560,7 +570,8 @@ class TestQueryProfile:
 
     def test_page_events_recorded_under_buffer_pressure(self):
         from repro.bang.pager import Pager
-        kb = EduceStar(pager=Pager(buffer_pages=2))
+        from repro.edb.store import ExternalStore
+        kb = EduceStar(store=ExternalStore(pager=Pager(buffer_pages=2)))
         kb.store_relation("num", [(i,) for i in range(2000)])
         prof = kb.profile("num(0)")
         events = [e for s in prof.root.walk() for e in s.events]
@@ -568,3 +579,53 @@ class TestQueryProfile:
         assert "page.read" in names
         read = next(e for e in events if e["event"] == "page.read")
         assert "page" in read and "bytes" in read
+
+
+# =====================================================================
+# The exposition's key set
+# =====================================================================
+
+# What a fresh session and a fresh service report before any work: the
+# measuring paths may be rearranged, but the exposition must not gain or
+# lose a family by accident.  (Histogram families join once observed.)
+SESSION_KEYS = frozenset("""
+    analysis_global_runs analyze_queries backtracks buffer_evictions
+    buffer_hits buffer_misses buffer_pin_overflows buffer_pinned
+    buffer_pins buffer_resident buffer_unpins buffer_writebacks
+    bytes_read bytes_written cache_epoch cache_hits
+    cache_invalidated_entries calls checkpoint_bytes_written
+    checkpoints_written clauses_delivered clauses_fetched
+    compile_count cp_created cp_refs data_refs datalog_bottomup
+    datalog_edb_rows datalog_extractions datalog_facts_derived
+    datalog_iterations datalog_magic_facts datalog_magic_fallbacks
+    datalog_magic_rewrites datalog_mode_shortcuts datalog_queries
+    datalog_rulebase_missing datalog_topdown events_dropped
+    events_recorded explain_queries gc_cells_recovered gc_runs
+    heap_high_water instr_count latch_acquisitions latch_contentions
+    latch_read_acquisitions latch_read_waits
+    latch_write_acquisitions latch_write_waits loader_cache_entries
+    loads page_corruptions pages pages_quarantined parsed_chars
+    preunify_executions preunify_rejections reads resolutions
+    store_mutations unify_ops verify_checks verify_rejects
+    wal_bytes_appended wal_records_appended wal_records_replayed
+    wal_records_skipped wam_opt_blocks wam_opt_chains_demoted
+    wam_opt_fusions wam_opt_mode_guards wam_opt_rejects writes
+""".split())
+
+SERVICE_ONLY_KEYS = frozenset("""
+    service_cancelled service_completed service_failed
+    service_inflight service_queue_depth service_queue_depth_peak
+    service_rejected service_submitted service_timeouts
+    service_workers
+""".split())
+
+
+class TestSnapshotKeySet:
+    def test_session_snapshot_keys_pinned(self):
+        assert set(EduceStar().metrics.snapshot()) == SESSION_KEYS
+
+    def test_service_snapshot_keys_pinned(self):
+        from repro import QueryService
+        with QueryService(workers=2) as svc:
+            keys = set(svc.metrics.snapshot())
+        assert keys == SESSION_KEYS | SERVICE_ONLY_KEYS

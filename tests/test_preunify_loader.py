@@ -9,8 +9,8 @@ from repro.engine.session import EduceStar
 from repro.wam.machine import Machine
 
 
-def make_session(depth="full", index=True):
-    return EduceStar(preunify_depth=depth, index=index)
+def make_session(depth="full"):
+    return EduceStar(preunify_depth=depth)
 
 
 PROG = """

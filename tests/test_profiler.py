@@ -271,8 +271,8 @@ class TestReports:
 class TestService:
     def test_service_profiling_and_merged_report(self):
         from repro.service import QueryService
-        svc = QueryService(workers=2, queue_size=16, profiling=True,
-                           profile_interval=64)
+        svc = QueryService(workers=2, queue_size=16)
+        svc.enable_profiling(64)
         try:
             svc.store_relation("edge", [(i, i + 1) for i in range(60)])
             svc.store_program(

@@ -154,6 +154,14 @@ class TestPlanner:
         emp, _ = db
         assert isinstance(best_access_path(emp, {}), Scan)
 
+    def test_unselective_assignment_scans_and_still_selects(self, db):
+        # One leaf: probing cannot beat the scan, but the plan must
+        # still yield only the matching rows.
+        _, dept = db
+        plan = best_access_path(dept, {1: "paris"})
+        assert not isinstance(plan, Select)
+        assert execute(plan) == [("hr", "paris")]
+
     def test_estimate_rows_sane(self, db):
         emp, _ = db
         full = estimate_rows(emp, {})

@@ -24,6 +24,12 @@ class TestSelect:
         kb.solve_once("db_select(emp/4, emp(_, _, eng, _), out)")
         assert kb.count_solutions("out(_, _, _, _)") == 2
 
+    def test_bound_pattern_runs_a_planned_traced_selection(self, kb):
+        prof = kb.profile("db_select(emp/4, emp(_, _, eng, _), out)")
+        spans = prof.root.find("relational.execute")
+        assert len(spans) == 1
+        assert spans[0].attrs["rows"] == 2
+
     def test_empty_pattern_copies(self, kb):
         kb.solve_once("db_select(emp/4, [], all_emp)")
         assert kb.count_solutions("all_emp(_, _, _, _)") == 4

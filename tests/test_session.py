@@ -1,5 +1,6 @@
 """End-to-end tests for EduceStar sessions and the Educe baseline."""
 
+import pytest
 
 from repro.engine.educe_baseline import EduceBaseline
 from repro.engine.session import EduceStar
@@ -46,10 +47,17 @@ class TestEduceStar:
         session.store_program("q(1). q(2). q(3).")
         assert session.count_solutions("q(_)") == 3
 
-    def test_index_and_gc_flags_forwarded(self):
-        s = EduceStar(index=False, gc_enabled=False)
-        assert s.machine.index_enabled is False
-        assert s.machine.gc_enabled is False
+    def test_index_and_gc_are_machine_attributes(self):
+        # Indexing and GC are the machine's business: a session that
+        # wants them off says so on its components, before loading.
+        s = EduceStar()
+        s.machine.index_enabled = s.loader.index = False
+        s.machine.gc_enabled = False
+        s.consult("r(a). r(b).")
+        s.store_program("q(1). q(2). q(3).")
+        assert s.count_solutions("r(_)") == 2
+        assert s.count_solutions("q(_)") == 3
+        assert s.machine.procedure("r", 1).index is False
 
     def test_edb_and_internal_coexist_same_name_space(self, session):
         session.store_relation("ext", [(1,)])
@@ -136,3 +144,56 @@ class TestEduceBaselineSystem:
                 base.solve_once(goal)
 
         assert m_base.simulated_ms() > m_star.simulated_ms()
+
+
+class TestRemovedOptions:
+    """Options no caller set are constants or component attributes now;
+    the constructors refuse the old keywords instead of ignoring them."""
+
+    @pytest.mark.parametrize("option", [
+        "pager", "index", "gc_enabled", "gc_threshold", "cost_model",
+        "datalog_min_rows"])
+    def test_session_keywords(self, option):
+        with pytest.raises(TypeError, match=option):
+            EduceStar(**{option: None})
+
+    @pytest.mark.parametrize("option", [
+        "poll_interval", "explain", "profiling", "profile_interval"])
+    def test_service_keywords(self, option):
+        from repro import QueryService
+        with pytest.raises(TypeError, match=option):
+            QueryService(workers=1, **{option: None})
+
+    @pytest.mark.parametrize("option", ["backoff_cap", "batch"])
+    def test_replica_keywords(self, option, tmp_path):
+        from repro.edb.store import ExternalStore
+        from repro.replication import Replica
+        path = str(tmp_path / "kb.edb")
+        ExternalStore.open(path)
+        with pytest.raises(TypeError, match=option):
+            Replica("r0", path, str(tmp_path / "r0"), start=False,
+                    **{option: 1})
+
+    @pytest.mark.parametrize("option", ["tracer", "verify_pages"])
+    def test_store_open_keywords(self, option, tmp_path):
+        from repro.edb.store import ExternalStore
+        with pytest.raises(TypeError, match=option):
+            ExternalStore.open(str(tmp_path / "kb.edb"), **{option: None})
+
+    def test_datalog_engine_magic_keyword(self):
+        from repro.relational.datalog import DatalogEngine
+        kb = EduceStar()
+        with pytest.raises(TypeError, match="magic"):
+            DatalogEngine(kb.store, kb.machine.reader, magic=False)
+        assert kb.datalog.magic is True
+
+    def test_datalog_min_rows_is_an_engine_attribute(self):
+        from repro.relational.datalog import DEFAULT_MIN_ROWS
+        kb = EduceStar()
+        assert kb.datalog.min_rows == DEFAULT_MIN_ROWS
+        kb.datalog.min_rows = 1
+        kb.store_relation("edge", [(1, 2), (2, 3)])
+        kb.store_program("reach(X, Y) :- edge(X, Y).\n"
+                         "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n")
+        assert kb.explain("reach(1, X)").root.find("decision") \
+            .attrs["min_rows"] == 1

@@ -44,8 +44,8 @@ class TestSessionSaveOpen:
     def test_open_kwargs_forwarded(self, tmp_path):
         path = str(tmp_path / "session.edb")
         EduceStar().save(path)
-        b = EduceStar.open(path, index=False, preunify_depth="none")
-        assert b.machine.index_enabled is False
+        b = EduceStar.open(path, verify="off", preunify_depth="none")
+        assert b.loader.verify == "off"
         assert b.preunifier.depth == "none"
 
     def test_saved_session_keeps_type_independence(self, tmp_path):
@@ -75,6 +75,27 @@ class TestDurableSession:
         assert b.store.recovery is not None
         assert b.store.recovery.clean
         assert sorted(s["Y"] for s in b.solve("doubled(Y)")) == [2, 4]
+
+    def test_pages_file_state_needs_no_in_memory_page_table(self, tmp_path):
+        """A file-backed disc keeps its pages in the sidecar, found
+        through ``_index``; the in-memory ``_pages`` table it inherits
+        is dead weight in its pickled state — checkpoints load the same
+        with it (as every checkpoint so far carries it) or without."""
+        from repro.bang.pager import FileDiskStore
+        path = str(tmp_path / "durable.edb")
+        a = EduceStar.create(path)
+        a.store_relation("fact", [(i,) for i in range(50)])
+        a.save(path)
+        disk = a.store.pager.disk
+        state = disk.__getstate__()
+        assert state["_pages"] == {}
+        for variant in (state, {k: v for k, v in state.items()
+                                if k != "_pages"}):
+            clone = FileDiskStore.__new__(FileDiskStore)
+            clone.__setstate__(dict(variant))
+            clone.reattach(disk.path)
+            assert clone.page_count == disk.page_count > 0
+            assert clone.verify_all() == []
 
     def test_unsaved_mutations_replay_from_wal(self, tmp_path):
         path = str(tmp_path / "durable.edb")

@@ -6,9 +6,7 @@ from repro.engine.stats import (
     SUN_3_280S_MIPS,
     CostModel,
     Measurement,
-    diff_counters,
     measure,
-    merge_counters,
 )
 
 
@@ -70,39 +68,6 @@ class TestMeasurement:
         assert Measurement()["anything"] == 0
 
 
-class TestCounterHelpers:
-    def test_merge(self):
-        assert merge_counters({"a": 1}, {"a": 2, "b": 3}) == \
-            {"a": 3, "b": 3}
-
-    def test_merge_ignores_non_numeric(self):
-        assert merge_counters({"a": 1, "s": "str"}) == {"a": 1}
-
-    def test_diff(self):
-        assert diff_counters({"a": 5, "b": 1}, {"a": 2}) == \
-            {"a": 3, "b": 1}
-
-    def test_merge_floats(self):
-        merged = merge_counters({"ms": 1.5, "n": 1}, {"ms": 2.25})
-        assert merged == {"ms": 3.75, "n": 1}
-        assert isinstance(merged["ms"], float)
-
-    def test_diff_reset_default_goes_negative(self):
-        # A counter that shrank (reset between snapshots) yields a raw
-        # negative delta by default — the historical contract.
-        assert diff_counters({"a": 3}, {"a": 100}) == {"a": -97}
-
-    def test_diff_reset_clamped(self):
-        # clamp_resets reads a shrunk counter as "reset, then
-        # accumulated this much" (the registry's monotonic semantics).
-        assert diff_counters({"a": 3}, {"a": 100},
-                             clamp_resets=True) == {"a": 3}
-
-    def test_diff_disappearing_counter_ignored(self):
-        # Keys only in *before* (source detached) are not reported.
-        assert diff_counters({"a": 5}, {"a": 2, "gone": 9}) == {"a": 3}
-
-
 class TestMeasureContext:
     class FakeSource:
         def __init__(self):
@@ -149,3 +114,26 @@ class TestMeasureContext:
         assert first.counters == {"n": 3}
         assert second.counters == {"n": 4}
         assert outer.counters == {"n": 7}
+
+    def test_reset_inside_block_reports_post_reset_work(self):
+        # A counter that shrank was reset: the block's delta is what
+        # accumulated since, never a negative number.
+        src = self.FakeSource()
+        src.n = 100
+        with measure(src) as m:
+            src.n = 0
+            src.n += 3
+        assert m.counters == {"n": 3}
+
+    def test_session_reset_counters_inside_block(self):
+        from repro import EduceStar
+        kb = EduceStar()
+        kb.consult("p(1). p(2). p(3).")
+        kb.count_solutions("p(X)")
+        with measure(kb) as warm:
+            kb.count_solutions("p(X)")
+        with measure(kb) as m:
+            kb.reset_counters()
+            kb.count_solutions("p(X)")
+        assert m["instr_count"] == warm["instr_count"] > 0
+        assert all(v >= 0 for v in m.counters.values())

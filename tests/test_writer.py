@@ -86,3 +86,14 @@ class TestListsAndClauses:
         text = format_clause(read_term("p(X) :- q(X), r(X)."))
         again = read_term(text)
         assert again.indicator == (":-", 2)
+
+    def test_reader_operators_do_not_leak_into_the_default_table(self):
+        # The writer renders with one shared standard table; a reader's
+        # operator declarations live in the reader's own copy.
+        from repro.lang.reader import Reader
+        term = Struct("likes", (Atom("a"), Atom("b")))
+        reader = Reader()
+        reader.operators.add(700, "xfx", "likes")
+        assert term_to_text(term, reader.operators) == "a likes b"
+        assert term_to_text(term) == "likes(a,b)"
+        assert Reader().operators.infix("likes") is None
