@@ -18,17 +18,26 @@ runs; sizes above ``--oracle-limit`` run bottom-up only, so the
 fixpoint can be measured at EDB scales the WAM cannot finish in
 reasonable time.
 
+A second table follows the session's kept EDB join indexes
+(docs/DATALOG.md, "What an evaluation keeps"): per size, a bound goal
+and the closure are each asked three times on one bottom-up session —
+*first* (the indexes are built), *repeat* (they are reused) and *after
+one insert* (``edge/2``'s version moved, so they are rebuilt once) —
+with wall milliseconds and the ``datalog_edb_rows`` each run fetched.
+
 Run:  PYTHONPATH=src python benchmarks/bench_datalog.py
       [--edges 10000,100000] [--graph tree|chain|dag] [--branching 4]
       [--seed 7] [--oracle-limit 150000] [--exposition PATH] [--smoke]
 
 ``--smoke`` is the CI entry point: one small size, oracle always on,
-non-zero exit when the answers diverge or the goal was not routed
-bottom-up.  Results at full scale are recorded as E13 in
+non-zero exit when the answers diverge, the goal was not routed
+bottom-up, a repeated goal fetches any EDB row, or the goal after an
+insert misses the new edge.  Results at full scale are recorded as E13 in
 EXPERIMENTS.md.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -68,6 +77,34 @@ def run_strategy(mode: str, edge_rows, goal: str):
         "answers": answers,
         "snapshot": kb.metrics.snapshot(),
     }
+
+
+def run_kept_indexes(edge_rows, source: str, sessions: int = 3):
+    """first / repeat / after-one-insert of ``reach(source, X)`` on a
+    bottom-up session: ``[(phase, wall ms, EDB rows fetched, answers)]``
+    and the failures (stale or wrong answers, a repeat that fetched).
+    Wall time is the least of *sessions* identical sessions (the host's
+    noise only ever adds); the counts are the same in each."""
+    goal = f"reach({source}, X)"
+    best, failures = {}, []
+    for _ in range(sessions):
+        kb = build_session("force", edge_rows)
+        edges = list(edge_rows)
+        for phase in ("first", "repeat", "after insert"):
+            if phase == "after insert":
+                kb.assert_external(f"edge({source}, fresh).")
+                edges.append((source, "fresh"))
+            gc.collect()   # the previous phase's garbage is not this one's
+            with measure(kb) as m:
+                answers = {str(sol["X"]) for sol in kb.solve(goal)}
+            fetched = m["datalog_edb_rows"]
+            ms = min(m.wall_s * 1000.0, best.get(phase, (0, 1e99))[1])
+            best[phase] = (phase, ms, fetched, len(answers))
+            if answers != graphs.reachable(edges, source):
+                failures.append(f"{goal} {phase}: answers differ from BFS")
+            if phase == "repeat" and fetched:
+                failures.append(f"{goal} repeat fetched {fetched} EDB rows")
+    return list(best.values()), failures
 
 
 def main(argv=None) -> int:
@@ -136,6 +173,24 @@ def main(argv=None) -> int:
             print(f"{size:>9} {len(set(bu['answers'])):>8} "
                   f"{bu['wall_s']:>10.2f} {bu['sim_ms']:>10.0f} "
                   f"{'(skipped)':>11} {'-':>11} {'-':>8}")
+
+    bu = wam = None    # the last size's two sessions: not this table's heap
+    print(f"\nkept EDB indexes, one session per goal "
+          f"(wall ms / datalog_edb_rows fetched):")
+    print(f"{'edges':>9} {'goal':>18} {'answers':>8} {'first':>16} "
+          f"{'repeat':>16} {'after insert':>16}")
+    for size in sizes:
+        edge_rows = build_edges(args.graph, size, args.branching,
+                                args.seed)
+        for source in (edge_rows[len(edge_rows) // 64][0], "n0"):
+            phases, failed = run_kept_indexes(edge_rows, source)
+            cells = " ".join(f"{ms:>9.2f}/{fetched:<6}"
+                             for _phase, ms, fetched, _n in phases)
+            print(f"{size:>9} {f'reach({source}, X)':>18} "
+                  f"{phases[0][3]:>8} {cells}")
+            for line in failed:
+                print(f"FAIL edges={size}: {line}")
+            failures += len(failed)
 
     if args.exposition:
         from repro.obs import MetricsRegistry, render_prometheus

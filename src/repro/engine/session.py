@@ -295,6 +295,7 @@ class EduceStar:
                 actual[key] = run[key]
         if executed == "bottomup" and self.datalog.last_stats is not None:
             stats = self.datalog.last_stats
+            actual["index_reused"] = stats.index_reused
             attach_fixpoint(plan, stats.passes, stats.facts)
         return plan
 

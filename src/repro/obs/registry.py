@@ -38,7 +38,7 @@ DEFAULT_GAUGE_KEYS = frozenset({
     "pages", "buffer_resident", "heap_high_water", "pages_quarantined",
     "buffer_pinned", "loader_cache_entries", "store_mutations",
     "service_queue_depth", "service_queue_depth_peak", "service_inflight",
-    "service_workers",
+    "service_workers", "datalog_index_rows",
 })
 
 #: Default bucket boundaries for duration histograms, in milliseconds —

@@ -20,6 +20,7 @@ Every decision and evaluation is visible in the session's telemetry:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -30,7 +31,8 @@ from ...wam.machine import Solution
 from .magic import MagicProgram, rewrite
 from .rules import (Analysis, Indicator, Rule, analyze, const_to_term,
                     indicator_str, term_to_const)
-from .seminaive import FixpointStats, SemiNaiveEvaluator
+from .seminaive import (EdbIndexes, FixpointStats, SemiNaiveEvaluator,
+                        row_predicate)
 from .strategy import DEFAULT_MIN_ROWS, Decision, choose
 
 __all__ = ["DatalogEngine"]
@@ -108,13 +110,16 @@ class DatalogEngine:
         #: fixpoint stats of the most recent bottom-up evaluation
         #: (ANALYZE folds its per-pass delta counts into the plan tree)
         self.last_stats: Optional[FixpointStats] = None
+        #: EDB rows, join indexes and negation extents kept across
+        #: evaluations under procedure-version stamps; session state,
+        #: never saved (docs/DATALOG.md, "What an evaluation keeps")
+        self.edb = EdbIndexes(store)
 
         self.queries = 0
         self.bottomup = 0
         self.topdown = 0
         self.iterations = 0
         self.facts_derived = 0
-        self.edb_rows = 0
         self.magic_rewrites = 0
         self.magic_fallbacks = 0
         self.magic_facts = 0
@@ -308,7 +313,7 @@ class DatalogEngine:
                     strategy=decision.strategy,
                     magic=decision.magic) as span:
                 evaluator = SemiNaiveEvaluator(
-                    self.store, plan.rules, plan.strata, self.tracer)
+                    self.edb, plan.rules, plan.levels(), self.tracer)
                 totals = evaluator.run()
                 if plan.program is None:
                     answers = totals.get(plan.ind, set())
@@ -325,13 +330,13 @@ class DatalogEngine:
                         strata=evaluator.stats.strata,
                         facts=evaluator.stats.facts,
                         answers=len(answers),
-                        adornment=decision.adornment or "")
+                        adornment=decision.adornment or "",
+                        index_reused=evaluator.stats.index_reused)
         return answers
 
     def _account(self, stats: FixpointStats) -> None:
         self.iterations += stats.iterations
         self.facts_derived += stats.facts
-        self.edb_rows += stats.edb_rows
         self._fixpoint_hist.observe(stats.iterations)
 
     def _bind(self, answers: Set[tuple], items: List[tuple], varmap,
@@ -348,23 +353,17 @@ class DatalogEngine:
             else:
                 first_pos[value] = pos
 
-        rows = []
-        for row in answers:
-            ok = True
-            for kind, a, b in checks:
-                if kind == "const":
-                    if row[a] != b:
-                        ok = False
-                        break
-                elif row[a] != row[b]:
-                    ok = False
-                    break
-            if ok:
-                rows.append(row)
-        rows.sort(key=lambda row: tuple(
-            (type(v).__name__, v) for v in row))
-        if limit is not None:
-            rows = rows[:limit]
+        rows = list(filter(row_predicate(checks), answers))
+        # Order: per column by type name, then value.  When no column
+        # mixes types that is plain tuple order, and no key is built.
+        key = None
+        if len({tuple(map(type, row)) for row in rows}) > 1:
+            def key(row):
+                return tuple((type(v).__name__, v) for v in row)
+        if limit is None:
+            rows.sort(key=key)
+        else:
+            rows = heapq.nsmallest(limit, rows, key=key)
 
         solutions = []
         for row in rows:
@@ -476,7 +475,8 @@ class DatalogEngine:
             "datalog_topdown": self.topdown,
             "datalog_iterations": self.iterations,
             "datalog_facts_derived": self.facts_derived,
-            "datalog_edb_rows": self.edb_rows,
+            "datalog_edb_rows": self.edb.fetched_rows,
+            "datalog_index_rows": self.edb.resident_rows,
             "datalog_magic_rewrites": self.magic_rewrites,
             "datalog_magic_fallbacks": self.magic_fallbacks,
             "datalog_magic_facts": self.magic_facts,

@@ -1,4 +1,4 @@
-"""Semi-naive bottom-up fixpoint evaluation (ROADMAP item 4).
+"""Semi-naive bottom-up fixpoint evaluation (ROADMAP item 3).
 
 The evaluator runs one stratum at a time (bottom stratum first).  Inside
 a stratum the classic semi-naive discipline applies: after the seed pass
@@ -13,13 +13,15 @@ nothing new.
 Rule bodies are compiled to trees of the existing
 :mod:`repro.relational.algebra` operators:
 
-* EDB literals are fetched once per evaluation through
+* EDB literals are fetched through
   :func:`repro.relational.planner.best_access_path` (constant arguments
-  become grid partial-match assignments) and cached;
+  become grid partial-match assignments) **once per procedure version**:
+  rows, hash indexes and negated-literal extent sets live in the
+  session's :class:`EdbIndexes` and outlive the evaluation;
 * joins are :class:`~repro.relational.algebra.LookupJoin` probes against
-  hash indexes that are **built once and reused across iterations** for
-  anything fixed during the fixpoint (EDB relations, lower-stratum
-  totals) — only delta/total indexes of the current stratum are rebuilt;
+  hash indexes that are **built once and never rebuilt for rows that did
+  not change** — EDB indexes stand while ``proc.version`` does, indexes
+  over IDB totals live for the evaluation and grow by each pass's delta;
 * the plan is seeded from the delta occurrence, so per-iteration work is
   proportional to the delta, not the whole EDB;
 * constants, repeated variables and cross-literal equalities become
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ...errors import ExistenceError
 from ..algebra import CrossJoin, Filter, LookupJoin, Plan, Rows, execute
 from ..planner import best_access_path
 from .rules import Indicator, Literal, Rule, V, indicator_str
@@ -73,44 +76,110 @@ class FixpointStats:
     strata: int = 0
     #: IDB tuples derived (deduplicated; includes magic predicates)
     facts: int = 0
-    #: EDB tuples fetched into the evaluation's row cache
-    edb_rows: int = 0
+    #: EDB literals were read and none needed a grid fetch: the indexes
+    #: an earlier evaluation left behind were current
+    index_reused: bool = False
     #: per-stratum iteration counts, bottom stratum first
     per_stratum: List[int] = field(default_factory=list)
     #: per-pass delta row counts (their ``delta_rows`` sum to ``facts``)
     passes: List[PassStats] = field(default_factory=list)
 
 
-class SemiNaiveEvaluator:
-    """Evaluate an extracted (possibly magic-rewritten) rule program."""
+class EdbIndexes:
+    """EDB join material one session keeps across evaluations: per facts
+    procedure the rows fetched for each constant pattern, hash indexes
+    over them and extent sets for negated literals.
 
-    def __init__(self, store, rules: Dict[Indicator, List[Rule]],
-                 strata: Dict[Indicator, int], tracer=None):
+    Each procedure's entries carry the ``proc.version`` they were built
+    under — the loader's discipline (:mod:`repro.edb.loader`): a lookup
+    that finds another version, or no procedure, drops them.  Writers
+    never see this structure; callers hold the store's read lock, so the
+    version cannot move inside one evaluation."""
+
+    def __init__(self, store):
         self.store = store
+        #: indicator → (version, {("rows"|"index"|"extent", consts[, attr]):
+        #: row list | hash index | extent set})
+        self._kept: Dict[Indicator, Tuple[int, Dict[tuple, Any]]] = {}
+        #: lookups served, grid fetches made, rows those fetches read
+        #: (``datalog_edb_rows``), rows resident in kept row lists — the
+        #: indexes and extents share their tuples (``datalog_index_rows``)
+        self.lookups = self.fetches = 0
+        self.fetched_rows = self.resident_rows = 0
+
+    def _keep(self, ind: Indicator, key: tuple, build) -> Any:
+        """The value kept under *key* for procedure *ind* at its current
+        version, from ``build(proc)`` on first use."""
+        proc = self.store.lookup(*ind)
+        stamp, kept = self._kept.get(ind, (None, None))
+        if kept is not None and (proc is None or proc.version != stamp):
+            self.resident_rows -= sum(
+                len(rows) for k, rows in kept.items() if k[0] == "rows")
+            del self._kept[ind]
+            kept = None
+        if proc is None:
+            raise ExistenceError("external procedure", indicator_str(ind))
+        if kept is None:
+            kept = {}
+            self._kept[ind] = (proc.version, kept)
+        self.lookups += 1
+        value = kept.get(key)
+        if value is None:
+            value = kept[key] = build(proc)
+        return value
+
+    def rows(self, ind: Indicator, consts: ConstItems, tracer) -> List[tuple]:
+        """Matching tuples, through the access-path planner (constants →
+        grid partial match)."""
+        def fetch(proc):
+            rows = execute(best_access_path(proc.relation, dict(consts)),
+                           tracer)
+            self.fetches += 1
+            self.fetched_rows += len(rows)
+            self.resident_rows += len(rows)
+            return rows
+        return self._keep(ind, ("rows", consts), fetch)
+
+    def index(self, ind: Indicator, consts: ConstItems, attr: int,
+              tracer) -> Dict[Any, List[tuple]]:
+        return self._keep(
+            ind, ("index", consts, attr),
+            lambda _: _extend_index({}, self.rows(ind, consts, tracer), attr))
+
+    def extent(self, ind: Indicator, consts: ConstItems, tracer) -> Set[tuple]:
+        return self._keep(ind, ("extent", consts),
+                          lambda _: set(self.rows(ind, consts, tracer)))
+
+
+class SemiNaiveEvaluator:
+    """Evaluate an extracted (possibly magic-rewritten) rule program
+    against the EDB material kept in *edb*."""
+
+    def __init__(self, edb: EdbIndexes, rules: Dict[Indicator, List[Rule]],
+                 levels: Sequence[Tuple[int, List[Indicator]]], tracer=None):
+        self.edb = edb
         self.rules = rules
-        self.strata = strata
+        #: ``(level, sorted members)`` per stratum, bottom level first
+        self.levels = levels
         self.tracer = tracer
         self.totals: Dict[Indicator, Set[tuple]] = {
             ind: set() for ind in rules}
         self.stats = FixpointStats()
-        # Fixed-for-the-fixpoint caches (EDB rows/indexes; lower-stratum
-        # totals never change once their stratum completed).
-        self._edb_rows_cache: Dict[Tuple[Indicator, ConstItems],
-                                   List[tuple]] = {}
-        self._edb_index_cache: Dict[Tuple[Indicator, int, ConstItems],
-                                    Dict[Any, List[tuple]]] = {}
-        self._idb_index_cache: Dict[Tuple[Indicator, int],
-                                    Dict[Any, List[tuple]]] = {}
+        #: predicate → attr → hash index over that total, built on first
+        #: use and extended by :meth:`_merge` with every pass's new rows
+        self._total_index: Dict[Indicator,
+                                Dict[int, Dict[Any, List[tuple]]]] = {}
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> Dict[Indicator, Set[tuple]]:
-        by_level: Dict[int, List[Indicator]] = {}
-        for ind, level in self.strata.items():
-            by_level.setdefault(level, []).append(ind)
-        for level in sorted(by_level):
-            self._eval_stratum(sorted(by_level[level]))
-        self.stats.strata = len(by_level)
+        edb = self.edb
+        lookups, fetches = edb.lookups, edb.fetches
+        for _level, members in self.levels:
+            self._eval_stratum(members)
+        self.stats.strata = len(self.levels)
+        self.stats.index_reused = (edb.lookups > lookups
+                                   and edb.fetches == fetches)
         return self.totals
 
     def _eval_stratum(self, members: Sequence[Indicator]) -> None:
@@ -137,7 +206,7 @@ class SemiNaiveEvaluator:
             total = self.totals[ind]
             dset = delta.get(ind, ())
             added = 0
-            for row in self._eval_rule(rule, scc, None, None):
+            for row in self._eval_rule(rule, None, None):
                 if row not in total and row not in dset:
                     dset = delta.setdefault(ind, set())
                     dset.add(row)
@@ -159,8 +228,7 @@ class SemiNaiveEvaluator:
                     delta_rows = delta.get(rule.body[pos].pred)
                     if not delta_rows:
                         continue
-                    for row in self._eval_rule(rule, scc, pos,
-                                               list(delta_rows)):
+                    for row in self._eval_rule(rule, pos, list(delta_rows)):
                         if row not in total and row not in pending:
                             pending = new.setdefault(ind, set())
                             pending.add(row)
@@ -180,13 +248,14 @@ class SemiNaiveEvaluator:
         for ind, rows in new.items():
             self.totals[ind] |= rows
             merged += len(rows)
+            for attr, index in self._total_index.get(ind, {}).items():
+                _extend_index(index, rows, attr)
         self.stats.facts += merged
         return merged
 
     # ------------------------------------------------------ rule evaluation
 
-    def _eval_rule(self, rule: Rule, scc: Set[Indicator],
-                   delta_pos: Optional[int],
+    def _eval_rule(self, rule: Rule, delta_pos: Optional[int],
                    delta_rows: Optional[List[tuple]]) -> Iterable[tuple]:
         """One rule instantiation: delta at *delta_pos* (None for the
         seed pass), totals everywhere else.  Yields head tuples."""
@@ -212,16 +281,15 @@ class SemiNaiveEvaluator:
         layout: Dict[str, int] = {}
         width = 0
         for i in ordered:
-            lit = rule.body[i]
-            is_delta = (i == delta_pos)
             plan, layout, width = self._add_literal(
-                plan, layout, width, lit, scc, is_delta, delta_rows)
+                plan, layout, width, rule.body[i],
+                delta_rows if i == delta_pos else None)
 
         if plan is None:
             plan = Rows([()], "unit")
         for lit in rule.body:
             if lit.negated:
-                plan = self._add_negation(plan, layout, lit, scc)
+                plan = self._add_negation(plan, layout, lit)
 
         head_cols = []
         for arg in rule.head.args:
@@ -235,12 +303,14 @@ class SemiNaiveEvaluator:
                         for kind, c in head_cols)
 
     def _add_literal(self, plan: Optional[Plan], layout: Dict[str, int],
-                     width: int, lit: Literal, scc: Set[Indicator],
-                     is_delta: bool, delta_rows: Optional[List[tuple]]
+                     width: int, lit: Literal,
+                     delta_rows: Optional[List[tuple]]
                      ) -> Tuple[Plan, Dict[str, int], int]:
+        """Join *lit* onto *plan*; *delta_rows* is not None for the
+        delta occurrence, which then reads those rows."""
         is_edb = lit.pred not in self.rules
         consts = self._const_items(lit)
-        label = lit.pred[0] + ("Δ" if is_delta else "")
+        label = lit.pred[0] + ("" if delta_rows is None else "Δ")
 
         # Equality conditions this literal imposes on the combined row
         # (cross-literal shared variables, in-literal repeated variables,
@@ -265,30 +335,29 @@ class SemiNaiveEvaluator:
                 conds.append(("const", width + pos, arg))
 
         if plan is None:
-            rows = self._source_rows(lit, scc, is_delta, delta_rows, consts)
-            plan = Rows(rows, label)
+            plan = Rows(self._source_rows(lit, delta_rows, consts), label)
         elif join_var is None:
-            rows = self._source_rows(lit, scc, is_delta, delta_rows, consts)
-            plan = CrossJoin(plan, Rows(rows, label))
+            plan = CrossJoin(plan, Rows(
+                self._source_rows(lit, delta_rows, consts), label))
         else:
-            index = self._index_for(lit, scc, is_delta, delta_rows,
-                                    consts, join_pos)
+            index = self._index_for(lit, consts, join_pos)
             plan = LookupJoin(plan, index, layout[join_var], label)
 
         if conds:
-            plan = Filter(plan, _combined(conds))
+            plan = Filter(plan, row_predicate(conds))
         layout.update(fresh)
         return plan, layout, width + lit.pred[1]
 
     def _add_negation(self, plan: Plan, layout: Dict[str, int],
-                      lit: Literal, scc: Set[Indicator]) -> Plan:
+                      lit: Literal) -> Plan:
         """``\\+ lit`` as a membership filter: by stratification the
         negated predicate's extent is already complete (EDB, or a lower
         stratum)."""
         if lit.pred in self.rules:
             extent = self.totals[lit.pred]
         else:
-            extent = set(self._edb_rows(lit.pred, self._const_items(lit)))
+            extent = self.edb.extent(lit.pred, self._const_items(lit),
+                                     self.tracer)
         probe = []
         for arg in lit.args:
             if isinstance(arg, V):
@@ -307,64 +376,36 @@ class SemiNaiveEvaluator:
         return tuple((pos, arg) for pos, arg in enumerate(lit.args)
                      if not isinstance(arg, V))
 
-    def _source_rows(self, lit: Literal, scc: Set[Indicator],
-                     is_delta: bool, delta_rows: Optional[List[tuple]],
+    def _source_rows(self, lit: Literal, delta_rows: Optional[List[tuple]],
                      consts: ConstItems) -> Sequence[tuple]:
-        if is_delta:
-            return delta_rows or []
+        if delta_rows is not None:
+            return delta_rows
         if lit.pred in self.rules:
             return list(self.totals[lit.pred])
-        return self._edb_rows(lit.pred, consts)
+        return self.edb.rows(lit.pred, consts, self.tracer)
 
-    def _edb_rows(self, ind: Indicator, consts: ConstItems) -> List[tuple]:
-        """Matching EDB tuples, fetched once per evaluation through the
-        access-path planner (constants → grid partial match)."""
-        key = (ind, consts)
-        cached = self._edb_rows_cache.get(key)
-        if cached is None:
-            relation = self.store.relation_of(*ind)
-            rows = execute(best_access_path(relation, dict(consts)),
-                           self.tracer)
-            self.stats.edb_rows += len(rows)
-            cached = self._edb_rows_cache[key] = rows
-        return cached
-
-    def _index_for(self, lit: Literal, scc: Set[Indicator], is_delta: bool,
-                   delta_rows: Optional[List[tuple]], consts: ConstItems,
+    def _index_for(self, lit: Literal, consts: ConstItems,
                    join_pos: int) -> Dict[Any, List[tuple]]:
-        """A hash index on *join_pos* over the literal's source rows.
-
-        EDB indexes and lower-stratum IDB indexes are fixed for the
-        whole fixpoint and cached; current-stratum totals and deltas
-        change every iteration, so their indexes are rebuilt from the
-        live rows."""
-        if not is_delta and lit.pred not in self.rules:
-            key = (lit.pred, join_pos, consts)
-            cached = self._edb_index_cache.get(key)
-            if cached is None:
-                cached = self._edb_index_cache[key] = _build_index(
-                    self._edb_rows(lit.pred, consts), join_pos)
-            return cached
-        if (not is_delta and lit.pred in self.rules
-                and lit.pred not in scc):
-            key2 = (lit.pred, join_pos)
-            cached = self._idb_index_cache.get(key2)
-            if cached is None:
-                cached = self._idb_index_cache[key2] = _build_index(
-                    self.totals[lit.pred], join_pos)
-            return cached
-        rows = (delta_rows or []) if is_delta else self.totals[lit.pred]
-        return _build_index(rows, join_pos)
+        """A hash index on *join_pos* over the literal's source rows: the
+        kept EDB index, or the evaluation's index over an IDB total (the
+        delta occurrence seeds the plan and is never probed)."""
+        if lit.pred not in self.rules:
+            return self.edb.index(lit.pred, consts, join_pos, self.tracer)
+        by_attr = self._total_index.setdefault(lit.pred, {})
+        if join_pos not in by_attr:
+            by_attr[join_pos] = _extend_index(
+                {}, self.totals[lit.pred], join_pos)
+        return by_attr[join_pos]
 
 
-def _build_index(rows: Iterable[tuple], attr: int) -> Dict[Any, List[tuple]]:
-    index: Dict[Any, List[tuple]] = {}
+def _extend_index(index: Dict[Any, List[tuple]], rows: Iterable[tuple],
+                  attr: int) -> Dict[Any, List[tuple]]:
     for row in rows:
         index.setdefault(row[attr], []).append(row)
     return index
 
 
-def _combined(conds: List[Tuple[str, int, Any]]):
+def row_predicate(conds: List[Tuple[str, int, Any]]):
     """One predicate for a list of ('eq', col, col) / ('const', col, v)
     conditions over the combined row."""
     def check(row, conds=tuple(conds)):

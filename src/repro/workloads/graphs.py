@@ -22,10 +22,10 @@ always yields the same graph.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 __all__ = [
-    "chain", "k_ary_tree", "random_dag", "parent_tree",
+    "chain", "k_ary_tree", "random_dag", "parent_tree", "reachable",
     "REACH_PROGRAM", "SAME_GEN_PROGRAM", "UNREACHABLE_PROGRAM",
     "differential_cases",
 ]
@@ -85,6 +85,23 @@ def parent_tree(people: int, seed: int,
         parent = rng.randrange(low, i)
         out.append((_node(i), _node(parent)))
     return out
+
+
+def reachable(edges: Iterable[Edge], source: str) -> Set[str]:
+    """Nodes a non-empty path from *source* leads to, by breadth-first
+    search — the oracle for ``reach/2`` that is not the engine."""
+    successors: Dict[str, List[str]] = {}
+    for a, b in edges:
+        successors.setdefault(a, []).append(b)
+    seen: Set[str] = set()
+    frontier = [source]
+    while frontier:
+        nodes, frontier = frontier, []
+        for b in (b for a in nodes for b in successors.get(a, ())):
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
 
 
 # ---------------------------------------------------------------------

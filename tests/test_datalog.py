@@ -438,6 +438,48 @@ class TestEngine:
         assert got == {"a", "b", "c"}
         assert kb.datalog.bottomup == 1
 
+    def test_negated_edb_extent_built_once_per_version(self, monkeypatch):
+        """A negated *EDB* literal inside a recursive rule is planned on
+        every pass; its extent set is built once and stands until
+        ``blocked/2`` changes (UNREACHABLE_PROGRAM negates an IDB
+        predicate and never takes this path)."""
+        from repro.relational.datalog.seminaive import EdbIndexes
+        from repro.workloads.graphs import chain, reachable
+        kb = EduceStar(datalog="force")
+        edges = chain(8) + [("n2", "n6")]
+        kb.store_relation("edge", edges)
+        kb.store_relation("blocked", [("n3", "n4")])
+        kb.store_program("""
+            reach(X, Y) :- edge(X, Y), \\+ blocked(X, Y).
+            reach(X, Z) :- edge(X, Y), \\+ blocked(X, Y), reach(Y, Z).
+        """)
+        extents = []
+        build = EdbIndexes.extent
+
+        def spy(self, *args):
+            extents.append(build(self, *args))
+            return extents[-1]
+        monkeypatch.setattr(EdbIndexes, "extent", spy)
+
+        def answers(blocked):
+            open_edges = [e for e in edges if e not in blocked]
+            got = sorted(s["X"].name for s in kb.solve("reach(n0, X)"))
+            assert got == sorted(reachable(open_edges, "n0"))
+
+        answers({("n3", "n4")})
+        assert len(extents) > 2                      # asked for every pass
+        assert all(e is extents[0] for e in extents)  # built once
+        answers({("n3", "n4")})
+        assert extents[-1] is extents[0]             # and kept between goals
+        assert kb.counters()["datalog_edb_rows"] == len(edges) + 1
+
+        kb.assert_external("blocked(n2, n6).")
+        del extents[1:]
+        answers({("n3", "n4"), ("n2", "n6")})
+        assert extents[1] == {("n3", "n4"), ("n2", "n6")}
+        assert all(e is extents[1] for e in extents[1:])
+        assert kb.counters()["datalog_edb_rows"] == len(edges) + 1 + 2
+
     def test_explain(self):
         kb = self.reach_kb()
         text = kb.datalog.explain("reach(n0, X)")

@@ -105,3 +105,125 @@ def test_forced_routing_visible_in_exposition():
     text = render_prometheus(kb.metrics.snapshot())
     assert "datalog_bottomup" in text
     assert "datalog_fixpoint_iterations" in text
+
+
+def test_forced_answer_order_is_type_name_then_value():
+    """``solve`` orders bottom-up answers per column by type name, then
+    value — with or without a limit, whether or not a key is built."""
+    import re
+
+    def order_key(row):
+        return tuple((type(v).__name__, v) for v in row)
+
+    for seed in range(0, SEEDS, 5):
+        for case in graphs.differential_cases(seed):
+            kb = build_session(case, datalog="force")
+            for goal in case["goals"]:
+                names = list(dict.fromkeys(re.findall(r"\b[A-Z]\w*", goal)))
+                rows = [tuple(getattr(s[n], "name", s[n]) for n in names)
+                        for s in kb.solve(goal)]
+                assert rows == sorted(rows, key=order_key), (case["name"],
+                                                             goal)
+                few = [tuple(getattr(s[n], "name", s[n]) for n in names)
+                       for s in kb.solve(goal, limit=3)]
+                assert few == rows[:3], (case["name"], goal)
+
+
+# =====================================================================
+# Kept EDB indexes against writes the reading session did not make
+# =====================================================================
+
+TWO_RELATION_REACH = """\
+% lint: external edge/2 link/2
+% lint: disable=L104 reach/2
+reach(X, Y) :- edge(X, Y).
+reach(X, Y) :- link(X, Y).
+reach(X, Z) :- edge(X, Y), reach(Y, Z).
+reach(X, Z) :- link(X, Y), reach(Y, Z).
+"""
+
+
+def repr_atom(name: str) -> str:
+    from repro.terms import Atom
+    return repr(Atom(name))
+
+
+class TestKeptIndexesFollowTheStore:
+    """Session A keeps its EDB join indexes between goals; every write
+    here is made by *someone else* — a second session on the same store,
+    or a primary whose log a follower applies.  After each write A's
+    answers must equal the BFS oracle's, and ``datalog_edb_rows`` must
+    move by exactly the size of the relation whose version moved."""
+
+    def script(self, reader, writer, sync):
+        state = {"edge": graphs.k_ary_tree(40, 3),
+                 "link": [("n40", "m0"), ("m0", "m1"), ("n7", "m2")]}
+        writer.store_relation("edge", state["edge"])
+        writer.store_relation("link", state["link"])
+        writer.store_program(TWO_RELATION_REACH)
+        sync()
+
+        def check(*moved):
+            graph = state["edge"] + state["link"]
+            before = reader.counters()["datalog_edb_rows"]
+            got = answer_multiset(reader, "reach(n1, X)")
+            assert got == Counter(
+                (("X", repr_atom(b)),)
+                for b in graphs.reachable(graph, "n1")), moved
+            assert reader.datalog.last_stats.index_reused == (not moved)
+            got = answer_multiset(reader, "reach(X, Y)")
+            assert got == Counter(
+                (("X", repr_atom(a)), ("Y", repr_atom(b)))
+                for a in graphs.nodes_of(graph)
+                for b in graphs.reachable(graph, a)), moved
+            assert reader.datalog.bottomup and not reader.datalog.topdown
+            fetched = reader.counters()["datalog_edb_rows"] - before
+            assert fetched == sum(len(state[r]) for r in moved), moved
+            assert reader.datalog.last_stats.index_reused    # second goal
+            assert reader.counters()["datalog_index_rows"] == len(graph)
+
+        check("edge", "link")
+        check()                                  # nothing moved: all reuse
+
+        # drop + re-create: the new procedure would restart at the very
+        # version A's entries carry, were it not for the version floor
+        assert list(writer.solve("db_drop(edge/2)"))
+        state["edge"] = graphs.chain(12) + [("n12", "n40")]
+        writer.store_relation("edge", state["edge"])
+        sync()
+        check("edge")
+
+        writer.assert_external("edge(n2, fresh).")
+        state["edge"] = state["edge"] + [("n2", "fresh")]
+        sync()
+        check("edge")
+
+        writer.assert_external("link(fresh, far).")
+        state["link"] = state["link"] + [("fresh", "far")]
+        sync()
+        check("link")
+        check()
+
+    def test_second_session_on_the_same_store(self):
+        from repro.edb.store import ExternalStore
+        store = ExternalStore()
+        self.script(EduceStar(store=store, datalog="force"),
+                    EduceStar(store=store), lambda: None)
+
+    def test_follower_fed_the_primary_log(self, tmp_path):
+        from repro.replication import Replica
+        path = str(tmp_path / "kb.edb")
+        primary = EduceStar.create(path)
+        primary.save(path)                       # the bootstrap checkpoint
+        replica = Replica("r0", path, str(tmp_path / "r0"), workers=1,
+                          start=False)
+
+        def ship():
+            _status, records = replica.tailer.poll(None)
+            assert replica._apply_batch(records) == "ok"
+
+        try:
+            self.script(EduceStar(store=replica.store, datalog="force"),
+                        primary, ship)
+        finally:
+            replica.shutdown()

@@ -224,6 +224,32 @@ class TestBottomup:
         assert magic.attrs["bound_args"] == 0
         assert magic.label == "none"
 
+    def test_index_reuse_is_named_not_inferred(self):
+        """``datalog_edb_rows`` absent from a bottom-up ANALYZE must read
+        as a reuse of kept indexes — on the root and on the span — and
+        never for an EDB relation that is merely empty of matches."""
+        kb = EduceStar(datalog="force")
+        kb.store_relation("edge", [(i, i + 1) for i in range(30)])
+        kb.store_program(
+            "path(X, Y) :- edge(X, Y).\n"
+            "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
+            "far(X, Y) :- edge(99, X), path(X, Y).\n"
+            "far(X, Z) :- far(X, Y), edge(Y, Z).\n")
+        first = kb.analyze("path(0, X)").root.actual
+        assert first["index_reused"] is False
+        assert first["datalog_edb_rows"] == 30
+        again = kb.analyze("path(0, X)")
+        assert again.root.actual["index_reused"] is True
+        assert "datalog_edb_rows" not in again.root.actual
+        assert "index_reused=True" in again.format()
+        # edge(99, X) matches nothing: 0 rows fetched, but fetched
+        empty = kb.analyze("far(X, Y)").root.actual
+        assert "datalog_edb_rows" not in empty
+        assert empty["index_reused"] is False
+        span = next(s for s in kb.profile("path(0, X)").root.walk()
+                    if s.name == "datalog.evaluate")
+        assert span.attrs["index_reused"] is True
+
 
 # =====================================================================
 # One run record behind ANALYZE and profile()

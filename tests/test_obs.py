@@ -597,7 +597,7 @@ SESSION_KEYS = frozenset("""
     checkpoints_written clauses_delivered clauses_fetched
     compile_count cp_created cp_refs data_refs datalog_bottomup
     datalog_edb_rows datalog_extractions datalog_facts_derived
-    datalog_iterations datalog_magic_facts datalog_magic_fallbacks
+    datalog_index_rows datalog_iterations datalog_magic_facts datalog_magic_fallbacks
     datalog_magic_rewrites datalog_mode_shortcuts datalog_queries
     datalog_rulebase_missing datalog_topdown events_dropped
     events_recorded explain_queries gc_cells_recovered gc_runs
