@@ -16,7 +16,7 @@ keyword.  Entry points:
 """
 
 from .callgraph import (CallGraph, CallSite, Program, build_call_graph,
-                        iter_goals, program_from_session,
+                        program_from_sections, program_from_session,
                         program_from_text, tarjan_sccs)
 from .cardinality import (CardResult, class_name, infer_cardinality)
 from .modes import (ANY, GROUND, NONVAR, BuiltinSig, ModeResult,
@@ -29,7 +29,7 @@ __all__ = [
     "CardResult", "GlobalReport", "ModeResult", "PredicateInfo",
     "Program", "analyze_program", "build_call_graph",
     "builtin_signature", "class_name", "infer_cardinality",
-    "infer_modes", "iter_goals", "join", "leq", "mode_string",
-    "program_from_session", "program_from_text", "refine",
-    "tarjan_sccs",
+    "infer_modes", "join", "leq", "mode_string",
+    "program_from_sections", "program_from_session",
+    "program_from_text", "refine", "tarjan_sccs",
 ]

@@ -7,13 +7,13 @@ the unit every program source in this repo ultimately reduces to
 (main-memory procedures keep their clause terms, EDB-stored rules ride
 the Datalog rulebase, program texts parse with the standard reader).
 
-Metapredicate-awareness reuses the L102 contract: goals are discovered
-by descending through the control constructs (``,``/``;``/``->``/...)
-and through the goal-argument positions of the known meta-predicates
-(:data:`META_GOAL_ARGS`, the table :mod:`repro.analysis.lint` shares).
-``call/N`` closures count as calls to the closed-over indicator with
-the extended arity; metacalls through a variable are not analysable
-and contribute no edge.
+Goals are discovered by the front end's goal walker
+(:func:`repro.lang.program.iter_goals`, the one L102 uses too): it
+descends the control constructs (``,``/``;``/``->``/...) and the
+goal-argument positions of the known meta-predicates; ``call/N``
+closures count as calls to the closed-over indicator with the extended
+arity; metacalls through a variable are not analysable and contribute
+no edge.
 
 Recursion is handled by condensing the graph into strongly connected
 components (iterative Tarjan) — the mode/cardinality fixpoint widens
@@ -23,32 +23,20 @@ inside recursive SCCs (docs/ANALYSIS.md, "sound widening").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ...terms import Atom, Struct, Term, Var
+from ...lang.program import (Indicator, Section, iter_goals,
+                             read_sections, split_clause_term)
+from ...lang.reader import Reader
+from ...terms import Term
 
-__all__ = ["META_GOAL_ARGS", "CallSite", "Program", "CallGraph",
-           "build_call_graph", "iter_goals", "program_from_text",
-           "program_from_session", "tarjan_sccs", "indicator_of",
-           "split_clause_term"]
-
-Indicator = Tuple[str, int]
+__all__ = ["CallSite", "Program", "CallGraph", "build_call_graph",
+           "program_from_text", "program_from_sections",
+           "program_from_session", "tarjan_sccs"]
 
 #: goals the compiler handles directly (no registered indicator)
 CONTROL_GOALS = {("true", 0), ("fail", 0), ("false", 0), ("!", 0),
                  ("otherwise", 0)}
-
-#: meta-predicates: which argument positions are themselves goals.
-#: This is the canonical table; :mod:`repro.analysis.lint` imports it
-#: for L102 so source lint and whole-program analysis agree on what a
-#: reachable goal is.
-META_GOAL_ARGS: Dict[Indicator, Tuple[int, ...]] = {
-    (",", 2): (0, 1), (";", 2): (0, 1), ("->", 2): (0, 1),
-    ("\\+", 1): (0,), ("not", 1): (0,), ("once", 1): (0,),
-    ("ignore", 1): (0,), ("call", 1): (0,), ("forall", 2): (0, 1),
-    ("findall", 3): (1,), ("bagof", 3): (1,), ("setof", 3): (1,),
-    ("aggregate_all", 3): (1,),
-}
 
 
 @dataclass(frozen=True)
@@ -96,63 +84,6 @@ class CallGraph:
         """In a cycle: its SCC has >1 member, or it calls itself."""
         scc = self.sccs[self.scc_of[ind]]
         return len(scc) > 1 or ind in self.edges.get(ind, ())
-
-
-def indicator_of(term: Term) -> Optional[Indicator]:
-    if isinstance(term, Struct):
-        return (term.name, term.arity)
-    if isinstance(term, Atom):
-        return (term.name, 0)
-    return None
-
-
-def split_clause_term(clause: Term) -> Tuple[Term, Optional[Term]]:
-    if isinstance(clause, Struct) and clause.name == ":-" \
-            and clause.arity == 2:
-        return clause.args[0], clause.args[1]
-    return clause, None
-
-
-def iter_goals(body: Term) -> Iterator[Tuple[Indicator,
-                                             Optional[Tuple[Term, ...]]]]:
-    """Yield ``(indicator, args)`` for every goal reachable in *body*,
-    descending control constructs and meta-predicate goal arguments.
-    ``args`` is None when the call's arguments are not statically
-    visible (``call/N`` with extra arguments)."""
-
-    def walk(goal: Term) -> Iterator[Tuple[Indicator,
-                                           Optional[Tuple[Term, ...]]]]:
-        goal = _strip_caret(goal)
-        if isinstance(goal, Var):
-            return  # metacall through a variable: not analysable
-        if isinstance(goal, Atom):
-            yield (goal.name, 0), ()
-            return
-        if not isinstance(goal, Struct):
-            return  # a number in goal position is a runtime type error
-        meta = META_GOAL_ARGS.get((goal.name, goal.arity))
-        if meta is not None:
-            for pos in meta:
-                yield from walk(goal.args[pos])
-            return
-        if goal.name == "call" and goal.arity >= 2:
-            target = goal.args[0]
-            extra = goal.arity - 1
-            if isinstance(target, Atom):
-                yield (target.name, extra), None
-            elif isinstance(target, Struct):
-                yield (target.name, target.arity + extra), None
-            return
-        yield (goal.name, goal.arity), tuple(goal.args)
-
-    yield from walk(body)
-
-
-def _strip_caret(goal: Term) -> Term:
-    while isinstance(goal, Struct) and goal.name == "^" \
-            and goal.arity == 2:
-        goal = goal.args[1]
-    return goal
 
 
 def build_call_graph(program: Program) -> CallGraph:
@@ -237,25 +168,26 @@ def tarjan_sccs(graph: Dict[Indicator, Set[Indicator]]
 def program_from_text(text: str,
                       extra_defined: Tuple[Indicator, ...] = ()
                       ) -> Program:
-    """A :class:`Program` from one Prolog source text.  Pragma-declared
-    externals and ``dynamic``/``discontiguous`` declarations become
-    external predicates; call-graph roots (no in-edges) are the
-    entries."""
+    """A :class:`Program` from one Prolog source text, read under the
+    default operator table; ``% lint: external`` pragmas add to its
+    externals."""
     from ..lint import _parse_pragmas
-    from ...lang.reader import Reader
     _disabled, externals, _unknown = _parse_pragmas(text)
-    program = Program(externals=set(externals) | set(extra_defined))
-    reader = Reader()
-    for clause in reader.read_terms(text):
-        if isinstance(clause, Struct) and clause.name == ":-" \
-                and clause.arity == 1:
-            _apply_directive(clause.args[0], reader, program)
-            continue
-        head, _body = split_clause_term(clause)
-        ind = indicator_of(head)
-        if ind is None:
-            continue
-        program.clauses.setdefault(ind, []).append(clause)
+    return program_from_sections(read_sections(text, Reader()),
+                                 externals | set(extra_defined))
+
+
+def program_from_sections(sections: Iterable[Section],
+                          externals: Set[Indicator]) -> Program:
+    """A :class:`Program` from a text the front end has read
+    (:func:`repro.lang.program.read_sections`).  ``dynamic`` /
+    ``discontiguous`` declarations join *externals*; goal directives
+    are not run; call-graph roots (no in-edges) are the entries."""
+    program = Program(externals=set(externals))
+    for section in sections:
+        program.externals.update(section.declared)
+        for ind, clause in section.clauses:
+            program.clauses.setdefault(ind, []).append(clause)
     _default_entries(program)
     return program
 
@@ -311,28 +243,3 @@ def _default_entries(program: Program) -> None:
     program.entries = sorted(
         ind for ind in program.clauses
         if scc_of[ind] not in entered)
-
-
-def _apply_directive(directive: Term, reader, program: Program) -> None:
-    if isinstance(directive, Struct) and directive.name == "op" \
-            and directive.arity == 3:
-        priority, type_, name = directive.args
-        if isinstance(priority, int) and isinstance(type_, Atom) \
-                and isinstance(name, Atom):
-            reader.operators.add(priority, type_.name, name.name)
-        return
-    if isinstance(directive, Struct) and directive.arity == 1 \
-            and directive.name in ("dynamic", "discontiguous"):
-        for ind in _indicator_list(directive.args[0]):
-            program.externals.add(ind)
-
-
-def _indicator_list(term: Term) -> List[Indicator]:
-    if isinstance(term, Struct) and term.name == "," and term.arity == 2:
-        return _indicator_list(term.args[0]) + \
-            _indicator_list(term.args[1])
-    if isinstance(term, Struct) and term.name == "/" and term.arity == 2:
-        name, arity = term.args
-        if isinstance(name, Atom) and isinstance(arity, int):
-            return [(name.name, arity)]
-    return []

@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ...lang.program import Indicator, split_clause_term
 from ...terms import Atom, Struct, Term, Var
-from .callgraph import (CONTROL_GOALS, CallGraph, Indicator, Program,
-                        split_clause_term)
+from .callgraph import CONTROL_GOALS, CallGraph, Program
 from .modes import (GROUND, INF, ModeResult, builtin_signature)
 
 __all__ = ["Card", "CardResult", "infer_cardinality", "class_name",

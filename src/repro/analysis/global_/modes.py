@@ -38,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ...lang.program import Indicator, split_clause_term
 from ...terms import Atom, Struct, Term, Var
-from .callgraph import (CONTROL_GOALS, CallGraph, Indicator, Program,
-                        build_call_graph, split_clause_term)
+from .callgraph import (CONTROL_GOALS, CallGraph, Program,
+                        build_call_graph)
 
 __all__ = ["GROUND", "NONVAR", "ANY", "INF", "BuiltinSig", "ModeResult",
            "builtin_signature", "infer_modes", "join", "refine",

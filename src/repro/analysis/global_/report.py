@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...lang.program import Indicator, iter_goals, split_clause_term
 from ...terms import Struct, Var
-from .callgraph import (CallGraph, Indicator, Program,
-                        build_call_graph, iter_goals,
-                        split_clause_term)
+from .callgraph import CallGraph, Program, build_call_graph
 from .cardinality import (CardResult, infer_cardinality)
 from .modes import (ModeResult, builtin_signature, GROUND, infer_modes,
                     mode_string)

@@ -24,8 +24,10 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..lang.program import iter_goals, read_sections, split_clause_term
 from ..lang.reader import Reader
-from ..terms import Atom, Struct, Term, Var
+from ..terms import Struct, Term, Var
+from .global_.callgraph import CONTROL_GOALS as _CONTROL
 
 __all__ = ["RULES", "LintFinding", "lint_text"]
 
@@ -69,13 +71,6 @@ _PRAGMA_RE = re.compile(
 
 _IND_RE = re.compile(r"(\S+)/(\d+)")
 
-#: goals the compiler handles directly (no registered indicator) and
-#: the meta-predicate goal-argument table — both shared with the
-#: whole-program call graph so source lint and global analysis agree
-#: on what a reachable goal is (docs/ANALYSIS.md)
-from .global_.callgraph import (CONTROL_GOALS as _CONTROL,
-                                META_GOAL_ARGS as _META_GOAL_ARGS)
-
 
 @dataclass(frozen=True)
 class LintFinding:
@@ -93,44 +88,36 @@ def lint_text(text: str, name: str = "",
               ) -> List[LintFinding]:
     """Lint one Prolog program text; return the unwaived findings
     (L rules from the source walk, M rules from the whole-program
-    analysis run over the same text)."""
+    analysis — both over one reading of the text)."""
+    from ..wam.prelude import library
+    from .global_ import analyze_program, program_from_sections
     _ensure_builtin_registry()
     disabled, externals, unknown_rules = _parse_pragmas(text)
-    reader = Reader()
-    defined: Set[Tuple[str, int]] = set(extra_defined) | externals
-    heads: List[Tuple[str, int]] = []  # clause heads, in source order
+    sections = list(read_sections(text, Reader()))
+    program = program_from_sections(sections,
+                                    externals | set(extra_defined))
+    defined = program.defined()
+    clauses = [item for section in sections for item in section.clauses]
     first_arg_kinds: Dict[Tuple[str, int], List[str]] = {}
-    clause_terms: Dict[Tuple[str, int], List[Term]] = {}
     calls: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
     findings: List[LintFinding] = []
 
-    for clause in reader.read_terms(text):
-        if isinstance(clause, Struct) and clause.name == ":-" \
-                and clause.arity == 1:
-            _apply_directive(clause.args[0], reader, defined)
-            continue
-        head, body = _split(clause)
-        ind = _indicator(head)
-        if ind is None:
-            continue
-        heads.append(ind)
-        defined.add(ind)
+    for ind, clause in clauses:
+        head, body = split_clause_term(clause)
         first_arg_kinds.setdefault(ind, []).append(_first_arg_kind(head))
-        clause_terms.setdefault(ind, []).append(clause)
         for singleton in _singletons(clause):
             findings.append(LintFinding(
                 "L101", _fmt(ind),
                 f"singleton variable {singleton} in clause "
                 f"{len(first_arg_kinds[ind])} of {_fmt(ind)}"))
         if body is not None:
-            for goal_ind in _goal_indicators(body):
-                calls.append((ind, goal_ind))
+            calls.extend((ind, callee) for callee, _args in iter_goals(body))
 
     # L103 — discontiguous clause blocks
     seen: Set[Tuple[str, int]] = set()
     reported: Set[Tuple[str, int]] = set()
     previous: Optional[Tuple[str, int]] = None
-    for ind in heads:
+    for ind, _clause in clauses:
         if ind != previous and ind in seen and ind not in reported:
             reported.add(ind)
             findings.append(LintFinding(
@@ -144,7 +131,7 @@ def lint_text(text: str, name: str = "",
     for caller, callee in calls:
         if callee in defined or callee in _CONTROL:
             continue
-        if _builtin(callee) or callee in _prelude_indicators():
+        if _builtin(callee) or callee in library():
             continue
         if (caller, callee) in flagged:
             continue
@@ -170,7 +157,7 @@ def lint_text(text: str, name: str = "",
                 "first-argument indexing cannot discriminate"))
 
     # L105 — recursive, Datalog-shaped, yet blocked from bottom-up
-    findings.extend(_datalog_blocked(clause_terms))
+    findings.extend(_datalog_blocked(program.clauses))
 
     # L106 — pragmas naming rules this linter does not define
     for rule_id in sorted(unknown_rules):
@@ -180,9 +167,7 @@ def lint_text(text: str, name: str = "",
             "(known: " + ", ".join(sorted(RULES)) + ")"))
 
     # M rules — whole-program mode/determinism findings over the same
-    # text (docs/ANALYSIS.md, "M rules"); waived by the same pragmas
-    from .global_ import analyze_program, program_from_text
-    program = program_from_text(text, extra_defined=tuple(extra_defined))
+    # reading (docs/ANALYSIS.md, "M rules"); waived by the same pragmas
     findings.extend(analyze_program(program).mode_findings())
 
     return [f for f in findings if not _waived(f, disabled)]
@@ -295,21 +280,6 @@ def _fmt(ind: Tuple[str, int]) -> str:
     return f"{ind[0]}/{ind[1]}"
 
 
-def _split(clause: Term):
-    if isinstance(clause, Struct) and clause.name == ":-" \
-            and clause.arity == 2:
-        return clause.args[0], clause.args[1]
-    return clause, None
-
-
-def _indicator(head: Term) -> Optional[Tuple[str, int]]:
-    if isinstance(head, Struct):
-        return (head.name, head.arity)
-    if isinstance(head, Atom):
-        return (head.name, 0)
-    return None
-
-
 def _first_arg_kind(head: Term) -> str:
     if not isinstance(head, Struct) or head.arity == 0:
         return "none"
@@ -344,100 +314,12 @@ def _count_vars(term: Term, counts: Dict[int, int],
             _count_vars(arg, counts, vars_by_id)
 
 
-def _goal_indicators(body: Term) -> List[Tuple[str, int]]:
-    """Indicators of every goal reachable in *body*, descending
-    through the control constructs and meta-predicate goal arguments."""
-    out: List[Tuple[str, int]] = []
-
-    def walk(goal: Term) -> None:
-        goal = _strip_caret(goal)
-        if isinstance(goal, Var):
-            return  # metacall through a variable: not analysable
-        if isinstance(goal, Atom):
-            out.append((goal.name, 0))
-            return
-        if not isinstance(goal, Struct):
-            return  # a number in goal position is a runtime type error
-        meta = _META_GOAL_ARGS.get((goal.name, goal.arity))
-        if meta is not None:
-            for pos in meta:
-                walk(goal.args[pos])
-            return
-        if goal.name == "call" and goal.arity >= 2:
-            target = goal.args[0]
-            extra = goal.arity - 1
-            if isinstance(target, Atom):
-                out.append((target.name, extra))
-            elif isinstance(target, Struct):
-                out.append((target.name, target.arity + extra))
-            return
-        out.append((goal.name, goal.arity))
-
-    walk(body)
-    return out
-
-
-def _strip_caret(goal: Term) -> Term:
-    while isinstance(goal, Struct) and goal.name == "^" \
-            and goal.arity == 2:
-        goal = goal.args[1]
-    return goal
-
-
-def _apply_directive(directive: Term, reader: Reader,
-                     defined: Set[Tuple[str, int]]) -> None:
-    """Honour the directives lint cares about: operator declarations
-    (so the rest of the text parses the way the machine parses it) and
-    dynamic/discontiguous declarations (callable without clauses)."""
-    if isinstance(directive, Struct) and directive.name == "op" \
-            and directive.arity == 3:
-        priority, type_, name = directive.args
-        if isinstance(priority, int) and isinstance(type_, Atom) \
-                and isinstance(name, Atom):
-            reader.operators.add(priority, type_.name, name.name)
-        return
-    if isinstance(directive, Struct) and directive.arity == 1 \
-            and directive.name in ("dynamic", "discontiguous"):
-        for ind in _indicator_list(directive.args[0]):
-            defined.add(ind)
-
-
-def _indicator_list(term: Term) -> List[Tuple[str, int]]:
-    if isinstance(term, Struct) and term.name == "," and term.arity == 2:
-        return _indicator_list(term.args[0]) + \
-            _indicator_list(term.args[1])
-    if isinstance(term, Struct) and term.name == "/" and term.arity == 2:
-        name, arity = term.args
-        if isinstance(name, Atom) and isinstance(arity, int):
-            return [(name.name, arity)]
-    return []
-
-
 def _builtin(ind: Tuple[str, int]) -> bool:
     from ..wam.compiler import is_builtin_indicator
     if is_builtin_indicator(ind[0], ind[1]):
         return True
     # call/N is open-ended; the registry holds a finite prefix
     return ind[0] == "call" and ind[1] >= 1
-
-
-_PRELUDE: Optional[Set[Tuple[str, int]]] = None
-
-
-def _prelude_indicators() -> Set[Tuple[str, int]]:
-    """Head indicators of the prelude library (every session loads it,
-    so its predicates are always callable)."""
-    global _PRELUDE
-    if _PRELUDE is None:
-        from ..wam.prelude import PRELUDE_SOURCE
-        indicators: Set[Tuple[str, int]] = set()
-        for clause in Reader().read_terms(PRELUDE_SOURCE):
-            head, _ = _split(clause)
-            ind = _indicator(head)
-            if ind is not None:
-                indicators.add(ind)
-        _PRELUDE = indicators
-    return _PRELUDE
 
 
 def _ensure_builtin_registry() -> None:

@@ -56,15 +56,13 @@ class DynamicLoader:
 
     def __init__(self, store: ExternalStore,
                  preunifier: Optional[PreUnifier] = None,
-                 index: bool = True, verify: str = "structural",
-                 optimizer=None):
-        if verify not in VERIFY_LEVELS:
-            raise ValueError(
-                f"verify={verify!r}: expected one of {VERIFY_LEVELS}")
+                 index: bool = True, optimizer=None):
         self.store = store
         self.preunifier = preunifier or PreUnifier("full")
         self.index = index
-        self.verify = verify
+        #: how far fetched code is checked before it may run — one of
+        #: VERIFY_LEVELS, assignable; the structural gate is the default
+        self.verify = "structural"
         # Shared with the session's machine so wam_opt_* counters
         # aggregate in one place (docs/OPTIMIZER.md); None leaves
         # fetched blocks unoptimized.

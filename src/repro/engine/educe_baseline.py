@@ -21,7 +21,7 @@ model, and the EDB traffic shows up in the shared pager's I/O counters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..edb.store import ExternalStore
 from ..terms import Atom, Struct, Term, deref
@@ -46,24 +46,9 @@ class EduceBaseline:
 
     def store_program(self, text: str) -> None:
         """Store a program in the EDB in source form, grouped by
-        procedure — the Educe storage scheme."""
-        clauses = list(self.interpreter.reader.read_terms(text))
-        self.store_clauses(clauses)
-
-    def store_clauses(self, clauses: List[Term]) -> None:
-        from ..wam.compiler import split_clause
-        grouped: Dict[Tuple[str, int], List[Term]] = {}
-        order: List[Tuple[str, int]] = []
-        for clause in clauses:
-            head, _ = split_clause(clause)
-            ind = (head.name,
-                   head.arity if isinstance(head, Struct) else 0)
-            if ind not in grouped:
-                grouped[ind] = []
-                order.append(ind)
-            grouped[ind].append(clause)
-        for name, arity in order:
-            self.store.store_source(name, arity, grouped[(name, arity)])
+        procedure — the Educe storage scheme.  Directives are honoured
+        as :meth:`consult` honours them."""
+        self.interpreter.consult(text, define=self.store.store_source)
 
     def store_relation(self, name: str, rows: List[tuple],
                        types: Optional[List[str]] = None) -> None:

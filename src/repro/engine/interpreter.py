@@ -22,6 +22,7 @@ from ..errors import (
     InstantiationError,
     TypeError_,
 )
+from ..lang.program import load_program
 from ..lang.reader import Reader
 from ..terms import (
     Atom,
@@ -30,6 +31,7 @@ from ..terms import (
     Var,
     compare_terms,
     deref,
+    indicator_of,
     make_list,
     rename_term,
     resolve_term,
@@ -55,25 +57,37 @@ class Interpreter:
         self.clause_scans = 0
         self.asserts = 0
         self.erases = 0
+        #: declared ``dynamic``/``discontiguous``: calling one that has
+        #: no clauses (here or behind the fetch hook) fails, not raises
+        self.declared: set = set()
         if load_library:
-            from ..wam.prelude import PRELUDE_SOURCE
-            self.consult(PRELUDE_SOURCE)
+            from ..wam.prelude import library
+            for (name, arity), clauses in library().items():
+                self.define(name, arity, clauses)
 
     # ------------------------------------------------------------- database
 
-    def consult(self, text: str) -> None:
-        for clause in self.reader.read_terms(text):
-            self.assertz(clause)
+    def consult(self, text: str, define: Optional[Callable] = None) -> None:
+        """Assert a program text, read section by section
+        (:mod:`repro.lang.program`): ``op/3`` extends this reader,
+        declarations are noted, any other ``:- Goal`` is solved once the
+        clauses before it are in.  *define(name, arity, clauses)*
+        receives each clause group in place of :meth:`define` — the
+        Educe baseline stores them (``EduceBaseline.store_program``)."""
+        load_program(text, self.reader, define or self.define,
+                     lambda name, arity: self.declared.add((name, arity)),
+                     self.solve_once)
+
+    def define(self, name: str, arity: int, clauses) -> None:
+        """Append *clauses* to ``name/arity``."""
+        self.database.setdefault((name, arity), []).extend(clauses)
+        self.asserts += len(clauses)
 
     def assertz(self, clause: Term) -> None:
-        head, _ = split_clause(clause)
-        key = _indicator(head)
-        self.database.setdefault(key, []).append(clause)
-        self.asserts += 1
+        self.define(*indicator_of(split_clause(clause)[0]), [clause])
 
     def asserta(self, clause: Term) -> None:
-        head, _ = split_clause(clause)
-        key = _indicator(head)
+        key = indicator_of(split_clause(clause)[0])
         self.database.setdefault(key, []).insert(0, clause)
         self.asserts += 1
 
@@ -156,7 +170,7 @@ class Interpreter:
                 yield from self._solve(target, trail, [False])
                 return
 
-        builtin = _BUILTINS.get(_indicator(goal))
+        builtin = _BUILTINS.get(indicator_of(goal))
         if builtin is not None:
             yield from builtin(self, goal, trail)
             return
@@ -194,13 +208,15 @@ class Interpreter:
         yield from self._solve(right, trail, cut_parent)
 
     def _call_user(self, goal: Term, trail: List[Var]) -> Iterator[bool]:
-        key = _indicator(goal)
+        key = indicator_of(goal)
         clauses = self.database.get(key)
         transient = False
         if clauses is None and self.fetch_hook is not None:
             clauses = self.fetch_hook(self, key[0], key[1], goal)
             transient = clauses is not None
         if clauses is None:
+            if key in self.declared:
+                return
             raise ExistenceError("procedure", f"{key[0]}/{key[1]}")
         try:
             my_cut = [False]
@@ -277,15 +293,6 @@ class Interpreter:
 # ====================================================================
 # interpreter built-ins
 # ====================================================================
-
-def _indicator(goal: Term) -> Tuple[str, int]:
-    goal = deref(goal)
-    if isinstance(goal, Atom):
-        return (goal.name, 0)
-    if isinstance(goal, Struct):
-        return (goal.name, goal.arity)
-    raise TypeError_("callable", goal)
-
 
 def _undo(trail: List[Var], mark: int) -> None:
     while len(trail) > mark:
@@ -535,7 +542,7 @@ def _bi_retract(interp, goal, trail):
         head = deref(pattern.args[0])
     else:
         head = pattern
-    key = _indicator(head)
+    key = indicator_of(head)
     clauses = interp.database.get(key, [])
     for i, clause in enumerate(list(clauses)):
         mark = len(trail)

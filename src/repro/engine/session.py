@@ -21,7 +21,7 @@ Both evaluation strategies of §4 are available and freely mixable:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..bang.relation import BangRelation
 from ..edb.loader import DynamicLoader
@@ -48,7 +48,6 @@ class EduceStar:
     def __init__(self,
                  store: Optional[ExternalStore] = None,
                  preunify_depth: str = "full",
-                 verify: str = "structural",
                  datalog: str = "auto",
                  optimize: Optional[str] = None):
         self.machine = Machine(optimize=optimize)
@@ -57,7 +56,6 @@ class EduceStar:
         # The loader shares the machine's optimizer: one level knob, one
         # set of wam_opt_* counters per session (docs/OPTIMIZER.md).
         self.loader = DynamicLoader(self.store, self.preunifier,
-                                    verify=verify,
                                     optimizer=self.machine.optimizer)
         self.machine.unknown_handler = self._edb_trap
         # Gate fallbacks (wam_opt.reject) land on the store's flight
@@ -122,25 +120,24 @@ class EduceStar:
         self.machine.consult(text)
 
     def store_program(self, text: str) -> None:
-        """Compile a program and store it in the EDB as relative code."""
-        self.parsed_chars += len(text)
-        self.store_clauses(list(self.machine.reader.read_terms(text)))
+        """Compile a program and store it in the EDB as relative code.
 
-    def store_clauses(self, clauses: List[Term]) -> None:
-        from ..edb.store import summarize_arg
-        grouped: Dict[Tuple[str, int], List[Term]] = {}
-        for clause in clauses:
-            head, _ = split_clause(clause)
-            ind = (head.name,
-                   head.arity if isinstance(head, Struct) else 0)
-            grouped.setdefault(ind, []).append(clause)
-            if isinstance(head, Struct) and ind in self.types:
-                # Store-time type checking of rule heads (§3.2.3).
+        Directives are honoured as :meth:`consult` honours them (``op/3``,
+        ``dynamic``, ``:- pred ...``, any goal — run on this session's
+        machine once the clauses before it are stored)."""
+        self.parsed_chars += len(text)
+        self.machine.consult(text, define=self._store_rules)
+
+    def _store_rules(self, name: str, arity: int,
+                     clauses: List[Term]) -> None:
+        if arity and (name, arity) in self.types:
+            # Store-time type checking of rule heads (§3.2.3).
+            from ..edb.store import summarize_arg
+            for clause in clauses:
                 self.types.check_summaries(
-                    ind[0], ind[1],
-                    [summarize_arg(a) for a in head.args])
-        for (name, arity), group in grouped.items():
-            self.store.store_rules(name, arity, group, self.machine.ctx)
+                    name, arity,
+                    [summarize_arg(a) for a in split_clause(clause)[0].args])
+        self.store.store_rules(name, arity, clauses, self.machine.ctx)
 
     def store_relation(self, name: str, rows: List[tuple],
                        types: Optional[List[str]] = None,

@@ -25,6 +25,7 @@ from ..errors import (
     PrologError,
     TypeError_,
 )
+from ..lang.program import indicator_list
 from ..lang.writer import term_to_text
 from ..terms import Atom, Struct, Term, compare_terms
 from .compiler import register_builtin_indicator, split_clause
@@ -1161,22 +1162,9 @@ def bi_clause(m, args):
 
 @builtin("dynamic", 1)
 def bi_dynamic(m, args):
-    spec = m.extract(args[0])
-    for item in _indicator_list(spec):
-        name, arity = item
-        if m.procedure(name, arity) is None:
-            m.define_procedure(name, arity, [], kind="dynamic")
+    for name, arity in indicator_list(m.extract(args[0])):
+        m.declare_dynamic(name, arity)
     return True
-
-
-def _indicator_list(spec: Term) -> List[Tuple[str, int]]:
-    if isinstance(spec, Struct) and spec.indicator == (",", 2):
-        return _indicator_list(spec.args[0]) + _indicator_list(spec.args[1])
-    if isinstance(spec, Struct) and spec.indicator == ("/", 2):
-        name, arity = spec.args
-        if isinstance(name, Atom) and isinstance(arity, int):
-            return [(name.name, arity)]
-    raise TypeError_("predicate_indicator", spec)
 
 
 # ====================================================================

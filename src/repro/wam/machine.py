@@ -48,6 +48,7 @@ from ..errors import (
     PrologError,
     TypeError_,
 )
+from ..lang.program import load_program
 from ..lang.reader import Reader
 from ..obs.tracing import NULL_TRACER
 from ..terms import NIL, Atom, Struct, Term, Var, deref
@@ -56,7 +57,6 @@ from .compiler import (
     ClauseCompiler,
     CompileContext,
     is_builtin_indicator,
-    split_clause,
 )
 from .optimizer import Optimizer, build_optimized_block
 
@@ -260,60 +260,42 @@ class Machine:
         # lists holding cells that must survive and be relocated.
         self.rooted: List[list] = []
 
-        from .prelude import PRELUDE_SOURCE
-        self.consult(PRELUDE_SOURCE)
+        # The library is read once per process and compiled per session,
+        # into this session's own dictionary (wam/prelude.py).
+        from .prelude import library
+        for (name, arity), clauses in library().items():
+            self.define_procedure(name, arity, clauses)
 
     # ===================================================== program loading
 
-    def consult(self, text: str) -> None:
+    def consult(self, text: str, define: Optional[Callable] = None) -> None:
         """Compile a program text into main-memory procedures.
 
-        ``:- Goal`` directives are executed as they are read: ``op/3``
-        extends this machine's operator table, ``dynamic/1`` declares
-        dynamic procedures, anything else is solved as a goal.
+        The text is read section by section (:mod:`repro.lang.program`):
+        ``op/3`` has extended this machine's operator table by the time
+        the next clause is parsed, ``dynamic``/``discontiguous``
+        declarations make a procedure callable without clauses, and any
+        other ``:- Goal`` is solved once the clauses before it are
+        loaded.  *define(name, arity, clauses)* receives each clause
+        group in place of :meth:`define_procedure` — the EDB session
+        stores them (``EduceStar.store_program``).
         """
-        clauses: List[Term] = []
-        for term in self.reader.read_terms(text):
-            if isinstance(term, Struct) and term.indicator == (":-", 1):
-                # Directives may rely on preceding clauses.
-                self.load_clauses(clauses)
-                clauses = []
-                self._directive(term.args[0])
-            else:
-                clauses.append(term)
-        self.load_clauses(clauses)
-
-    def _directive(self, goal: Term) -> None:
-        goal = deref(goal)
-        if isinstance(goal, Struct) and goal.indicator == ("op", 3):
-            priority, type_, name = (deref(a) for a in goal.args)
-            if not (isinstance(priority, int) and isinstance(type_, Atom)
-                    and isinstance(name, Atom)):
-                raise TypeError_("op/3 directive", goal)
-            self.reader.operators.add(priority, type_.name, name.name)
-            return
-        if self.solve_once(goal) is None:
-            raise PrologError(
-                f"directive failed: {goal!r}")
+        load_program(text, self.reader, define or self.define_procedure,
+                     self.declare_dynamic, self.solve_once)
 
     def consult_file(self, path: str) -> None:
         """Consult a Prolog source file."""
         with open(path, "r", encoding="utf-8") as f:
             self.consult(f.read())
 
-    def load_clauses(self, clauses: List[Term]) -> None:
-        """Group clauses by indicator and define static procedures."""
-        grouped: Dict[Tuple[str, int], List[Term]] = {}
-        order: List[Tuple[str, int]] = []
-        for clause in clauses:
-            head, _ = split_clause(clause)
-            ind = (head.name, head.arity if isinstance(head, Struct) else 0)
-            if ind not in grouped:
-                grouped[ind] = []
-                order.append(ind)
-            grouped[ind].append(clause)
-        for name, arity in order:
-            self.define_procedure(name, arity, grouped[(name, arity)])
+    def declare_dynamic(self, name: str, arity: int) -> None:
+        """Make *name/arity* callable with no clauses, unless it is
+        defined already — in main memory or behind the unknown-procedure
+        trap (a stored procedure is not shadowed)."""
+        if self.procedure(name, arity) is None and (
+                self.unknown_handler is None
+                or self.unknown_handler(self, name, arity) is None):
+            self.define_procedure(name, arity, [], kind="dynamic")
 
     def define_procedure(self, name: str, arity: int, clauses: List[Term],
                          kind: str = "static", index: Optional[bool] = None

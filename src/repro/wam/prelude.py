@@ -1,9 +1,20 @@
-"""Library predicates, written in Prolog and compiled at machine start.
+"""Library predicates, written in Prolog: read once per process,
+compiled once per session.
 
 These are ordinary compiled procedures — they exercise the same WAM code
 paths as user programs (list traversal dominates the MVV workload, so the
-library being compiled matters for fidelity).
+library being compiled matters for fidelity).  Every ``Machine`` compiles
+them into its own dictionary, every ``Interpreter`` asserts them, and the
+linter takes their indicators as always defined — all from the one
+reading :func:`library` keeps.
 """
+
+from functools import cache
+from typing import Dict, Tuple
+
+from ..lang.program import Indicator, read_sections
+from ..lang.reader import Reader
+from ..terms import Term
 
 PRELUDE_SOURCE = r"""
 % lint: disable=L104 member/2 select/3 closure_step/4 maplist/2 maplist/3 maplist/4
@@ -90,3 +101,15 @@ maplist(_, [], [], []).
 maplist(G, [A|As], [B|Bs], [C|Cs]) :-
     call(G, A, B, C), maplist(G, As, Bs, Cs).
 """
+
+
+@cache
+def library() -> Dict[Indicator, Tuple[Term, ...]]:
+    """The library's clauses by indicator, in source order: the text
+    above read under the default operator table (a session's own
+    ``op/3`` never reaches it).  Shared by every session of the process
+    and never mutated: consumers copy the clause sequences they keep and
+    rename a clause before binding its variables."""
+    section, = read_sections(PRELUDE_SOURCE, Reader())
+    return {ind: tuple(clauses)
+            for ind, clauses in section.groups().items()}

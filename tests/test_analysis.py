@@ -352,6 +352,25 @@ class TestLint:
                              "bump(N) :- counter(N).")
         assert "L102" not in rules_of(findings)
 
+    def test_text_is_read_once(self, monkeypatch):
+        """The L rules and the M rules share one reading of the text
+        (and the library was read when the process first needed it)."""
+        from repro.lang import reader
+        lint_text("warm(1).")
+        texts = []
+        real = reader.tokenize
+        monkeypatch.setattr(
+            reader, "tokenize",
+            lambda text: texts.append(text) or real(text))
+        text = (":- op(700, xfx, ===).\n"
+                "'==='(A, A).\n"
+                "p(X) :- Y is Z + 1, X === Y.\n"
+                "main :- p(_).")
+        findings = lint_text(text)
+        assert texts == [text]
+        # both rule families ran over that one reading
+        assert {"L101", "M201"} <= rules_of(findings)
+
     def test_l105_unstratified_negation(self):
         text = ("% lint: external edge/2\n"
                 "win(X) :- edge(X, Y), \\+ win(Y).")
@@ -403,9 +422,10 @@ class TestLint:
 # =====================================================================
 
 class TestLoaderGate:
-    def _populated(self, **kwargs):
+    def _populated(self, verify):
         from repro.engine.session import EduceStar
-        session = EduceStar(**kwargs)
+        session = EduceStar()
+        session.loader.verify = verify
         session.store_relation("edge", [(1, 2), (2, 3), (3, 4)])
         session.store_program(
             "% lint: external edge/2\n"
@@ -415,13 +435,13 @@ class TestLoaderGate:
 
     @pytest.mark.parametrize("level", ["off", "structural", "full"])
     def test_all_levels_answer_identically(self, level):
-        session = self._populated(verify=level)
+        session = self._populated(level)
         answers = sorted((s["X"], s["Y"])
                          for s in session.solve("path(X, Y)"))
         assert len(answers) == 6
 
     def test_counters_and_histogram(self):
-        session = self._populated(verify="full")
+        session = self._populated("full")
         assert session.count_solutions("path(1, Y)") == 3
         counters = session.loader.counters()
         assert counters["verify_checks"] > 0
@@ -430,21 +450,24 @@ class TestLoaderGate:
         assert hist.count > 0
 
     def test_off_level_does_no_checks(self):
-        session = self._populated(verify="off")
+        session = self._populated("off")
         assert session.count_solutions("path(1, Y)") == 3
         assert session.loader.counters()["verify_checks"] == 0
 
     def test_facts_path_exempt(self):
         from repro.engine.session import EduceStar
-        session = EduceStar(verify="full")
+        session = EduceStar()
+        session.loader.verify = "full"
         session.store_relation("f", [(1,), (2,)])
         assert session.count_solutions("f(_)") == 2
         assert session.loader.counters()["verify_checks"] == 0
 
     def test_bad_level_rejected(self):
-        from repro.engine.session import EduceStar
-        with pytest.raises(ValueError):
-            EduceStar(verify="fast")
+        """An unknown level never lets code through: the verifier
+        refuses it at the first fetch."""
+        session = self._populated("fast")
+        with pytest.raises(ValueError, match="fast"):
+            session.count_solutions("path(1, Y)")
 
     def test_workloads_verify_full_clean(self):
         """The acceptance bar: the integrity workload's whole program
@@ -452,7 +475,9 @@ class TestLoaderGate:
         at verify="full" — many checks, zero rejects."""
         from repro.engine.session import EduceStar
         from repro.workloads import integrity
-        session = integrity.load_educestar(EduceStar(verify="full"))
+        session = EduceStar()
+        session.loader.verify = "full"
+        integrity.load_educestar(session)
         integrity.load_database(session, integrity.generate(scale=0.5))
         result = integrity.run_preprocess(session, integrity.UPDATES[2])
         assert result is not None
@@ -515,7 +540,8 @@ class TestRegressionCorpus:
         every stored procedure is fetched (open-goal call), verified
         and accepted."""
         from repro.engine.session import EduceStar
-        session = EduceStar(verify="full")
+        session = EduceStar()
+        session.loader.verify = "full"
         with open(path, "r", encoding="utf-8") as f:
             session.store_program(f.read())
         from repro.errors import ReproError

@@ -202,6 +202,20 @@ class TestStoreSource:
         store.store_source("s2", 1, read_terms("s2(hello_world_atom)."))
         assert store.source_bytes_stored > before
 
+    def test_program_directives_are_never_stored(self, store):
+        """The Educe baseline reads a program through the same front end
+        as everything else: a directive is run (``op/3`` before the
+        clauses written with it), never kept as a clause of ``:-/1``."""
+        from repro.engine.educe_baseline import EduceBaseline
+        baseline = EduceBaseline(store)
+        baseline.store_program(":- dynamic seen/1.\nq(1).")
+        baseline.store_program(":- op(700,xfx,===>). rule(a ===> b).")
+        assert store.lookup(":-", 1) is None
+        assert [(p.name, p.arity, p.mode) for p in store.procedures()] \
+            == [("q", 1, "source"), ("rule", 1, "source")]
+        assert baseline.solve_once("seen(_)") is None
+        assert str(baseline.solve_once("rule(X ===> b)")["X"]) == "a"
+
     def test_loader_refuses_source_mode(self, store):
         """Source text is the Educe baseline's scheme; a compiled-code
         session that reaches such a procedure gets a typed error naming

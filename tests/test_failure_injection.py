@@ -99,7 +99,8 @@ class TestClauseBitflip:
         from repro.errors import VerifyError
         from repro.bang.faults import FaultInjector
         from repro.engine.session import EduceStar
-        session = EduceStar(verify="off")
+        session = EduceStar()
+        session.loader.verify = "off"
         session.store.faults = FaultInjector()
         session.store_relation("parent", [("t", "a")])
         session.store_program(

@@ -134,6 +134,31 @@ class TestBuiltins:
             "reverse([1,2,3], R)")["R"]) == "[3,2,1]"
 
 
+class TestDirectives:
+    def test_directives_are_run_not_asserted(self, interp):
+        interp.consult(":- dynamic seen/1.\n"
+                       "q(1). q(2).\n"
+                       ":- op(700, xfx, ===>).\n"
+                       "rule(a ===> b).\n"
+                       ":- q(X), X > 1, assertz(seen(X)).\n")
+        assert (":-", 1) not in interp.database
+        assert answers(interp, "seen(X)") == ["2"]
+        assert answers(interp, "rule(X ===> b)") == ["a"]
+
+    def test_declared_predicate_fails_instead_of_raising(self, interp):
+        interp.consult(":- dynamic seen/1, later/2.")
+        assert interp.solve_once("seen(_)") is None
+        assert interp.solve_once("later(_, _)") is None
+        with pytest.raises(ExistenceError):
+            interp.solve_once("never_declared(_)")
+
+    def test_failing_directive_raises(self, interp):
+        from repro.errors import PrologError
+        with pytest.raises(PrologError, match="directive failed"):
+            interp.consult("d(1).\n:- d(2).")
+        assert interp.solve_once("d(1)") is not None
+
+
 class TestCountersAndHook:
     def test_inference_counter(self, interp):
         interp.consult("p(a).")

@@ -1,5 +1,6 @@
 """Tests for the compiled Prolog library (prelude)."""
 
+import pytest
 
 from repro.lang.writer import term_to_text
 
@@ -103,3 +104,98 @@ class TestMaplist:
 
     def test_maplist_empty(self, machine):
         assert machine.solve_once("maplist(nothing, [])") is not None
+
+
+class TestSharedLibrary:
+    """The library text is read once per process; every session
+    compiles (or asserts) from that one reading and never changes it."""
+
+    def test_later_sessions_never_tokenize(self, monkeypatch):
+        from repro import EduceStar
+        from repro.engine.interpreter import Interpreter
+        from repro.lang import reader
+        from repro.wam.machine import Machine
+        Machine()  # the first session of the process may read the text
+
+        def refuse(text):
+            raise AssertionError(f"tokenized {text[:40]!r}")
+
+        monkeypatch.setattr(reader, "tokenize", refuse)
+        assert Machine().procedure("append", 3) is not None
+        assert EduceStar().machine.procedure("maplist", 4) is not None
+        assert ("append", 3) in Interpreter().database
+
+    def test_back_to_back_machines_are_identical(self, monkeypatch):
+        """Sharing the parse moved no id: same pids, same per-clause
+        code, same blocks, same dictionary.  (Auxiliary predicate names
+        come from a process-wide counter, rewound here so the two
+        machines draw the same ones.)"""
+        from repro.wam.compiler import CompileContext
+        from repro.wam.machine import Machine
+
+        def build():
+            monkeypatch.setattr(CompileContext, "_aux_counter", 0)
+            m = Machine()
+            return m, {
+                pid: (p.name, p.arity, p.kind,
+                      [c.code for c in p.compiled], p.code)
+                for pid, p in m.procedures.items()}
+
+        (first, table), (second, again) = build(), build()
+        assert list(table) == list(again)
+        assert table == again
+        assert list(first.dictionary.entries()) \
+            == list(second.dictionary.entries())
+        assert first.compile_count == second.compile_count
+
+    def test_running_library_predicates_binds_no_shared_variable(self):
+        from repro.engine.educe_baseline import EduceBaseline
+        from repro.engine.interpreter import Interpreter
+        from repro.terms import Struct, Var
+        from repro.wam.machine import Machine
+        from repro.wam.prelude import library
+
+        goals = ["append(X, Y, [1,2,3])",
+                 "msort([c,a,b], L), reverse(L, R), last(R, X)",
+                 "findall(A-B, append(A, B, [1,2]), L), "
+                 "length(L, 3)"]
+        for engine in (Machine(), Interpreter(), EduceBaseline()):
+            for goal in goals:
+                assert list(engine.solve(goal)), goal
+        m = Machine()
+        assert m.solve_once("listing(append/3)") is not None
+        assert len(list(m.solve(
+            "clause(append(_, _, _), Body)"))) == 2
+        # a session that grows a library predicate grows its own copy
+        grown = Interpreter()
+        assert grown.solve_once(
+            "assertz(append(extra, extra, extra))") is not None
+        assert len(grown.database[("append", 3)]) == 3
+
+        def variables(term):
+            if isinstance(term, Var):
+                yield term
+            elif isinstance(term, Struct):
+                for arg in term.args:
+                    yield from variables(arg)
+
+        seen = [v for clauses in library().values()
+                for clause in clauses for v in variables(clause)]
+        assert seen and all(v.ref is None for v in seen)
+        assert len(library()[("append", 3)]) == 2
+        assert len(Interpreter().database[("append", 3)]) == 2
+
+    def test_a_sessions_operators_stay_its_own(self):
+        from repro import EduceStar
+        from repro.errors import SyntaxError_
+        from repro.wam.prelude import library
+        before = library()
+        first = EduceStar()
+        first.consult(":- op(200, xfy, ===>).\nr(a ===> b).")
+        assert first.solve_once("r(X ===> b)") is not None
+        second = EduceStar()
+        with pytest.raises(SyntaxError_):
+            second.consult("r(a ===> b).")
+        assert second.machine.reader.operators.infix("===>") is None
+        assert library() is before
+        assert one(second.machine, "append([1], [2], L)", "L") == "[1,2]"

@@ -146,13 +146,93 @@ class TestEduceBaselineSystem:
         assert m_base.simulated_ms() > m_star.simulated_ms()
 
 
+#: every directive kind a program text can carry, in positions that
+#: matter: the op before the clauses written with it, the type
+#: declaration before the clause it checks, the goal after the clauses
+#: it calls
+DIRECTIVE_PROGRAM = """
+:- dynamic seen/1.
+:- op(700, xfx, ===>).
+a ===> b.
+b ===> c.
+:- pred hop(atom, atom).
+hop(X, Y) :- X ===> Y.
+reach(X, Y) :- hop(X, Y).
+reach(X, Z) :- hop(X, Y), reach(Y, Z).
+:- reach(a, c), assertz(seen(a)).
+"""
+
+DIRECTIVE_GOALS = ["seen(X)", "X ===> Y", "reach(a, X)",
+                   "hop(X, c)", "reach(X, X)"]
+
+
+def _answers(engine, goal):
+    return sorted(
+        sorted((name, str(value)) for name, value in dict(
+            getattr(s, "bindings", s)).items())
+        for s in engine.solve(goal))
+
+
+class TestStoredProgramDirectives:
+    """A stored program honours its directives exactly as a consulted
+    one does; no path stores or asserts a procedure named ``:-/1``."""
+
+    def test_declaration_is_not_stored_as_a_procedure(self, session):
+        session.store_program(":- dynamic seen/1.\nq(1).")
+        assert [(p.name, p.arity)
+                for p in session.store.procedures()] == [("q", 1)]
+        assert session.count_solutions("q(_)") == 1
+        assert session.count_solutions("seen(_)") == 0
+
+    def test_op_extends_the_session_reader(self, session):
+        session.store_program(
+            ":- op(700,xfx,===>). rule(a ===> b).")
+        assert str(session.solve_once("rule(X ===> b)")["X"]) == "a"
+
+    def test_goal_directive_runs_in_position(self, session):
+        from repro.errors import TypeError_
+        session.store_program("p(1). p(2).\n"
+                              ":- p(X), X > 1, assertz(saw(X)).\n"
+                              ":- pred t(int).\n")
+        assert [s["X"] for s in session.solve("saw(X)")] == [2]
+        with pytest.raises(TypeError_, match="t/1"):
+            session.store_program("t(a).")
+
+    def test_failing_directive_raises_as_consult_does(self, session):
+        from repro.errors import PrologError
+        for load in (session.consult, session.store_program):
+            with pytest.raises(PrologError, match="directive failed"):
+                load("d(1).\n:- d(2).")
+
+    def test_declared_and_stored_is_not_shadowed(self, session):
+        session.store_program(":- dynamic counter/1.\ncounter(0).")
+        assert session.solve_once("counter(X)")["X"] == 0
+
+    @pytest.mark.parametrize("make,text", [
+        (EduceStar, DIRECTIVE_PROGRAM),
+        # the Educe predecessor has no typed sub-language (§3.2.3)
+        (EduceBaseline, DIRECTIVE_PROGRAM.replace(
+            ":- pred hop(atom, atom).\n", ""))],
+        ids=["educestar", "baseline"])
+    def test_consulted_and_stored_answer_the_same(self, make, text):
+        consulted, stored = make(), make()
+        consulted.consult(text)
+        stored.store_program(text)
+        for goal in DIRECTIVE_GOALS:
+            expected = _answers(consulted, goal)
+            assert _answers(stored, goal) == expected, goal
+        assert _answers(stored, "reach(a, X)") == [
+            [("X", "b")], [("X", "c")]]
+        assert _answers(stored, "seen(X)") == [[("X", "a")]]
+
+
 class TestRemovedOptions:
     """Options no caller set are constants or component attributes now;
     the constructors refuse the old keywords instead of ignoring them."""
 
     @pytest.mark.parametrize("option", [
         "pager", "index", "gc_enabled", "gc_threshold", "cost_model",
-        "datalog_min_rows"])
+        "datalog_min_rows", "verify"])
     def test_session_keywords(self, option):
         with pytest.raises(TypeError, match=option):
             EduceStar(**{option: None})
@@ -179,6 +259,14 @@ class TestRemovedOptions:
         from repro.edb.store import ExternalStore
         with pytest.raises(TypeError, match=option):
             ExternalStore.open(str(tmp_path / "kb.edb"), **{option: None})
+
+    def test_verify_is_a_loader_attribute(self):
+        kb = EduceStar()
+        assert kb.loader.verify == "structural"
+        kb.loader.verify = "off"
+        kb.store_program("p(1).")
+        assert kb.count_solutions("p(X)") == 1
+        assert kb.loader.counters()["verify_checks"] == 0
 
     def test_datalog_engine_magic_keyword(self):
         from repro.relational.datalog import DatalogEngine

@@ -44,8 +44,8 @@ class TestSessionSaveOpen:
     def test_open_kwargs_forwarded(self, tmp_path):
         path = str(tmp_path / "session.edb")
         EduceStar().save(path)
-        b = EduceStar.open(path, verify="off", preunify_depth="none")
-        assert b.loader.verify == "off"
+        b = EduceStar.open(path, datalog="off", preunify_depth="none")
+        assert b.datalog.mode == "off"
         assert b.preunifier.depth == "none"
 
     def test_saved_session_keeps_type_independence(self, tmp_path):
