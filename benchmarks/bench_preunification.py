@@ -7,12 +7,14 @@ believe is a matter for empirical experimentation, still to be done."
 
 This is that experiment.  A procedure with many clauses whose heads
 agree at the top level but differ in nested arguments is queried at the
-three filter depths:
+two filter depths:
 
-* ``none``    — attribute filter only: every top-level-compatible clause
-  is loaded and tried by the emulator;
-* ``shallow`` — top-level head code only;
-* ``full``    — complete head prefix: only truly unifiable clauses load.
+* ``none`` — attribute filter only: every top-level-compatible clause is
+  loaded and tried by the emulator;
+* ``full`` — complete head prefix, run on every call: only truly
+  unifiable clauses reach the emulator.
+
+Every goal's answer is checked, in every round, at every depth.
 """
 
 import pytest
@@ -39,16 +41,18 @@ def program():
     return _program()
 
 
-@pytest.mark.parametrize("depth", ["none", "shallow", "full"])
+@pytest.mark.parametrize("depth", ["none", "full"])
 def test_depth(benchmark, program, depth):
     star = EduceStar(preunify_depth=depth)
     star.store_program(program)
-    goals = [f"deep(f(g({i}, h({i}))), X)" for i in range(0, N_CLAUSES, 7)]
+    goals = [(i, f"deep(f(g({i}, h({i}))), X)")
+             for i in range(0, N_CLAUSES, 7)]
 
     def run():
         star.loader.invalidate()
-        for g in goals:
-            star.solve_once(g)
+        for i, g in goals:
+            sol = star.solve_once(g)
+            assert sol is not None and sol["X"] == i, g
 
     with measure(star) as m:
         benchmark.pedantic(run, rounds=3, iterations=1)
@@ -58,14 +62,14 @@ def test_depth(benchmark, program, depth):
 
 
 def test_deeper_filters_deliver_fewer_clauses(benchmark, program):
-    """Monotonicity: full <= shallow <= none in clauses delivered to the
-    emulator; all three give identical answers."""
+    """full delivers fewer clauses to the emulator than none; both give
+    the same answer."""
     state = {}
 
     def run():
         answers = {}
         delivered = {}
-        for depth in ("none", "shallow", "full"):
+        for depth in ("none", "full"):
             star = EduceStar(preunify_depth=depth)
             star.store_program(program)
             sols = [star.solve_once(f"deep(f(g(5, h(5))), X)")["X"]]
@@ -78,6 +82,5 @@ def test_deeper_filters_deliver_fewer_clauses(benchmark, program):
     answers = state["answers"]
     delivered = state["delivered"]
     benchmark.extra_info["delivered"] = delivered
-    assert answers["none"] == answers["shallow"] == answers["full"] == [5]
-    assert delivered["full"] <= delivered["shallow"] <= delivered["none"]
+    assert answers["none"] == answers["full"] == [5]
     assert delivered["full"] < delivered["none"]

@@ -14,16 +14,19 @@ Given a call to an EDB-stored procedure, the loader:
 3. resolves external identifiers to internal dictionary identifiers
    (:func:`repro.edb.codec.decode_code`) — interning functors this
    session has not seen;
-4. optionally executes the head prefixes for deeper filtering
-   (:class:`~repro.edb.preunify.PreUnifier`);
-5. splices in control code — try/retry/trust chains and, when more than
-   one clause survives, in-memory first-argument indexing — via
+4. splices in control code — try/retry/trust chains and, when more than
+   one clause comes back, in-memory first-argument indexing — via
    :func:`repro.wam.indexing.build_procedure_code`;
-6. caches the runnable block per procedure and call pattern for as
-   long as the procedure's stored version stands, so the session never
-   re-resolves unchanged code — the paper's "freeze the definition of
-   the procedure" behaviour without the poor selectivity it complains
-   about.
+5. caches the candidates and the block over all of them per procedure
+   and call pattern while the procedure's stored version stands — the
+   paper's "freeze the definition of the procedure" without the poor
+   selectivity it complains about;
+6. on every call with two or more candidates, loaded or cached, runs
+   their head prefixes (:class:`~repro.edb.preunify.PreUnifier`); when
+   one fails, the call gets a block built from the survivors for it
+   alone.  Success is "necessary but not sufficient" (§4) and turns on
+   nested values and aliased variables no key holds, so only the
+   grid's answer is cached.
 
 Facts relations are loaded by generating unit-clause code directly from
 the matching tuples, with no compiler involvement.
@@ -32,7 +35,7 @@ the matching tuples, with no compiler involvement.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.verifier import verify_code
 from ..errors import CatalogError, VerifyError
@@ -68,20 +71,21 @@ class DynamicLoader:
         # fetched blocks unoptimized.
         self.optimizer = optimizer
         self.tracer = NULL_TRACER  # session installs its shared tracer
-        # (name, arity) → (stamp, {pattern: block}), with stamp =
-        # (version, depth, opt_level, modes_epoch).  The cache *follows*
-        # the store: a call that finds the procedure's blocks under a
-        # different stamp — a mutator bumped the version, ``:optimize``
-        # or ``:modes apply`` changed the settings — drops them before
-        # loading, so no writer ever has to tell a session about a
-        # write, and a session holds at most the blocks of its live
-        # call patterns.  Versions are monotone per indicator even
+        # (name, arity) → (stamp, {pattern: (clauses, block)}): the rule
+        # clauses the grid answers (none for facts) and the block over
+        # them all; stamp = (version, depth, opt_level, modes_epoch).
+        # The cache *follows* the store: a call that finds the
+        # procedure's blocks under a different stamp — a mutator bumped
+        # the version, ``:optimize`` or ``:modes apply`` changed the
+        # settings — drops them before loading, so no writer ever has to
+        # tell a session about a write, and a session holds at most the
+        # blocks of its live call patterns.  Versions are monotone per indicator even
         # across drop+recreate (the store keeps a version floor), so a
         # stamp never aliases old code with new.
         # Latched: metric scrapes and explicit invalidate() calls may
         # come from another thread than the one querying.
         self._cache: Dict[Tuple[str, int],
-                          Tuple[tuple, Dict[tuple, list]]] = {}
+                          Tuple[tuple, Dict[tuple, tuple]]] = {}
         self._latch = Latch("loader")
         self.loads = 0
         self.cache_hits = 0
@@ -101,8 +105,8 @@ class DynamicLoader:
 
     def procedure_code(self, machine, name: str, arity: int
                        ) -> Optional[list]:
-        """Runnable code block for the current call pattern, or None when
-        no stored clause can match."""
+        """Runnable code block for the current call, or None when no
+        stored clause can match."""
         proc = self.store.lookup(name, arity)
         if proc is None:
             if (name, arity) in self._cache:
@@ -127,34 +131,49 @@ class DynamicLoader:
             cached = entry[1].get(pattern) if entry is not None else None
             if cached is not None:
                 self.cache_hits += 1
-        if cached is not None:
+        loaded = cached is None
+        if not loaded:
             if self.tracer.enabled:
                 self.tracer.event("loader.cache_hit",
                                   procedure=f"{name}/{arity}")
-            return cached
-
-        if proc.mode == "source":
+        elif proc.mode == "source":
             # The Educe baseline's scheme: that engine fetches and
             # interprets the text by itself.
             raise CatalogError(
                 f"{name}/{arity} is stored as source text: only "
                 "EduceBaseline runs it, the loader serves compiled code")
-        self.loads += 1
-        with self.tracer.span("loader.fetch",
-                              procedure=f"{name}/{arity}",
-                              mode=proc.mode) as span:
-            if proc.mode == "facts":
-                code = self._load_facts(machine, name, arity, summaries)
-            else:
-                code = self._load_rules(machine, name, arity, summaries)
-            if span is not None:
-                span.attrs["bound_args"] = sorted(summaries)
-        with self._latch:
-            entry = self._cache.get((name, arity))
-            if entry is None or entry[0] != stamp:
-                entry = self._cache[(name, arity)] = (stamp, {})
-            entry[1][pattern] = code
-        return code
+        else:
+            self.loads += 1
+            with self.tracer.span("loader.fetch",
+                                  procedure=f"{name}/{arity}",
+                                  mode=proc.mode) as span:
+                if proc.mode == "facts":
+                    cached = ((), self._load_facts(machine, name, arity,
+                                                   summaries))
+                else:
+                    cached = self._load_rules(machine, name, arity,
+                                              summaries)
+                if span is not None:
+                    span.attrs["bound_args"] = sorted(summaries)
+            with self._latch:
+                entry = self._cache.get((name, arity))
+                if entry is None or entry[0] != stamp:
+                    entry = self._cache[(name, arity)] = (stamp, {})
+                entry[1][pattern] = cached
+
+        clauses, block = cached
+        survivors = clauses
+        if len(clauses) > 1:
+            kept = self.preunifier.filter_by_execution(
+                machine, [c.code for c in clauses])
+            if len(kept) < len(clauses):
+                survivors = [clauses[i] for i in kept]
+                block = self._build(machine, survivors, name, arity)
+        # Counted where a block is built for this call (fact rows by
+        # _load_facts: their entries hold no clauses to filter).
+        if loaded or survivors is not clauses:
+            self.clauses_delivered += len(survivors)
+        return block
 
     def _drop(self, name: Optional[str], arity: Optional[int]) -> int:
         """Drop one procedure's blocks (or all, with no name); latch
@@ -198,16 +217,17 @@ class DynamicLoader:
             (version, depth, opt_level, modes_epoch), blocks = entry
             return [((name, arity, version, pattern, depth, opt_level,
                       modes_epoch), code)
-                    for pattern, code in blocks.items()]
+                    for pattern, (_, code) in blocks.items()]
 
     # ------------------------------------------------------------ rules path
 
     def _load_rules(self, machine, name: str, arity: int,
-                    summaries: Dict[int, tuple]) -> list:
+                    summaries: Dict[int, tuple]) -> tuple:
+        """(candidates as compiled clauses, the block over all of them)."""
         clauses = self.store.fetch_clauses(name, arity, summaries)
         self.clauses_fetched += len(clauses)
         if not clauses:
-            return build_procedure_code([])
+            return (), build_procedure_code([])
 
         faults = self.store.faults
         with self.tracer.span("codec.resolve",
@@ -230,15 +250,18 @@ class DynamicLoader:
         if self.verify != "off":
             self._verify_clauses(machine, name, arity, clauses, decoded)
 
-        survivors = self.preunifier.filter_by_execution(
-            machine, clauses, decoded)
-        self.clauses_delivered += len(survivors)
+        compiled = tuple(self._as_compiled(machine, sc, code)
+                         for sc, code in zip(clauses, decoded))
+        return compiled, self._build(machine, compiled, name, arity)
 
-        compiled = [
-            self._as_compiled(machine, clauses[i], decoded[i])
-            for i in survivors
-        ]
-        block = self._build(machine, compiled, name, arity)
+    def _build(self, machine, compiled: Sequence[CompiledClause],
+               name: str, arity: int) -> list:
+        """Splice control code around stored rules, optimizing (behind
+        the verify/fallback gate) when the session's optimizer is on;
+        at verify level ``full`` the block is checked as a whole."""
+        block = build_optimized_block(
+            compiled, index=self.index, optimizer=self.optimizer,
+            dictionary=machine.dictionary, procedure=f"{name}/{arity}")
         if self.verify == "full" and compiled:
             started = perf_counter()
             self.verify_checks += 1
@@ -289,15 +312,6 @@ class DynamicLoader:
                                      else None),
                           rule=exc.rule, offset=exc.offset)
 
-    def _build(self, machine, compiled: List[CompiledClause],
-               name: str, arity: int) -> list:
-        """Splice control code around the clause set, optimizing (behind
-        the verify/fallback gate) when the session's optimizer is on."""
-        return build_optimized_block(
-            compiled, index=self.index, optimizer=self.optimizer,
-            dictionary=machine.dictionary,
-            procedure=f"{name}/{arity}")
-
     def _as_compiled(self, machine, sc: StoredClause,
                      code: list) -> CompiledClause:
         kind, key = _index_key(machine, sc.summaries)
@@ -333,7 +347,9 @@ class DynamicLoader:
                 arg_keys=tuple(
                     ("constant", _value_const(machine, value))
                     for value in row)))
-        return self._build(machine, compiled, name, arity)
+        return build_optimized_block(
+            compiled, index=self.index, optimizer=self.optimizer,
+            dictionary=machine.dictionary, procedure=f"{name}/{arity}")
 
     # ------------------------------------------------------------- counters
 

@@ -12,21 +12,20 @@ Two layers:
 * **attribute filtering** — :meth:`summaries_from_registers` turns the
   caller's argument registers into the typed summaries the per-procedure
   BANG relation is keyed on; the grid answers the partial match;
-* **code execution** — :meth:`filter_by_execution` runs the retrieved
+* **code execution** — :meth:`filter_by_execution` runs each candidate
   clause's ``get``/``unify`` prefix on the session emulator's own
   dispatch table against the live argument registers (``Machine`` owns
-  what a head instruction does; this module only where the prefix ends
-  and what ``shallow`` leaves out), at a *depth*:
+  what a head instruction does; this module only where the prefix
+  ends), at a *depth*:
 
-  - ``"none"``   — trust the attribute filter only;
-  - ``"shallow"``— execute top-level ``get`` instructions, skipping the
-    argument code of nested structures ("it is possible to select a
-    clause by executing only the code corresponding to the highest
-    levels of nesting");
-  - ``"full"``   — execute the whole head prefix (exact filter).
+  - ``"none"`` — trust the attribute filter only;
+  - ``"full"`` — execute the whole head prefix (exact filter).
 
-  The paper explicitly leaves the best depth "a matter for empirical
-  experimentation" — benchmark E9 runs that experiment.
+  The paper leaves the depth "a matter for empirical experimentation";
+  benchmark E9 runs it.  The loader runs this filter on every call that
+  finds at least two candidates: what it rejects depends on nested
+  values and aliased variables that no cache key holds, and its purpose
+  in §4 is avoiding choice points — a lone candidate creates none.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Dict, List
 
 from ..obs.tracing import NULL_TRACER
 from ..wam import instructions as I
-from .store import StoredClause
 
 #: the instructions that make up a clause's head prefix; the first
 #: opcode outside this set (``get_level`` apart) ends the prefix
@@ -46,7 +44,7 @@ _HEAD_PREFIX_OPS = frozenset({
     I.UNIFY_CONSTANT, I.UNIFY_NIL, I.UNIFY_VOID,
 })
 
-DEPTHS = ("none", "shallow", "full")
+DEPTHS = ("none", "full")
 
 
 class PreUnifier:
@@ -84,18 +82,18 @@ class PreUnifier:
                 out[i] = ("struct", name, fa)
         return out
 
-    def filter_by_execution(self, machine, clauses: List[StoredClause],
-                            decoded: List[list]) -> List[int]:
-        """Indices of clauses whose head prefix executes successfully
-        against the current argument registers (depth-dependent)."""
+    def filter_by_execution(self, machine, codes: List[list]) -> List[int]:
+        """Indices of the clause *codes* whose head prefix executes
+        successfully against the current argument registers — all of
+        them at depth ``none``."""
         if self.depth == "none":
-            return list(range(len(clauses)))
+            return list(range(len(codes)))
         with self.tracer.span("preunify.filter", depth=self.depth,
-                              candidates=len(clauses)) as span:
-            survivors = [idx for idx, code in enumerate(decoded)
+                              candidates=len(codes)) as span:
+            survivors = [idx for idx, code in enumerate(codes)
                          if self._head_matches(machine, code)]
-            self.executions += len(decoded)
-            self.rejections += len(decoded) - len(survivors)
+            self.executions += len(codes)
+            self.rejections += len(codes) - len(survivors)
             if span is not None:
                 span.attrs["survivors"] = len(survivors)
         return survivors
@@ -107,8 +105,7 @@ class PreUnifier:
         # the heap top; popping it undoes them and truncates the heap.
         barrier = machine._push_barrier()
         saved = (machine.x[:], machine.e, machine.mode, machine.s)
-        dispatch, shallow = machine._dispatch, self.depth == "shallow"
-        skipping = False  # shallow: inside a nested unify_* run
+        dispatch = machine._dispatch
         try:
             for instr in code:
                 op = instr[0]
@@ -116,25 +113,8 @@ class PreUnifier:
                     continue
                 if op not in _HEAD_PREFIX_OPS:
                     break
-                if not op.startswith("unify_"):
-                    skipping = False
-                elif skipping:
-                    if op == I.UNIFY_VARIABLE:
-                        # It would have defined this register, and a
-                        # stale caller value could fail a later get_*
-                        # (unsound); a fresh variable over-approximates.
-                        machine._reg_write(instr[1], machine.new_var())
-                    continue
                 if dispatch[op](instr) == "fail":
                     return False
-                if shallow and op in (I.GET_STRUCTURE, I.GET_LIST):
-                    # In place of the nested run, void every argument:
-                    # steps over an existing term, completes a new one
-                    # with fresh cells so later unifications are sound.
-                    skipping = True
-                    arity = (2 if op == I.GET_LIST
-                             else machine.dictionary.arity(instr[1]))
-                    dispatch[I.UNIFY_VOID]((I.UNIFY_VOID, arity))
             return True
         finally:
             machine._pop_barrier(barrier)

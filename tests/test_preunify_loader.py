@@ -6,6 +6,8 @@ from repro.edb.loader import DynamicLoader
 from repro.edb.preunify import PreUnifier
 from repro.edb.store import ExternalStore
 from repro.engine.session import EduceStar
+from repro.service import QueryService
+from repro.terms import Atom
 from repro.wam.machine import Machine
 
 
@@ -45,7 +47,7 @@ class TestFilteringSemantics:
     (necessary-condition property, §4) and at depth=full must reject
     exactly the non-unifiable ones."""
 
-    @pytest.mark.parametrize("depth", ["none", "shallow", "full"])
+    @pytest.mark.parametrize("depth", ["none", "full"])
     def test_all_depths_sound(self, depth):
         s = make_session(depth=depth)
         s.store_program(PROG)
@@ -63,31 +65,11 @@ class TestFilteringSemantics:
         # full pre-unification rejected the g(1) clause outright
         assert s.preunifier.rejections >= 1
 
-    def test_shallow_depth_keeps_nested_mismatches(self):
-        deep = make_session(depth="full")
-        shallow = make_session(depth="shallow")
-        for s in (deep, shallow):
-            s.store_program("q(f(g(1)), hit1). q(f(g(2)), hit2).")
-            list(s.solve("q(f(g(2)), R)"))
-        # both answer correctly...
-        assert deep.preunifier.rejections > shallow.preunifier.rejections
-
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             PreUnifier("bogus")
 
-    def test_shallow_skip_does_not_read_stale_registers(self):
-        """Regression (found by hypothesis): in shallow mode a skipped
-        unify_variable must still *define* its register; otherwise a
-        later get_structure on it tests stale caller data and rejects a
-        matching clause."""
-        s = make_session(depth="shallow")
-        s.store_program("p(a, a, 0).\np(a, f(f(_)), 1).")
-        sol = s.solve_once("findall(I, p(a, _, I), L)")
-        from repro.lang.writer import term_to_text
-        assert term_to_text(sol["L"]) == "[0,1]"
-
-    @pytest.mark.parametrize("depth", ["shallow", "full"])
+    @pytest.mark.parametrize("depth", ["none", "full"])
     def test_filter_leaves_no_residue(self, depth):
         """Pre-unification must not leak bindings or heap cells — nor
         registers or an environment frame: the head prefix runs on the
@@ -122,8 +104,8 @@ class TestFilteringSemantics:
         m.mode, m.s = "write", 12345
         before = (list(m.x), m.e, m.mode, m.s, m.b, list(m.heap),
                   list(m.trail))
-        survivors = s.preunifier.filter_by_execution(m, clauses, decoded)
-        assert survivors == [0, 2]
+        survivors = s.preunifier.filter_by_execution(m, decoded)
+        assert survivors == ([0, 2] if depth == "full" else [0, 1, 2])
         assert before == (m.x, m.e, m.mode, m.s, m.b, m.heap, m.trail)
 
 
@@ -215,6 +197,50 @@ class TestLoader:
         store = ExternalStore()
         loader = DynamicLoader(store)
         assert loader.procedure_code(Machine(), "missing", 2) is None
+
+
+#: Calls that share a loader cache key — the top-level argument
+#: summaries — but differ in a nested value, a list element or aliased
+#: variables, then the E9 shape (benchmarks/bench_preunification.py).
+a, b, c = Atom("a"), Atom("b"), Atom("c")
+SHARED_KEY_CASES = [
+    ("r(f(a), 1). r(f(b), 2).",
+     [("r(f(a), N)", [{"N": 1}]), ("r(f(b), N)", [{"N": 2}])]),
+    ("l([a], 1). l([b], 2).",
+     [("l([a], N)", [{"N": 1}]), ("l([b], N)", [{"N": 2}])]),
+    ("p(a, b). p(c, c).",
+     [("p(A, A)", [{"A": c}]),
+      ("p(A, B)", [{"A": a, "B": b}, {"A": c, "B": c}])]),
+    ("\n".join(f"deep(f(g({i}, h({i}))), {i})." for i in range(60)),
+     [(f"deep(f(g({i}, h({i}))), X)", [{"X": i}])
+      for i in range(0, 60, 7)]),
+]
+
+
+class TestCacheHoldsOnlyWhatItsKeyDetermines:
+    """Regression: the loader cached the block the execution filter
+    built for the *first* call under a key of top-level summaries, so
+    later calls with that key got its survivors (§4: successful
+    pre-unification is necessary, not sufficient)."""
+
+    @pytest.mark.parametrize("depth", ["none", "full"])
+    def test_repeated_calls_warm_and_in_a_worker(self, depth):
+        s = make_session(depth=depth)
+        with QueryService(workers=1, preunify_depth=depth) as svc:
+            for program, calls in SHARED_KEY_CASES:
+                s.store_program(program)
+                svc.store_program(program)
+                for goal, want in calls:
+                    assert [sol.bindings for sol in s.solve(goal)] == want
+                    assert [sol.bindings
+                            for sol in svc.submit(goal).result()] == want
+
+    def test_filtered_call_still_caches(self):
+        s = make_session()
+        s.store_program("p(a, b). p(c, c).")
+        assert [sol.bindings for sol in s.solve("p(A, A)")] == [{"A": c}]
+        assert len(list(s.solve("p(A, B)"))) == 2
+        assert (s.loader.loads, s.loader.cache_hits) == (1, 1)
 
 
 class TestRecursionThroughEDB:

@@ -2,10 +2,11 @@
 
 These pin the system's load-bearing invariants:
 
-* pre-unification soundness — the filter never loses a clause the
-  emulator could use, at any depth (§4's "necessary but not sufficient");
-* pre-unification exactness — at depth ``full`` it delivers no clause
-  whose head does not unify with the call;
+* pre-unification exactness — every call, the first or a repeat in one
+  session, answers what surface unification says at every depth and
+  optimizer level, and at depth ``full`` the filter lets through
+  exactly the clauses whose head unifies (§4's "necessary but not
+  sufficient");
 * codec totality — every compilable clause round-trips through the
   relative-address encoding;
 * EDB-vs-main-memory equivalence — a program answers identically
@@ -13,7 +14,7 @@ These pin the system's load-bearing invariants:
   loaded.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.engine.session import EduceStar
 from repro.lang.writer import format_clause, term_to_text
@@ -119,64 +120,61 @@ def _surface_unify(a, b, trail):
     return type(a) is type(b) and a == b
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    heads=st.lists(st.tuples(head_args(), head_args()),
-                   min_size=1, max_size=8),
-    probe=st.tuples(head_args(), head_args()),
-)
-def test_preunification_soundness(heads, probe):
-    """At every depth, querying the EDB-stored facts returns exactly
-    what the in-memory compiled program returns (same clause ids, same
-    order)."""
-    clauses = [_clause(a, b, i) for i, (a, b) in enumerate(heads)]
-    program = "\n".join(format_clause(c) for c in clauses)
-
-    reference = Machine()
-    reference.consult(program)
-    want = term_to_text(reference.solve_once(_probe_goal(probe))["Found"])
-
-    for depth in ("none", "shallow", "full"):
-        session = EduceStar(preunify_depth=depth)
-        session.store_program(program)
-        got = term_to_text(
-            session.solve_once(_probe_goal(probe))["Found"])
-        assert got == want, f"depth={depth}"
+_FA, _FB = (("struct", "f", (Atom(n),)) for n in "ab")
+_LA, _LB = (("list", (Atom(n),), Atom("[]")) for n in "ab")
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     heads=st.lists(st.tuples(head_args(), head_args(), st.booleans()),
                    min_size=1, max_size=8),
-    probe=st.tuples(head_args(), head_args()),
+    probes=st.lists(st.tuples(head_args(), head_args()),
+                    min_size=1, max_size=3),
 )
-def test_preunification_exactness(heads, probe):
-    """At depth ``full`` the clauses delivered to the emulator are
-    exactly those whose head unifies with the call — no more (the
-    oracle is surface-term unification), no fewer (the answers)."""
+# Shared-key pairs whose second call once got the first's filtered block
+@example(heads=[(_FA, None, False), (_FB, None, False)],
+         probes=[(_FA, None), (_FB, None)])
+@example(heads=[(_LA, None, False), (_LB, None, False)],
+         probes=[(_LA, None), (_LB, None)])
+@example(heads=[(Atom("a"), Atom("b"), False), (Atom("c"), Atom("c"), False)],
+         probes=[(("var", 0), ("var", 0)), (None, None)])
+def test_preunification_exactness(heads, probes):
+    """Probes back to back in one session per depth × optimizer level
+    answer exactly the clauses whose head unifies (oracle: occurs-checked
+    surface unification); at ``full`` the filter keeps exactly those."""
     clauses = [_clause(a, b, i, with_body)
                for i, (a, b, with_body) in enumerate(heads)]
-    goal = _probe_goal(probe)
-    call = goal.args[1]
-    unifying = []
-    for i, clause in enumerate(clauses):
-        head = rename_term(clause.args[0] if clause.name == ":-" else clause)
-        trail = []
-        ok = _surface_unify(head, call, trail)
-        for var in trail:
-            var.ref = None
-        assume(ok is not None)      # cyclic without the occurs check
-        if ok:
-            unifying.append(i)
-
-    session = EduceStar(preunify_depth="full")
-    session.consult("ok(_).")
-    session.store_program("\n".join(format_clause(c) for c in clauses))
-    got = term_to_text(session.solve_once(goal)["Found"])
-    assert got == term_to_text(make_list(unifying))
-    assert session.loader.clauses_delivered == len(unifying)
-    assert session.preunifier.rejections == (
-        session.preunifier.executions - len(unifying))
+    sessions = [EduceStar(preunify_depth=depth, optimize=optimize)
+                for depth in ("none", "full") for optimize in ("off", "full")]
+    for session in sessions:
+        session.consult("ok(_).")
+        session.store_program("\n".join(format_clause(c) for c in clauses))
+    for probe in probes:
+        goal = _probe_goal(probe)
+        unifying = []
+        for i, clause in enumerate(clauses):
+            head = rename_term(
+                clause.args[0] if clause.name == ":-" else clause)
+            trail = []
+            ok = _surface_unify(head, goal.args[1], trail)
+            for var in trail:
+                var.ref = None
+            assume(ok is not None)      # cyclic without the occurs check
+            if ok:
+                unifying.append(i)
+        for session in sessions:
+            before = session.loader.counters()
+            got = term_to_text(session.solve_once(goal)["Found"])
+            assert got == term_to_text(make_list(unifying))
+            moved = {key: value - before[key]
+                     for key, value in session.loader.counters().items()}
+            if session.preunifier.depth == "none":
+                continue
+            if moved["preunify_executions"]:
+                assert (moved["preunify_executions"]
+                        - moved["preunify_rejections"]) == len(unifying)
+            if moved["loads"] and moved["clauses_fetched"] >= 2:
+                assert moved["clauses_delivered"] == len(unifying)
 
 
 @settings(max_examples=40, deadline=None)
