@@ -9,12 +9,13 @@ as the raw data behind the paper's architectural arguments.
 
 Script mode adds the optimizer axis (E14 in EXPERIMENTS.md): each shape
 runs under ``optimize="off" | "peephole" | "full"`` and the report shows
-the executed-instruction and data-reference deltas, with the answers
-differentially checked across levels.
+the executed-instruction and data-reference deltas and the wall time
+per goal (median of five timed slices), with the answers differentially
+checked across levels.
 
 Run:  PYTHONPATH=src python benchmarks/bench_instruction_mix.py
       [--optimize all|off|peephole|full] [--exposition PATH] [--smoke]
-      [--profile]
+      [--profile | --modes | --timing]
 
 ``--smoke`` is the CI entry point: non-zero exit when any level's
 answers diverge from ``optimize="off"`` or the optimizer fails to
@@ -40,6 +41,20 @@ trials (overhead = median of within-trial ratios to bare).  With
 sampling more than 2 %, when any configuration changes the executed
 instruction count, or when the profiler's per-predicate attribution
 misses the workload's own predicates.
+
+``--timing`` switches to the per-opcode wall-time table (E14b in
+EXPERIMENTS.md): the three shapes and a pool of ``mvv.RULES`` class-1
+and class-2 goals (facts in the EDB, rules in memory, caches warm —
+the ``mvv_warm`` setup) run once untimed and once with every entry of
+the machine's dispatch table wrapped in a timer, from this script, with
+no code in the emulator.  Per opcode it prints the handler's exclusive
+wall time per executed instruction (nested runs inside a built-in and
+the timer's own cost subtracted) and its share of the solve time
+(``wam.solve_self_s``); what no handler accounts for is the dispatch
+loop and everything else the emulator does between handlers.
+With ``--smoke`` (a tenth of the MVV data) the run fails when a shape's
+answers or executed-instruction counts differ between the timed and the
+untimed run.
 """
 
 import argparse
@@ -121,10 +136,14 @@ def _run_level(shape: str, level: str) -> dict:
             tuple(sorted((name, term_to_text(value))
                          for name, value in sol.bindings.items()))
             for sol in machine.solve(goal)]
+    repeats = _TIMING_REPEATS[shape]
+    wall = _median([_timed_run(machine, goal, repeats) / repeats
+                    for _ in range(5)])
     return {
         "answers": answers,
         "instr_count": meas["instr_count"],
         "data_refs": meas["data_refs"],
+        "wall_ms": wall * 1000,
         "counters": machine.counters(),
         "snapshot": machine.counters(),
     }
@@ -424,6 +443,190 @@ def profile_mode(args) -> int:
     return 1 if failures else 0
 
 
+# ----------------------------------------------- per-opcode wall time (E14b)
+
+#: goal repeats per timed slice, per shape (the MVV pool runs once)
+_TIMING_REPEATS = {
+    "deterministic-recursion": 5,
+    "list-processing": 40,
+    "nondeterministic-search": 40,
+}
+
+
+class _OpcodeTimer:
+    """Wraps a machine's dispatch table (and its ``_run``, so a built-in
+    that runs a nested goal is not charged for the handlers inside it)
+    and accumulates exclusive wall time per opcode."""
+
+    def __init__(self, machine):
+        import time
+        self.machine = machine
+        self.clock = time.perf_counter_ns
+        self.ns = {}
+        self.count = {}
+        self.frames = 0    # wrapped calls of any kind, _run included
+        self.stack = [0]   # per open frame: inclusive ns of its children
+        self.inner_ns = 0.0   # timer cost inside a measured interval
+        self.call_ns = 0.0    # timer cost per wrapped call, all of it
+
+    def _wrap(self, op, handler):
+        clock, stack = self.clock, self.stack
+        ns, count = self.ns, self.count
+        ns.setdefault(op, 0)
+        count.setdefault(op, 0)
+
+        def timed(arg):
+            # no try/finally: a handler that raises leaves this table
+            # unbalanced, and none of the timed goals raises
+            stack.append(0)
+            start = clock()
+            result = handler(arg)
+            spent = clock() - start
+            children = stack.pop()
+            stack[-1] += spent
+            ns[op] += spent - children
+            count[op] += 1
+            return result
+        return timed
+
+    def calibrate(self, calls: int = 20000) -> None:
+        """The timer's own cost per call: inside the measured interval
+        (charged to the handler) and in all (charged to the run)."""
+        import time
+
+        def bare(instr):
+            return None
+        probe = self._wrap("$probe", bare)
+        inner, whole = [], []
+        for _ in range(7):
+            self.ns["$probe"] = 0
+            start = time.perf_counter_ns()
+            for _ in range(calls):
+                probe(None)
+            timed = time.perf_counter_ns() - start
+            start = time.perf_counter_ns()
+            for _ in range(calls):
+                bare(None)
+            untimed = time.perf_counter_ns() - start
+            inner.append(self.ns["$probe"] / calls)
+            whole.append((timed - untimed) / calls)
+        self.inner_ns, self.call_ns = _median(inner), _median(whole)
+        del self.ns["$probe"], self.count["$probe"]
+
+    def __enter__(self):
+        machine = self.machine
+        self.saved = machine._dispatch
+        machine._dispatch = {op: self._wrap(op, handler)
+                             for op, handler in self.saved.items()}
+        machine._run = self._wrap("$run", machine._run)
+        return self
+
+    def __exit__(self, *exc):
+        self.machine._dispatch = self.saved
+        del self.machine._run
+        self.frames = sum(self.count.values())
+        del self.ns["$run"], self.count["$run"]
+
+
+def _timing_workloads(smoke: bool):
+    """(label, solver, goals, repeats): the three shapes on a bare
+    machine, then the MVV pool on a session set up like mvv_warm."""
+    from repro import EduceStar
+    from repro.workloads import mvv
+
+    for shape in sorted(PROGRAMS):
+        program, goal = PROGRAMS[shape]
+        machine = Machine()
+        machine.consult(program)
+        yield shape, machine, [goal], _TIMING_REPEATS[shape]
+    data = mvv.generate(seed=11, scale=0.1 if smoke else 1.0)
+    session = mvv.load_educestar(data)
+    goals = (mvv.class1_queries(data, 4 if smoke else 20)
+             + mvv.class2_queries(data, 1 if smoke else 5))
+    yield "mvv class-1/class-2 pool", session, goals, 1
+
+
+def _timed_solve(solver, goals, repeats):
+    """(answers, instructions executed, wall seconds)."""
+    import time
+    from repro import term_to_text
+
+    machine = solver.machine if hasattr(solver, "machine") else solver
+    solutions = []
+    before = machine.instr_count
+    start = time.perf_counter()
+    for _ in range(repeats):
+        for goal in goals:
+            solutions.append(list(solver.solve(goal)))
+    seconds = time.perf_counter() - start
+    answers = [sorted(tuple(sorted((name, term_to_text(value))
+                                   for name, value in sol.bindings.items()))
+                      for sol in solved)
+               for solved in solutions]
+    return answers, machine.instr_count - before, seconds
+
+
+def timing_mode(args) -> int:
+    """ns per executed instruction and share of solve time, per opcode:
+    handler work against what the dispatch loop costs around it."""
+    import gc
+
+    failures = 0
+    for label, solver, goals, repeats in _timing_workloads(args.smoke):
+        machine = solver.machine if hasattr(solver, "machine") else solver
+        _timed_solve(solver, goals, repeats)          # warm caches
+        # Untimed and timed runs alternate; each figure below is the
+        # median over the timed runs (one in --smoke).
+        bare, timers = [], []
+        gc.disable()
+        try:
+            for _ in range(1 if args.smoke else 5):
+                bare.append(_timed_solve(solver, goals, repeats))
+                timer = _OpcodeTimer(machine)
+                timer.calibrate()
+                with timer:
+                    timed = _timed_solve(solver, goals, repeats)
+                timers.append((timer, timed))
+        finally:
+            gc.enable()
+        bare_answers, bare_executed, _ = bare[0]
+        for _timer, (answers, executed, _) in timers:
+            if answers != bare_answers or executed != bare_executed:
+                print(f"FAIL {label}: a timed run differs from the untimed "
+                      f"one ({executed} vs {bare_executed} instructions)")
+                failures += 1
+        untimed_ns = _median([seconds for _, _, seconds in bare]) * 1e9
+        # A timed run less the timer's calibrated cost still differs from
+        # an untimed one (the wrappers disturb caches and branch
+        # prediction); shares are of that total and ns are scaled back
+        # to the untimed run, assuming the disturbance is uniform.
+        solve_ns = _median([timed[2] * 1e9 - timer.frames * timer.call_ns
+                            for timer, timed in timers])
+        scale = untimed_ns / solve_ns
+        timer = timers[0][0]
+        handler_ns = {op: _median([max(0.0, t.ns[op]
+                                       - t.inner_ns * t.count[op])
+                                   for t, _ in timers])
+                      for op in timer.ns if timer.count[op]}
+        print(f"\n{label}: {bare_executed} instructions, "
+              f"{untimed_ns / 1e6:.2f} ms untimed "
+              f"({untimed_ns / bare_executed:.0f} ns/instruction); timed "
+              f"less the timer's cost: {solve_ns / 1e6:.2f} ms")
+        print(f"  {'opcode':<20} {'executed':>9} {'ns/instr':>9} "
+              f"{'share':>7}")
+        for op in sorted(handler_ns, key=lambda o: -handler_ns[o]):
+            print(f"  {op:<20} {timer.count[op]:>9} "
+                  f"{handler_ns[op] * scale / timer.count[op]:>9.0f} "
+                  f"{handler_ns[op] / solve_ns:>7.1%}")
+        rest = solve_ns - sum(handler_ns.values())
+        print(f"  {'dispatch + rest':<20} {bare_executed:>9} "
+              f"{rest * scale / bare_executed:>9.0f} "
+              f"{rest / solve_ns:>7.1%}")
+    print(f"\n{'PASS' if not failures else 'FAIL'}: timed runs match "
+          f"the untimed ones; see EXPERIMENTS.md E14b")
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--optimize", default="all",
@@ -441,9 +644,14 @@ def main(argv=None) -> int:
     parser.add_argument("--modes", action="store_true",
                         help="run the interprocedural-modes ablation "
                              "(E16) instead of the optimizer axis")
+    parser.add_argument("--timing", action="store_true",
+                        help="print the per-opcode wall-time table "
+                             "(E14b) instead of the optimizer axis")
     args = parser.parse_args(argv)
     if args.profile:
         return profile_mode(args)
+    if args.timing:
+        return timing_mode(args)
     if args.modes:
         return modes_mode(args)
     levels = OPT_LEVELS if args.optimize == "all" else (args.optimize,)
@@ -451,7 +659,8 @@ def main(argv=None) -> int:
     failures = 0
     snapshots = []
     print(f"{'shape':<28} {'level':<9} {'instr':>9} {'Δinstr':>8} "
-          f"{'data refs':>10} {'fusions':>8} {'demoted':>8}")
+          f"{'data refs':>10} {'fusions':>8} {'demoted':>8} "
+          f"{'wall ms':>8} {'Δwall':>7}")
     for shape in sorted(PROGRAMS):
         results = {}
         for level in levels:
@@ -462,10 +671,13 @@ def main(argv=None) -> int:
             r = results[level]
             delta = ("-" if base is None or base is r else
                      f"{(1 - r['instr_count'] / base['instr_count']):+.1%}")
+            wall_delta = ("-" if base is None or base is r else
+                          f"{(1 - r['wall_ms'] / base['wall_ms']):+.1%}")
             print(f"{shape:<28} {level:<9} {r['instr_count']:>9} "
                   f"{delta:>8} {r['data_refs']:>10} "
                   f"{r['counters']['wam_opt_fusions']:>8} "
-                  f"{r['counters']['wam_opt_chains_demoted']:>8}")
+                  f"{r['counters']['wam_opt_chains_demoted']:>8} "
+                  f"{r['wall_ms']:>8.3f} {wall_delta:>7}")
             if base is not None and r["answers"] != base["answers"]:
                 print(f"FAIL {shape}: optimize={level} answers diverge "
                       f"from off")

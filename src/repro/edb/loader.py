@@ -16,7 +16,8 @@ Given a call to an EDB-stored procedure, the loader:
    session has not seen;
 4. splices in control code — try/retry/trust chains and, when more than
    one clause comes back, in-memory first-argument indexing — via
-   :func:`repro.wam.indexing.build_procedure_code`;
+   :func:`repro.wam.optimizer.build_optimized_block`, whose block the
+   emulator binds at its first call;
 5. caches the candidates and the block over all of them per procedure
    and call pattern while the procedure's stored version stands — the
    paper's "freeze the definition of the procedure" without the poor
@@ -43,8 +44,8 @@ from ..locks import Latch
 from ..obs.registry import Histogram
 from ..obs.tracing import NULL_TRACER
 from ..wam import instructions as I
+from ..wam.block import Block
 from ..wam.compiler import CompiledClause
-from ..wam.indexing import build_procedure_code
 from ..wam.optimizer import build_optimized_block
 from .codec import decode_code
 from .preunify import PreUnifier
@@ -227,7 +228,7 @@ class DynamicLoader:
         clauses = self.store.fetch_clauses(name, arity, summaries)
         self.clauses_fetched += len(clauses)
         if not clauses:
-            return (), build_procedure_code([])
+            return (), self._build(machine, (), name, arity)
 
         faults = self.store.faults
         with self.tracer.span("codec.resolve",
@@ -315,8 +316,10 @@ class DynamicLoader:
     def _as_compiled(self, machine, sc: StoredClause,
                      code: list) -> CompiledClause:
         kind, key = _index_key(machine, sc.summaries)
+        # A Block, so the head prefix the pre-unifier runs on every call
+        # with two or more candidates is bound once, at its first run.
         return CompiledClause(
-            code=code, head_name="", arity=len(sc.summaries),
+            code=Block(code), head_name="", arity=len(sc.summaries),
             first_arg_kind=kind, first_arg_key=key,
             arg_keys=tuple(_summary_key(machine, s)
                            for s in sc.summaries))
@@ -333,20 +336,30 @@ class DynamicLoader:
         self.clauses_fetched += len(rows)
         self.clauses_delivered += len(rows)
         compiled = []
+        regs = [("x", i) for i in range(arity)]
+        shared: Dict[object, tuple] = {}
+
+        def const_of(value):
+            # One operand per atom or integer value in the load, not per
+            # occurrence: a cached block holds every row's code.  Floats
+            # are never shared — 0.0 and -0.0 are equal keys.
+            if type(value) not in (str, int):
+                return _value_const(machine, value)
+            const = shared.get(value)
+            if const is None:
+                const = shared[value] = _value_const(machine, value)
+            return const
+
         for row in rows:
-            code = []
-            for i, value in enumerate(row):
-                code.append(
-                    (I.GET_CONSTANT, _value_const(machine, value),
-                     ("x", i)))
+            consts = [const_of(value) for value in row]
+            code = [(I.GET_CONSTANT, const, reg)
+                    for const, reg in zip(consts, regs)]
             code.append((I.PROCEED,))
             kind, key = _fact_index_key(machine, row)
             compiled.append(CompiledClause(
                 code=code, head_name=name, arity=arity,
                 first_arg_kind=kind, first_arg_key=key,
-                arg_keys=tuple(
-                    ("constant", _value_const(machine, value))
-                    for value in row)))
+                arg_keys=tuple(("constant", const) for const in consts)))
         return build_optimized_block(
             compiled, index=self.index, optimizer=self.optimizer,
             dictionary=machine.dictionary, procedure=f"{name}/{arity}")

@@ -34,6 +34,7 @@ from typing import Dict, List
 
 from ..obs.tracing import NULL_TRACER
 from ..wam import instructions as I
+from ..wam.block import Block
 
 #: the instructions that make up a clause's head prefix; the first
 #: opcode outside this set (``get_level`` apart) ends the prefix
@@ -100,14 +101,20 @@ class PreUnifier:
 
     def _head_matches(self, machine, code: List[tuple]) -> bool:
         """Run the head prefix of *code* on the emulator's handlers; every
-        side effect (bindings, heap, registers, environment) is undone."""
+        side effect (bindings, heap, registers, environment) is undone.
+        The handlers run bound instructions: the loader's clause code is
+        a :class:`Block`, bound at its first filter; other code is bound
+        here."""
+        if not isinstance(code, Block):
+            code = Block(code)
         # A barrier makes conditional trailing record every binding below
         # the heap top; popping it undoes them and truncates the heap.
         barrier = machine._push_barrier()
         saved = (machine.x[:], machine.e, machine.mode, machine.s)
+        machine.fit(code)
         dispatch = machine._dispatch
         try:
-            for instr in code:
+            for instr in code.run:
                 op = instr[0]
                 if op == I.GET_LEVEL:
                     continue

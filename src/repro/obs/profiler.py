@@ -1,14 +1,9 @@
 """Sampled WAM profiler with per-predicate cost attribution.
 
-A :class:`WamProfiler` installed on a machine samples at two kinds of
-safe point.  When a poll hook is active (the PR-3 deadline/cancel
-machinery) the sampler chains onto it — the per-instruction countdown
-is already being paid, so sampling rides the same boundary for free.
-When no hook is installed, the sampler fires at call dispatch instead:
-one guard per ``call`` keeps straight-line machines inside the 2 %
-overhead budget that a per-instruction countdown would blow.  Either
-way, once at least ``interval`` instructions have elapsed since the
-previous sample it:
+A :class:`WamProfiler` installed on a machine samples at the machine's
+one due-check — call/execute dispatch and backtracking, the safe point
+the deadline/cancel poll hook shares (``Machine._due``).  Once at least
+``interval`` instructions have elapsed since the previous sample it:
 
 * charges the instructions and data references executed since the last
   sample to the predicate whose code is running (**exclusive** cost),
@@ -28,13 +23,12 @@ is recognised structurally and skipped.
 Overhead contract (E15 in EXPERIMENTS.md, enforced by
 ``bench_instruction_mix.py --profile --smoke``):
 
-* **off path** (no profiler, or installed-but-disabled): the
-  per-instruction dispatch loop is unchanged — the only cost is one
-  attribute check per ``_run`` entry and one ``None`` test per call
-  dispatch — so overhead is ≤ 1 %;
-* **sampling** (enabled): one due-check per call dispatch plus one
-  stack walk every ``interval`` instructions, ≤ 2 % at the default
-  interval.
+* **off path** (no profiler, or installed-but-disabled): nothing the
+  bare machine does not do — its due-check runs every poll interval
+  with or without a profiler — so overhead is ≤ 1 %;
+* **sampling** (enabled): the due-check comes at least once per
+  ``interval`` instructions, plus one stack walk per sample, ≤ 2 % at
+  the default interval.
 
 Like the rest of :mod:`repro.obs`, this module has no repro imports
 (simulated-ms pricing lazily borrows the session's CostModel only when
@@ -48,9 +42,9 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["WamProfiler"]
 
 #: sample after at least this many executed instructions (checked at
-#: call dispatch, or at the poll boundary when a hook is installed);
-#: sized with the stack-walk cost so default sampling stays within the
-#: 2 % overhead budget (EXPERIMENTS.md E15)
+#: the machine's due-check: call dispatch and backtracking); sized with
+#: the stack-walk cost so default sampling stays within the 2 % overhead
+#: budget (EXPERIMENTS.md E15)
 DEFAULT_INTERVAL = 8192
 
 #: continuation frames walked per sample before truncating
@@ -60,9 +54,10 @@ DEFAULT_MAX_DEPTH = 32
 #: stacks (the machine's halt block)
 _SKIP = ""
 
-#: ``next_due`` value while disabled — a huge *int* (never a float:
-#: the call-dispatch compare against ``instr_count`` is int-int, which
-#: CPython resolves about twice as fast as int-float)
+#: ``next_due`` value while disabled — a huge *int* (never a float: the
+#: machine's ``next_due`` is the minimum of this and its poll due, and
+#: its compare against ``instr_count`` stays int-int, which CPython
+#: resolves about twice as fast as int-float)
 _NEVER = 1 << 62
 
 
@@ -82,8 +77,8 @@ class WamProfiler:
         self.max_depth = int(max_depth)
         self.active = False
         #: instruction count at which the next sample is due; _NEVER
-        #: while disabled, so the call-dispatch hot path is a single
-        #: ``instr_count >= next_due`` compare with no ``active`` load
+        #: while disabled, so the machine's due-check needs no
+        #: ``active`` load
         self.next_due: int = _NEVER
         self.machine: Optional[Any] = None
 
@@ -133,7 +128,7 @@ class WamProfiler:
             raise ValueError("profiler is not installed on a machine")
         self._last = (self.machine.instr_count, self.machine.data_refs)
         self.active = True
-        self.next_due = self.machine.instr_count + self.interval
+        self._schedule()
 
     def disable(self) -> None:
         self.active = False
@@ -156,21 +151,16 @@ class WamProfiler:
             self._last = (self.machine.instr_count,
                           self.machine.data_refs)
             if self.active:
-                self.next_due = self.machine.instr_count + self.interval
+                self._schedule()
+
+    def _schedule(self) -> None:
+        """Due one interval from now — and no later at the machine's
+        due-check, which otherwise looks only every poll interval."""
+        machine = self.machine
+        self.next_due = machine.instr_count + self.interval
+        machine.next_due = min(machine.next_due, self.next_due)
 
     # ------------------------------------------------------------- sampling
-
-    def chain(self, machine, inner):
-        """The poll callable ``Machine._run`` installs while this
-        profiler is active *and* a hook is already present: sample when
-        a full interval has elapsed, then forward to the existing hook
-        (deadline/cancel polls are never displaced, and a tighter poll
-        interval never forces extra samples)."""
-        def poll(m):
-            if m.instr_count >= self.next_due:
-                self.sample(m)
-            inner(m)
-        return poll
 
     def sample(self, machine) -> None:
         """Attribute the instructions executed since the last sample to

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExistenceError
 from . import instructions as I
+from .block import SOURCE_WIDTH
 
 
 def _fmt_operand(machine, op: str, pos: int, operand) -> str:
@@ -147,6 +148,22 @@ class Tracer:
             self.events.append(text)
         if self.sink is not None:
             self.sink(text)
+
+
+def traced_dispatch(machine, dispatch: Dict[str, Callable],
+                    hook: Callable) -> Dict[str, Callable]:
+    """*dispatch* with ``hook(machine, instr)`` called before every
+    handler — what ``Machine._run`` runs while ``machine.trace_hook`` is
+    set.  The hook sees each instruction in its source form: a bound
+    instruction's appended operands are cut off.  Pre-unification keeps
+    calling the unwrapped table."""
+    def traced(handler, width):
+        def step(instr):
+            hook(machine, instr[:width])
+            return handler(instr)
+        return step
+    return {op: traced(handler, SOURCE_WIDTH.get(op))
+            for op, handler in dispatch.items()}
 
 
 def instruction_profile(machine, goal) -> Dict[str, int]:

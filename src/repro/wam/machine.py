@@ -18,7 +18,10 @@ The machine counts executed instructions, data references and — kept
 separately — **choice-point references**, so the reproduction of the
 Touati & Despain observation the paper cites in §3.2.1 ("an average of
 52 % of data references are choice point references") is a first-class
-output (benchmark E7).
+output (benchmark E7).  The dispatch loop pays for them once per
+straight-line run, not per instruction (:meth:`Machine._run`), and
+handlers run code whose operands were bound once per block
+(:mod:`repro.wam.block`).
 
 Procedures
 ----------
@@ -51,8 +54,9 @@ from ..errors import (
 from ..lang.program import load_program
 from ..lang.reader import Reader
 from ..obs.tracing import NULL_TRACER
-from ..terms import NIL, Atom, Struct, Term, Var, deref
+from ..terms import NIL, Atom, Struct, Term, Var, deref, term_variables
 from . import instructions as I
+from .block import Block
 from .compiler import (
     ClauseCompiler,
     CompileContext,
@@ -60,31 +64,12 @@ from .compiler import (
 )
 from .optimizer import Optimizer, build_optimized_block
 
-# Rough data-reference cost (register/heap/stack accesses) per opcode,
-# excluding the choice-point traffic which is counted separately.
-# Fused superinstructions carry 0 here; their handlers add the same
-# per-component costs as the runs they replace, so ``data_refs`` stays
-# comparable across optimization levels while ``instr_count`` drops.
-_DATA_COST = {
-    I.GET_VARIABLE: 2, I.GET_VALUE: 3, I.GET_CONSTANT: 2, I.GET_NIL: 2,
-    I.GET_STRUCTURE: 3, I.GET_LIST: 3,
-    I.PUT_VARIABLE: 3, I.PUT_VALUE: 2, I.PUT_UNSAFE_VALUE: 2,
-    I.PUT_CONSTANT: 1, I.PUT_NIL: 1, I.PUT_STRUCTURE: 2, I.PUT_LIST: 2,
-    I.UNIFY_VARIABLE: 2, I.UNIFY_VALUE: 3, I.UNIFY_LOCAL_VALUE: 3,
-    I.UNIFY_CONSTANT: 2, I.UNIFY_NIL: 2, I.UNIFY_VOID: 1,
-    I.ALLOCATE: 3, I.DEALLOCATE: 2, I.CALL: 2, I.EXECUTE: 1, I.PROCEED: 1,
-    I.SWITCH_ON_TERM: 1, I.SWITCH_ON_CONSTANT: 1, I.SWITCH_ON_STRUCTURE: 2,
-    I.NECK_CUT: 1, I.GET_LEVEL: 1, I.CUT: 1,
-    I.ESCAPE: 2, I.FAIL_OP: 0, I.NOOP: 0, I.HALT_SUCCESS: 0,
-    I.TRY_ME_ELSE: 0, I.RETRY_ME_ELSE: 0, I.TRUST_ME: 0,
-    I.TRY: 0, I.RETRY: 0, I.TRUST: 0,
-    I.GET_CONSTANTS: 0, I.UNIFY_CONSTANTS: 0, I.GET_LIST_VV: 0,
-    I.PUT_ARGS: 0, I.SWITCH_ON_ARG: 1,
-}
-
 _CP_FIXED_FIELDS = 7  # prev, e, cp, tr, h, b0, next — per create/restore
 
-_HALT_CODE = [(I.HALT_SUCCESS,)]
+#: a constant cell's tag -> the kind in its switch-table key
+_KEY_KIND = {"CON": "atom", "INT": "int", "FLT": "flt"}
+
+_HALT_CODE = Block([(I.HALT_SUCCESS,)]).bind()
 
 
 class Procedure:
@@ -235,26 +220,30 @@ class Machine:
         self.gc_runs = 0
         self.gc_cells_recovered = 0
         self._gc_floor = 0  # heap size below which GC must not reach
+        # Heap size above which a call or proceed takes the _maybe_gc
+        # path (a new high-water mark, or GC due); -1 re-derives it.
+        self._heap_mark = -1
 
         from .builtins import BUILTINS  # registers indicators on import
         self.builtins = dict(BUILTINS)  # copy: sessions add their own
 
         # Cooperative interruption (repro.service): when set, the hook
-        # is called every ``poll_interval`` instructions from inside
-        # :meth:`_run` and may raise (e.g. QueryInterrupted) to abort
-        # the query.  Kept as instance attributes so each worker
-        # machine can be interrupted independently.
+        # is called at the first call or backtrack after every
+        # ``poll_interval`` instructions (:meth:`_due`) and may raise
+        # (e.g. QueryInterrupted) to abort the query.  Kept as instance
+        # attributes so each worker machine can be interrupted
+        # independently.
         self.poll_hook: Optional[Callable] = None
         self.poll_interval = 2048
-
-        # Sampled profiler (repro.obs.profiler): when installed *and*
-        # active, :meth:`_run` chains its sampler onto the poll hook.
-        # The disabled path costs one attribute check per _run entry —
-        # the dispatch loop itself is untouched.
+        # Sampled profiler (repro.obs.profiler), sampled at the same
+        # due-check as the poll hook.
         self.profiler = None
+        #: instr_count at which :meth:`_due` next runs
+        self.next_due = self.poll_interval
 
         self._dispatch = self._build_dispatch()
         self._nil_id = self.dictionary.intern("[]", 0)
+        self._nil_cell = ("CON", self._nil_id)
         self._metacall_cache: Dict[str, Tuple[str, int]] = {}
         # External root cells for the garbage collector: single-element
         # lists holding cells that must survive and be relocated.
@@ -321,7 +310,7 @@ class Machine:
     def define_external(self, name: str, arity: int,
                         fetch: Callable) -> Procedure:
         """Register an EDB-backed procedure; *fetch(machine, proc)* must
-        return an executable code block for the current call pattern."""
+        return a :class:`~repro.wam.block.Block` for the call pattern."""
         pid = self.dictionary.intern(name, arity)
         proc = Procedure(pid, name, arity, "external", fetch=fetch)
         self.procedures[pid] = proc
@@ -345,6 +334,15 @@ class Machine:
             proc.compiled, index=proc.index, optimizer=self.optimizer,
             dictionary=self.dictionary,
             procedure=f"{proc.name}/{proc.arity}")
+
+    def fit(self, block) -> None:
+        """Make *block* runnable here: bound (once — a block that never
+        runs is never bound) and the X register file as large as it
+        needs, so no handler ever grows it."""
+        if block.run is None:
+            block.bind()
+        if block.xregs > len(self.x):
+            self.x.extend([None] * (block.xregs - len(self.x)))
 
     def set_optimize(self, level: str) -> None:
         """Change the optimization level and rebuild every main-memory
@@ -380,7 +378,7 @@ class Machine:
             goal_term, varmap = self.reader.read_term_with_vars(goal)
         else:
             goal_term = goal
-            varmap = {v.name: v for v in _surface_vars(goal_term)
+            varmap = {v.name: v for v in term_variables(goal_term)
                       if not v.name.startswith("_")}
 
         if self.tracer.enabled:
@@ -393,6 +391,7 @@ class Machine:
             label = ""
 
         mark = self._save_state()
+        self._heap_mark = -1    # GC settings may have changed since
         holders: List[list] = []
         count = 0
         with self.tracer.span("query", goal=label) as qspan:
@@ -528,57 +527,84 @@ class Machine:
 
     # ===================================================== main loop
 
-    # Optional per-instruction hook: fn(machine, instr).  Read once per
-    # _run entry; installed by repro.wam.debugger.Tracer.
+    # Optional per-instruction hook: fn(machine, instr), *instr* in its
+    # source form.  Read once per _run entry, which then dispatches
+    # through a wrapped table (repro.wam.debugger.traced_dispatch);
+    # installed by repro.wam.debugger.Tracer.
     trace_hook = None
 
     def _run(self, barrier: _ChoicePoint) -> str:
         """Execute until success ('success') or exhaustion below
-        *barrier* ('exhausted')."""
+        *barrier* ('exhausted').
+
+        One loop: fetch, dispatch, test the result.  A handler returns
+        None to fall through, 'jump' once it has moved ``code``/``pc``
+        (a run ends: block.ENDS_RUN), 'fail' or 'halt'.  The counters
+        cost nothing per instruction: entering a straight-line run
+        charges its static instructions and data references
+        (``Block.charge``), and a failure or exception part-way refunds
+        what did not execute, so ``instr_count``/``data_refs`` are exact
+        wherever they can be read — in a built-in, at a call or a
+        backtrack (:meth:`_due`), after an exception.
+        """
         dispatch = self._dispatch
-        cost = _DATA_COST
-        hook = self.trace_hook
-        poll = self.poll_hook
-        poll_interval = self.poll_interval
-        profiler = self.profiler
-        since_poll = 0
-        if profiler is not None and profiler.active and poll is not None:
-            # Sampling rides the poll boundary *when one is installed*
-            # (deadline/cancel polls keep firing): the per-instruction
-            # countdown below is already being paid for the hook, so
-            # the sampler comes along for free.  Without a hook the
-            # countdown stays off — straight-line code samples at call
-            # boundaries instead (see _dispatch_call), which is what
-            # keeps enabled-sampling overhead inside its 2 % budget.
-            poll = profiler.chain(self, poll)
-            poll_interval = min(poll_interval, profiler.interval)
+        if self.trace_hook is not None:
+            from .debugger import traced_dispatch
+            dispatch = traced_dispatch(self, dispatch, self.trace_hook)
+        code = self.code
+        run, charge, pc = code.run, code.charge, self.pc
+        due = charge[pc]
+        self.instr_count += due[0]
+        self.data_refs += due[1]
         while True:
-            instr = self.code[self.pc]
-            self.pc += 1
-            op = instr[0]
-            self.instr_count += 1
-            self.data_refs += cost[op]
-            if hook is not None:
-                hook(self, instr)
-            if poll is not None:
-                since_poll += 1
-                if since_poll >= poll_interval:
-                    since_poll = 0
-                    poll(self)
-            result = dispatch[op](instr)
+            instr = run[pc]
+            pc += 1
+            try:
+                result = dispatch[instr[0]](instr)
+            except BaseException:
+                due = charge[pc]
+                self.instr_count -= due[2]
+                self.data_refs -= due[3]
+                raise
             if result is None:
                 continue
-            if result == "halt":
+            if result == "fail":
+                due = charge[pc]
+                self.instr_count -= due[2]
+                self.data_refs -= due[3]
+                if self._backtrack(barrier) == "exhausted":
+                    return "exhausted"
+            elif result == "halt":
+                self.pc = pc
                 return "success"
-            # result == 'fail'
-            status = self._backtrack(barrier)
-            if status == "exhausted":
-                return "exhausted"
+            code = self.code
+            run, charge, pc = code.run, code.charge, self.pc
+            due = charge[pc]
+            self.instr_count += due[0]
+            self.data_refs += due[1]
+
+    def _due(self) -> None:
+        """The poll hook's and the sampler's one safe point, reached at
+        call dispatch and on backtracking once ``instr_count`` passes
+        ``next_due`` — every cycle in control flow passes one of the
+        two, since a block only jumps forward."""
+        count = self.instr_count
+        due = count + self.poll_interval
+        profiler = self.profiler
+        if profiler is not None:
+            if count >= profiler.next_due:
+                profiler.sample(self)
+            due = min(due, profiler.next_due)
+        self.next_due = due
+        if self.poll_hook is not None:
+            self.poll_hook(self)
 
     def _backtrack(self, barrier: _ChoicePoint) -> str:
         """Restore the newest choice point and resume its next alternative;
         'exhausted' once the *barrier* is reached."""
         self.backtracks += 1
+        if self.instr_count >= self.next_due:
+            self._due()
         while True:
             cp = self.b
             if cp is None:
@@ -597,7 +623,7 @@ class Machine:
             self._unwind_trail(cp.tr)
             del self.heap[cp.h:]
             nargs = len(cp.args)
-            self.x[:nargs] = list(cp.args)
+            self.x[:nargs] = cp.args
             self.e = cp.e
             self.cp_code, self.cp_pc = cp.cp_code, cp.cp_pc
             self.b0 = cp.b0
@@ -611,9 +637,7 @@ class Machine:
                 except StopIteration:
                     self.b = cp.prev
                     continue
-                # Generator produced another solution: resume after escape.
-                self.code, self.pc = cp.next_code, cp.next_pc
-                return "resumed"
+            # Resume the next clause, or after the generator's escape.
             self.code, self.pc = cp.next_code, cp.next_pc
             return "resumed"
 
@@ -871,68 +895,56 @@ class Machine:
             I.SWITCH_ON_ARG: self._i_switch_on_arg,
         }
 
-    # --- register access ----------------------------------------------------
-
-    def _reg_read(self, reg):
-        if reg[0] == "x":
-            return self.x[reg[1]]
-        return self.e.slots[reg[1]]
-
-    def _reg_write(self, reg, cell) -> None:
-        if reg[0] == "x":
-            n = reg[1]
-            if n >= len(self.x):
-                self.x.extend([None] * (n + 16 - len(self.x)))
-            self.x[n] = cell
-        else:
-            self.e.slots[reg[1]] = cell
-
     # --- get ------------------------------------------------------------------
+    # Handlers run bound instructions (repro.wam.block): constants, FUN
+    # cells and continuation offsets are operands, argument registers
+    # are X registers (the verifier's V rules), and the X file is
+    # already as large as the block needs (:meth:`fit`).
 
     def _i_get_variable(self, instr):
-        self._reg_write(instr[1], self.x[instr[2][1]])
+        reg = instr[1]
+        if reg[0] == "x":
+            self.x[reg[1]] = self.x[instr[2][1]]
+        else:
+            self.e.slots[reg[1]] = self.x[instr[2][1]]
 
     def _i_get_value(self, instr):
-        if not self.unify(self._reg_read(instr[1]), self.x[instr[2][1]]):
+        reg = instr[1]
+        cell = self.x[reg[1]] if reg[0] == "x" else self.e.slots[reg[1]]
+        if not self.unify(cell, self.x[instr[2][1]]):
             return "fail"
 
-    def _const_cell(self, const):
-        kind = const[0]
-        if kind == "atom":
-            return ("CON", const[1])
-        if kind == "int":
-            return ("INT", const[1])
-        return ("FLT", const[1])
-
     def _i_get_constant(self, instr):
-        cell = self.deref_cell(self.x[instr[2][1]])
+        cell = self.x[instr[2][1]]
         if cell[0] == "REF":
-            self.bind(cell[1], self._const_cell(instr[1]))
-            return None
-        want = self._const_cell(instr[1])
+            cell = self.deref_cell(cell)
+            if cell[0] == "REF":
+                self.bind(cell[1], instr[3])
+                return None
+        want = instr[3]
         if cell[0] != want[0] or cell[1] != want[1]:
             return "fail"
 
     def _i_get_nil(self, instr):
         cell = self.deref_cell(self.x[instr[1][1]])
         if cell[0] == "REF":
-            self.bind(cell[1], ("CON", self._nil_id))
+            self.bind(cell[1], self._nil_cell)
             return None
         if cell[0] != "CON" or cell[1] != self._nil_id:
             return "fail"
 
     def _i_get_structure(self, instr):
-        fid = instr[1]
         cell = self.deref_cell(self.x[instr[2][1]])
         if cell[0] == "REF":
-            h = len(self.heap)
-            self.heap.append(("FUN", fid))
+            heap = self.heap
+            h = len(heap)
+            heap.append(instr[3])
             self.bind(cell[1], ("STR", h))
             self.mode = "write"
             return None
         if cell[0] == "STR":
             a = cell[1]
-            if self.heap[a][1] == fid:
+            if self.heap[a][1] == instr[1]:
                 self.s = a + 1
                 self.mode = "read"
                 return None
@@ -941,8 +953,7 @@ class Machine:
     def _i_get_list(self, instr):
         cell = self.deref_cell(self.x[instr[1][1]])
         if cell[0] == "REF":
-            h = len(self.heap)
-            self.bind(cell[1], ("LIS", h))
+            self.bind(cell[1], ("LIS", len(self.heap)))
             self.mode = "write"
             return None
         if cell[0] == "LIS":
@@ -954,49 +965,66 @@ class Machine:
     # --- put ---------------------------------------------------------------
 
     def _i_put_variable(self, instr):
-        cell = self.new_var()
-        self._reg_write(instr[1], cell)
-        self._reg_write(instr[2], cell)
+        heap = self.heap
+        cell = ("REF", len(heap))
+        heap.append(cell)
+        reg = instr[1]
+        if reg[0] == "x":
+            self.x[reg[1]] = cell
+        else:
+            self.e.slots[reg[1]] = cell
+        self.x[instr[2][1]] = cell
 
     def _i_put_value(self, instr):
-        self._reg_write(instr[2], self._reg_read(instr[1]))
+        reg = instr[1]
+        self.x[instr[2][1]] = (self.x[reg[1]] if reg[0] == "x"
+                               else self.e.slots[reg[1]])
 
     def _i_put_constant(self, instr):
-        self._reg_write(instr[2], self._const_cell(instr[1]))
+        self.x[instr[2][1]] = instr[3]
 
     def _i_put_nil(self, instr):
-        self._reg_write(instr[1], ("CON", self._nil_id))
+        self.x[instr[1][1]] = self._nil_cell
 
     def _i_put_structure(self, instr):
-        h = len(self.heap)
-        self.heap.append(("FUN", instr[1]))
-        self._reg_write(instr[2], ("STR", h))
+        heap = self.heap
+        self.x[instr[2][1]] = ("STR", len(heap))
+        heap.append(instr[3])
         self.mode = "write"
 
     def _i_put_list(self, instr):
-        self._reg_write(instr[1], ("LIS", len(self.heap)))
+        self.x[instr[1][1]] = ("LIS", len(self.heap))
         self.mode = "write"
 
     # --- unify ---------------------------------------------------------------
 
     def _i_unify_variable(self, instr):
         if self.mode == "read":
-            self._reg_write(instr[1], self.heap[self.s])
+            cell = self.heap[self.s]
             self.s += 1
         else:
-            self._reg_write(instr[1], self.new_var())
+            heap = self.heap
+            cell = ("REF", len(heap))
+            heap.append(cell)
+        reg = instr[1]
+        if reg[0] == "x":
+            self.x[reg[1]] = cell
+        else:
+            self.e.slots[reg[1]] = cell
 
     def _i_unify_value(self, instr):
+        reg = instr[1]
+        cell = self.x[reg[1]] if reg[0] == "x" else self.e.slots[reg[1]]
         if self.mode == "read":
-            ok = self.unify(self._reg_read(instr[1]), self.heap[self.s])
+            ok = self.unify(cell, self.heap[self.s])
             self.s += 1
             if not ok:
                 return "fail"
         else:
-            self.heap.append(self.deref_cell(self._reg_read(instr[1])))
+            self.heap.append(self.deref_cell(cell))
 
     def _i_unify_constant(self, instr):
-        want = self._const_cell(instr[1])
+        want = instr[2]
         if self.mode == "read":
             cell = self.deref_cell(self.heap[self.s])
             self.s += 1
@@ -1013,86 +1041,92 @@ class Machine:
             cell = self.deref_cell(self.heap[self.s])
             self.s += 1
             if cell[0] == "REF":
-                self.bind(cell[1], ("CON", self._nil_id))
+                self.bind(cell[1], self._nil_cell)
                 return None
             if cell[0] != "CON" or cell[1] != self._nil_id:
                 return "fail"
         else:
-            self.heap.append(("CON", self._nil_id))
+            self.heap.append(self._nil_cell)
 
     def _i_unify_void(self, instr):
-        n = instr[1]
         if self.mode == "read":
-            self.s += n
+            self.s += instr[1]
         else:
-            for _ in range(n):
+            for _ in range(instr[1]):
                 self.new_var()
 
     # --- fused superinstructions (repro.wam.optimizer) ---------------------
     # Each executes the exact semantics of the plain-instruction run it
     # replaces, in source order, and adds the same per-component data
-    # costs; only the dispatch overhead (instr_count) is saved.
+    # costs (put_args's are static, charged with its run); only the
+    # dispatch overhead (instr_count) is saved.
 
     def _i_get_constants(self, instr):
-        for const, ai in instr[1]:
-            self.data_refs += 2
-            cell = self.deref_cell(self.x[ai[1]])
+        x = self.x
+        refs = 0
+        for want, ai in instr[2]:
+            refs += 2
+            cell = x[ai]
             if cell[0] == "REF":
-                self.bind(cell[1], self._const_cell(const))
-                continue
-            want = self._const_cell(const)
+                cell = self.deref_cell(cell)
+                if cell[0] == "REF":
+                    self.bind(cell[1], want)
+                    continue
             if cell[0] != want[0] or cell[1] != want[1]:
+                self.data_refs += refs
                 return "fail"
+        self.data_refs += refs
 
     def _i_unify_constants(self, instr):
         # Mode cannot change across a run of unify_constant, so the
         # check is hoisted out of the loop.
-        if self.mode == "read":
-            for const in instr[1]:
-                self.data_refs += 2
-                want = self._const_cell(const)
-                cell = self.deref_cell(self.heap[self.s])
-                self.s += 1
-                if cell[0] == "REF":
-                    self.bind(cell[1], want)
-                    continue
-                if cell[0] != want[0] or cell[1] != want[1]:
-                    return "fail"
-        else:
-            for const in instr[1]:
-                self.data_refs += 2
-                self.heap.append(self._const_cell(const))
+        wants = instr[2]
+        if self.mode != "read":
+            self.heap.extend(wants)
+            self.data_refs += 2 * len(wants)
+            return None
+        refs = 0
+        for want in wants:
+            refs += 2
+            cell = self.deref_cell(self.heap[self.s])
+            self.s += 1
+            if cell[0] == "REF":
+                self.bind(cell[1], want)
+            elif cell[0] != want[0] or cell[1] != want[1]:
+                self.data_refs += refs
+                return "fail"
+        self.data_refs += refs
 
     def _i_get_list_vv(self, instr):
-        self.data_refs += 3  # the get_list component always runs
         cell = self.deref_cell(self.x[instr[1][1]])
         if cell[0] == "REF":
-            self.data_refs += 4  # 2 x unify_variable
             self.bind(cell[1], ("LIS", len(self.heap)))
-            self._reg_write(instr[2], self.new_var())
-            self._reg_write(instr[3], self.new_var())
+            pair = (self.new_var(), self.new_var())
             self.mode = "write"
-            return None
-        if cell[0] == "LIS":
-            self.data_refs += 4  # 2 x unify_variable
+        elif cell[0] == "LIS":
             s = cell[1]
-            self._reg_write(instr[2], self.heap[s])
-            self._reg_write(instr[3], self.heap[s + 1])
+            pair = (self.heap[s], self.heap[s + 1])
             self.s = s + 2
             self.mode = "read"
-            return None
-        # an unfused run would stop at the failing get_list: the two
-        # unify_variable components never execute, so they cost nothing
-        return "fail"
+        else:
+            # an unfused run would stop at the failing get_list: the two
+            # unify_variable components never execute, so they cost
+            # nothing
+            self.data_refs += 3
+            return "fail"
+        self.data_refs += 7  # get_list + 2 x unify_variable
+        for reg, value in zip(instr[2:], pair):
+            if reg[0] == "x":
+                self.x[reg[1]] = value
+            else:
+                self.e.slots[reg[1]] = value
 
     def _i_put_args(self, instr):
-        for item in instr[1]:
-            if item[0] == "v":
-                self.data_refs += 2
-                self._reg_write(item[2], self._reg_read(item[1]))
-            else:
-                self.data_refs += 1
-                self._reg_write(item[2], self._const_cell(item[1]))
+        x = self.x
+        for cell, src, ai in instr[2]:
+            if cell is None:
+                cell = x[src[1]] if src[0] == "x" else self.e.slots[src[1]]
+            x[ai] = cell
 
     # --- control -----------------------------------------------------------
 
@@ -1105,7 +1139,7 @@ class Machine:
         self.e = env.prev
 
     def _i_call(self, instr):
-        self.cp_code, self.cp_pc = self.code, self.pc
+        self.cp_code, self.cp_pc = self.code, instr[3]
         self.calls += 1
         self.b0 = self.b
         return self._dispatch_call(instr[1], instr[2])
@@ -1117,19 +1151,16 @@ class Machine:
 
     def _i_proceed(self, instr):
         self.code, self.pc = self.cp_code, self.cp_pc
-        self._maybe_gc()
+        if len(self.heap) > self._heap_mark:
+            self._maybe_gc()
+        return "jump"
 
     def _dispatch_call(self, pid: int, arity: int):
         self._pending_arity = arity
-        self._maybe_gc()  # safe point: args in registers, S/mode dead
-        profiler = self.profiler
-        if profiler is not None and self.instr_count >= profiler.next_due:
-            # Call boundaries are the sampler's safe points when no
-            # poll hook is installed: one guard per call (instructions
-            # are ~20x more frequent, and next_due is infinite while
-            # disabled) keeps sampling overhead well under the cost of
-            # a per-instruction countdown.
-            profiler.sample(self)
+        if len(self.heap) > self._heap_mark:
+            self._maybe_gc()  # safe point: args in registers, S/mode dead
+        if self.instr_count >= self.next_due:
+            self._due()
         proc = self.procedures.get(pid)
         if proc is None:
             proc = self._resolve_unknown(pid, arity)
@@ -1137,9 +1168,8 @@ class Machine:
                 return "fail"
         kind = proc.kind
         if kind == "static":
-            self.code, self.pc = proc.code, 0
-            return None
-        if kind == "dynamic":
+            code = proc.code
+        elif kind == "dynamic":
             if proc.dirty:
                 # Incremental: compile only clauses without cached code,
                 # then rebuild the control/indexing wrapper.
@@ -1150,9 +1180,8 @@ class Machine:
                     self.compile_count += 1
                 proc.code = self._build_block(proc)
                 proc.dirty = False
-            self.code, self.pc = proc.code, 0
-            return None
-        if kind == "external":
+            code = proc.code
+        elif kind == "external":
             code = proc.fetch(self, proc)
             if code is None:
                 return "fail"
@@ -1161,9 +1190,12 @@ class Machine:
                 # them here so EDB predicates are attributed like
                 # main-memory ones.
                 self.profiler.note_code(code, proc.name, proc.arity)
-            self.code, self.pc = code, 0
-            return None
-        raise MachineError(f"cannot call procedure kind {kind}")
+        else:
+            raise MachineError(f"cannot call procedure kind {kind}")
+        if code.run is None or code.xregs > len(self.x):
+            self.fit(code)
+        self.code, self.pc = code, 0
+        return "jump"
 
     def _resolve_unknown(self, pid: int, arity: int) -> Optional[Procedure]:
         name = self.dictionary.name(pid)
@@ -1175,26 +1207,20 @@ class Machine:
 
     # --- choice points --------------------------------------------------------
 
-    def _push_cp(self, next_code, next_pc) -> None:
-        nargs = self._current_arity()
-        cp = _ChoicePoint(
-            prev=self.b,
-            args=tuple(self.x[:nargs]),
-            e=self.e,
-            cp_code=self.cp_code, cp_pc=self.cp_pc,
-            tr=len(self.trail), h=len(self.heap), b0=self.b0,
-            next_code=next_code, next_pc=next_pc)
-        self.b = cp
+    def _push_cp(self, next_code, next_pc, generator=None) -> None:
+        # The choice instructions run at procedure entry (a generator's
+        # at its escape); the argument registers to save are those of
+        # the procedure being tried.
+        nargs = self._pending_arity
+        self.b = _ChoicePoint(
+            self.b, tuple(self.x[:nargs]), self.e, self.cp_code,
+            self.cp_pc, len(self.trail), len(self.heap), self.b0,
+            next_code, next_pc, "clause" if generator is None else "gen",
+            generator)
         self.cp_created += 1
         self.cp_refs += _CP_FIXED_FIELDS + nargs
-        self.data_refs += _CP_FIXED_FIELDS + nargs
-
-    def _current_arity(self) -> int:
-        # The choice instructions run at procedure entry; the argument
-        # registers to save are those of the procedure being tried.  We
-        # conservatively save registers up to the highest loaded X.
-        n = self._pending_arity
-        return n
+        if generator is None:
+            self.data_refs += _CP_FIXED_FIELDS + nargs
 
     # --- clause chains ------------------------------------------------------
 
@@ -1213,27 +1239,29 @@ class Machine:
         self.data_refs += 1
 
     def _i_try(self, instr):
-        self._push_cp(self.code, self.pc)
+        self._push_cp(self.code, instr[2])
         self.pc = instr[1]
+        return "jump"
 
     def _i_retry(self, instr):
         self.b.next_code = self.code
-        self.b.next_pc = self.pc
+        self.b.next_pc = instr[2]
         self.pc = instr[1]
         self.cp_refs += 2
         self.data_refs += 2
+        return "jump"
 
     def _i_trust(self, instr):
         self.b = self.b.prev
         self.pc = instr[1]
         self.cp_refs += 1
         self.data_refs += 1
+        return "jump"
 
     # --- indexing -----------------------------------------------------------
 
     def _i_switch_on_term(self, instr):
-        cell = self.deref_cell(self.x[0])
-        tag = cell[0]
+        tag = self.deref_cell(self.x[0])[0]
         if tag == "REF":
             self.pc = instr[1]
         elif tag == "LIS":
@@ -1242,22 +1270,18 @@ class Machine:
             self.pc = instr[4]
         else:
             self.pc = instr[2]
+        return "jump"
 
     def _i_switch_on_constant(self, instr):
         cell = self.deref_cell(self.x[0])
-        tag = cell[0]
-        if tag == "CON":
-            key = ("atom", cell[1])
-        elif tag == "INT":
-            key = ("int", cell[1])
-        else:
-            key = ("flt", cell[1])
-        self.pc = instr[1].get(key, instr[2])
+        self.pc = instr[1].get((_KEY_KIND[cell[0]], cell[1]), instr[2])
+        return "jump"
 
     def _i_switch_on_structure(self, instr):
         cell = self.deref_cell(self.x[0])
         fid = self.heap[cell[1]][1]
         self.pc = instr[1].get(("fun", fid), instr[2])
+        return "jump"
 
     def _i_switch_on_arg(self, instr):
         # (argpos, {const_key: offset}, lvar, lmiss) — the optimizer's
@@ -1265,20 +1289,14 @@ class Machine:
         # constant at argpos, so a bound constant selects at most one
         # clause (no choice point) and a bound list/structure none.
         cell = self.deref_cell(self.x[instr[1]])
-        tag = cell[0]
-        if tag == "REF":
+        kind = _KEY_KIND.get(cell[0])
+        if cell[0] == "REF":
             self.pc = instr[3]
-            return None
-        if tag == "CON":
-            key = ("atom", cell[1])
-        elif tag == "INT":
-            key = ("int", cell[1])
-        elif tag == "FLT":
-            key = ("flt", cell[1])
-        else:  # LIS / STR cannot match an all-constant chain
+        elif kind is None:  # LIS / STR cannot match an all-constant chain
             self.pc = instr[4]
-            return None
-        self.pc = instr[2].get(key, instr[4])
+        else:
+            self.pc = instr[2].get((kind, cell[1]), instr[4])
+        return "jump"
 
     # --- cut -------------------------------------------------------------------
 
@@ -1296,40 +1314,29 @@ class Machine:
     # --- escapes -----------------------------------------------------------------
 
     def _i_escape(self, instr):
-        name, arity = instr[1], instr[2]
-        fn = self.builtins[(name, arity)]
-        args = [self.x[i] for i in range(arity)]
+        arity = instr[2]
+        self.pc = instr[3]      # built-ins see the continuation (call/N)
+        fn = self.builtins[(instr[1], arity)]
+        args = self.x[:arity]
         self._pending_arity = arity
         result = fn(self, args)
-        if result is True:
-            return None
+        if result is True or result == "dispatched":
+            # "dispatched": the built-in transferred control (call/N).
+            return "jump"
         if result is False:
             return "fail"
-        if result == "dispatched":
-            # The built-in transferred control itself (call/N).
-            return None
         # Non-deterministic built-in: a generator of solutions.
         return self._escape_generator(result)
 
     def _escape_generator(self, gen):
-        nargs = self._pending_arity
-        cp = _ChoicePoint(
-            prev=self.b,
-            args=tuple(self.x[:nargs]),
-            e=self.e,
-            cp_code=self.cp_code, cp_pc=self.cp_pc,
-            tr=len(self.trail), h=len(self.heap), b0=self.b0,
-            next_code=self.code, next_pc=self.pc,
-            kind="gen", generator=gen)
-        self.b = cp
-        self.cp_created += 1
-        self.cp_refs += _CP_FIXED_FIELDS + nargs
+        self._push_cp(self.code, self.pc, gen)
+        cp = self.b
         try:
             next(gen)
         except StopIteration:
             self.b = cp.prev
             return "fail"
-        return None
+        return "jump"
 
     def _i_fail(self, instr):
         return "fail"
@@ -1371,10 +1378,7 @@ class Machine:
             # synthesising a one-clause procedure — the incremental
             # compiler handles the construct exactly as in source code.
             return self._metacall_compiled(cell)
-        for i, c in enumerate(arg_cells):
-            if i >= len(self.x):
-                self.x.extend([None] * 16)
-            self.x[i] = c
+        self.x[:arity] = arg_cells       # grows the register file if needed
         pid = self.dictionary.intern(name, arity)
         self.calls += 1
         self.b0 = self.b
@@ -1402,10 +1406,7 @@ class Machine:
             self.define_procedure(name, len(params), [clause], index=False)
             self._metacall_cache[key] = (name, len(params))
 
-        for i, (addr, _) in enumerate(var_addrs):
-            if i >= len(self.x):
-                self.x.extend([None] * 16)
-            self.x[i] = ("REF", addr)
+        self.x[:len(var_addrs)] = [("REF", addr) for addr, _ in var_addrs]
         pid = self.dictionary.intern(name, len(params))
         self.calls += 1
         self.b0 = self.b
@@ -1414,17 +1415,20 @@ class Machine:
     # ===================================================== GC hook
 
     def _maybe_gc(self) -> None:
+        """Call/proceed safe point, taken once the heap outgrows
+        ``_heap_mark``: track the high-water mark, collect when due."""
         if len(self.heap) > self.heap_high_water:
             self.heap_high_water = len(self.heap)
-        if not self.gc_enabled:
-            return
-        if len(self.heap) - self._gc_floor < self.gc_threshold:
-            return
-        from .gc import collect_heap
-        recovered = collect_heap(self)
-        self.gc_runs += 1
-        self.gc_cells_recovered += recovered
-        self._gc_floor = len(self.heap)
+        if (self.gc_enabled
+                and len(self.heap) - self._gc_floor >= self.gc_threshold):
+            from .gc import collect_heap
+            recovered = collect_heap(self)
+            self.gc_runs += 1
+            self.gc_cells_recovered += recovered
+            self._gc_floor = len(self.heap)
+        self._heap_mark = (min(self.heap_high_water,
+                               self._gc_floor + self.gc_threshold - 1)
+                           if self.gc_enabled else self.heap_high_water)
 
     # ===================================================== misc accessors
 
@@ -1457,8 +1461,4 @@ class Machine:
         self.calls = 0
         self.unify_ops = 0
         self.compile_count = 0
-
-
-def _surface_vars(term: Term) -> List[Var]:
-    from ..terms import term_variables
-    return term_variables(term)
+        self.next_due = self.poll_interval

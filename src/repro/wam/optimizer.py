@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import VerifyError
 from . import instructions as I
+from .block import Block
 from .compiler import CompiledClause
 from .indexing import build_procedure_code, build_procedure_layout
 
@@ -423,14 +424,16 @@ def build_optimized_block(clauses: Sequence[CompiledClause],
                           index: bool = True,
                           optimizer: Optional[Optimizer] = None,
                           dictionary=None,
-                          procedure: str = "") -> list:
+                          procedure: str = "") -> Block:
     """Build a procedure block, optimizing when an enabled *optimizer*
     is supplied.  The optimized block replaces the naive one **only**
     after passing the full verification gate; any finding falls back to
-    the unoptimized block (counted in ``wam_opt_rejects``)."""
+    the unoptimized block (counted in ``wam_opt_rejects``).  Either way
+    it comes back as a :class:`~repro.wam.block.Block`, which the
+    emulator binds at its first call."""
     clauses = list(clauses)
     if optimizer is None or not optimizer.enabled or not clauses:
-        return build_procedure_code(clauses, index=index)
+        return Block(build_procedure_code(clauses, index=index))
     optimizer.blocks += 1
     layout = build_procedure_layout(clauses, index=index,
                                     optimizer=optimizer)
@@ -444,5 +447,5 @@ def build_optimized_block(clauses: Sequence[CompiledClause],
         if events is not None and events.enabled:
             events.record("wam_opt.reject", procedure=procedure or "?",
                           rule=exc.rule, offset=exc.offset)
-        return build_procedure_code(clauses, index=index)
-    return layout.code
+        return Block(build_procedure_code(clauses, index=index))
+    return Block(layout.code)

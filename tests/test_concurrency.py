@@ -183,6 +183,24 @@ class TestServiceAPI:
             assert err.value.reason == "deadline"
             assert svc.counters()["service_timeouts"] == 1
 
+    def test_deadline_interrupts_loop_without_calls(self):
+        """A runaway loop made only of backtracking into a built-in —
+        no call or execute anywhere in its cycle — still polls."""
+        with QueryService(workers=1, queue_size=8) as svc:
+            svc.store_program("spin :- between(1, 100000000, _), fail.")
+            started = time.monotonic()
+            ticket = svc.submit("spin", timeout=0.2)
+            with pytest.raises(QueryInterrupted) as err:
+                ticket.result(timeout=30)
+            assert err.value.reason == "deadline"
+            assert time.monotonic() - started < 10
+            ticket = svc.submit("spin")
+            time.sleep(0.05)
+            assert ticket.cancel()
+            with pytest.raises(QueryInterrupted) as err:
+                ticket.result(timeout=30)
+            assert err.value.reason == "cancelled"
+
     def test_cancel_running_query(self):
         with QueryService(workers=1, queue_size=8) as svc:
             svc.store_program("loop :- loop.")

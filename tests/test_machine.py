@@ -551,3 +551,253 @@ class TestCounters:
     def test_statistics_builtin(self, machine):
         sol = machine.solve_once("statistics(inferences, N)")
         assert isinstance(sol["N"], int)
+
+
+# =====================================================================
+# Operand binding: a block's constants are bound to heap cells once, when
+# the block is built.  A bound constant must keep the identity of its
+# source value, not just its equality: 0.0 == -0.0 and 1 == 1.0 in
+# Python, but they are four different Prolog constants.
+# =====================================================================
+
+#: get_constant / put_constant / unify_constant, each alone in its run,
+#: and the same constants as runs the optimizer fuses (get_constants,
+#: put_args, unify_constants) at level full
+BINDING_PROGRAM = """
+z(0.0). z(-0.0).
+one(1). one(1.0).
+g4(0.0, -0.0, 1, 1.0).
+id(X, X).
+id8(A, B, C, D, A, B, C, D).
+pz(X) :- id(X, -0.0).
+p4(A, B, C, D) :- id8(0.0, -0.0, 1, 1.0, A, B, C, D).
+sg(g(-0.0)).
+sf(f(0.0, -0.0, 1, 1.0)).
+"""
+
+#: goal -> the repr of every answer's bindings, in answer order
+BINDING_CASES = {
+    "findall(_X, z(_X), L)": [["[0.0, -0.0]"]],
+    "findall(_X, one(_X), L)": [["[1, 1.0]"]],
+    "g4(A, B, C, D)": [["0.0", "-0.0", "1", "1.0"]],
+    "g4(-0.0, 0.0, 1, 1.0)": [[]],
+    "g4(0.0, -0.0, 1.0, 1)": [],
+    "one(1.0)": [[]],
+    "pz(X)": [["-0.0"]],
+    "p4(A, B, C, D)": [["0.0", "-0.0", "1", "1.0"]],
+    "sg(g(X))": [["-0.0"]],
+    "sg(T), T = g(X)": [["g(-0.0)", "-0.0"]],
+    "sf(f(A, B, C, D))": [["0.0", "-0.0", "1", "1.0"]],
+    "sf(T), T = f(A, B, C, D)": [["0.0", "-0.0", "1", "1.0",
+                                  "f(0.0, -0.0, 1, 1.0)"]],
+}
+
+
+def _py(term):
+    """A surface term as Python values (numbers keep their type)."""
+    from repro.terms import Struct
+    if isinstance(term, Struct) and term.indicator == (".", 2):
+        out = []
+        while isinstance(term, Struct) and term.indicator == (".", 2):
+            out.append(_py(term.args[0]))
+            term = term.args[1]
+        return out
+    if isinstance(term, Struct):
+        return f"{term.name}({', '.join(repr(_py(a)) for a in term.args)})"
+    return term
+
+
+def _binding_answers(solver, goal):
+    """Every answer's bound variables, by name, as Python reprs (a
+    compound as its text)."""
+    from repro.terms import Var
+    return [[value if isinstance(value, str) else repr(value)
+             for value in (_py(term) for _name, term
+                           in sorted(sol.bindings.items())
+                           if not isinstance(term, Var))]
+            for sol in solver.solve(goal)]
+
+
+class TestOperandBinding:
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_consulted(self, level):
+        from repro.wam.machine import Machine
+        machine = Machine(optimize=level)
+        machine.consult(BINDING_PROGRAM)
+        for goal, expected in BINDING_CASES.items():
+            assert _binding_answers(machine, goal) == expected, goal
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_stored(self, level):
+        from repro.engine.session import EduceStar
+        kb = EduceStar(optimize=level)
+        kb.store_program(BINDING_PROGRAM)
+        for goal, expected in BINDING_CASES.items():
+            assert _binding_answers(kb, goal) == expected, goal
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_asserted_and_stored_facts(self, level):
+        from repro.engine.session import EduceStar
+        kb = EduceStar(optimize=level)
+        kb.solve_once("assertz(dz(0.0)), assertz(dz(-0.0)), "
+                      "assertz(dz(1)), assertz(dz(1.0))")
+        kb.store_relation("rz", [(0.0,), (-0.0,), (1,), (1.0,)])
+        for pred in ("dz", "rz"):
+            assert _binding_answers(kb, f"findall(_X, {pred}(_X), L)") == \
+                [["[0.0, -0.0, 1, 1.0]"]], pred
+
+
+WIDE = 80   # more X registers than the machine starts with (64)
+WIDE_ARGS = ", ".join(str(i) for i in range(WIDE))
+WIDE_VARS = ", ".join(f"V{i}" for i in range(WIDE))
+WIDE_PROGRAM = (f"w({WIDE_ARGS}).\n"
+                f"wide(L) :- w({WIDE_VARS}), L = [{WIDE_VARS}].\n")
+
+
+class TestWideRegisters:
+    """A clause and a call with more than 64 argument registers."""
+
+    def _check(self, solver, pred="w"):
+        sol = solver.solve_once(f"{pred}({WIDE_VARS})")
+        assert [sol[f"V{i}"] for i in range(WIDE)] == list(range(WIDE))
+        assert solver.solve_once(f"{pred}({WIDE_ARGS})") is not None
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_consulted(self, level):
+        from repro.wam.machine import Machine
+        machine = Machine(optimize=level)
+        machine.consult(WIDE_PROGRAM)
+        self._check(machine)
+        sol = machine.solve_once("wide(L)")
+        assert term_to_text(sol["L"]) == f"[{WIDE_ARGS.replace(' ', '')}]"
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_asserted(self, level):
+        from repro.wam.machine import Machine
+        machine = Machine(optimize=level)
+        machine.solve_once(f"assertz(w({WIDE_ARGS}))")
+        self._check(machine)
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_stored(self, level):
+        from repro.engine.session import EduceStar
+        kb = EduceStar(optimize=level)
+        kb.store_program(WIDE_PROGRAM)
+        self._check(kb)
+        sol = kb.solve_once("wide(L)")
+        assert term_to_text(sol["L"]) == f"[{WIDE_ARGS.replace(' ', '')}]"
+        kb.store_relation("wr", [tuple(range(WIDE))])
+        self._check(kb, "wr")
+
+
+# =====================================================================
+# Counter exactness: the paper's counts are outputs (E1/E7/E9/E14), so
+# how the emulator charges them must not move a single one.
+# =====================================================================
+
+NREV_PROGRAM = """
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), append(RT, [H], R).
+"""
+QUEENS_PROGRAM = """
+queens(N, Qs) :- numlist(1, N, Ns), qperm(Ns, Qs, []).
+qperm([], [], _).
+qperm(Ns, [Q|Qs], Placed) :-
+    select(Q, Ns, Rest),
+    safe(Q, 1, Placed),
+    qperm(Rest, Qs, [Q|Placed]).
+safe(_, _, []).
+safe(Q, D, [P|Ps]) :-
+    Q =\\= P + D, Q =\\= P - D,
+    D1 is D + 1, safe(Q, D1, Ps).
+"""
+NREV30 = "nrev([" + ",".join(str(i) for i in range(1, 31)) + "], _)"
+COUNTER_KEYS = ("instr_count", "data_refs", "cp_refs", "cp_created",
+                "backtracks", "calls", "unify_ops")
+#: (shape, level) -> (solutions, counter deltas in COUNTER_KEYS order)
+COUNTER_GOLDEN = {
+    ("nrev", "off"): (1, (5886, 12728, 7, 1, 1, 496, 30)),
+    ("nrev", "full"): (1, (4086, 12728, 7, 1, 1, 496, 30)),
+    ("queens", "off"): (4, (35407, 107031, 30562, 1456, 1455, 1611, 1298)),
+    ("queens", "full"): (4, (29896, 107031, 30562, 1456, 1455, 1611, 1298)),
+    ("mvv", "off"): (1, (86023, 222983, 46768, 1114, 2456, 4369, 1460)),
+    ("mvv", "full"): (1, (60802, 223137, 46768, 1114, 2456, 4369, 1460)),
+}
+
+
+def _counted(machine, goal):
+    before = machine.counters()
+    solutions = sum(1 for _ in machine.solve(goal))
+    after = machine.counters()
+    return solutions, tuple(after[k] - before[k] for k in COUNTER_KEYS)
+
+
+class TestCounterExactness:
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_nrev_and_queens_golden(self, level):
+        from repro.wam.machine import Machine
+        machine = Machine(optimize=level)
+        machine.consult(NREV_PROGRAM)
+        assert _counted(machine, NREV30) == COUNTER_GOLDEN[("nrev", level)]
+        machine = Machine(optimize=level)
+        machine.consult(QUEENS_PROGRAM)
+        assert _counted(machine, "queens(6, _)") == \
+            COUNTER_GOLDEN[("queens", level)]
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_findall_heavy_mvv_golden(self, level):
+        from repro.engine.session import EduceStar
+        from repro.workloads import mvv
+        data = mvv.generate(seed=11, scale=0.05)
+        kb = mvv.load_educestar(data, EduceStar(optimize=level))
+        goal = mvv.class2_queries(data, 1)[0]
+        assert goal == "route(stop_0046, stop_0003, 360, Plan)"
+        assert _counted(kb.machine, f"findall(P, {goal}, Ps)") == \
+            COUNTER_GOLDEN[("mvv", level)]
+
+    @pytest.mark.parametrize("level,expected", [("off", (7, 553)),
+                                                ("full", (6, 423))])
+    def test_statistics_inside_one_query(self, level, expected):
+        from repro.wam.machine import Machine
+        machine = Machine(optimize=level)
+        machine.consult(NREV_PROGRAM)
+        sol = machine.solve_once("statistics(instructions, A), "
+                                 "nrev([1,2,3,4,5,6,7,8], _), "
+                                 "statistics(instructions, B)")
+        assert (sol["A"], sol["B"]) == expected
+
+    def test_exact_after_interrupt(self):
+        """A poll that raises mid-query leaves the counters at exactly
+        the instructions that ran, in the machine and the session."""
+        from repro.engine.session import EduceStar
+        from repro.errors import QueryInterrupted
+        kb = EduceStar()
+        kb.consult("spin(N) :- between(1, N, X), X < 0. "
+                   "loop(N) :- N > 0, M is N - 1, loop(M).")
+        machine = kb.machine
+        ran = [0]
+        for op, handler in list(machine._dispatch.items()):
+            def counted(instr, handler=handler):
+                ran[0] += 1
+                return handler(instr)
+            machine._dispatch[op] = counted
+        polls = [0]
+
+        def poll(_machine):
+            polls[0] += 1
+            if polls[0] == 3:
+                raise QueryInterrupted("deadline")
+        machine.poll_interval = 100
+        for goal in ("spin(100000)", "loop(100000)"):
+            polls[0] = 0
+            before = machine.instr_count
+            ran[0] = 0
+            machine.poll_hook = poll
+            try:
+                with pytest.raises(QueryInterrupted):
+                    kb.solve_once(goal)
+            finally:
+                machine.poll_hook = None
+            assert machine.instr_count - before == ran[0], goal
+            assert kb.counters()["instr_count"] == machine.instr_count
+            assert kb.counters()["data_refs"] == machine.data_refs
