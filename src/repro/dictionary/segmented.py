@@ -27,7 +27,8 @@ recent entries are the most likely targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import ResourceError
@@ -91,6 +92,11 @@ class _Segment:
         self.slots: List[Optional[Tuple[str, int, int]]] = [_EMPTY] * capacity
         self.live = 0
         self.tombstones = 0
+
+    def copy(self) -> "_Segment":
+        clone = copy.copy(self)
+        clone.slots = self.slots[:]
+        return clone
 
     @property
     def occupancy(self) -> float:
@@ -163,6 +169,16 @@ class SegmentedDictionary:
         self.stats = DictionaryStats()
         self._segments: List[Optional[_Segment]] = [_Segment(segment_capacity)]
         self.stats.segments_allocated = 1
+
+    def copy(self) -> "SegmentedDictionary":
+        """An independent dictionary holding the same identifiers: each
+        segment's slot list is copied, so interning into or deleting
+        from either never reaches the other."""
+        clone = copy.copy(self)
+        clone.stats = replace(self.stats)
+        clone._segments = [None if seg is None else seg.copy()
+                           for seg in self._segments]
+        return clone
 
     # ------------------------------------------------------------- interning
 

@@ -169,9 +169,17 @@ class OperatorTable:
         return clone
 
 
-def default_operators() -> OperatorTable:
-    """A fresh table containing the standard operator set."""
+def _standard_table() -> OperatorTable:
     table = OperatorTable()
     for priority, type_, name in _DEFAULT_OPS:
         table.add(priority, type_, name)
     return table
+
+
+_DEFAULT_TABLE = _standard_table()
+
+
+def default_operators() -> OperatorTable:
+    """A fresh table containing the standard operator set: a copy of
+    the one built at import, so ``op/3`` extends only its own copy."""
+    return _DEFAULT_TABLE.copy()

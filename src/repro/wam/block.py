@@ -9,8 +9,11 @@ machine and the EDB loader build blocks), plus what
 :meth:`Machine._run <repro.wam.machine.Machine._run>` needs to pay its
 interpretation overhead once per straight-line run instead of once per
 instruction.  :meth:`Block.bind` works that out once per block, when the
-block is first called (``Machine.fit``): a block that never runs — most
-of a session's library — costs no more than its list.
+block is first called (``Machine.fit``): a block that never runs costs
+no more than its list, and the library's blocks, which every session of
+the process shares (:func:`repro.wam.prelude.library_image`), are bound
+once per process.  ``run`` is published last, so sessions binding one
+block at the same time install equal results.
 
 * ``run`` — the instructions with their operands bound.  A bound
   instruction is its source tuple with operands *appended*

@@ -85,8 +85,7 @@ def disassemble(machine, name: str, arity: int) -> str:
     if proc is None:
         raise ExistenceError("procedure", f"{name}/{arity}")
     if proc.kind == "dynamic" and (proc.dirty or proc.code is None):
-        proc.code = machine._compile_procedure(proc.clauses, proc.index)
-        proc.dirty = False
+        machine.refresh(proc)
     if proc.code is None:
         raise ExistenceError("compiled code", f"{name}/{arity}")
     lines = [f"% {name}/{arity} ({proc.kind})"]

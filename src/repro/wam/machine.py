@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..dictionary import SegmentedDictionary
 from ..errors import (
     ExistenceError,
     InstantiationError,
@@ -76,7 +75,7 @@ class Procedure:
     """A predicate known to the machine."""
 
     __slots__ = ("pid", "name", "arity", "kind", "code", "clauses",
-                 "compiled", "dirty", "fetch", "index", "frozen")
+                 "compiled", "dirty", "fetch", "index")
 
     def __init__(self, pid: int, name: str, arity: int, kind: str,
                  code: Optional[list] = None,
@@ -97,7 +96,15 @@ class Procedure:
         self.dirty = kind == "dynamic"
         self.fetch = fetch
         self.index = index
-        self.frozen = False
+
+    def copy(self) -> "Procedure":
+        """A copy with its own clause lists, sharing the code block."""
+        clone = Procedure(self.pid, self.name, self.arity, self.kind,
+                          self.code, list(self.clauses), self.fetch,
+                          self.index)
+        clone.compiled = list(self.compiled)
+        clone.dirty = self.dirty
+        return clone
 
     @property
     def indicator(self) -> Tuple[str, int]:
@@ -166,23 +173,26 @@ class Solution:
 class Machine:
     """A complete WAM instance: code store, heap, stacks, dictionary."""
 
-    def __init__(self, dictionary: Optional[SegmentedDictionary] = None,
-                 index: bool = True,
+    def __init__(self, index: bool = True,
                  gc_enabled: bool = True,
                  gc_threshold: int = 200_000,
                  optimize: Optional[str] = None):
-        self.dictionary = dictionary or SegmentedDictionary(
-            segment_capacity=32000)
         self.index_enabled = index
         # Code optimizer (docs/OPTIMIZER.md).  ``optimize=None`` resolves
         # to the process default; the instance is shared with the EDB
         # dynamic loader so the wam_opt_* counters aggregate here.
         self.optimizer = Optimizer(optimize)
+        # The library is compiled once per process (wam/prelude.py); a
+        # session starts from a copy of its dictionary and procedures.
+        from .prelude import library_image
+        dictionary, library = library_image(self.optimizer.level, index)
+        self.dictionary = dictionary.copy()
+        self.procedures: Dict[int, Procedure] = {
+            pid: proc.copy() for pid, proc in library.items()}
         self.reader = Reader()
         self.ctx = CompileContext(self.dictionary, self._define_aux)
         self.compiler = ClauseCompiler(self.ctx)
 
-        self.procedures: Dict[int, Procedure] = {}
         self.unknown_handler: Optional[Callable] = None
         self.output: List[str] = []
         # Observability: the session replaces this with its shared
@@ -249,12 +259,6 @@ class Machine:
         # lists holding cells that must survive and be relocated.
         self.rooted: List[list] = []
 
-        # The library is read once per process and compiled per session,
-        # into this session's own dictionary (wam/prelude.py).
-        from .prelude import library
-        for (name, arity), clauses in library().items():
-            self.define_procedure(name, arity, clauses)
-
     # ===================================================== program loading
 
     def consult(self, text: str, define: Optional[Callable] = None) -> None:
@@ -318,16 +322,18 @@ class Machine:
 
     def procedure(self, name: str, arity: int) -> Optional[Procedure]:
         pid = self.dictionary.lookup(name, arity)
-        if pid is None:
-            return None
-        return self.procedures.get(pid)
+        return None if pid is None else self.procedures.get(pid)
 
-    def _compile_procedure(self, clauses: List[Term], index: bool) -> list:
-        self.compile_count += len(clauses)
-        compiled = [self.compiler.compile_clause(c) for c in clauses]
-        return build_optimized_block(compiled, index=index,
-                                     optimizer=self.optimizer,
-                                     dictionary=self.dictionary)
+    def refresh(self, proc: Procedure) -> None:
+        """Bring a dirty dynamic procedure's block up to date: compile
+        only the clauses without cached code (incremental, §3.1), then
+        rebuild the control/indexing wrapper."""
+        while len(proc.compiled) < len(proc.clauses):
+            proc.compiled.append(
+                self.compiler.compile_clause(proc.clauses[len(proc.compiled)]))
+            self.compile_count += 1
+        proc.code = self._build_block(proc)
+        proc.dirty = False
 
     def _build_block(self, proc: Procedure) -> list:
         return build_optimized_block(
@@ -1171,15 +1177,7 @@ class Machine:
             code = proc.code
         elif kind == "dynamic":
             if proc.dirty:
-                # Incremental: compile only clauses without cached code,
-                # then rebuild the control/indexing wrapper.
-                while len(proc.compiled) < len(proc.clauses):
-                    idx = len(proc.compiled)
-                    proc.compiled.append(
-                        self.compiler.compile_clause(proc.clauses[idx]))
-                    self.compile_count += 1
-                proc.code = self._build_block(proc)
-                proc.dirty = False
+                self.refresh(proc)
             code = proc.code
         elif kind == "external":
             code = proc.fetch(self, proc)

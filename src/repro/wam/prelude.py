@@ -1,20 +1,27 @@
 """Library predicates, written in Prolog: read once per process,
-compiled once per session.
+compiled once per process.
 
 These are ordinary compiled procedures — they exercise the same WAM code
 paths as user programs (list traversal dominates the MVV workload, so the
-library being compiled matters for fidelity).  Every ``Machine`` compiles
-them into its own dictionary, every ``Interpreter`` asserts them, and the
-linter takes their indicators as always defined — all from the one
-reading :func:`library` keeps.
+library being compiled matters for fidelity).  Every ``Machine`` starts
+from a copy of the compiled library (:func:`library_image`), every
+``Interpreter`` asserts the clauses, and the linter takes their
+indicators as always defined — all from the one reading :func:`library`
+keeps.  Compiled once and stored, resolved at load: the paper's §3.1
+applied to the library itself.
 """
 
+import threading
 from functools import cache
 from typing import Dict, Tuple
 
+from ..dictionary import SegmentedDictionary
 from ..lang.program import Indicator, read_sections
 from ..lang.reader import Reader
 from ..terms import Term
+from .compiler import ClauseCompiler, CompileContext
+from .machine import Procedure
+from .optimizer import Optimizer, build_optimized_block
 
 PRELUDE_SOURCE = r"""
 % lint: disable=L104 member/2 select/3 closure_step/4 maplist/2 maplist/3 maplist/4
@@ -113,3 +120,61 @@ def library() -> Dict[Indicator, Tuple[Term, ...]]:
     section, = read_sections(PRELUDE_SOURCE, Reader())
     return {ind: tuple(clauses)
             for ind, clauses in section.groups().items()}
+
+
+_IMAGE_LOCK = threading.Lock()
+_IMAGES: Dict[Tuple[str, bool],
+              Tuple[SegmentedDictionary, Dict[int, Procedure]]] = {}
+
+
+@cache
+def _compiled_library() -> Tuple[SegmentedDictionary, Dict[int, Procedure]]:
+    """The library compiled once, the way ``Machine.define_procedure``
+    compiles a program: ``[]`` interned first, each procedure's name
+    before its clauses, the ``$aux_k`` procedures of its disjunctions and
+    negations (never indexed) ahead of the procedure that calls them.
+    The procedures carry per-clause code and no block yet."""
+    dictionary = SegmentedDictionary(segment_capacity=32000)
+    dictionary.intern("[]", 0)
+    procedures: Dict[int, Procedure] = {}
+
+    def define(name: str, arity: int, clauses, index: bool = True) -> None:
+        pid = dictionary.intern(name, arity)
+        proc = Procedure(pid, name, arity, "static", clauses=list(clauses),
+                         index=index)
+        proc.compiled = [compiler.compile_clause(c) for c in clauses]
+        procedures[pid] = proc
+
+    compiler = ClauseCompiler(CompileContext(
+        dictionary, lambda name, arity, clauses:
+        define(name, arity, clauses, index=False)))
+    for (name, arity), clauses in library().items():
+        define(name, arity, clauses)
+    return dictionary, procedures
+
+
+def library_image(level: str, index: bool
+                  ) -> Tuple[SegmentedDictionary, Dict[int, Procedure]]:
+    """The compiled library as a session starts from it, for optimizer
+    *level* and first-argument *index*ing: the dictionary after ``[]``
+    and every library functor, and the procedures with their per-clause
+    code and blocks.  Built once per process and setting, under a lock;
+    never mutated — a ``Machine`` copies the dictionary and each
+    procedure, and shares the blocks (``Block.bind`` publishes ``run``
+    last, so sessions binding one block at once install equal results).
+    """
+    with _IMAGE_LOCK:
+        image = _IMAGES.get((level, index))
+        if image is None:
+            dictionary, compiled = _compiled_library()
+            optimizer = Optimizer(level)
+            procedures = {}
+            for pid, proc in compiled.items():
+                proc = procedures[pid] = proc.copy()
+                proc.index = proc.index and index
+                proc.code = build_optimized_block(
+                    proc.compiled, index=proc.index, optimizer=optimizer,
+                    dictionary=dictionary,
+                    procedure=f"{proc.name}/{proc.arity}")
+            image = _IMAGES[level, index] = (dictionary, procedures)
+        return image

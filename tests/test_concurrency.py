@@ -21,8 +21,10 @@ asserting liveness — no deadlock, no pin leak, evictions advancing.
 
 import os
 import random
+import sys
 import threading
 import time
+from functools import cache
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.edb.store import ExternalStore
 from repro.errors import (ExistenceError, LockOrderError, PageError,
                           QueryInterrupted, ServiceClosed, ServiceSaturated)
 from repro.locks import Latch, ReadWriteLock
+from repro.wam import prelude
 
 # Differential seeds: 5 by default (CI-fast); CONCURRENCY_SEEDS=50 for
 # the full local sweep the acceptance criteria ask for.
@@ -422,6 +425,64 @@ def EduceStarWith(name, rows):
     kb = EduceStar()
     kb.store_relation(name, rows)
     return kb
+
+
+# =====================================================================
+# Sessions opened at once from one library image
+# =====================================================================
+
+LIBRARY_GOALS = ["append(X, Y, [1,2,3])", "maplist(reverse, [[1,2],[3]], L)",
+                 "min_list([3,1,4], M)", "numlist(2, 5, L)",
+                 "delete([a,b,a,c], a, R)", "nth0(I, [x,y,z], E)",
+                 "union([1,2], [2,3], U)", "select(X, [a,b,c], R)"]
+
+
+def test_sessions_opened_at_once_share_one_library_image(monkeypatch):
+    """Eight threads open sessions together at two optimizer levels on a
+    process with no library image yet, then run library goals together
+    on blocks no session has bound: one compilation, one dictionary,
+    the single-thread answers everywhere."""
+    monkeypatch.setattr(prelude, "_IMAGES", {})
+    monkeypatch.setattr(prelude, "_compiled_library",
+                        cache(prelude._compiled_library.__wrapped__))
+    threads = 8
+    opened = threading.Barrier(threads)
+    solving = threading.Barrier(threads)
+    sessions = [None] * threads
+    answers = [None] * threads
+    errors = []
+
+    def worker(k):
+        try:
+            opened.wait(30)
+            sessions[k] = EduceStar(optimize=("off", "full")[k % 2])
+            solving.wait(30)
+            answers[k] = [_normalise(sessions[k].solve(goal))
+                          for goal in LIBRARY_GOALS]
+        except BaseException as exc:    # surfaced below, not lost
+            errors.append(exc)
+            opened.abort()
+            solving.abort()
+
+    pool = [threading.Thread(target=worker, args=(k,))
+            for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave the threads finely
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not errors, errors
+    assert len(prelude._IMAGES) == 2
+    entries = [list(s.machine.dictionary.entries()) for s in sessions]
+    assert all(e == entries[0] for e in entries)
+    expected = [_normalise(EduceStar().solve(goal))
+                for goal in LIBRARY_GOALS]
+    assert all(a == expected for a in answers)
 
 
 # =====================================================================

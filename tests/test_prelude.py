@@ -106,9 +106,25 @@ class TestMaplist:
         assert machine.solve_once("maplist(nothing, [])") is not None
 
 
+LIBRARY_GOALS = [
+    ("append(X, Y, [1,2])", ["X", "Y"]),
+    ("maplist(reverse, [[1,2],[3]], L)", ["L"]),
+    ("min_list([3,1,4], M)", ["M"]),
+    ("numlist(2, 5, L)", ["L"]),
+    ("delete([a,b,a,c], a, R)", ["R"]),
+]
+
+
+def library_answers(engine):
+    return [[tuple(term_to_text(s[v]) for v in names)
+             for s in engine.solve(goal)]
+            for goal, names in LIBRARY_GOALS]
+
+
 class TestSharedLibrary:
-    """The library text is read once per process; every session
-    compiles (or asserts) from that one reading and never changes it."""
+    """The library text is read once per process and compiled once per
+    process; every session starts from a copy of that image (or asserts
+    the clauses) and never changes the shared one."""
 
     def test_later_sessions_never_tokenize(self, monkeypatch):
         from repro import EduceStar
@@ -125,16 +141,13 @@ class TestSharedLibrary:
         assert EduceStar().machine.procedure("maplist", 4) is not None
         assert ("append", 3) in Interpreter().database
 
-    def test_back_to_back_machines_are_identical(self, monkeypatch):
-        """Sharing the parse moved no id: same pids, same per-clause
-        code, same blocks, same dictionary.  (Auxiliary predicate names
-        come from a process-wide counter, rewound here so the two
-        machines draw the same ones.)"""
-        from repro.wam.compiler import CompileContext
+    def test_back_to_back_machines_are_identical(self):
+        """Cloning the image moved no id: same pids, same ``$aux`` names,
+        same per-clause code, same blocks, same dictionary — and neither
+        machine compiled anything of the library."""
         from repro.wam.machine import Machine
 
         def build():
-            monkeypatch.setattr(CompileContext, "_aux_counter", 0)
             m = Machine()
             return m, {
                 pid: (p.name, p.arity, p.kind,
@@ -144,9 +157,55 @@ class TestSharedLibrary:
         (first, table), (second, again) = build(), build()
         assert list(table) == list(again)
         assert table == again
+        assert any(name.startswith("$aux_") for name, *_ in table.values())
         assert list(first.dictionary.entries()) \
             == list(second.dictionary.entries())
-        assert first.compile_count == second.compile_count
+        assert first.compile_count == second.compile_count == 0
+
+    def test_later_sessions_never_compile_the_library(self, monkeypatch):
+        from repro import EduceStar
+        from repro.wam.compiler import ClauseCompiler
+        from repro.wam.machine import Machine
+        expected = library_answers(Machine(optimize="off"))
+        assert library_answers(Machine(optimize="full")) == expected
+
+        def refuse(self, clause):
+            raise AssertionError(f"compiled {clause!r}")
+
+        monkeypatch.setattr(ClauseCompiler, "compile_clause", refuse)
+        for level in ("off", "full"):
+            assert library_answers(Machine(optimize=level)) == expected
+            assert library_answers(EduceStar(optimize=level)) == expected
+
+    def test_a_session_changes_only_its_own_copy(self):
+        from repro.wam.machine import Machine
+        other = {"off": "full", "full": "off"}
+        a, b = Machine(), Machine()
+
+        def state(m):
+            return {pid: (p.code, list(p.compiled), list(p.clauses))
+                    for pid, p in m.procedures.items()}
+
+        expected = library_answers(b)
+        before = state(b)
+        entries = list(b.dictionary.entries())
+
+        a.consult("append(mine, mine, mine).")
+        a.set_optimize(other[a.optimizer.level])
+        a.dictionary.delete(a.dictionary.lookup("numlist", 3))
+        a.dictionary.intern("only_in_a", 2)
+        assert a.solve_once("append(X, Y, Z)")["X"].name == "mine"
+        assert a.procedure("numlist", 3) is None
+
+        after = state(b)
+        assert list(after) == list(before)
+        for pid, (code, compiled, clauses) in before.items():
+            assert after[pid][0] is code
+            assert all(x is y for x, y in zip(after[pid][1], compiled))
+            assert after[pid][2] == clauses
+        assert list(b.dictionary.entries()) == entries
+        assert library_answers(b) == expected
+        assert library_answers(Machine()) == expected
 
     def test_running_library_predicates_binds_no_shared_variable(self):
         from repro.engine.educe_baseline import EduceBaseline
