@@ -9,14 +9,18 @@ whichever head arguments the query binds, §4).
 
 We implement the load-bearing behaviour with a recursive binary
 partition (k-d style, cyclic dimensions, median splits for balance under
-skew): every leaf is one disc page; a query visits exactly the leaves
-whose region intersects the query box.  BANG's distinctive nested
-("hole-y") regions improve worst-case occupancy but do not change the
-complexity class of partial-match search; DESIGN.md records the
-substitution.
+skew): every leaf is one disc page.  Reads follow the split planes
+inserts descend by — a key goes to one side of each plane, a query box
+to every side it reaches — so a query pins exactly the leaves its box
+can route a key to and tests entries only on the dimensions the box
+constrains.  A node's ``region`` is split bookkeeping (which dimension
+to cut next, where a cut may fall); no read consults it.  BANG's
+distinctive nested ("hole-y") regions improve worst-case occupancy but
+do not change the complexity class of partial-match search; DESIGN.md
+records the substitution.
 
-Keys are vectors in ``[0, 1)^k`` produced by the order-preserving
-transforms in :mod:`repro.bang.relation`.
+Keys are vectors in ``[0, 1)^k`` (numbers past ±2**128 leave it)
+produced by the order-preserving transforms in :mod:`repro.bang.relation`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from .pager import Pager
 
-Box = Tuple[Tuple[float, float], ...]  # inclusive lo, exclusive hi per dim
+Box = Tuple[Tuple[float, float], ...]  # query: [lo, hi]; region: [lo, hi)
 
 
 def full_box(ndims: int) -> Box:
@@ -38,23 +42,6 @@ def point_box(assignment: dict, ndims: int) -> Box:
         (assignment[d], assignment[d]) if d in assignment else (0.0, 1.0)
         for d in range(ndims)
     )
-
-
-def _intersects(region: Box, query: Box) -> bool:
-    """Region intervals are half-open [lo, hi); query intervals are
-    closed [lo, hi] (a point query is lo == hi)."""
-    for (rlo, rhi), (qlo, qhi) in zip(region, query):
-        if qhi < rlo or qlo >= rhi:
-            return False
-    return True
-
-
-def key_in_box(key: Sequence[float], query: Box) -> bool:
-    """Closed-interval membership per dimension."""
-    for v, (qlo, qhi) in zip(key, query):
-        if v < qlo or v > qhi:
-            return False
-    return True
 
 
 class _Node:
@@ -162,35 +149,41 @@ class BangGrid:
             entries += list(self.pager.get(right.page_id) or [])
             self.pager.put(left.page_id, entries)
             self.pager.free(right.page_id)
-            self._become_leaf(node, left.page_id, len(entries))
+            left.count = len(entries)
+            self._adopt(node, left)
             return merges + 1
         for empty, survivor in ((left, right), (right, left)):
             if empty.is_leaf and empty.count == 0:
                 # Splice out an empty leaf: the node adopts the surviving
-                # child wholesale (the region widens to the union, which
-                # only ever admits *more* queries — still sound).
+                # child's split planes, so keys from the empty side now
+                # descend into the survivor's subtree — reads follow the
+                # same planes and find them there.
                 self.pager.free(empty.page_id)
                 self._adopt(node, survivor)
                 return merges + 1
         return merges
 
     @staticmethod
-    def _become_leaf(node: _Node, page_id: int, count: int) -> None:
-        node.page_id = page_id
-        node.count = count
-        node.dim = None
-        node.split = None
-        node.left = None
-        node.right = None
-
-    @staticmethod
     def _adopt(node: _Node, child: _Node) -> None:
+        """*node* takes *child*'s place: its page, or its split and
+        subtree, whose regions widen to the node's own."""
         node.page_id = child.page_id
         node.count = child.count
         node.dim = child.dim
         node.split = child.split
         node.left = child.left
         node.right = child.right
+        stack = [node]
+        while stack:
+            parent = stack.pop()
+            if parent.is_leaf:
+                continue
+            dim, split = parent.dim, parent.split
+            lo, hi = parent.region[dim]
+            parent.left.region = _replace_dim(parent.region, dim, (lo, split))
+            parent.right.region = _replace_dim(parent.region, dim,
+                                               (split, hi))
+            stack += (parent.left, parent.right)
 
     def _descend(self, node: _Node, key: Sequence[float]) -> _Node:
         while not node.is_leaf:
@@ -250,48 +243,52 @@ class BangGrid:
 
     # ------------------------------------------------------------------ read
 
-    def query(self, box: Box) -> Iterator[Any]:
-        """Yield records whose key lies inside *box* (point dims use
-        ``lo == hi``).  Visits only intersecting leaves; every leaf visit
-        is one page access."""
+    def _leaves(self, box: Box) -> Iterator[_Node]:
+        """The leaves *box* reaches by the split planes, in scan order:
+        left of a plane when ``lo < split``, right when ``hi >= split``
+        (the side a key equal to the split descends to)."""
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if not _intersects(node.region, box):
+            if node.page_id is not None:
+                yield node
                 continue
-            if node.is_leaf:
-                # Pin the leaf frame while its entries stream out: the
-                # block-at-a-time contract of §2.2 — concurrent readers
-                # must not have the page evicted mid-scan.
-                entries = self.pager.pin(node.page_id) or []
-                try:
-                    for key, record in entries:
-                        if key_in_box(key, box):
-                            yield record
-                finally:
-                    self.pager.unpin(node.page_id)
-            else:
+            lo, hi = box[node.dim]  # type: ignore[index]
+            if lo < node.split:  # type: ignore[operator]
                 stack.append(node.left)   # type: ignore[arg-type]
+            if hi >= node.split:  # type: ignore[operator]
                 stack.append(node.right)  # type: ignore[arg-type]
+
+    def query(self, box: Box) -> Iterator[Any]:
+        """Yield records whose key lies inside *box* (closed intervals;
+        point dims use ``lo == hi``).  Every leaf visit is one page
+        access; entries are tested only on the dimensions *box*
+        constrains."""
+        bounds = [(d, lo, hi) for d, (lo, hi) in enumerate(box)
+                  if (lo, hi) != (0.0, 1.0)]
+        for leaf in self._leaves(box):
+            # Pin the leaf frame while its entries stream out: the
+            # block-at-a-time contract of §2.2 — concurrent readers
+            # must not have the page evicted mid-scan.
+            entries = self.pager.pin(leaf.page_id) or []
+            try:
+                for key, record in entries:
+                    for d, lo, hi in bounds:
+                        if not lo <= key[d] <= hi:
+                            break
+                    else:
+                        yield record
+            finally:
+                self.pager.unpin(leaf.page_id)
 
     def scan(self) -> Iterator[Any]:
         """Full scan in leaf order (clustered)."""
         yield from self.query(full_box(self.ndims))
 
     def leaves_for(self, box: Box) -> int:
-        """Number of leaves a query for *box* would touch (planner aid)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not _intersects(node.region, box):
-                continue
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.append(node.left)   # type: ignore[arg-type]
-                stack.append(node.right)  # type: ignore[arg-type]
-        return count
+        """Number of leaves — pages — a query for *box* pins (planner
+        aid)."""
+        return sum(1 for _ in self._leaves(box))
 
     def stats(self) -> dict:
         return {

@@ -40,12 +40,12 @@ _EPS = 1e-9
 
 
 def squash_number(x: float) -> float:
-    """Strictly monotonic map of any real to (0, 1).
+    """Strictly monotonic map of any real to (0, 1) (past ±2**128, out).
 
     Log-scaled so that values of every magnitude (small domain keys and
     64-bit hash identifiers alike) keep usable spread; the grid's median
-    splits adapt to whatever distribution results, so only monotonicity
-    matters for correctness.
+    splits adapt to whatever distribution results and reads follow them,
+    so only monotonicity matters for correctness.
     """
     x = float(x)
     magnitude = math.log2(1.0 + abs(x)) / 256.0

@@ -14,6 +14,17 @@ def make_grid(ndims=2, capacity=8, buffer_pages=64):
                     bucket_capacity=capacity)
 
 
+def leaf_sizes(g):
+    sizes, stack = [], [g.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            sizes.append(node.count)
+        else:
+            stack.extend([node.left, node.right])
+    return sizes
+
+
 class TestInsertQuery:
     def test_single_insert_roundtrip(self):
         g = make_grid()
@@ -65,15 +76,7 @@ class TestSplitting:
         # heavily skewed keys near 0.9
         for i in range(200):
             g.insert((0.9 + i * 1e-6,), i)
-        sizes = []
-        stack = [g.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                sizes.append(node.count)
-            else:
-                stack.extend([node.left, node.right])
-        assert max(sizes) <= 11  # capacity + in-flight insert
+        assert max(leaf_sizes(g)) <= 11  # capacity + in-flight insert
 
 
 class TestDeletion:
@@ -146,6 +149,40 @@ class TestCompaction:
         assert g.compact() == 0
         assert sorted(g.scan()) == list(range(40))
 
+    @staticmethod
+    def _splice_low_slab(ndims, seed):
+        """A grid whose keys with x < 0.3 were all deleted and compacted
+        away, so the empty leaves there were spliced out."""
+        rng = random.Random(seed)
+        g = make_grid(ndims=ndims, capacity=4)
+        keys = [tuple(rng.random() for _ in range(ndims)) for _ in range(40)]
+        for i, key in enumerate(keys):
+            g.insert(key, i)
+        for i, key in enumerate(keys):
+            if key[0] < 0.3:
+                g.delete(key, lambda r, i=i: r == i)
+        g.compact()
+        return g, rng
+
+    def test_keys_inserted_into_a_spliced_region_are_found(self):
+        g, rng = self._splice_low_slab(2, seed=1)
+        fresh = [(rng.random() * 0.3, rng.random()) for _ in range(20)]
+        for j, key in enumerate(fresh):
+            g.insert(key, 100 + j)
+        for j, (x, y) in enumerate(fresh):
+            box = ((x, x), (y, y))
+            assert 100 + j in list(g.query(box))
+            assert g.leaves_for(box) >= 1
+
+    def test_spliced_subtree_keeps_splitting(self):
+        """The adopted subtree's regions widen with it, so leaves that
+        now receive the empty side's keys still split at capacity."""
+        g, rng = self._splice_low_slab(1, seed=2)
+        for j in range(400):
+            g.insert((rng.random() * 0.3,), 100 + j)
+        assert max(leaf_sizes(g)) <= 4
+        assert len(list(g.scan())) == g.size
+
 
 class TestPartialMatch:
     def test_point_box_helper(self):
@@ -183,27 +220,60 @@ class TestStats:
         assert s["size"] == 1 and s["leaves"] == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=0.999),
-              st.floats(min_value=0.0, max_value=0.999)),
-    min_size=1, max_size=150))
-def test_property_grid_equals_brute_force(points):
-    """Every box query returns exactly the brute-force answer."""
-    g = make_grid(ndims=2, capacity=6)
-    for i, key in enumerate(points):
+_coord = st.floats(min_value=0.0, max_value=0.999)
+_key = st.tuples(_coord, _coord)
+_interval = st.tuples(_coord, _coord).map(lambda t: tuple(sorted(t)))
+_axis = st.one_of(st.just((0.0, 1.0)), _coord.map(lambda v: (v, v)),
+                  _interval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_key, max_size=30), st.integers(0, 2**32 - 1), _interval,
+       st.lists(st.tuples(_axis, _axis), max_size=6))
+def test_property_grid_equals_brute_force(drawn, seed, slab, boxes):
+    """Every box query returns exactly the brute-force answer — also
+    after deletes have compacted (and spliced) the tree and more keys
+    went in — and pins exactly the pages ``leaves_for`` predicts.
+
+    Drawn keys bring edge values and duplicates; seeded uniform keys
+    make the tree deep enough for deletes to splice out empty leaves."""
+    rng = random.Random(seed)
+    uniform = [(rng.random(), rng.random()) for _ in range(200)]
+    points, later = drawn + uniform[:120], uniform[120:]
+    g = make_grid(ndims=2, capacity=4)
+    g.compact_every = 8
+    model = {}
+
+    def insert(i, key):
         g.insert(key, i)
-    boxes = [
+        model[i] = key
+
+    for i, key in enumerate(points):
+        insert(i, key)
+    arrivals = iter(enumerate(later, start=len(points)))
+    for i, key in enumerate(points):
+        if slab[0] <= key[0] < slab[1]:
+            assert g.delete(key, lambda r, i=i: r == i) == 1
+            del model[i]
+            arrival = next(arrivals, None)   # one arrival per delete
+            if arrival is not None:
+                insert(*arrival)
+    for j, fresh in arrivals:
+        insert(j, fresh)
+    boxes = boxes + [
         ((0.0, 1.0), (0.0, 1.0)),
         ((0.2, 0.7), (0.0, 1.0)),
         ((0.0, 0.5), (0.5, 1.0)),
-        (tuple([points[0][0], points[0][0]]),
-         tuple([points[0][1], points[0][1]])),
-    ]
+    ] + [((x, x), (y, y)) for x, y in model.values()]
     for box in boxes:
+        before = g.pager.io_counters()
         got = sorted(g.query(box))
+        after = g.pager.io_counters()
         want = sorted(
-            i for i, (x, y) in enumerate(points)
+            i for i, (x, y) in model.items()
             if box[0][0] <= x <= box[0][1]
             and box[1][0] <= y <= box[1][1])
         assert got == want
+        pins = sum(after[c] - before[c]
+                   for c in ("buffer_hits", "buffer_misses"))
+        assert g.leaves_for(box) == pins

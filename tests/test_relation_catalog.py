@@ -131,6 +131,17 @@ class TestRelationBasics:
         assert rel.delete((7,)) == 2
         assert len(rel) == 0
 
+    def test_keys_squashed_past_the_unit_interval_are_found(self, catalog):
+        """Integers beyond ±2**128 squash to keys outside [0, 1); reads
+        follow the split planes, so scans and probes still find them."""
+        huge = 2 ** 200
+        rel = catalog.create_simple("r", [("a", "int")])
+        rel.insert_many([(i,) for i in range(120)] + [(huge,), (-huge,)])
+        assert len(list(rel.scan())) == 122
+        assert list(rel.query({0: huge})) == [(huge,)]
+        assert list(rel.query({0: -huge})) == [(-huge,)]
+        assert list(rel.range_query(0, 2 ** 199, 2 ** 201)) == [(huge,)]
+
     def test_delete_where(self, catalog):
         rel = catalog.create_simple("r", [("a", "int"), ("b", "atom")])
         rel.insert_many([(i, "keep" if i % 2 else "kill")

@@ -1,5 +1,7 @@
 """Tests for the Prolog-level relational operators (paper §4, [9])."""
 
+import random
+
 import pytest
 
 from repro.engine.session import EduceStar
@@ -134,3 +136,27 @@ class TestCountDrop:
         kb.store_program("derived(X) :- emp(X, _, _, _).")
         with pytest.raises(ExistenceError):
             kb.solve_once("db_count(derived/1, _)")
+
+    def test_restored_procedures_survive_automatic_compaction(self):
+        """Dropping most stored procedures deletes enough `$clauses`
+        entries for the grid to compact itself (splicing out empty
+        leaves); clauses stored afterwards must all be found again."""
+        rng = random.Random(3)
+        kb = EduceStar()
+
+        def program(name, n):
+            return "\n".join(f"{name}(k{i}, V) :- V = {i}."
+                             for i in range(n))
+
+        names = [f"p{i:03d}" for i in range(40)]
+        for name in names:
+            kb.store_program(program(name, rng.randint(5, 40)))
+        dropped = [name for name in names if rng.random() < 0.6]
+        for name in dropped:
+            assert kb.solve_once(f"db_drop({name}/2)") is not None
+        assert kb.store.clauses_relation.grid.merges > 0
+        for name in dropped:
+            kb.store_program(program(name, 30))
+        for name in dropped:
+            assert kb.count_solutions(f"{name}(K, V)") == 30, name
+            assert kb.count_solutions(f"{name}(k7, V)") == 1, name
