@@ -20,18 +20,21 @@ query service, so it is a proper latched buffer manager:
   grows past capacity (counted in ``buffer_pin_overflows``) rather
   than deadlocking or evicting a page out from under a reader;
 * **miss de-duplication** — concurrent misses on the same page
-  coalesce: one thread reads the disc, the others wait on an in-flight
-  event and then take the admitted frame.  The latch is *released*
-  around the disc read, so simulated (or real) disc latency overlaps
-  across threads instead of serialising behind the latch;
+  coalesce: the reading thread holds a plain in-flight lock until the
+  frame is admitted (or the read fails); the others acquire and release
+  it, then retry.  The latch is *released* around the disc read, so
+  simulated (or real) disc latency overlaps across threads instead of
+  serialising behind the latch;
 * **write-backs outside the latch** — dirty-victim eviction and
   :meth:`flush` snapshot what must be written under the latch and
   perform the disc writes after releasing it, so a checkpoint flush
   (real fsync-backed writes under ``FileDiskStore``) never stalls
-  every reader's page access.  An in-flight write-back is marked in
+  every reader's page access.  An in-flight write-back holds a lock in
   the same in-flight table as a miss read, so a concurrent fetch of
   the victim waits for the write to land instead of reading a stale
-  disc image.
+  disc image.  Only these dirty evictions reach the flight recorder
+  (``page.evict``); clean ones are tracer events, so a cold scan cannot
+  flush the ring.
 
 Pin balance is a correctness invariant: after a quiescent run,
 ``buffer_pins == buffer_unpins`` and the ``buffer_pinned`` gauge is 0 —
@@ -73,10 +76,10 @@ class BufferPool:
         self._dirty: set = set()
         #: page id → pin count (only pages with a live pin appear)
         self._pins: Dict[int, int] = {}
-        #: page id → event set once an in-flight disc *read* is
-        #: admitted or an in-flight eviction *write-back* has landed;
-        #: fetches and installs of such a page wait on the event
-        self._loading: Dict[int, threading.Event] = {}
+        #: page id → lock held while a disc *read* or an eviction
+        #: *write-back* of the page is in flight; fetches and installs
+        #: of such a page acquire and release it, then retry
+        self._loading: Dict[int, threading.Lock] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -134,8 +137,9 @@ class BufferPool:
                 # An in-flight read or write-back of this page: wait it
                 # out so our payload cannot be clobbered by an older
                 # image landing afterwards.
-                event = self._loading[page_id]
-            event.wait()
+                in_flight = self._loading[page_id]
+            in_flight.acquire()
+            in_flight.release()
         self._complete_writebacks(writebacks)
 
     def flush(self) -> None:
@@ -194,16 +198,6 @@ class BufferPool:
         self.__dict__.update(state)
         self.tracer = NULL_TRACER
         self.events = NULL_EVENTS
-        # Pre-concurrency pickles lack the latch/pin fields.
-        if getattr(self, "_latch", None) is None:
-            self._latch = Latch("buffer")
-        self.__dict__.setdefault("_pins", {})
-        self.__dict__.setdefault("_loading", {})
-        for key in ("pins_taken", "pins_released", "pin_overflows"):
-            self.__dict__.setdefault(key, 0)
-        # Pre-telemetry pickles lack the duration histograms.
-        self.__dict__.setdefault("miss_stall_hist", Histogram())
-        self.__dict__.setdefault("writeback_hist", Histogram())
 
     # ------------------------------------------------------------ internals
 
@@ -216,14 +210,17 @@ class BufferPool:
                     if pin:
                         self._pin_locked(page_id)
                     return self._frames[page_id]
-                event = self._loading.get(page_id)
-                if event is None:
-                    # This thread performs the read; others wait on it.
-                    event = threading.Event()
-                    self._loading[page_id] = event
+                in_flight = self._loading.get(page_id)
+                if in_flight is None:
+                    # This thread performs the read, holding the
+                    # in-flight lock until the frame is admitted.
+                    in_flight = threading.Lock()
+                    in_flight.acquire()
+                    self._loading[page_id] = in_flight
                     self.misses += 1
                     break
-            event.wait()
+            in_flight.acquire()
+            in_flight.release()
         # Latch released: the disc read (and any simulated latency)
         # overlaps with other threads' work.
         started = time.perf_counter()
@@ -232,13 +229,13 @@ class BufferPool:
         except BaseException:
             with self._latch:
                 del self._loading[page_id]
-                event.set()
+                in_flight.release()
             raise
         stalled_ms = (time.perf_counter() - started) * 1000.0
         with self._latch:
             self.miss_stall_hist.observe(stalled_ms)
             del self._loading[page_id]
-            event.set()
+            in_flight.release()
             writebacks = []
             if page_id in self._frames:
                 # A put/install raced ahead of the read; its payload is
@@ -264,25 +261,28 @@ class BufferPool:
         caller MUST pass the list to :meth:`_complete_writebacks` after
         releasing the latch."""
         writebacks = []
-        while len(self._frames) >= self.capacity:
-            victim = next((pid for pid in self._frames
-                           if pid not in self._pins), None)
-            if victim is None:
+        frames, pins = self._frames, self._pins
+        while len(frames) >= self.capacity:
+            for victim in frames:
+                if victim not in pins:
+                    break
+            else:
                 # Every frame is pinned: grow past capacity rather than
                 # stall or steal a pinned frame.
                 self.pin_overflows += 1
                 break
-            victim_payload = self._frames.pop(victim)
+            victim_payload = frames.pop(victim)
             self.evictions += 1
+            dirty = victim in self._dirty
             if self.tracer.enabled:
-                self.tracer.event("page.evict", page=victim,
-                                  dirty=victim in self._dirty)
-            if self.events.enabled:
-                self.events.record("page.evict", page=victim,
-                                   dirty=victim in self._dirty)
-            if victim in self._dirty:
+                self.tracer.event("page.evict", page=victim, dirty=dirty)
+            if dirty:
+                if self.events.enabled:
+                    self.events.record("page.evict", page=victim,
+                                       dirty=True)
                 self._dirty.discard(victim)
-                marker = threading.Event()
+                marker = threading.Lock()
+                marker.acquire()
                 self._loading[victim] = marker
                 writebacks.append((victim, victim_payload, marker))
         self._frames[page_id] = payload
@@ -304,7 +304,7 @@ class BufferPool:
                     self._frames[victim] = payload
                     self._dirty.add(victim)
                     self._loading.pop(victim, None)
-                    marker.set()
+                    marker.release()
                 if error is None:
                     error = exc
                 continue
@@ -313,7 +313,7 @@ class BufferPool:
                 self.writeback_hist.observe(
                     (time.perf_counter() - started) * 1000.0)
                 self._loading.pop(victim, None)
-                marker.set()
+                marker.release()
         if error is not None:
             raise error
 

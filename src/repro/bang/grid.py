@@ -21,15 +21,35 @@ records the substitution.
 
 Keys are vectors in ``[0, 1)^k`` (numbers past ±2**128 leave it)
 produced by the order-preserving transforms in :mod:`repro.bang.relation`.
+
+A leaf page is ``(keys, records)``: the records, and their key vectors
+packed into one ``bytes`` of little-endian float64, ``ndims`` per entry.
+A miss decodes one byte string and one list, a read tests keys through
+a float view, and an insert appends to both without unpacking.  A leaf
+of any other shape is a typed :class:`~repro.errors.PageError`, and the
+page is quarantined.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence, Tuple
+import struct
+import sys
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+from ..errors import PageError
 from .pager import Pager
 
 Box = Tuple[Tuple[float, float], ...]  # query: [lo, hi]; region: [lo, hi)
+
+
+class _KeyStructs(dict):
+    def __missing__(self, ndims: int) -> struct.Struct:
+        """The packed layout of a key vector, compiled once per arity."""
+        layout = self[ndims] = struct.Struct(f"<{ndims}d")
+        return layout
+
+
+_KEY_STRUCTS = _KeyStructs()
 
 
 def full_box(ndims: int) -> Box:
@@ -65,7 +85,9 @@ class _Node:
 class BangGrid:
     """The index proper: a partition tree whose leaves are disc pages.
 
-    Each page payload is a list of ``(key_vector, record)`` pairs.
+    Each page payload is a packed ``(keys, records)`` pair, copied on
+    write: a scan keeps the pair it pinned while an insert installs a
+    new one.
     """
 
     def __init__(self, ndims: int, pager: Pager, bucket_capacity: int = 50):
@@ -74,7 +96,7 @@ class BangGrid:
         self.ndims = ndims
         self.pager = pager
         self.bucket_capacity = bucket_capacity
-        self.root = _Node(full_box(ndims), pager.allocate([]))
+        self.root = _Node(full_box(ndims), pager.allocate((b"", [])))
         self.size = 0
         self.leaf_count = 1
         self.splits = 0
@@ -86,13 +108,15 @@ class BangGrid:
         if len(key) != self.ndims:
             raise ValueError(f"key arity {len(key)} != {self.ndims}")
         leaf = self._descend(self.root, key)
-        entries = list(self.pager.get(leaf.page_id) or [])
-        entries.append((tuple(key), record))
-        if len(entries) > self.bucket_capacity:
-            self._split_leaf(leaf, entries)
+        keys, records = self._page(leaf.page_id,
+                                   self.pager.get(leaf.page_id))
+        keys += _KEY_STRUCTS[self.ndims].pack(*key)
+        records = records + [record]
+        if len(records) > self.bucket_capacity:
+            self._split_leaf(leaf, self._entries(keys, records))
         else:
-            self.pager.put(leaf.page_id, entries)
-            leaf.count = len(entries)
+            self.pager.put(leaf.page_id, (keys, records))
+            leaf.count = len(records)
         self.size += 1
 
     def delete(self, key: Sequence[float], match) -> int:
@@ -102,12 +126,13 @@ class BangGrid:
         space reclamation, the analogue of the dictionary's "space should
         not be wasted" principle)."""
         leaf = self._descend(self.root, key)
-        entries = list(self.pager.get(leaf.page_id) or [])
+        entries = self._entries(*self._page(leaf.page_id,
+                                            self.pager.get(leaf.page_id)))
         kept = [(k, r) for (k, r) in entries
                 if not (k == tuple(key) and match(r))]
         removed = len(entries) - len(kept)
         if removed:
-            self.pager.put(leaf.page_id, kept)
+            self.pager.put(leaf.page_id, self._pack(kept))
             leaf.count = len(kept)
             self.size -= removed
             self._deletes_since_compact += removed
@@ -145,11 +170,14 @@ class BangGrid:
         if (left.is_leaf and right.is_leaf
                 and left.count + right.count <= self.bucket_capacity):
             # Merge two underfull sibling leaves into one bucket.
-            entries = list(self.pager.get(left.page_id) or [])
-            entries += list(self.pager.get(right.page_id) or [])
-            self.pager.put(left.page_id, entries)
+            left_keys, left_records = self._page(
+                left.page_id, self.pager.get(left.page_id))
+            right_keys, right_records = self._page(
+                right.page_id, self.pager.get(right.page_id))
+            records = left_records + right_records
+            self.pager.put(left.page_id, (left_keys + right_keys, records))
             self.pager.free(right.page_id)
-            left.count = len(entries)
+            left.count = len(records)
             self._adopt(node, left)
             return merges + 1
         for empty, survivor in ((left, right), (right, left)):
@@ -186,9 +214,8 @@ class BangGrid:
             stack += (parent.left, parent.right)
 
     def _descend(self, node: _Node, key: Sequence[float]) -> _Node:
-        while not node.is_leaf:
-            assert node.dim is not None and node.split is not None
-            if key[node.dim] < node.split:
+        while node.page_id is None:
+            if key[node.dim] < node.split:  # type: ignore[index,operator]
                 node = node.left  # type: ignore[assignment]
             else:
                 node = node.right  # type: ignore[assignment]
@@ -213,9 +240,9 @@ class BangGrid:
             left_region = _replace_dim(region, dim, (lo, split))
             right_region = _replace_dim(region, dim, (split, hi))
             left = _Node(left_region, leaf.page_id)
-            right = _Node(right_region, self.pager.allocate([]))
-            self.pager.put(left.page_id, left_entries)
-            self.pager.put(right.page_id, right_entries)
+            right = _Node(right_region, self.pager.allocate((b"", [])))
+            self.pager.put(left.page_id, self._pack(left_entries))
+            self.pager.put(right.page_id, self._pack(right_entries))
             left.count = len(left_entries)
             right.count = len(right_entries)
             leaf.page_id = None
@@ -227,8 +254,31 @@ class BangGrid:
             self.splits += 1
             return
         # Un-splittable (duplicate keys): oversized bucket, keep going.
-        self.pager.put(leaf.page_id, entries)
+        self.pager.put(leaf.page_id, self._pack(entries))
         leaf.count = len(entries)
+
+    # ----------------------------------------------------------------- pages
+
+    def _page(self, page_id: int, page: Any) -> Tuple[bytes, list]:
+        """*page* checked against the packed layout (a damaged one is
+        quarantined); ``None``, a page never written, is an empty leaf."""
+        if page is None:
+            return b"", []
+        if (type(page) is tuple and len(page) == 2
+                and type(page[0]) is bytes and type(page[1]) is list
+                and len(page[0]) == 8 * self.ndims * len(page[1])):
+            return page
+        raise self.pager.quarantine(
+            page_id, f"not a {self.ndims}-d leaf (keys, records) pair")
+
+    def _entries(self, keys: bytes, records: list) -> List[tuple]:
+        """The ``(key_vector, record)`` entries of a leaf (rare paths)."""
+        return list(zip(_KEY_STRUCTS[self.ndims].iter_unpack(keys), records))
+
+    def _pack(self, entries: List[tuple]) -> Tuple[bytes, list]:
+        pack = _KEY_STRUCTS[self.ndims].pack
+        return (b"".join(pack(*key) for key, _ in entries),
+                [record for _, record in entries])
 
     @staticmethod
     def _region_depth(region: Box) -> int:
@@ -263,21 +313,35 @@ class BangGrid:
         """Yield records whose key lies inside *box* (closed intervals;
         point dims use ``lo == hi``).  Every leaf visit is one page
         access; entries are tested only on the dimensions *box*
-        constrains."""
+        constrains, and a full box yields records without reading keys."""
+        ndims = self.ndims
         bounds = [(d, lo, hi) for d, (lo, hi) in enumerate(box)
                   if (lo, hi) != (0.0, 1.0)]
         for leaf in self._leaves(box):
             # Pin the leaf frame while its entries stream out: the
             # block-at-a-time contract of §2.2 — concurrent readers
             # must not have the page evicted mid-scan.
-            entries = self.pager.pin(leaf.page_id) or []
+            page = self.pager.pin(leaf.page_id)
             try:
-                for key, record in entries:
-                    for d, lo, hi in bounds:
-                        if not lo <= key[d] <= hi:
-                            break
-                    else:
-                        yield record
+                keys, records = self._page(leaf.page_id, page)
+                if not bounds:
+                    yield from records
+                    continue
+                if sys.byteorder != "little":   # the cast reads native
+                    raise PageError("little-endian page keys, big host")
+                flat = memoryview(keys).cast("d")
+                d, lo, hi = bounds[0]
+                if len(bounds) == 1:
+                    yield from [record for value, record
+                                in zip(flat[d::ndims], records)
+                                if lo <= value <= hi]
+                    continue
+                hits = [i for i, value in enumerate(flat[d::ndims])
+                        if lo <= value <= hi]
+                for d, lo, hi in bounds[1:]:
+                    column = flat[d::ndims]
+                    hits = [i for i in hits if lo <= column[i] <= hi]
+                yield from [records[i] for i in hits]
             finally:
                 self.pager.unpin(leaf.page_id)
 

@@ -102,10 +102,6 @@ class DiskStore:
         self.__dict__.update(state)
         self.tracer = NULL_TRACER
         self._io_lock = threading.Lock()
-        # Pre-durability pickles lack the corruption fields.
-        self.__dict__.setdefault("page_corruptions", 0)
-        self.__dict__.setdefault("quarantined", set())
-        self.__dict__.setdefault("read_latency_s", 0.0)
 
     def read(self, page_id: int) -> Any:
         if self.read_latency_s:
@@ -433,6 +429,13 @@ class Pager:
 
     def put(self, page_id: int, payload: Any) -> None:
         self.buffer.put(page_id, payload)
+
+    def quarantine(self, page_id: int, reason: str) -> PageError:
+        """Drop a page its owner found malformed and quarantine its disc
+        image, like a corrupt read; returns the typed error to raise."""
+        self.buffer.discard(page_id)
+        with self.disk._io_lock:
+            return self.disk._corrupt(page_id, reason)
 
     def flush(self) -> None:
         self.buffer.flush()

@@ -77,7 +77,7 @@ from .recovery import RecoveryReport
 #   magic "EDB*" | format version u16 | flags u16 | payload length u64 |
 #   payload crc32 u32 | pickled ExternalStore
 CHECKPOINT_MAGIC = b"EDB*"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CKPT_HEADER = struct.Struct(">4sHHQI")
 
 
@@ -274,25 +274,12 @@ class ExternalStore:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self.faults is None:
-            self.faults = NULL_FAULTS
-        if getattr(self, "_rw", None) is None:
-            self._rw = ReadWriteLock("store")
-        self.__dict__.setdefault("mutation_epoch", 0)
-        self.__dict__.setdefault("_version_floor", {})
-        # Older checkpoints carry the write-only ``$procedures`` mirror
-        # of ``_procs``; nothing reads it, so it is shed on load.
-        if self.__dict__.pop("procs_relation", None) is not None:
-            self.catalog.drop("$procedures")
-        if getattr(self, "events", None) is None:
-            self.events = EventRing()
+        self.faults = NULL_FAULTS
+        self._rw = ReadWriteLock("store")
+        self.events = EventRing()
         self.pager.events = self.events
-        self.__dict__.setdefault("checkpoint_epoch", 0)
-        self.__dict__.setdefault("read_only_reason", None)
-        self.__dict__.setdefault("datalog_rules_dropped", False)
-        if getattr(self, "datalog_rules", None) is None:
-            self.datalog_rules = DatalogRulebase()
-            self.datalog_rules_dropped = True
+        self.datalog_rules = DatalogRulebase()
+        self.datalog_rules_dropped = True
         # Durability counters are session-scoped, like tracer spans: a
         # freshly loaded store reports work *it* did, not history baked
         # into the checkpoint it came from.

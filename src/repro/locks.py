@@ -90,8 +90,6 @@ class Latch:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        # Pre-telemetry pickles lack the wait histogram.
-        self.__dict__.setdefault("wait_hist", Histogram())
 
     def counters(self) -> dict:
         return {
@@ -158,9 +156,6 @@ class ReadWriteLock:
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self._local = threading.local()
-        # Pre-telemetry pickles lack the wait histograms.
-        self.__dict__.setdefault("read_wait_hist", Histogram())
-        self.__dict__.setdefault("write_wait_hist", Histogram())
 
     # ------------------------------------------------------------ internals
 

@@ -545,6 +545,43 @@ class TestBufferPins:
         assert results == ["shared"] * 4
         assert disk.io_counters()["reads"] == reads_before + 1
 
+    def test_failed_in_flight_read_releases_every_waiter(self):
+        disk = _FailFirstReadDisk()
+        pager = Pager(disk=disk, buffer_pages=4)
+        pid = pager.allocate(initial="shared")
+        pager.buffer.flush()
+        pager.buffer.discard(pid)       # force the next pin to miss
+        disk.read_latency_s = 0.05      # the others queue behind it
+        disk.fail_next = True
+        results, errors = [], []
+
+        def fetch():
+            try:
+                payload = pager.pin(pid)
+            except BaseException as e:  # noqa: BLE001
+                errors.append(e)
+                return
+            try:
+                results.append(payload)
+            finally:
+                pager.unpin(pid)
+
+        threads = [threading.Thread(target=fetch, daemon=True)
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads), "a waiter hung"
+        assert len(errors) + len(results) == 4
+        assert all(isinstance(e, PageError) for e in errors)
+        assert len(errors) == 1         # only the failed read's caller
+        assert results == ["shared"] * 3
+        assert pager.buffer._loading == {}
+        counters = pager.io_counters()
+        assert counters["buffer_pins"] == counters["buffer_unpins"]
+        assert counters["buffer_pinned"] == 0
+
     def test_pinned_context_manager_balances(self):
         pager = Pager(buffer_pages=2)
         pid = pager.allocate(initial="x")
@@ -572,6 +609,22 @@ class _SlowWriteDisk(DiskStore):
         self.write_entered.set()
         assert self.write_gate.wait(10)
         super().write(page_id, payload)
+
+
+class _FailFirstReadDisk(DiskStore):
+    """A disc whose next read fails once ``fail_next`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.fail_next = False
+
+    def read(self, page_id):
+        if self.read_latency_s:
+            time.sleep(self.read_latency_s)
+        if self.fail_next:
+            self.fail_next = False
+            raise PageError("injected read failure")
+        return super().read(page_id)
 
 
 class _FlakyDisk(DiskStore):

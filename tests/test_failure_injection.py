@@ -1,6 +1,7 @@
 """Failure-injection and robustness tests for the storage stack."""
 
 import pickle
+import struct
 
 import pytest
 
@@ -47,6 +48,51 @@ class TestDiskCorruption:
 
 
 @pytest.mark.fault_injection
+class TestDamagedLeafPages:
+    """A leaf image that decodes but is not a packed ``(keys, records)``
+    pair of the grid's arity is a typed error, never rows."""
+
+    def _grid_with_damaged_leaf(self, image_payload):
+        grid = BangGrid(2, Pager(buffer_pages=4), bucket_capacity=8)
+        for i in range(3):
+            grid.insert((0.1 * i, 0.5), i)
+        grid.pager.flush()
+        pid = grid.root.page_id
+        grid.pager.disk._pages[pid] = pickle.dumps(image_payload,
+                                                   protocol=4)
+        grid.pager.buffer.discard(pid)    # the next read hits the disc
+        return grid, pid
+
+    def _assert_quarantined(self, grid, pid):
+        for box in (((0.0, 1.0), (0.0, 1.0)), ((0.1, 0.1), (0.0, 1.0))):
+            with pytest.raises(PageError):
+                list(grid.query(box))
+        disk = grid.pager.disk
+        assert pid in disk.quarantined
+        assert disk.io_counters()["page_corruptions"] == 1
+        with pytest.raises(PageError, match="quarantined"):
+            list(grid.scan())
+        counters = grid.pager.io_counters()
+        assert counters["buffer_pins"] == counters["buffer_unpins"]
+
+    def test_key_block_of_the_wrong_length(self):
+        # Two records, keys for one 2-d entry.
+        grid, pid = self._grid_with_damaged_leaf(
+            (struct.pack("<2d", 0.1, 0.5), ["a", "b"]))
+        self._assert_quarantined(grid, pid)
+
+    def test_leaf_in_the_list_of_pairs_shape(self):
+        grid, pid = self._grid_with_damaged_leaf(
+            [((0.1, 0.5), "a"), ((0.2, 0.5), "b")])
+        self._assert_quarantined(grid, pid)
+
+    def test_insert_into_a_damaged_leaf_is_refused(self):
+        grid, pid = self._grid_with_damaged_leaf([((0.1, 0.5), "a")])
+        with pytest.raises(PageError):
+            grid.insert((0.3, 0.3), 9)
+        assert pid in grid.pager.disk.quarantined
+
+
 class TestClauseBitflip:
     """In-storage rot of a compiled clause blob, below the page CRC's
     radar: the loader's static verifier must quarantine it before a

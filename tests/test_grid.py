@@ -1,12 +1,14 @@
 """Tests for the BANG-style multidimensional partition index."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bang.grid import BangGrid, point_box
 from repro.bang.pager import Pager
+from repro.bang.relation import squash_number
 
 
 def make_grid(ndims=2, capacity=8, buffer_pages=64):
@@ -277,3 +279,42 @@ def test_property_grid_equals_brute_force(drawn, seed, slab, boxes):
         pins = sum(after[c] - before[c]
                    for c in ("buffer_hits", "buffer_misses"))
         assert g.leaves_for(box) == pins
+
+
+# Keys the packed layout must carry bit for bit: a signed zero and the
+# squashed numbers past ±2**128, which fall outside [0, 1).
+_edge = st.sampled_from([-0.0, 0.0, squash_number(2.0 ** 200),
+                         squash_number(-2.0 ** 200),
+                         squash_number(2.0 ** 129)])
+_wide = st.one_of(_coord, _edge)
+_wide_axis = st.one_of(st.just((0.0, 1.0)), _wide.map(lambda v: (v, v)),
+                       st.tuples(_wide, _wide).map(lambda t: tuple(sorted(t))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_wide, _wide), min_size=1, max_size=60),
+       st.lists(st.tuples(_wide_axis, _wide_axis), max_size=6))
+def test_property_packed_keys_round_trip_exactly(keys, boxes):
+    """Leaf pages pack keys as little-endian float64: what a page holds
+    unpacks to the very bits inserted, and box queries over signed
+    zeros and out-of-range keys agree with brute force."""
+    g = make_grid(ndims=2, capacity=4)
+    for i, key in enumerate(keys):
+        g.insert(key, i)
+    stored, stack = {}, [g.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            stack += (node.left, node.right)
+            continue
+        for key, record in g._entries(*g.pager.get(node.page_id)):
+            stored[record] = struct.pack("<2d", *key)
+    assert stored == {i: struct.pack("<2d", *key)
+                      for i, key in enumerate(keys)}
+    boxes = boxes + [((x, x), (y, y)) for x, y in keys]
+    for box in boxes:
+        want = sorted(i for i, (x, y) in enumerate(keys)
+                      if (box[0] == (0.0, 1.0) or box[0][0] <= x <= box[0][1])
+                      and (box[1] == (0.0, 1.0)
+                           or box[1][0] <= y <= box[1][1]))
+        assert sorted(g.query(box)) == want

@@ -142,3 +142,31 @@ class TestPagerFacade:
         pids = [pager.allocate([i]) for i in range(10)]
         for i, pid in enumerate(pids):
             assert pager.get(pid) == [i]
+
+
+class TestEvictionEvents:
+    def test_flight_recorder_keeps_only_dirty_evictions(self, tmp_path):
+        from repro.bang.grid import BangGrid
+        from repro.edb.store import ExternalStore
+
+        store = ExternalStore.open(str(tmp_path / "db.edb"))
+        assert [e["kind"] for e in store.events.tail()] == ["store.recovery"]
+        pager = store.pager
+        grid = BangGrid(1, pager, bucket_capacity=4)
+        for i in range(100):             # ~50 leaves, all resident
+            grid.insert((i / 100,), i)
+        pager.flush()
+        for pid in list(pager.buffer._frames):
+            pager.buffer.discard(pid)    # clean: every scan pin misses
+        pager.buffer.capacity = 4
+        before = pager.io_counters()["buffer_evictions"]
+        while pager.io_counters()["buffer_evictions"] - before < 2000:
+            assert sorted(grid.scan()) == list(range(100))   # clean
+        assert [e["kind"] for e in store.events.tail()] == ["store.recovery"]
+        for i in range(100, 140):        # dirty pages past the capacity
+            grid.insert((i / 140,), i)
+        kinds = [e["kind"] for e in store.events.tail()]
+        assert kinds[0] == "store.recovery"
+        evictions = [e for e in store.events.tail()
+                     if e["kind"] == "page.evict"]
+        assert evictions and all(e["dirty"] is True for e in evictions)

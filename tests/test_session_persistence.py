@@ -17,30 +17,6 @@ class TestSessionSaveOpen:
         b = EduceStar.open(path)
         assert sorted(s["Y"] for s in b.solve("doubled(Y)")) == [2, 4]
 
-    def test_checkpoint_with_procedures_relation_still_loads(
-            self, tmp_path):
-        """Checkpoints written before the write-only ``$procedures``
-        relation was removed carry it (attribute + catalog entry); they
-        load, shed it, and keep working."""
-        from repro.bang.catalog import AttributeSpec, RelationSchema
-        path = str(tmp_path / "old.edb")
-        a = EduceStar()
-        a.store_relation("fact", [(1,), (2,)])
-        a.store.procs_relation = a.store.catalog.create(RelationSchema(
-            "$procedures",
-            [AttributeSpec("name", "atom"), AttributeSpec("arity", "int"),
-             AttributeSpec("mode", "atom")], key_dims=[0, 1]))
-        a.store.procs_relation.insert(("fact", 1, "facts"))
-        a.save(path)
-
-        b = EduceStar.open(path)
-        assert not hasattr(b.store, "procs_relation")
-        assert "$procedures" not in b.store.catalog
-        assert sorted(s["X"] for s in b.solve("fact(X)")) == [1, 2]
-        b.store.drop_procedure("fact", 1)
-        b.store_relation("fact", [(3,)])
-        assert [s["X"] for s in b.solve("fact(X)")] == [3]
-
     def test_open_kwargs_forwarded(self, tmp_path):
         path = str(tmp_path / "session.edb")
         EduceStar().save(path)

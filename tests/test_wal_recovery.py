@@ -9,6 +9,7 @@ wrong data.
 """
 
 import os
+import pickle
 import zlib
 
 import pytest
@@ -319,6 +320,17 @@ class TestCheckpointValidation:
                                    0, len(payload), zlib.crc32(payload))
         path.write_bytes(header + payload)
         with pytest.raises(CatalogError, match="version"):
+            ExternalStore.load(str(path))
+
+    def test_version_1_checkpoint_refused(self, tmp_path):
+        # Version 1 held leaf pages as lists of (key, record) pairs.
+        path = tmp_path / "v1.edb"
+        payload = pickle.dumps(ExternalStore(), protocol=4)
+        header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, 1, 0, len(payload),
+                                   zlib.crc32(payload))
+        path.write_bytes(header + payload)
+        with pytest.raises(CatalogError,
+                           match="unsupported EDB checkpoint version 1"):
             ExternalStore.load(str(path))
 
     def test_truncated_payload(self, tmp_path, ctx):
