@@ -408,7 +408,8 @@ class DatalogEngine:
                 for m in members)
             lines.append(f"stratum {level}: {marks}")
         if plan.program is not None:
-            lines.append(f"adornment: {plan.program.adornment} "
+            factored = ", factored" if plan.program.factored else ""
+            lines.append(f"adornment: {plan.program.adornment}{factored} "
                          f"({len(plan.program.magic_preds)} magic "
                          "predicates)")
         else:
@@ -448,7 +449,8 @@ class DatalogEngine:
             node.add(PlanNode("magic", plan.program.adornment,
                               adornment=plan.program.adornment,
                               magic_preds=len(plan.program.magic_preds),
-                              bound_args=len(plan.bound)))
+                              bound_args=len(plan.bound),
+                              factored=plan.program.factored))
         else:
             node.add(PlanNode("magic", "none", bound_args=len(plan.bound),
                               note=plan.magic_note))

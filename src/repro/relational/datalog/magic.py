@@ -22,6 +22,15 @@ and their extent must be complete before the stratum runs): they are
 rewritten to the all-free adornment, whose rules carry no guard — i.e.
 their full extent is computed, exactly as without magic.
 
+A **right-linear** query predicate is then *factored* (Naughton,
+Ramakrishnan, Sagiv & Ullman, SIGMOD 1989): when it is alone in its SCC
+and every rule is an exit rule or ends in the one recursive call, whose
+free arguments are the head's own distinct free variables used nowhere
+else, every demanded binding shares the query's answers.  The exit rules
+then derive those answers directly (head bound positions replaced by
+the query's constants) and the recursive rules keep only their demand
+rules — one fact per answer instead of one per (demanded node, answer).
+
 The rewrite can destroy stratifiability even when the source program is
 stratified (a known failure mode — docs/DATALOG.md): the caller must
 re-check the rewritten program and fall back to the unrewritten one when
@@ -66,6 +75,8 @@ class MagicProgram:
     adornment: str
     #: magic predicates introduced by the rewrite
     magic_preds: Set[Indicator]
+    #: right-linear recursion factored out of ``query_pred``
+    factored: bool = False
 
 
 def _safe_body(body: List[Literal]) -> Tuple[Literal, ...]:
@@ -77,6 +88,36 @@ def _safe_body(body: List[Literal]) -> Tuple[Literal, ...]:
             positive_vars |= lit.var_names()
     return tuple(lit for lit in body
                  if not lit.negated or lit.var_names() <= positive_vars)
+
+
+def _right_linear(rules: Dict[Indicator, List[Rule]], query: Indicator,
+                  adn: str, adorned: List[Rule]) -> bool:
+    """May *query*'s adorned rules be factored?  Alone in its SCC (no
+    other rule uses it); each rule an exit rule or right-linear: one
+    positive recursive call, last, adorned *adn*, whose free arguments
+    are the head's free variables — distinct, same positions, nowhere
+    else in the rule."""
+    if any(lit.pred == query for ind, group in rules.items()
+           if ind != query for rule in group for lit in rule.body):
+        return False
+    target = adorned_name(query, adn)
+    for rule, new in zip(rules[query], adorned):
+        calls = [lit for lit in rule.body if lit.pred == query]
+        if not calls:
+            continue
+        last = rule.body[-1]
+        free = [arg for arg, a in zip(rule.head.args, adn) if a == "f"]
+        if (len(calls) > 1 or new.body[-1].pred != target
+                or free != [arg for arg, a in zip(last.args, adn)
+                            if a == "f"]
+                or len(set(free)) < len(free)):
+            return False
+        elsewhere = {arg for arg, a in zip(rule.head.args + last.args,
+                                           adn + adn) if a == "b"}
+        elsewhere.update(arg for lit in rule.body[:-1] for arg in lit.args)
+        if elsewhere.intersection(free):
+            return False
+    return True
 
 
 def rewrite(rules: Dict[Indicator, List[Rule]], query: Indicator,
@@ -167,6 +208,20 @@ def rewrite(rules: Dict[Indicator, List[Rule]], query: Indicator,
             out.setdefault(new_head_pred, []).append(Rule(
                 Literal(new_head_pred, rule.head.args), tuple(new_body)))
 
+    # Factoring: every demanded binding's answers are the query's, so
+    # exit rules answer the query directly and right-linear rules keep
+    # only the demand rule emitted above.
+    query_pred = adorned_name(query, query_adn)
+    adorned = out.setdefault(query_pred, [])
+    factored = _right_linear(rules, query, query_adn, adorned)
+    if factored:
+        consts = dict(query_constants)
+        out[query_pred] = [
+            Rule(Literal(query_pred, tuple(
+                consts.get(pos, arg)
+                for pos, arg in enumerate(rule.head.args))), rule.body)
+            for rule in adorned if rule.body[-1].pred != query_pred]
+
     # Seed: the query's constants are the initial demand.
     seed_magic = magic_name(query, query_adn)
     seed_args = tuple(value for _pos, value in sorted(query_constants))
@@ -176,6 +231,6 @@ def rewrite(rules: Dict[Indicator, List[Rule]], query: Indicator,
     strata, _recursive, _error = stratify(out)
     if strata is None:
         return None
-    return MagicProgram(rules=out, strata=strata,
-                        query_pred=adorned_name(query, query_adn),
-                        adornment=query_adn, magic_preds=magic_preds)
+    return MagicProgram(rules=out, strata=strata, query_pred=query_pred,
+                        adornment=query_adn, magic_preds=magic_preds,
+                        factored=factored)

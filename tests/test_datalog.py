@@ -235,6 +235,75 @@ class TestMagic:
         strata, _rec, error = stratify(program.rules)
         assert error is None
 
+    def test_right_linear_query_is_factored(self):
+        program = rewrite(self.reach_rules(), ("reach", 2), {0},
+                          ((0, "a"),))
+        assert program.factored
+        answers = program.rules[("reach@bf", 2)]
+        assert len(answers) == 1                     # the exit rule
+        exit_rule = answers[0]
+        assert exit_rule.head.args == ("a", V("Y"))
+        assert [str(lit) for lit in exit_rule.body] == [
+            "magic$reach@bf(X)", "edge(X, Y)"]
+        # the demand rule stays: it walks the nodes a goal visits
+        assert any(rule.body for rule in
+                   program.rules[("magic$reach@bf", 1)])
+
+    # Shapes that keep the unfactored rewrite: each rule headed by the
+    # query's adorned predicate stays, the recursive ones included.
+    NOT_FACTORED = {
+        "same_generation": ("""
+            sg(X, X) :- person(X).
+            sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).
+        """, ("sg", 2), 0),
+        "reach_fb": ("""
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Z) :- edge(X, Y), reach(Y, Z).
+        """, ("reach", 2), 1),
+        "call_not_last": ("""
+            p(X, Y) :- edge(X, Y).
+            p(X, Z) :- edge(X, Y), p(Y, Z), node(Z).
+        """, ("p", 2), 0),
+        "free_variable_reused": ("""
+            p(X, Y) :- edge(X, Y).
+            p(X, Z) :- edge(X, Z), p(Z, Z).
+        """, ("p", 2), 0),
+        "swapped_call": ("""
+            p(X, Y) :- edge(X, Y).
+            p(X, Z) :- edge(X, Y), p(Z, Y).
+        """, ("p", 2), 0),
+        "mutual_recursion": ("""
+            a(X, Y) :- edge(X, Y).
+            a(X, Z) :- edge(X, Y), b(Y, Z).
+            b(X, Z) :- edge(X, Y), a(Y, Z).
+        """, ("a", 2), 0),
+        "call_argument_unbound": ("""
+            p(X, Y) :- edge(X, Y).
+            p(X, Z) :- edge(X, Y), p(W, Z).
+        """, ("p", 2), 0),
+        "free_variable_under_negation": ("""
+            p(X, Y) :- edge(X, Y).
+            p(X, Z) :- edge(X, Y), \\+ bad(Z), p(Y, Z).
+        """, ("p", 2), 0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(NOT_FACTORED))
+    def test_other_shapes_are_not_factored(self, shape):
+        text, query, bound = self.NOT_FACTORED[shape]
+        rules = rules_map(text)
+        program = rewrite(rules, query, {bound}, ((bound, "a"),))
+        assert program is not None and not program.factored
+        adorned = program.rules[program.query_pred]
+        assert len(adorned) == len(rules[query])
+        for rule, new in zip(rules[query], adorned):
+            assert new.head.args == rule.head.args
+            assert new.body[0].pred[0].startswith("magic$")
+            assert len(new.body) == len(rule.body) + 1
+        idb_calls = [lit for new in adorned for lit in new.body
+                     if "@" in lit.pred[0]
+                     and not lit.pred[0].startswith("magic$")]
+        assert idb_calls                     # the recursion stays
+
 
 # =====================================================================
 # Strategy planner
@@ -317,6 +386,21 @@ class TestEngine:
         assert len(answers) == 30
         assert kb.datalog.magic_rewrites == 1
         assert kb.datalog.magic_facts > 0
+
+    def test_full_closure_derives_each_answer_once(self):
+        """Factored right-linear recursion: one demand fact per node
+        visited (the seed included) and one answer fact per answer —
+        not one answer set per visited node."""
+        from repro.workloads.graphs import k_ary_tree
+        kb = EduceStar(datalog="force")
+        kb.store_relation("edge", k_ary_tree(2000, 4))
+        kb.store_program("""
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Z) :- edge(X, Y), reach(Y, Z).
+        """)
+        answers = list(kb.solve("reach(n0, X)"))
+        assert len(answers) == 2000
+        assert kb.datalog.facts_derived <= 2 * len(answers) + 1
 
     def test_unbound_query_full_fixpoint(self):
         kb = self.reach_kb(10)
@@ -485,7 +569,12 @@ class TestEngine:
         text = kb.datalog.explain("reach(n0, X)")
         assert "bottomup" in text
         assert "stratum 0" in text
-        assert "bf" in text
+        assert "adornment: bf, factored (1 magic predicates)" in text
+        assert kb.datalog.explain_plan("reach(n0, X)").find(
+            "magic").attrs["factored"] is True
+        assert "adornment: fb (" in kb.datalog.explain("reach(X, n5)")
+        assert kb.datalog.explain_plan("reach(X, n5)").find(
+            "magic").attrs["factored"] is False
         assert "not routable" in kb.datalog.explain("foo(X), bar(X)")
 
     @pytest.mark.parametrize("goal", ["reach(n0, X)", "reach(X, Y)",
@@ -508,7 +597,10 @@ class TestEngine:
         lines = dict(line.split(":", 1) for line in text.splitlines())
         assert lines["strategy"].strip() == tree.attrs["strategy"]
         magic = tree.find("magic")
-        assert lines["adornment"].split()[0] == magic.label
+        adornment = lines["adornment"].split("(")[0].strip()
+        assert adornment.split(",")[0] == magic.label
+        assert (adornment.endswith(", factored")
+                == magic.attrs.get("factored", False))
         strata = [n for n in tree.walk() if n.op == "stratum"]
         assert strata
         for node in strata:

@@ -13,10 +13,13 @@ WAM top-down oracle's answer **set**:
 The suite runs three ways per case: magic rewriting on (the default),
 magic off (pure semi-naive), and the planner left free to choose either
 strategy (``datalog="auto"``).  Seeds default to 25 and can be raised
-with ``DATALOG_SEEDS=n``.
+with ``DATALOG_SEEDS=n``.  A last group pins right-linear factoring of
+the magic rewrite: which program shapes it factors and which it leaves,
+each checked against the oracle with magic on and off.
 """
 
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -127,6 +130,103 @@ def test_forced_answer_order_is_type_name_then_value():
                 few = [tuple(getattr(s[n], "name", s[n]) for n in names)
                        for s in kb.solve(goal, limit=3)]
                 assert few == rows[:3], (case["name"], goal)
+
+
+# =====================================================================
+# Right-linear factoring: the shapes it takes and the ones it leaves
+# =====================================================================
+
+#: name -> (program, [(goal, factored)]); ``factored`` is None for a
+#: goal with no bound argument (no magic rewrite at all)
+FACTORING_PROGRAMS = {
+    "exit_head_constant": ("""
+        tag(X, hit) :- mark(X).
+        tag(n1, extra).
+        tag(X, Z) :- edge(X, Y), tag(Y, Z).
+    """, [("tag(n0, X)", True), ("tag(n2, hit)", True),
+          ("tag(X, hit)", False), ("tag(X, Y)", None)]),
+    "exit_negation": ("""
+        r(X, Y) :- edge(X, Y), \\+ mark(Y).
+        r(X, Z) :- edge(X, Y), r(Y, Z).
+    """, [("r(n0, X)", True), ("r(n3, X)", True), ("r(X, Y)", None)]),
+    "three_arguments": ("""
+        lp(X, C, Y) :- edge(X, Y), colour(Y, C).
+        lp(X, C, Z) :- edge(X, Y), lp(Y, C, Z).
+    """, [("lp(n0, red, X)", True), ("lp(n0, C, n5)", True),
+          ("lp(n1, C, X)", True), ("lp(X, red, n5)", False)]),
+    "exit_repeated_variables": ("""
+        refl(X, X) :- node(X).
+        refl(X, Z) :- edge(X, Y), refl(Y, Z).
+    """, [("refl(n0, X)", True), ("refl(n2, n2)", True),
+          ("refl(X, n3)", False)]),
+    "same_generation": ("""
+        sg(X, X) :- person(X).
+        sg(X, Y) :- edge(XP, X), sg(XP, YP), edge(YP, Y).
+    """, [("sg(n3, X)", False)]),
+    "reach_fb": (graphs.REACH_PROGRAM,
+                 [("reach(X, n5)", False), ("reach(n0, X)", True)]),
+    "call_not_last": ("""
+        p(X, Y) :- edge(X, Y).
+        p(X, Z) :- edge(X, Y), p(Y, Z), node(Z).
+    """, [("p(n0, X)", False)]),
+    "free_variable_reused": ("""
+        p(X, Y) :- edge(X, Y).
+        p(X, Z) :- edge(X, Z), p(Z, Z).
+    """, [("p(n0, X)", False)]),
+    "swapped_call": ("""
+        p(X, Y) :- edge(X, Y).
+        p(X, Z) :- edge(X, Y), p(Z, Y).
+    """, [("p(n0, X)", False), ("p(n1, X)", False)]),
+    "repeated_free_variables": ("""
+        q(X, Y, Z) :- edge(X, Y), edge(X, Z).
+        q(X, Z, Z) :- edge(X, Y), q(Y, Z, Z).
+    """, [("q(n0, A, B)", False), ("q(n1, A, A)", False)]),
+    "two_recursive_calls": ("""
+        p(X, Y) :- edge(X, Y).
+        p(X, Z) :- edge(X, Y), p(Y, W), p(W, Z).
+    """, [("p(n0, X)", False)]),
+    "mutual_recursion": ("""
+        a(X, Y) :- edge(X, Y).
+        a(X, Z) :- edge(X, Y), b(Y, Z).
+        b(X, Z) :- edge(X, Y), a(Y, Z).
+    """, [("a(n0, X)", False), ("b(n1, X)", False)]),
+}
+
+
+def factoring_relations(seed):
+    """A small seeded tree with marks, colours and its vertex set —
+    small enough for the WAM oracle's one-answer-per-proof search."""
+    rng = random.Random(seed)
+    tree = graphs.k_ary_tree(rng.randrange(8, 40), rng.choice([2, 3]))
+    nodes = graphs.nodes_of(tree)
+    return {"edge": tree,
+            "mark": [(v,) for v in nodes if rng.random() < 0.3],
+            "colour": [(v, rng.choice(["red", "blue"])) for v in nodes],
+            "node": [(v,) for v in nodes],
+            "person": [(v,) for v in nodes]}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORING_PROGRAMS))
+@pytest.mark.parametrize("seed", range(0, SEEDS, 5))
+def test_factoring_shapes_match_oracle(name, seed):
+    """Each right-linear variant is factored and each other shape is
+    not — and either way, magic on and magic off agree with the WAM."""
+    program, goals = FACTORING_PROGRAMS[name]
+    case = {"relations": factoring_relations(seed), "program": program}
+    oracle = build_session(case, datalog="off")
+    magic = build_session(case, datalog="force")
+    plain = build_session(case, datalog="force")
+    plain.datalog.magic = False
+    for goal, factored in goals:
+        plan = magic.datalog.plan(goal)
+        assert (plan.program.factored if plan.program else None) \
+            == factored, (name, goal)
+        expected = Counter(set(answer_multiset(oracle, goal)))
+        assert answer_multiset(magic, goal) == expected, (name, seed, goal)
+        assert answer_multiset(plain, goal) == expected, (name, seed, goal)
+    assert magic.datalog.topdown == plain.datalog.topdown == 0
+    assert magic.datalog.magic_rewrites == sum(f is not None
+                                               for _goal, f in goals)
 
 
 # =====================================================================
