@@ -368,9 +368,7 @@ class ExternalStore:
         """The ``rules`` record of one procedure followed, depth-first,
         by those of its auxiliary procedures."""
         aux_sink: List[Tuple[str, int, list]] = []
-        compiler = ClauseCompiler(CompileContext(
-            context.dictionary,
-            define_procedure=lambda n, a, c: aux_sink.append((n, a, c))))
+        compiler = self._compiler(context, aux_sink)
         payloads = [self._rule_payload(compiler, clause, context)
                     for clause in clauses]
         # The surface clauses ride the record so that applying it —
@@ -380,11 +378,21 @@ class ExternalStore:
         record = {"op": "rules", "name": name, "arity": arity,
                   "clauses": payloads, "surface": list(clauses)}
         self._add_ext_functors(record, payloads)
-        records = [record]
-        for aux_name, aux_arity, aux_clauses in aux_sink:
-            records.extend(self._rules_records(aux_name, aux_arity,
-                                               aux_clauses, context))
-        return records
+        return [record] + self._aux_records(aux_sink, context)
+
+    def _compiler(self, context: CompileContext,
+                  aux_sink: List[Tuple[str, int, list]]) -> ClauseCompiler:
+        """A compiler whose aux procedures go to *aux_sink*, named clear
+        of every procedure this store holds."""
+        return ClauseCompiler(CompileContext(
+            context.dictionary,
+            define_procedure=lambda n, a, c: aux_sink.append((n, a, c)),
+            taken=lambda n, a: (n, a) in self._procs))
+
+    def _aux_records(self, aux_sink: List[Tuple[str, int, list]],
+                     context: CompileContext) -> List[dict]:
+        return [r for name, arity, clauses in aux_sink
+                for r in self._rules_records(name, arity, clauses, context)]
 
     def _rule_payload(self, compiler: ClauseCompiler, clause: Term,
                       context: CompileContext) -> dict:
@@ -573,12 +581,13 @@ class ExternalStore:
                 self._commit({"op": "assert_fact", "name": name,
                               "arity": arity, "values": _fact_values(head)})
                 return
-            payload = self._rule_payload(ClauseCompiler(context), clause,
-                                         context)
+            aux_sink: List[Tuple[str, int, list]] = []
+            payload = self._rule_payload(self._compiler(context, aux_sink),
+                                         clause, context)
             record = {"op": "assert_rule", "name": name, "arity": arity,
                       "clause": payload, "surface": clause}
             self._add_ext_functors(record, [payload])
-            self._commit(record)
+            self._commit(record, *self._aux_records(aux_sink, context))
 
     def _apply_assert_fact(self, record: dict) -> None:
         proc = self.get(record["name"], record["arity"])

@@ -13,8 +13,11 @@ machine, none observable in behaviour):
   degenerate to their plain ``value`` forms.  Several production systems
   make the same trade (slightly more heap, no dangling stack refs).
 * Control constructs — ``;/2``, ``->/2``, ``\\+/1`` — are compiled by
-  extraction into auxiliary procedures (``$aux_k``) with the construct's
-  variables as arguments, the classic source-to-source scheme.
+  extraction into auxiliary procedures with the construct's variables as
+  arguments, the classic source-to-source scheme; so is a literal goal
+  argument of ``findall/3``, ``forall/2``, ``once/1``, ... that is a
+  control construct or built-in call.  An aux of ``p/2`` is named
+  ``$aux_p/2_k``, an aux of that ``$aux_p/2_k_j``.
 * Cut: any clause containing ``!`` gets an environment with a reserved
   permanent slot holding the choice-point level saved by ``get_level``;
   each ``!`` becomes ``cut Yk``.
@@ -31,7 +34,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dictionary import SegmentedDictionary
 from ..errors import TypeError_
-from ..terms import NIL, Atom, Struct, Term, Var, deref
+from ..lang.program import META_GOAL_ARGS
+from ..terms import NIL, Atom, Struct, Term, Var, deref, indicator_of
 from . import instructions as I
 
 # Predicates implemented by machine escapes; the compiler routes goals with
@@ -46,6 +50,13 @@ def register_builtin_indicator(name: str, arity: int) -> None:
 
 def is_builtin_indicator(name: str, arity: int) -> bool:
     return (name, arity) in _BUILTIN_INDICATORS
+
+
+#: the control constructs compiled inline: cut, and the goal-argument
+#: constructs extracted into aux procedures (the rest of META_GOAL_ARGS
+#: are built-ins that call their goal arguments)
+INLINE_CONTROL = frozenset({("!", 0), (",", 2), (";", 2), ("->", 2),
+                            ("\\+", 1), ("not", 1)})
 
 
 # When true, every compiled clause is verified (structural + abstract,
@@ -87,23 +98,29 @@ class CompileContext:
     ``define_procedure(name, arity, clauses)`` is called for every
     auxiliary predicate the compiler synthesises for control constructs;
     the machine registers and compiles them like user procedures.
+    ``taken(name, arity)`` says a name is already in use where the aux
+    will live (an EDB store), so :meth:`fresh_aux_name` skips it.
     """
-
-    # Process-wide counter: auxiliary names must be unique across every
-    # context (main-memory compiles and EDB stores share a namespace).
-    _aux_counter = 0
 
     def __init__(
         self,
         dictionary: SegmentedDictionary,
         define_procedure: Optional[Callable[[str, int, list], None]] = None,
+        taken: Optional[Callable[[str, int], bool]] = None,
     ):
         self.dictionary = dictionary
         self.define_procedure = define_procedure or (lambda n, a, c: None)
+        self.taken = taken or (lambda n, a: False)
+        self._aux_count: Dict[str, int] = {}
 
-    def fresh_aux_name(self) -> str:
-        CompileContext._aux_counter += 1
-        return f"$aux_{CompileContext._aux_counter}"
+    def fresh_aux_name(self, prefix: str, arity: int) -> str:
+        """``<prefix>_<k>``, *prefix* naming the owning procedure: an aux
+        name never depends on what else this process compiled."""
+        k = self._aux_count.get(prefix, 0) + 1
+        while self.taken(f"{prefix}_{k}", arity):
+            k += 1
+        self._aux_count[prefix] = k
+        return f"{prefix}_{k}"
 
     def intern(self, name: str, arity: int) -> int:
         return self.dictionary.intern(name, arity)
@@ -157,11 +174,14 @@ class ClauseCompiler:
 
     def compile_clause(self, clause: Term) -> CompiledClause:
         head, body = split_clause(clause)
-        body = self._preprocess_body(body)
-
         head_args: Sequence[Term] = head.args if isinstance(head, Struct) else ()
         arity = len(head_args)
-        goals = body
+        name = head.name
+        # Aux names derive from the owning procedure; an aux's own auxes
+        # extend its name.
+        prefix = name if name.startswith("$") else f"$aux_{name}/{arity}"
+        goals = [g for goal in body
+                 for g in self._preprocess_goal(goal, prefix)]
 
         has_cut = any(deref(g) is self.CUT_ATOM for g in goals)
         perm_vars = self._permanent_vars(head_args, goals)
@@ -210,7 +230,6 @@ class ClauseCompiler:
 
         arg_keys = tuple(self._arg_index_key(arg) for arg in head_args)
         first_kind, first_key = arg_keys[0] if arg_keys else ("var", None)
-        name = head.name if isinstance(head, Struct) else head.name
         compiled = CompiledClause(
             code=code,
             head_name=name,
@@ -228,42 +247,60 @@ class ClauseCompiler:
 
     # ------------------------------------------------- control preprocessing
 
-    def _preprocess_body(self, goals: List[Term]) -> List[Term]:
-        out: List[Term] = []
-        for goal in goals:
-            out.extend(self._preprocess_goal(goal))
-        return out
-
-    def _preprocess_goal(self, goal: Term) -> List[Term]:
+    def _preprocess_goal(self, goal: Term, prefix: str) -> List[Term]:
         goal = deref(goal)
         if isinstance(goal, Var):
             return [Struct("call", (goal,))]
         if isinstance(goal, Struct):
             ind = goal.indicator
             if ind == (",", 2):
-                return (
-                    self._preprocess_goal(goal.args[0])
-                    + self._preprocess_goal(goal.args[1])
-                )
+                return (self._preprocess_goal(goal.args[0], prefix)
+                        + self._preprocess_goal(goal.args[1], prefix))
             if ind == (";", 2):
-                return [self._extract_disjunction(goal)]
+                return [self._extract_disjunction(goal, prefix)]
             if ind == ("->", 2):
                 # Bare if-then == (C -> T ; fail).
                 return [self._extract_disjunction(
-                    Struct(";", (goal, Atom("fail"))))]
+                    Struct(";", (goal, Atom("fail"))), prefix)]
             if ind in (("\\+", 1), ("not", 1)):
-                return [self._extract_negation(goal.args[0])]
+                return [self._extract_negation(goal.args[0], prefix)]
+            meta = META_GOAL_ARGS.get(ind)
+            if meta:
+                return [Struct(goal.name, tuple(
+                    self._meta_arg(arg, prefix) if i in meta else arg
+                    for i, arg in enumerate(goal.args)))]
         return [goal]
 
-    def _construct_args(self, construct: Term) -> List[Var]:
-        return list(_goal_vars(construct).values())
+    def _meta_arg(self, goal: Term, prefix: str) -> Term:
+        """A goal argument of a built-in (``findall/3``, ``forall/2``,
+        ``once/1``, ...): a literal control construct or built-in call,
+        behind any ``V^`` prefix, is compiled with the clause (§3.1) into
+        an aux procedure, so calling it never compiles at run time."""
+        goal = deref(goal)
+        if isinstance(goal, Struct) and goal.indicator == ("^", 2):
+            return Struct("^", (goal.args[0],
+                                self._meta_arg(goal.args[1], prefix)))
+        ind = indicator_of(goal) if isinstance(goal, (Atom, Struct)) else None
+        if ind not in INLINE_CONTROL and not (
+                ind and is_builtin_indicator(*ind)):
+            return goal
+        name, args, head = self._new_aux(goal, prefix)
+        self.ctx.define_procedure(name, len(args),
+                                  [Struct(":-", (head, goal))])
+        return head
 
-    def _extract_disjunction(self, goal: Struct) -> Term:
+    def _new_aux(self, construct: Term, prefix: str
+                 ) -> Tuple[str, List[Var], Term]:
+        """Name, parameters and head of an aux procedure for
+        *construct*: the head carries the construct's variables."""
+        args = list(_goal_vars(construct).values())
+        name = self.ctx.fresh_aux_name(prefix, len(args))
+        return name, args, self._make_goal(name, args)
+
+    def _extract_disjunction(self, goal: Struct, prefix: str) -> Term:
         """(A ; B) [with -> arms] becomes a fresh auxiliary procedure."""
-        args = self._construct_args(goal)
-        name = self.ctx.fresh_aux_name()
+        name, args, head = self._new_aux(goal, prefix)
         clauses: List[Term] = []
-        head = self._make_goal(name, args)
         for branch in self._flatten_disj(goal):
             branch = deref(branch)
             if isinstance(branch, Struct) and branch.indicator == ("->", 2):
@@ -277,7 +314,7 @@ class ClauseCompiler:
         if not clauses:  # e.g. (C -> T ; fail) with no else and fail arms
             clauses.append(Struct(":-", (head, Atom("fail"))))
         self.ctx.define_procedure(name, len(args), clauses)
-        return self._make_goal(name, args)
+        return head
 
     def _flatten_disj(self, goal: Term) -> List[Term]:
         goal = deref(goal)
@@ -290,10 +327,8 @@ class ClauseCompiler:
                 goal.args[1])
         return [goal]
 
-    def _extract_negation(self, inner: Term) -> Term:
-        args = self._construct_args(inner)
-        name = self.ctx.fresh_aux_name()
-        head = self._make_goal(name, args)
+    def _extract_negation(self, inner: Term, prefix: str) -> Term:
+        name, args, head = self._new_aux(inner, prefix)
         clauses = [
             Struct(":-", (head, Struct(",", (
                 inner, Struct(",", (Atom("!"), Atom("fail"))))))),
@@ -301,7 +336,7 @@ class ClauseCompiler:
                 name, tuple(Var() for _ in args)),
         ]
         self.ctx.define_procedure(name, len(args), clauses)
-        return self._make_goal(name, args)
+        return head
 
     @staticmethod
     def _make_goal(name: str, args: List[Var]) -> Term:

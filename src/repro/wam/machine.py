@@ -50,13 +50,14 @@ from ..errors import (
     PrologError,
     TypeError_,
 )
-from ..lang.program import load_program
+from ..lang.program import META_GOAL_ARGS, load_program
 from ..lang.reader import Reader
 from ..obs.tracing import NULL_TRACER
 from ..terms import NIL, Atom, Struct, Term, Var, deref, term_variables
 from . import instructions as I
 from .block import Block
 from .compiler import (
+    INLINE_CONTROL,
     ClauseCompiler,
     CompileContext,
     is_builtin_indicator,
@@ -254,7 +255,7 @@ class Machine:
         self._dispatch = self._build_dispatch()
         self._nil_id = self.dictionary.intern("[]", 0)
         self._nil_cell = ("CON", self._nil_id)
-        self._metacall_cache: Dict[str, Tuple[str, int]] = {}
+        self._metacall_cache: Dict[object, Tuple[str, int]] = {}
         # External root cells for the garbage collector: single-element
         # lists holding cells that must survive and be relocated.
         self.rooted: List[list] = []
@@ -440,8 +441,8 @@ class Machine:
 
     # --------------------------------------------------------- nested solve
 
-    def _solve_cell(self, goal_cell) -> Iterator[bool]:
-        """Run *goal_cell* as a goal; yield once per solution.
+    def _solve_cell(self, goal_cell) -> Iterator[_ChoicePoint]:
+        """Run *goal_cell* as a goal; yield its barrier once per solution.
 
         Creates a barrier choice point; exhausting alternatives below the
         barrier ends the iteration with all state restored.  Re-entrant:
@@ -460,7 +461,7 @@ class Machine:
                     status = self._run(barrier)
                 if status == "exhausted":
                     return
-                yield True
+                yield barrier
                 status = self._backtrack(barrier)
         finally:
             # Barrier may already be popped on exhaustion; pop if present.
@@ -470,31 +471,14 @@ class Machine:
 
     def solve_goal_once(self, goal_cell) -> bool:
         """Solve *goal_cell* once, **keeping** the bindings of the first
-        solution (implements ``once/1`` / ``ignore/1``).
-
-        Unlike :meth:`_solve_cell`, success discards the alternatives
-        above the barrier but leaves the trail and heap intact.
-        """
-        saved = (self.code, self.pc, self.cp_code, self.cp_pc, self.e,
-                 self.b0, self.mode, self.s)
-        barrier = self._push_barrier()
-        self.cp_code, self.cp_pc = _HALT_CODE, 0
-        try:
-            status = self._metacall(goal_cell)
-            if status == "fail":
-                status = self._backtrack(barrier)
-            if status != "exhausted":
-                status = self._run(barrier)
-            if status == "exhausted":
-                return False
-            # Success: prune everything above the barrier, keep bindings.
+        solution (implements ``once/1`` / ``ignore/1``): the alternatives
+        above the barrier go, the trail and heap stay."""
+        solutions = self._solve_cell(goal_cell)
+        for barrier in solutions:
             self.b = barrier.prev
+            solutions.close()
             return True
-        finally:
-            if self.b is not None and self.b is barrier:
-                self.b = barrier.prev  # defensive: never leak the barrier
-            (self.code, self.pc, self.cp_code, self.cp_pc, self.e,
-             self.b0, self.mode, self.s) = saved
+        return False
 
     def _push_barrier(self) -> _ChoicePoint:
         cp = _ChoicePoint(
@@ -1347,68 +1331,84 @@ class Machine:
 
     # ===================================================== metacall
 
-    _pending_arity = 0
-
     def _metacall(self, goal_cell):
         """Call a goal given as a heap cell (``call/1`` and query entry)."""
         cell = self.deref_cell(goal_cell)
-        tag = cell[0]
+        tag, a = cell
         if tag == "REF":
             raise InstantiationError("call/1: unbound goal")
         if tag == "CON":
-            name = self.dictionary.name(cell[1])
-            return self._metacall_named(name, 0, cell, ())
-        if tag == "STR":
-            a = cell[1]
-            fid = self.heap[a][1]
-            name, arity = self.dictionary.functor(fid)
-            args = tuple(self.heap[a + k] for k in range(1, arity + 1))
-            return self._metacall_named(name, arity, cell, args)
-        raise TypeError_("callable", self.extract(cell))
-
-    _CONTROL = {(",", 2), (";", 2), ("->", 2), ("\\+", 1), ("not", 1),
-                ("!", 0)}
-
-    def _metacall_named(self, name, arity, cell, arg_cells):
-        if (name, arity) in self._CONTROL or is_builtin_indicator(
-                name, arity):
-            # Control constructs and built-ins are metacalled by
-            # synthesising a one-clause procedure — the incremental
-            # compiler handles the construct exactly as in source code.
-            return self._metacall_compiled(cell)
-        self.x[:arity] = arg_cells       # grows the register file if needed
-        pid = self.dictionary.intern(name, arity)
-        self.calls += 1
-        self.b0 = self.b
-        return self._dispatch_call(pid, arity)
-
-    def _metacall_compiled(self, cell):
-        """Metacall of a control construct or built-in: synthesise and
-        call a one-clause procedure whose body is the goal (the
-        incremental compiler at work, §3.1).  Synthesised procedures are
-        cached by the goal's shape so repeated metacalls reuse code."""
-        memo: dict = {}
-        body = self._extract(cell, memo)
-        var_addrs = list(memo.items())  # [(addr, Var)]
-        params = tuple(v for _, v in var_addrs)
-
-        from ..lang.writer import term_to_text
-        key = term_to_text(body)
-        cached = self._metacall_cache.get(key)
-        if cached is not None and len(params) == cached[1]:
-            name = cached[0]
+            name, arity, args = self.dictionary.name(a), 0, []
+        elif tag == "STR":
+            name, arity = self.dictionary.functor(self.heap[a][1])
+            args = self.heap[a + 1:a + 1 + arity]
         else:
-            name = self.ctx.fresh_aux_name()
-            head = Atom(name) if not params else Struct(name, params)
-            clause = Struct(":-", (head, body))
-            self.define_procedure(name, len(params), [clause], index=False)
-            self._metacall_cache[key] = (name, len(params))
-
-        self.x[:len(var_addrs)] = [("REF", addr) for addr, _ in var_addrs]
-        pid = self.dictionary.intern(name, len(params))
+            raise TypeError_("callable", self.extract(cell))
+        if (name, arity) in INLINE_CONTROL or is_builtin_indicator(
+                name, arity):
+            # A control construct or built-in runs as a one-clause
+            # procedure compiled once per shape (§3.1).
+            args = []
+            shape = self._goal_shape(cell, args, {}, "goal")
+            name, arity = (self._metacall_cache.get(shape)
+                           or self._define_shape(shape, len(args)))
+        self.x[:arity] = args            # grows the register file if needed
         self.calls += 1
         self.b0 = self.b
-        return self._dispatch_call(pid, len(params))
+        return self._dispatch_call(self.dictionary.intern(name, arity), arity)
+
+    def _define_shape(self, shape, arity: int) -> Tuple[str, int]:
+        head_vars = [Var() for _ in range(arity)]
+        name = self.ctx.fresh_aux_name("$call", arity)
+        head = Struct(name, tuple(head_vars)) if arity else Atom(name)
+        self.define_procedure(name, arity, [Struct(":-", (
+            head, self._shape_term(shape, head_vars)))], index=False)
+        self._metacall_cache[shape] = (name, arity)
+        return name, arity
+
+    def _goal_shape(self, cell, params: list, seen: dict, role: str):
+        """The cache key of a goal: functor ids and constants, the goal
+        positions of control constructs (META_GOAL_ARGS) kept, and an int
+        per head parameter — a variable, a number that is an argument of
+        a goal, or a cyclic term's back edge; their cells go to *params*.
+        *seen* maps a variable's address to its index and holds the
+        compound cells on the current path."""
+        cell = self.deref_cell(cell)
+        tag, a = cell
+        if tag == "REF" or cell in seen or (role == "arg"
+                                            and tag in ("INT", "FLT")):
+            key = a if tag == "REF" else object()   # only variables repeat
+            if key not in seen:
+                seen[key] = len(params)
+                params.append(cell)
+            return seen[key]
+        if tag == "LIS":
+            fid, a = self.dictionary.intern(".", 2), a - 1
+        elif tag == "STR":
+            fid = self.heap[a][1]
+        else:
+            return cell
+        ind = self.dictionary.functor(fid)
+        goals = (META_GOAL_ARGS.get(ind, ()) if role == "goal"
+                 and ind in INLINE_CONTROL else ())
+        seen[cell] = None
+        shape = (fid,) + tuple(
+            self._goal_shape(self.heap[a + 1 + k], params, seen,
+                             "goal" if k in goals else
+                             "arg" if role == "goal" else "term")
+            for k in range(ind[1]))
+        del seen[cell]
+        return shape
+
+    def _shape_term(self, shape, head_vars: List[Var]) -> Term:
+        """The goal of *shape* over the head parameters *head_vars*."""
+        if isinstance(shape, int):
+            return head_vars[shape]
+        if isinstance(shape[0], str):
+            return self._extract(shape, {})
+        name, _ = self.dictionary.functor(shape[0])
+        return Struct(name, tuple(self._shape_term(s, head_vars)
+                                  for s in shape[1:]))
 
     # ===================================================== GC hook
 

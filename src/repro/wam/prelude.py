@@ -131,7 +131,7 @@ _IMAGES: Dict[Tuple[str, bool],
 def _compiled_library() -> Tuple[SegmentedDictionary, Dict[int, Procedure]]:
     """The library compiled once, the way ``Machine.define_procedure``
     compiles a program: ``[]`` interned first, each procedure's name
-    before its clauses, the ``$aux_k`` procedures of its disjunctions and
+    before its clauses, the ``$aux`` procedures of its disjunctions and
     negations (never indexed) ahead of the procedure that calls them.
     The procedures carry per-clause code and no block yet."""
     dictionary = SegmentedDictionary(segment_capacity=32000)

@@ -720,8 +720,8 @@ COUNTER_GOLDEN = {
     ("nrev", "full"): (1, (4086, 12728, 7, 1, 1, 496, 30)),
     ("queens", "off"): (4, (35407, 107031, 30562, 1456, 1455, 1611, 1298)),
     ("queens", "full"): (4, (29896, 107031, 30562, 1456, 1455, 1611, 1298)),
-    ("mvv", "off"): (1, (86023, 222983, 46768, 1114, 2456, 4369, 1460)),
-    ("mvv", "full"): (1, (60802, 223137, 46768, 1114, 2456, 4369, 1460)),
+    ("mvv", "off"): (1, (85415, 222542, 46768, 1114, 2456, 4369, 1460)),
+    ("mvv", "full"): (1, (60194, 222696, 46768, 1114, 2456, 4369, 1460)),
 }
 
 
