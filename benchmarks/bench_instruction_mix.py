@@ -8,29 +8,18 @@ deterministic recursion, list processing, and non-deterministic search —
 as the raw data behind the paper's architectural arguments.
 
 Script mode adds the optimizer axis (E14 in EXPERIMENTS.md): each shape
-runs under ``optimize="off" | "peephole" | "full"`` and the report shows
+runs under ``optimize="off" | "full"`` and the report shows
 the executed-instruction and data-reference deltas and the wall time
 per goal (median of five timed slices), with the answers differentially
 checked across levels.
 
 Run:  PYTHONPATH=src python benchmarks/bench_instruction_mix.py
-      [--optimize all|off|peephole|full] [--exposition PATH] [--smoke]
-      [--profile | --modes | --timing]
+      [--optimize all|off|full] [--exposition PATH] [--smoke]
+      [--profile | --timing]
 
 ``--smoke`` is the CI entry point: non-zero exit when any level's
 answers diverge from ``optimize="off"`` or the optimizer fails to
 reduce executed instructions.
-
-``--modes`` switches to the interprocedural-modes ablation (E16 in
-EXPERIMENTS.md): a dispatch workload whose key column repeats values —
-so per-procedure first-argument indexing and the optimizer's local
-chain guards are both defeated — runs at ``optimize="full"`` with and
-without the whole-program analysis feeding proven-ground argument
-positions to the dispatcher (``Session.apply_global_modes``).  With
-``--smoke`` the run fails unless the answers are identical, at least
-one mode-driven guard was planted, and the executed instruction count
-drops — a win only the interprocedural analysis can enable, since the
-optimization level is pinned on both sides.
 
 ``--profile`` switches to the sampled-profiler overhead contract (E15
 in EXPERIMENTS.md): each shape runs bare, with a profiler installed
@@ -147,112 +136,6 @@ def _run_level(shape: str, level: str) -> dict:
         "counters": machine.counters(),
         "snapshot": machine.counters(),
     }
-
-
-# -------------------------------------------- interprocedural modes (E16)
-
-#: distinct dispatch keys; each key owns two clauses, so every key
-#: column value repeats and local chain guards cannot index the chain
-_MODES_KEYS = 8
-
-
-def _modes_program() -> str:
-    lines = []
-    for i in range(_MODES_KEYS):
-        lines.append(f"act(S, k{i}, on) :- mark(S, on).")
-        lines.append(f"act(S, k{i}, off) :- mark(S, off).")
-    lines.append("mark(_, _).")
-    lines.append("route(S, R) :- lookup(S, K), act(S, K, R).")
-    lines.extend(f"lookup(s{i}, k{i})." for i in range(_MODES_KEYS))
-    lines.append("drive(Out) :- findall(S-R, route(S, R), Out).")
-    return "\n".join(lines)
-
-
-def _run_modes_config(apply_modes: bool) -> dict:
-    """One fresh session at ``optimize='full'``; the only axis is
-    whether the whole-program analysis feeds the dispatcher."""
-    from repro import EduceStar, term_to_text
-
-    kb = EduceStar(optimize="full")
-    kb.consult(_modes_program())
-    report = None
-    if apply_modes:
-        report = kb.apply_global_modes()
-    with measure(kb.machine) as meas:
-        answers = [
-            tuple(sorted((name, term_to_text(value))
-                         for name, value in sol.bindings.items()))
-            for sol in kb.solve("drive(Out)")]
-    counters = kb.counters()   # session-wide: machine + analysis_global_*
-    return {
-        "answers": answers,
-        "instr_count": meas["instr_count"],
-        "data_refs": meas["data_refs"],
-        "cp_created": counters["cp_created"],
-        "mode_guards": counters["wam_opt_mode_guards"],
-        "rejects": counters["wam_opt_rejects"],
-        "bound_preds": len(report.bound_args()) if report else 0,
-        "snapshot": counters,
-    }
-
-
-def modes_mode(args) -> int:
-    """E16: the dispatch win only interprocedural modes can enable.
-
-    Both configurations run ``optimize="full"`` — peephole fusion and
-    the local chain guards are active on both sides, and the key
-    column's repeated values defeat those local guards.  The delta is
-    therefore attributable to exactly one thing: the analysis proving
-    ``act``'s key argument ground at every call site, which lets the
-    dispatcher plant a multi-way ``switch_on_arg`` whose buckets are
-    the clauses sharing a key."""
-    failures = 0
-    base = _run_modes_config(apply_modes=False)
-    modes = _run_modes_config(apply_modes=True)
-
-    print(f"{'config':<22} {'instr':>8} {'Δinstr':>8} {'data refs':>10} "
-          f"{'cp_created':>11} {'mode guards':>12}")
-    for label, r in (("full", base), ("full + global modes", modes)):
-        delta = ("-" if r is base else
-                 f"{(1 - r['instr_count'] / base['instr_count']):+.1%}")
-        print(f"{label:<22} {r['instr_count']:>8} {delta:>8} "
-              f"{r['data_refs']:>10} {r['cp_created']:>11} "
-              f"{r['mode_guards']:>12}")
-
-    if modes["answers"] != base["answers"]:
-        print("FAIL: answers diverge once global modes are applied")
-        failures += 1
-    if modes["mode_guards"] < 1:
-        print("FAIL: the analysis planted no mode-driven guard")
-        failures += 1
-    if base["mode_guards"] != 0:
-        print("FAIL: baseline planted mode guards without an analysis")
-        failures += 1
-    if args.smoke and modes["instr_count"] >= base["instr_count"]:
-        print("FAIL: global modes did not reduce executed instructions")
-        failures += 1
-    for label, r in (("full", base), ("full+modes", modes)):
-        if r["rejects"]:
-            print(f"FAIL {label}: verifier rejected {r['rejects']} "
-                  f"block(s)")
-            failures += 1
-    print(f"\n{modes['bound_preds']} predicate(s) had proven-ground "
-          f"arguments; answers pinned across configs "
-          f"({len(base['answers'])} solutions)")
-
-    if args.exposition:
-        from repro.obs import MetricsRegistry, render_prometheus
-        text = render_prometheus(MetricsRegistry.merge(
-            base["snapshot"], modes["snapshot"]))
-        assert "educe_wam_opt_mode_guards" in text
-        with open(args.exposition, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"merged Prometheus exposition "
-              f"({len(text.splitlines())} lines) -> {args.exposition}")
-
-    print(f"\n{'PASS' if not failures else 'FAIL'}: interprocedural-"
-          f"modes ablation; see EXPERIMENTS.md E16")
-    return 1 if failures else 0
 
 
 # ------------------------------------------------- profiler overhead (E15)
@@ -641,9 +524,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="measure sampled-profiler overhead (E15) "
                              "instead of the optimizer axis")
-    parser.add_argument("--modes", action="store_true",
-                        help="run the interprocedural-modes ablation "
-                             "(E16) instead of the optimizer axis")
     parser.add_argument("--timing", action="store_true",
                         help="print the per-opcode wall-time table "
                              "(E14b) instead of the optimizer axis")
@@ -652,8 +532,6 @@ def main(argv=None) -> int:
         return profile_mode(args)
     if args.timing:
         return timing_mode(args)
-    if args.modes:
-        return modes_mode(args)
     levels = OPT_LEVELS if args.optimize == "all" else (args.optimize,)
 
     failures = 0

@@ -56,12 +56,10 @@ A minimal shell over an :class:`~repro.EduceStar` session:
                   (docs/ANALYSIS.md): inferred call/success modes
                   (``g``/``n``/``a`` letters) and determinism class
                   per predicate — all of them, or just ``name`` /
-                  ``name/arity``; ``:modes apply`` feeds the proven
-                  bindings to the optimizer (mode-driven dispatch),
-                  ``:modes clear`` reverts
+                  ``name/arity``
   ``:optimize [L]``  show or set the code-optimization level —
-                  ``off``, ``peephole`` (superinstruction fusion) or
-                  ``full`` (fusion + determinism-driven dispatch);
+                  ``off`` or ``full`` (superinstruction fusion +
+                  determinism-driven dispatch);
                   with no argument prints the level and the
                   ``wam_opt_*`` counters (docs/OPTIMIZER.md)
   ``:lint [F]``   lint a Prolog file — or, with no argument, the
@@ -278,7 +276,7 @@ def command(session, line: str, interactive: bool):
     elif cmd == ":optimize":
         from repro.wam.optimizer import OPT_LEVELS
         if arg and arg not in OPT_LEVELS:
-            print("usage: :optimize [off|peephole|full]")
+            print("usage: :optimize [off|full]")
         elif arg:
             session.set_optimize(arg)
             print(f"optimize {arg}")
@@ -334,19 +332,7 @@ def command(session, line: str, interactive: bool):
             print(describe_procedure(session, name, int(arity_text)))
     elif cmd == ":modes":
         from repro.analysis import describe_modes
-        if arg == "apply":
-            report = session.apply_global_modes(refresh=True)
-            bound = report.bound_args()
-            print(f"applied: {len(bound)} predicate(s) with proven-"
-                  "ground arguments feed mode-driven dispatch "
-                  f"(wam_opt_mode_guards counts uses)")
-            if session.optimize != "full":
-                print(f"note: optimize is '{session.optimize}' — "
-                      "guards plant only at :optimize full")
-        elif arg == "clear":
-            session.clear_global_modes()
-            print("cleared: optimizer back to call-site-only guards")
-        elif arg:
+        if arg:
             name, slash, arity_text = arg.rpartition("/")
             if slash and arity_text.isdigit():
                 print(describe_modes(session, name, int(arity_text)))

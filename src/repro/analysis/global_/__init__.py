@@ -9,10 +9,9 @@ keyword.  Entry points:
   :class:`Program` view the pass runs over;
 * :func:`analyze_program` — run everything, get a
   :class:`GlobalReport`;
-* the report's :meth:`~GlobalReport.bound_args`,
-  :meth:`~GlobalReport.mode_findings`, :meth:`~GlobalReport.describe`
-  feed the WAM optimizer, the linter's M rules, and the ``:modes``/
-  ``python -m repro.analysis modes`` surfaces respectively.
+* the report's :meth:`~GlobalReport.mode_findings` and
+  :meth:`~GlobalReport.describe` feed the linter's M rules and the
+  ``:modes``/``python -m repro.analysis modes`` surfaces.
 """
 
 from .callgraph import (CallGraph, CallSite, Program, build_call_graph,

@@ -29,6 +29,7 @@ from ...lang.program import (Indicator, Section, iter_goals,
                              read_sections, split_clause_term)
 from ...lang.reader import Reader
 from ...terms import Term
+from ...wam.compiler import is_aux_name
 
 __all__ = ["CallSite", "Program", "CallGraph", "build_call_graph",
            "program_from_text", "program_from_sections",
@@ -196,17 +197,23 @@ def program_from_session(session) -> Program:
     """A :class:`Program` over everything a live session can execute:
     main-memory procedures (their surface clauses), EDB-stored rules
     (the Datalog rulebase keeps every stored procedure's surface
-    clauses), and EDB facts relations by row count."""
+    clauses), and EDB facts relations by row count.  Compiler-made aux
+    procedures stay out: their owner's surface clause already holds
+    the goal they were cut from."""
     program = Program()
     for proc in session.machine.procedures.values():
-        if proc.kind == "external" or not proc.clauses:
+        if (proc.kind == "external" or not proc.clauses
+                or is_aux_name(proc.name)):
             continue
         program.clauses[(proc.name, proc.arity)] = list(proc.clauses)
     with session.store.reading():
         for ind, clauses in session.store.datalog_rules.clauses().items():
-            program.clauses.setdefault(ind, list(clauses))
+            if not is_aux_name(ind[0]):
+                program.clauses.setdefault(ind, list(clauses))
     for proc in session.store.procedures():
         ind = (proc.name, proc.arity)
+        if is_aux_name(proc.name):
+            continue
         if proc.mode == "facts":
             program.fact_rows[ind] = len(proc.relation)
         elif ind not in program.clauses:

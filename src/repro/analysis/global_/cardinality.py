@@ -28,8 +28,7 @@ base case is).  The companion refinement :func:`refine_with_modes`
 re-examines ``max`` under the *inferred call modes*: when every call
 site proves argument *k* ground and the clause heads carry pairwise
 distinct constants there, at most one clause can match — "det under
-inferred modes", the fact the optimizer's interprocedural guards and
-lint rule M203 consume.
+inferred modes", the fact lint rule M203 consumes.
 
 **Soundness contract**: the classes bound the solution counts of
 calls that terminate without raising; a predicate classed ``det`` may

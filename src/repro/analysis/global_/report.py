@@ -6,13 +6,6 @@ per-predicate :class:`PredicateInfo` plus the ``analysis_global_*``
 counters the exposition publishes.  The report is also the consumer
 API:
 
-* :meth:`GlobalReport.bound_args` — argument positions proven ground
-  at every analysed call site, the input to the WAM optimizer's
-  interprocedural ``switch_on_arg`` guards.  These are *profitability*
-  facts, not safety facts: the generalized guard is observationally
-  equivalent for every call pattern (docs/OPTIMIZER.md), so a
-  top-level query that bypasses the analysed call sites merely takes
-  the unguarded path.
 * :meth:`GlobalReport.mode_findings` — the M lint rules (M201/M202/
   M203), returned as :class:`~repro.analysis.lint.LintFinding` so the
   standard ``% lint: disable=`` pragmas waive them.
@@ -30,8 +23,7 @@ from ...lang.program import Indicator, iter_goals, split_clause_term
 from ...terms import Struct, Var
 from .callgraph import CallGraph, Program, build_call_graph
 from .cardinality import (CardResult, infer_cardinality)
-from .modes import (ModeResult, builtin_signature, GROUND, infer_modes,
-                    mode_string)
+from .modes import ModeResult, builtin_signature, infer_modes, mode_string
 
 __all__ = ["PredicateInfo", "GlobalReport", "analyze_program"]
 
@@ -97,27 +89,6 @@ class GlobalReport:
 
     def info(self, name: str, arity: int) -> Optional[PredicateInfo]:
         return self.infos.get((name, arity))
-
-    def bound_args(self) -> Dict[Indicator, Tuple[int, ...]]:
-        """Argument positions proven ground at every analysed call
-        site.  Restricted to predicates the program itself calls and
-        that are not analysis entries — an entry's call modes are ⊤ by
-        construction.  Purely a profitability map (see module doc)."""
-        out: Dict[Indicator, Tuple[int, ...]] = {}
-        entries = set(self.program.entries)
-        for ind, info in self.infos.items():
-            if info.source != "clauses" or not info.called:
-                continue
-            if ind in entries or info.widened:
-                continue
-            call = self.modes.call_modes.get(ind)
-            if not call:
-                continue
-            positions = tuple(i for i, m in enumerate(call)
-                              if m == GROUND)
-            if positions:
-                out[ind] = positions
-        return out
 
     # -- renderings ---------------------------------------------------
 

@@ -74,15 +74,15 @@ class DynamicLoader:
         self.tracer = NULL_TRACER  # session installs its shared tracer
         # (name, arity) → (stamp, {pattern: (clauses, block)}): the rule
         # clauses the grid answers (none for facts) and the block over
-        # them all; stamp = (version, depth, opt_level, modes_epoch).
-        # The cache *follows* the store: a call that finds the
-        # procedure's blocks under a different stamp — a mutator bumped
-        # the version, ``:optimize`` or ``:modes apply`` changed the
-        # settings — drops them before loading, so no writer ever has to
-        # tell a session about a write, and a session holds at most the
-        # blocks of its live call patterns.  Versions are monotone per indicator even
-        # across drop+recreate (the store keeps a version floor), so a
-        # stamp never aliases old code with new.
+        # them all; stamp = (version, depth, opt_level).  The cache
+        # *follows* the store: a call that finds the procedure's blocks
+        # under a different stamp — a mutator bumped the version,
+        # ``:optimize`` changed the level — drops them before loading,
+        # so no writer ever has to tell a session about a write, and a
+        # session holds at most the blocks of its live call patterns.
+        # Versions are monotone per indicator even across drop+recreate
+        # (the store keeps a version floor), so a stamp never aliases
+        # old code with new.
         # Latched: metric scrapes and explicit invalidate() calls may
         # come from another thread than the one querying.
         self._cache: Dict[Tuple[str, int],
@@ -115,15 +115,10 @@ class DynamicLoader:
             return None
         summaries = self.preunifier.summaries_from_registers(machine, arity)
         pattern = tuple(sorted(summaries.items()))
-        # The optimization level and the whole-program modes epoch ride
-        # in the stamp: ``:optimize`` / ``:modes apply`` change them at
-        # runtime and cached blocks must match the active settings.
-        if self.optimizer is None:
-            opt_level, modes_epoch = "off", 0
-        else:
-            opt_level = self.optimizer.level
-            modes_epoch = self.optimizer.modes_epoch
-        stamp = (proc.version, self.preunifier.depth, opt_level, modes_epoch)
+        # The optimization level rides in the stamp: ``:optimize``
+        # changes it at runtime and cached blocks must match it.
+        opt_level = "off" if self.optimizer is None else self.optimizer.level
+        stamp = (proc.version, self.preunifier.depth, opt_level)
         with self._latch:
             entry = self._cache.get((name, arity))
             if entry is not None and entry[0] != stamp:
@@ -207,7 +202,7 @@ class DynamicLoader:
         """Snapshot of this procedure's live cache entries, for EXPLAIN.
 
         Returns ``[(key, code), ...]`` pairs where *key* is ``(name,
-        arity, version, pattern, depth, opt_level, modes_epoch)``.
+        arity, version, pattern, depth, opt_level)``.
         Read-only: no counters move and the cache is not touched beyond
         holding the latch for a consistent copy.
         """
@@ -215,9 +210,9 @@ class DynamicLoader:
             entry = self._cache.get((name, arity))
             if entry is None:
                 return []
-            (version, depth, opt_level, modes_epoch), blocks = entry
-            return [((name, arity, version, pattern, depth, opt_level,
-                      modes_epoch), code)
+            (version, depth, opt_level), blocks = entry
+            return [((name, arity, version, pattern, depth, opt_level),
+                     code)
                     for pattern, (_, code) in blocks.items()]
 
     # ------------------------------------------------------------ rules path

@@ -340,8 +340,7 @@ class EduceStar:
             if stored.mode == "facts":
                 pnode.attrs["rows"] = len(stored.relation)
             for key, code in self.loader.cached_blocks(name, arity):
-                (_n, _a, version, pattern, depth, opt_level,
-                 _modes_epoch) = key
+                _n, _a, version, pattern, depth, opt_level = key
                 # The pattern is the pre-unifier's bound-argument
                 # summary map; "free" means every argument was unbound.
                 label = ",".join(f"{pos}:{summary[0]}"
@@ -501,26 +500,6 @@ class EduceStar:
         self._global_key = key
         self.global_runs += 1
         return self._global_report
-
-    def apply_global_modes(self, refresh: bool = False):
-        """Run (or reuse) the whole-program analysis and install its
-        bound-argument map into the optimizer: main-memory blocks are
-        rebuilt immediately, loader-cached blocks refresh on next fetch
-        (``modes_epoch`` rides in the cache stamp).  Returns the report.
-
-        The installed facts are profitability hints only — the
-        generalized guards are observationally equivalent for every
-        call pattern, and every rebuilt block still passes the full
-        verify + D301/D302 gate (docs/OPTIMIZER.md)."""
-        report = self.global_analysis(refresh=refresh)
-        self.machine.optimizer.set_global_modes(report.bound_args())
-        self.machine.rebuild_blocks()
-        return report
-
-    def clear_global_modes(self) -> None:
-        """Remove installed whole-program facts and rebuild."""
-        self.machine.optimizer.set_global_modes({})
-        self.machine.rebuild_blocks()
 
     def _datalog_modes(self, ind: Tuple[str, int]):
         """Modes/determinism for the strategy planner: available only

@@ -126,6 +126,13 @@ class CompileContext:
         return self.dictionary.intern(name, arity)
 
 
+def is_aux_name(name: str) -> bool:
+    """A name :meth:`CompileContext.fresh_aux_name` made up: an owner's
+    ``$aux_<name>/<arity>_<k>``, the metacall's ``$call_<k>``, and the
+    auxes of either, which extend the name."""
+    return name.startswith(("$aux_", "$call_"))
+
+
 def split_clause(clause: Term) -> Tuple[Term, List[Term]]:
     """Split ``Head :- Body`` into (head, [goal...]); facts get []."""
     clause = deref(clause)

@@ -74,7 +74,9 @@ def build_procedure_layout(
     if not clauses:
         return ProcedureLayout(code=assemble([(I.FAIL_OP,)]))
 
-    if optimizer is not None and optimizer.fuse_enabled:
+    if optimizer is not None and not optimizer.enabled:
+        optimizer = None
+    if optimizer is not None:
         clauses = [optimizer.fuse_compiled(c) for c in clauses]
 
     if len(clauses) == 1:
@@ -90,30 +92,22 @@ def build_procedure_layout(
         and any(c.first_arg_kind != "var" for c in clauses)
     )
 
-    demote = optimizer is not None and optimizer.dispatch_enabled
-
-    #: sub-chains referenced by generalized guards, emitted after the
-    #: clause bodies (just before ``$fail``) so the main layout stays
-    #: byte-identical whenever no mode-driven guard fires
-    pending: List[Tuple[str, List[int]]] = []
-
     if use_switch:
-        _emit_switch(out, clauses, entry_labels,
-                     optimizer if demote else None, pending)
+        _emit_switch(out, clauses, entry_labels, optimizer)
 
     # The variable-entry chain: try_me_else over all clauses, with clause
     # code inline.  Clause entry labels point past the choice instruction
     # so indexed jumps skip choice-point creation.
     out.append((I.LABEL, "$var_entry"))
-    if demote:
+    if optimizer is not None:
         # Guard the full chain too: with the switch in front, X0 here is
         # known unbound, so only positions >= 1 can decide; without a
         # switch (index=False procedures) any position qualifies.
-        plan = optimizer.plan_guard(
+        guard = optimizer.plan_guard(
             clauses, list(range(len(clauses))),
             min_arg=1 if use_switch else 0)
-        if plan is not None:
-            _emit_guard(out, plan, entry_labels, "$var_seq", pending)
+        if guard is not None:
+            _emit_guard(out, guard, entry_labels, "$var_seq")
             out.append((I.LABEL, "$var_seq"))
     last = len(clauses) - 1
     for i, clause in enumerate(clauses):
@@ -128,17 +122,6 @@ def build_procedure_layout(
         out.append((I.LABEL, entry_labels[i]))
         out.extend(clause.code)
 
-    for label, positions in pending:
-        out.append((I.LABEL, label))
-        sub_last = len(positions) - 1
-        for j, pos in enumerate(positions):
-            if j == 0:
-                out.append((I.TRY, entry_labels[pos]))
-            elif j < sub_last:
-                out.append((I.RETRY, entry_labels[pos]))
-            else:
-                out.append((I.TRUST, entry_labels[pos]))
-
     out.append((I.LABEL, _FAIL_LABEL))
     out.append((I.FAIL_OP,))
     code, offsets = assemble_with_offsets(out)
@@ -148,34 +131,20 @@ def build_procedure_layout(
         fail_offset=offsets[_FAIL_LABEL])
 
 
-def _emit_guard(out: List[tuple], plan, entry_labels: List[str],
-                seq_label: str, pending: List[Tuple[str, List[int]]]
-                ) -> None:
-    """Emit one ``switch_on_arg`` from a
-    :class:`~repro.wam.optimizer.GuardPlan`.  Multi-clause dispatch
-    targets become sub-chain labels queued on *pending* (emitted before
-    ``$fail``); singleton targets jump straight to the clause entry —
-    which makes the legacy pairwise-distinct plan's emission identical
-    to what this module always produced."""
-
-    def target(positions) -> str:
-        if not positions:
-            return _FAIL_LABEL
-        if len(positions) == 1:
-            return entry_labels[positions[0]]
-        label = f"$sub_{len(pending)}"
-        pending.append((label, list(positions)))
-        return label
-
-    table = {key: target(positions)
-             for key, positions in plan.table.items()}
-    out.append((I.SWITCH_ON_ARG, plan.argpos, table, seq_label,
-                target(plan.var_positions)))
+def _emit_guard(out: List[tuple], guard: Tuple[int, Dict[tuple, int]],
+                entry_labels: List[str], seq_label: str) -> None:
+    """Emit one ``switch_on_arg`` from an ``(argpos, {key: clause
+    position})`` guard: a bound key jumps straight to its clause entry,
+    a bound value matching no key fails, an unbound one falls through
+    to *seq_label*'s chain."""
+    argpos, table = guard
+    out.append((I.SWITCH_ON_ARG, argpos,
+                {key: entry_labels[pos] for key, pos in table.items()},
+                seq_label, _FAIL_LABEL))
 
 
 def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
-                 entry_labels: List[str], optimizer,
-                 pending: List[Tuple[str, List[int]]]) -> None:
+                 entry_labels: List[str], optimizer) -> None:
     var_positions = [
         i for i, c in enumerate(clauses) if c.first_arg_kind == "var"
     ]
@@ -262,11 +231,10 @@ def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
     # discriminate further.
     for label, positions in chains:
         out.append((I.LABEL, label))
-        plan = (optimizer.plan_guard(clauses, positions, min_arg=1)
-                if optimizer is not None else None)
-        if plan is not None:
-            _emit_guard(out, plan, entry_labels, f"$seq_{label[1:]}",
-                        pending)
+        guard = (optimizer.plan_guard(clauses, positions, min_arg=1)
+                 if optimizer is not None else None)
+        if guard is not None:
+            _emit_guard(out, guard, entry_labels, f"$seq_{label[1:]}")
             out.append((I.LABEL, f"$seq_{label[1:]}"))
         last = len(positions) - 1
         for j, pos in enumerate(positions):

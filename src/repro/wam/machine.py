@@ -358,12 +358,6 @@ class Machine:
         if level == self.optimizer.level:
             return
         self.optimizer.set_level(level)
-        self.rebuild_blocks()
-
-    def rebuild_blocks(self) -> None:
-        """Rebuild every main-memory procedure's control wrapper at the
-        optimizer's current settings — used when the level changes and
-        when whole-program mode facts are (re)installed."""
         for proc in self.procedures.values():
             if proc.kind == "static" and proc.compiled:
                 proc.code = self._build_block(proc)

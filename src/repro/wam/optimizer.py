@@ -3,18 +3,18 @@
 Two passes over procedure code, both proven safe before their output is
 ever executed (docs/OPTIMIZER.md):
 
-* **Peephole / superinstruction fusion** (level ``"peephole"`` and up)
-  rewrites runs of adjacent instructions inside one clause's code into
-  fused instructions executed natively by :mod:`repro.wam.machine`
-  under a single dispatch — ``get_constants``, ``unify_constants``,
+* **Peephole / superinstruction fusion** rewrites runs of adjacent
+  instructions inside one clause's code into fused instructions
+  executed natively by :mod:`repro.wam.machine` under a single
+  dispatch — ``get_constants``, ``unify_constants``,
   ``get_list_vv`` and ``put_args``.  Each fused handler executes the
   exact semantics of the run it replaces, in order, so fusion is
   observationally equivalent by construction; what changes is the
   interpretation overhead (``instr_count``), the cost the paper's
   compiled-vs-interpreted argument hinges on (§2.1, §3.2.1).
 
-* **Determinism-driven dispatch** (level ``"full"``) consults the same
-  per-argument partition analysis as :mod:`repro.analysis.determinism`:
+* **Determinism-driven dispatch** consults the same per-argument
+  partition analysis as :mod:`repro.analysis.determinism`:
   when every clause of a try/retry/trust chain holds a pairwise-distinct
   constant at some argument position, at most one clause can match any
   bound value, so the chain is demoted behind a ``switch_on_arg`` guard
@@ -32,16 +32,16 @@ finding — or an armed forced reject, the FaultInjector-style test hook —
 falls back to the unoptimized block and bumps ``wam_opt_rejects``;
 unverified optimized code is never executed.
 
-The ``optimize="off"|"peephole"|"full"`` knob threads through
-:class:`~repro.wam.machine.Machine`, the EDB dynamic loader, the session
-config and the REPL's ``:optimize`` command.  The suite-wide default is
-set with :func:`set_default_level`.
+The ``optimize="off"|"full"`` knob (``"full"`` runs both passes)
+threads through :class:`~repro.wam.machine.Machine`, the EDB dynamic
+loader, the session config and the REPL's ``:optimize`` command.  The
+suite-wide default is set with :func:`set_default_level`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import VerifyError
@@ -50,12 +50,12 @@ from .block import Block
 from .compiler import CompiledClause
 from .indexing import build_procedure_code, build_procedure_layout
 
-__all__ = ["OPT_LEVELS", "GuardPlan", "Optimizer",
-           "build_optimized_block", "chain_guard", "default_level",
-           "fuse_code", "mode_guard", "set_default_level"]
+__all__ = ["OPT_LEVELS", "Optimizer", "build_optimized_block",
+           "chain_guard", "default_level", "fuse_code",
+           "set_default_level"]
 
 #: accepted optimization levels (docs/OPTIMIZER.md)
-OPT_LEVELS = ("off", "peephole", "full")
+OPT_LEVELS = ("off", "full")
 
 #: process-wide default level for machines/sessions constructed with
 #: ``optimize=None``; the test suite flips it to "full" in conftest.py
@@ -176,75 +176,6 @@ def chain_guard(clauses: Sequence[CompiledClause],
     return None
 
 
-@dataclass(frozen=True)
-class GuardPlan:
-    """One ``switch_on_arg`` guard, generalized to sub-chains.
-
-    ``table`` maps each constant key to the clause positions a call
-    bound to that key must still try, in source order (the matching
-    constants plus every clause holding a variable at ``argpos``);
-    ``var_positions`` are the variable-at-``argpos`` clauses alone —
-    the target for a bound value matching no key (and for bound lists/
-    structures, which is why planning excludes procedures with list or
-    structure keys at ``argpos``).  An unbound argument always takes
-    the full sequential chain.  The plan is therefore observationally
-    equivalent for *every* call pattern; inferred modes only decide
-    where planning is worth attempting (docs/OPTIMIZER.md,
-    "interprocedural guards").
-
-    The legacy pairwise-distinct-constants guard is the special case
-    of singleton targets and no variable clauses.
-    """
-    argpos: int
-    table: Dict[tuple, Tuple[int, ...]]
-    var_positions: Tuple[int, ...]
-    mode_driven: bool
-
-
-def mode_guard(clauses: Sequence[CompiledClause],
-               positions: Sequence[int], min_arg: int,
-               bound_positions: Sequence[int]
-               ) -> Optional[GuardPlan]:
-    """Plan a guard on an argument the whole-program analysis proved
-    ground at every call site, where the local :func:`chain_guard`
-    could not (duplicate constants, or variable-headed clauses mixed
-    in).  Profitable only when at least two distinct keys exist and
-    every dispatch target is a strict sub-chain."""
-    chain = [clauses[p] for p in positions]
-    if len(chain) < 2:
-        return None
-    arity = chain[0].arity
-    if any(c.arg_keys is None or len(c.arg_keys) != arity for c in chain):
-        return None
-    for k in sorted(bound_positions):
-        if k < min_arg or k >= arity:
-            continue
-        var_positions: List[int] = []
-        by_key: Dict[tuple, List[int]] = {}
-        ok = True
-        for pos in positions:
-            kind, key = clauses[pos].arg_keys[k]
-            if kind == "var":
-                var_positions.append(pos)
-            elif kind in ("constant", "nil") and key is not None:
-                by_key.setdefault(key, []).append(pos)
-            else:
-                ok = False  # list/structure key: lmiss would be wrong
-                break
-        if not ok or len(by_key) < 2:
-            continue
-        table = {
-            key: tuple(sorted(matches + var_positions))
-            for key, matches in by_key.items()
-        }
-        if max(len(t) for t in table.values()) >= len(positions):
-            continue  # no dispatch target is any shorter than the chain
-        return GuardPlan(argpos=k, table=table,
-                         var_positions=tuple(var_positions),
-                         mode_driven=True)
-    return None
-
-
 # =====================================================================
 # The optimizer object
 # =====================================================================
@@ -270,17 +201,8 @@ class Optimizer:
         self.fusions = 0
         #: try/retry/trust chains demoted behind a switch_on_arg guard
         self.chains_demoted = 0
-        #: guards emitted only thanks to interprocedural mode facts
-        self.mode_guards = 0
         #: optimized blocks rejected by the gate (fell back to naive code)
         self.rejects = 0
-        #: whole-program analysis facts: indicator -> argument positions
-        #: proven ground at every analysed call site (profitability map
-        #: for :func:`mode_guard`; installed by the session)
-        self.global_bound_args: Dict[Tuple[str, int],
-                                     Tuple[int, ...]] = {}
-        #: bumped on every install so block caches keyed on it refresh
-        self.modes_epoch = 0
         #: (procedure, rule, offset) of the most recent gate rejection
         self.last_reject: Optional[tuple] = None
         #: flight recorder for ``wam_opt.reject`` events — the session
@@ -291,14 +213,6 @@ class Optimizer:
         self._muted = 0
 
     # ------------------------------------------------------------ level
-
-    @property
-    def fuse_enabled(self) -> bool:
-        return self.level in ("peephole", "full")
-
-    @property
-    def dispatch_enabled(self) -> bool:
-        return self.level == "full"
 
     @property
     def enabled(self) -> bool:
@@ -322,46 +236,15 @@ class Optimizer:
             self.fusions += fusions
         return replace(clause, code=code)
 
-    def guard_for_chain(self, clauses: Sequence[CompiledClause],
-                        positions: Sequence[int], min_arg: int
-                        ) -> Optional[Tuple[int, Dict[tuple, int]]]:
+    def plan_guard(self, clauses: Sequence[CompiledClause],
+                   positions: Sequence[int], min_arg: int
+                   ) -> Optional[Tuple[int, Dict[tuple, int]]]:
+        """:func:`chain_guard`, counted in ``wam_opt_chains_demoted``:
+        the guard planner :mod:`repro.wam.indexing` emits from."""
         guard = chain_guard(clauses, positions, min_arg)
         if guard is not None and not self._muted:
             self.chains_demoted += 1
         return guard
-
-    def plan_guard(self, clauses: Sequence[CompiledClause],
-                   positions: Sequence[int], min_arg: int
-                   ) -> Optional[GuardPlan]:
-        """The unified guard planner :mod:`repro.wam.indexing` emits
-        from: the local pairwise-distinct-constants proof first, then
-        the interprocedural :func:`mode_guard` when the whole-program
-        analysis marked arguments of this predicate ground at every
-        call site."""
-        guard = self.guard_for_chain(clauses, positions, min_arg)
-        if guard is not None:
-            argpos, table = guard
-            return GuardPlan(
-                argpos=argpos,
-                table={key: (pos,) for key, pos in table.items()},
-                var_positions=(), mode_driven=False)
-        if not self.global_bound_args:
-            return None
-        bound = self.global_bound_args.get(
-            (clauses[0].head_name, clauses[0].arity))
-        if not bound:
-            return None
-        plan = mode_guard(clauses, positions, min_arg, bound)
-        if plan is not None and not self._muted:
-            self.mode_guards += 1
-        return plan
-
-    def set_global_modes(self, bound_args: Dict[Tuple[str, int],
-                                                Tuple[int, ...]]) -> None:
-        """Install (or clear) the whole-program bound-argument map and
-        bump ``modes_epoch`` so cached blocks rebuild against it."""
-        self.global_bound_args = dict(bound_args)
-        self.modes_epoch += 1
 
     @contextmanager
     def muted(self):
@@ -408,7 +291,6 @@ class Optimizer:
             "wam_opt_blocks": self.blocks,
             "wam_opt_fusions": self.fusions,
             "wam_opt_chains_demoted": self.chains_demoted,
-            "wam_opt_mode_guards": self.mode_guards,
             "wam_opt_rejects": self.rejects,
         }
 
@@ -416,7 +298,6 @@ class Optimizer:
         self.blocks = 0
         self.fusions = 0
         self.chains_demoted = 0
-        self.mode_guards = 0
         self.rejects = 0
 
 

@@ -352,7 +352,7 @@ class TestAnalysisGlossary:
         names = documented(glossary)
         for key in ("analysis_global_runs", "analysis_global_predicates",
                     "analysis_global_sccs", "analysis_global_iterations",
-                    "analysis_global_widenings", "wam_opt_mode_guards",
+                    "analysis_global_widenings",
                     "datalog_mode_shortcuts"):
             assert key in names, key
 

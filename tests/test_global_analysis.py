@@ -1,14 +1,11 @@
 """Whole-program analysis: call graph, modes, determinism, consumers.
 
 Covers the `repro.analysis.global_` package (docs/ANALYSIS.md,
-"Whole-program analysis") and its three consumers: the WAM optimizer's
-mode-driven dispatch, the Datalog strategy planner's determinism
-short-circuit, and the linter's M rules.
+"Whole-program analysis") and its two consumers: the Datalog strategy
+planner's determinism short-circuit and the linter's M rules.
 """
 
 import json
-import re
-
 
 from repro import EduceStar
 from repro.analysis.global_ import (ANY, GROUND, NONVAR, analyze_program,
@@ -234,8 +231,7 @@ class TestCardinality:
 
     def test_det_under_modes_discriminating_position(self):
         """Pairwise-distinct constants at a position every call site
-        binds drop the max to one solution — the advisory analog of
-        the optimizer's mode-driven dispatch."""
+        binds drop the max to one solution."""
         report = analyzed("""
             d(X, k1).
             d(X, k2).
@@ -271,11 +267,6 @@ class TestReport:
                     "analysis_global_widenings"):
             assert key in counters
         assert counters["analysis_global_predicates"] == 4
-
-    def test_bound_args_excludes_entries(self):
-        bound = analyzed(DISPATCH).bound_args()
-        assert bound[("act", 3)] == (0, 1)
-        assert ("route", 2) not in bound  # entry: call modes are ⊤
 
     def test_to_dict_is_json_clean(self):
         payload = json.loads(json.dumps(analyzed(DISPATCH).to_dict()))
@@ -366,110 +357,6 @@ class TestModeRules:
 
 
 # =====================================================================
-# Optimizer consumer: mode-driven dispatch
-# =====================================================================
-
-def _compiled(program_text, name, arity, **kwargs):
-    kb = EduceStar(optimize="full", **kwargs)
-    kb.consult(program_text)
-    return kb, kb.machine.procedure(name, arity)
-
-
-class TestModeGuardPlanning:
-    def test_mode_guard_plans_subchains(self):
-        from repro.wam.optimizer import mode_guard
-        kb, proc = _compiled(DISPATCH, "act", 3)
-        plan = mode_guard(proc.compiled, range(len(proc.compiled)), 0,
-                          bound_positions=(0, 1))
-        assert plan is not None and plan.mode_driven
-        assert plan.argpos == 1
-        # two keys: k1 -> the sub-chain {0, 1}, k2 -> clause 2 alone
-        assert sorted(plan.table.values()) == [(0, 1), (2,)]
-        assert plan.var_positions == ()
-
-    def test_mode_guard_needs_two_keys(self):
-        from repro.wam.optimizer import mode_guard
-        kb, proc = _compiled("a(X, k) :- t. a(Y, k) :- t. t.", "a", 2)
-        assert mode_guard(proc.compiled, range(2), 0, (1,)) is None
-
-    def test_mode_guard_refuses_structure_keys(self):
-        from repro.wam.optimizer import mode_guard
-        kb, proc = _compiled(
-            "a(X, f(1)) :- t. a(X, k1) :- t. a(X, k1). t.", "a", 2)
-        assert mode_guard(proc.compiled,
-                          range(len(proc.compiled)), 0, (1,)) is None
-
-    def test_plan_guard_uses_global_map(self):
-        kb, proc = _compiled(DISPATCH, "act", 3)
-        optimizer = kb.machine.optimizer
-        assert optimizer.plan_guard(proc.compiled,
-                                    list(range(3)), 0) is None
-        optimizer.set_global_modes({("act", 3): (0, 1)})
-        plan = optimizer.plan_guard(proc.compiled, list(range(3)), 0)
-        assert plan is not None and plan.mode_driven
-
-    def test_set_global_modes_bumps_epoch(self):
-        kb = EduceStar(optimize="full")
-        optimizer = kb.machine.optimizer
-        before = optimizer.modes_epoch
-        optimizer.set_global_modes({})
-        assert optimizer.modes_epoch == before + 1
-
-
-class TestModeGuardDifferential:
-    GOALS = ("route(c, R)", "route(d, R)", "route(X, Y)",
-             "act(c, k1, R)", "act(c, k2, R)", "act(c, k9, R)",
-             "act(c, K, off)", "act(V, W, Z)", "act(c, [k1], R)")
-
-    @staticmethod
-    def answers(kb, goal):
-        sols = [tuple(sorted((n, repr(v)) for n, v in s.bindings.items()))
-                for s in kb.solve(goal)]
-        return re.sub(r"_G\d+", "_", repr(sols))
-
-    def test_answers_identical_across_all_call_patterns(self):
-        base = EduceStar(optimize="full")
-        base.consult(DISPATCH)
-        modes = EduceStar(optimize="full")
-        modes.consult(DISPATCH)
-        report = modes.apply_global_modes()
-        assert ("act", 3) in report.bound_args()
-        for goal in self.GOALS:
-            assert self.answers(modes, goal) == \
-                self.answers(base, goal), goal
-        assert modes.machine.counters()["wam_opt_mode_guards"] >= 1
-
-    def test_no_modes_means_identical_listing(self):
-        """Without an applied analysis the generalized guard planner
-        must emit byte-identical code to the legacy path."""
-        one = EduceStar(optimize="full")
-        one.consult(DISPATCH)
-        two = EduceStar(optimize="full")
-        two.consult(DISPATCH)
-        two.apply_global_modes()
-        two.clear_global_modes()
-        for name, arity in (("act", 3), ("route", 2), ("mark", 1)):
-            pa = one.machine.procedure(name, arity)
-            pb = two.machine.procedure(name, arity)
-            assert [str(i) for i in pa.code] == [str(i) for i in pb.code]
-
-    def test_mode_guard_cuts_instructions(self):
-        base = EduceStar(optimize="full")
-        base.consult(DISPATCH)
-        modes = EduceStar(optimize="full")
-        modes.consult(DISPATCH)
-        modes.apply_global_modes()
-
-        def instructions(kb):
-            before = kb.machine.instr_count
-            for _ in kb.solve("route(c, R)"):
-                pass
-            return kb.machine.instr_count - before
-
-        assert instructions(modes) < instructions(base)
-
-
-# =====================================================================
 # Session integration
 # =====================================================================
 
@@ -492,24 +379,40 @@ class TestSessionIntegration:
         assert counters["analysis_global_predicates"] >= 4
         assert counters["analysis_global_sccs"] >= 4
 
-    def test_apply_and_clear(self):
-        kb = EduceStar(optimize="full")
-        kb.consult(DISPATCH)
-        kb.apply_global_modes()
-        assert kb.machine.optimizer.global_bound_args
-        kb.clear_global_modes()
-        assert not kb.machine.optimizer.global_bound_args
-
     def test_explain_procedure_annotations(self):
         kb = EduceStar(optimize="full")
         kb.consult(DISPATCH)
-        kb.apply_global_modes()
+        kb.global_analysis()
         plan = kb.explain("act(c, k1, R)")
         node = plan.root.find("procedure")
         assert node is not None
         assert node.attrs["call_modes"] == "gga"
         assert node.attrs["success_modes"] == "ggg"
         assert node.attrs["determinism"] == "nondet"
+
+    def test_aux_procedures_are_not_analysis_roots(self):
+        """Compiler-made aux procedures stay out of the analysed
+        program: each owner's surface clause already carries the goal
+        its aux was cut from, so an aux root would only seed ⊤ modes."""
+        from repro.workloads import mvv
+        kb = mvv.load_educestar(mvv.generate(scale=0.05))
+        assert any(proc.name.startswith("$aux_")
+                   for proc in kb.machine.procedures.values())
+        program = kb.global_analysis().program
+        assert not [ind for ind in program.entries
+                    if ind[0].startswith("$")]
+        assert not [ind for ind in program.defined()
+                    if ind[0].startswith("$")]
+
+    def test_stored_aux_procedures_are_not_analysed(self):
+        kb = EduceStar()
+        kb.store_program("sign(X, S) :- ( X < 0 -> S = neg ; S = pos ).")
+        assert any(proc.name.startswith("$aux_")
+                   for proc in kb.store.procedures())
+        program = kb.global_analysis().program
+        assert not [ind for ind in program.defined()
+                    if ind[0].startswith("$")]
+        assert ("sign", 2) in program.entries
 
     def test_describe_modes_helper(self):
         from repro.analysis import describe_modes

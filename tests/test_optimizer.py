@@ -6,9 +6,9 @@ The correctness net behind docs/OPTIMIZER.md:
 * execution tests for every fused opcode (both unification modes) and
   for ``switch_on_arg`` dispatch (hit / miss / unbound);
 * the corpus differential suite — every ``tests/corpus/*.pl`` program
-  and the E1/E7/E8 workloads run under ``optimize="off"``,
-  ``"peephole"`` and ``"full"`` with identical answers, order and
-  errors, plus pinned expected answers for representative goals;
+  and the E1/E7/E8 workloads run under ``optimize="off"`` and
+  ``"full"`` with identical answers, order and errors, plus pinned
+  expected answers for representative goals;
 * golden-file regression listings (before/after disassembly) for a
   dozen representative procedures, regenerated with
   ``REPRO_REGEN_GOLDEN=1``;
@@ -306,9 +306,7 @@ class TestOptimizedExecution:
             with measure(m) as meas:
                 assert collect(m, goal)[0]
             stats[level] = meas
-        assert stats["peephole"]["instr_count"] < stats["off"]["instr_count"]
-        assert stats["full"]["instr_count"] <= \
-            stats["peephole"]["instr_count"]
+        assert stats["full"]["instr_count"] < stats["off"]["instr_count"]
         # fusion preserves the paper's data-reference accounting
         assert stats["full"]["data_refs"] == stats["off"]["data_refs"]
 
@@ -706,9 +704,21 @@ class TestKnobPlumbing:
         with pytest.raises(ValueError):
             Machine(optimize="full").set_optimize("turbo")
 
+    def test_two_levels_only(self, capsys):
+        """``off`` and ``full`` are the only levels: the session and the
+        REPL refuse the retired fusion-only level and name both."""
+        assert OPT_LEVELS == ("off", "full")
+        with pytest.raises(ValueError, match="'off', 'full'"):
+            EduceStar(optimize="peephole")
+        star = EduceStar(optimize="full")
+        _load_repl().command(star, ":optimize peephole",
+                             interactive=False)
+        assert "usage: :optimize [off|full]" in capsys.readouterr().out
+        assert star.optimize == "full"
+
     def test_session_knob_and_property(self):
-        star = EduceStar(optimize="peephole")
-        assert star.optimize == "peephole"
+        star = EduceStar(optimize="off")
+        assert star.optimize == "off"
         star.set_optimize("full")
         assert star.optimize == "full"
         assert star.machine.optimizer is star.loader.optimizer
@@ -759,12 +769,12 @@ class TestReplCommand:
     def test_optimize_set_and_show(self, capsys):
         repl = _load_repl()
         star = EduceStar(optimize="full")
-        repl.command(star, ":optimize peephole", interactive=False)
-        assert star.optimize == "peephole"
-        assert "optimize peephole" in capsys.readouterr().out
+        repl.command(star, ":optimize off", interactive=False)
+        assert star.optimize == "off"
+        assert "optimize off" in capsys.readouterr().out
         repl.command(star, ":optimize", interactive=False)
         out = capsys.readouterr().out
-        assert "optimize peephole" in out and "wam_opt_blocks" in out
+        assert "optimize off" in out and "wam_opt_blocks" in out
 
     def test_optimize_rejects_unknown_level(self, capsys):
         repl = _load_repl()
