@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine.stats import measure
 
-from conftest import record
+from conftest import SCALE, record
 
 N_QUERIES = 10  # "a sample of ten queries from each class" (§5.1)
 
@@ -98,3 +98,32 @@ def test_cpu_dominates_io(benchmark, mvv_star, mvv_data):
     io = m.io_ms()
     record(benchmark, m, cpu_share=round(cpu / max(cpu + io, 1e-9), 3))
     assert cpu > io, "MVV must be CPU-bound (paper §5.1/§5.4)"
+
+
+def test_schedule3_probes_read_few_leaves(mvv_data):
+    """The journey rules stored in the EDB re-key ``schedule3`` on the
+    four positions ``on_line/4`` can bind, most distinct values first:
+    a probe on one stop, and on a stop of one line and direction, reads
+    a fraction of the relation's leaves (all eleven attributes in
+    position order: 133 and 83 at paper scale)."""
+    import random
+
+    from repro import EduceStar
+    from repro.workloads import mvv
+    kb = EduceStar()
+    kb.store_relation("schedule3", mvv_data.schedule3, mvv.SCHEDULE3_TYPES)
+    kb.store_relation("schedule2", mvv_data.schedule2, mvv.SCHEDULE2_TYPES)
+    kb.store_program(mvv.RULES)
+    relation = kb.relation("schedule3", 11)
+    sample = random.Random(3).sample(mvv_data.schedule3, 400)
+
+    def mean_leaves(positions):
+        return sum(relation.pages_for({p: row[p] for p in positions})
+                   for row in sample) / len(sample)
+
+    stop, line_dir_stop = mean_leaves([3]), mean_leaves([0, 1, 3])
+    print(f"schedule3 key dims {relation.key_dims}: {stop:.1f} leaves "
+          f"per stop probe, {line_dir_stop:.1f} per line+dir+stop probe")
+    if SCALE == 1.0:
+        assert stop <= 60
+        assert line_dir_stop <= 8

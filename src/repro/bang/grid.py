@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageError
 from .pager import Pager
@@ -113,11 +113,94 @@ class BangGrid:
         keys += _KEY_STRUCTS[self.ndims].pack(*key)
         records = records + [record]
         if len(records) > self.bucket_capacity:
-            self._split_leaf(leaf, self._entries(keys, records))
+            columns = list(zip(*_KEY_STRUCTS[self.ndims].iter_unpack(keys)))
+            parts = {leaf: range(len(records))}
+            self.size -= leaf.count
+            self._split(parts, leaf, columns)
+            self._write(parts, columns, records)
         else:
             self.pager.put(leaf.page_id, (keys, records))
             leaf.count = len(records)
-        self.size += 1
+            self.size += 1
+
+    def insert_many(self, columns: Sequence[Sequence[float]],
+                    records: Sequence[Any]) -> None:
+        """Fill a new grid with ``records[i]`` under the key ``(columns[0]
+        [i], ...)``, one column per dimension, as :meth:`insert` would one
+        by one — but each leaf page is written once, at the end."""
+        if self.size or not self.root.is_leaf:
+            raise ValueError("a bulk insert fills a new grid")
+        parts: Dict[_Node, list] = {self.root: []}
+        for i in range(len(records)):
+            node = self._descend(self.root, [column[i] for column in columns])
+            parts[node].append(i)
+            self._split(parts, node, columns)
+        self._write(parts, columns, records)
+
+    def load(self, columns: Sequence[Sequence[float]],
+             records: Sequence[Any]) -> None:
+        """:meth:`insert_many`, but divided by medians whatever the order."""
+        if self.size or not self.root.is_leaf:
+            raise ValueError("a bulk insert fills a new grid")
+        parts, todo = {self.root: range(len(records))}, [self.root]
+        while todo:
+            node = todo.pop()
+            if self._split(parts, node, columns):
+                todo += (node.right, node.left)
+        self._write(parts, columns, records)
+
+    def _split(self, parts: dict, node: _Node,
+               columns: Sequence[Sequence[float]]) -> bool:
+        """The split rule, of an insert and a load alike: split leaf
+        *node*, whose rows are ``parts[node]``, if they overfill a bucket
+        — at the median on the cyclic next dimension (BANG balance
+        approximation), else on another that separates them; duplicate
+        keys stay an oversized bucket.  The left child keeps the page."""
+        rows = parts[node]
+        if len(rows) <= self.bucket_capacity:
+            return False
+        depth = self._region_depth(node.region)
+        for attempt in range(self.ndims):
+            dim = (depth + attempt) % self.ndims
+            column = columns[dim]
+            split = sorted([column[i] for i in rows])[len(rows) // 2]
+            lo, hi = node.region[dim]
+            if lo < split < hi:
+                left = [i for i in rows if column[i] < split]
+                if 0 < len(left) < len(rows):
+                    break
+        else:
+            return False
+        node.left = _Node(_replace_dim(node.region, dim, (lo, split)),
+                          node.page_id)
+        node.right = _Node(_replace_dim(node.region, dim, (split, hi)), None)
+        node.dim, node.split, node.page_id = dim, split, None
+        self.leaf_count += 1
+        self.splits += 1
+        del parts[node]
+        parts[node.left] = left
+        parts[node.right] = [i for i in rows if column[i] >= split]
+        return True
+
+    def _write(self, parts: dict, columns: Sequence[Sequence[float]],
+               records: Sequence[Any]) -> None:
+        """Write each leaf of *parts* once, the one that kept a page first."""
+        pack = _KEY_STRUCTS[self.ndims].pack
+        for node, rows in sorted(parts.items(),
+                                 key=lambda part: part[0].page_id is None):
+            page = (b"".join(pack(*[column[i] for column in columns])
+                             for i in rows), [records[i] for i in rows])
+            if node.page_id is None:
+                node.page_id = self.pager.allocate(page)
+            else:
+                self.pager.put(node.page_id, page)
+            node.count = len(rows)
+            self.size += len(rows)
+
+    def free_pages(self) -> None:
+        """Release every leaf page (the grid is being replaced)."""
+        for leaf in self._leaves((full_box(self.ndims),)):
+            self.pager.free(leaf.page_id)
 
     def delete(self, key: Sequence[float], match) -> int:
         """Delete entries under *key* for which ``match(record)``; returns
@@ -132,7 +215,9 @@ class BangGrid:
                 if not (k == tuple(key) and match(r))]
         removed = len(entries) - len(kept)
         if removed:
-            self.pager.put(leaf.page_id, self._pack(kept))
+            pack = _KEY_STRUCTS[self.ndims].pack
+            self.pager.put(leaf.page_id, (b"".join(pack(*k) for k, _ in kept),
+                                          [r for _, r in kept]))
             leaf.count = len(kept)
             self.size -= removed
             self._deletes_since_compact += removed
@@ -214,48 +299,12 @@ class BangGrid:
             stack += (parent.left, parent.right)
 
     def _descend(self, node: _Node, key: Sequence[float]) -> _Node:
-        while node.page_id is None:
+        while node.left is not None:    # a bulk insert's leaf has no page
             if key[node.dim] < node.split:  # type: ignore[index,operator]
                 node = node.left  # type: ignore[assignment]
             else:
                 node = node.right  # type: ignore[assignment]
         return node
-
-    def _split_leaf(self, leaf: _Node, entries: list) -> None:
-        """Median split on the cyclic next dimension (BANG balance
-        approximation).  Falls back to other dimensions when all keys
-        coincide on the preferred one."""
-        region = leaf.region
-        for attempt in range(self.ndims):
-            dim = (self._region_depth(region) + attempt) % self.ndims
-            values = sorted(k[dim] for k, _ in entries)
-            split = values[len(values) // 2]
-            lo, hi = region[dim]
-            if not (lo < split < hi):
-                continue
-            left_entries = [(k, r) for k, r in entries if k[dim] < split]
-            right_entries = [(k, r) for k, r in entries if k[dim] >= split]
-            if not left_entries or not right_entries:
-                continue
-            left_region = _replace_dim(region, dim, (lo, split))
-            right_region = _replace_dim(region, dim, (split, hi))
-            left = _Node(left_region, leaf.page_id)
-            right = _Node(right_region, self.pager.allocate((b"", [])))
-            self.pager.put(left.page_id, self._pack(left_entries))
-            self.pager.put(right.page_id, self._pack(right_entries))
-            left.count = len(left_entries)
-            right.count = len(right_entries)
-            leaf.page_id = None
-            leaf.dim = dim
-            leaf.split = split
-            leaf.left = left
-            leaf.right = right
-            self.leaf_count += 1
-            self.splits += 1
-            return
-        # Un-splittable (duplicate keys): oversized bucket, keep going.
-        self.pager.put(leaf.page_id, self._pack(entries))
-        leaf.count = len(entries)
 
     # ----------------------------------------------------------------- pages
 
@@ -275,11 +324,6 @@ class BangGrid:
         """The ``(key_vector, record)`` entries of a leaf (rare paths)."""
         return list(zip(_KEY_STRUCTS[self.ndims].iter_unpack(keys), records))
 
-    def _pack(self, entries: List[tuple]) -> Tuple[bytes, list]:
-        pack = _KEY_STRUCTS[self.ndims].pack
-        return (b"".join(pack(*key) for key, _ in entries),
-                [record for _, record in entries])
-
     @staticmethod
     def _region_depth(region: Box) -> int:
         """How many halvings produced this region (for cyclic dims)."""
@@ -293,43 +337,56 @@ class BangGrid:
 
     # ------------------------------------------------------------------ read
 
-    def _leaves(self, box: Box) -> Iterator[_Node]:
-        """The leaves *box* reaches by the split planes, in scan order:
-        left of a plane when ``lo < split``, right when ``hi >= split``
-        (the side a key equal to the split descends to)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.page_id is not None:
-                yield node
-                continue
-            lo, hi = box[node.dim]  # type: ignore[index]
-            if lo < node.split:  # type: ignore[operator]
-                stack.append(node.left)   # type: ignore[arg-type]
-            if hi >= node.split:  # type: ignore[operator]
-                stack.append(node.right)  # type: ignore[arg-type]
+    def _leaves(self, boxes: Sequence[Box]) -> Iterator[_Node]:
+        """The leaves the boxes reach by the split planes, each once, box
+        by box in scan order: left of a plane when ``lo < split``, right
+        when ``hi >= split`` (the side a key equal to the split descends
+        to)."""
+        seen = set()
+        for box in boxes:
+            stack = [self.root]
+            while stack:
+                node = stack.pop()
+                if node.page_id is not None:
+                    if node.page_id not in seen:
+                        seen.add(node.page_id)
+                        yield node
+                    continue
+                lo, hi = box[node.dim]  # type: ignore[index]
+                if lo < node.split:  # type: ignore[operator]
+                    stack.append(node.left)   # type: ignore[arg-type]
+                if hi >= node.split:  # type: ignore[operator]
+                    stack.append(node.right)  # type: ignore[arg-type]
 
-    def query(self, box: Box) -> Iterator[Any]:
-        """Yield records whose key lies inside *box* (closed intervals;
-        point dims use ``lo == hi``).  Every leaf visit is one page
-        access; entries are tested only on the dimensions *box*
-        constrains, and a full box yields records without reading keys."""
+    def query(self, *boxes: Box) -> Iterator[Any]:
+        """Yield records whose key lies inside any of *boxes* (closed
+        intervals; point dims use ``lo == hi``), leaf by leaf.  Every
+        leaf a box reaches is pinned once; entries are tested only on
+        the dimensions a box constrains, and a full box yields records
+        without reading keys."""
         ndims = self.ndims
-        bounds = [(d, lo, hi) for d, (lo, hi) in enumerate(box)
-                  if (lo, hi) != (0.0, 1.0)]
-        for leaf in self._leaves(box):
+        tests = [[(d, lo, hi) for d, (lo, hi) in enumerate(box)
+                  if (lo, hi) != (0.0, 1.0)] for box in boxes]
+        for leaf in self._leaves(boxes):
             # Pin the leaf frame while its entries stream out: the
             # block-at-a-time contract of §2.2 — concurrent readers
             # must not have the page evicted mid-scan.
             page = self.pager.pin(leaf.page_id)
             try:
                 keys, records = self._page(leaf.page_id, page)
-                if not bounds:
+                if not all(tests):
                     yield from records
                     continue
                 if sys.byteorder != "little":   # the cast reads native
                     raise PageError("little-endian page keys, big host")
                 flat = memoryview(keys).cast("d")
+                if len(tests) > 1:      # the value and var bands of terms
+                    yield from [record for i, record in enumerate(records)
+                                if any(all(lo <= flat[i * ndims + d] <= hi
+                                           for d, lo, hi in bounds)
+                                       for bounds in tests)]
+                    continue
+                bounds = tests[0]
                 d, lo, hi = bounds[0]
                 if len(bounds) == 1:
                     yield from [record for value, record
@@ -349,10 +406,10 @@ class BangGrid:
         """Full scan in leaf order (clustered)."""
         yield from self.query(full_box(self.ndims))
 
-    def leaves_for(self, box: Box) -> int:
-        """Number of leaves — pages — a query for *box* pins (planner
+    def leaves_for(self, *boxes: Box) -> int:
+        """Number of leaves — pages — a query for *boxes* pins (planner
         aid)."""
-        return sum(1 for _ in self._leaves(box))
+        return sum(1 for _ in self._leaves(boxes))
 
     def stats(self) -> dict:
         return {

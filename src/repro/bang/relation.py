@@ -25,6 +25,9 @@ and for ``term`` columns a tagged tuple such as ``('atom', 'foo')``,
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dictionary import fnv1a
@@ -55,7 +58,11 @@ def squash_number(x: float) -> float:
 
 
 def string_fraction(text: str) -> float:
-    """Lexicographically monotonic map of a string to [0, 1)."""
+    """Non-strictly monotonic map of a string to [0, 1): a float64 of
+    its first 7 UTF-8 bytes, which keeps only about 6-7 of them.
+    Strings that share that prefix share a key — MVV's 1 924
+    ``stop_NNNN`` names land on 8 keys — and the post-filter tells
+    them apart."""
     data = text.encode("utf-8")[:7]
     value = 0.0
     scale = 1.0
@@ -78,6 +85,13 @@ def _band_value(band: str, frac: float) -> float:
 def _band_range(band: str) -> Tuple[float, float]:
     lo = _BANDS[band] / _NBANDS
     return (lo, lo + 1.0 / _NBANDS - _EPS)
+
+
+#: Every stored value is checked against its attribute's type, key or
+#: not: a value of these classes encodes, any other one is encoded to
+#: see.  Outside the key a ``term`` is a payload (a clause reference).
+_ENCODES = {"int": int, "real": (int, float), "atom": (str, int, float),
+            "tagged": (str, int, float), "term": object}
 
 
 def encode_value(attr_type: str, value: Any) -> float:
@@ -125,6 +139,7 @@ class BangRelation:
             raise CatalogError(f"{schema.name}: empty key")
         self.grid = BangGrid(len(self.key_dims), pager, bucket_capacity)
         self._types = [a.type for a in schema.attributes]
+        self._classes = [_ENCODES[t] for t in self._types]
 
     @property
     def name(self) -> str:
@@ -146,11 +161,47 @@ class BangRelation:
         self.grid.insert(self._key_of(values), tuple(values))
 
     def insert_many(self, rows) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Fill the new relation with *rows* (:meth:`BangGrid.insert_many`)."""
+        rows, columns = self._columns(rows, self.key_dims)
+        self.grid.insert_many(columns, rows)
+        return len(rows)
+
+    def load(self, rows) -> int:
+        """Fill the new relation in one pass (:meth:`BangGrid.load`)."""
+        rows, columns = self._columns(rows, self.key_dims)
+        self.grid.load(columns, rows)
+        return len(rows)
+
+    def _columns(self, rows, key_dims: Sequence[int]
+                 ) -> Tuple[List[tuple], List[array]]:
+        """*rows* as tuples, and their key column per dim of *key_dims*;
+        every value is checked as :data:`_ENCODES` says."""
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != self.arity for row in rows):
+            raise CatalogError(f"{self.name}: a row not of arity {self.arity}")
+        columns: Dict[int, array] = {}
+        for attr, attr_type in enumerate(self._types):
+            if attr in key_dims:
+                columns[attr] = array("d", [encode_value(attr_type, row[attr])
+                                            for row in rows])
+            elif not all(map(isinstance, map(itemgetter(attr), rows),
+                             repeat(self._classes[attr]))):
+                for row in rows:
+                    encode_value(attr_type, row[attr])
+        return rows, [columns[d] for d in key_dims]
+
+    def recluster(self, key_dims: Sequence[int],
+                  rows: Sequence[tuple]) -> int:
+        """Move *rows*, all it holds, to a grid keyed on *key_dims*; the
+        old grid stays in place until the new one is built."""
+        rows, columns = self._columns(rows, key_dims)
+        grid = BangGrid(len(key_dims), self.grid.pager,
+                        self.grid.bucket_capacity)
+        grid.load(columns, rows)
+        self.grid.free_pages()
+        self.grid = grid
+        self.key_dims = self.schema.key_dims = list(key_dims)
+        return len(rows)
 
     def delete(self, values: Sequence[Any]) -> int:
         """Delete exact tuples equal to *values*."""
@@ -167,9 +218,13 @@ class BangRelation:
         return removed
 
     def _key_of(self, values: Sequence[Any]) -> List[float]:
-        return [
-            encode_value(self._types[d], values[d]) for d in self.key_dims
-        ]
+        """The key of *values*, each value checked as :data:`_ENCODES`
+        says."""
+        if not all(map(isinstance, values, self._classes)):
+            for attr_type, value in zip(self._types, values):
+                if attr_type != "term":
+                    encode_value(attr_type, value)
+        return [encode_value(self._types[d], values[d]) for d in self.key_dims]
 
     # ------------------------------------------------------------------ read
 
@@ -183,10 +238,9 @@ class BangRelation:
         variable head argument matches any query value).  Results are
         post-filtered so callers get exact matches only.
         """
-        for box in self._boxes_for(assignment):
-            for row in self.grid.query(box):
-                if self.row_matches(row, assignment):
-                    yield row
+        for row in self.grid.query(*self._boxes_for(assignment)):
+            if self.row_matches(row, assignment):
+                yield row
 
     def row_matches(self, row: tuple, assignment: Dict[int, Any]) -> bool:
         """Does *row* satisfy the exact partial-match *assignment*?"""
@@ -214,13 +268,9 @@ class BangRelation:
             attr: (encode_value(attr_type, low),
                    encode_value(attr_type, high))
         }
-        boxes = self._boxes_for(extra, ranges)
-        for box in boxes:
-            for row in self.grid.query(box):
-                if not (low <= row[attr] <= high):
-                    continue
-                if self.row_matches(row, extra):
-                    yield row
+        for row in self.grid.query(*self._boxes_for(extra, ranges)):
+            if low <= row[attr] <= high and self.row_matches(row, extra):
+                yield row
 
     def type_query(self, attr: int, band: str,
                    extra: Optional[Dict[int, Any]] = None) -> Iterator[tuple]:
@@ -232,30 +282,26 @@ class BangRelation:
             raise TypeError_("type band", band)
         extra = extra or {}
         ranges = {attr: _band_range(band)}
-        for box in self._boxes_for(extra, ranges):
-            for row in self.grid.query(box):
-                value = row[attr]
-                if not (isinstance(value, tuple) and value
-                        and value[0] == band):
-                    continue
-                if self.row_matches(row, extra):
-                    yield row
+        for row in self.grid.query(*self._boxes_for(extra, ranges)):
+            value = row[attr]
+            if not (isinstance(value, tuple) and value
+                    and value[0] == band):
+                continue
+            if self.row_matches(row, extra):
+                yield row
 
     # ------------------------------------------------------------- planning
 
     def pages_for(self, assignment: Dict[int, Any]) -> int:
-        return sum(
-            self.grid.leaves_for(box)
-            for box in self._boxes_for(assignment)
-        )
+        return self.grid.leaves_for(*self._boxes_for(assignment))
 
     def _boxes_for(self, assignment: Dict[int, Any],
                    ranges: Optional[Dict[int, Tuple[float, float]]] = None
                    ) -> List[Box]:
         """Search boxes for a partial match.  Bound ``term`` dimensions
-        double the box count (value band + var band), capped at 8 boxes
-        — further term dims stay unconstrained and rely on the
-        post-filter."""
+        double the box count (value band + var band), capped at 8
+        disjoint boxes — further term dims stay unconstrained and rely
+        on the post-filter.  The grid reads each leaf they reach once."""
         ranges = ranges or {}
         dims: List[List[Tuple[float, float]]] = []
         boxes = 1

@@ -63,12 +63,14 @@ from ..bang.wal import WriteAheadLog
 from ..errors import (CatalogError, ExistenceError, ReadOnlyStore,
                       ReproError, TypeError_,
                       WalError)
+from ..lang.program import bindable_args
 from ..locks import ReadWriteLock
 from ..obs.events import EventRing
 from ..obs.registry import Histogram, merge_histogram_maps
 from ..relational.datalog.rules import DatalogRulebase
 from ..terms import Atom, Struct, Term, Var, deref
-from ..wam.compiler import ClauseCompiler, CompileContext, split_clause
+from ..wam.compiler import (ClauseCompiler, CompileContext, is_aux_name,
+                            split_clause)
 from .codec import encode_code, measure_code
 from .external_dict import ExternalDictionary
 from .recovery import RecoveryReport
@@ -77,8 +79,9 @@ from .recovery import RecoveryReport
 #   magic "EDB*" | format version u16 | flags u16 | payload length u64 |
 #   payload crc32 u32 | pickled ExternalStore
 CHECKPOINT_MAGIC = b"EDB*"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _CKPT_HEADER = struct.Struct(">4sHHQI")
+DERIVED = "derived from stored calls"
 
 
 def _pages_path(checkpoint_path: str, epoch: int) -> str:
@@ -140,6 +143,9 @@ class StoredProcedure:
     relation: BangRelation
     nclauses: int = 0
     version: int = 0      # bumped on update; loader caches follow it
+    #: ``declared`` (never re-clustered), ``default`` (every attribute)
+    #: or ``derived from stored calls``: where the key dims come from
+    key_origin: str = "declared"
 
     @property
     def key(self) -> str:
@@ -172,6 +178,11 @@ class ExternalStore:
         ))
         self.code_bytes_stored = 0
         self.source_bytes_stored = 0
+        #: callee → the positions stored clauses can bind (only grows);
+        #: facts stored without ``key_dims`` are keyed on them
+        self.bindable: Dict[Tuple[str, int], set] = {}
+        #: facts relations rebuilt on new key dims (session-scoped)
+        self.edb_reclusters = 0
 
         # --- concurrency state (docs/CONCURRENCY.md) ---------------------
         #: updates serialize against in-flight queries: every mutator
@@ -285,7 +296,8 @@ class ExternalStore:
         # into the checkpoint it came from.
         for key in ("wal_records_appended", "wal_bytes_appended",
                     "wal_records_replayed", "wal_records_skipped",
-                    "checkpoints_written", "checkpoint_bytes_written"):
+                    "checkpoints_written", "checkpoint_bytes_written",
+                    "edb_reclusters"):
             setattr(self, key, 0)
 
     # ---------------------------------------------------------- concurrency
@@ -419,6 +431,46 @@ class ExternalStore:
         # untracked and on the WAM path.
         if record.get("surface") is not None:
             self.datalog_rules.set((name, arity), record["surface"])
+            # An aux head passes on singletons too; its owner's clause
+            # holds the same calls, and iter_goals reaches them.
+            if not is_aux_name(name):
+                self._note_calls(record["surface"])
+
+    def _note_calls(self, clauses: Sequence[Term]) -> None:
+        """Widen :attr:`bindable` by the call sites of *clauses* and
+        re-cluster each facts relation whose key dims change."""
+        for ind, positions in bindable_args(clauses).items():
+            known = self.bindable.setdefault(ind, set())
+            if positions <= known:
+                continue
+            known |= positions
+            proc = self._procs.get(ind)
+            # Declared dims (and rules) stay; a new order of the same
+            # set is no reason to rebuild (EXPERIMENTS E22).
+            if (proc is None or proc.key_origin == "declared"
+                    or known == set(proc.relation.key_dims)):
+                continue
+            rows = list(proc.relation.scan())
+            dims, proc.key_origin = self._layout(ind, rows)
+            dims = dims or list(range(ind[1]))
+            self.events.record("store.recluster", relation=proc.key,
+                               old=proc.relation.key_dims, new=dims,
+                               rows=len(rows))
+            proc.relation.recluster(dims, rows)
+            proc.version += 1
+            self.edb_reclusters += 1
+
+    def _layout(self, ind: Tuple[str, int], rows: Sequence[tuple]
+                ) -> Tuple[Optional[List[int]], str]:
+        """Key dims and origin of a facts relation stored without
+        ``key_dims``: its bindable positions, most distinct values
+        first, ties by position — or, when none or all are bindable,
+        ``None`` (every attribute in position order) and ``default``."""
+        positions = self.bindable.get(ind, set())
+        if not positions or len(positions) == ind[1]:
+            return None, "default"
+        return sorted(positions, key=lambda pos: (
+            -len({row[pos] for row in rows}), pos)), DERIVED
 
     def _insert_rule_clause(self, proc: StoredProcedure, cid: int,
                             payload: dict) -> None:
@@ -500,13 +552,24 @@ class ExternalStore:
                                  record["key_dims"])
         attrs = [AttributeSpec(f"arg{i + 1}", t)
                  for i, t in enumerate(record["types"])]
+        origin = "declared"
+        if key_dims is None:
+            key_dims, origin = self._layout((name, arity), record["rows"])
         schema = RelationSchema(f"$p${name}/{arity}", attrs,
                                 key_dims=list(key_dims)
                                 if key_dims is not None else None)
         relation = self.catalog.create(schema)
-        proc = StoredProcedure(name, arity, "facts", relation)
-        self._register(proc)
-        proc.nclauses = relation.insert_many(record["rows"])
+        # Only a layout the store derives is laid out by median splits;
+        # others keep the tree of their arrival order (EXPERIMENTS E22).
+        build = relation.load if origin == DERIVED else relation.insert_many
+        try:
+            count = build(record["rows"])
+        except ReproError:      # a mistyped row: nothing is stored
+            relation.grid.free_pages()
+            self.catalog.drop(schema.name)
+            raise
+        self._register(StoredProcedure(name, arity, "facts", relation,
+                                       count, key_origin=origin))
 
     def _apply_materialise(self, record: dict) -> None:
         self._apply_drop(record)
@@ -607,6 +670,7 @@ class ExternalStore:
             # add() only extends procedures the rulebase tracks.
             self.datalog_rules.add((proc.name, proc.arity),
                                    record["surface"])
+            self._note_calls([record["surface"]])
 
     def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
         with self.writing():
@@ -1099,6 +1163,7 @@ class ExternalStore:
             "wal_records_skipped": self.wal_records_skipped,
             "checkpoints_written": self.checkpoints_written,
             "checkpoint_bytes_written": self.checkpoint_bytes_written,
+            "edb_reclusters": self.edb_reclusters,
         })
         counters.update(self._rw.counters())
         counters.update(self.events.counters())

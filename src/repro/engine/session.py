@@ -24,11 +24,11 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from ..bang.relation import BangRelation
-from ..edb.loader import DynamicLoader
+from ..edb.loader import DynamicLoader, _facts_assignment
 from ..edb.preunify import PreUnifier
-from ..edb.store import ExternalStore
+from ..edb.store import ExternalStore, summarize_arg
 from ..obs import MetricsRegistry, Tracer
-from ..terms import Atom, Struct, Term, deref
+from ..terms import Atom, Struct, Term, deref, indicator_of
 from ..wam.compiler import split_clause
 from ..wam.machine import Machine, Procedure, Solution
 from .stats import CostModel, QueryProfile, measuring
@@ -132,7 +132,6 @@ class EduceStar:
                      clauses: List[Term]) -> None:
         if arity and (name, arity) in self.types:
             # Store-time type checking of rule heads (§3.2.3).
-            from ..edb.store import summarize_arg
             for clause in clauses:
                 self.types.check_summaries(
                     name, arity,
@@ -296,20 +295,15 @@ class EduceStar:
             attach_fixpoint(plan, stats.passes, stats.facts)
         return plan
 
-    def _goal_indicator(self, goal) -> Optional[Tuple[str, int]]:
+    def _goal_term(self, goal) -> Optional[Term]:
+        """*goal* as a callable term (None: it is not one)."""
         if isinstance(goal, str):
             try:
-                term = self.machine.reader.read_term(goal)
+                goal = self.machine.reader.read_term(goal)
             except Exception:
                 return None
-        else:
-            term = goal
-        term = deref(term)
-        if isinstance(term, Atom):
-            return (term.name, 0)
-        if isinstance(term, Struct):
-            return term.indicator
-        return None
+        goal = deref(goal)
+        return goal if isinstance(goal, (Atom, Struct)) else None
 
     def _explain_procedure(self, root, goal) -> None:
         """Add the top-down ``procedure`` node: where the goal's
@@ -317,13 +311,13 @@ class EduceStar:
         compiled code the WAM would execute, including every block the
         loader currently caches for it (one per call pattern/level)."""
         from ..obs.explain import PlanNode, code_shape
-        ind = self._goal_indicator(goal)
-        if ind is None:
+        term = self._goal_term(goal)
+        if term is None:
             root.add(PlanNode("procedure", "?",
                               note="goal shape not a single predicate "
                                    "call"))
             return
-        name, arity = ind
+        name, arity = indicator_of(term)
         pnode = PlanNode("procedure", f"{name}/{arity}")
         proc = self.machine.procedure(name, arity)
         stored = self.store.lookup(name, arity)
@@ -339,6 +333,12 @@ class EduceStar:
             pnode.attrs["version"] = stored.version
             if stored.mode == "facts":
                 pnode.attrs["rows"] = len(stored.relation)
+                pnode.attrs["key_dims"] = list(stored.relation.key_dims)
+                pnode.attrs["key_origin"] = stored.key_origin
+                # the leaves the call's bound arguments reach
+                pnode.attrs["leaves"] = stored.relation.pages_for(
+                    _facts_assignment({i: summarize_arg(arg) for i, arg
+                                       in enumerate(term.args)}))
             for key, code in self.loader.cached_blocks(name, arity):
                 _n, _a, version, pattern, depth, opt_level = key
                 # The pattern is the pre-unifier's bound-argument

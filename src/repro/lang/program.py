@@ -19,15 +19,15 @@ below for what a clause's head, body and reachable goals are
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from ..errors import PrologError, TypeError_
-from ..terms import Atom, Struct, Term, indicator_of
+from ..terms import Atom, Struct, Term, Var, deref, indicator_of, iter_subterms
 from .reader import Reader
 
-__all__ = ["Indicator", "META_GOAL_ARGS", "Section", "indicator_list",
-           "iter_goals", "load_program", "read_sections",
+__all__ = ["Indicator", "META_GOAL_ARGS", "Section", "bindable_args",
+           "indicator_list", "iter_goals", "load_program", "read_sections",
            "split_clause_term"]
 
 Indicator = Tuple[str, int]
@@ -148,3 +148,18 @@ def iter_goals(body: Term) -> Iterator[Tuple[Indicator,
             yield (name, arity + goal.arity - 1), None
     else:
         yield goal.indicator, tuple(goal.args)
+
+
+def bindable_args(clauses: Iterable[Term]) -> Dict[Indicator, Set[int]]:
+    """For each predicate *clauses* call, the argument positions a call
+    site fills with anything but a variable occurring once in its clause
+    (no modes needed: ``_`` is never bound)."""
+    out: Dict[Indicator, Set[int]] = {}
+    for clause in clauses:
+        occurs = [id(t) for t in iter_subterms(clause) if isinstance(t, Var)]
+        for ind, args in iter_goals(split_clause_term(clause)[1]):
+            out.setdefault(ind, set()).update(
+                pos for pos, arg in enumerate(args or ())
+                if not (isinstance(deref(arg), Var)
+                        and occurs.count(id(deref(arg))) == 1))
+    return out

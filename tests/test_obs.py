@@ -596,6 +596,7 @@ SESSION_KEYS = frozenset("""
     cache_invalidated_entries calls checkpoint_bytes_written
     checkpoints_written clauses_delivered clauses_fetched
     compile_count cp_created cp_refs data_refs datalog_bottomup
+    edb_reclusters
     datalog_edb_rows datalog_extractions datalog_facts_derived
     datalog_index_rows datalog_iterations datalog_magic_facts datalog_magic_fallbacks
     datalog_magic_rewrites datalog_mode_shortcuts datalog_queries

@@ -333,6 +333,18 @@ class TestCheckpointValidation:
                            match="unsupported EDB checkpoint version 1"):
             ExternalStore.load(str(path))
 
+    def test_version_2_checkpoint_refused(self, tmp_path):
+        # Version 2 had no table of the positions stored clauses bind,
+        # so its facts relations could not be re-clustered.
+        path = tmp_path / "v2.edb"
+        payload = pickle.dumps(ExternalStore(), protocol=4)
+        header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, 2, 0, len(payload),
+                                   zlib.crc32(payload))
+        path.write_bytes(header + payload)
+        with pytest.raises(CatalogError,
+                           match="unsupported EDB checkpoint version 2"):
+            ExternalStore.load(str(path))
+
     def test_truncated_payload(self, tmp_path, ctx):
         path = str(tmp_path / "db.edb")
         seeded_store(path, ctx)
