@@ -10,19 +10,15 @@ report the share directly — on a classic non-deterministic program mix
 and on the MVV workload — and show how first-argument indexing and the
 deterministic EDB collect-at-once erase it.
 
-Script mode adds the optimizer axis (E14 in EXPERIMENTS.md): the same
-workloads run under ``optimize="off" | "full"`` and the
-report shows the choice-point-creation and cp-reference deltas — the
-``switch_on_arg`` chain demotion is the pass that moves them.  Answers
-are differentially checked across levels.
+Script mode prints the table: per workload, the choice points created,
+the choice-point references and their share of all data references.
 
 Run:  PYTHONPATH=src python benchmarks/bench_choicepoints.py
-      [--optimize all|off|full] [--items 50]
-      [--exposition PATH] [--smoke]
+      [--items 50] [--exposition PATH] [--smoke]
 
-``--smoke`` is the CI entry point: non-zero exit when any level's
-answers diverge from ``optimize="off"`` or ``optimize="full"`` fails to
-cut choice-point traffic on the bound-lookup workload.
+``--smoke`` is the CI entry point: non-zero exit when the indexed and
+unindexed bound lookups answer differently, or when indexing fails to
+cut their choice-point references by a factor of three (§3.2.2).
 """
 
 import argparse
@@ -36,7 +32,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.engine.stats import measure                 # noqa: E402
 from repro.wam.machine import Machine                  # noqa: E402
-from repro.wam.optimizer import OPT_LEVELS             # noqa: E402
 
 from conftest import record                            # noqa: E402
 
@@ -113,7 +108,7 @@ def test_mvv_choicepoint_profile(benchmark, mvv_star, mvv_data):
     record(benchmark, meas, cp_share=round(share, 3))
 
 
-# ------------------------------------------------------- script mode (E14)
+# ------------------------------------------------------ script mode (table)
 
 def _workloads(items: int):
     """name -> (program, goals, index) — the E7 program shapes."""
@@ -128,10 +123,10 @@ def _workloads(items: int):
     }
 
 
-def _run_level(program: str, goals, index: bool, level: str) -> dict:
+def _run_workload(program: str, goals, index: bool) -> dict:
     from repro import term_to_text
 
-    machine = Machine(index=index, optimize=level)
+    machine = Machine(index=index)
     machine.consult(program)
     answers = []
     with measure(machine) as meas:
@@ -145,72 +140,55 @@ def _run_level(program: str, goals, index: bool, level: str) -> dict:
         "answers": answers,
         "cp_created": meas["cp_created"],
         "cp_refs": meas["cp_refs"],
-        "instr_count": meas["instr_count"],
+        "data_refs": meas["data_refs"],
         "counters": machine.counters(),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--optimize", default="all",
-                        choices=("all",) + OPT_LEVELS,
-                        help="optimization level axis (default: all)")
     parser.add_argument("--items", type=int, default=50,
                         help="size of the bound-lookup fact table")
     parser.add_argument("--exposition", metavar="PATH", default=None,
                         help="write the merged wam counters as "
                              "Prometheus text format")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: differential-check answers and "
-                             "require a cp-reference reduction")
+                        help="CI mode: pin the bound lookups' answers "
+                             "and require indexing's cp-reference cut")
     args = parser.parse_args(argv)
-    levels = OPT_LEVELS if args.optimize == "all" else (args.optimize,)
 
     failures = 0
-    snapshots = []
-    print(f"{'workload':<26} {'level':<9} {'cp created':>11} "
-          f"{'cp refs':>9} {'Δcp refs':>9} {'instr':>9} {'demoted':>8}")
+    results = {}
+    print(f"{'workload':<26} {'cp created':>11} {'cp refs':>9} "
+          f"{'data refs':>10} {'cp share':>9}")
     for name, (program, goals, index) in sorted(
             _workloads(args.items).items()):
-        results = {}
-        for level in levels:
-            results[level] = _run_level(program, goals, index, level)
-            snapshots.append(results[level]["counters"])
-        base = results.get("off")
-        for level in levels:
-            r = results[level]
-            delta = ("-" if base is None or base is r else
-                     f"{(1 - r['cp_refs'] / max(base['cp_refs'], 1)):+.1%}")
-            print(f"{name:<26} {level:<9} {r['cp_created']:>11} "
-                  f"{r['cp_refs']:>9} {delta:>9} {r['instr_count']:>9} "
-                  f"{r['counters']['wam_opt_chains_demoted']:>8}")
-            if base is not None and r["answers"] != base["answers"]:
-                print(f"FAIL {name}: optimize={level} answers diverge "
-                      f"from off")
-                failures += 1
-            if r["counters"]["wam_opt_rejects"]:
-                print(f"FAIL {name}: optimize={level} rejected "
-                      f"{r['counters']['wam_opt_rejects']} block(s)")
-                failures += 1
-        if (args.smoke and base is not None
-                and "full" in results
-                and name == "bound-lookups-unindexed"
-                and results["full"]["cp_refs"] >= base["cp_refs"]):
-            print(f"FAIL {name}: optimize=full did not cut "
-                  f"choice-point references")
-            failures += 1
+        r = results[name] = _run_workload(program, goals, index)
+        print(f"{name:<26} {r['cp_created']:>11} {r['cp_refs']:>9} "
+              f"{r['data_refs']:>10} "
+              f"{r['cp_refs'] / max(r['data_refs'], 1):>9.1%}")
+    indexed = results["bound-lookups-indexed"]
+    plain = results["bound-lookups-unindexed"]
+    if args.smoke and indexed["answers"] != plain["answers"]:
+        print("FAIL bound lookups: indexing changed the answers")
+        failures += 1
+    if args.smoke and indexed["cp_refs"] >= plain["cp_refs"] / 3:
+        print("FAIL bound lookups: indexing did not cut choice-point "
+              "references by a factor of three")
+        failures += 1
 
     if args.exposition:
         from repro.obs import MetricsRegistry, render_prometheus
-        text = render_prometheus(MetricsRegistry.merge(*snapshots))
-        assert "educe_wam_opt_chains_demoted" in text
+        text = render_prometheus(MetricsRegistry.merge(
+            *(r["counters"] for r in results.values())))
+        assert "educe_cp_refs" in text
         with open(args.exposition, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"\nmerged Prometheus exposition "
               f"({len(text.splitlines())} lines) -> {args.exposition}")
 
-    print(f"\n{'PASS' if not failures else 'FAIL'}: answers pinned "
-          f"across levels; see EXPERIMENTS.md E14")
+    print(f"\n{'PASS' if not failures else 'FAIL'}: choice-point share "
+          f"per workload (paper §3.2.1, §3.2.2)")
     return 1 if failures else 0
 
 

@@ -7,19 +7,17 @@ records the opcode histogram for three classic program shapes —
 deterministic recursion, list processing, and non-deterministic search —
 as the raw data behind the paper's architectural arguments.
 
-Script mode adds the optimizer axis (E14 in EXPERIMENTS.md): each shape
-runs under ``optimize="off" | "full"`` and the report shows
-the executed-instruction and data-reference deltas and the wall time
-per goal (median of five timed slices), with the answers differentially
-checked across levels.
+Script mode prints the table: per shape, the executed instructions,
+data and choice-point references, the wall time per goal (median of
+five timed slices) and the most executed opcodes.
 
 Run:  PYTHONPATH=src python benchmarks/bench_instruction_mix.py
-      [--optimize all|off|full] [--exposition PATH] [--smoke]
-      [--profile | --timing]
+      [--exposition PATH] [--smoke] [--profile | --timing]
 
-``--smoke`` is the CI entry point: non-zero exit when any level's
-answers diverge from ``optimize="off"`` or the optimizer fails to
-reduce executed instructions.
+``--smoke`` is the CI entry point: non-zero exit when a shape has no
+answer or its opcode mix breaks the expectation the pytest bench
+asserts (head traffic dominates list processing, deterministic
+recursion creates few choice points, search does create them).
 
 ``--profile`` switches to the sampled-profiler overhead contract (E15
 in EXPERIMENTS.md): each shape runs bare, with a profiler installed
@@ -59,7 +57,6 @@ import pytest                                          # noqa: E402
 from repro import measure                              # noqa: E402
 from repro.wam.debugger import instruction_profile     # noqa: E402
 from repro.wam.machine import Machine                  # noqa: E402
-from repro.wam.optimizer import OPT_LEVELS             # noqa: E402
 
 PROGRAMS = {
     "deterministic-recursion": (
@@ -98,27 +95,30 @@ def test_instruction_mix(benchmark, shape):
     benchmark.extra_info["total_instructions"] = total
     benchmark.extra_info["top_opcodes"] = {
         op: round(n / total, 3) for op, n in top}
+    assert _mix_holds(shape, profile)
 
-    # Structural expectations per shape.
+
+def _mix_holds(shape: str, profile: dict) -> bool:
+    """The structural expectation for *shape*'s opcode histogram."""
+    total = sum(profile.values())
     if shape == "deterministic-recursion":
         choice = sum(profile.get(op, 0) for op in
                      ("try_me_else", "retry_me_else", "try", "retry"))
-        assert choice / total < 0.25
+        return choice / total < 0.25
     if shape == "list-processing":
         head = sum(n for op, n in profile.items()
                    if op.startswith(("get_", "unify_")))
-        assert head / total > 0.3  # data movement dominates
-    if shape == "nondeterministic-search":
-        assert profile.get("try_me_else", 0) + profile.get("try", 0) > 0
+        return head / total > 0.3  # data movement dominates
+    return profile.get("try_me_else", 0) + profile.get("try", 0) > 0
 
 
-# ------------------------------------------------------- script mode (E14)
+# ------------------------------------------------------ script mode (table)
 
-def _run_level(shape: str, level: str) -> dict:
+def _run_shape(shape: str) -> dict:
     from repro import term_to_text
 
     program, goal = PROGRAMS[shape]
-    machine = Machine(optimize=level)
+    machine = Machine()
     machine.consult(program)
     with measure(machine) as meas:
         answers = [
@@ -132,8 +132,9 @@ def _run_level(shape: str, level: str) -> dict:
         "answers": answers,
         "instr_count": meas["instr_count"],
         "data_refs": meas["data_refs"],
+        "cp_refs": meas["cp_refs"],
         "wall_ms": wall * 1000,
-        "counters": machine.counters(),
+        "profile": instruction_profile(machine, goal),
         "snapshot": machine.counters(),
     }
 
@@ -512,81 +513,56 @@ def timing_mode(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--optimize", default="all",
-                        choices=("all",) + OPT_LEVELS,
-                        help="optimization level axis (default: all)")
     parser.add_argument("--exposition", metavar="PATH", default=None,
                         help="write the merged wam counters as "
                              "Prometheus text format")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: differential-check answers and "
-                             "require an instruction-count reduction")
+                        help="CI mode: require answers and the expected "
+                             "opcode mix per shape")
     parser.add_argument("--profile", action="store_true",
                         help="measure sampled-profiler overhead (E15) "
-                             "instead of the optimizer axis")
+                             "instead of the instruction-mix table")
     parser.add_argument("--timing", action="store_true",
                         help="print the per-opcode wall-time table "
-                             "(E14b) instead of the optimizer axis")
+                             "(E14b) instead of the instruction-mix table")
     args = parser.parse_args(argv)
     if args.profile:
         return profile_mode(args)
     if args.timing:
         return timing_mode(args)
-    levels = OPT_LEVELS if args.optimize == "all" else (args.optimize,)
 
     failures = 0
     snapshots = []
-    print(f"{'shape':<28} {'level':<9} {'instr':>9} {'Δinstr':>8} "
-          f"{'data refs':>10} {'fusions':>8} {'demoted':>8} "
-          f"{'wall ms':>8} {'Δwall':>7}")
+    print(f"{'shape':<28} {'instr':>9} {'data refs':>10} {'cp share':>9} "
+          f"{'wall ms':>8}  top opcodes")
     for shape in sorted(PROGRAMS):
-        results = {}
-        for level in levels:
-            results[level] = _run_level(shape, level)
-            snapshots.append(results[level]["snapshot"])
-        base = results.get("off")
-        for level in levels:
-            r = results[level]
-            delta = ("-" if base is None or base is r else
-                     f"{(1 - r['instr_count'] / base['instr_count']):+.1%}")
-            wall_delta = ("-" if base is None or base is r else
-                          f"{(1 - r['wall_ms'] / base['wall_ms']):+.1%}")
-            print(f"{shape:<28} {level:<9} {r['instr_count']:>9} "
-                  f"{delta:>8} {r['data_refs']:>10} "
-                  f"{r['counters']['wam_opt_fusions']:>8} "
-                  f"{r['counters']['wam_opt_chains_demoted']:>8} "
-                  f"{r['wall_ms']:>8.3f} {wall_delta:>7}")
-            if base is not None and r["answers"] != base["answers"]:
-                print(f"FAIL {shape}: optimize={level} answers diverge "
-                      f"from off")
-                failures += 1
-            if base is not None and r["data_refs"] != base["data_refs"]:
-                print(f"FAIL {shape}: optimize={level} changed the "
-                      f"data-reference accounting "
-                      f"({base['data_refs']} -> {r['data_refs']})")
-                failures += 1
-            if r["counters"]["wam_opt_rejects"]:
-                print(f"FAIL {shape}: optimize={level} rejected "
-                      f"{r['counters']['wam_opt_rejects']} block(s)")
-                failures += 1
-        if (args.smoke and base is not None and "full" in results
-                and results["full"]["instr_count"]
-                >= base["instr_count"]):
-            print(f"FAIL {shape}: optimize=full did not reduce "
-                  f"executed instructions")
+        r = _run_shape(shape)
+        snapshots.append(r["snapshot"])
+        profile = r["profile"]
+        total = sum(profile.values())
+        top = ", ".join(f"{op} {n / total:.0%}" for op, n in sorted(
+            profile.items(), key=lambda kv: -kv[1])[:3])
+        print(f"{shape:<28} {r['instr_count']:>9} {r['data_refs']:>10} "
+              f"{r['cp_refs'] / max(r['data_refs'], 1):>9.1%} "
+              f"{r['wall_ms']:>8.3f}  {top}")
+        if args.smoke and not r["answers"]:
+            print(f"FAIL {shape}: no answer")
+            failures += 1
+        if args.smoke and not _mix_holds(shape, profile):
+            print(f"FAIL {shape}: opcode mix breaks its expectation")
             failures += 1
 
     if args.exposition:
         from repro.obs import MetricsRegistry, render_prometheus
         text = render_prometheus(MetricsRegistry.merge(*snapshots))
-        assert "educe_wam_opt_fusions" in text
+        assert "educe_instr_count" in text
         with open(args.exposition, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"\nmerged Prometheus exposition "
               f"({len(text.splitlines())} lines) -> {args.exposition}")
 
-    print(f"\n{'PASS' if not failures else 'FAIL'}: answers pinned "
-          f"across levels; see EXPERIMENTS.md E14")
+    print(f"\n{'PASS' if not failures else 'FAIL'}: instruction mix "
+          f"per program shape (paper §2.1, §3.2)")
     return 1 if failures else 0
 
 

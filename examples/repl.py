@@ -37,8 +37,8 @@ A minimal shell over an :class:`~repro.EduceStar` session:
                   arguments (docs/DATALOG.md)
   ``:explain G``  the full EXPLAIN plan tree for goal G — strategy
                   decision with cost inputs, magic adornment,
-                  strata/rules or compiled code shape, optimizer
-                  state; ``:explain analyze G`` also runs the goal
+                  strata/rules or compiled code shape;
+                  ``:explain analyze G`` also runs the goal
                   and attaches measurements (answers, wall time,
                   counter deltas, per-pass fixpoint delta rows);
                   docs/OBSERVABILITY.md, "Explain plans"
@@ -57,11 +57,6 @@ A minimal shell over an :class:`~repro.EduceStar` session:
                   (``g``/``n``/``a`` letters) and determinism class
                   per predicate — all of them, or just ``name`` /
                   ``name/arity``
-  ``:optimize [L]``  show or set the code-optimization level —
-                  ``off`` or ``full`` (superinstruction fusion +
-                  determinism-driven dispatch);
-                  with no argument prints the level and the
-                  ``wam_opt_*`` counters (docs/OPTIMIZER.md)
   ``:lint [F]``   lint a Prolog file — or, with no argument, the
                   whole shipped corpus (prelude, workloads,
                   examples), same as ``python -m repro.analysis``
@@ -273,17 +268,6 @@ def command(session, line: str, interactive: bool):
         else:
             TRACE["on"] = (arg == "on") if arg else not TRACE["on"]
             print(f"tracing {'on' if TRACE['on'] else 'off'}")
-    elif cmd == ":optimize":
-        from repro.wam.optimizer import OPT_LEVELS
-        if arg and arg not in OPT_LEVELS:
-            print("usage: :optimize [off|full]")
-        elif arg:
-            session.set_optimize(arg)
-            print(f"optimize {arg}")
-        else:
-            opt = {k: v for k, v in session.counters().items()
-                   if k.startswith("wam_opt_")}
-            print(f"optimize {session.optimize} ({opt})")
     elif cmd == ":plan" and arg:
         print(session.datalog.explain(arg.rstrip(".")))
     elif cmd == ":explain" and arg:

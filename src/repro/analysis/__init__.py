@@ -12,8 +12,8 @@ compiled-code-in-the-EDB architecture (§3.1):
   (L rules), with inline ``% lint:`` pragma waivers;
 * :mod:`~repro.analysis.global_` — whole-program analysis: predicate
   call graph, mode/groundness abstract interpretation and determinism
-  inference (M rules), consumed by the WAM optimizer, the Datalog
-  strategy planner and the linter.
+  inference (M rules), consumed by EXPLAIN, the Datalog strategy
+  planner and the linter.
 
 The compiler and assembler verify their own output when
 :func:`enable_self_verify` has been called (the test suite turns it

@@ -58,13 +58,11 @@ class ProcedureReport:
 def analyze_clauses(clauses: Sequence[CompiledClause],
                     code: Optional[List[tuple]] = None,
                     index: bool = True,
-                    layout: Optional[ProcedureLayout] = None,
-                    optimizer=None) -> ProcedureReport:
+                    layout: Optional[ProcedureLayout] = None
+                    ) -> ProcedureReport:
     """Analyze *clauses* (and optionally the block claimed to implement
     them).  With *code*, D301 checks the block equals the deterministic
-    rebuild; D302 always checks reachability of the analyzed block.
-    When the block was built by the code optimizer, pass the same
-    *optimizer* (usually muted) so the rebuild matches its output."""
+    rebuild; D302 always checks reachability of the analyzed block."""
     report = ProcedureReport()
     var_positions: List[int] = []
     for pos, clause in enumerate(clauses):
@@ -83,8 +81,7 @@ def analyze_clauses(clauses: Sequence[CompiledClause],
             report.deterministic_keys += 1
 
     if layout is None:
-        layout = build_procedure_layout(clauses, index=index,
-                                        optimizer=optimizer)
+        layout = build_procedure_layout(clauses, index=index)
     if code is not None and list(code) != list(layout.code):
         report.findings.append(Finding(
             "D301", 0,
@@ -148,14 +145,6 @@ def _reachable(code: List[tuple]) -> set:
                         work.append(target)
             if isinstance(instr[2], int):
                 work.append(instr[2])
-        elif op == I.SWITCH_ON_ARG:
-            if isinstance(instr[2], dict):
-                for target in instr[2].values():
-                    if isinstance(target, int):
-                        work.append(target)
-            for target in (instr[3], instr[4]):
-                if isinstance(target, int):
-                    work.append(target)
         else:
             work.append(i + 1)
     return seen

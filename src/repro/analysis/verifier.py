@@ -72,8 +72,7 @@ _TERMINATORS = frozenset({I.PROCEED, I.EXECUTE, I.FAIL_OP,
                           I.HALT_SUCCESS})
 #: ops that may legally be the last instruction of a block
 _VALID_LAST = _TERMINATORS | {I.TRUST, I.SWITCH_ON_TERM,
-                              I.SWITCH_ON_CONSTANT, I.SWITCH_ON_STRUCTURE,
-                              I.SWITCH_ON_ARG}
+                              I.SWITCH_ON_CONSTANT, I.SWITCH_ON_STRUCTURE}
 
 _REG_BOUND = 1 << 16  # sanity bound on register indices
 
@@ -181,15 +180,10 @@ _SHAPES: Dict[str, Tuple[Tuple[object, str], ...]] = {
     I.NOOP: (),
     I.HALT_SUCCESS: (),
     I.LABEL: ((_is_name, "label name"),),
-    I.GET_LIST_VV: ((_is_xreg, "argument register"),
-                    (_is_reg, "register"), (_is_reg, "register")),
 }
 
 _SWITCH_OPS = (I.SWITCH_ON_TERM, I.SWITCH_ON_CONSTANT,
                I.SWITCH_ON_STRUCTURE)
-
-#: fused superinstructions with nested operand lists (bespoke checks)
-_FUSED_SEQ_OPS = (I.GET_CONSTANTS, I.UNIFY_CONSTANTS, I.PUT_ARGS)
 
 
 def _switch_key_ok(op: str, key) -> bool:
@@ -230,12 +224,6 @@ def _structural(code: List[tuple], dictionary,
             continue
         if op in _SWITCH_OPS:
             _check_switch(code, i, instr, dictionary, bad)
-            continue
-        if op == I.SWITCH_ON_ARG:
-            _check_switch_on_arg(code, i, instr, dictionary, bad)
-            continue
-        if op in _FUSED_SEQ_OPS:
-            _check_fused(i, instr, dictionary, bad)
             continue
         shape = _SHAPES.get(op)
         if shape is None:
@@ -295,7 +283,7 @@ def _structural(code: List[tuple], dictionary,
     ops = {instr[0] for instr in code
            if isinstance(instr, tuple) and instr}
     if sound and not (ops & ({I.TRY_ME_ELSE, I.RETRY_ME_ELSE, I.TRY,
-                              I.RETRY, I.TRUST, I.SWITCH_ON_ARG}
+                              I.RETRY, I.TRUST}
                              | set(_SWITCH_OPS))):
         env = False
         for i, instr in enumerate(code):
@@ -360,75 +348,6 @@ def _check_switch(code: List[tuple], i: int, instr: tuple,
                     f"in key {key!r}")
         _target_ok(code, i, target, bad)
     _target_ok(code, i, default, bad)
-
-
-def _check_switch_on_arg(code: List[tuple], i: int, instr: tuple,
-                         dictionary, bad) -> None:
-    """switch_on_arg (argpos, {const_key: label}, lvar, lmiss)."""
-    if len(instr) != 5:
-        bad("V101", i, f"switch_on_arg takes (argpos, table, lvar, "
-            f"lmiss), got {len(instr) - 1} operand(s)")
-        return
-    argpos, table, lvar, lmiss = instr[1:]
-    if not _is_count(argpos):
-        bad("V101", i, f"switch_on_arg: malformed argument position "
-            f"{argpos!r}")
-    if not isinstance(table, dict):
-        bad("V108", i, f"switch_on_arg: table is "
-            f"{type(table).__name__}, expected dict")
-        return
-    for key, target in table.items():
-        if not _is_const(key):
-            bad("V108", i, f"switch_on_arg: malformed key {key!r}")
-        elif (dictionary is not None and key[0] == "atom"
-                and not dictionary.is_live(key[1])):
-            bad("V103", i, f"switch_on_arg: dead dictionary id "
-                f"{key[1]} in key {key!r}")
-        _target_ok(code, i, target, bad)
-    _target_ok(code, i, lvar, bad)
-    _target_ok(code, i, lmiss, bad)
-
-
-def _check_fused(i: int, instr: tuple, dictionary, bad) -> None:
-    """Operand shapes for the fused superinstructions, whose single
-    operand is a tuple of component items (docs/OPTIMIZER.md)."""
-    op = instr[0]
-    if len(instr) != 2 or not isinstance(instr[1], tuple):
-        bad("V101", i, f"{op} takes one tuple operand")
-        return
-    items = instr[1]
-    if len(items) < 2:
-        bad("V101", i, f"{op}: fused run of {len(items)} item(s), "
-            "expected at least 2")
-        return
-
-    def const_ok(const) -> None:
-        if not _is_const(const):
-            bad("V101", i, f"{op}: malformed constant {const!r}")
-        elif (dictionary is not None and const[0] == "atom"
-                and not dictionary.is_live(const[1])):
-            bad("V103", i, f"{op}: dead atom id {const[1]}")
-
-    for item in items:
-        if op == I.GET_CONSTANTS:
-            if not (isinstance(item, tuple) and len(item) == 2
-                    and _is_xreg(item[1])):
-                bad("V101", i, f"{op}: malformed item {item!r}")
-                continue
-            const_ok(item[0])
-        elif op == I.UNIFY_CONSTANTS:
-            const_ok(item)
-        else:  # PUT_ARGS
-            if not (isinstance(item, tuple) and len(item) == 3
-                    and item[0] in ("v", "c") and _is_xreg(item[2])):
-                bad("V101", i, f"{op}: malformed item {item!r}")
-                continue
-            if item[0] == "v":
-                if not _is_reg(item[1]):
-                    bad("V101", i, f"{op}: malformed source register "
-                        f"{item[1]!r}")
-            else:
-                const_ok(item[1])
 
 
 # =====================================================================
@@ -667,34 +586,6 @@ class _AbstractPass:
             for target in instr[1].values():
                 out.append((target, s))
             out.append((instr[2], s))
-        elif op == I.GET_CONSTANTS:
-            for _, ai in instr[1]:
-                self._read_reg(ai, state, i, op)
-            fall(_State(xs, nperm, ys, mode))
-        elif op == I.UNIFY_CONSTANTS:
-            self._need_mode(state, i, op)
-            fall(_State(xs, nperm, ys, state.mode))
-        elif op == I.GET_LIST_VV:
-            self._read_reg(instr[1], state, i, op)
-            s = self._write_reg(instr[2], _State(xs, nperm, ys, True),
-                                i, op)
-            fall(self._write_reg(instr[3], s, i, op))
-        elif op == I.PUT_ARGS:
-            s = _State(xs, nperm, ys, mode)
-            for item in instr[1]:
-                if item[0] == "v":
-                    self._read_reg(item[1], s, i, op)
-                s = self._write_reg(item[2], s, i, op)
-            fall(s)
-        elif op == I.SWITCH_ON_ARG:
-            if instr[1] not in xs:
-                self.emit("A201", i, f"switch_on_arg reads "
-                          f"uninitialised X{instr[1]}")
-            s = _State(xs, nperm, ys, mode)
-            for target in instr[2].values():
-                out.append((target, s))
-            out.append((instr[3], s))
-            out.append((instr[4], s))
         elif op == I.GET_LEVEL:
             fall(self._write_reg(instr[1],
                                  _State(xs, nperm, ys, mode), i, op))
@@ -716,21 +607,8 @@ class _AbstractPass:
         exactly the permanent references of that environment."""
         code = self.code
         stop = _TERMINATORS | {I.TRY, I.RETRY, I.TRUST, I.TRUST_ME,
-                               I.TRY_ME_ELSE, I.RETRY_ME_ELSE,
-                               I.SWITCH_ON_ARG} | \
+                               I.TRY_ME_ELSE, I.RETRY_ME_ELSE} | \
             set(_SWITCH_OPS)
-
-        def yslots(operand, into: Set[int]) -> None:
-            # Recurse into nested operand tuples: the fused
-            # superinstructions carry registers inside item lists.
-            if not isinstance(operand, tuple):
-                return
-            if (len(operand) == 2 and operand[0] == "y"
-                    and isinstance(operand[1], int)):
-                into.add(operand[1])
-                return
-            for element in operand:
-                yslots(element, into)
         for i, instr in enumerate(code):
             if instr[0] == I.ALLOCATE and i in self.reached:
                 nperm = instr[1]
@@ -751,7 +629,11 @@ class _AbstractPass:
                     if op == I.PUT_UNSAFE_VALUE:
                         unsafe_at.append(j)
                     for operand in code[j][1:]:
-                        yslots(operand, used)
+                        if (isinstance(operand, tuple)
+                                and len(operand) == 2
+                                and operand[0] == "y"
+                                and isinstance(operand[1], int)):
+                            used.add(operand[1])
                 dead = sorted(set(range(nperm)) - used)
                 if dead:
                     self.emit("A205", i,

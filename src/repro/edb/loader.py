@@ -16,7 +16,7 @@ Given a call to an EDB-stored procedure, the loader:
    session has not seen;
 4. splices in control code — try/retry/trust chains and, when more than
    one clause comes back, in-memory first-argument indexing — via
-   :func:`repro.wam.optimizer.build_optimized_block`, whose block the
+   :func:`repro.wam.indexing.build_procedure_code`, whose block the
    emulator binds at its first call;
 5. caches the candidates and the block over all of them per procedure
    and call pattern while the procedure's stored version stands — the
@@ -46,7 +46,7 @@ from ..obs.tracing import NULL_TRACER
 from ..wam import instructions as I
 from ..wam.block import Block
 from ..wam.compiler import CompiledClause
-from ..wam.optimizer import build_optimized_block
+from ..wam.indexing import build_procedure_code
 from .codec import decode_code
 from .preunify import PreUnifier
 from .store import ExternalStore, StoredClause
@@ -60,24 +60,20 @@ class DynamicLoader:
 
     def __init__(self, store: ExternalStore,
                  preunifier: Optional[PreUnifier] = None,
-                 index: bool = True, optimizer=None):
+                 index: bool = True):
         self.store = store
         self.preunifier = preunifier or PreUnifier("full")
         self.index = index
         #: how far fetched code is checked before it may run — one of
         #: VERIFY_LEVELS, assignable; the structural gate is the default
         self.verify = "structural"
-        # Shared with the session's machine so wam_opt_* counters
-        # aggregate in one place (docs/OPTIMIZER.md); None leaves
-        # fetched blocks unoptimized.
-        self.optimizer = optimizer
         self.tracer = NULL_TRACER  # session installs its shared tracer
         # (name, arity) → (stamp, {pattern: (clauses, block)}): the rule
         # clauses the grid answers (none for facts) and the block over
-        # them all; stamp = (version, depth, opt_level).  The cache
-        # *follows* the store: a call that finds the procedure's blocks
-        # under a different stamp — a mutator bumped the version,
-        # ``:optimize`` changed the level — drops them before loading,
+        # them all; stamp = (version, depth).  The cache *follows* the
+        # store: a call that finds the procedure's blocks under a
+        # different stamp — a mutator bumped the version, the
+        # pre-unifier's depth changed — drops them before loading,
         # so no writer ever has to tell a session about a write, and a
         # session holds at most the blocks of its live call patterns.
         # Versions are monotone per indicator even across drop+recreate
@@ -115,10 +111,7 @@ class DynamicLoader:
             return None
         summaries = self.preunifier.summaries_from_registers(machine, arity)
         pattern = tuple(sorted(summaries.items()))
-        # The optimization level rides in the stamp: ``:optimize``
-        # changes it at runtime and cached blocks must match it.
-        opt_level = "off" if self.optimizer is None else self.optimizer.level
-        stamp = (proc.version, self.preunifier.depth, opt_level)
+        stamp = (proc.version, self.preunifier.depth)
         with self._latch:
             entry = self._cache.get((name, arity))
             if entry is not None and entry[0] != stamp:
@@ -202,7 +195,7 @@ class DynamicLoader:
         """Snapshot of this procedure's live cache entries, for EXPLAIN.
 
         Returns ``[(key, code), ...]`` pairs where *key* is ``(name,
-        arity, version, pattern, depth, opt_level)``.
+        arity, version, pattern, depth)``.
         Read-only: no counters move and the cache is not touched beyond
         holding the latch for a consistent copy.
         """
@@ -210,9 +203,8 @@ class DynamicLoader:
             entry = self._cache.get((name, arity))
             if entry is None:
                 return []
-            (version, depth, opt_level), blocks = entry
-            return [((name, arity, version, pattern, depth, opt_level),
-                     code)
+            (version, depth), blocks = entry
+            return [((name, arity, version, pattern, depth), code)
                     for pattern, (_, code) in blocks.items()]
 
     # ------------------------------------------------------------ rules path
@@ -252,12 +244,9 @@ class DynamicLoader:
 
     def _build(self, machine, compiled: Sequence[CompiledClause],
                name: str, arity: int) -> list:
-        """Splice control code around stored rules, optimizing (behind
-        the verify/fallback gate) when the session's optimizer is on;
-        at verify level ``full`` the block is checked as a whole."""
-        block = build_optimized_block(
-            compiled, index=self.index, optimizer=self.optimizer,
-            dictionary=machine.dictionary, procedure=f"{name}/{arity}")
+        """Splice control code around stored rules; at verify level
+        ``full`` the block is checked as a whole."""
+        block = build_procedure_code(compiled, index=self.index)
         if self.verify == "full" and compiled:
             started = perf_counter()
             self.verify_checks += 1
@@ -315,9 +304,7 @@ class DynamicLoader:
         # with two or more candidates is bound once, at its first run.
         return CompiledClause(
             code=Block(code), head_name="", arity=len(sc.summaries),
-            first_arg_kind=kind, first_arg_key=key,
-            arg_keys=tuple(_summary_key(machine, s)
-                           for s in sc.summaries))
+            first_arg_kind=kind, first_arg_key=key)
 
     # ------------------------------------------------------------ facts path
 
@@ -350,14 +337,11 @@ class DynamicLoader:
             code = [(I.GET_CONSTANT, const, reg)
                     for const, reg in zip(consts, regs)]
             code.append((I.PROCEED,))
-            kind, key = _fact_index_key(machine, row)
+            kind, key = ("constant", consts[0]) if consts else ("var", None)
             compiled.append(CompiledClause(
                 code=code, head_name=name, arity=arity,
-                first_arg_kind=kind, first_arg_key=key,
-                arg_keys=tuple(("constant", const) for const in consts)))
-        return build_optimized_block(
-            compiled, index=self.index, optimizer=self.optimizer,
-            dictionary=machine.dictionary, procedure=f"{name}/{arity}")
+                first_arg_kind=kind, first_arg_key=key))
+        return build_procedure_code(compiled, index=self.index)
 
     # ------------------------------------------------------------- counters
 
@@ -406,17 +390,6 @@ def _value_const(machine, value) -> tuple:
     if isinstance(value, float):
         return ("flt", value)
     return ("int", value)
-
-
-def _fact_index_key(machine, row: tuple) -> Tuple[str, Optional[tuple]]:
-    if not row:
-        return ("var", None)
-    first = row[0]
-    if isinstance(first, str):
-        return ("constant", ("atom", machine.dictionary.intern(first, 0)))
-    if isinstance(first, float):
-        return ("constant", ("flt", first))
-    return ("constant", ("int", first))
 
 
 def _summary_key(machine, s: tuple) -> Tuple[str, Optional[tuple]]:

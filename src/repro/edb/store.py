@@ -718,6 +718,9 @@ class ExternalStore:
             return
         self.datalog_rules.drop((name, arity))
         self.catalog.drop(proc.relation.schema.name)
+        # Its pages go with it; a cursor still open on the relation
+        # refuses to read on (engine/cursors.py).
+        proc.relation.grid.free_pages()
         if proc.mode != "facts":
             self.clauses_relation.delete_where({0: proc.key})
         # A re-created procedure must never reuse a version this one

@@ -102,9 +102,16 @@ class CursorTable:
         return handle
 
     def get(self, handle: int) -> _Cursor:
+        """The open cursor *handle*, while its relation is still the one
+        stored under its name: a dropped or replaced relation has freed
+        its pages, so the cursor raises instead of reading them."""
         cursor = self._cursors.get(handle)
         if cursor is None:
             raise ExistenceError("cursor", str(handle))
+        stored = self.store.lookup(cursor.name, cursor.arity)
+        if stored is None or stored.relation is not cursor.relation:
+            raise ExistenceError("relation",
+                                 f"{cursor.name}/{cursor.arity}")
         return cursor
 
     def close(self, handle: int) -> None:

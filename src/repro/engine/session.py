@@ -48,19 +48,12 @@ class EduceStar:
     def __init__(self,
                  store: Optional[ExternalStore] = None,
                  preunify_depth: str = "full",
-                 datalog: str = "auto",
-                 optimize: Optional[str] = None):
-        self.machine = Machine(optimize=optimize)
+                 datalog: str = "auto"):
+        self.machine = Machine()
         self.store = store or ExternalStore()
         self.preunifier = PreUnifier(preunify_depth)
-        # The loader shares the machine's optimizer: one level knob, one
-        # set of wam_opt_* counters per session (docs/OPTIMIZER.md).
-        self.loader = DynamicLoader(self.store, self.preunifier,
-                                    optimizer=self.machine.optimizer)
+        self.loader = DynamicLoader(self.store, self.preunifier)
         self.machine.unknown_handler = self._edb_trap
-        # Gate fallbacks (wam_opt.reject) land on the store's flight
-        # recorder, next to the WAL/pager events they interleave with.
-        self.machine.optimizer.events = self.store.events
         self.cost_model = CostModel()
         self.parsed_chars = 0
         self.explain_queries = 0
@@ -239,9 +232,8 @@ class EduceStar:
         The plan tree names the strategy the planner would pick and why
         (with its cost inputs), the magic-set adornment and evaluable
         strata/rules for a bottom-up goal, or the procedure's compiled
-        code shape (fusions, ``switch_on_arg`` guards, choice
-        instructions) for a top-down one, plus the session's optimizer
-        state.  Nothing is evaluated and no EDB pages move beyond the
+        code shape (switches and choice instructions) for a top-down
+        one.  Nothing is evaluated and no EDB pages move beyond the
         planner's own row-count lookups.
         """
         from ..obs.explain import ExplainPlan, PlanNode
@@ -260,7 +252,6 @@ class EduceStar:
             root.attrs["reason"] = ("not a stored rules procedure "
                                     "(WAM top-down)")
             self._explain_procedure(root, goal)
-        root.add(self._optimizer_node())
         return ExplainPlan(goal=label, mode="explain", root=root)
 
     def analyze(self, goal, limit: Optional[int] = None) -> "ExplainPlan":
@@ -309,7 +300,7 @@ class EduceStar:
         """Add the top-down ``procedure`` node: where the goal's
         predicate lives (main memory vs EDB) and the shape of the
         compiled code the WAM would execute, including every block the
-        loader currently caches for it (one per call pattern/level)."""
+        loader currently caches for it (one per call pattern)."""
         from ..obs.explain import PlanNode, code_shape
         term = self._goal_term(goal)
         if term is None:
@@ -340,14 +331,14 @@ class EduceStar:
                     _facts_assignment({i: summarize_arg(arg) for i, arg
                                        in enumerate(term.args)}))
             for key, code in self.loader.cached_blocks(name, arity):
-                _n, _a, version, pattern, depth, opt_level = key
+                _n, _a, version, pattern, depth = key
                 # The pattern is the pre-unifier's bound-argument
                 # summary map; "free" means every argument was unbound.
                 label = ",".join(f"{pos}:{summary[0]}"
                                  for pos, summary in pattern) or "free"
                 pnode.add(PlanNode(
                     "cached_block", label,
-                    version=version, depth=depth, opt_level=opt_level,
+                    version=version, depth=depth,
                     **code_shape(code)))
         elif proc is not None:
             pnode.attrs["source"] = "builtin"
@@ -369,15 +360,6 @@ class EduceStar:
                 if info.determinism is not None:
                     pnode.attrs["determinism"] = info.determinism
         root.add(pnode)
-
-    def _optimizer_node(self):
-        from ..obs.explain import PlanNode
-        opt = self.machine.optimizer
-        node = PlanNode("optimizer", opt.level, **opt.counters())
-        if opt.last_reject is not None:
-            procedure, rule, offset = opt.last_reject
-            node.attrs["last_reject"] = f"{procedure}:{rule}@{offset}"
-        return node
 
     # ------------------------------------------------------------ profiling
 
@@ -465,20 +447,6 @@ class EduceStar:
             return self.loader.procedure_code(m, proc.name, proc.arity)
 
         return machine.define_external(name, arity, fetch=fetch)
-
-    # ------------------------------------------------------- optimization
-
-    @property
-    def optimize(self) -> str:
-        """The session's active optimization level (docs/OPTIMIZER.md)."""
-        return self.machine.optimizer.level
-
-    def set_optimize(self, level: str) -> None:
-        """Change the optimization level at runtime (the REPL's
-        ``:optimize``).  Main-memory procedures are rebuilt immediately;
-        EDB-backed blocks rebuild on next fetch (the loader's cache
-        stamp carries the level, so stale-level blocks are dropped)."""
-        self.machine.set_optimize(level)
 
     # ------------------------------------------- whole-program analysis
 

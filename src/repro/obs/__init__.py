@@ -16,8 +16,8 @@ Three pieces, designed to be threaded through every layer of Educe*:
   exports records and spans alike.
 * :class:`~repro.obs.explain.ExplainPlan` /
   :class:`~repro.obs.explain.PlanNode` — EXPLAIN/ANALYZE plan trees
-  (strategy decision, magic adornment, strata/rules, optimizer code
-  shape) rendered as text and JSON.
+  (strategy decision, magic adornment, strata/rules, code shape)
+  rendered as text and JSON.
 * :class:`~repro.obs.profiler.WamProfiler` — sampled instruction-poll
   profiler attributing instructions/data_refs/simulated-ms to predicate
   indicators, with folded-stack (flamegraph) export.

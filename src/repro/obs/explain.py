@@ -1,18 +1,16 @@
 """EXPLAIN/ANALYZE plan trees (docs/OBSERVABILITY.md, "Explain plans").
 
-Since the strategy planner (PR 6) and the optimizing backend (PR 8) the
-engine holds three ways to answer a goal — naive WAM, optimized WAM,
-semi-naive Datalog with magic sets — and until now only whole-run
-counters said which one ran.  This module is the *presentation layer*
-for per-query plans:
+Since the strategy planner the engine holds two ways to answer a goal —
+the WAM top-down, semi-naive Datalog with magic sets bottom-up — and
+whole-run counters alone do not say which one ran.  This module is the
+*presentation layer* for per-query plans:
 
 * :class:`PlanNode` / :class:`ExplainPlan` — a small operator tree with
   static attributes (``attrs``, what the planner decided and why) and,
   in ANALYZE mode, measured ones (``actual``: counter deltas, per-pass
   fixpoint delta row counts, answers, wall time);
-* :func:`code_shape` — the optimizer-visible shape of one compiled
-  block (instruction count, fused superinstructions, ``switch_on_arg``
-  guards, choice instructions);
+* :func:`code_shape` — the shape of one compiled block (instruction
+  count, choice instructions);
 * :func:`attach_fixpoint` — folds a semi-naive evaluation's
   :class:`~repro.relational.datalog.seminaive.PassStats` records into
   the matching ``stratum``/``rule`` nodes of a plan.
@@ -29,12 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["PlanNode", "ExplainPlan", "code_shape", "attach_fixpoint",
-           "FUSED_OPS"]
-
-#: superinstructions the peephole pass can emit (docs/OPTIMIZER.md)
-FUSED_OPS = ("get_constants", "unify_constants", "get_list_vv",
-             "put_args")
+__all__ = ["PlanNode", "ExplainPlan", "code_shape", "attach_fixpoint"]
 
 #: choice instructions counted as the block's nondeterminism shape
 _CHOICE_OPS = ("try_me_else", "retry_me_else", "trust_me",
@@ -45,8 +38,7 @@ class PlanNode:
     """One operator of a plan tree.
 
     ``op`` is the node kind (``query``, ``decision``, ``magic``,
-    ``stratum``, ``rule``, ``procedure``, ``cached_block``,
-    ``optimizer``), ``label`` the operand (goal text, indicator,
+    ``stratum``, ``rule``, ``procedure``, ``cached_block``), ``label`` the operand (goal text, indicator,
     adornment...), ``attrs`` the static planning facts and ``actual``
     the ANALYZE-time measurements.
     """
@@ -164,26 +156,17 @@ def _format_attrs(attrs: Dict[str, Any]) -> str:
 
 
 def code_shape(code: List[tuple]) -> Dict[str, Any]:
-    """The optimizer-visible shape of one compiled block.
+    """The shape of one compiled block.
 
     Duck-types on the WAM's tuple instructions (``instr[0]`` is the
     opcode name), so EXPLAIN can describe main-memory and loader-cached
     blocks without importing the machine.
     """
-    counts: Dict[str, int] = {}
-    for instr in code:
-        op = instr[0]
-        counts[op] = counts.get(op, 0) + 1
-    fused = {op: counts[op] for op in FUSED_OPS if op in counts}
-    shape = {
+    return {
         "instructions": len(code),
-        "fused": sum(fused.values()),
-        "switch_on_arg": counts.get("switch_on_arg", 0),
-        "choice_instrs": sum(counts.get(op, 0) for op in _CHOICE_OPS),
+        "choice_instrs": sum(1 for instr in code
+                             if instr[0] in _CHOICE_OPS),
     }
-    if fused:
-        shape["fused_ops"] = fused
-    return shape
 
 
 def attach_fixpoint(plan: ExplainPlan, passes: List[Any],

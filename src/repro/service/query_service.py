@@ -185,8 +185,7 @@ class QueryService:
     ``store`` may be an existing :class:`ExternalStore` (e.g. one
     opened from a durable path) or None for a fresh in-memory EDB.
     Extra keyword arguments are forwarded to every worker's
-    :class:`EduceStar` constructor (``preunify_depth``, ``datalog``,
-    ``optimize``).
+    :class:`EduceStar` constructor (``preunify_depth``, ``datalog``).
     """
 
     def __init__(self, store=None, workers: int = 4,

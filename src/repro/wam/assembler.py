@@ -83,10 +83,6 @@ def assemble_with_offsets(code: List[tuple]
         elif op in (I.SWITCH_ON_CONSTANT, I.SWITCH_ON_STRUCTURE):
             table = {key: resolve(lbl) for key, lbl in instr[1].items()}
             out.append((op, table, resolve(instr[2])))
-        elif op == I.SWITCH_ON_ARG:
-            table = {key: resolve(lbl) for key, lbl in instr[2].items()}
-            out.append((op, instr[1], table,
-                        resolve(instr[3]), resolve(instr[4])))
         else:
             out.append(instr)
     if _SELF_VERIFY:

@@ -1,11 +1,11 @@
 """Code blocks as the emulator runs them (paper §3.1, §3.2).
 
-Everything that produces or reads WAM code — the compiler, the optimizer
-and indexer, the codec, the verifier, the disassembler, EXPLAIN — sees a
+Everything that produces or reads WAM code — the compiler and the
+indexer, the codec, the verifier, the disassembler, EXPLAIN — sees a
 block as a list of instruction tuples (:mod:`repro.wam.instructions`).
 A :class:`Block` is such a list, made by
-:func:`repro.wam.optimizer.build_optimized_block` (the one place the
-machine and the EDB loader build blocks), plus what
+:func:`repro.wam.indexing.build_procedure_code` (the one place the
+machine, the library image and the EDB loader build blocks), plus what
 :meth:`Machine._run <repro.wam.machine.Machine._run>` needs to pay its
 interpretation overhead once per straight-line run instead of once per
 instruction.  :meth:`Block.bind` works that out once per block, when the
@@ -18,9 +18,8 @@ block at the same time install equal results.
 * ``run`` — the instructions with their operands bound.  A bound
   instruction is its source tuple with operands *appended*
   (:data:`SOURCE_WIDTH` says where the source form ends): a constant's
-  heap cell, a functor's ``FUN`` cell, the cell and X register of each
-  fused item, and — for instructions that save the current position —
-  the offset of the next instruction.  Cells are made from the source
+  heap cell, a functor's ``FUN`` cell, and — for instructions that
+  save the current position — the offset of the next instruction.  Cells are made from the source
   operand's own value, so ``0.0``/``-0.0`` and ``1``/``1.0`` stay four
   different constants.
 * ``charge`` — per offset, ``(instructions, data refs)`` from that
@@ -41,12 +40,6 @@ from . import instructions as I
 
 # Rough data-reference cost (register/heap/stack accesses) per opcode,
 # excluding the choice-point traffic which is counted separately.
-# Fused superinstructions carry 0 here; their handlers add the same
-# per-component costs as the runs they replace (``put_args``, which
-# cannot stop part-way, is charged its components' sum by
-# :meth:`Block.bind`),
-# so ``data_refs`` stays comparable across optimization levels while
-# ``instr_count`` drops.
 DATA_COST = {
     I.GET_VARIABLE: 2, I.GET_VALUE: 3, I.GET_CONSTANT: 2, I.GET_NIL: 2,
     I.GET_STRUCTURE: 3, I.GET_LIST: 3,
@@ -60,15 +53,13 @@ DATA_COST = {
     I.ESCAPE: 2, I.FAIL_OP: 0, I.NOOP: 0, I.HALT_SUCCESS: 0,
     I.TRY_ME_ELSE: 0, I.RETRY_ME_ELSE: 0, I.TRUST_ME: 0,
     I.TRY: 0, I.RETRY: 0, I.TRUST: 0,
-    I.GET_CONSTANTS: 0, I.UNIFY_CONSTANTS: 0, I.GET_LIST_VV: 0,
-    I.PUT_ARGS: 0, I.SWITCH_ON_ARG: 1,
 }
 
 #: instructions that end a straight-line run
 ENDS_RUN = frozenset({
     I.CALL, I.EXECUTE, I.PROCEED, I.TRY, I.RETRY, I.TRUST,
     I.SWITCH_ON_TERM, I.SWITCH_ON_CONSTANT, I.SWITCH_ON_STRUCTURE,
-    I.SWITCH_ON_ARG, I.ESCAPE, I.FAIL_OP, I.HALT_SUCCESS,
+    I.ESCAPE, I.FAIL_OP, I.HALT_SUCCESS,
 })
 
 #: tuple length of the source form of each instruction
@@ -77,7 +68,6 @@ ENDS_RUN = frozenset({
 SOURCE_WIDTH = {
     I.GET_CONSTANT: 3, I.PUT_CONSTANT: 3, I.UNIFY_CONSTANT: 2,
     I.GET_STRUCTURE: 3, I.PUT_STRUCTURE: 3,
-    I.GET_CONSTANTS: 2, I.UNIFY_CONSTANTS: 2, I.PUT_ARGS: 2,
     I.CALL: 3, I.TRY: 2, I.RETRY: 2, I.ESCAPE: 3,
 }
 
@@ -86,14 +76,14 @@ _CELL_TAG = {"atom": "CON", "int": "INT", "flt": "FLT"}
 #: charge entries are small repeating tuples; one object per value
 _CHARGES: Dict[tuple, tuple] = {}
 
-#: where each opcode names registers (fused items are scanned apart)
+#: where each opcode names registers
 _REGISTERS = {
     I.GET_VARIABLE: (1, 2), I.GET_VALUE: (1, 2), I.GET_CONSTANT: (2,),
     I.GET_NIL: (1,), I.GET_STRUCTURE: (2,), I.GET_LIST: (1,),
     I.PUT_VARIABLE: (1, 2), I.PUT_VALUE: (1, 2), I.PUT_UNSAFE_VALUE: (1, 2),
     I.PUT_CONSTANT: (2,), I.PUT_NIL: (1,), I.PUT_STRUCTURE: (2,),
     I.PUT_LIST: (1,), I.UNIFY_VARIABLE: (1,), I.UNIFY_VALUE: (1,),
-    I.UNIFY_LOCAL_VALUE: (1,), I.GET_LIST_VV: (1, 2, 3),
+    I.UNIFY_LOCAL_VALUE: (1,),
 }
 
 
@@ -115,18 +105,7 @@ def _bound(instr: tuple, cells: Dict[tuple, tuple]) -> tuple:
     op = instr[0]
     if op in (I.GET_CONSTANT, I.PUT_CONSTANT, I.UNIFY_CONSTANT):
         return instr + (_cell(cells, instr[1]),)
-    if op in (I.GET_STRUCTURE, I.PUT_STRUCTURE):
-        return instr + (("FUN", instr[1]),)
-    if op == I.GET_CONSTANTS:
-        return instr + (tuple((_cell(cells, const), ai[1])
-                              for const, ai in instr[1]),)
-    if op == I.UNIFY_CONSTANTS:
-        return instr + (tuple(_cell(cells, const) for const in instr[1]),)
-    # put_args: (cell, None, ai) for a constant, (None, register, ai)
-    # for a register
-    return instr + (tuple((None, operand, ai[1]) if kind == "v"
-                          else (_cell(cells, operand), None, ai[1])
-                          for kind, operand, ai in instr[1]),)
+    return instr + (("FUN", instr[1]),)
 
 
 class Block(list):
@@ -169,17 +148,8 @@ class Block(list):
                         reg = instr[k]
                         if reg[0] == "x" and reg[1] >= xregs:
                             xregs = reg[1] + 1
-                elif op == I.PUT_ARGS:
-                    for kind, operand, ai in instr[1]:
-                        cost += 2 if kind == "v" else 1
-                        for reg in (operand, ai):
-                            if reg[0] == "x" and reg[1] >= xregs:
-                                xregs = reg[1] + 1
                 else:
                     cost += DATA_COST[op]
-                    if op == I.GET_CONSTANTS:
-                        top = 1 + max(ai[1] for _, ai in instr[1])
-                        xregs = max(xregs, top)
                 if op in SOURCE_WIDTH:
                     run[i] = _bound(instr, cells)
             charge[i + 1] = charges.get(key) or charges.setdefault(key, key)

@@ -84,12 +84,6 @@ class CompiledClause:
     first_arg_kind: str          # 'var' | 'constant' | 'list' | 'structure' | 'nil'
     first_arg_key: Optional[tuple]  # ('atom', id) | ('int', v) | ('flt', v) | fid
     nvars: int = 0
-    #: per-argument (kind, key) for *every* head position — the
-    #: determinism-driven dispatch pass (repro.wam.optimizer) partitions
-    #: chains on any argument, not just the first.  ``None`` (the
-    #: default) means "unknown", which disables chain demotion for this
-    #: clause.
-    arg_keys: Optional[Tuple[Tuple[str, Optional[tuple]], ...]] = None
 
 
 class CompileContext:
@@ -235,8 +229,8 @@ class ClauseCompiler:
                 last = pos == len(goals) - 1
                 self._compile_goal(state, code, goal, last, needs_env)
 
-        arg_keys = tuple(self._arg_index_key(arg) for arg in head_args)
-        first_kind, first_key = arg_keys[0] if arg_keys else ("var", None)
+        first_kind, first_key = (self._arg_index_key(head_args[0])
+                                 if head_args else ("var", None))
         compiled = CompiledClause(
             code=code,
             head_name=name,
@@ -244,7 +238,6 @@ class ClauseCompiler:
             first_arg_kind=first_kind,
             first_arg_key=first_key,
             nvars=len(perm_vars) + len(state.temp_index),
-            arg_keys=arg_keys,
         )
         if _SELF_VERIFY:
             from ..analysis.verifier import verify_clause
@@ -546,9 +539,8 @@ class ClauseCompiler:
     # -------------------------------------------------------------- indexing
 
     def _arg_index_key(self, arg: Term) -> Tuple[str, Optional[tuple]]:
-        """(kind, key) of one head argument — position 0 drives the
-        first-argument switch (§3.2.2), the full tuple drives the
-        optimizer's per-argument chain demotion."""
+        """(kind, key) of the first head argument, which drives the
+        first-argument switch (§3.2.2)."""
         arg = deref(arg)
         if isinstance(arg, Var):
             return ("var", None)

@@ -64,10 +64,6 @@ def _fmt_operand(machine, op: str, pos: int, operand) -> str:
                     pass
             parts.append(f"{key[1]}->{target}")
         return "{" + ", ".join(parts) + "}"
-    if isinstance(operand, tuple):
-        # fused-superinstruction item lists nest registers/constants
-        return "[" + ", ".join(_fmt_operand(machine, op, pos, element)
-                               for element in operand) + "]"
     return repr(operand)
 
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import instructions as I
 from .assembler import assemble, assemble_with_offsets
+from .block import Block
 from .compiler import CompiledClause
 
 _FAIL_LABEL = "$fail"
@@ -50,34 +51,18 @@ class ProcedureLayout:
 
 def build_procedure_code(
     clauses: Sequence[CompiledClause], index: bool = True,
-    optimizer=None,
-) -> List[tuple]:
+) -> Block:
     """Combine compiled clauses into one code block with choice
     instructions and (optionally) first-argument indexing."""
-    return build_procedure_layout(clauses, index=index,
-                                  optimizer=optimizer).code
+    return Block(build_procedure_layout(clauses, index=index).code)
 
 
 def build_procedure_layout(
     clauses: Sequence[CompiledClause], index: bool = True,
-    optimizer=None,
 ) -> ProcedureLayout:
-    """As :func:`build_procedure_code`, keeping the layout map.
-
-    With an enabled *optimizer* (:class:`repro.wam.optimizer.Optimizer`)
-    each clause's code is peephole-fused and provably deterministic
-    chains are demoted behind ``switch_on_arg`` guards.  Callers wanting
-    the verified fall-back behaviour should go through
-    :func:`repro.wam.optimizer.build_optimized_block` instead of passing
-    the optimizer here directly.
-    """
+    """As :func:`build_procedure_code`, keeping the layout map."""
     if not clauses:
         return ProcedureLayout(code=assemble([(I.FAIL_OP,)]))
-
-    if optimizer is not None and not optimizer.enabled:
-        optimizer = None
-    if optimizer is not None:
-        clauses = [optimizer.fuse_compiled(c) for c in clauses]
 
     if len(clauses) == 1:
         return ProcedureLayout(code=assemble(list(clauses[0].code)),
@@ -93,22 +78,12 @@ def build_procedure_layout(
     )
 
     if use_switch:
-        _emit_switch(out, clauses, entry_labels, optimizer)
+        _emit_switch(out, clauses, entry_labels)
 
     # The variable-entry chain: try_me_else over all clauses, with clause
     # code inline.  Clause entry labels point past the choice instruction
     # so indexed jumps skip choice-point creation.
     out.append((I.LABEL, "$var_entry"))
-    if optimizer is not None:
-        # Guard the full chain too: with the switch in front, X0 here is
-        # known unbound, so only positions >= 1 can decide; without a
-        # switch (index=False procedures) any position qualifies.
-        guard = optimizer.plan_guard(
-            clauses, list(range(len(clauses))),
-            min_arg=1 if use_switch else 0)
-        if guard is not None:
-            _emit_guard(out, guard, entry_labels, "$var_seq")
-            out.append((I.LABEL, "$var_seq"))
     last = len(clauses) - 1
     for i, clause in enumerate(clauses):
         if i == 0:
@@ -131,20 +106,8 @@ def build_procedure_layout(
         fail_offset=offsets[_FAIL_LABEL])
 
 
-def _emit_guard(out: List[tuple], guard: Tuple[int, Dict[tuple, int]],
-                entry_labels: List[str], seq_label: str) -> None:
-    """Emit one ``switch_on_arg`` from an ``(argpos, {key: clause
-    position})`` guard: a bound key jumps straight to its clause entry,
-    a bound value matching no key fails, an unbound one falls through
-    to *seq_label*'s chain."""
-    argpos, table = guard
-    out.append((I.SWITCH_ON_ARG, argpos,
-                {key: entry_labels[pos] for key, pos in table.items()},
-                seq_label, _FAIL_LABEL))
-
-
 def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
-                 entry_labels: List[str], optimizer) -> None:
+                 entry_labels: List[str]) -> None:
     var_positions = [
         i for i, c in enumerate(clauses) if c.first_arg_kind == "var"
     ]
@@ -224,18 +187,9 @@ def _emit_switch(out: List[tuple], clauses: Sequence[CompiledClause],
         out.append((I.LABEL, "$str_entry"))
         out.append((I.SWITCH_ON_STRUCTURE, struct_table, struct_default))
 
-    # Emit the try/retry/trust chains, each demoted behind a
-    # switch_on_arg guard when the optimizer proves it deterministic on
-    # some argument position (docs/OPTIMIZER.md).  X0 is already fixed
-    # by the switch that reaches the chain, so only positions >= 1 can
-    # discriminate further.
+    # Emit the try/retry/trust chains.
     for label, positions in chains:
         out.append((I.LABEL, label))
-        guard = (optimizer.plan_guard(clauses, positions, min_arg=1)
-                 if optimizer is not None else None)
-        if guard is not None:
-            _emit_guard(out, guard, entry_labels, f"$seq_{label[1:]}")
-            out.append((I.LABEL, f"$seq_{label[1:]}"))
         last = len(positions) - 1
         for j, pos in enumerate(positions):
             if j == 0:

@@ -62,7 +62,7 @@ from .compiler import (
     CompileContext,
     is_builtin_indicator,
 )
-from .optimizer import Optimizer, build_optimized_block
+from .indexing import build_procedure_code
 
 _CP_FIXED_FIELDS = 7  # prev, e, cp, tr, h, b0, next — per create/restore
 
@@ -176,17 +176,12 @@ class Machine:
 
     def __init__(self, index: bool = True,
                  gc_enabled: bool = True,
-                 gc_threshold: int = 200_000,
-                 optimize: Optional[str] = None):
+                 gc_threshold: int = 200_000):
         self.index_enabled = index
-        # Code optimizer (docs/OPTIMIZER.md).  ``optimize=None`` resolves
-        # to the process default; the instance is shared with the EDB
-        # dynamic loader so the wam_opt_* counters aggregate here.
-        self.optimizer = Optimizer(optimize)
         # The library is compiled once per process (wam/prelude.py); a
         # session starts from a copy of its dictionary and procedures.
         from .prelude import library_image
-        dictionary, library = library_image(self.optimizer.level, index)
+        dictionary, library = library_image(index)
         self.dictionary = dictionary.copy()
         self.procedures: Dict[int, Procedure] = {
             pid: proc.copy() for pid, proc in library.items()}
@@ -304,8 +299,6 @@ class Machine:
                          index=use_index)
         if kind == "static":
             self.compile_count += len(clauses)
-            # Keep the per-clause compiled code so ``set_optimize`` can
-            # rebuild the control wrapper without recompiling clauses.
             proc.compiled = [self.compiler.compile_clause(c)
                              for c in clauses]
             proc.code = self._build_block(proc)
@@ -336,11 +329,8 @@ class Machine:
         proc.code = self._build_block(proc)
         proc.dirty = False
 
-    def _build_block(self, proc: Procedure) -> list:
-        return build_optimized_block(
-            proc.compiled, index=proc.index, optimizer=self.optimizer,
-            dictionary=self.dictionary,
-            procedure=f"{proc.name}/{proc.arity}")
+    def _build_block(self, proc: Procedure) -> Block:
+        return build_procedure_code(proc.compiled, index=proc.index)
 
     def fit(self, block) -> None:
         """Make *block* runnable here: bound (once — a block that never
@@ -350,19 +340,6 @@ class Machine:
             block.bind()
         if block.xregs > len(self.x):
             self.x.extend([None] * (block.xregs - len(self.x)))
-
-    def set_optimize(self, level: str) -> None:
-        """Change the optimization level and rebuild every main-memory
-        procedure's control wrapper at the new level (per-clause compiled
-        code is reused; dynamics rebuild lazily on next call)."""
-        if level == self.optimizer.level:
-            return
-        self.optimizer.set_level(level)
-        for proc in self.procedures.values():
-            if proc.kind == "static" and proc.compiled:
-                proc.code = self._build_block(proc)
-            elif proc.kind == "dynamic":
-                proc.dirty = True
 
     def _define_aux(self, name: str, arity: int, clauses: List[Term]) -> None:
         self.define_procedure(name, arity, clauses, index=False)
@@ -872,11 +849,6 @@ class Machine:
             I.FAIL_OP: self._i_fail,
             I.NOOP: self._i_noop,
             I.HALT_SUCCESS: self._i_halt,
-            I.GET_CONSTANTS: self._i_get_constants,
-            I.UNIFY_CONSTANTS: self._i_unify_constants,
-            I.GET_LIST_VV: self._i_get_list_vv,
-            I.PUT_ARGS: self._i_put_args,
-            I.SWITCH_ON_ARG: self._i_switch_on_arg,
         }
 
     # --- get ------------------------------------------------------------------
@@ -1039,79 +1011,6 @@ class Machine:
             for _ in range(instr[1]):
                 self.new_var()
 
-    # --- fused superinstructions (repro.wam.optimizer) ---------------------
-    # Each executes the exact semantics of the plain-instruction run it
-    # replaces, in source order, and adds the same per-component data
-    # costs (put_args's are static, charged with its run); only the
-    # dispatch overhead (instr_count) is saved.
-
-    def _i_get_constants(self, instr):
-        x = self.x
-        refs = 0
-        for want, ai in instr[2]:
-            refs += 2
-            cell = x[ai]
-            if cell[0] == "REF":
-                cell = self.deref_cell(cell)
-                if cell[0] == "REF":
-                    self.bind(cell[1], want)
-                    continue
-            if cell[0] != want[0] or cell[1] != want[1]:
-                self.data_refs += refs
-                return "fail"
-        self.data_refs += refs
-
-    def _i_unify_constants(self, instr):
-        # Mode cannot change across a run of unify_constant, so the
-        # check is hoisted out of the loop.
-        wants = instr[2]
-        if self.mode != "read":
-            self.heap.extend(wants)
-            self.data_refs += 2 * len(wants)
-            return None
-        refs = 0
-        for want in wants:
-            refs += 2
-            cell = self.deref_cell(self.heap[self.s])
-            self.s += 1
-            if cell[0] == "REF":
-                self.bind(cell[1], want)
-            elif cell[0] != want[0] or cell[1] != want[1]:
-                self.data_refs += refs
-                return "fail"
-        self.data_refs += refs
-
-    def _i_get_list_vv(self, instr):
-        cell = self.deref_cell(self.x[instr[1][1]])
-        if cell[0] == "REF":
-            self.bind(cell[1], ("LIS", len(self.heap)))
-            pair = (self.new_var(), self.new_var())
-            self.mode = "write"
-        elif cell[0] == "LIS":
-            s = cell[1]
-            pair = (self.heap[s], self.heap[s + 1])
-            self.s = s + 2
-            self.mode = "read"
-        else:
-            # an unfused run would stop at the failing get_list: the two
-            # unify_variable components never execute, so they cost
-            # nothing
-            self.data_refs += 3
-            return "fail"
-        self.data_refs += 7  # get_list + 2 x unify_variable
-        for reg, value in zip(instr[2:], pair):
-            if reg[0] == "x":
-                self.x[reg[1]] = value
-            else:
-                self.e.slots[reg[1]] = value
-
-    def _i_put_args(self, instr):
-        x = self.x
-        for cell, src, ai in instr[2]:
-            if cell is None:
-                cell = x[src[1]] if src[0] == "x" else self.e.slots[src[1]]
-            x[ai] = cell
-
     # --- control -----------------------------------------------------------
 
     def _i_allocate(self, instr):
@@ -1257,21 +1156,6 @@ class Machine:
         cell = self.deref_cell(self.x[0])
         fid = self.heap[cell[1]][1]
         self.pc = instr[1].get(("fun", fid), instr[2])
-        return "jump"
-
-    def _i_switch_on_arg(self, instr):
-        # (argpos, {const_key: offset}, lvar, lmiss) — the optimizer's
-        # chain guard: every guarded clause holds a pairwise-distinct
-        # constant at argpos, so a bound constant selects at most one
-        # clause (no choice point) and a bound list/structure none.
-        cell = self.deref_cell(self.x[instr[1]])
-        kind = _KEY_KIND.get(cell[0])
-        if cell[0] == "REF":
-            self.pc = instr[3]
-        elif kind is None:  # LIS / STR cannot match an all-constant chain
-            self.pc = instr[4]
-        else:
-            self.pc = instr[2].get((kind, cell[1]), instr[4])
         return "jump"
 
     # --- cut -------------------------------------------------------------------
@@ -1425,8 +1309,7 @@ class Machine:
     # ===================================================== misc accessors
 
     def counters(self) -> dict:
-        out = self.optimizer.counters()
-        out.update({
+        out = {
             "instr_count": self.instr_count,
             "data_refs": self.data_refs,
             "cp_refs": self.cp_refs,
@@ -1438,13 +1321,12 @@ class Machine:
             "heap_high_water": self.heap_high_water,
             "gc_runs": self.gc_runs,
             "gc_cells_recovered": self.gc_cells_recovered,
-        })
+        }
         if self.profiler is not None:
             out.update(self.profiler.counters())
         return out
 
     def reset_counters(self) -> None:
-        self.optimizer.reset_counters()
         self.instr_count = 0
         self.data_refs = 0
         self.cp_refs = 0

@@ -20,8 +20,8 @@ from ..lang.program import Indicator, read_sections
 from ..lang.reader import Reader
 from ..terms import Term
 from .compiler import ClauseCompiler, CompileContext
+from .indexing import build_procedure_code
 from .machine import Procedure
-from .optimizer import Optimizer, build_optimized_block
 
 PRELUDE_SOURCE = r"""
 % lint: disable=L104 member/2 select/3 closure_step/4 maplist/2 maplist/3 maplist/4
@@ -123,7 +123,7 @@ def library() -> Dict[Indicator, Tuple[Term, ...]]:
 
 
 _IMAGE_LOCK = threading.Lock()
-_IMAGES: Dict[Tuple[str, bool],
+_IMAGES: Dict[bool,
               Tuple[SegmentedDictionary, Dict[int, Procedure]]] = {}
 
 
@@ -153,10 +153,10 @@ def _compiled_library() -> Tuple[SegmentedDictionary, Dict[int, Procedure]]:
     return dictionary, procedures
 
 
-def library_image(level: str, index: bool
+def library_image(index: bool
                   ) -> Tuple[SegmentedDictionary, Dict[int, Procedure]]:
-    """The compiled library as a session starts from it, for optimizer
-    *level* and first-argument *index*ing: the dictionary after ``[]``
+    """The compiled library as a session starts from it, with or without
+    first-argument *index*ing: the dictionary after ``[]``
     and every library functor, and the procedures with their per-clause
     code and blocks.  Built once per process and setting, under a lock;
     never mutated — a ``Machine`` copies the dictionary and each
@@ -164,17 +164,14 @@ def library_image(level: str, index: bool
     last, so sessions binding one block at once install equal results).
     """
     with _IMAGE_LOCK:
-        image = _IMAGES.get((level, index))
+        image = _IMAGES.get(index)
         if image is None:
             dictionary, compiled = _compiled_library()
-            optimizer = Optimizer(level)
             procedures = {}
             for pid, proc in compiled.items():
                 proc = procedures[pid] = proc.copy()
                 proc.index = proc.index and index
-                proc.code = build_optimized_block(
-                    proc.compiled, index=proc.index, optimizer=optimizer,
-                    dictionary=dictionary,
-                    procedure=f"{proc.name}/{proc.arity}")
-            image = _IMAGES[level, index] = (dictionary, procedures)
+                proc.code = build_procedure_code(proc.compiled,
+                                                 index=proc.index)
+            image = _IMAGES[index] = (dictionary, procedures)
         return image

@@ -1,7 +1,5 @@
 """Shared fixtures and hypothesis strategies."""
 
-import os
-
 import pytest
 from hypothesis import strategies as st
 
@@ -13,16 +11,6 @@ from repro.terms import Atom, Struct
 # fails verification is a bug in either the compiler or the verifier,
 # and the whole suite is the property harness that finds it.
 enable_self_verify()
-
-# Every machine/session constructed without an explicit ``optimize=``
-# runs at the highest optimization level, so the whole suite doubles as
-# the optimizer's regression net (docs/OPTIMIZER.md).  Tests pinning
-# exact unoptimized codegen pass ``optimize="off"`` explicitly.
-# ``REPRO_TEST_OPTIMIZE=off`` (a CI matrix leg; test-only, not a product
-# option) runs the suite at the level the product ships with instead.
-from repro.wam.optimizer import set_default_level  # noqa: E402
-
-set_default_level(os.environ.get("REPRO_TEST_OPTIMIZE", "full"))
 
 
 @pytest.fixture

@@ -438,8 +438,8 @@ LIBRARY_GOALS = ["append(X, Y, [1,2,3])", "maplist(reverse, [[1,2],[3]], L)",
 
 
 def test_sessions_opened_at_once_share_one_library_image(monkeypatch):
-    """Eight threads open sessions together at two optimizer levels on a
-    process with no library image yet, then run library goals together
+    """Eight threads open sessions together on a process with no
+    library image yet, then run library goals together
     on blocks no session has bound: one compilation, one dictionary,
     the single-thread answers everywhere."""
     monkeypatch.setattr(prelude, "_IMAGES", {})
@@ -455,7 +455,7 @@ def test_sessions_opened_at_once_share_one_library_image(monkeypatch):
     def worker(k):
         try:
             opened.wait(30)
-            sessions[k] = EduceStar(optimize=("off", "full")[k % 2])
+            sessions[k] = EduceStar()
             solving.wait(30)
             answers[k] = [_normalise(sessions[k].solve(goal))
                           for goal in LIBRARY_GOALS]
@@ -477,7 +477,7 @@ def test_sessions_opened_at_once_share_one_library_image(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in pool)
     assert not errors, errors
-    assert len(prelude._IMAGES) == 2
+    assert len(prelude._IMAGES) == 1
     entries = [list(s.machine.dictionary.entries()) for s in sessions]
     assert all(e == entries[0] for e in entries)
     expected = [_normalise(EduceStar().solve(goal))

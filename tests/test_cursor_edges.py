@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engine.session import EduceStar
+from repro.errors import ExistenceError
+from repro.lang.writer import term_to_text
 
 
 @pytest.fixture
@@ -88,3 +90,35 @@ class TestCursorAfterMutation:
         # point query still exact after merges/splices
         assert list(rel.query({0: 2})) == [(2, 2)]
         assert list(rel.query({0: 3})) == []
+
+
+class TestCursorAfterDrop:
+    """A cursor opened before its relation is dropped or replaced
+    raises instead of reading on: the relation's pages are freed, and a
+    relation stored after it must never show through."""
+
+    ROWS = [(i, i % 7) for i in range(2000)]
+
+    def _open_and_read_one(self, kb, name):
+        sol = kb.solve_once(f"open_rel(D, {name}/2), first_tuple(D, R)")
+        assert sol is not None
+        return term_to_text(sol["D"])
+
+    def test_dropped_relation(self):
+        kb = EduceStar()
+        kb.store_relation("t", self.ROWS)
+        descr = self._open_and_read_one(kb, "t")
+        assert kb.store.drop_procedure("t", 2)
+        kb.store_relation("u", [(-i, -1) for i in range(2000)])
+        with pytest.raises(ExistenceError):
+            kb.solve_once(f"next_tuple({descr}, R)")
+
+    def test_replaced_relation(self):
+        kb = EduceStar()
+        kb.store.materialise_facts("m", 2, self.ROWS)
+        descr = self._open_and_read_one(kb, "m")
+        kb.store.materialise_facts("m", 2, [(-i, -1) for i in range(2000)])
+        with pytest.raises(ExistenceError):
+            kb.solve_once(f"next_tuple({descr}, R)")
+        with pytest.raises(ExistenceError):
+            kb.solve_once(f"more({descr})")

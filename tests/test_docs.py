@@ -38,11 +38,6 @@ def replication_doc() -> str:
     return read_doc(os.path.join("docs", "REPLICATION.md"))
 
 
-@pytest.fixture(scope="module")
-def optimizer_doc() -> str:
-    return read_doc(os.path.join("docs", "OPTIMIZER.md"))
-
-
 def documented(glossary: str) -> set:
     """Every backtick-quoted token in the glossary."""
     return set(re.findall(r"`([^`\s]+)`", glossary))
@@ -120,7 +115,7 @@ class TestCounterGlossary:
         for kind in ("ticket.admit", "ticket.done", "ticket.deadline",
                      "ticket.cancelled", "ticket.failed", "query.slow",
                      "page.evict", "wal.poison", "store.recovery",
-                     "verify.reject", "wam_opt.reject"):
+                     "verify.reject"):
             assert kind in names, kind
 
     def test_loader_verify_telemetry_documented(self, glossary):
@@ -364,35 +359,6 @@ class TestAnalysisGlossary:
 
 
 # =====================================================================
-# Optimizer doc (docs/OPTIMIZER.md)
-# =====================================================================
-
-class TestOptimizerDoc:
-    def test_levels_documented(self, optimizer_doc):
-        from repro.wam.optimizer import OPT_LEVELS
-        for level in OPT_LEVELS:
-            assert f'"{level}"' in optimizer_doc, level
-
-    def test_fused_opcodes_documented(self, optimizer_doc):
-        from repro.wam import instructions as I
-        names = documented(optimizer_doc)
-        for op in (I.GET_CONSTANTS, I.UNIFY_CONSTANTS, I.GET_LIST_VV,
-                   I.PUT_ARGS, I.SWITCH_ON_ARG):
-            assert op in names, op
-
-    def test_counters_documented(self, optimizer_doc):
-        from repro.wam.optimizer import Optimizer
-        names = documented(optimizer_doc)
-        for counter in Optimizer("off").counters():
-            assert counter in names, counter
-
-    def test_knob_surfaces_documented(self, optimizer_doc):
-        for surface in ("Machine(optimize=", "EduceStar(optimize=",
-                        ":optimize", "set_default_level"):
-            assert surface in optimizer_doc, surface
-
-
-# =====================================================================
 # Doc links
 # =====================================================================
 
@@ -416,7 +382,6 @@ class TestDocLinks:
                                      "docs/DURABILITY.md",
                                      "docs/DATALOG.md",
                                      "docs/REPLICATION.md",
-                                     "docs/OPTIMIZER.md",
                                      "EXPERIMENTS.md"])
     def test_inline_code_paths_exist(self, doc):
         text = read_doc(doc)

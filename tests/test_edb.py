@@ -228,6 +228,41 @@ class TestStoreSource:
         assert session.loader.loads == 0
 
 
+class TestDroppedPages:
+    """A dropped or replaced relation gives its pages back."""
+
+    ROWS = [(i, i % 7) for i in range(2000)]
+
+    def test_store_then_drop(self, store):
+        pages = store.pager.disk.page_count
+        store.store_facts("t", 2, self.ROWS)
+        assert store.pager.disk.page_count > pages
+        assert store.drop_procedure("t", 2)
+        assert store.pager.disk.page_count == pages
+
+    def test_repeated_materialise_holds_one_relation(self, store):
+        store.materialise_facts("m", 2, self.ROWS)
+        pages = store.pager.disk.page_count
+        for _ in range(3):
+            store.materialise_facts("m", 2, self.ROWS)
+            assert store.pager.disk.page_count == pages
+        assert sorted(store.fetch_facts("m", 2)) == sorted(self.ROWS)
+
+    def test_replayed_drop(self, tmp_path):
+        path = str(tmp_path / "db.edb")
+        durable = ExternalStore.open(path)
+        pages = durable.pager.disk.page_count
+        durable.store_facts("t", 2, self.ROWS)
+        durable.save(path)                 # t's pages in the checkpoint
+        durable.drop_procedure("t", 2)     # the drop only in the log
+        del durable                        # crash: no checkpoint
+
+        reopened = ExternalStore.open(path, create=False)
+        assert reopened.recovery.ops_replayed == {"drop": 1}
+        assert reopened.lookup("t", 2) is None
+        assert reopened.pager.disk.page_count == pages
+
+
 class TestUpdates:
     def test_assert_appends(self, store, ctx):
         store.store_rules("p", 1, read_terms("p(a)."), ctx)

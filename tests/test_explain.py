@@ -91,14 +91,6 @@ class TestTopdown:
         assert kb.explain("no_such_pred(X)").root.find(
             "procedure").attrs["source"] == "undefined"
 
-    def test_optimizer_node_always_present(self):
-        kb = EduceStar()
-        kb.consult("p(a).")
-        node = kb.explain("p(X)").root.find("optimizer")
-        assert node is not None
-        assert node.label == kb.machine.optimizer.level
-        assert "wam_opt_fusions" in node.attrs
-
     def test_explain_is_side_effect_free(self):
         """EXPLAIN alone executes nothing — the machine's instruction
         counter does not move."""

@@ -380,7 +380,7 @@ class TestSessionIntegration:
         assert counters["analysis_global_sccs"] >= 4
 
     def test_explain_procedure_annotations(self):
-        kb = EduceStar(optimize="full")
+        kb = EduceStar()
         kb.consult(DISPATCH)
         kb.global_analysis()
         plan = kb.explain("act(c, k1, R)")

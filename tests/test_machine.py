@@ -560,9 +560,8 @@ class TestCounters:
 # Python, but they are four different Prolog constants.
 # =====================================================================
 
-#: get_constant / put_constant / unify_constant, each alone in its run,
-#: and the same constants as runs the optimizer fuses (get_constants,
-#: put_args, unify_constants) at level full
+#: get_constant / put_constant / unify_constant, each alone in its run
+#: and in runs of several
 BINDING_PROGRAM = """
 z(0.0). z(-0.0).
 one(1). one(1.0).
@@ -619,26 +618,23 @@ def _binding_answers(solver, goal):
 
 
 class TestOperandBinding:
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_consulted(self, level):
+    def test_consulted(self):
         from repro.wam.machine import Machine
-        machine = Machine(optimize=level)
+        machine = Machine()
         machine.consult(BINDING_PROGRAM)
         for goal, expected in BINDING_CASES.items():
             assert _binding_answers(machine, goal) == expected, goal
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_stored(self, level):
+    def test_stored(self):
         from repro.engine.session import EduceStar
-        kb = EduceStar(optimize=level)
+        kb = EduceStar()
         kb.store_program(BINDING_PROGRAM)
         for goal, expected in BINDING_CASES.items():
             assert _binding_answers(kb, goal) == expected, goal
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_asserted_and_stored_facts(self, level):
+    def test_asserted_and_stored_facts(self):
         from repro.engine.session import EduceStar
-        kb = EduceStar(optimize=level)
+        kb = EduceStar()
         kb.solve_once("assertz(dz(0.0)), assertz(dz(-0.0)), "
                       "assertz(dz(1)), assertz(dz(1.0))")
         kb.store_relation("rz", [(0.0,), (-0.0,), (1,), (1.0,)])
@@ -662,26 +658,23 @@ class TestWideRegisters:
         assert [sol[f"V{i}"] for i in range(WIDE)] == list(range(WIDE))
         assert solver.solve_once(f"{pred}({WIDE_ARGS})") is not None
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_consulted(self, level):
+    def test_consulted(self):
         from repro.wam.machine import Machine
-        machine = Machine(optimize=level)
+        machine = Machine()
         machine.consult(WIDE_PROGRAM)
         self._check(machine)
         sol = machine.solve_once("wide(L)")
         assert term_to_text(sol["L"]) == f"[{WIDE_ARGS.replace(' ', '')}]"
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_asserted(self, level):
+    def test_asserted(self):
         from repro.wam.machine import Machine
-        machine = Machine(optimize=level)
+        machine = Machine()
         machine.solve_once(f"assertz(w({WIDE_ARGS}))")
         self._check(machine)
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_stored(self, level):
+    def test_stored(self):
         from repro.engine.session import EduceStar
-        kb = EduceStar(optimize=level)
+        kb = EduceStar()
         kb.store_program(WIDE_PROGRAM)
         self._check(kb)
         sol = kb.solve_once("wide(L)")
@@ -714,14 +707,11 @@ safe(Q, D, [P|Ps]) :-
 NREV30 = "nrev([" + ",".join(str(i) for i in range(1, 31)) + "], _)"
 COUNTER_KEYS = ("instr_count", "data_refs", "cp_refs", "cp_created",
                 "backtracks", "calls", "unify_ops")
-#: (shape, level) -> (solutions, counter deltas in COUNTER_KEYS order)
+#: shape -> (solutions, counter deltas in COUNTER_KEYS order)
 COUNTER_GOLDEN = {
-    ("nrev", "off"): (1, (5886, 12728, 7, 1, 1, 496, 30)),
-    ("nrev", "full"): (1, (4086, 12728, 7, 1, 1, 496, 30)),
-    ("queens", "off"): (4, (35407, 107031, 30562, 1456, 1455, 1611, 1298)),
-    ("queens", "full"): (4, (29896, 107031, 30562, 1456, 1455, 1611, 1298)),
-    ("mvv", "off"): (1, (85415, 222542, 46768, 1114, 2456, 4369, 1460)),
-    ("mvv", "full"): (1, (60194, 222696, 46768, 1114, 2456, 4369, 1460)),
+    "nrev": (1, (5886, 12728, 7, 1, 1, 496, 30)),
+    "queens": (4, (35407, 107031, 30562, 1456, 1455, 1611, 1298)),
+    "mvv": (1, (85415, 222542, 46768, 1114, 2456, 4369, 1460)),
 }
 
 
@@ -733,38 +723,34 @@ def _counted(machine, goal):
 
 
 class TestCounterExactness:
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_nrev_and_queens_golden(self, level):
+    def test_nrev_and_queens_golden(self):
         from repro.wam.machine import Machine
-        machine = Machine(optimize=level)
+        machine = Machine()
         machine.consult(NREV_PROGRAM)
-        assert _counted(machine, NREV30) == COUNTER_GOLDEN[("nrev", level)]
-        machine = Machine(optimize=level)
+        assert _counted(machine, NREV30) == COUNTER_GOLDEN["nrev"]
+        machine = Machine()
         machine.consult(QUEENS_PROGRAM)
         assert _counted(machine, "queens(6, _)") == \
-            COUNTER_GOLDEN[("queens", level)]
+            COUNTER_GOLDEN["queens"]
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_findall_heavy_mvv_golden(self, level):
+    def test_findall_heavy_mvv_golden(self):
         from repro.engine.session import EduceStar
         from repro.workloads import mvv
         data = mvv.generate(seed=11, scale=0.05)
-        kb = mvv.load_educestar(data, EduceStar(optimize=level))
+        kb = mvv.load_educestar(data, EduceStar())
         goal = mvv.class2_queries(data, 1)[0]
         assert goal == "route(stop_0046, stop_0003, 360, Plan)"
         assert _counted(kb.machine, f"findall(P, {goal}, Ps)") == \
-            COUNTER_GOLDEN[("mvv", level)]
+            COUNTER_GOLDEN["mvv"]
 
-    @pytest.mark.parametrize("level,expected", [("off", (7, 553)),
-                                                ("full", (6, 423))])
-    def test_statistics_inside_one_query(self, level, expected):
+    def test_statistics_inside_one_query(self):
         from repro.wam.machine import Machine
-        machine = Machine(optimize=level)
+        machine = Machine()
         machine.consult(NREV_PROGRAM)
         sol = machine.solve_once("statistics(instructions, A), "
                                  "nrev([1,2,3,4,5,6,7,8], _), "
                                  "statistics(instructions, B)")
-        assert (sol["A"], sol["B"]) == expected
+        assert (sol["A"], sol["B"]) == (7, 553)
 
     def test_exact_after_interrupt(self):
         """A poll that raises mid-query leaves the counters at exactly

@@ -217,12 +217,12 @@ def _answers(engine, goal):
              getattr(s, "bindings", s).items()} for s in solutions]
 
 
-def _engine(how, level):
+def _engine(how):
     if how == "baseline":
         engine = EduceBaseline()
         engine.consult(SEMANTICS)
         return engine
-    engine = EduceStar(optimize=level)
+    engine = EduceStar()
     getattr(engine, how)(SEMANTICS)
     return engine
 
@@ -235,16 +235,15 @@ PINNED = {"bag(L)": [{"L": "[1,2,2]"}], "set(L)": [{"L": "[1-a,2-b,2-c]"}],
 @pytest.fixture(scope="module")
 def oracle():
     """The ``EduceBaseline`` interpreter's answers, and PINNED."""
-    engine = _engine("baseline", None)
+    engine = _engine("baseline")
     return {goal: PINNED.get(goal) or _answers(engine, goal)
             for goal in SEMANTIC_GOALS}
 
 
 class TestMetaGoalSemantics:
-    @pytest.mark.parametrize("level", ["off", "full"])
     @pytest.mark.parametrize("how", ["consult", "store_program"])
-    def test_matches_the_interpreter(self, how, level, oracle):
-        engine = _engine(how, level)
+    def test_matches_the_interpreter(self, how, oracle):
+        engine = _engine(how)
         for goal in SEMANTIC_GOALS:
             assert _answers(engine, goal) == oracle[goal], goal
 
@@ -258,12 +257,11 @@ class TestMetaGoalSemantics:
             {"X": "9", "L": "[2,3]", "M": "9"}]
         assert isinstance(oracle["raises(L)"], str)
 
-    @pytest.mark.parametrize("level", ["off", "full"])
-    def test_run_time_goals_keep_their_atom_goals(self, level):
+    def test_run_time_goals_keep_their_atom_goals(self):
         """An atom in a goal position of ``,``/``;``/``->`` — ``!``
         included — is part of the shape, never a parameter: the same
         session answers each goal by its own code."""
-        kb = EduceStar(optimize=level)
+        kb = EduceStar()
         kb.consult("p(1). p(2). p(3). all(G, L) :- findall(X-G, G, L).")
         cases = [("(p(X), !)", "[1]"), ("(p(X), true)", "[1,2,3]"),
                  ("(p(X) -> true ; fail)", "[1]"),

@@ -609,8 +609,7 @@ SESSION_KEYS = frozenset("""
     preunify_executions preunify_rejections reads resolutions
     store_mutations unify_ops verify_checks verify_rejects
     wal_bytes_appended wal_records_appended wal_records_replayed
-    wal_records_skipped wam_opt_blocks wam_opt_chains_demoted
-    wam_opt_fusions wam_opt_rejects writes
+    wal_records_skipped writes
 """.split())
 
 SERVICE_ONLY_KEYS = frozenset("""

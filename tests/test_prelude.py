@@ -126,6 +126,27 @@ class TestSharedLibrary:
     process; every session starts from a copy of that image (or asserts
     the clauses) and never changes the shared one."""
 
+    def test_one_image_per_index_value(self, monkeypatch):
+        from repro.wam import prelude
+        from repro.wam.machine import Machine
+        monkeypatch.setattr(prelude, "_IMAGES", {})
+        built = []
+        build = prelude.build_procedure_code
+
+        def counted(clauses, index=True):
+            built.append(index)
+            return build(clauses, index=index)
+
+        monkeypatch.setattr(prelude, "build_procedure_code", counted)
+        for index in (True, False, True, False):
+            Machine(index=index)
+        library = prelude._compiled_library()[1]
+        assert set(prelude._IMAGES) == {True, False}
+        assert len(built) == 2 * len(library)
+        a, b = Machine(index=False), Machine(index=False)
+        assert all(a.procedures[pid].code is b.procedures[pid].code
+                   for pid in library)
+
     def test_later_sessions_never_tokenize(self, monkeypatch):
         from repro import EduceStar
         from repro.engine.interpreter import Interpreter
@@ -166,20 +187,17 @@ class TestSharedLibrary:
         from repro import EduceStar
         from repro.wam.compiler import ClauseCompiler
         from repro.wam.machine import Machine
-        expected = library_answers(Machine(optimize="off"))
-        assert library_answers(Machine(optimize="full")) == expected
+        expected = library_answers(Machine())
 
         def refuse(self, clause):
             raise AssertionError(f"compiled {clause!r}")
 
         monkeypatch.setattr(ClauseCompiler, "compile_clause", refuse)
-        for level in ("off", "full"):
-            assert library_answers(Machine(optimize=level)) == expected
-            assert library_answers(EduceStar(optimize=level)) == expected
+        assert library_answers(Machine()) == expected
+        assert library_answers(EduceStar()) == expected
 
     def test_a_session_changes_only_its_own_copy(self):
         from repro.wam.machine import Machine
-        other = {"off": "full", "full": "off"}
         a, b = Machine(), Machine()
 
         def state(m):
@@ -191,7 +209,7 @@ class TestSharedLibrary:
         entries = list(b.dictionary.entries())
 
         a.consult("append(mine, mine, mine).")
-        a.set_optimize(other[a.optimizer.level])
+        a.refresh(a.procedure("member", 2))    # a new block for a alone
         a.dictionary.delete(a.dictionary.lookup("numlist", 3))
         a.dictionary.intern("only_in_a", 2)
         assert a.solve_once("append(X, Y, Z)")["X"].name == "mine"

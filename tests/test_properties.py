@@ -3,8 +3,8 @@
 These pin the system's load-bearing invariants:
 
 * pre-unification exactness — every call, the first or a repeat in one
-  session, answers what surface unification says at every depth and
-  optimizer level, and at depth ``full`` the filter lets through
+  session, answers what surface unification says at every depth, and
+  at depth ``full`` the filter lets through
   exactly the clauses whose head unifies (§4's "necessary but not
   sufficient");
 * codec totality — every compilable clause round-trips through the
@@ -139,13 +139,12 @@ _LA, _LB = (("list", (Atom(n),), Atom("[]")) for n in "ab")
 @example(heads=[(Atom("a"), Atom("b"), False), (Atom("c"), Atom("c"), False)],
          probes=[(("var", 0), ("var", 0)), (None, None)])
 def test_preunification_exactness(heads, probes):
-    """Probes back to back in one session per depth × optimizer level
-    answer exactly the clauses whose head unifies (oracle: occurs-checked
+    """Probes back to back in one session per depth answer exactly the clauses whose head unifies (oracle: occurs-checked
     surface unification); at ``full`` the filter keeps exactly those."""
     clauses = [_clause(a, b, i, with_body)
                for i, (a, b, with_body) in enumerate(heads)]
-    sessions = [EduceStar(preunify_depth=depth, optimize=optimize)
-                for depth in ("none", "full") for optimize in ("off", "full")]
+    sessions = [EduceStar(preunify_depth=depth)
+                for depth in ("none", "full")]
     for session in sessions:
         session.consult("ok(_).")
         session.store_program("\n".join(format_clause(c) for c in clauses))
@@ -286,13 +285,7 @@ def test_relops_match_python_semantics(rows):
 
 
 # ================================================================
-# Optimizer differential fuzzer (docs/OPTIMIZER.md)
-#
-# Random clause sets run on two machines — ``optimize="off"`` and
-# ``optimize="full"`` — and must produce identical answers *in the
-# same order* for every goal, while every consulted procedure passes
-# ``verify="full"`` on both.  Failures print the seed so the case can
-# be replayed with ``_optimizer_fuzz_case(seed)``.
+# Random clause sets for the whole-program analysis fuzz below
 # ================================================================
 
 _FUZZ_ATOMS = ("a", "b", "c", "d", "e")
@@ -312,76 +305,15 @@ def _random_program(rng):
                 else:
                     args.append(f"V{rng.randint(0, 1)}")
             lines.append(f"{name}({', '.join(args)}).")
-    # rules drive put_args fusion and call-chain codegen
+    # rules add call chains
     lines.append("s(X, Y) :- p(X, Y).")
     lines.append("s(X, Y) :- q(X), r(X, Y, _).")
     lines.append("u(X) :- p(a, X).")
-    # list clauses drive get_list_vv and unify fusion
+    # and list clauses get_list/unify code
     lines.append("t([H|T], H, T).")
     lines.append("t([], nil, nil).")
     return "\n".join(lines)
 
-
-def _random_goals(rng):
-    goals = ["p(A, B)", "q(A)", "r(A, B, C)", "s(A, B)", "u(A)",
-             "t(A, B, C)", "t([a, b, c], H, T)"]
-    goals.append(f"p({rng.choice(_FUZZ_ATOMS)}, B)")
-    goals.append(f"p(A, {rng.randint(0, 5)})")
-    goals.append(f"r(A, {rng.choice(_FUZZ_ATOMS)}, C)")
-    goals.append(f"s({rng.choice(_FUZZ_ATOMS)}, B)")
-    return goals
-
-
-def _collect_answers(machine, goal, limit=30):
-    from tests.test_optimizer import collect
-    return collect(machine, goal, limit=limit)
-
-
-def _optimizer_fuzz_case(seed, off, full):
-    import random
-
-    from repro.analysis.verifier import verify_code
-
-    rng = random.Random(seed)
-    program = _random_program(rng)
-    goals = _random_goals(rng)
-    for machine in (off, full):
-        before = set(machine.procedures)
-        machine.consult(program)
-        for pid, proc in machine.procedures.items():
-            if pid in before or proc.name.startswith("$"):
-                continue
-            verify_code(list(proc.code), arity=proc.arity,
-                        dictionary=machine.dictionary, level="full",
-                        procedure=f"{proc.name}/{proc.arity}")
-    for goal in goals:
-        got_off = _collect_answers(off, goal)
-        got_full = _collect_answers(full, goal)
-        assert got_full == got_off, (
-            f"optimizer fuzz seed={seed}: {goal} diverged\n"
-            f"  program:\n{program}\n"
-            f"  off : {got_off}\n  full: {got_full}")
-    assert full.optimizer.rejects == 0, (
-        f"optimizer fuzz seed={seed}: gate rejected a block "
-        f"{full.optimizer.last_reject}")
-
-
-def test_optimizer_differential_fuzz():
-    """≥100 random clause sets: off and full agree answer-for-answer,
-    in order, and every block is verify="full" clean on both sides."""
-    off = Machine(optimize="off")
-    full = Machine(optimize="full")
-    for seed in range(120):
-        _optimizer_fuzz_case(seed, off, full)
-
-
-def test_optimizer_differential_fuzz_unindexed():
-    """The same differential with first-argument indexing disabled:
-    the chain-demotion pass guards whole procedures (positions ≥ 0)."""
-    off = Machine(optimize="off", index=False)
-    full = Machine(optimize="full", index=False)
-    for seed in range(200, 230):
-        _optimizer_fuzz_case(seed, off, full)
 
 # ================================================================
 # Whole-program analysis soundness (docs/ANALYSIS.md)
@@ -482,7 +414,7 @@ def test_global_analysis_soundness_fuzz():
     modes, observed runtime bindings respect the inferred success
     modes and observed solution counts respect the inferred
     cardinality interval."""
-    machine = Machine(optimize="full")
+    machine = Machine()
     for seed in range(110):
         _modes_soundness_case(seed, machine)
 

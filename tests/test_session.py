@@ -232,17 +232,24 @@ class TestRemovedOptions:
 
     @pytest.mark.parametrize("option", [
         "pager", "index", "gc_enabled", "gc_threshold", "cost_model",
-        "datalog_min_rows", "verify"])
+        "datalog_min_rows", "verify", "optimize"])
     def test_session_keywords(self, option):
         with pytest.raises(TypeError, match=option):
             EduceStar(**{option: None})
 
     @pytest.mark.parametrize("option", [
-        "poll_interval", "explain", "profiling", "profile_interval"])
+        "poll_interval", "explain", "profiling", "profile_interval",
+        "optimize"])
     def test_service_keywords(self, option):
         from repro import QueryService
         with pytest.raises(TypeError, match=option):
             QueryService(workers=1, **{option: None})
+
+    @pytest.mark.parametrize("option", ["optimize"])
+    def test_machine_keywords(self, option):
+        from repro.wam.machine import Machine
+        with pytest.raises(TypeError, match=option):
+            Machine(**{option: None})
 
     @pytest.mark.parametrize("option", ["backoff_cap", "batch"])
     def test_replica_keywords(self, option, tmp_path):
