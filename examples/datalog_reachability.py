@@ -25,7 +25,6 @@ from repro.workloads import graphs
 
 def build(mode: str, edges) -> EduceStar:
     kb = EduceStar(datalog=mode)
-    kb.datalog.min_rows = 64
     kb.store_relation("edge", edges)
     kb.store_program("""
         % lint: external edge/2

@@ -12,13 +12,12 @@ compiled-code-in-the-EDB architecture (§3.1):
   (L rules), with inline ``% lint:`` pragma waivers;
 * :mod:`~repro.analysis.global_` — whole-program analysis: predicate
   call graph, mode/groundness abstract interpretation and determinism
-  inference (M rules), consumed by EXPLAIN, the Datalog strategy
-  planner and the linter.
+  inference (M rules), consumed by EXPLAIN, the REPL and the linter.
 
 The compiler and assembler verify their own output when
 :func:`enable_self_verify` has been called (the test suite turns it
-on); the dynamic loader verifies EDB-fetched code at a configurable
-level (``verify="off"|"structural"|"full"``); and
+on); the dynamic loader runs the structural rules over every
+EDB-fetched clause record before anything executes it; and
 ``python -m repro.analysis`` lints/verifies the shipped corpus for CI.
 """
 
@@ -98,7 +97,7 @@ def describe_procedure(session, name: str, arity: int) -> str:
     lines.append(f"  EDB: {len(clauses)} stored clauses "
                  f"(version {stored.version})")
     if not findings:
-        layout = build_procedure_layout(compiled, index=session.loader.index)
+        layout = build_procedure_layout(compiled, index=machine.index_enabled)
         report = analyze_clauses(compiled, layout=layout)
         findings.extend(report.findings)
         lines.append("  block: "

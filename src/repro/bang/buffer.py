@@ -185,13 +185,18 @@ class BufferPool:
             self._dirty.discard(page_id)
 
     # Like DiskStore, never persist the live session's tracer; latch,
-    # pins and in-flight reads are runtime state and restart empty.
+    # pins, in-flight reads and the frames themselves are runtime state
+    # and restart empty.  A checkpoint flushes before it pickles, so the
+    # disc already holds every frame; an older image that still carries
+    # frames loads as it was.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["tracer"] = None
         state["events"] = None    # the ring holds locks; runtime state
         state["_pins"] = {}
         state["_loading"] = {}
+        state["_frames"] = OrderedDict()
+        state["_dirty"] = set()
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -51,34 +51,25 @@ from .codec import decode_code
 from .preunify import PreUnifier
 from .store import ExternalStore, StoredClause
 
-#: accepted loader verification levels (docs/ANALYSIS.md)
-VERIFY_LEVELS = ("off", "structural", "full")
-
-
 class DynamicLoader:
     """Per-session loader over one :class:`ExternalStore`."""
 
     def __init__(self, store: ExternalStore,
-                 preunifier: Optional[PreUnifier] = None,
-                 index: bool = True):
+                 preunifier: Optional[PreUnifier] = None):
         self.store = store
         self.preunifier = preunifier or PreUnifier("full")
-        self.index = index
-        #: how far fetched code is checked before it may run — one of
-        #: VERIFY_LEVELS, assignable; the structural gate is the default
-        self.verify = "structural"
         self.tracer = NULL_TRACER  # session installs its shared tracer
-        # (name, arity) → (stamp, {pattern: (clauses, block)}): the rule
-        # clauses the grid answers (none for facts) and the block over
-        # them all; stamp = (version, depth).  The cache *follows* the
-        # store: a call that finds the procedure's blocks under a
-        # different stamp — a mutator bumped the version, the
-        # pre-unifier's depth changed — drops them before loading,
-        # so no writer ever has to tell a session about a write, and a
-        # session holds at most the blocks of its live call patterns.
-        # Versions are monotone per indicator even across drop+recreate
-        # (the store keeps a version floor), so a stamp never aliases
-        # old code with new.
+        # (name, arity) → (version, {pattern: (clauses, block)}): the
+        # rule clauses the grid answers (none for facts) and the block
+        # over them all.  The cache *follows* the store: a call that
+        # finds the procedure's blocks under an older version drops
+        # them before loading, so no writer ever has to tell a session
+        # about a write, and a session holds at most the blocks of its
+        # live call patterns.  Versions are monotone per indicator even
+        # across drop+recreate (the store keeps a version floor), so a
+        # stamp never aliases old code with new.  Nothing else can
+        # change a cached entry: the pre-unifier's execution filter
+        # runs after the cache, per call.
         # Latched: metric scrapes and explicit invalidate() calls may
         # come from another thread than the one querying.
         self._cache: Dict[Tuple[str, int],
@@ -110,8 +101,9 @@ class DynamicLoader:
                 self.invalidate(name, arity)   # dropped from the store
             return None
         summaries = self.preunifier.summaries_from_registers(machine, arity)
-        pattern = tuple(sorted(summaries.items()))
-        stamp = (proc.version, self.preunifier.depth)
+        # summaries come in register order: no sort needed for a key
+        pattern = tuple(summaries.items())
+        stamp = proc.version
         with self._latch:
             entry = self._cache.get((name, arity))
             if entry is not None and entry[0] != stamp:
@@ -157,7 +149,7 @@ class DynamicLoader:
                 machine, [c.code for c in clauses])
             if len(kept) < len(clauses):
                 survivors = [clauses[i] for i in kept]
-                block = self._build(machine, survivors, name, arity)
+                block = self._build(machine, survivors)
         # Counted where a block is built for this call (fact rows by
         # _load_facts: their entries hold no clauses to filter).
         if loaded or survivors is not clauses:
@@ -195,7 +187,7 @@ class DynamicLoader:
         """Snapshot of this procedure's live cache entries, for EXPLAIN.
 
         Returns ``[(key, code), ...]`` pairs where *key* is ``(name,
-        arity, version, pattern, depth)``.
+        arity, version, pattern)``.
         Read-only: no counters move and the cache is not touched beyond
         holding the latch for a consistent copy.
         """
@@ -203,8 +195,8 @@ class DynamicLoader:
             entry = self._cache.get((name, arity))
             if entry is None:
                 return []
-            (version, depth), blocks = entry
-            return [((name, arity, version, pattern, depth), code)
+            version, blocks = entry
+            return [((name, arity, version, pattern), code)
                     for pattern, (_, code) in blocks.items()]
 
     # ------------------------------------------------------------ rules path
@@ -215,7 +207,7 @@ class DynamicLoader:
         clauses = self.store.fetch_clauses(name, arity, summaries)
         self.clauses_fetched += len(clauses)
         if not clauses:
-            return (), self._build(machine, (), name, arity)
+            return (), self._build(machine, ())
 
         faults = self.store.faults
         with self.tracer.span("codec.resolve",
@@ -235,41 +227,25 @@ class DynamicLoader:
         # Retrieved code is verified *before* anything executes it —
         # the pre-unifier's execution filter runs head prefixes, so the
         # gate has to sit here, between decode and filtering.
-        if self.verify != "off":
-            self._verify_clauses(machine, name, arity, clauses, decoded)
+        self._verify_clauses(machine, name, arity, clauses, decoded)
 
         compiled = tuple(self._as_compiled(machine, sc, code)
                          for sc, code in zip(clauses, decoded))
-        return compiled, self._build(machine, compiled, name, arity)
+        return compiled, self._build(machine, compiled)
 
-    def _build(self, machine, compiled: Sequence[CompiledClause],
-               name: str, arity: int) -> list:
-        """Splice control code around stored rules; at verify level
-        ``full`` the block is checked as a whole."""
-        block = build_procedure_code(compiled, index=self.index)
-        if self.verify == "full" and compiled:
-            started = perf_counter()
-            self.verify_checks += 1
-            try:
-                verify_code(block, arity=arity,
-                            dictionary=machine.dictionary, level="full",
-                            procedure=f"{name}/{arity}")
-            except VerifyError as exc:
-                self._reject(name, arity, None, exc)
-                raise
-            finally:
-                self._verify_hist.observe(
-                    (perf_counter() - started) * 1000.0)
-        return block
+    @staticmethod
+    def _build(machine, compiled: Sequence[CompiledClause]) -> list:
+        """Splice control code around stored rules, indexed the way the
+        machine indexes its own procedures."""
+        return build_procedure_code(compiled, index=machine.index_enabled)
 
     def _verify_clauses(self, machine, name: str, arity: int,
                         clauses: List[StoredClause],
                         decoded: List[list]) -> None:
-        """Gate every decoded clause record behind the verifier; a
-        rejected record raises :class:`VerifyError` (typed, with rule
-        id and offset) and the whole load is quarantined — the block is
-        never cached and never executed."""
-        level = self.verify
+        """Gate every decoded clause record behind the structural
+        verifier; a rejected record raises :class:`VerifyError` (typed,
+        with rule id and offset) and the whole load is quarantined — the
+        block is never cached and never executed."""
         started = perf_counter()
         try:
             for sc, code in zip(clauses, decoded):
@@ -277,7 +253,7 @@ class DynamicLoader:
                 try:
                     verify_code(code, arity=arity,
                                 dictionary=machine.dictionary,
-                                level=level,
+                                level="structural",
                                 procedure=f"{name}/{arity}")
                 except VerifyError as exc:
                     self._reject(name, arity, sc, exc)
@@ -286,15 +262,14 @@ class DynamicLoader:
             self._verify_hist.observe(
                 (perf_counter() - started) * 1000.0)
 
-    def _reject(self, name: str, arity: int,
-                sc: Optional[StoredClause], exc: VerifyError) -> None:
+    def _reject(self, name: str, arity: int, sc: StoredClause,
+                exc: VerifyError) -> None:
         self.verify_rejects += 1
         events = self.store.events
         if events.enabled:
             events.record("verify.reject",
                           procedure=f"{name}/{arity}",
-                          clause_id=(sc.clause_id if sc is not None
-                                     else None),
+                          clause_id=sc.clause_id,
                           rule=exc.rule, offset=exc.offset)
 
     def _as_compiled(self, machine, sc: StoredClause,
@@ -341,7 +316,7 @@ class DynamicLoader:
             compiled.append(CompiledClause(
                 code=code, head_name=name, arity=arity,
                 first_arg_kind=kind, first_arg_key=key))
-        return build_procedure_code(compiled, index=self.index)
+        return self._build(machine, compiled)
 
     # ------------------------------------------------------------- counters
 

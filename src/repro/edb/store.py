@@ -427,14 +427,11 @@ class ExternalStore:
         self._register(proc)
         for payload in record["clauses"]:
             self._insert_rule_clause(proc, proc.nclauses, payload)
-        # Older logs carry no surface clauses: the procedure then stays
-        # untracked and on the WAM path.
-        if record.get("surface") is not None:
-            self.datalog_rules.set((name, arity), record["surface"])
-            # An aux head passes on singletons too; its owner's clause
-            # holds the same calls, and iter_goals reaches them.
-            if not is_aux_name(name):
-                self._note_calls(record["surface"])
+        self.datalog_rules.set((name, arity), record["surface"])
+        # An aux head passes on singletons too; its owner's clause holds
+        # the same calls, and iter_goals reaches them.
+        if not is_aux_name(name):
+            self._note_calls(record["surface"])
 
     def _note_calls(self, clauses: Sequence[Term]) -> None:
         """Widen :attr:`bindable` by the call sites of *clauses* and
@@ -666,11 +663,9 @@ class ExternalStore:
         self._insert_rule_clause(proc, max(existing, default=-1) + 1,
                                  record["clause"])
         proc.version += 1
-        if record.get("surface") is not None:
-            # add() only extends procedures the rulebase tracks.
-            self.datalog_rules.add((proc.name, proc.arity),
-                                   record["surface"])
-            self._note_calls([record["surface"]])
+        # add() only extends procedures the rulebase tracks.
+        self.datalog_rules.add((proc.name, proc.arity), record["surface"])
+        self._note_calls([record["surface"]])
 
     def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
         with self.writing():
@@ -729,19 +724,20 @@ class ExternalStore:
 
     # --------------------------------------------- the one write path
 
-    #: op → the function that performs it.  A mutation *is* its redo
-    #: record: these are the only code that changes relations, the
+    #: op → the function that performs it and the fields it reads
+    #: besides ``name`` and ``arity``.  A mutation *is* its redo record:
+    #: these are the only code that changes relations, the
     #: procedures/clauses tables, the version floor or the Datalog
     #: rulebase — for live writes, crash recovery and followers alike.
     _APPLIERS = {
-        "rules": _apply_rules,
-        "source": _apply_source,
-        "facts": _apply_facts,
-        "materialise": _apply_materialise,
-        "assert_rule": _apply_assert_rule,
-        "assert_fact": _apply_assert_fact,
-        "retract": _apply_retract,
-        "drop": _apply_drop,
+        "rules": (_apply_rules, ("clauses", "surface")),
+        "source": (_apply_source, ("clauses",)),
+        "facts": (_apply_facts, ("rows", "types", "key_dims")),
+        "materialise": (_apply_materialise, ("rows", "types", "key_dims")),
+        "assert_rule": (_apply_assert_rule, ("clause", "surface")),
+        "assert_fact": (_apply_assert_fact, ("values",)),
+        "retract": (_apply_retract, ("clause_id",)),
+        "drop": (_apply_drop, ()),
     }
 
     def apply(self, record: dict) -> None:
@@ -749,7 +745,7 @@ class ExternalStore:
         mutation epoch to the record's.  The caller holds the write
         lock (:meth:`_commit` for live writes, :meth:`admit` for
         recovery and replication)."""
-        applier = self._APPLIERS[record["op"]]
+        applier, _fields = self._APPLIERS[record["op"]]
         # Functors the code references, re-interned even when the
         # checkpoint this record replays onto predates them.
         for name, arity in record.get("ext", ()):
@@ -786,9 +782,10 @@ class ExternalStore:
           checkpoint: log and checkpoint diverged (recovery), or a
           newer checkpoint generation exists (follower);
         * ``"undecodable"`` — not a record this store can apply: the
-          payload does not unpickle to a record of a known op, or
-          applying it raised a typed error.  Nothing after it in the
-          stream can be trusted.
+          payload does not unpickle to a record of a known op with
+          every field that op reads (checked before anything is
+          applied), or applying it raised a typed error.  Nothing
+          after it in the stream can be trusted.
 
         For the last two *detail* says what was wrong; what to do about
         them is the caller's policy (recovery stops replaying, a
@@ -815,6 +812,11 @@ class ExternalStore:
                 or not isinstance(record.get("epoch"), int)):
             return "undecodable", (f"WAL record with unknown op {op!r} "
                                    f"or no epoch")
+        missing = [f for f in ("name", "arity") + self._APPLIERS[op][1]
+                   if f not in record]
+        if missing:
+            return "undecodable", (f"WAL record {op!r} lacks "
+                                   f"{', '.join(missing)}")
         try:
             with self.writing():
                 self.apply(record)

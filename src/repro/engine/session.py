@@ -21,7 +21,7 @@ Both evaluation strategies of §4 are available and freely mixable:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..bang.relation import BangRelation
 from ..edb.loader import DynamicLoader, _facts_assignment
@@ -98,12 +98,10 @@ class EduceStar:
             self.store, self.machine.reader, tracer=self.tracer,
             mode=datalog)
         # Whole-program analysis (docs/ANALYSIS.md): cached report +
-        # counters; the Datalog planner folds inferred classes into its
-        # decisions once :meth:`global_analysis` has run.
+        # counters, read by EXPLAIN and the REPL; it never routes a goal.
         self._global_report = None
         self._global_key = None
         self.global_runs = 0
-        self.datalog.modes_provider = self._datalog_modes
 
     # ------------------------------------------------------------ population
 
@@ -331,14 +329,14 @@ class EduceStar:
                     _facts_assignment({i: summarize_arg(arg) for i, arg
                                        in enumerate(term.args)}))
             for key, code in self.loader.cached_blocks(name, arity):
-                _n, _a, version, pattern, depth = key
+                _n, _a, version, pattern = key
                 # The pattern is the pre-unifier's bound-argument
                 # summary map; "free" means every argument was unbound.
                 label = ",".join(f"{pos}:{summary[0]}"
                                  for pos, summary in pattern) or "free"
                 pnode.add(PlanNode(
                     "cached_block", label,
-                    version=version, depth=depth,
+                    version=version,
                     **code_shape(code)))
         elif proc is not None:
             pnode.attrs["source"] = "builtin"
@@ -468,18 +466,6 @@ class EduceStar:
         self._global_key = key
         self.global_runs += 1
         return self._global_report
-
-    def _datalog_modes(self, ind: Tuple[str, int]):
-        """Modes/determinism for the strategy planner: available only
-        once an analysis has run (the planner never triggers one —
-        planning stays cheap)."""
-        report = self._global_report
-        if report is None:
-            return None
-        info = report.infos.get(ind)
-        if info is None:
-            return None
-        return (info.call_modes, info.determinism)
 
     # ------------------------------------------------------------- counters
 

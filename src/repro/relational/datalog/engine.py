@@ -85,8 +85,7 @@ def _feeds_on(rule: Rule, members: List[Indicator]) -> bool:
 class DatalogEngine:
     """Bottom-up evaluation subsystem of one session."""
 
-    def __init__(self, store, reader, tracer=None, mode: str = "auto",
-                 min_rows: int = DEFAULT_MIN_ROWS):
+    def __init__(self, store, reader, tracer=None, mode: str = "auto"):
         if mode not in ("auto", "force", "off"):
             raise ValueError(f"datalog mode {mode!r} "
                              "(expected auto/force/off)")
@@ -94,7 +93,6 @@ class DatalogEngine:
         self.reader = reader
         self.tracer = tracer or NULL_TRACER
         self.mode = mode
-        self.min_rows = min_rows
         #: rewrite bound-argument goals with magic sets; the
         #: differential suite clears it to compare against the plain
         #: fixpoint
@@ -102,10 +100,6 @@ class DatalogEngine:
 
         self._analysis: Optional[Analysis] = None
         self._analysis_key: Optional[Tuple[int, int]] = None
-        #: callback ``ind -> (call_modes, determinism) | None`` wired by
-        #: the session once a whole-program analysis exists; planning
-        #: never triggers an analysis itself (docs/ANALYSIS.md)
-        self.modes_provider = None
         self.last_decision: Optional[Decision] = None
         #: fixpoint stats of the most recent bottom-up evaluation
         #: (ANALYZE folds its per-pass delta counts into the plan tree)
@@ -129,8 +123,6 @@ class DatalogEngine:
         #: the store was reopened (checkpoints persist compiled code
         #: only — docs/DATALOG.md, "recovered stores")
         self.rulebase_missing = 0
-        #: decisions short-circuited by inferred determinism classes
-        self.mode_shortcuts = 0
         self._missing_reported: Set[Indicator] = set()
         self._fixpoint_hist = Histogram(boundaries=_ITER_BOUNDARIES)
 
@@ -151,16 +143,6 @@ class DatalogEngine:
     def _is_edb(self, ind: Indicator) -> bool:
         proc = self.store.lookup(*ind)
         return proc is not None and proc.mode == "facts"
-
-    def _global_info(self, ind: Indicator):
-        """Whole-program facts for *ind*, when the session installed a
-        provider and an analysis has run — else None."""
-        if self.modes_provider is None:
-            return None
-        try:
-            return self.modes_provider(ind)
-        except Exception:
-            return None
 
     # -------------------------------------------------------------- routing
 
@@ -190,8 +172,6 @@ class DatalogEngine:
 
         self.queries += 1
         self.last_decision = decision
-        if decision.mode_shortcut:
-            self.mode_shortcuts += 1
         if decision.strategy != "bottomup":
             self.topdown += 1
             return None
@@ -216,9 +196,8 @@ class DatalogEngine:
         if ind not in self.store.datalog_rules:
             return plan
         analysis = self.analysis()
-        decision = plan.decision = choose(
-            analysis, ind, self.store, self.mode, self.min_rows,
-            global_info=self._global_info(ind))
+        decision = plan.decision = choose(analysis, ind, self.store,
+                                          self.mode)
         if decision.strategy != "bottomup":
             return plan
 
@@ -388,9 +367,6 @@ class DatalogEngine:
                     "rules procedure)")
         lines = [f"strategy: {decision.strategy}",
                  f"reason:   {decision.reason}"]
-        if decision.call_modes or decision.determinism:
-            lines.append(f"analysis: call={decision.call_modes or '?'} "
-                         f"det={decision.determinism or '?'}")
         if decision.evaluable:
             analysis = self.analysis()
             base = sorted(indicator_str(d) for d in
@@ -432,14 +408,10 @@ class DatalogEngine:
         node = PlanNode("decision", indicator_str(plan.ind),
                         strategy=decision.strategy,
                         reason=decision.reason,
-                        mode=self.mode, min_rows=self.min_rows,
+                        mode=self.mode, min_rows=DEFAULT_MIN_ROWS,
                         base_rows=decision.base_rows,
                         evaluable=decision.evaluable,
                         recursive=decision.recursive)
-        if decision.call_modes is not None:
-            node.attrs["call_modes"] = decision.call_modes
-        if decision.determinism is not None:
-            node.attrs["determinism"] = decision.determinism
         if decision.blocked:
             node.attrs["blocked"] = decision.blocked
         if decision.strategy != "bottomup":
@@ -484,7 +456,6 @@ class DatalogEngine:
             "datalog_magic_facts": self.magic_facts,
             "datalog_extractions": self.extractions,
             "datalog_rulebase_missing": self.rulebase_missing,
-            "datalog_mode_shortcuts": self.mode_shortcuts,
         }
 
     def histograms(self) -> Dict[str, Histogram]:

@@ -13,9 +13,10 @@ data volume — one level up:
   only add fixpoint machinery around the same joins;
 * recursive evaluable goals run bottom-up **when the base data is large
   enough to pay for it** — the relevant EDB row count (summed over the
-  dependency closure) must reach ``min_rows``.  Below that, tuple-at-
-  a-time resolution wins on constant factors; above it, set-at-a-time
-  joins win asymptotically (no re-derivation, bulk index probes).
+  dependency closure) must reach ``DEFAULT_MIN_ROWS``.  Below that,
+  tuple-at-a-time resolution wins on constant factors; above it,
+  set-at-a-time joins win asymptotically (no re-derivation, bulk index
+  probes).
 
 ``mode`` overrides: ``"force"`` routes every evaluable recursive goal
 bottom-up regardless of size (the differential suite uses this),
@@ -46,21 +47,13 @@ class Decision:
     recursive: bool = False
     blocked: Optional[str] = None
     base_rows: int = 0
-    #: cost inputs that drove the choice (EXPLAIN renders these)
+    #: the routing mode that drove the choice (EXPLAIN renders it)
     mode: str = "auto"
-    min_rows: int = DEFAULT_MIN_ROWS
     #: evaluable strata of the goal's dependency closure, bottom first
     strata: List[List[Indicator]] = field(default_factory=list)
     #: query adornment (filled in by the engine when magic applies)
     adornment: Optional[str] = None
     magic: bool = False
-    #: whole-program analysis facts, when one has run this session
-    #: (docs/ANALYSIS.md): the inferred call modes ("gna" letters) and
-    #: determinism class of the goal's predicate
-    call_modes: Optional[str] = None
-    determinism: Optional[str] = None
-    #: True when the inferred determinism short-circuited costing
-    mode_shortcut: bool = False
 
     def describe(self) -> str:
         return (f"{indicator_str(self.indicator)}: {self.strategy} "
@@ -68,43 +61,18 @@ class Decision:
 
 
 def choose(analysis: Analysis, ind: Indicator, store,
-           mode: str = "auto",
-           min_rows: int = DEFAULT_MIN_ROWS,
-           global_info=None) -> Decision:
-    """Pick the strategy for a goal on *ind*.
-
-    *global_info* is ``(call_modes, determinism)`` from the session's
-    whole-program analysis, or None when none has run.  A predicate the
-    analysis proved ``fails``/``det``/``semidet`` yields at most one
-    solution, so the fixpoint machinery can never pay for itself —
-    costing is short-circuited straight to top-down, before the
-    base-row walk spends store lookups.  (Strategy choice never affects
-    answers, so the inferred class is used as a cost fact only.)
-    """
-    call_modes_s: Optional[str] = None
-    determinism: Optional[str] = None
-    if global_info is not None:
-        raw_modes, determinism = global_info
-        if raw_modes is not None:
-            from ...analysis.global_.modes import mode_string
-            call_modes_s = mode_string(raw_modes)
+           mode: str = "auto") -> Decision:
+    """Pick the strategy for a goal on *ind*: it depends only on the
+    goal's predicate and the store, never on what else the session
+    has run."""
     if mode == "off":
         return Decision(ind, "topdown", "datalog routing disabled",
-                        mode=mode, min_rows=min_rows)
+                        mode=mode)
     if ind not in analysis.evaluable:
         blocked = analysis.blocked.get(
             ind, "not a stored rules procedure")
         return Decision(ind, "topdown", blocked, blocked=blocked,
-                        mode=mode, min_rows=min_rows,
-                        call_modes=call_modes_s, determinism=determinism)
-    if mode != "force" and determinism in ("fails", "det", "semidet"):
-        return Decision(
-            ind, "topdown",
-            f"analysis: {determinism} — at most one solution, the "
-            "fixpoint cannot pay for itself",
-            evaluable=True, mode=mode, min_rows=min_rows,
-            call_modes=call_modes_s, determinism=determinism,
-            mode_shortcut=True)
+                        mode=mode)
 
     deps = analysis.dependencies(ind)
     recursive = bool(deps & analysis.recursive)
@@ -120,19 +88,16 @@ def choose(analysis: Analysis, ind: Indicator, store,
             ind, "topdown",
             "non-recursive: one top-down pass answers it",
             evaluable=True, recursive=False, base_rows=base_rows,
-            strata=strata, mode=mode, min_rows=min_rows,
-            call_modes=call_modes_s, determinism=determinism)
-    if mode != "force" and base_rows < min_rows:
+            strata=strata, mode=mode)
+    if mode != "force" and base_rows < DEFAULT_MIN_ROWS:
         return Decision(
             ind, "topdown",
-            f"small EDB ({base_rows} rows < {min_rows}): tuple-at-a-time "
-            "wins on constant factors",
+            f"small EDB ({base_rows} rows < {DEFAULT_MIN_ROWS}): "
+            "tuple-at-a-time wins on constant factors",
             evaluable=True, recursive=True, base_rows=base_rows,
-            strata=strata, mode=mode, min_rows=min_rows,
-            call_modes=call_modes_s, determinism=determinism)
+            strata=strata, mode=mode)
     reason = (f"recursive over {base_rows} EDB rows"
               if mode != "force" else "forced bottom-up")
     return Decision(ind, "bottomup", reason, evaluable=True,
                     recursive=True, base_rows=base_rows, strata=strata,
-                    mode=mode, min_rows=min_rows,
-                    call_modes=call_modes_s, determinism=determinism)
+                    mode=mode)

@@ -421,11 +421,26 @@ class TestLint:
 # The loader gate
 # =====================================================================
 
+def _check_cached_blocks(session):
+    """Run the abstract interpreter over every block the loader caches:
+    the gate checks clause records, this checks what it builds."""
+    machine = session.machine
+    checked = 0
+    for proc in session.store.procedures():
+        for key, code in session.loader.cached_blocks(proc.name,
+                                                      proc.arity):
+            checked += 1
+            findings = check_code(code, arity=proc.arity,
+                                  dictionary=machine.dictionary,
+                                  level="full")
+            assert findings == [], (key, findings)
+    return checked
+
+
 class TestLoaderGate:
-    def _populated(self, verify):
+    def _populated(self):
         from repro.engine.session import EduceStar
         session = EduceStar()
-        session.loader.verify = verify
         session.store_relation("edge", [(1, 2), (2, 3), (3, 4)])
         session.store_program(
             "% lint: external edge/2\n"
@@ -433,15 +448,15 @@ class TestLoaderGate:
             "path(X, Z) :- edge(X, Y), path(Y, Z).")
         return session
 
-    @pytest.mark.parametrize("level", ["off", "structural", "full"])
-    def test_all_levels_answer_identically(self, level):
-        session = self._populated(level)
+    def test_gated_answers(self):
+        session = self._populated()
         answers = sorted((s["X"], s["Y"])
                          for s in session.solve("path(X, Y)"))
         assert len(answers) == 6
+        assert _check_cached_blocks(session) > 0
 
     def test_counters_and_histogram(self):
-        session = self._populated("full")
+        session = self._populated()
         assert session.count_solutions("path(1, Y)") == 3
         counters = session.loader.counters()
         assert counters["verify_checks"] > 0
@@ -449,34 +464,21 @@ class TestLoaderGate:
         hist = session.loader.histograms()["verify_ms"]
         assert hist.count > 0
 
-    def test_off_level_does_no_checks(self):
-        session = self._populated("off")
-        assert session.count_solutions("path(1, Y)") == 3
-        assert session.loader.counters()["verify_checks"] == 0
-
     def test_facts_path_exempt(self):
         from repro.engine.session import EduceStar
         session = EduceStar()
-        session.loader.verify = "full"
         session.store_relation("f", [(1,), (2,)])
         assert session.count_solutions("f(_)") == 2
         assert session.loader.counters()["verify_checks"] == 0
 
-    def test_bad_level_rejected(self):
-        """An unknown level never lets code through: the verifier
-        refuses it at the first fetch."""
-        session = self._populated("fast")
-        with pytest.raises(ValueError, match="fast"):
-            session.count_solutions("path(1, Y)")
-
     def test_workloads_verify_full_clean(self):
         """The acceptance bar: the integrity workload's whole program
         (rules + constraints + specialiser) stored in the EDB and run
-        at verify="full" — many checks, zero rejects."""
+        through the gate — many checks, zero rejects — and every block
+        the loader built clean under the abstract interpreter."""
         from repro.engine.session import EduceStar
         from repro.workloads import integrity
         session = EduceStar()
-        session.loader.verify = "full"
         integrity.load_educestar(session)
         integrity.load_database(session, integrity.generate(scale=0.5))
         result = integrity.run_preprocess(session, integrity.UPDATES[2])
@@ -484,6 +486,7 @@ class TestLoaderGate:
         counters = session.loader.counters()
         assert counters["verify_checks"] > 0
         assert counters["verify_rejects"] == 0
+        assert _check_cached_blocks(session) > 0
 
 
 # =====================================================================
@@ -536,12 +539,11 @@ class TestRegressionCorpus:
         assert checked > 0
 
     def test_stored_in_edb_verifies_at_load(self, path):
-        """The same programs through the loader gate at verify="full":
-        every stored procedure is fetched (open-goal call), verified
-        and accepted."""
+        """The same programs through the loader gate: every stored
+        procedure is fetched (open-goal call), verified and accepted,
+        and every block built from them is clean at level full."""
         from repro.engine.session import EduceStar
         session = EduceStar()
-        session.loader.verify = "full"
         with open(path, "r", encoding="utf-8") as f:
             session.store_program(f.read())
         from repro.errors import ReproError
@@ -559,6 +561,7 @@ class TestRegressionCorpus:
         counters = session.loader.counters()
         assert counters["verify_checks"] > 0
         assert counters["verify_rejects"] == 0
+        assert _check_cached_blocks(session) > 0
 
 
 # =====================================================================

@@ -231,7 +231,7 @@ class TestDatalogDoc:
         names = documented(datalog_doc)
         for mode in ('"auto"', '"force"', '"off"'):
             assert mode in names, mode
-        assert "kb.datalog.min_rows" in names
+        assert "DEFAULT_MIN_ROWS" in names
 
 
 # =====================================================================
@@ -347,15 +347,14 @@ class TestAnalysisGlossary:
         names = documented(glossary)
         for key in ("analysis_global_runs", "analysis_global_predicates",
                     "analysis_global_sccs", "analysis_global_iterations",
-                    "analysis_global_widenings",
-                    "datalog_mode_shortcuts"):
+                    "analysis_global_widenings"):
             assert key in names, key
 
-    def test_verify_levels_documented(self, analysis_glossary):
-        from repro.edb.loader import VERIFY_LEVELS
+    def test_loader_gate_documented(self, analysis_glossary):
+        """The loader's one gate and the rule level it runs."""
         names = documented(analysis_glossary)
-        for level in VERIFY_LEVELS:
-            assert f'"{level}"' in names, level
+        for token in ('"structural"', "verify_checks", "verify.reject"):
+            assert token in names, token
 
 
 # =====================================================================

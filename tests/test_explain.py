@@ -201,7 +201,8 @@ class TestBottomup:
         assert magic.attrs["bound_args"] == 1
         # And the decision subtree carries the cost inputs.
         decision = plan.root.find("decision")
-        assert decision.attrs["min_rows"] == kb.datalog.min_rows
+        from repro.relational.datalog import DEFAULT_MIN_ROWS
+        assert decision.attrs["min_rows"] == DEFAULT_MIN_ROWS
         assert decision.attrs["base_rows"] >= 30
         # Strata and rules were named without running anything.
         assert [n.op for n in plan.root.walk()].count("rule") >= 2

@@ -136,31 +136,6 @@ class TestClauseBitflip:
         assert rejects and rejects[-1]["rule"] == "V101"
         assert rejects[-1]["procedure"] == "anc/2"
 
-    def test_verify_off_lets_corruption_through_to_the_machine(self):
-        """The control experiment: with verification disabled (loader
-        *and* the suite-wide self-verify) the same rot reaches the
-        execution machinery and fails untyped — exactly the failure
-        mode the verifier choke point exists to prevent."""
-        from repro.analysis import enable_self_verify, self_verify_enabled
-        from repro.errors import VerifyError
-        from repro.bang.faults import FaultInjector
-        from repro.engine.session import EduceStar
-        session = EduceStar()
-        session.loader.verify = "off"
-        session.store.faults = FaultInjector()
-        session.store_relation("parent", [("t", "a")])
-        session.store_program(
-            "% lint: external parent/2\nanc(X, Y) :- parent(X, Y).")
-        session.store.faults.arm_clause_bitflip(1)
-        was = self_verify_enabled()
-        enable_self_verify(False)
-        try:
-            with pytest.raises(Exception) as excinfo:
-                session.solve_once("anc(t, X)")
-        finally:
-            enable_self_verify(was)
-        assert not isinstance(excinfo.value, VerifyError)
-
     def test_null_injector_refuses_arming(self):
         from repro.engine.session import EduceStar
         session = EduceStar()

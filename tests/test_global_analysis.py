@@ -423,63 +423,28 @@ class TestSessionIntegration:
 
 
 # =====================================================================
-# Datalog consumer: determinism short-circuit
+# Datalog routing: the analysis is a report, never a route
 # =====================================================================
 
-class TestDatalogShortcut:
-    def session(self):
+class TestDatalogRouting:
+    def test_global_analysis_never_changes_routing(self):
         kb = EduceStar()
-        kb.store_relation("edge", [("a", "b"), ("b", "c")])
+        kb.store_relation("edge", [(f"n{i}", f"n{i + 1}")
+                                   for i in range(300)])
         kb.store_program("""
             reach(X, Y) :- edge(X, Y).
             reach(X, Z) :- edge(X, Y), reach(Y, Z).
         """)
-        return kb
-
-    def test_choose_short_circuits_on_det(self):
-        from repro.relational.datalog.strategy import choose
-        kb = self.session()
-        decision = choose(kb.datalog.analysis(), ("reach", 2), kb.store,
-                          global_info=((GROUND, GROUND), "det"))
-        assert decision.strategy == "topdown"
-        assert decision.mode_shortcut
-        assert decision.determinism == "det"
-        assert decision.call_modes == "gg"
-
-    def test_force_overrides_shortcut(self):
-        from repro.relational.datalog.strategy import choose
-        kb = self.session()
-        decision = choose(kb.datalog.analysis(), ("reach", 2), kb.store,
-                          mode="force",
-                          global_info=((GROUND, GROUND), "det"))
-        assert decision.strategy == "bottomup"
-        assert not decision.mode_shortcut
-
-    def test_multi_keeps_costing(self):
-        from repro.relational.datalog.strategy import choose
-        kb = self.session()
-        decision = choose(kb.datalog.analysis(), ("reach", 2), kb.store,
-                          global_info=((ANY, ANY), "nondet"))
-        assert not decision.mode_shortcut
-        assert decision.determinism == "nondet"
-
-    def test_engine_counts_shortcuts(self):
-        kb = self.session()
-        kb.datalog.modes_provider = \
-            lambda ind: ((GROUND, GROUND), "semidet")
-        list(kb.solve("reach(a, X)"))
-        assert kb.datalog.mode_shortcuts >= 1
-        assert kb.datalog.counters()["datalog_mode_shortcuts"] >= 1
-
-    def test_strategy_never_changes_answers(self):
-        kb = self.session()
-        kb.datalog.modes_provider = \
-            lambda ind: ((GROUND, GROUND), "semidet")
-        shortcut = sorted(str(s.bindings) for s in kb.solve("reach(a, X)"))
-        plain = self.session()
-        plain.datalog.modes_provider = None
-        assert shortcut == sorted(str(s.bindings)
-                                  for s in plain.solve("reach(a, X)"))
+        goal = "reach(n290, X)"
+        before = kb.datalog.plan(goal).decision
+        answers = sorted(str(s["X"]) for s in kb.solve(goal))
+        kb.global_analysis()
+        after = kb.datalog.plan(goal).decision
+        assert (after.strategy, after.reason) == (before.strategy,
+                                                 before.reason)
+        assert after.strategy == "bottomup"
+        assert sorted(str(s["X"]) for s in kb.solve(goal)) == answers
+        assert len(answers) == 10
 
 
 # =====================================================================

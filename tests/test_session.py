@@ -49,15 +49,32 @@ class TestEduceStar:
 
     def test_index_and_gc_are_machine_attributes(self):
         # Indexing and GC are the machine's business: a session that
-        # wants them off says so on its components, before loading.
+        # wants them off says so on its machine, before loading.
         s = EduceStar()
-        s.machine.index_enabled = s.loader.index = False
+        s.machine.index_enabled = False
         s.machine.gc_enabled = False
         s.consult("r(a). r(b).")
         s.store_program("q(1). q(2). q(3).")
         assert s.count_solutions("r(_)") == 2
         assert s.count_solutions("q(_)") == 3
         assert s.machine.procedure("r", 1).index is False
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_loader_indexes_as_the_machine_does(self, index):
+        from repro.wam import instructions as I
+        s = EduceStar()
+        s.machine.index_enabled = index
+        s.store_relation("f", [("a", 1), ("b", 2), ("c", 3)])
+        s.store_program("q(a, 1). q(b, 2). q(c, 3).")
+        assert s.count_solutions("f(_, _)") == 3
+        assert s.count_solutions("q(_, _)") == 3
+        for name in ("f", "q"):
+            blocks = s.loader.cached_blocks(name, 2)
+            assert [key[:2] for key, _ in blocks] == [(name, 2)]
+            assert all(len(key) == 4 for key, _ in blocks)
+            switched = any(instr[0] == I.SWITCH_ON_TERM
+                           for _, code in blocks for instr in code)
+            assert switched is index, name
 
     def test_edb_and_internal_coexist_same_name_space(self, session):
         session.store_relation("ext", [(1,)])
@@ -267,13 +284,21 @@ class TestRemovedOptions:
         with pytest.raises(TypeError, match=option):
             ExternalStore.open(str(tmp_path / "kb.edb"), **{option: None})
 
-    def test_verify_is_a_loader_attribute(self):
+    @pytest.mark.parametrize("option", ["index"])
+    def test_loader_keywords(self, option):
+        from repro.edb.loader import DynamicLoader
         kb = EduceStar()
-        assert kb.loader.verify == "structural"
-        kb.loader.verify = "off"
-        kb.store_program("p(1).")
-        assert kb.count_solutions("p(X)") == 1
-        assert kb.loader.counters()["verify_checks"] == 0
+        with pytest.raises(TypeError, match=option):
+            DynamicLoader(kb.store, **{option: None})
+
+    def test_loader_verifies_every_fetched_clause(self):
+        # One gate, no level to choose: every fetched rule clause is
+        # checked before it runs.
+        kb = EduceStar()
+        assert not hasattr(kb.loader, "verify")
+        kb.store_program("p(1). p(2).")
+        assert kb.count_solutions("p(X)") == 2
+        assert kb.loader.counters()["verify_checks"] == 2
 
     def test_datalog_engine_magic_keyword(self):
         from repro.relational.datalog import DatalogEngine
@@ -282,13 +307,16 @@ class TestRemovedOptions:
             DatalogEngine(kb.store, kb.machine.reader, magic=False)
         assert kb.datalog.magic is True
 
-    def test_datalog_min_rows_is_an_engine_attribute(self):
-        from repro.relational.datalog import DEFAULT_MIN_ROWS
+    def test_datalog_min_rows_is_a_constant(self):
+        from repro.relational.datalog import (DEFAULT_MIN_ROWS,
+                                              DatalogEngine)
         kb = EduceStar()
-        assert kb.datalog.min_rows == DEFAULT_MIN_ROWS
-        kb.datalog.min_rows = 1
+        with pytest.raises(TypeError, match="min_rows"):
+            DatalogEngine(kb.store, kb.machine.reader, min_rows=1)
+        assert not hasattr(kb.datalog, "min_rows")
         kb.store_relation("edge", [(1, 2), (2, 3)])
         kb.store_program("reach(X, Y) :- edge(X, Y).\n"
                          "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n")
-        assert kb.explain("reach(1, X)").root.find("decision") \
-            .attrs["min_rows"] == 1
+        decision = kb.explain("reach(1, X)").root.find("decision")
+        assert decision.attrs["min_rows"] == DEFAULT_MIN_ROWS
+        assert decision.attrs["strategy"] == "topdown"

@@ -73,6 +73,26 @@ class TestDurableSession:
             assert clone.page_count == disk.page_count > 0
             assert clone.verify_all() == []
 
+    def test_checkpoint_carries_no_buffer_frames(self, tmp_path):
+        """The pages are in the sidecar by the time the image is
+        pickled: a reopened store starts with an empty buffer pool, and
+        a warm buffer does not make the checkpoint any larger."""
+        import os
+        path = str(tmp_path / "durable.edb")
+        a = EduceStar.create(path)
+        a.store_relation("fact", [(i, f"v{i}") for i in range(2000)])
+        a.save(path)
+        b = EduceStar.open(path)
+        assert len(b.store.pager.buffer._frames) == 0
+        b.save(str(tmp_path / "cold.edb"))
+        assert b.count_solutions("fact(_, _)") == 2000
+        assert len(b.store.pager.buffer._frames) > 0
+        b.save(str(tmp_path / "warm.edb"))
+        cold, warm = (os.path.getsize(str(tmp_path / name))
+                      for name in ("cold.edb", "warm.edb"))
+        # only counters (hits, misses, ...) may differ in width
+        assert abs(warm - cold) < 256, (cold, warm)
+
     def test_unsaved_mutations_replay_from_wal(self, tmp_path):
         path = str(tmp_path / "durable.edb")
         a = EduceStar.create(path)

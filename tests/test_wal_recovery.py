@@ -613,6 +613,81 @@ class TestCrashRecovery:
         assert sidecars[0].endswith(f"{store.pager.disk.epoch:08d}")
 
 
+# ----------------------------------------------------------------- admission
+
+
+#: the fields each op's applier reads; a record without one of them is
+#: refused whole, before anything is applied
+REQUIRED_FIELDS = {
+    "facts": ("name", "arity", "rows", "types", "key_dims"),
+    "rules": ("name", "arity", "clauses", "surface"),
+    "assert_fact": ("name", "arity", "values"),
+    "assert_rule": ("name", "arity", "clause", "surface"),
+    "retract": ("name", "arity", "clause_id"),
+    "source": ("name", "arity", "clauses"),
+    "materialise": ("name", "arity", "rows", "types", "key_dims"),
+    "drop": ("name", "arity"),
+}
+
+
+@pytest.fixture(scope="module")
+def logged_records(tmp_path_factory):
+    """One record of every op, in the order a primary logged them."""
+    ctx = CompileContext(SegmentedDictionary(segment_capacity=1024))
+    path = str(tmp_path_factory.mktemp("admit") / "db.edb")
+    store = ExternalStore.open(path)
+    store.store_facts("edge", 2, [(1, 2)], types=("int", "int"))
+    store.store_rules("p", 1, read_terms("p(X) :- edge(X, _)."), ctx)
+    store.assert_clause("edge", 2, read_term("edge(3, 4)."), ctx)
+    store.assert_clause("p", 1, read_term("p(X) :- edge(_, X)."), ctx)
+    store.retract_clause("p", 1, 0)
+    store.store_source("q", 1, read_terms("q(1)."))
+    store.materialise_facts("t", 1, [(1,)])
+    store.drop_procedure("t", 1)
+    store.wal.close()
+    records = [pickle.loads(p)
+               for p in WriteAheadLog(path + ".wal").scan_from(0)]
+    assert [r["op"] for r in records] == list(REQUIRED_FIELDS)
+    return records
+
+
+def admitted_state(store):
+    """Everything a redo record can change, in comparable form."""
+    return {
+        "epoch": store.mutation_epoch,
+        "procedures": {p.key: (p.mode, p.version, p.nclauses)
+                       for p in store.procedures()},
+        "rows": {p.key: sorted(map(str, p.relation.scan()))
+                 for p in store.procedures()},
+        "rulebase": {ind: [str(c) for c in clauses] for ind, clauses
+                     in store.datalog_rules.clauses().items()},
+        "bindable": {ind: sorted(pos)
+                     for ind, pos in store.bindable.items()},
+    }
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("op,field", [
+        (op, field) for op, fields in REQUIRED_FIELDS.items()
+        for field in fields])
+    def test_record_missing_a_field_is_refused_untouched(
+            self, logged_records, op, field):
+        store = ExternalStore()
+        records = [dict(r, era=store.wal_era) for r in logged_records]
+        at = [r["op"] for r in records].index(op)
+        for record in records[:at]:
+            assert store.admit(pickle.dumps(record)) == \
+                ("applied", record["op"])
+        before = admitted_state(store)
+        broken = {k: v for k, v in records[at].items() if k != field}
+        verdict, detail = store.admit(pickle.dumps(broken))
+        assert verdict == "undecodable"
+        assert field in detail
+        assert admitted_state(store) == before
+        # the whole record still applies afterwards
+        assert store.admit(pickle.dumps(records[at])) == ("applied", op)
+
+
 # ----------------------------------------------------------------- reporting
 
 
