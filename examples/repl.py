@@ -52,11 +52,6 @@ A minimal shell over an :class:`~repro.EduceStar` session:
                   structural + abstract verification of its compiled
                   code, first-argument partitions, dead clauses
                   (rule glossary: docs/ANALYSIS.md)
-  ``:modes [P]``  whole-program analysis of the loaded program
-                  (docs/ANALYSIS.md): inferred call/success modes
-                  (``g``/``n``/``a`` letters) and determinism class
-                  per predicate — all of them, or just ``name`` /
-                  ``name/arity``
   ``:lint [F]``   lint a Prolog file — or, with no argument, the
                   whole shipped corpus (prelude, workloads,
                   examples), same as ``python -m repro.analysis``
@@ -314,16 +309,6 @@ def command(session, line: str, interactive: bool):
             print("usage: :verify name/arity")
         else:
             print(describe_procedure(session, name, int(arity_text)))
-    elif cmd == ":modes":
-        from repro.analysis import describe_modes
-        if arg:
-            name, slash, arity_text = arg.rpartition("/")
-            if slash and arity_text.isdigit():
-                print(describe_modes(session, name, int(arity_text)))
-            else:
-                print(describe_modes(session, arg))
-        else:
-            print(describe_modes(session))
     elif cmd == ":lint":
         from repro.analysis.corpus import CorpusEntry, corpus_entries
         from repro.analysis.lint import lint_text

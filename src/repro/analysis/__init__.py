@@ -10,9 +10,9 @@ compiled-code-in-the-EDB architecture (§3.1):
   switch-table coverage and dead-code reachability (D rules);
 * :mod:`~repro.analysis.lint` — source-level lint for ``.pl`` programs
   (L rules), with inline ``% lint:`` pragma waivers;
-* :mod:`~repro.analysis.global_` — whole-program analysis: predicate
-  call graph, mode/groundness abstract interpretation and determinism
-  inference (M rules), consumed by EXPLAIN, the REPL and the linter.
+* :mod:`~repro.analysis.global_` — whole-program analysis of a program
+  text: predicate call graph, mode/groundness abstract interpretation
+  and determinism inference, whose one product is the linter's M rules.
 
 The compiler and assembler verify their own output when
 :func:`enable_self_verify` has been called (the test suite turns it
@@ -33,7 +33,6 @@ __all__ = [
     "analyze_clauses", "check_clause", "check_code", "lint_text",
     "verify_clause", "verify_code",
     "enable_self_verify", "self_verify_enabled", "describe_procedure",
-    "describe_modes",
 ]
 
 
@@ -43,14 +42,13 @@ def enable_self_verify(enabled: bool = True) -> None:
     Debug/test knob: the tier-1 suite enables it in ``conftest.py`` so
     every compilation anywhere in the suite doubles as a verifier test.
     """
-    from ..wam import assembler, compiler
-    assembler.set_self_verify(enabled)
-    compiler.set_self_verify(enabled)
+    from ..wam import assembler
+    assembler.SELF_VERIFY = bool(enabled)
 
 
 def self_verify_enabled() -> bool:
     from ..wam import assembler
-    return assembler.self_verify_enabled()
+    return assembler.SELF_VERIFY
 
 
 def describe_procedure(session, name: str, arity: int) -> str:
@@ -111,16 +109,6 @@ def describe_procedure(session, name: str, arity: int) -> str:
                          f" -> clauses {positions}")
     lines.extend(_render(findings))
     return "\n".join(lines)
-
-
-def describe_modes(session, name=None, arity=None) -> str:
-    """Human-readable whole-program mode/determinism report for the
-    loaded program — the REPL's ``:modes [name[/arity]]`` command.
-
-    Runs (or reuses) the session's cached global analysis; one
-    predicate when *name* is given, the full table otherwise."""
-    report = session.global_analysis()
-    return report.describe(name=name, arity=arity)
 
 
 def _render(findings) -> list:

@@ -6,12 +6,10 @@ Subcommands::
     python -m repro.analysis corpus          # same, explicitly
     python -m repro.analysis lint F.pl ...   # lint source files
     python -m repro.analysis verify F.pl ... # compile + verify files
-    python -m repro.analysis modes [F.pl...] # whole-program mode report
-    python -m repro.analysis modes --json    # same, machine-readable
 
 Exit codes are stable for CI: **0** clean, **1** findings, **2**
-usage/parse error.  ``-q`` prints findings only.  For ``modes``,
-findings are the unwaived M rules (docs/ANALYSIS.md).
+usage/parse error.  ``-q`` prints findings only.  Lint findings
+include the whole-program M rules (docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_files(operands, verify=False, quiet=quiet)
     if command == "verify" and operands:
         return _run_files(operands, verify=True, quiet=quiet)
-    if command == "modes":
-        return _run_modes(operands, quiet=quiet)
     print(__doc__.strip(), file=sys.stderr)
     return EXIT_ERROR
 
@@ -142,69 +138,6 @@ def _run_files(paths: List[str], verify: bool, quiet: bool) -> int:
         what = f", {procedures} procedures verified" if verify else ""
         print(f"repro.analysis: {len(paths)} file(s){what}, "
               f"{findings} finding(s)")
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-
-def _run_modes(operands: List[str], quiet: bool) -> int:
-    """Whole-program mode/determinism report (docs/ANALYSIS.md).
-
-    With file operands, each file is analysed as its own closed
-    program; without, the shipped corpus is swept — which doubles as
-    the totality check CI runs (exit 1 on any unwaived M finding)."""
-    import json
-
-    from .global_ import analyze_program, program_from_text
-    from .lint import _parse_pragmas, _waived
-
-    json_out = "--json" in operands
-    paths = [p for p in operands if p != "--json"]
-    if any(p.startswith("-") for p in paths):
-        print(__doc__.strip(), file=sys.stderr)
-        return EXIT_ERROR
-
-    units: List[Tuple[str, str, Tuple[Tuple[str, int], ...]]] = []
-    if paths:
-        for path in paths:
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    units.append((path, f.read(), ()))
-            except OSError as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                return EXIT_ERROR
-    else:
-        units = [(e.name, e.text, tuple(e.extra_defined))
-                 for e in corpus_entries()]
-
-    findings = 0
-    payload = []
-    for name, text, extra in units:
-        try:
-            program = program_from_text(text, extra_defined=extra)
-        except ReproError as exc:
-            print(f"{name}: parse error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        report = analyze_program(program)
-        disabled, _externals, _unknown = _parse_pragmas(text)
-        unit_findings = [f for f in report.mode_findings()
-                        if not _waived(f, disabled)]
-        findings += len(unit_findings)
-        if json_out:
-            payload.append({"unit": name, "report": report.to_dict(),
-                            "findings": [
-                                {"rule": f.rule, "indicator": f.indicator,
-                                 "message": f.message}
-                                for f in unit_findings]})
-            continue
-        if not quiet:
-            print(f"# {name}")
-            print(report.describe())
-        for f in unit_findings:
-            print(f"{name}: {f.rule} {f.indicator}: {f.message}")
-    if json_out:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif not quiet:
-        print(f"repro.analysis: {len(units)} unit(s) analysed, "
-              f"{findings} mode finding(s)")
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 

@@ -2,10 +2,8 @@
 
 The whole-program pass needs one structural fact the per-procedure
 analyses (D rules, L rules) never see: *who calls whom, and with what
-argument terms*.  This module builds that graph from surface clauses —
-the unit every program source in this repo ultimately reduces to
-(main-memory procedures keep their clause terms, EDB-stored rules ride
-the Datalog rulebase, program texts parse with the standard reader).
+argument terms*.  This module builds that graph from the surface
+clauses of one program text, read with the standard reader.
 
 Goals are discovered by the front end's goal walker
 (:func:`repro.lang.program.iter_goals`, the one L102 uses too): it
@@ -16,24 +14,25 @@ arity; metacalls through a variable are not analysable and contribute
 no edge.
 
 Recursion is handled by condensing the graph into strongly connected
-components (iterative Tarjan) — the mode/cardinality fixpoint widens
-inside recursive SCCs (docs/ANALYSIS.md, "sound widening").
+components (the iterative Tarjan the Datalog stratifier uses,
+:func:`repro.relational.datalog.rules.tarjan_sccs`) — the
+mode/cardinality fixpoint widens inside recursive SCCs
+(docs/ANALYSIS.md, "sound widening").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...lang.program import (Indicator, Section, iter_goals,
                              read_sections, split_clause_term)
 from ...lang.reader import Reader
+from ...relational.datalog.rules import tarjan_sccs
 from ...terms import Term
-from ...wam.compiler import is_aux_name
 
 __all__ = ["CallSite", "Program", "CallGraph", "build_call_graph",
-           "program_from_text", "program_from_sections",
-           "program_from_session", "tarjan_sccs"]
+           "program_from_text", "program_from_sections"]
 
 #: goals the compiler handles directly (no registered indicator)
 CONTROL_GOALS = {("true", 0), ("fail", 0), ("false", 0), ("!", 0),
@@ -55,21 +54,17 @@ class Program:
     """The whole-program view the global analysis runs over.
 
     ``clauses`` maps each rule-defined predicate to its surface clause
-    terms (source order); ``fact_rows`` holds EDB facts relations by
-    row count (their clauses are not materialised — all-constant rows
-    make their modes/cardinality directly computable); ``externals``
-    are predicates declared defined elsewhere (``% lint: external``,
-    dynamic declarations); ``entries`` are the analysis roots whose
-    call modes seed at ⊤ (every argument ``any``).
+    terms (source order); ``externals`` are predicates declared
+    defined elsewhere (``% lint: external``, dynamic declarations);
+    ``entries`` are the analysis roots whose call modes seed at ⊤
+    (every argument ``any``).
     """
     clauses: Dict[Indicator, List[Term]] = field(default_factory=dict)
-    fact_rows: Dict[Indicator, int] = field(default_factory=dict)
     externals: Set[Indicator] = field(default_factory=set)
     entries: List[Indicator] = field(default_factory=list)
 
     def defined(self) -> Set[Indicator]:
-        return (set(self.clauses) | set(self.fact_rows)
-                | set(self.externals))
+        return set(self.clauses) | set(self.externals)
 
 
 @dataclass
@@ -108,60 +103,6 @@ def build_call_graph(program: Program) -> CallGraph:
     return CallGraph(edges=edges, sites=sites, sccs=sccs, scc_of=scc_of)
 
 
-def tarjan_sccs(graph: Dict[Indicator, Set[Indicator]]
-                ) -> List[List[Indicator]]:
-    """Strongly connected components, iterative, in reverse
-    topological order (every edge leaves a later component)."""
-    index: Dict[Indicator, int] = {}
-    low: Dict[Indicator, int] = {}
-    on_stack: Set[Indicator] = set()
-    stack: List[Indicator] = []
-    sccs: List[List[Indicator]] = []
-    counter = [0]
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work: List[Tuple[Indicator, Iterator[Indicator]]] = []
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        work.append((root, iter(sorted(graph.get(root, ())))))
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in graph:
-                    continue
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.get(succ, ())))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc: List[Indicator] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(scc))
-    return sccs
-
-
 # =====================================================================
 # Program builders
 # =====================================================================
@@ -189,37 +130,6 @@ def program_from_sections(sections: Iterable[Section],
         program.externals.update(section.declared)
         for ind, clause in section.clauses:
             program.clauses.setdefault(ind, []).append(clause)
-    _default_entries(program)
-    return program
-
-
-def program_from_session(session) -> Program:
-    """A :class:`Program` over everything a live session can execute:
-    main-memory procedures (their surface clauses), EDB-stored rules
-    (the Datalog rulebase keeps every stored procedure's surface
-    clauses), and EDB facts relations by row count.  Compiler-made aux
-    procedures stay out: their owner's surface clause already holds
-    the goal they were cut from."""
-    program = Program()
-    for proc in session.machine.procedures.values():
-        if (proc.kind == "external" or not proc.clauses
-                or is_aux_name(proc.name)):
-            continue
-        program.clauses[(proc.name, proc.arity)] = list(proc.clauses)
-    with session.store.reading():
-        for ind, clauses in session.store.datalog_rules.clauses().items():
-            if not is_aux_name(ind[0]):
-                program.clauses.setdefault(ind, list(clauses))
-    for proc in session.store.procedures():
-        ind = (proc.name, proc.arity)
-        if is_aux_name(proc.name):
-            continue
-        if proc.mode == "facts":
-            program.fact_rows[ind] = len(proc.relation)
-        elif ind not in program.clauses:
-            # rules stored before this process (rulebase dropped on
-            # reopen): callable, but no surface clauses to analyse
-            program.externals.add(ind)
     _default_entries(program)
     return program
 

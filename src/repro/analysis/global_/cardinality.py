@@ -103,11 +103,6 @@ def infer_cardinality(program: Program, graph: CallGraph,
     """Bottom-up cardinality over the SCC condensation (callees first),
     with recursive SCC members widened to ``max = ∞``."""
     cards: Dict[Indicator, Card] = {}
-    for ind in program.fact_rows:
-        rows = program.fact_rows[ind]
-        cards[ind] = (0, 0) if rows == 0 else (0, INF)
-        if rows == 1:
-            cards[ind] = (0, 1)
     for ind in program.externals:
         cards.setdefault(ind, _TOP)
 

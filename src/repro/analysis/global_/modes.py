@@ -231,7 +231,6 @@ class ModeResult:
     success_modes: Dict[Indicator, Tuple[str, ...]]
     #: predicates widened to ⊤ when the pass budget ran out
     widened: Set[Indicator] = field(default_factory=set)
-    iterations: int = 0
     #: predicates with at least one analysed call site (call modes of
     #: a predicate without one describe nothing)
     called: Set[Indicator] = field(default_factory=set)
@@ -267,9 +266,6 @@ def infer_modes(program: Program, graph: Optional[CallGraph] = None
         success_modes[ind] = _bottoms(ind[1])
     for ind in program.entries:
         call_modes[ind] = _tops(ind[1])
-    for ind in program.fact_rows:
-        # EDB facts rows are all-constant tuples: ground on success.
-        success_modes[ind] = _bottoms(ind[1])
     for ind in program.externals:
         success_modes[ind] = _tops(ind[1])
 
@@ -341,8 +337,7 @@ def infer_modes(program: Program, graph: Optional[CallGraph] = None
 
     return ModeResult(call_modes=call_modes,
                       success_modes=success_modes,
-                      widened=widened, iterations=iterations,
-                      called=called)
+                      widened=widened, called=called)
 
 
 # =====================================================================

@@ -2,16 +2,10 @@
 
 :func:`analyze_program` runs the full pass — call graph, groundness
 fixpoint, cardinality — and returns a :class:`GlobalReport` holding
-per-predicate :class:`PredicateInfo` plus the ``analysis_global_*``
-counters the exposition publishes.  The report is also the consumer
-API:
-
-* :meth:`GlobalReport.mode_findings` — the M lint rules (M201/M202/
-  M203), returned as :class:`~repro.analysis.lint.LintFinding` so the
-  standard ``% lint: disable=`` pragmas waive them.
-* :meth:`GlobalReport.describe` / :meth:`GlobalReport.to_dict` — the
-  ``:modes`` REPL command and ``python -m repro.analysis modes
-  [--json]`` renderings.
+per-predicate :class:`PredicateInfo`.  Its one consumer is the linter:
+:meth:`GlobalReport.mode_findings` gives the M lint rules (M201/M202/
+M203) as :class:`~repro.analysis.lint.LintFinding` records, so the
+standard ``% lint: disable=`` pragmas waive them.
 """
 
 from __future__ import annotations
@@ -21,9 +15,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ...lang.program import Indicator, iter_goals, split_clause_term
 from ...terms import Struct, Var
-from .callgraph import CallGraph, Program, build_call_graph
+from .callgraph import Program, build_call_graph
 from .cardinality import (CardResult, infer_cardinality)
-from .modes import ModeResult, builtin_signature, infer_modes, mode_string
+from .modes import ModeResult, builtin_signature, infer_modes
 
 __all__ = ["PredicateInfo", "GlobalReport", "analyze_program"]
 
@@ -32,112 +26,26 @@ __all__ = ["PredicateInfo", "GlobalReport", "analyze_program"]
 class PredicateInfo:
     """Everything the analysis inferred about one predicate."""
     indicator: Indicator
-    source: str               # "clauses" | "facts" | "external"
-    clauses: int = 0
-    rows: int = 0
+    source: str               # "clauses" | "external"
     call_modes: Optional[Tuple[str, ...]] = None
     success_modes: Optional[Tuple[str, ...]] = None
     determinism: Optional[str] = None
     recursive: bool = False
-    widened: bool = False
-    called: bool = False
     entry: bool = False
     #: argument position that makes the predicate det under modes
     det_arg: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "indicator": f"{self.indicator[0]}/{self.indicator[1]}",
-            "source": self.source,
-        }
-        if self.source == "clauses":
-            out["clauses"] = self.clauses
-        if self.source == "facts":
-            out["rows"] = self.rows
-        if self.call_modes is not None:
-            out["call_modes"] = mode_string(self.call_modes)
-        if self.success_modes is not None:
-            out["success_modes"] = mode_string(self.success_modes)
-        if self.determinism is not None:
-            out["determinism"] = self.determinism
-        out["recursive"] = self.recursive
-        out["called"] = self.called
-        out["entry"] = self.entry
-        if self.widened:
-            out["widened"] = True
-        if self.det_arg is not None:
-            out["det_under_modes_arg"] = self.det_arg
-        return out
 
 
 @dataclass
 class GlobalReport:
     """The result of one whole-program analysis run."""
     program: Program
-    graph: CallGraph
     modes: ModeResult
     cards: CardResult
     infos: Dict[Indicator, PredicateInfo] = field(default_factory=dict)
 
-    def counters(self) -> Dict[str, int]:
-        return {
-            "analysis_global_predicates": len(self.infos),
-            "analysis_global_sccs": len(self.graph.sccs),
-            "analysis_global_iterations": self.modes.iterations,
-            "analysis_global_widenings": len(self.modes.widened),
-        }
-
     def info(self, name: str, arity: int) -> Optional[PredicateInfo]:
         return self.infos.get((name, arity))
-
-    # -- renderings ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "global_analysis",
-            "predicates": [self.infos[ind].to_dict()
-                           for ind in sorted(self.infos)],
-            "entries": [f"{n}/{a}" for n, a in self.program.entries],
-            "counters": self.counters(),
-        }
-
-    def describe(self, name: Optional[str] = None,
-                 arity: Optional[int] = None) -> str:
-        """Text rendering; restricted to one predicate when asked."""
-        lines: List[str] = []
-        inds = sorted(self.infos)
-        if name is not None:
-            inds = [i for i in inds if i[0] == name
-                    and (arity is None or i[1] == arity)]
-            if not inds:
-                return f"no analysed predicate matches {name}" + \
-                    ("" if arity is None else f"/{arity}")
-        else:
-            header = (f"{len(self.infos)} predicates, "
-                      f"{len(self.graph.sccs)} SCCs, "
-                      f"{self.modes.iterations} iterations, "
-                      f"{len(self.modes.widened)} widened")
-            lines.append(header)
-        for ind in inds:
-            info = self.infos[ind]
-            bits = [f"{ind[0]}/{ind[1]}:"]
-            if info.call_modes is not None:
-                bits.append(f"call={mode_string(info.call_modes)}")
-            if info.success_modes is not None:
-                bits.append(f"succ={mode_string(info.success_modes)}")
-            if info.determinism is not None:
-                bits.append(f"det={info.determinism}")
-            flags = [flag for flag, on in (
-                ("recursive", info.recursive), ("entry", info.entry),
-                ("widened", info.widened)) if on]
-            if info.source != "clauses":
-                flags.append(info.source)
-            if info.det_arg is not None:
-                flags.append(f"det_under_modes@{info.det_arg}")
-            if flags:
-                bits.append("[" + ",".join(flags) + "]")
-            lines.append(" ".join(bits))
-        return "\n".join(lines)
 
     # -- M lint rules -------------------------------------------------
 
@@ -181,24 +89,14 @@ def analyze_program(program: Program) -> GlobalReport:
     graph = build_call_graph(program)
     modes = infer_modes(program, graph)
     cards = infer_cardinality(program, graph, modes)
-    report = GlobalReport(program=program, graph=graph, modes=modes,
-                          cards=cards)
+    report = GlobalReport(program=program, modes=modes, cards=cards)
     entries = set(program.entries)
     for ind in sorted(program.defined()):
-        if ind in program.clauses:
-            source = "clauses"
-        elif ind in program.fact_rows:
-            source = "facts"
-        else:
-            source = "external"
         info = PredicateInfo(
-            indicator=ind, source=source,
-            clauses=len(program.clauses.get(ind, ())),
-            rows=program.fact_rows.get(ind, 0),
+            indicator=ind,
+            source="clauses" if ind in program.clauses else "external",
             recursive=graph.recursive(ind) if ind in graph.scc_of
             else False,
-            widened=ind in modes.widened,
-            called=ind in modes.called,
             entry=ind in entries,
             det_arg=cards.det_under_modes.get(ind),
         )

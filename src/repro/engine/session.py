@@ -97,11 +97,6 @@ class EduceStar:
         self.datalog = DatalogEngine(
             self.store, self.machine.reader, tracer=self.tracer,
             mode=datalog)
-        # Whole-program analysis (docs/ANALYSIS.md): cached report +
-        # counters, read by EXPLAIN and the REPL; it never routes a goal.
-        self._global_report = None
-        self._global_key = None
-        self.global_runs = 0
 
     # ------------------------------------------------------------ population
 
@@ -343,20 +338,6 @@ class EduceStar:
             pnode.attrs["kind"] = proc.kind
         else:
             pnode.attrs["source"] = "undefined"
-        # Inferred mode/determinism annotations, when a whole-program
-        # analysis has run this session (docs/OBSERVABILITY.md).
-        if self._global_report is not None:
-            info = self._global_report.infos.get((name, arity))
-            if info is not None:
-                from ..analysis.global_ import mode_string
-                if info.call_modes is not None:
-                    pnode.attrs["call_modes"] = mode_string(
-                        info.call_modes)
-                if info.success_modes is not None:
-                    pnode.attrs["success_modes"] = mode_string(
-                        info.success_modes)
-                if info.determinism is not None:
-                    pnode.attrs["determinism"] = info.determinism
         root.add(pnode)
 
     # ------------------------------------------------------------ profiling
@@ -446,40 +427,15 @@ class EduceStar:
 
         return machine.define_external(name, arity, fetch=fetch)
 
-    # ------------------------------------------- whole-program analysis
-
-    def global_analysis(self, refresh: bool = False):
-        """The whole-program analysis report over everything this
-        session can execute (docs/ANALYSIS.md): main-memory procedures,
-        EDB-stored rules, facts relations.  Cached until the program
-        changes (a consult, a store mutation); ``refresh=True`` forces
-        a re-run."""
-        from ..analysis.global_ import (analyze_program,
-                                        program_from_session)
-        key = (self.machine.compile_count, self.store.mutation_epoch,
-               self.store.datalog_rules.epoch)
-        if (not refresh and self._global_report is not None
-                and key == self._global_key):
-            return self._global_report
-        self._global_report = analyze_program(
-            program_from_session(self))
-        self._global_key = key
-        self.global_runs += 1
-        return self._global_report
-
     # ------------------------------------------------------------- counters
 
     def local_counters(self) -> dict:
         """Only the counters the session owns itself — what the query
         service folds into its own ``counters()`` next to the
         machine/loader/datalog sources it attaches per worker."""
-        out = {"parsed_chars": self.parsed_chars,
-               "explain_queries": self.explain_queries,
-               "analyze_queries": self.analyze_queries,
-               "analysis_global_runs": self.global_runs}
-        if self._global_report is not None:
-            out.update(self._global_report.counters())
-        return out
+        return {"parsed_chars": self.parsed_chars,
+                "explain_queries": self.explain_queries,
+                "analyze_queries": self.analyze_queries}
 
     def counters(self) -> dict:
         merged = dict(self.machine.counters())

@@ -21,9 +21,11 @@ guessed at — and both time their *waits*: a contended acquisition
 records the blocked duration in a wait histogram
 (``latch_wait_ms`` / ``lock_read_wait_ms`` / ``lock_write_wait_ms``),
 so tail contention is measurable, not just countable.  The uncontended
-fast path takes no clock reading.  Both are pickle-transparent: a lock
-is runtime state, so ``__getstate__`` drops the underlying primitives
-and ``__setstate__`` rebuilds them fresh — an EDB checkpoint never
+fast path takes no clock reading.  A latch is pickle-transparent: it
+is runtime state, so ``__getstate__`` drops the underlying primitive
+and ``__setstate__`` rebuilds it fresh.  A read-write lock is not
+picklable at all: its one holder, the store, drops it from a
+checkpoint and builds a fresh one on load — an EDB checkpoint never
 carries a held lock.
 
 The locking order is documented in ``docs/CONCURRENCY.md``:
@@ -138,24 +140,6 @@ class ReadWriteLock:
         self.write_waits = 0
         self.read_wait_hist = Histogram()
         self.write_wait_hist = Histogram()
-
-    # ------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for key in ("_mutex", "_cond", "_local"):
-            state[key] = None
-        state["_active_readers"] = 0
-        state["_writer"] = None
-        state["_writer_depth"] = 0
-        state["_writers_waiting"] = 0
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        self._local = threading.local()
 
     # ------------------------------------------------------------ internals
 

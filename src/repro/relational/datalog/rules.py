@@ -29,15 +29,16 @@ rows without term wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
-from ...analysis.global_.callgraph import tarjan_sccs
 from ...terms import Atom, Struct, Term, Var
 
 __all__ = [
     "V", "Literal", "Rule", "NotDatalog", "DatalogRulebase",
     "Analysis", "rule_from_clause", "rules_from_clauses", "analyze",
     "term_to_const", "const_to_term", "stratify", "indicator_str",
+    "tarjan_sccs",
 ]
 
 Indicator = Tuple[str, int]
@@ -302,6 +303,60 @@ class Analysis:
         for dep in deps:
             by_level.setdefault(self.strata[dep], []).append(dep)
         return [sorted(by_level[level]) for level in sorted(by_level)]
+
+
+def tarjan_sccs(graph: Dict[Indicator, Set[Indicator]]
+                ) -> List[List[Indicator]]:
+    """Strongly connected components, iterative, in reverse
+    topological order (every edge leaves a later component)."""
+    index: Dict[Indicator, int] = {}
+    low: Dict[Indicator, int] = {}
+    on_stack: Set[Indicator] = set()
+    stack: List[Indicator] = []
+    sccs: List[List[Indicator]] = []
+    counter = [0]
+
+    for root in sorted(graph):
+        if root in index:
+            continue
+        work: List[Tuple[Indicator, Iterator[Indicator]]] = []
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        work.append((root, iter(sorted(graph.get(root, ())))))
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ in it:
+                if succ not in graph:
+                    continue
+                if succ not in index:
+                    index[succ] = low[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(sorted(graph.get(succ, ())))))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                scc: List[Indicator] = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    scc.append(member)
+                    if member == node:
+                        break
+                sccs.append(sorted(scc))
+    return sccs
 
 
 def stratify(rules: Dict[Indicator, List[Rule]]

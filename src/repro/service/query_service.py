@@ -85,17 +85,11 @@ class QueryTicket:
     """
 
     def __init__(self, ticket_id: int, goal: Goal,
-                 limit: Optional[int], deadline: Optional[float],
-                 explain: bool = False):
+                 limit: Optional[int], deadline: Optional[float]):
         self.id = ticket_id
         self.goal = goal
         self.limit = limit
         self.state = _QUEUED
-        #: capture an EXPLAIN plan on the worker before execution
-        self.want_explain = explain
-        #: the captured :class:`~repro.obs.explain.ExplainPlan` (string
-        #: goals only; None for callables or when capture failed)
-        self.explain = None
         #: store ``mutation_epoch`` observed under the read lock — the
         #: query saw exactly the first ``store_epoch`` mutations.
         self.store_epoch: Optional[int] = None
@@ -288,18 +282,17 @@ class QueryService:
     # ------------------------------------------------------------ submission
 
     def submit(self, goal: Goal, limit: Optional[int] = None,
-               timeout: Optional[float] = None,
-               explain: bool = False) -> QueryTicket:
+               timeout: Optional[float] = None) -> QueryTicket:
         """Enqueue one query; returns its ticket.
 
         *timeout* is the query's deadline in seconds, measured from
-        submission (queue wait counts).  With *explain* the worker
-        captures an EXPLAIN plan (``ticket.explain``) right before
-        execution, under the same read lock, so the plan names the
-        planner state the query actually ran against.  Raises
+        submission (queue wait counts).  A callable goal runs on the
+        worker inside the same read-lock hold as any other goal, so
+        ``submit(lambda s: (s.explain(g), list(s.solve(g))))`` gets the
+        plan of the very planner state the query ran against.  Raises
         :exc:`ServiceClosed` after shutdown began,
         :exc:`ServiceSaturated` when the bounded queue is full."""
-        return self._admit([(goal, limit, timeout)], explain=explain)[0]
+        return self._admit([(goal, limit, timeout)])[0]
 
     def submit_many(self, goals: Sequence[Goal],
                     limit: Optional[int] = None,
@@ -314,8 +307,8 @@ class QueryService:
         return self.submit(goal, limit=limit, timeout=timeout).result()
 
     def _admit(self, specs: Iterable[Tuple[Goal, Optional[int],
-                                           Optional[float]]],
-               explain: bool = False) -> List[QueryTicket]:
+                                           Optional[float]]]
+               ) -> List[QueryTicket]:
         specs = list(specs)
         with self._submit_lock:
             if self._closed:
@@ -336,7 +329,7 @@ class QueryService:
             for goal, limit, timeout in specs:
                 deadline = None if timeout is None else now + timeout
                 ticket = QueryTicket(next(self._ids), goal, limit,
-                                     deadline, explain=explain)
+                                     deadline)
                 ticket.trace_id = f"tk-{self._service_id}-{ticket.id}"
                 ticket._submitted_perf = time.perf_counter()
                 with self._gauge_lock:
@@ -512,13 +505,6 @@ class QueryService:
             # here pins the query to one point of the mutation order.
             with self.store.reading():
                 ticket.store_epoch = self.store.mutation_epoch
-                if ticket.want_explain and isinstance(ticket.goal, str):
-                    # Same lock hold as the execution: the plan names
-                    # the planner state this very query runs against.
-                    try:
-                        ticket.explain = session.explain(ticket.goal)
-                    except Exception:
-                        ticket.explain = None
                 if callable(ticket.goal):
                     value = ticket.goal(session)
                 else:

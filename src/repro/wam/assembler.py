@@ -25,20 +25,13 @@ _LABEL_OPERAND_OPS = {
     I.TRUST,
 }
 
-#: When true, every assembled block is structurally verified
-#: (:mod:`repro.analysis.verifier`).  Enabled by the test suite via
-#: :func:`repro.analysis.enable_self_verify`; off in production — the
-#: dynamic loader has its own configurable verification level.
-_SELF_VERIFY = False
-
-
-def set_self_verify(enabled: bool) -> None:
-    global _SELF_VERIFY
-    _SELF_VERIFY = bool(enabled)
-
-
-def self_verify_enabled() -> bool:
-    return _SELF_VERIFY
+#: When true, the compiler verifies every clause it emits and the
+#: assembler every block it assembles (:mod:`repro.analysis.verifier`).
+#: The one self-verify switch: set by
+#: :func:`repro.analysis.enable_self_verify` (the test suite turns it
+#: on); off in production, where the dynamic loader's structural gate
+#: checks every fetched clause instead.
+SELF_VERIFY = False
 
 
 def assemble(code: List[tuple]) -> List[tuple]:
@@ -85,7 +78,7 @@ def assemble_with_offsets(code: List[tuple]
             out.append((op, table, resolve(instr[2])))
         else:
             out.append(instr)
-    if _SELF_VERIFY:
+    if SELF_VERIFY:
         from ..analysis.verifier import verify_code
         verify_code(out, level="structural")
     return out, offsets

@@ -36,6 +36,7 @@ from ..dictionary import SegmentedDictionary
 from ..errors import TypeError_
 from ..lang.program import META_GOAL_ARGS
 from ..terms import NIL, Atom, Struct, Term, Var, deref, indicator_of
+from . import assembler
 from . import instructions as I
 
 # Predicates implemented by machine escapes; the compiler routes goals with
@@ -57,21 +58,6 @@ def is_builtin_indicator(name: str, arity: int) -> bool:
 #: are built-ins that call their goal arguments)
 INLINE_CONTROL = frozenset({("!", 0), (",", 2), (";", 2), ("->", 2),
                             ("\\+", 1), ("not", 1)})
-
-
-# When true, every compiled clause is verified (structural + abstract,
-# :mod:`repro.analysis.verifier`) before it leaves the compiler.  The
-# test suite enables it via :func:`repro.analysis.enable_self_verify`.
-_SELF_VERIFY = False
-
-
-def set_self_verify(enabled: bool) -> None:
-    global _SELF_VERIFY
-    _SELF_VERIFY = bool(enabled)
-
-
-def self_verify_enabled() -> bool:
-    return _SELF_VERIFY
 
 
 @dataclass
@@ -239,7 +225,7 @@ class ClauseCompiler:
             first_arg_key=first_key,
             nvars=len(perm_vars) + len(state.temp_index),
         )
-        if _SELF_VERIFY:
+        if assembler.SELF_VERIFY:
             from ..analysis.verifier import verify_clause
             verify_clause(compiled, dictionary=self.ctx.dictionary,
                           procedure=f"{name}/{arity}")

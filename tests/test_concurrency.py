@@ -755,6 +755,13 @@ class TestReadWriteLock:
         rw.release_write()
         rw.release_write()
 
+    def test_not_picklable(self):
+        # Runtime state only: the store drops its lock from a checkpoint
+        # and builds a fresh one on load, so none is ever pickled.
+        import pickle
+        with pytest.raises(TypeError):
+            pickle.dumps(ReadWriteLock("t"))
+
     def test_read_to_write_upgrade_refused(self):
         rw = ReadWriteLock("t")
         rw.acquire_read()

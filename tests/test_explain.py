@@ -317,6 +317,15 @@ class TestStoredProcedures:
 # =====================================================================
 
 class TestServiceExplain:
+    """A callable goal runs on the worker inside the query's read-lock
+    hold, so it explains exactly the planner state it then solves
+    against — the one way to EXPLAIN on a worker."""
+
+    @staticmethod
+    def explained(goal):
+        return lambda session: (session.explain(goal),
+                                list(session.solve(goal)))
+
     def test_explain_on_submit(self):
         from repro.service import QueryService
         svc = QueryService(workers=1, queue_size=8)
@@ -325,32 +334,25 @@ class TestServiceExplain:
             svc.store_program(
                 "reach(X, Y) :- edge(X, Y).\n"
                 "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n")
-            ticket = svc.submit("reach(1, X)", explain=True)
-            answers = ticket.result(timeout=30)
+            plan, answers = svc.submit(
+                self.explained("reach(1, X)")).result(timeout=30)
             assert len(answers) == 3
-            assert ticket.explain is not None
-            assert ticket.explain.strategy in ("topdown", "bottomup")
-            assert json.loads(ticket.explain.to_json())["kind"] == \
-                "explain_plan"
-            # Capture is per ticket: the next one does not ask.
-            quiet = svc.submit("reach(1, X)")
-            quiet.result(timeout=30)
-            assert quiet.explain is None
+            assert plan.strategy in ("topdown", "bottomup")
+            assert json.loads(plan.to_json())["kind"] == "explain_plan"
         finally:
             svc.shutdown()
 
     def test_submit_explain_opt_in(self):
-        """Default service: no plan capture unless the ticket asks."""
+        """A plain goal gets its answers only; a plan is asked for."""
         from repro.service import QueryService
         svc = QueryService(workers=1, queue_size=8)
         try:
             svc.store_relation("edge", [(1, 2)])
-            plain = svc.submit("edge(X, Y)")
-            plain.result(timeout=30)
-            assert plain.explain is None
-            asked = svc.submit("edge(X, Y)", explain=True)
-            asked.result(timeout=30)
-            assert asked.explain is not None
-            assert asked.explain.root.find("procedure") is not None
+            plain = svc.submit("edge(X, Y)").result(timeout=30)
+            assert [str(s["Y"]) for s in plain] == ["2"]
+            plan, answers = svc.submit(
+                self.explained("edge(X, Y)")).result(timeout=30)
+            assert len(answers) == 1
+            assert plan.root.find("procedure") is not None
         finally:
             svc.shutdown()

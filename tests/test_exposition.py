@@ -212,7 +212,9 @@ class TestObservabilityCounters:
         try:
             svc.store_relation("edge", [(i, i + 1) for i in range(40)])
             for _ in range(4):
-                svc.submit("edge(X, Y)", explain=True).result(timeout=30)
+                svc.submit(lambda s: (s.explain("edge(X, Y)"),
+                                      list(s.solve("edge(X, Y)")))
+                           ).result(timeout=30)
             report = svc.profile_report()
             samples, types = parse_prometheus(svc.exposition())
             for key in ("profiler_samples", "profiler_sampled_instr",

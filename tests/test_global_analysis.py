@@ -1,18 +1,16 @@
-"""Whole-program analysis: call graph, modes, determinism, consumers.
+"""Whole-program analysis: call graph, modes, determinism, M rules.
 
 Covers the `repro.analysis.global_` package (docs/ANALYSIS.md,
-"Whole-program analysis") and its two consumers: the Datalog strategy
-planner's determinism short-circuit and the linter's M rules.
+"Whole-program analysis"), a static pass over program text whose one
+consumer is the linter's M rules.
 """
 
-import json
-
-from repro import EduceStar
 from repro.analysis.global_ import (ANY, GROUND, NONVAR, analyze_program,
                                     build_call_graph, builtin_signature,
                                     infer_cardinality, infer_modes, join,
                                     leq, mode_string, program_from_text,
-                                    refine, tarjan_sccs)
+                                    refine)
+from repro.relational.datalog.rules import tarjan_sccs
 
 # A dispatch shape no local analysis can index: the key column (arg 1)
 # repeats constants, the first argument is a variable in every head.
@@ -196,6 +194,13 @@ class TestModes:
         assert ("act", 3) in result.called
         assert ("route", 2) not in result.called
 
+    def test_report_covers_every_defined_predicate(self):
+        report = analyzed(DISPATCH)
+        assert sorted(report.infos) == [("act", 3), ("lookup", 2),
+                                        ("mark", 1), ("route", 2)]
+        assert report.program.entries == [("route", 2)]
+        assert report.info("act", 3).determinism == "nondet"
+
 
 # =====================================================================
 # Cardinality / determinism classes
@@ -253,34 +258,6 @@ class TestCardinality:
         cards = infer_cardinality(program, graph)
         low, high = cards.cards[("one", 1)]
         assert (low, high) == (0, 1)
-
-
-# =====================================================================
-# Report surface
-# =====================================================================
-
-class TestReport:
-    def test_counters(self):
-        counters = analyzed(DISPATCH).counters()
-        for key in ("analysis_global_predicates", "analysis_global_sccs",
-                    "analysis_global_iterations",
-                    "analysis_global_widenings"):
-            assert key in counters
-        assert counters["analysis_global_predicates"] == 4
-
-    def test_to_dict_is_json_clean(self):
-        payload = json.loads(json.dumps(analyzed(DISPATCH).to_dict()))
-        assert payload["kind"] == "global_analysis"
-        by_ind = {p["indicator"]: p for p in payload["predicates"]}
-        assert by_ind["act/3"]["call_modes"] == "gga"
-        assert by_ind["act/3"]["determinism"] == "nondet"
-        assert payload["entries"] == ["route/2"]
-
-    def test_describe_single_predicate(self):
-        report = analyzed(DISPATCH)
-        text = report.describe("act", 3)
-        assert "call=gga" in text and "succ=ggg" in text
-        assert "no analysed predicate" in report.describe("nope", 9)
 
 
 # =====================================================================
@@ -357,97 +334,6 @@ class TestModeRules:
 
 
 # =====================================================================
-# Session integration
-# =====================================================================
-
-class TestSessionIntegration:
-    def test_analysis_cached_until_program_changes(self):
-        kb = EduceStar()
-        kb.consult("p(1).")
-        first = kb.global_analysis()
-        assert kb.global_analysis() is first
-        kb.consult("q(2).")
-        second = kb.global_analysis()
-        assert second is not first
-        assert kb.local_counters()["analysis_global_runs"] == 2
-
-    def test_counters_surface(self):
-        kb = EduceStar()
-        kb.consult(DISPATCH)
-        kb.global_analysis()
-        counters = kb.local_counters()
-        assert counters["analysis_global_predicates"] >= 4
-        assert counters["analysis_global_sccs"] >= 4
-
-    def test_explain_procedure_annotations(self):
-        kb = EduceStar()
-        kb.consult(DISPATCH)
-        kb.global_analysis()
-        plan = kb.explain("act(c, k1, R)")
-        node = plan.root.find("procedure")
-        assert node is not None
-        assert node.attrs["call_modes"] == "gga"
-        assert node.attrs["success_modes"] == "ggg"
-        assert node.attrs["determinism"] == "nondet"
-
-    def test_aux_procedures_are_not_analysis_roots(self):
-        """Compiler-made aux procedures stay out of the analysed
-        program: each owner's surface clause already carries the goal
-        its aux was cut from, so an aux root would only seed ⊤ modes."""
-        from repro.workloads import mvv
-        kb = mvv.load_educestar(mvv.generate(scale=0.05))
-        assert any(proc.name.startswith("$aux_")
-                   for proc in kb.machine.procedures.values())
-        program = kb.global_analysis().program
-        assert not [ind for ind in program.entries
-                    if ind[0].startswith("$")]
-        assert not [ind for ind in program.defined()
-                    if ind[0].startswith("$")]
-
-    def test_stored_aux_procedures_are_not_analysed(self):
-        kb = EduceStar()
-        kb.store_program("sign(X, S) :- ( X < 0 -> S = neg ; S = pos ).")
-        assert any(proc.name.startswith("$aux_")
-                   for proc in kb.store.procedures())
-        program = kb.global_analysis().program
-        assert not [ind for ind in program.defined()
-                    if ind[0].startswith("$")]
-        assert ("sign", 2) in program.entries
-
-    def test_describe_modes_helper(self):
-        from repro.analysis import describe_modes
-        kb = EduceStar()
-        kb.consult(DISPATCH)
-        assert "act/3" in describe_modes(kb)
-        assert "call=gga" in describe_modes(kb, "act", 3)
-
-
-# =====================================================================
-# Datalog routing: the analysis is a report, never a route
-# =====================================================================
-
-class TestDatalogRouting:
-    def test_global_analysis_never_changes_routing(self):
-        kb = EduceStar()
-        kb.store_relation("edge", [(f"n{i}", f"n{i + 1}")
-                                   for i in range(300)])
-        kb.store_program("""
-            reach(X, Y) :- edge(X, Y).
-            reach(X, Z) :- edge(X, Y), reach(Y, Z).
-        """)
-        goal = "reach(n290, X)"
-        before = kb.datalog.plan(goal).decision
-        answers = sorted(str(s["X"]) for s in kb.solve(goal))
-        kb.global_analysis()
-        after = kb.datalog.plan(goal).decision
-        assert (after.strategy, after.reason) == (before.strategy,
-                                                 before.reason)
-        assert after.strategy == "bottomup"
-        assert sorted(str(s["X"]) for s in kb.solve(goal)) == answers
-        assert len(answers) == 10
-
-
-# =====================================================================
 # CLI exit-code matrix
 # =====================================================================
 
@@ -467,7 +353,22 @@ class TestCliExitCodes:
     BROKEN = "p(1"
 
     def test_corpus_clean(self, capsys):
+        # The corpus lint runs the M rules too: no unwaived M finding.
         assert self.run("corpus") == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    def test_modes_corpus_sweep_is_clean(self):
+        # Every corpus unit, linted as the corpus command lints it,
+        # raises no unwaived mode (M2xx) finding.
+        from repro.analysis.corpus import corpus_entries
+        from repro.analysis.lint import lint_text
+        mode_findings = [
+            (entry.name, f.rule)
+            for entry in corpus_entries()
+            for f in lint_text(entry.text, name=entry.name,
+                               extra_defined=entry.extra_defined)
+            if f.rule.startswith("M")]
+        assert mode_findings == []
 
     def test_lint_matrix(self, tmp_path, capsys):
         assert self.run("lint", self.write(tmp_path, self.CLEAN)) == 0
@@ -479,23 +380,5 @@ class TestCliExitCodes:
         assert self.run("verify", self.write(tmp_path, self.CLEAN)) == 0
         assert self.run("verify", self.write(tmp_path, self.BROKEN)) == 2
 
-    def test_modes_matrix(self, tmp_path, capsys):
-        assert self.run("modes", self.write(tmp_path, self.CLEAN)) == 0
-        assert self.run("modes", self.write(tmp_path, self.FINDING)) == 1
-        assert self.run("modes", self.write(tmp_path, self.BROKEN)) == 2
-        assert self.run("modes", str(tmp_path / "missing.pl")) == 2
-
-    def test_modes_corpus_sweep_is_clean(self, capsys):
-        assert self.run("modes") == 0
-        out = capsys.readouterr().out
-        assert "0 mode finding(s)" in out
-
-    def test_modes_json(self, tmp_path, capsys):
-        assert self.run("modes", "--json",
-                        self.write(tmp_path, self.CLEAN)) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["report"]["kind"] == "global_analysis"
-
     def test_usage_error(self, capsys):
         assert self.run("frobnicate") == 2
-        assert self.run("modes", "--bogus-flag") == 2

@@ -589,7 +589,7 @@ class TestQueryProfile:
 # measuring paths may be rearranged, but the exposition must not gain or
 # lose a family by accident.  (Histogram families join once observed.)
 SESSION_KEYS = frozenset("""
-    analysis_global_runs analyze_queries backtracks buffer_evictions
+    analyze_queries backtracks buffer_evictions
     buffer_hits buffer_misses buffer_pin_overflows buffer_pinned
     buffer_pins buffer_resident buffer_unpins buffer_writebacks
     bytes_read bytes_written cache_epoch cache_hits

@@ -320,3 +320,26 @@ class TestRemovedOptions:
         decision = kb.explain("reach(1, X)").root.find("decision")
         assert decision.attrs["min_rows"] == DEFAULT_MIN_ROWS
         assert decision.attrs["strategy"] == "topdown"
+
+    def test_session_has_no_global_analysis(self):
+        # The whole-program analysis is a lint pass over program text;
+        # no session caches, counts or displays it.
+        kb = EduceStar()
+        kb.consult("p(1).")
+        assert not hasattr(kb, "global_analysis")
+        assert not any(key.startswith("analysis_global_")
+                       for key in kb.counters())
+        node = kb.explain("p(X)").root.find("procedure")
+        assert not {"call_modes", "success_modes",
+                    "determinism"} & set(node.attrs)
+
+    def test_submit_explain_keyword(self):
+        from repro import QueryService
+        kb = EduceStar()
+        with QueryService(kb.store, workers=1) as svc:
+            with pytest.raises(TypeError, match="explain"):
+                svc.submit("true", explain=True)
+
+    def test_analysis_modes_command(self, capsys):
+        from repro.analysis.cli import main
+        assert main(["modes"]) == 2
