@@ -237,14 +237,6 @@ def command(session, line: str, interactive: bool):
             print(report.format())
         else:
             print(f"opened {arg}")
-        dropped = [p for p in session.store.procedures()
-                   if p.mode == "rules"]
-        if dropped and not len(session.store.datalog_rules):
-            names = ", ".join(f"{p.name}/{p.arity}" for p in dropped[:8])
-            print(f"  note: {len(dropped)} stored rules procedure(s) "
-                  f"({names}) have no live Datalog rulebase — it was "
-                  "dropped with the checkpoint, so recursive queries "
-                  "run on the WAM until re-stored (docs/DATALOG.md)")
     elif cmd == ":listing" and arg:
         session.machine.output.clear()
         if session.solve_once(f"listing({arg})") is not None:

@@ -187,8 +187,7 @@ class BufferPool:
     # Like DiskStore, never persist the live session's tracer; latch,
     # pins, in-flight reads and the frames themselves are runtime state
     # and restart empty.  A checkpoint flushes before it pickles, so the
-    # disc already holds every frame; an older image that still carries
-    # frames loads as it was.
+    # disc already holds every frame.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["tracer"] = None

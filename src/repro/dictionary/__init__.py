@@ -15,6 +15,5 @@ principles:
 """
 
 from .segmented import DictionaryStats, SegmentedDictionary, fnv1a
-from .string_heap import StringHeap
 
-__all__ = ["SegmentedDictionary", "DictionaryStats", "StringHeap", "fnv1a"]
+__all__ = ["SegmentedDictionary", "DictionaryStats", "fnv1a"]

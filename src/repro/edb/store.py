@@ -79,7 +79,7 @@ from .recovery import RecoveryReport
 #   magic "EDB*" | format version u16 | flags u16 | payload length u64 |
 #   payload crc32 u32 | pickled ExternalStore
 CHECKPOINT_MAGIC = b"EDB*"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _CKPT_HEADER = struct.Struct(">4sHHQI")
 DERIVED = "derived from stored calls"
 
@@ -240,16 +240,10 @@ class ExternalStore:
 
         # --- datalog rulebase (docs/DATALOG.md) --------------------------
         #: surface clauses of rules procedures, kept for the bottom-up
-        #: evaluator.  Live-session state (mutated under the write lock,
-        #: excluded from checkpoints): a reopened store starts empty and
-        #: recursive queries fall back to the WAM until re-stored.
+        #: evaluator.  Changed only by applied records and persisted by
+        #: the checkpoint, so a reopened store or a follower answers a
+        #: goal the way the store that wrote it did.
         self.datalog_rules = DatalogRulebase()
-        #: true on stores reconstructed from a checkpoint: the live
-        #: rulebase above was dropped, so recursive queries against
-        #: stored ``rules`` procedures silently fall back to the WAM.
-        #: The Datalog engine surfaces that fallback through the
-        #: ``datalog_rulebase_missing`` counter (docs/DATALOG.md).
-        self.datalog_rules_dropped = False
 
     # The WAL handle, fault plan and recovery report belong to the live
     # session, not the persisted image.
@@ -271,10 +265,6 @@ class ExternalStore:
         # captures the full in-memory image), so the poison flag never
         # travels into the image.
         state["_poisoned"] = None
-        # Surface clauses are session state: the checkpoint persists
-        # compiled code only (docs/DATALOG.md, "recovered stores").
-        state["datalog_rules"] = None
-        state["datalog_rules_dropped"] = False
         # Where in the mutation sequence this image was taken: replicas
         # bootstrapping from the checkpoint resume epoch tracking here.
         state["checkpoint_epoch"] = self.mutation_epoch
@@ -289,8 +279,6 @@ class ExternalStore:
         self._rw = ReadWriteLock("store")
         self.events = EventRing()
         self.pager.events = self.events
-        self.datalog_rules = DatalogRulebase()
-        self.datalog_rules_dropped = True
         # Durability counters are session-scoped, like tracer spans: a
         # freshly loaded store reports work *it* did, not history baked
         # into the checkpoint it came from.
@@ -385,8 +373,7 @@ class ExternalStore:
                     for clause in clauses]
         # The surface clauses ride the record so that applying it —
         # live, at recovery or on a follower — tracks the procedure in
-        # the Datalog rulebase.  (A checkpoint alone still drops it:
-        # surface terms are live-session state, not part of the image.)
+        # the Datalog rulebase (which the checkpoint then persists).
         record = {"op": "rules", "name": name, "arity": arity,
                   "clauses": payloads, "surface": list(clauses)}
         self._add_ext_functors(record, payloads)
@@ -427,7 +414,7 @@ class ExternalStore:
         self._register(proc)
         for payload in record["clauses"]:
             self._insert_rule_clause(proc, proc.nclauses, payload)
-        self.datalog_rules.set((name, arity), record["surface"])
+        self.datalog_rules.set((name, arity), enumerate(record["surface"]))
         # An aux head passes on singletons too; its owner's clause holds
         # the same calls, and iter_goals reaches them.
         if not is_aux_name(name):
@@ -660,11 +647,12 @@ class ExternalStore:
         existing = [
             row[1] for row in self.clauses_relation.query({0: proc.key})
         ]
-        self._insert_rule_clause(proc, max(existing, default=-1) + 1,
-                                 record["clause"])
+        cid = max(existing, default=-1) + 1
+        self._insert_rule_clause(proc, cid, record["clause"])
         proc.version += 1
-        # add() only extends procedures the rulebase tracks.
-        self.datalog_rules.add((proc.name, proc.arity), record["surface"])
+        if proc.mode == "rules":     # source text is never evaluated bottom-up
+            self.datalog_rules.add((proc.name, proc.arity), cid,
+                                   record["surface"])
         self._note_calls([record["surface"]])
 
     def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
@@ -675,10 +663,8 @@ class ExternalStore:
 
     def _apply_retract(self, record: dict) -> None:
         proc = self.get(record["name"], record["arity"])
-        # Retraction is clause_id-based; rather than mirror the id
-        # bookkeeping, stop tracking the procedure — it simply goes
-        # back to the WAM path.
-        self.datalog_rules.drop((proc.name, proc.arity))
+        self.datalog_rules.retract((proc.name, proc.arity),
+                                   record["clause_id"])
         proc.relation.delete_where({proc.arity: record["clause_id"]})
         self.clauses_relation.delete_where(
             {0: proc.key, 1: record["clause_id"]})

@@ -118,12 +118,6 @@ class DatalogEngine:
         self.magic_fallbacks = 0
         self.magic_facts = 0
         self.extractions = 0
-        #: goals that targeted a stored ``rules`` procedure but fell
-        #: back to the WAM because the live rulebase was dropped when
-        #: the store was reopened (checkpoints persist compiled code
-        #: only — docs/DATALOG.md, "recovered stores")
-        self.rulebase_missing = 0
-        self._missing_reported: Set[Indicator] = set()
         self._fixpoint_hist = Histogram(boundaries=_ITER_BOUNDARIES)
 
     # ------------------------------------------------------------- analysis
@@ -154,21 +148,11 @@ class DatalogEngine:
         if self.mode == "off":
             return None
         if not len(self.store.datalog_rules):
-            # Fast path for sessions that never stored rules — but on a
-            # *reopened* store an empty rulebase may mean the live rules
-            # were dropped with the checkpoint: surface that fallback
-            # instead of silently running recursion on the WAM.
-            if self.store.datalog_rules_dropped:
-                self._note_rulebase_missing(goal)
-            return None
+            return None         # fast path: the store holds no rules
         plan = self.plan(goal)
-        if plan is None:
+        if plan is None or plan.decision is None:
             return None
         decision = plan.decision
-        if decision is None:
-            if self.store.datalog_rules_dropped:
-                self._note_missing_indicator(plan.ind)
-            return None
 
         self.queries += 1
         self.last_decision = decision
@@ -223,28 +207,6 @@ class DatalogEngine:
                 decision.adornment = program.adornment
                 plan.rules, plan.strata = program.rules, program.strata
         return plan
-
-    def _note_rulebase_missing(self, goal) -> None:
-        spec = self._goal_spec(goal)
-        if spec is not None:
-            self._note_missing_indicator(spec[0])
-
-    def _note_missing_indicator(self, ind: Indicator) -> None:
-        """Count a WAM fallback caused by the reopened-store rulebase
-        drop: the goal targets a stored ``rules`` procedure, the store
-        was reconstructed from a checkpoint, and no live surface
-        clauses exist to evaluate it bottom-up.  One flight-recorder
-        event per procedure (the counter keeps the full tally)."""
-        proc = self.store.lookup(*ind)
-        if proc is None or proc.mode != "rules":
-            return
-        self.rulebase_missing += 1
-        if ind not in self._missing_reported:
-            self._missing_reported.add(ind)
-            events = getattr(self.store, "events", None)
-            if events is not None and events.enabled:
-                events.record("datalog.rulebase_missing",
-                              procedure=indicator_str(ind))
 
     def _goal_spec(self, goal):
         """(indicator, arg items, varmap) of a routable goal, or None.
@@ -455,7 +417,6 @@ class DatalogEngine:
             "datalog_magic_fallbacks": self.magic_fallbacks,
             "datalog_magic_facts": self.magic_facts,
             "datalog_extractions": self.extractions,
-            "datalog_rulebase_missing": self.rulebase_missing,
         }
 
     def histograms(self) -> Dict[str, Histogram]:

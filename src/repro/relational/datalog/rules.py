@@ -17,8 +17,8 @@ legally cross that bridge: a procedure is **Datalog-evaluable** when
   negation through the dependency graph.
 
 The extraction pass works on surface clause :class:`~repro.terms.Term`
-objects — the store keeps them in a live-session
-:class:`DatalogRulebase` beside the compiled code (the compiled form is
+objects — the store keeps them in a :class:`DatalogRulebase`, beside
+the compiled code and persisted with it (the compiled form is
 what the WAM executes; the surface form is what the set-at-a-time
 evaluator compiles into algebra plans).  Constants are normalised to
 the raw Python values facts relations store (``Atom`` → ``str``,
@@ -29,8 +29,8 @@ rows without term wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ...terms import Atom, Struct, Term, Var
 
@@ -520,37 +520,38 @@ def analyze(clause_map: Dict[Indicator, Sequence[Term]],
 
 
 # =====================================================================
-# The live-session rulebase
+# The rulebase
 # =====================================================================
 
 class DatalogRulebase:
     """Surface clauses of stored rules procedures, kept beside the
-    compiled code for the set-at-a-time evaluator.
+    compiled code for the set-at-a-time evaluator and keyed by the
+    ``clause_id`` each one is stored under.
 
     Changed only by applying redo records (``ExternalStore.apply``,
-    under the store's write lock), so live writes, WAL recovery and
-    followers track the same procedures.  A *checkpoint* persists
-    compiled code only: procedures stored before it come back
-    untracked and their recursive queries fall back to the WAM until
-    stored again (a documented failure mode in ``docs/DATALOG.md``).
+    under the store's write lock) and persisted with the checkpoint,
+    so live writes, a reopened store and followers track the same
+    clauses: a retract removes its one clause, and the procedure stays
+    tracked.
     """
 
     def __init__(self) -> None:
-        self._clauses: Dict[Indicator, List[Term]] = {}
+        self._clauses: Dict[Indicator, Dict[int, Term]] = {}
         #: bumped on every change; analysis caches key on it
         self.epoch = 0
 
-    def set(self, ind: Indicator, clauses: Sequence[Term]) -> None:
-        self._clauses[ind] = list(clauses)
+    def set(self, ind: Indicator, clauses: Iterable[Tuple[int, Term]]
+            ) -> None:
+        """Track *ind* with ``(clause_id, clause)`` pairs."""
+        self._clauses[ind] = dict(clauses)
         self.epoch += 1
 
-    def add(self, ind: Indicator, clause: Term) -> None:
-        """Append an asserted clause — only for procedures this
-        rulebase already tracks (an untracked procedure, e.g. one that
-        came back from a checkpoint, stays untracked and on the WAM
-        path)."""
-        if ind in self._clauses:
-            self._clauses[ind].append(clause)
+    def add(self, ind: Indicator, clause_id: int, clause: Term) -> None:
+        self._clauses.setdefault(ind, {})[clause_id] = clause
+        self.epoch += 1
+
+    def retract(self, ind: Indicator, clause_id: int) -> None:
+        if self._clauses.get(ind, {}).pop(clause_id, None) is not None:
             self.epoch += 1
 
     def drop(self, ind: Indicator) -> None:
@@ -558,8 +559,8 @@ class DatalogRulebase:
             self.epoch += 1
 
     def clauses(self) -> Dict[Indicator, List[Term]]:
-        """A shallow copy of the tracked clause map."""
-        return {ind: list(cs) for ind, cs in self._clauses.items()}
+        """Each tracked procedure's clauses in ``clause_id`` order."""
+        return {ind: list(cs.values()) for ind, cs in self._clauses.items()}
 
     def __contains__(self, ind: Indicator) -> bool:
         return ind in self._clauses

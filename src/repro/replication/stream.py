@@ -2,9 +2,10 @@
 
 The tailer never writes: it opens its own handle, remembers the byte
 offset and LSN of the last committed frame it shipped, and re-examines
-the file on every :meth:`WalTailer.poll`.  The frame format and the
-parsing policy are shared with recovery (:func:`repro.bang.wal.
-read_frame`); what differs is what the *end* of the log means:
+the file on every :meth:`WalTailer.poll`.  The frame format, the
+parsing policy and the frame loop are shared with recovery: each poll
+reads through a fresh :class:`repro.bang.wal.WalScan`.  What differs
+is what the *end* of the log means:
 
 ========== ========================= ===========================
 observed    crashed owner (recovery)  live tailer (this module)
@@ -30,7 +31,7 @@ import os
 from typing import List, Optional, Tuple
 
 from ..bang.faults import NULL_FAULTS, FaultInjector
-from ..bang.wal import _FRAME, read_frame
+from ..bang.wal import _FRAME, WalScan
 
 __all__ = ["WalTailer"]
 
@@ -39,6 +40,10 @@ OK = "ok"            # clean end (records may still have been returned)
 WAIT = "wait"        # torn tail / file not there yet: retry later
 RESET = "reset"      # log shrank below our offset: re-bootstrap
 CORRUPT = "corrupt"  # complete-but-bad frame: quarantine, re-bootstrap
+
+#: how a scan's end maps to a poll status: a torn tail is an append
+#: still in flight, never garbage to truncate
+_END_STATUS = {"ok": OK, "torn": WAIT, "corrupt": CORRUPT}
 
 
 class WalTailer:
@@ -106,25 +111,19 @@ class WalTailer:
             self._reset()
             return RESET, []
         records: List[Tuple[int, bytes]] = []
-        while max_records is None or len(records) < max_records:
-            if self.offset >= size:
-                return OK, records
-            self._f.seek(self.offset)
-            status, payload = read_frame(self._f, self.faults,
-                                         self.offset, size, self.next_lsn)
-            if status == "torn":
-                return WAIT, records
-            if status == "corrupt":
-                return CORRUPT, records
+        scan = WalScan(self._f, self.faults, size, self.offset,
+                       self.next_lsn)
+        for payload in scan:
             if self.offset == 0:
                 self._f.seek(0)
                 self._anchor = self._f.read(_FRAME.size)
             records.append((self.next_lsn, payload))
-            self.offset += _FRAME.size + len(payload)
-            self.next_lsn += 1
             self.records_streamed += 1
-            self.bytes_streamed += _FRAME.size + len(payload)
-        return OK, records
+            self.bytes_streamed += scan.offset - self.offset
+            self.offset, self.next_lsn = scan.offset, scan.next_lsn
+            if len(records) == max_records:
+                return OK, records
+        return _END_STATUS[scan.status], records
 
     def _generation_changed(self, size: int) -> bool:
         """True when the frame at offset 0 is no longer the one we

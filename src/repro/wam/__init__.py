@@ -11,7 +11,6 @@ choice-point traffic (§3.2.1/§3.2.2).
 """
 
 from .compiler import ClauseCompiler, compile_clause, compile_procedure
-from .instructions import format_code
 from .machine import Machine, Procedure, Solution
 from . import builtins as _builtins  # noqa: F401  (registers builtin indicators)
 
@@ -22,5 +21,4 @@ __all__ = [
     "ClauseCompiler",
     "compile_clause",
     "compile_procedure",
-    "format_code",
 ]

@@ -18,7 +18,7 @@ instructions, cut support and an ``escape`` instruction for built-ins.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 Instr = Tuple  # (opcode, *operands)
 
@@ -100,11 +100,3 @@ def _format_operand(x: object) -> str:
                           for k, v in x.items())
         return "{" + inner + "}"
     return repr(x)
-
-
-def format_code(code: List[Instr]) -> str:
-    """Disassembly listing of a code block."""
-    lines = []
-    for i, instr in enumerate(code):
-        lines.append(f"{i:4d}  {format_instr(instr)}")
-    return "\n".join(lines)

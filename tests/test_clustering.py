@@ -363,7 +363,7 @@ class TestMvvClustering:
             replica.shutdown()
         recovered = EduceStar.open(path)         # WAL replay
         assert _dims(recovered, "schedule3", 11) == [3, 2, 0, 1]
-        recovered.save(path)                     # checkpoint v3
+        recovered.save(path)                     # a checkpoint
         reopened = EduceStar(store=ExternalStore.load(path))
         assert _dims(reopened, "schedule3", 11) == [3, 2, 0, 1]
         assert reopened.store.bindable == kb.store.bindable

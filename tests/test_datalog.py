@@ -11,6 +11,7 @@ import pytest
 
 from repro import EduceStar
 from repro.lang.reader import Reader
+from repro.terms import Atom
 from repro.relational.algebra import (CrossJoin, Filter, LookupJoin, Rows,
                                       describe, execute)
 from repro.relational.datalog import (DEFAULT_MIN_ROWS, NotDatalog, analyze,
@@ -485,16 +486,37 @@ class TestEngine:
         assert len(answers) == len(before)
         assert list(kb.solve("reach(zzz, X)")) != []
 
-    def test_retract_falls_back_to_wam(self):
-        kb = self.reach_kb(10)
-        assert list(kb.solve("reach(n0, X)"))
-        assert kb.datalog.bottomup == 1
-        kb.store.retract_clause("reach", 2, 1)       # drop recursive rule
-        answers = list(kb.solve("reach(n0, X)"))
-        assert len(answers) == 1                     # only the base rule
-        assert kb.datalog.bottomup == 1              # not routed again
+    def test_retract_keeps_tracking(self):
+        """A retract removes its one clause and the procedure stays in
+        the rulebase: with a recursive clause left the goal still runs
+        bottom-up, with none left it is non-recursive — and either way
+        it answers what the WAM does."""
+        from repro.workloads.graphs import chain
+        kb = EduceStar(datalog="force")
+        kb.store_relation("edge", chain(10))
+        kb.store_relation("link", [("n3", "m0"), ("m0", "m1")])
+        kb.store_program("""
+            % lint: disable=L104 reach/2
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Y) :- link(X, Y).
+            reach(X, Z) :- edge(X, Y), reach(Y, Z).
+            reach(X, Z) :- link(X, Y), reach(Y, Z).
+        """)
+        wam = EduceStar(store=kb.store, datalog="off")
 
-    def test_reopened_store_falls_back(self, tmp_path):
+        def answers(session):
+            return sorted(repr(s["X"]) for s in session.solve("reach(n0, X)"))
+
+        kb.store.retract_clause("reach", 2, 3)       # the link recursion
+        assert answers(kb) == answers(wam)
+        assert repr(Atom("m0")) in answers(kb)
+        assert repr(Atom("m1")) not in answers(kb)
+        assert kb.datalog.bottomup == 3
+        kb.store.retract_clause("reach", 2, 2)       # the edge recursion
+        assert answers(kb) == answers(wam) == [repr(Atom("n1"))]
+        assert kb.datalog.last_decision.reason.startswith("non-recursive")
+
+    def test_reopened_store_answers_bottom_up(self, tmp_path):
         path = str(tmp_path / "kb.edb")
         kb = EduceStar.create(path, datalog="force")
         kb.store_relation("edge", [("a", "b"), ("b", "c")])
@@ -507,10 +529,10 @@ class TestEngine:
         kb.save(path)
 
         reopened = EduceStar.open(path, datalog="force")
-        assert len(reopened.store.datalog_rules) == 0
+        assert ("reach", 2) in reopened.store.datalog_rules
         answers = list(reopened.solve("reach(a, X)"))
-        assert len(answers) == 2                     # WAM answered
-        assert reopened.datalog.bottomup == 0
+        assert len(answers) == 2
+        assert reopened.datalog.bottomup == 1
 
     def test_negation_program(self):
         from repro.workloads.graphs import UNREACHABLE_PROGRAM

@@ -12,10 +12,12 @@ WAM top-down oracle's answer **set**:
 
 The suite runs three ways per case: magic rewriting on (the default),
 magic off (pure semi-naive), and the planner left free to choose either
-strategy (``datalog="auto"``).  Seeds default to 25 and can be raised
-with ``DATALOG_SEEDS=n``.  A last group pins right-linear factoring of
-the magic rewrite: which program shapes it factors and which it leaves,
-each checked against the oracle with magic on and off.
+strategy (``datalog="auto"``).  Each case also runs on its store saved
+and reopened, which must answer as the live session does.  Seeds
+default to 25 and can be raised with ``DATALOG_SEEDS=n``.  A last group
+pins right-linear factoring of the magic rewrite: which program shapes
+it factors and which it leaves, each checked against the oracle with
+magic on and off.
 """
 
 import os
@@ -45,21 +47,40 @@ def answer_multiset(kb: EduceStar, goal: str) -> Counter:
         for solution in kb.solve(goal))
 
 
+def reopened(kb: EduceStar, tmp_path) -> EduceStar:
+    """*kb*'s store saved, then opened again in a fresh session."""
+    path = str(tmp_path / "kb.edb")
+    kb.save(path)
+    return EduceStar.open(path, datalog=kb.datalog.mode)
+
+
 def case_ids(seed):
-    return [pytest.param(case, seed, id=f"{case['name']}-s{seed}")
-            for case in graphs.differential_cases(seed)]
+    cases = graphs.differential_cases(seed)
+    return ([pytest.param(case, seed, False, id=f"{case['name']}-s{seed}")
+             for case in cases]
+            + [pytest.param(case, seed, True,
+                            id=f"{case['name']}-s{seed}-reopened")
+               for case in cases])
 
 
 ALL_CASES = [p for seed in range(SEEDS) for p in case_ids(seed)]
 
 
-@pytest.mark.parametrize("case,seed", ALL_CASES)
-def test_bottom_up_matches_oracle(case, seed):
+@pytest.mark.parametrize("case,seed,reopen", ALL_CASES)
+def test_bottom_up_matches_oracle(case, seed, reopen, tmp_path):
+    """Forced bottom-up answers equal the oracle's; a ``reopened`` case
+    also answers every goal from a saved and reopened store exactly as
+    the live session does, bottom-up as often."""
     oracle = build_session(case, datalog="off")
-    bottomup = build_session(case, datalog="force")
+    bottomup = live = build_session(case, datalog="force")
+    if reopen:
+        bottomup = reopened(live, tmp_path)
     for goal in case["goals"]:
         expected = answer_multiset(oracle, goal)
         got = answer_multiset(bottomup, goal)
+        if reopen:
+            assert got == answer_multiset(live, goal), goal
+            assert bottomup.datalog.bottomup == live.datalog.bottomup
         assert bottomup.datalog.bottomup > 0, (
             f"{case['name']}/{goal}: not routed bottom-up")
         assert max(got.values(), default=1) == 1, (

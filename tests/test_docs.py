@@ -267,14 +267,13 @@ class TestReplicationDoc:
             assert "*gauge*" in row, key
 
     def test_replication_event_kinds_documented(self, glossary):
-        """The replica lifecycle events and the reopened-store Datalog
-        fallback event are in the event-kind glossary."""
+        """The replica lifecycle events are in the event-kind
+        glossary."""
         names = documented(glossary)
         for kind in ("replica.attach", "replica.bootstrap",
                      "replica.rebootstrap", "replica.quarantine",
                      "replica.stream_retry", "replica.promote",
-                     "replica.reattach", "replica.primary_lost",
-                     "datalog.rulebase_missing"):
+                     "replica.reattach", "replica.primary_lost"):
             assert kind in names, kind
 
     def test_tailer_statuses_documented(self, replication_doc):

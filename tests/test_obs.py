@@ -600,7 +600,7 @@ SESSION_KEYS = frozenset("""
     datalog_edb_rows datalog_extractions datalog_facts_derived
     datalog_index_rows datalog_iterations datalog_magic_facts datalog_magic_fallbacks
     datalog_magic_rewrites datalog_queries
-    datalog_rulebase_missing datalog_topdown events_dropped
+    datalog_topdown events_dropped
     events_recorded explain_queries gc_cells_recovered gc_runs
     heap_high_water instr_count latch_acquisitions latch_contentions
     latch_read_acquisitions latch_read_waits

@@ -376,9 +376,8 @@ class TestOneWritePath:
         assert len(report.errors) == 1      # the terminal record
         assert "replay stopped" in report.errors[0]
 
-        # Same epoch, procedure versions and rulebase on all three.
-        # (path/2's retract untracks it on the live primary; the
-        # checkpoint never tracked it on the other two.)
+        # Same epoch, procedure versions and rulebase on all three
+        # (path/2 stays tracked, minus its retracted clause).
         assert recovered == follower == live
 
     def test_follower_epoch_equals_primary_after_multi_record_store(
@@ -673,55 +672,32 @@ class TestShutdownIdempotency:
             cluster.execute("r(X)")
 
 
-# ------------------------------ reopened-store Datalog fallback (S2)
+# ------------------------- the Datalog rulebase travels in the checkpoint
 
 
-class TestDatalogRulebaseMissing:
-    def _saved_session(self, tmp_path):
+class TestCheckpointedRulebase:
+    """The checkpoint carries the Datalog rulebase, so a follower
+    bootstrapped from it answers a recursive goal bottom-up, the way
+    the primary that wrote it did."""
+
+    def test_follower_answers_bottom_up(self, tmp_path):
         from repro import EduceStar
         path = str(tmp_path / "db.edb")
-        session = EduceStar(store=ExternalStore.open(path))
-        session.store_relation("link", [(1, 2), (2, 3), (3, 4)])
-        session.store_program(
+        primary = EduceStar(store=ExternalStore.open(path), datalog="force")
+        primary.store_relation("link", [(1, 2), (2, 3), (3, 4)])
+        primary.store_program(
             "% lint: external link/2\n"
             "reach(X, Y) :- link(X, Y).\n"
             "reach(X, Z) :- link(X, Y), reach(Y, Z).")
-        session.save(path)
-        return path
-
-    def test_fallback_counted_and_recorded(self, tmp_path):
-        from repro import EduceStar
-        path = self._saved_session(tmp_path)
-        reopened = EduceStar.open(path)
-        assert reopened.store.datalog_rules_dropped
-        # the query still answers (WAM fallback) ...
-        assert next(reopened.solve("reach(1, X)"), None) is not None
-        # ... and the silent strategy change is now observable
-        assert reopened.datalog.counters()[
-            "datalog_rulebase_missing"] >= 1
-        kinds = {e["kind"] for e in reopened.store.events.tail(50)}
-        assert "datalog.rulebase_missing" in kinds
-
-    def test_event_reported_once_per_procedure(self, tmp_path):
-        from repro import EduceStar
-        path = self._saved_session(tmp_path)
-        reopened = EduceStar.open(path)
-        list(reopened.solve("reach(1, X)"))
-        list(reopened.solve("reach(2, X)"))
-        events = [e for e in reopened.store.events.tail(50)
-                  if e["kind"] == "datalog.rulebase_missing"]
-        assert len(events) == 1
-        assert events[0]["procedure"] == "reach/2"
-        assert reopened.datalog.counters()[
-            "datalog_rulebase_missing"] == 2
-
-    def test_fresh_store_never_counts(self, tmp_path):
-        from repro import EduceStar
-        session = EduceStar()
-        session.store_relation("link", [(1, 2)])
-        session.store_program(
-            "% lint: external link/2\n"
-            "reach(X, Y) :- link(X, Y).")
-        list(session.solve("reach(1, X)"))
-        assert session.datalog.counters()[
-            "datalog_rulebase_missing"] == 0
+        live = answers(primary.solve("reach(1, X)"))
+        primary.save(path)
+        replica = Replica("r0", path, str(tmp_path / "r0"), workers=1,
+                          start=False)
+        try:
+            _status, records = replica.tailer.poll(None)
+            assert records == []                 # nothing past the image
+            follower = EduceStar(store=replica.store, datalog="force")
+            assert answers(follower.solve("reach(1, X)")) == live
+            assert follower.datalog.counters()["datalog_bottomup"] == 1
+        finally:
+            replica.shutdown()

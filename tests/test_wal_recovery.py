@@ -345,6 +345,18 @@ class TestCheckpointValidation:
                            match="unsupported EDB checkpoint version 2"):
             ExternalStore.load(str(path))
 
+    def test_version_3_checkpoint_refused(self, tmp_path):
+        # Version 3 had no Datalog rulebase: a store reopened from it
+        # would answer recursive goals differently from the live one.
+        path = tmp_path / "v3.edb"
+        payload = pickle.dumps(ExternalStore(), protocol=4)
+        header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, 3, 0, len(payload),
+                                   zlib.crc32(payload))
+        path.write_bytes(header + payload)
+        with pytest.raises(CatalogError,
+                           match="unsupported EDB checkpoint version 3"):
+            ExternalStore.load(str(path))
+
     def test_truncated_payload(self, tmp_path, ctx):
         path = str(tmp_path / "db.edb")
         seeded_store(path, ctx)
@@ -889,13 +901,11 @@ class TestRulebaseReplay:
         assert reopened.store.recovery.ops_replayed.get("rules") == 1
         assert ("reach", 2) in reopened.store.datalog_rules
         assert len(list(reopened.solve("reach(1, X)"))) == 3
-        counters = reopened.datalog.counters()
-        assert counters["datalog_bottomup"] == 1
-        assert counters["datalog_rulebase_missing"] == 0
+        assert reopened.datalog.counters()["datalog_bottomup"] == 1
 
-    def test_checkpointed_rules_still_cold(self, tmp_path):
-        """The checkpoint truncates the log: programs stored before it
-        keep the documented top-down fallback."""
+    def test_checkpointed_rules_stay_tracked(self, tmp_path):
+        """The checkpoint truncates the log and carries the rulebase:
+        programs stored before it still answer bottom-up."""
         from repro import EduceStar
         path = str(tmp_path / "db.edb")
         session = EduceStar(store=ExternalStore.open(path))
@@ -904,19 +914,24 @@ class TestRulebaseReplay:
         session.save(path)
 
         reopened = EduceStar.open(path, datalog="force")
-        assert ("reach", 2) not in reopened.store.datalog_rules
+        assert reopened.store.recovery.ops_replayed.get("rules") is None
+        assert ("reach", 2) in reopened.store.datalog_rules
         assert len(list(reopened.solve("reach(1, X)"))) == 2
-        assert reopened.datalog.counters()[
-            "datalog_rulebase_missing"] >= 1
+        assert reopened.datalog.counters()["datalog_bottomup"] == 1
 
-    def test_replayed_retract_untracks(self, tmp_path):
+    def test_replayed_retract_keeps_tracking(self, tmp_path):
+        """A replayed retract removes its one clause; the procedure
+        stays tracked and answers bottom-up from the clause left."""
         from repro import EduceStar
         path = str(tmp_path / "db.edb")
         session = EduceStar(store=ExternalStore.open(path))
-        session.store_relation("link", [(1, 2)])
+        session.store_relation("link", [(1, 2), (2, 3)])
         session.store_program(self.RULES)
         session.store.retract_clause("reach", 2, 0)
         del session                          # crash: no checkpoint
 
         reopened = EduceStar.open(path, datalog="force")
-        assert ("reach", 2) not in reopened.store.datalog_rules
+        [clause] = reopened.store.datalog_rules.clauses()[("reach", 2)]
+        assert clause.args[1].name == ","        # the recursive rule
+        assert list(reopened.solve("reach(1, X)")) == []
+        assert reopened.datalog.counters()["datalog_bottomup"] == 1
