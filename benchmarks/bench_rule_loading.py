@@ -7,7 +7,9 @@ within one session.
   parses them, asserts them, and erases them afterwards — "potentially a
   given rule can be asserted and erased thousands of times".
 * Educe* (compiled mode): relative code is fetched once per call
-  pattern, address-resolved, and cached.
+  pattern; each clause is address-resolved and verified once per
+  session version, and the block over a clause set is built once and
+  cached.
 
 Reported: simulated ms, parse characters, assert/erase counts, loader
 cache hits.

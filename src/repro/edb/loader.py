@@ -18,9 +18,10 @@ Given a call to an EDB-stored procedure, the loader:
    one clause comes back, in-memory first-argument indexing — via
    :func:`repro.wam.indexing.build_procedure_code`, whose block the
    emulator binds at its first call;
-5. caches the candidates and the block over all of them per procedure
-   and call pattern while the procedure's stored version stands — the
-   paper's "freeze the definition of the procedure" without the poor
+5. while the procedure's stored version stands, decodes and gates each
+   clause once and builds the block once per clause set the grid
+   returns, and caches that block per call pattern — the paper's
+   "freeze the definition of the procedure" without the poor
    selectivity it complains about;
 6. on every call with two or more candidates, loaded or cached, runs
    their head prefixes (:class:`~repro.edb.preunify.PreUnifier`); when
@@ -59,9 +60,11 @@ class DynamicLoader:
         self.store = store
         self.preunifier = preunifier or PreUnifier("full")
         self.tracer = NULL_TRACER  # session installs its shared tracer
-        # (name, arity) → (version, {pattern: (clauses, block)}): the
-        # rule clauses the grid answers (none for facts) and the block
-        # over them all.  The cache *follows* the store: a call that
+        # (name, arity) → (version, {pattern: (clauses, block)}, built):
+        # the rule clauses the grid answers (none for facts) and the
+        # block over them all; *built* maps a verified clause id to its
+        # compiled clause and a clause-id tuple to its (clauses, block).
+        # The cache *follows* the store: a call that
         # finds the procedure's blocks under an older version drops
         # them before loading, so no writer ever has to tell a session
         # about a write, and a session holds at most the blocks of its
@@ -73,7 +76,7 @@ class DynamicLoader:
         # Latched: metric scrapes and explicit invalidate() calls may
         # come from another thread than the one querying.
         self._cache: Dict[Tuple[str, int],
-                          Tuple[tuple, Dict[tuple, tuple]]] = {}
+                          Tuple[int, Dict[tuple, tuple], dict]] = {}
         self._latch = Latch("loader")
         self.loads = 0
         self.cache_hits = 0
@@ -133,14 +136,11 @@ class DynamicLoader:
                                                    summaries))
                 else:
                     cached = self._load_rules(machine, name, arity,
-                                              summaries)
+                                              summaries, stamp)
                 if span is not None:
                     span.attrs["bound_args"] = sorted(summaries)
             with self._latch:
-                entry = self._cache.get((name, arity))
-                if entry is None or entry[0] != stamp:
-                    entry = self._cache[(name, arity)] = (stamp, {})
-                entry[1][pattern] = cached
+                self._entry(name, arity, stamp)[1][pattern] = cached
 
         clauses, block = cached
         survivors = clauses
@@ -156,14 +156,22 @@ class DynamicLoader:
             self.clauses_delivered += len(survivors)
         return block
 
+    def _entry(self, name: str, arity: int, stamp: int) -> tuple:
+        """The procedure's entry at *stamp*, replaced by an empty one
+        when absent or stale; latch held by the caller."""
+        entry = self._cache.get((name, arity))
+        if entry is None or entry[0] != stamp:
+            entry = self._cache[(name, arity)] = (stamp, {}, {})
+        return entry
+
     def _drop(self, name: Optional[str], arity: Optional[int]) -> int:
         """Drop one procedure's blocks (or all, with no name); latch
         held by the caller."""
         if name is None:
-            dropped = sum(len(blocks) for _, blocks in self._cache.values())
+            dropped = sum(len(entry[1]) for entry in self._cache.values())
             self._cache.clear()
         else:
-            _, blocks = self._cache.pop((name, arity), (None, ()))
+            _, blocks, _ = self._cache.pop((name, arity), (None, (), None))
             dropped = len(blocks)
         self.cache_epoch += 1
         self.cache_invalidated_entries += dropped
@@ -195,43 +203,51 @@ class DynamicLoader:
             entry = self._cache.get((name, arity))
             if entry is None:
                 return []
-            version, blocks = entry
+            version, blocks, _ = entry
             return [((name, arity, version, pattern), code)
                     for pattern, (_, code) in blocks.items()]
 
     # ------------------------------------------------------------ rules path
 
     def _load_rules(self, machine, name: str, arity: int,
-                    summaries: Dict[int, tuple]) -> tuple:
-        """(candidates as compiled clauses, the block over all of them)."""
+                    summaries: Dict[int, tuple], stamp: int) -> tuple:
+        """(candidates as compiled clauses, the block over all of them);
+        only clauses not yet verified at *stamp* are decoded and gated."""
         clauses = self.store.fetch_clauses(name, arity, summaries)
         self.clauses_fetched += len(clauses)
-        if not clauses:
-            return (), self._build(machine, ())
-
-        faults = self.store.faults
-        with self.tracer.span("codec.resolve",
-                              clauses=len(clauses)) as span:
-            decoded = []
-            resolved = 0
-            for sc in clauses:
-                resolved += _count_refs(sc.relative_code)
-                code = decode_code(
+        with self._latch:
+            entry = self._cache.get((name, arity))
+        built = entry[2] if entry is not None and entry[0] == stamp else {}
+        ids = tuple(sc.clause_id for sc in clauses)
+        if ids in built:
+            return built[ids]
+        fresh = [sc for sc in clauses if sc.clause_id not in built]
+        new = {}
+        if fresh:
+            faults = self.store.faults
+            with self.tracer.span("codec.resolve",
+                                  clauses=len(fresh)) as span:
+                resolved = sum(_count_refs(sc.relative_code) for sc in fresh)
+                decoded = [faults.clause_record(decode_code(
                     sc.relative_code, machine.dictionary,
-                    self.store.external_dict)
-                decoded.append(faults.clause_record(code))
-            self.resolutions += resolved
-            if span is not None:
-                span.attrs["resolutions"] = resolved
-
-        # Retrieved code is verified *before* anything executes it —
-        # the pre-unifier's execution filter runs head prefixes, so the
-        # gate has to sit here, between decode and filtering.
-        self._verify_clauses(machine, name, arity, clauses, decoded)
-
-        compiled = tuple(self._as_compiled(machine, sc, code)
-                         for sc, code in zip(clauses, decoded))
-        return compiled, self._build(machine, compiled)
+                    self.store.external_dict)) for sc in fresh]
+                self.resolutions += resolved
+                if span is not None:
+                    span.attrs["resolutions"] = resolved
+            # Retrieved code is verified *before* anything executes it —
+            # the pre-unifier's execution filter runs head prefixes, so
+            # the gate sits here, between decode and filtering.
+            self._verify_clauses(machine, name, arity, fresh, decoded)
+            new = {sc.clause_id: self._as_compiled(machine, sc, code)
+                   for sc, code in zip(fresh, decoded)}
+        compiled = tuple(new[cid] if cid in new else built[cid]
+                         for cid in ids)
+        result = compiled, self._build(machine, compiled)
+        with self._latch:
+            built = self._entry(name, arity, stamp)[2]
+            built.update(new)
+            built[ids] = result
+        return result
 
     @staticmethod
     def _build(machine, compiled: Sequence[CompiledClause]) -> list:
@@ -332,7 +348,7 @@ class DynamicLoader:
             "cache_epoch": self.cache_epoch,
             "cache_invalidated_entries": self.cache_invalidated_entries,
             "loader_cache_entries": sum(
-                len(blocks) for _, blocks in list(self._cache.values())),
+                len(entry[1]) for entry in list(self._cache.values())),
             "verify_checks": self.verify_checks,
             "verify_rejects": self.verify_rejects,
         }

@@ -656,8 +656,14 @@ class ExternalStore:
         self._note_calls([record["surface"]])
 
     def retract_clause(self, name: str, arity: int, clause_id: int) -> None:
+        """Remove one stored clause; a clause id not stored is an
+        :class:`ExistenceError` and commits nothing."""
         with self.writing():
             self._check_writable()
+            key = self.get(name, arity).key
+            if next(self.clauses_relation.query({0: key, 1: clause_id}),
+                    None) is None:
+                raise ExistenceError("clause", f"{key}#{clause_id}")
             self._commit({"op": "retract", "name": name, "arity": arity,
                           "clause_id": clause_id})
 
@@ -666,9 +672,8 @@ class ExternalStore:
         self.datalog_rules.retract((proc.name, proc.arity),
                                    record["clause_id"])
         proc.relation.delete_where({proc.arity: record["clause_id"]})
-        self.clauses_relation.delete_where(
+        proc.nclauses -= self.clauses_relation.delete_where(
             {0: proc.key, 1: record["clause_id"]})
-        proc.nclauses -= 1
         proc.version += 1
 
     def drop_procedure(self, name: str, arity: int) -> bool:

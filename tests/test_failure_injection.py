@@ -93,6 +93,7 @@ class TestDamagedLeafPages:
         assert pid in grid.pager.disk.quarantined
 
 
+@pytest.mark.fault_injection
 class TestClauseBitflip:
     """In-storage rot of a compiled clause blob, below the page CRC's
     radar: the loader's static verifier must quarantine it before a

@@ -199,6 +199,117 @@ class TestLoader:
         assert loader.procedure_code(Machine(), "missing", 2) is None
 
 
+#: Two clauses with variable heads: every binding of the first argument
+#: gets the same grid answer, clause ids (0, 1).
+COST = """
+cost(X, C) :- X > 10, C is X * 2.
+cost(X, C) :- X =< 10, C is X + 1.
+"""
+
+
+class TestBuiltOncePerClauseSet:
+    """A rules miss decodes and gates only clauses this session has not
+    loaded at the procedure's version, and builds one block per clause
+    set the grid returns (§3.2.1: the definition is frozen at fetch)."""
+
+    @staticmethod
+    def _session():
+        s = make_session()
+        s.store_program(COST)
+        return s
+
+    @staticmethod
+    def _work(s):
+        return s.loader.resolutions, s.loader.verify_checks
+
+    def test_same_clause_set_reuses_verified_block(self):
+        s = self._session()
+        assert s.solve_once("cost(3, C)")["C"] == 4
+        loads, work = s.loader.loads, self._work(s)
+        assert s.solve_once("cost(20, C)")["C"] == 40
+        assert s.loader.loads == loads + 1      # a new pattern still fetches
+        assert self._work(s) == work            # nothing decoded or gated
+        (_, first), (_, second) = s.loader.cached_blocks("cost", 2)
+        assert first is second
+        fresh = self._session()
+        for goal in ("cost(3, C)", "cost(20, C)", "cost(10, C)"):
+            assert ([sol.bindings for sol in s.solve(goal)]
+                    == [sol.bindings for sol in fresh.solve(goal)])
+
+    @pytest.mark.parametrize("write", ["assert", "retract"])
+    def test_write_makes_next_load_decode(self, write):
+        s = self._session()
+        s.solve_once("cost(1, C)")
+        s.solve_once("cost(2, C)")
+        resolutions, checks = self._work(s)
+        if write == "assert":
+            s.assert_external("cost(X, 0) :- X < 0.")
+        else:
+            s.store.retract_clause("cost", 2, 0)
+        s.solve_once("cost(3, C)")
+        nclauses = s.store.get("cost", 2).nclauses
+        assert s.loader.verify_checks == checks + nclauses
+        assert s.loader.resolutions > resolutions
+        # ...and only once at the new version
+        work = self._work(s)
+        s.solve_once("cost(4, C)")
+        assert self._work(s) == work
+
+    @pytest.mark.fault_injection
+    def test_bitflip_reject_leaves_nothing_reusable(self):
+        from repro.bang.faults import FaultInjector
+        from repro.errors import VerifyError
+        s = self._session()
+        s.store.faults = FaultInjector().arm_clause_bitflip(2)
+        with pytest.raises(VerifyError):
+            s.solve_once("cost(3, C)")
+        assert s.loader.counters()["loader_cache_entries"] == 0
+        # the retry decodes and gates both clauses again, from clean bytes
+        assert s.solve_once("cost(3, C)")["C"] == 4
+        assert s.loader.verify_checks == 4
+        assert s.store.faults.clause_records_seen == 4
+        assert s.solve_once("cost(30, C)")["C"] == 60
+        assert s.store.faults.clause_records_seen == 4
+
+
+class TestRetractUnknownClause:
+    """Retracting a clause id that is not stored is refused under the
+    write lock: no record, no version or epoch bump, ``nclauses``
+    untouched."""
+
+    REACH = ("reach(X, Y) :- edge(X, Y).\n"
+             "reach(X, Y) :- edge(X, Z), reach(Z, Y).")
+
+    def test_phantom_retract_is_refused(self):
+        from repro.errors import ExistenceError
+        s = make_session()
+        s.store_relation("edge", [("a", "b")])
+        s.store_program(self.REACH)
+        store = s.store
+        proc = store.get("reach", 2)
+        before = (proc.version, store.mutation_epoch, proc.nclauses)
+        with pytest.raises(ExistenceError):
+            store.retract_clause("reach", 2, 99)
+        assert (proc.version, store.mutation_epoch, proc.nclauses) == before
+        store.retract_clause("reach", 2, 1)
+        store.retract_clause("reach", 2, 0)
+        assert proc.nclauses == 0
+        with pytest.raises(ExistenceError):
+            store.retract_clause("reach", 2, 0)
+        assert proc.nclauses == 0
+
+    def test_logged_phantom_retract_cannot_go_negative(self):
+        # a log written before the refusal may still hold such a record
+        s = make_session()
+        s.store_program(self.REACH)
+        store = s.store
+        with store.writing():
+            store.apply({"op": "retract", "name": "reach", "arity": 2,
+                         "clause_id": 99,
+                         "epoch": store.mutation_epoch + 1})
+        assert store.get("reach", 2).nclauses == 2
+
+
 #: Calls that share a loader cache key — the top-level argument
 #: summaries — but differ in a nested value, a list element or aliased
 #: variables, then the E9 shape (benchmarks/bench_preunification.py).
