@@ -193,8 +193,10 @@ class ReplicaSet:
         return self.primary.execute(goal, limit=limit, timeout=timeout)
 
     def checkpoint(self) -> None:
-        """Checkpoint the primary (truncates its WAL — replicas behind
-        the truncation horizon re-bootstrap automatically)."""
+        """Checkpoint the primary (truncates its WAL).  Each replica
+        sees the new checkpoint's header at its next apply step and
+        re-bootstraps from it, whether or not anything is written
+        after the checkpoint."""
         self.primary_store.save(self.primary_path)
 
     # ------------------------------------------------------------- failover

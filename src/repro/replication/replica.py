@@ -3,26 +3,32 @@
 A :class:`Replica` owns a *private copy* of the primary's EDB.
 Bootstrap copies the primary's checkpoint file and pages sidecar into
 the replica's directory and loads the copy — the replica's pager then
-reads and writes its own files only; the single shared artefact is the
-primary's WAL, and that is only ever *read* (via
+reads and writes its own files only; the primary's checkpoint and WAL
+are only ever *read* (the WAL via
 :class:`~repro.replication.stream.WalTailer`).
 
-A background apply loop polls the tailer and feeds committed records
-through :meth:`~repro.edb.store.ExternalStore.admit` — the admission
-function crash recovery uses, so fencing and apply are the same code:
-stale records are skipped, and a record *ahead* of the loaded
-checkpoint means a fresh checkpoint generation exists — re-bootstrap.
-The loop is robustness-first:
+The replica keeps the header (length and CRC of the payload) of the
+checkpoint it loaded.  Every checkpoint carries a bumped WAL era, so
+its header differs from its predecessor's: each apply step first reads
+the primary checkpoint's header, and a different one means
+re-bootstrap.  A failed re-bootstrap keeps the old header, so the next
+step tries again.  Otherwise the step polls the tailer and feeds
+committed records through :meth:`~repro.edb.store.ExternalStore.admit`
+— the admission function crash recovery uses, so fencing and apply
+are the same code:
 
+* a stale record is already in the checkpoint → skipped; when nothing
+  but stale records lies before the log's end, the primary has renamed
+  its checkpoint and not yet truncated the log → read it again from
+  the start, so the next generation is never entered mid-frame;
+* a record *ahead* of the checkpoint (one written after the header
+  was read) → re-bootstrap;
 * a torn tail is an append in flight → wait and retry (never
   truncate someone else's log);
 * a transient stream break (``OSError``) → capped exponential
   backoff, then retry from the same position;
 * a corrupt frame or an undecodable record → the replica
-  **quarantines** (never applies suspect bytes) and re-bootstraps from
-  the checkpoint;
-* the log shrinking below our offset (the primary checkpointed past
-  the truncation horizon) → re-bootstrap.
+  **quarantines** (never applies suspect bytes) and re-bootstraps.
 
 Throughout, a read-only :class:`~repro.service.query_service.
 QueryService` over the replica store keeps answering queries;
@@ -46,11 +52,11 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from ..bang.faults import NULL_FAULTS, FaultInjector
-from ..edb.store import ExternalStore
+from ..edb.store import _CKPT_HEADER, ExternalStore
 from ..errors import PromotionError, ReplicationError
 from ..obs.events import EventRing
 from ..service import QueryService
-from .stream import CORRUPT, OK, RESET, WAIT, WalTailer
+from .stream import CORRUPT, OK, WAIT, WalTailer
 
 __all__ = ["Replica"]
 
@@ -61,6 +67,12 @@ _BATCH = 64
 
 #: primary-state probe: () -> (mutation_epoch, wal_next_lsn) | None
 PrimaryState = Callable[[], Optional[Tuple[int, int]]]
+
+
+def _checkpoint_header(path: str) -> bytes:
+    """The header of the checkpoint at *path* — its identity."""
+    with open(path, "rb") as f:
+        return f.read(_CKPT_HEADER.size)
 
 
 class Replica:
@@ -107,6 +119,8 @@ class Replica:
         #: the injected/real crash that killed the apply loop, if any
         self.crashed: Optional[BaseException] = None
         self._last_lag: Tuple[int, int] = (0, 0)
+        #: header of the checkpoint copy this replica loaded
+        self._checkpoint = b""
 
         self._service_lock = threading.RLock()
         self._stop = threading.Event()
@@ -149,6 +163,7 @@ class Replica:
                         os.path.join(self.directory,
                                      copy_base + entry[len(primary_base):]))
             store = ExternalStore.load(ckpt_copy)
+            header = _checkpoint_header(ckpt_copy)
         except OSError as exc:
             raise ReplicationError(
                 f"replica {self.name}: bootstrap copy failed "
@@ -157,15 +172,18 @@ class Replica:
         service = QueryService(store=store, workers=self.workers,
                                queue_size=self.queue_size, read_only=True,
                                **self._service_kwargs)
+        # A fresh tailer before the new header: lag() never pairs the
+        # new checkpoint with an offset into the log it superseded.
+        self.tailer.close()
+        self.tailer = WalTailer(self.primary_path + ".wal",
+                                faults=self.faults)
         with self._service_lock:
             old_service = self.service
             self.store = store
             self.service = service
             self.applied_epoch = store.checkpoint_epoch
             self.quarantined = False
-        self.tailer.close()
-        self.tailer = WalTailer(self.primary_path + ".wal",
-                                faults=self.faults)
+            self._checkpoint = header
         self.bootstraps += 1
         if not initial:
             self.rebootstraps += 1
@@ -206,10 +224,12 @@ class Replica:
             self.crashed = exc
 
     def _step(self, backoff: float) -> Tuple[bool, float]:
-        """One poll/apply round.  Returns ``(made_progress,
+        """One check/poll/apply round.  Returns ``(made_progress,
         next_backoff)``; the loop sleeps *next_backoff* when no
         progress was made."""
         try:
+            if self._superseded():
+                return self._try_rebootstrap("new checkpoint", backoff)
             status, records = self.tailer.poll(_BATCH)
         except OSError as exc:
             self.stream_retries += 1
@@ -227,13 +247,17 @@ class Replica:
                 self.events.record("replica.quarantine",
                                    replica=self.name,
                                    offset=self.tailer.offset)
-            self._try_rebootstrap("corrupt stream")
-            return True, self.poll_interval
-        if fate == "rebootstrap" or status == RESET:
-            reason = ("record ahead of checkpoint" if fate == "rebootstrap"
-                      else "log truncated below our offset")
-            self._try_rebootstrap(reason)
-            return True, self.poll_interval
+            return self._try_rebootstrap("corrupt stream", backoff)
+        if fate == "rebootstrap":
+            return self._try_rebootstrap("record ahead of checkpoint",
+                                         backoff)
+        if (len(records) < _BATCH and self.tailer.offset
+                and self.applied_epoch == self.store.checkpoint_epoch):
+            # Only stale records since the bootstrap: the log is not
+            # yet truncated.  Reread it from the start.
+            self.tailer.offset = self.tailer.next_lsn = 0
+            return False, min(max(backoff, self.poll_interval) * 2,
+                              _BACKOFF_CAP)
         if records:
             self._update_lag()
             return True, self.poll_interval
@@ -246,6 +270,12 @@ class Replica:
                               _BACKOFF_CAP)
         self._update_lag()
         return False, self.poll_interval
+
+    def _superseded(self) -> bool:
+        """True when the primary's checkpoint is no longer the one this
+        replica loaded.  Raises :class:`OSError` when it cannot be
+        read."""
+        return _checkpoint_header(self.primary_path) != self._checkpoint
 
     def _apply_batch(self, records) -> str:
         """Admit shipped records into the store.  Returns ``"ok"``,
@@ -267,7 +297,8 @@ class Replica:
             self.applied_epoch = store.mutation_epoch
         return "ok"
 
-    def _try_rebootstrap(self, reason: str) -> None:
+    def _try_rebootstrap(self, reason: str,
+                         backoff: float) -> Tuple[bool, float]:
         if self.events.enabled:
             self.events.record("replica.rebootstrap", replica=self.name,
                                reason=reason)
@@ -275,23 +306,33 @@ class Replica:
             self._bootstrap()
         except ReplicationError:
             # Transient (primary mid-checkpoint): stay on the old
-            # snapshot — the next loop round retries from poll().
+            # snapshot and its header — the next step checks again.
             self.stream_retries += 1
+            return False, min(backoff * 2, _BACKOFF_CAP)
+        return True, self.poll_interval
 
     # ------------------------------------------------------------------ lag
 
     def lag(self) -> Tuple[Optional[int], Optional[int]]:
         """(lag in mutation epochs, lag in WAL records) against the
         live primary, or the last known values when the primary is
-        unreachable (both ``None`` if it never was reachable)."""
+        unreachable (both ``None`` if it never was reachable).  Until
+        this replica has loaded the primary's checkpoint, every record
+        of the primary's log is unread.  The state is read before the
+        header: the primary renames its checkpoint before it truncates
+        the log, so the lag can be overstated, never hidden."""
         if self.promoted:
             return (0, 0)   # this replica IS the primary now
         state = self._primary_state() if self._primary_state else None
         if state is None:
             return self._last_lag
         primary_epoch, primary_lsn = state
+        try:
+            read = 0 if self._superseded() else self.tailer.next_lsn
+        except OSError:
+            return self._last_lag
         lag = (max(0, primary_epoch - self.applied_epoch),
-               max(0, primary_lsn - self.tailer.next_lsn))
+               max(0, primary_lsn - read))
         self._last_lag = lag
         return lag
 
@@ -324,7 +365,9 @@ class Replica:
         deadline = time.monotonic() + timeout
         while True:
             try:
-                status, records = self.tailer.poll(None)
+                superseded = self._superseded()
+                status, records = ((OK, []) if superseded
+                                   else self.tailer.poll(None))
             except OSError as exc:
                 if time.monotonic() >= deadline:
                     raise PromotionError(
@@ -337,11 +380,11 @@ class Replica:
                 raise PromotionError(
                     f"replica {self.name}: corrupt stream during the "
                     "catch-up drain; promote a different replica")
-            if fate == "rebootstrap" or status == RESET:
-                # A newer checkpoint generation exists (the primary
-                # checkpointed just before dying): re-bootstrap from it
-                # — the checkpoint contains every record it truncated —
-                # then drain whatever log remains.
+            if superseded or fate == "rebootstrap":
+                # A newer checkpoint exists (the primary checkpointed
+                # just before dying): re-bootstrap from it — the
+                # checkpoint contains every record it truncated — then
+                # drain whatever log remains.
                 if time.monotonic() >= deadline:
                     raise PromotionError(
                         f"replica {self.name}: drain kept restarting")

@@ -14,15 +14,19 @@ torn tail   truncate the garbage      an append in flight —
                                       **wait and retry**
 corrupt     truncate (same)           real corruption — quarantine
 frame                                 and re-bootstrap, never apply
-log shrank  n/a (owner did it)        the primary checkpointed past
-                                      us — re-bootstrap
 ========== ========================= ===========================
 
 The two-physical-write append discipline of
-:class:`~repro.bang.wal.WriteAheadLog` is what makes the middle row
+:class:`~repro.bang.wal.WriteAheadLog` is what makes the second row
 sound: a reader racing an in-progress append can only ever see a short
 prefix of the new frame, so a *complete* frame that fails its CRC was
 not torn by timing — its bytes are wrong.
+
+The tailer reads frames and nothing else.  Whether the log still
+belongs to the checkpoint its reader loaded is the reader's question,
+answered by that checkpoint's header
+(:class:`~repro.replication.replica.Replica`); a log shorter than the
+tailer's offset simply ships nothing.
 """
 
 from __future__ import annotations
@@ -31,14 +35,13 @@ import os
 from typing import List, Optional, Tuple
 
 from ..bang.faults import NULL_FAULTS, FaultInjector
-from ..bang.wal import _FRAME, WalScan
+from ..bang.wal import WalScan
 
 __all__ = ["WalTailer"]
 
 #: poll() statuses
 OK = "ok"            # clean end (records may still have been returned)
 WAIT = "wait"        # torn tail / file not there yet: retry later
-RESET = "reset"      # log shrank below our offset: re-bootstrap
 CORRUPT = "corrupt"  # complete-but-bad frame: quarantine, re-bootstrap
 
 #: how a scan's end maps to a poll status: a torn tail is an append
@@ -60,12 +63,6 @@ class WalTailer:
         self.next_lsn = 0
         self.records_streamed = 0
         self.bytes_streamed = 0
-        #: header bytes of the frame at offset 0, captured when it was
-        #: first shipped.  A *size* check alone cannot detect a log
-        #: that was truncated (owner checkpoint) and then regrew to
-        #: near our old offset — but the new generation's first frame
-        #: carries a different CRC, so a changed anchor means RESET.
-        self._anchor: Optional[bytes] = None
 
     # ------------------------------------------------------------------ poll
 
@@ -79,12 +76,10 @@ class WalTailer:
         stream ended).  Statuses:
 
         * ``"ok"`` — clean stop: either *max_records* was reached or
-          the committed end of the log (an empty list means caught up);
+          the committed end of the log (an empty list means caught up,
+          or the log is shorter than our offset);
         * ``"wait"`` — the log ends in an incomplete frame (append in
           flight / crash tail) or does not exist yet: retry later;
-        * ``"reset"`` — the file shrank below our offset (the primary
-          checkpointed and truncated the log): the caller must
-          re-bootstrap from the checkpoint;
         * ``"corrupt"`` — a complete frame failed magic/LSN/CRC: the
           stream cannot be trusted, quarantine and re-bootstrap.
 
@@ -95,9 +90,6 @@ class WalTailer:
             size = os.path.getsize(self.path)
         except OSError:
             return WAIT, []
-        if size < self.offset:
-            self._reset()
-            return RESET, []
         if self._f is None:
             try:
                 # Unbuffered: a BufferedReader seek within its own
@@ -107,16 +99,10 @@ class WalTailer:
                 self._f = open(self.path, "rb", buffering=0)
             except OSError:
                 return WAIT, []
-        if self._generation_changed(size):
-            self._reset()
-            return RESET, []
         records: List[Tuple[int, bytes]] = []
         scan = WalScan(self._f, self.faults, size, self.offset,
                        self.next_lsn)
         for payload in scan:
-            if self.offset == 0:
-                self._f.seek(0)
-                self._anchor = self._f.read(_FRAME.size)
             records.append((self.next_lsn, payload))
             self.records_streamed += 1
             self.bytes_streamed += scan.offset - self.offset
@@ -124,22 +110,6 @@ class WalTailer:
             if len(records) == max_records:
                 return OK, records
         return _END_STATUS[scan.status], records
-
-    def _generation_changed(self, size: int) -> bool:
-        """True when the frame at offset 0 is no longer the one we
-        shipped — the owner truncated the log (checkpoint) and a new
-        generation regrew under the same name, possibly past our
-        offset, so the size test alone would miss it."""
-        if self._anchor is None or size < _FRAME.size:
-            return False
-        self._f.seek(0)
-        return self._f.read(_FRAME.size) != self._anchor
-
-    def _reset(self) -> None:
-        self.close()
-        self.offset = 0
-        self.next_lsn = 0
-        self._anchor = None
 
     # ------------------------------------------------------------ lifecycle
 

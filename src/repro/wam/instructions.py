@@ -16,12 +16,6 @@ The set follows Warren's original machine [22] plus the indexing
 instructions, cut support and an ``escape`` instruction for built-ins.
 """
 
-from __future__ import annotations
-
-from typing import Tuple
-
-Instr = Tuple  # (opcode, *operands)
-
 # --- get (head argument unification) ---------------------------------------
 GET_VARIABLE = "get_variable"          # (reg, ai)
 GET_VALUE = "get_value"                # (reg, ai)
@@ -78,25 +72,3 @@ FAIL_OP = "fail_op"                    # () unconditional failure
 NOOP = "noop"                          # ()
 HALT_SUCCESS = "halt_success"          # () sentinel: top-level goal solved
 LABEL = "label"                        # (name,) pseudo-instruction, assembled away
-
-_JUMP_OPS = {TRY_ME_ELSE, RETRY_ME_ELSE, TRY, RETRY, TRUST}
-
-
-def format_instr(instr: Instr) -> str:
-    """Human-readable rendering of one instruction."""
-    op = instr[0]
-    operands = ", ".join(_format_operand(x) for x in instr[1:])
-    return f"{op} {operands}".rstrip()
-
-
-def _format_operand(x: object) -> str:
-    if isinstance(x, tuple) and len(x) == 2 and x[0] in ("x", "y"):
-        return f"{x[0].upper()}{x[1]}"
-    if isinstance(x, tuple) and len(x) == 2 and x[0] in ("atom", "int", "flt"):
-        return f"{x[0]}:{x[1]}"
-    if isinstance(x, dict):
-        inner = ", ".join(f"{_format_operand(k)}->{v}"
-                          if isinstance(k, tuple) else f"{k}->{v}"
-                          for k, v in x.items())
-        return "{" + inner + "}"
-    return repr(x)

@@ -280,7 +280,7 @@ class TestReplicationDoc:
         """docs/REPLICATION.md spells out the poll statuses and the
         read-routing vocabulary."""
         names = documented(replication_doc)
-        for token in ("WalTailer", '"ok"', '"wait"', '"reset"',
+        for token in ("WalTailer", '"ok"', '"wait"',
                       '"corrupt"', "max_lag", "ReplicaLagExceeded"):
             assert token in names, token
 

@@ -28,7 +28,7 @@ from repro.errors import (ReadOnlyService, ReadOnlyStore,
                           ReplicaLagExceeded, ServiceClosed)
 from repro.lang.reader import read_terms
 from repro.replication import Replica, ReplicaSet, WalTailer
-from repro.replication.stream import CORRUPT, OK, RESET, WAIT
+from repro.replication.stream import CORRUPT, OK, WAIT
 from repro.service import QueryService
 from repro.wam.compiler import CompileContext
 
@@ -140,15 +140,18 @@ class TestWalTailer:
         # retrying from the same position is stable
         assert tailer.poll() == (WAIT, [])
 
-    def test_shrunk_log_is_reset(self, tmp_path):
+    def test_shorter_log_ships_nothing(self, tmp_path):
+        """The tailer reads frames and nothing else: a log shorter than
+        its offset is not a verdict, it ships nothing and the cursor
+        stays where it was."""
         wal = WriteAheadLog(str(tmp_path / "t.wal"))
         wal.append(b"abcdef")
         tailer = WalTailer(wal.path)
         tailer.poll()
+        offset = tailer.offset
         wal.truncate_to(0)  # the owner checkpointed
-        status, records = tailer.poll()
-        assert status == RESET and records == []
-        assert tailer.offset == 0 and tailer.next_lsn == 0
+        assert tailer.poll() == (OK, [])
+        assert (tailer.offset, tailer.next_lsn) == (offset, 1)
 
     def test_complete_frame_bad_crc_is_corrupt(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "t.wal"))
@@ -256,15 +259,16 @@ class TestReplica:
         try:
             primary.store_facts("a", 1, [(1,)], types=("int",))
             assert wait_until(lambda: replica.records_applied >= 1)
-            # checkpoint truncates the log below the replica's offset
-            # only once a *new* record makes the size test observable;
-            # the era fence catches it regardless
+            # the checkpoint truncates the log below the replica's
+            # offset and nothing is written after it: the replica
+            # learns of it from the checkpoint's header
             primary.save(path)
-            primary.store_facts("b", 1, [(2,)], types=("int",))
             assert wait_until(lambda: replica.rebootstraps >= 1)
-            assert wait_until(
-                lambda: replica.store.lookup("b", 1) is not None)
             assert replica.store.wal_era == primary.wal_era
+            assert replica.applied_epoch == primary.mutation_epoch
+            rows = [r[:1] for r in
+                    replica.store.lookup("a", 1).relation.scan()]
+            assert rows == [(1,)]
         finally:
             replica.shutdown()
 
@@ -284,6 +288,123 @@ class TestReplica:
             assert set(replica.gauge_keys()) <= set(counters)
         finally:
             replica.shutdown()
+
+
+# ------------------------------------- named follower schedules
+
+
+class TestFollowerSchedules:
+    """Interleavings of a primary's writes and checkpoints with a
+    follower's apply steps, driven one ``_step`` at a time."""
+
+    ROWS = [(1, 2), (3, 4)]
+
+    @pytest.fixture
+    def cluster(self, tmp_path):
+        from repro import EduceStar
+        path = str(tmp_path / "db.edb")
+        primary = EduceStar.create(path)
+        primary.store_program("edge(a, b). edge(b, c).")
+        primary.save(path)
+        store = primary.store
+        replica = Replica(
+            "r0", path, str(tmp_path / "r0"), workers=1, start=False,
+            primary_state=lambda: (store.mutation_epoch,
+                                   store.wal.next_lsn))
+        yield primary, replica, path
+        replica.shutdown()
+
+    @staticmethod
+    def drive(replica, steps=5):
+        for _ in range(steps):
+            replica._step(replica.poll_interval)
+
+    @staticmethod
+    def assert_converged(primary, replica, relation):
+        goal = f"{relation}(X, Y)"
+        assert answers(replica.execute(goal)) \
+            == answers(primary.solve(goal))
+        assert replica.applied_epoch == primary.store.mutation_epoch
+        assert replica.rebootstraps >= 1
+        assert replica.lag() == (0, 0)
+
+    def test_checkpoint_before_first_shipped_record(self, cluster):
+        """Schedule (i): the follower has shipped nothing from the
+        current log when the primary writes and checkpoints, so the
+        truncated log is exactly as long as the follower's offset."""
+        primary, replica, path = cluster
+        assert replica.tailer.offset == 0
+        primary.store_relation("d3", self.ROWS)
+        primary.save(path)
+        self.drive(replica)
+        self.assert_converged(primary, replica, "d3")
+
+    def test_failed_rebootstrap_is_retried(self, cluster, monkeypatch):
+        """Schedule (ii): the follower is caught up, the primary writes
+        and checkpoints, and the first copy of the re-bootstrap fails
+        the way a pages sidecar removed mid-copy does."""
+        import shutil
+        import repro.replication.replica as replica_module
+        primary, replica, path = cluster
+        primary.store_relation("d2", self.ROWS)
+        self.drive(replica)
+        assert replica.tailer.offset > 0 and replica.lag() == (0, 0)
+        primary.store_relation("d3", self.ROWS)
+        primary.save(path)
+        failures = [FileNotFoundError("pages sidecar removed")]
+        real_copyfile = shutil.copyfile
+
+        def copyfile(src, dst, *args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_copyfile(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(replica_module.shutil, "copyfile", copyfile)
+        self.drive(replica)
+        assert not failures and replica.stream_retries == 1
+        self.assert_converged(primary, replica, "d3")
+
+    def test_lag_counts_records_of_a_newer_generation(self, cluster):
+        """Until the follower has loaded the primary's checkpoint, every
+        record of the primary's current log is unread — however far
+        the follower got in the log that checkpoint truncated."""
+        primary, replica, path = cluster
+        for name in ("d1", "d2", "d3"):
+            primary.store_relation(name, self.ROWS)
+        self.drive(replica)
+        assert replica.tailer.next_lsn >= 3 and replica.lag() == (0, 0)
+        primary.save(path)
+        primary.store_relation("d4", self.ROWS)
+        assert primary.store.wal.next_lsn == 1
+        assert replica.lag() == (1, 1)
+        self.drive(replica)
+        self.assert_converged(primary, replica, "d4")
+
+    def test_log_older_than_the_checkpoint_is_reread(self, cluster,
+                                                     monkeypatch):
+        """The follower re-bootstraps between the primary's checkpoint
+        rename and its log truncation, so it first reads the old log,
+        whose records the checkpoint holds.  The next log regrows to
+        the same length with frames of the same sizes; a follower that
+        kept its offset would resume on a frame boundary and skip
+        ``d2`` without a trace."""
+        primary, replica, path = cluster
+        primary.store_relation("d1", self.ROWS)
+        self.drive(replica)
+        old_end = replica.tailer.offset
+        wal = primary.store.wal
+        monkeypatch.setattr(wal, "truncate", lambda: None)
+        primary.save(path)
+        self.drive(replica)             # re-bootstrap, read the old log
+        assert replica.rebootstraps == 1 and replica.records_stale >= 1
+        WriteAheadLog.truncate(wal)     # the primary's truncation lands
+        primary.store_relation("d2", self.ROWS)
+        assert os.path.getsize(wal.path) == old_end
+        primary.store_relation("d3", [(5, 6), (7, 8)])
+        self.drive(replica)
+        for relation in ("d1", "d2", "d3"):
+            self.assert_converged(primary, replica, relation)
+        assert replica.quarantines == 0
 
 
 # ------------------------------- one write path: recovery vs follower
@@ -448,14 +569,26 @@ def test_differential_interleaving(diff_cluster, seed):
 
 
 class TestMaxLag:
-    def test_lag_bound_rejects_then_admits(self, tmp_path, ctx):
+    def test_lag_bound_rejects_then_admits(self, tmp_path, ctx,
+                                           monkeypatch):
         path = str(tmp_path / "db.edb")
         seeded_primary(path, ctx).save(path)
-        # A huge poll interval freezes the replica right after its
-        # bootstrap: deterministic, bounded staleness.
+        # A huge poll interval freezes the replica once its first apply
+        # step is over: deterministic, bounded staleness.
+        stepped = threading.Event()
+        real_step = Replica._step
+
+        def step(replica, backoff):
+            try:
+                return real_step(replica, backoff)
+            finally:
+                stepped.set()
+
+        monkeypatch.setattr(Replica, "_step", step)
         cluster = ReplicaSet(path, replicas=1, primary_workers=1,
                              replica_workers=1, poll_interval=60.0)
         try:
+            assert stepped.wait(10)
             assert answers(cluster.execute_read("edge(X, Y)",
                                                 max_lag=0)) \
                 == answers(cluster.execute("edge(X, Y)"))
