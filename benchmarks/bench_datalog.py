@@ -8,9 +8,10 @@ same stored EDB:
 * **top-down** — `EduceStar(datalog="off")`: the WAM solves
   `reach(n0, X)` by SLD resolution through the dynamic loader, one
   solution per proof path;
-* **bottom-up** — `EduceStar(datalog="force")`: the strategy planner
-  routes the goal to the semi-naive fixpoint; the magic-set rewrite
-  restricts derivation to what the bound argument can reach.
+* **bottom-up** — `EduceStar(datalog="auto")`: every size is at least
+  ``DEFAULT_MIN_ROWS`` edges, so the strategy planner routes the goal
+  to the semi-naive fixpoint; the magic-set rewrite restricts
+  derivation to what the bound argument can reach.
 
 Answers are pinned identical (as sets — the WAM derives one answer per
 proof, bottom-up has set semantics) at every size where the oracle
@@ -29,6 +30,10 @@ Run:  PYTHONPATH=src python benchmarks/bench_datalog.py
       [--edges 10000,100000] [--graph tree|chain|dag] [--branching 4]
       [--seed 7] [--oracle-limit 150000] [--exposition PATH] [--smoke]
 
+An ``--edges`` size below ``DEFAULT_MIN_ROWS`` (256) is a usage error
+(exit 2): the planner would run it top-down, and the bottom-up column
+would not measure what it names.
+
 ``--smoke`` is the CI entry point: one small size, oracle always on,
 non-zero exit when the answers diverge, the goal was not routed
 bottom-up, a repeated goal fetches any EDB row, or the goal after an
@@ -45,6 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "src"))
 
 from repro import EduceStar, measure                   # noqa: E402
+from repro.relational.datalog import DEFAULT_MIN_ROWS  # noqa: E402
 from repro.workloads import graphs                     # noqa: E402
 
 
@@ -88,7 +94,7 @@ def run_kept_indexes(edge_rows, source: str, sessions: int = 3):
     goal = f"reach({source}, X)"
     best, failures = {}, []
     for _ in range(sessions):
-        kb = build_session("force", edge_rows)
+        kb = build_session("auto", edge_rows)
         edges = list(edge_rows)
         for phase in ("first", "repeat", "after insert"):
             if phase == "after insert":
@@ -126,6 +132,9 @@ def main(argv=None) -> int:
 
     sizes = [2_000] if args.smoke else \
         [int(s) for s in args.edges.split(",")]
+    if min(sizes) < DEFAULT_MIN_ROWS:
+        parser.error(f"--edges {min(sizes)} is below DEFAULT_MIN_ROWS "
+                     f"({DEFAULT_MIN_ROWS}): the goal would run top-down")
     oracle_limit = max(sizes) if args.smoke else args.oracle_limit
     goal = "reach(n0, X)"
 
@@ -145,7 +154,7 @@ def main(argv=None) -> int:
     for size in sizes:
         edge_rows = build_edges(args.graph, size, args.branching,
                                 args.seed)
-        bu = run_strategy("force", edge_rows, goal)
+        bu = run_strategy("auto", edge_rows, goal)
         engine = bu["session"].datalog
         if engine.bottomup != 1:
             print(f"FAIL edges={size}: goal was not routed bottom-up "

@@ -48,7 +48,7 @@ def main() -> None:
 
     # --- the same goal, both strategies --------------------------------
     topdown = build("off", edges)      # everything on the WAM
-    bottomup = build("force", edges)   # everything set-at-a-time
+    bottomup = build("auto", edges)    # 400 edges: set-at-a-time
 
     goal = "reach(n0, X)"
     wam_answers = {str(s["X"]) for s in topdown.solve(goal)}

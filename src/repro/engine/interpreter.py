@@ -218,12 +218,21 @@ class Interpreter:
             if key in self.declared:
                 return
             raise ExistenceError("procedure", f"{key[0]}/{key[1]}")
+        # A constant first argument rejects a clause whose first head
+        # argument cannot match before the clause is copied; the scan
+        # and the failed unification are still counted.
+        first = deref(goal.args[0]) if isinstance(goal, Struct) else None
+        if isinstance(first, (Var, Struct)):
+            first = None
         try:
             my_cut = [False]
             for clause in list(clauses):
                 self.clause_scans += 1
                 if my_cut[0]:
                     break
+                if first is not None and _clashes(first, clause):
+                    self.unifications += 1
+                    continue
                 mark = len(trail)
                 fresh = rename_term(clause)
                 head, body = split_clause(fresh)
@@ -293,6 +302,15 @@ class Interpreter:
 # ====================================================================
 # interpreter built-ins
 # ====================================================================
+
+def _clashes(first, clause: Term) -> bool:
+    """Would :meth:`Interpreter._unify` fail on *clause*'s first head
+    argument against the constant *first*?"""
+    head = clause.args[0] if clause.indicator == (":-", 2) else clause
+    arg = deref(head.args[0])
+    return not (isinstance(arg, Var)
+                or type(arg) is type(first) and arg == first)
+
 
 def _undo(trail: List[Var], mark: int) -> None:
     while len(trail) > mark:
@@ -537,21 +555,11 @@ def _bi_asserta(interp, goal, trail):
 
 @_ibuiltin("retract", 1)
 def _bi_retract(interp, goal, trail):
-    pattern = deref(goal.args[0])
-    if isinstance(pattern, Struct) and pattern.indicator == (":-", 2):
-        head = deref(pattern.args[0])
-    else:
-        head = pattern
-    key = indicator_of(head)
-    clauses = interp.database.get(key, [])
+    pattern = _clause_form(goal.args[0])
+    clauses = interp.database.get(indicator_of(deref(pattern.args[0])), [])
     for i, clause in enumerate(list(clauses)):
         mark = len(trail)
-        fresh = rename_term(clause)
-        fresh_head, fresh_body = split_clause(fresh)
-        target = fresh_head if not isinstance(pattern, Struct) \
-            or pattern.indicator != (":-", 2) else Struct(
-                ":-", (fresh_head, _conj_of(fresh_body)))
-        if interp._unify(pattern, target, trail):
+        if interp._unify(pattern, _clause_form(rename_term(clause)), trail):
             clauses.pop(i)
             interp.erases += 1
             yield True
@@ -559,13 +567,13 @@ def _bi_retract(interp, goal, trail):
         _undo(trail, mark)
 
 
-def _conj_of(goals: List[Term]) -> Term:
-    if not goals:
-        return _TRUE
-    out = goals[0]
-    for g in goals[1:]:
-        out = Struct(",", (out, g))
-    return out
+def _clause_form(clause: Term) -> Term:
+    """*clause* as ``Head :- Body`` with its body as written; a fact's
+    body is ``true``."""
+    clause = deref(clause)
+    if isinstance(clause, Struct) and clause.indicator == (":-", 2):
+        return clause
+    return Struct(":-", (clause, _TRUE))
 
 
 @_ibuiltin("length", 2)

@@ -272,20 +272,6 @@ class Aggregate(Plan):
         return self._count(gen())
 
 
-class Materialize(Plan):
-    """Materialise child rows once; reusable by multiple parents."""
-
-    def __init__(self, child: Plan):
-        super().__init__()
-        self.child = child
-        self._cache: Optional[List[tuple]] = None
-
-    def rows(self) -> Iterator[tuple]:
-        if self._cache is None:
-            self._cache = list(self.child.rows())
-        return self._count(iter(self._cache))
-
-
 def describe(plan: Plan) -> str:
     """One-line plan summary with per-node row counts, e.g.
     ``HashJoin#1000(Select#100(emp), Scan#10000(dept))``."""

@@ -3,10 +3,11 @@
 :class:`DatalogEngine` sits between the session's :meth:`solve` entry
 point and the WAM.  For each goal it decides — via the program analysis
 of :mod:`.rules` and the cost heuristics of :mod:`.strategy` — whether
-the goal should be answered bottom-up; if so it (optionally) applies the
-magic-set rewrite of :mod:`.magic`, runs the semi-naive fixpoint of
-:mod:`.seminaive` under the store's shared read lock, and converts the
-answer tuples back into WAM-compatible :class:`Solution` objects.
+the goal should be answered bottom-up; if so it applies the magic-set
+rewrite of :mod:`.magic` to a goal with bound arguments, runs the
+semi-naive fixpoint of :mod:`.seminaive` under the store's shared read
+lock, and converts the answer tuples back into WAM-compatible
+:class:`Solution` objects.
 
 Every decision and evaluation is visible in the session's telemetry:
 
@@ -86,17 +87,12 @@ class DatalogEngine:
     """Bottom-up evaluation subsystem of one session."""
 
     def __init__(self, store, reader, tracer=None, mode: str = "auto"):
-        if mode not in ("auto", "force", "off"):
-            raise ValueError(f"datalog mode {mode!r} "
-                             "(expected auto/force/off)")
+        if mode not in ("auto", "off"):
+            raise ValueError(f"datalog mode {mode!r} (expected auto/off)")
         self.store = store
         self.reader = reader
         self.tracer = tracer or NULL_TRACER
         self.mode = mode
-        #: rewrite bound-argument goals with magic sets; the
-        #: differential suite clears it to compare against the plain
-        #: fixpoint
-        self.magic = True
 
         self._analysis: Optional[Analysis] = None
         self._analysis_key: Optional[Tuple[int, int]] = None
@@ -162,7 +158,7 @@ class DatalogEngine:
         self.bottomup += 1
         if plan.program is not None:
             self.magic_rewrites += 1
-        elif self.magic and plan.bound:
+        elif plan.bound:
             self.magic_fallbacks += 1
         answers = self._solve_bottom_up(plan)
         return self._bind(answers, plan.items, plan.varmap, limit)
@@ -194,8 +190,6 @@ class DatalogEngine:
         plan.bound = {pos for pos, _value in consts}
         if not plan.bound:
             plan.magic_note = "no bound arguments"
-        elif not self.magic:
-            plan.magic_note = "magic rewriting disabled"
         else:
             program = plan.program = rewrite(plan.rules, ind, plan.bound,
                                              consts)

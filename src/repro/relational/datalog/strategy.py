@@ -18,9 +18,8 @@ data volume — one level up:
   set-at-a-time joins win asymptotically (no re-derivation, bulk index
   probes).
 
-``mode`` overrides: ``"force"`` routes every evaluable recursive goal
-bottom-up regardless of size (the differential suite uses this),
-``"off"`` disables routing entirely.
+``mode`` is ``"auto"`` (the heuristics above) or ``"off"`` (no
+routing: every goal runs on the WAM).
 """
 
 from __future__ import annotations
@@ -89,15 +88,13 @@ def choose(analysis: Analysis, ind: Indicator, store,
             "non-recursive: one top-down pass answers it",
             evaluable=True, recursive=False, base_rows=base_rows,
             strata=strata, mode=mode)
-    if mode != "force" and base_rows < DEFAULT_MIN_ROWS:
+    if base_rows < DEFAULT_MIN_ROWS:
         return Decision(
             ind, "topdown",
             f"small EDB ({base_rows} rows < {DEFAULT_MIN_ROWS}): "
             "tuple-at-a-time wins on constant factors",
             evaluable=True, recursive=True, base_rows=base_rows,
             strata=strata, mode=mode)
-    reason = (f"recursive over {base_rows} EDB rows"
-              if mode != "force" else "forced bottom-up")
-    return Decision(ind, "bottomup", reason, evaluable=True,
-                    recursive=True, base_rows=base_rows, strata=strata,
-                    mode=mode)
+    return Decision(ind, "bottomup", f"recursive over {base_rows} EDB rows",
+                    evaluable=True, recursive=True, base_rows=base_rows,
+                    strata=strata, mode=mode)

@@ -1014,10 +1014,16 @@ def _clause_indicator(m, clause: Term) -> Tuple[str, int]:
 
 def _dynamic_proc(m, name: str, arity: int, create: bool = True):
     proc = m.procedure(name, arity)
+    if proc is None and m.unknown_handler is not None:
+        proc = m.unknown_handler(m, name, arity)
     if proc is None:
         if not create:
             return None
         return m.define_procedure(name, arity, [], kind="dynamic")
+    if proc.kind == "external":     # a main-memory copy would hide it
+        raise PermissionError_(
+            f"modify stored procedure {name}/{arity} "
+            "(use assert_external / retract_clause)")
     if proc.kind == "static":
         raise PermissionError_(
             f"modify static procedure {name}/{arity}")
@@ -1083,13 +1089,11 @@ def bi_retract(m, args):
 
 
 def _normal_clause(clause: Term) -> Term:
-    head, body = split_clause(clause)
-    if not body:
-        return Struct(":-", (head, Atom("true")))
-    goal = body[0]
-    for g in body[1:]:
-        goal = Struct(",", (goal, g))
-    return Struct(":-", (head, goal))
+    """*clause* as ``Head :- Body`` with its body as written; a fact's
+    body is ``true``."""
+    if isinstance(clause, Struct) and clause.indicator == (":-", 2):
+        return clause
+    return Struct(":-", (clause, Atom("true")))
 
 
 @builtin("retractall", 1)

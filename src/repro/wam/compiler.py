@@ -309,8 +309,12 @@ class ClauseCompiler:
             # (C -> T ; E): the arrow binds to this disjunction only.
             if isinstance(left, Struct) and left.indicator == ("->", 2):
                 return [left] + self._flatten_disj(goal.args[1])
-            return self._flatten_disj(goal.args[0]) + self._flatten_disj(
-                goal.args[1])
+            branches = self._flatten_disj(left)
+            if any(isinstance(b, Struct) and b.indicator == ("->", 2)
+                   for b in branches):
+                # ((C -> T ; E) ; F): the arrow's cut must not reach F
+                branches = [left]
+            return branches + self._flatten_disj(goal.args[1])
         return [goal]
 
     def _extract_negation(self, inner: Term, prefix: str) -> Term:

@@ -278,12 +278,15 @@ class Machine:
             self.consult(f.read())
 
     def declare_dynamic(self, name: str, arity: int) -> None:
-        """Make *name/arity* callable with no clauses, unless it is
-        defined already — in main memory or behind the unknown-procedure
-        trap (a stored procedure is not shadowed)."""
-        if self.procedure(name, arity) is None and (
-                self.unknown_handler is None
-                or self.unknown_handler(self, name, arity) is None):
+        """Make *name/arity* take assert/retract, keeping the clauses it
+        has; with none it is callable all the same — unless the
+        unknown-procedure trap resolves it (a stored one is not shadowed)."""
+        proc = self.procedure(name, arity)
+        if proc is not None:
+            if proc.kind == "static":
+                proc.kind = "dynamic"
+        elif (self.unknown_handler is None
+              or self.unknown_handler(self, name, arity) is None):
             self.define_procedure(name, arity, [], kind="dynamic")
 
     def define_procedure(self, name: str, arity: int, clauses: List[Term],

@@ -66,3 +66,11 @@ def ground_terms(max_depth: int = 3):
 def term_lists(max_size: int = 6):
     from repro.terms import make_list
     return st.lists(ground_terms(), max_size=max_size).map(make_list)
+
+
+@pytest.fixture
+def bottom_up(monkeypatch):
+    """Route every evaluable recursive goal bottom-up, however small its
+    EDB: test relations are far below ``DEFAULT_MIN_ROWS`` (256)."""
+    from repro.relational.datalog import strategy
+    monkeypatch.setattr(strategy, "DEFAULT_MIN_ROWS", 0)

@@ -343,12 +343,6 @@ class TestStrategy:
         assert decision.strategy == "topdown"
         assert "non-recursive" in decision.reason
 
-    def test_force_overrides_size(self):
-        kb = self.session([("a", "b")])
-        decision = choose(kb.datalog.analysis(), ("reach", 2), kb.store,
-                          mode="force")
-        assert decision.strategy == "bottomup"
-
     def test_off_disables(self):
         kb = self.session(self.big_edges())
         decision = choose(kb.datalog.analysis(), ("reach", 2), kb.store,
@@ -370,10 +364,11 @@ class TestStrategy:
 # Engine behaviour
 # =====================================================================
 
+@pytest.mark.usefixtures("bottom_up")
 class TestEngine:
     def reach_kb(self, n=30, **kwargs):
         from repro.workloads.graphs import chain
-        kb = EduceStar(datalog="force", **kwargs)
+        kb = EduceStar(**kwargs)
         kb.store_relation("edge", chain(n))
         kb.store_program("""
             reach(X, Y) :- edge(X, Y).
@@ -393,7 +388,7 @@ class TestEngine:
         visited (the seed included) and one answer fact per answer —
         not one answer set per visited node."""
         from repro.workloads.graphs import k_ary_tree
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", k_ary_tree(2000, 4))
         kb.store_program("""
             reach(X, Y) :- edge(X, Y).
@@ -413,7 +408,7 @@ class TestEngine:
         # Regression: for a relation the planner would rather scan than
         # probe (one leaf), the access path dropped the constant and
         # every edge/2 row seeded r/1.
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [(1, 2), (2, 3), (3, 4), (7, 8)])
         kb.store_program("""
             r(X) :- edge(3, X).
@@ -438,7 +433,7 @@ class TestEngine:
     def test_solve_once_routes_like_solve(self):
         # Regression: solve_once went straight to the WAM, where this
         # left-recursive reach/2 over a cyclic edge/2 never returns.
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [("a", "b"), ("b", "a")])
         kb.store_program("""
             reach(X, Y) :- edge(X, Y).
@@ -492,7 +487,7 @@ class TestEngine:
         bottom-up, with none left it is non-recursive — and either way
         it answers what the WAM does."""
         from repro.workloads.graphs import chain
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", chain(10))
         kb.store_relation("link", [("n3", "m0"), ("m0", "m1")])
         kb.store_program("""
@@ -518,7 +513,7 @@ class TestEngine:
 
     def test_reopened_store_answers_bottom_up(self, tmp_path):
         path = str(tmp_path / "kb.edb")
-        kb = EduceStar.create(path, datalog="force")
+        kb = EduceStar.create(path)
         kb.store_relation("edge", [("a", "b"), ("b", "c")])
         kb.store_program("""
             reach(X, Y) :- edge(X, Y).
@@ -528,7 +523,7 @@ class TestEngine:
         assert kb.datalog.bottomup == 1
         kb.save(path)
 
-        reopened = EduceStar.open(path, datalog="force")
+        reopened = EduceStar.open(path)
         assert ("reach", 2) in reopened.store.datalog_rules
         answers = list(reopened.solve("reach(a, X)"))
         assert len(answers) == 2
@@ -536,7 +531,7 @@ class TestEngine:
 
     def test_negation_program(self):
         from repro.workloads.graphs import UNREACHABLE_PROGRAM
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [("a", "b"), ("b", "c")])
         kb.store_relation("node", [("a",), ("b",), ("c",)])
         kb.store_program(UNREACHABLE_PROGRAM)
@@ -551,7 +546,7 @@ class TestEngine:
         predicate and never takes this path)."""
         from repro.relational.datalog.seminaive import EdbIndexes
         from repro.workloads.graphs import chain, reachable
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         edges = chain(8) + [("n2", "n6")]
         kb.store_relation("edge", edges)
         kb.store_relation("blocked", [("n3", "n4")])
@@ -644,12 +639,13 @@ class TestEngine:
 # =====================================================================
 
 class TestService:
+    @pytest.mark.usefixtures("bottom_up")
     def test_service_routes_and_exposes(self):
         from repro.obs import render_prometheus
         from repro.service import QueryService
         from repro.workloads.graphs import k_ary_tree
 
-        svc = QueryService(workers=2, datalog="force")
+        svc = QueryService(workers=2)
         try:
             svc.store_relation("edge", k_ary_tree(100))
             svc.store_program("""

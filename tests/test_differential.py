@@ -1,20 +1,18 @@
-"""Differential testing: the WAM and the resolution interpreter must
-agree on every program (they implement the same language).
-
-This is the strongest correctness check in the suite — the two engines
-share no execution code (tagged-cell heap + compiled code vs. surface
-terms + clause scanning), so agreement pins down the semantics.
+"""Hand-written programs through the differential oracle
+(``tests/oracle.py``): consulted and stored, each answers as the
+resolution interpreter does — the two share no execution code
+(tagged-cell heap and compiled code against surface terms and clause
+scanning), so agreement pins down the semantics of each built-in and
+control construct below.  The generated lattice is ``test_oracle.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.interpreter import Interpreter
-from repro.lang.writer import term_to_text
-from repro.wam.machine import Machine
+from . import oracle
 
 PROGRAMS = [
-    # (program, goal, query var)
+    # (program, goal, the query variable the test id names)
     ("p(a). p(b). p(c).", "p(X)", "X"),
     ("e(1,2). e(2,3). e(3,4). t(X,Y) :- e(X,Y). "
      "t(X,Y) :- e(X,Z), t(Z,Y).", "t(1, X)", "X"),
@@ -44,18 +42,8 @@ PROGRAMS = [
 
 @pytest.mark.parametrize("program,goal,var", PROGRAMS)
 def test_engines_agree(program, goal, var):
-    machine = Machine()
-    machine.consult(program)
-    wam = [term_to_text(s[var]) for s in machine.solve(goal)]
+    oracle.check_text(program, [goal])
 
-    interp = Interpreter()
-    interp.consult(program)
-    ref = [term_to_text(b[var]) for b in interp.solve(goal)]
-
-    assert wam == ref, f"WAM {wam} != interpreter {ref} for {goal}"
-
-
-# --------------------------------------------------------------- random DBs
 
 _consts = st.sampled_from(["a", "b", "c", "d"])
 
@@ -72,47 +60,21 @@ def test_random_graph_queries_agree(facts, probe):
     reach(X, Y) :- edge(X, Y).
     reach(X, Y) :- edge(X, Z), Z \\== Y, reach(Z, Y).
     """
-    goal = f"findall(Y, edge({probe}, Y), L)"
-
-    machine = Machine()
-    machine.consult(program)
-    wam = term_to_text(machine.solve_once(goal)["L"])
-
-    interp = Interpreter()
-    interp.consult(program)
-    ref = term_to_text(interp.solve_once(goal)["L"])
-    assert wam == ref
+    oracle.check_text(program, [f"findall(Y, edge({probe}, Y), L)"])
 
 
 @settings(max_examples=30, deadline=None)
 @given(items=st.lists(st.integers(-20, 20), min_size=0, max_size=8))
 def test_list_programs_agree(items):
     lst = "[" + ",".join(map(str, items)) + "]"
-    goals = [
-        f"msort({lst}, R)",
-        f"reverse({lst}, R)",
-        f"length({lst}, R)",
-        f"findall(X, member(X, {lst}), R)",
-    ]
-    machine = Machine()
-    interp = Interpreter()
-    for goal in goals:
-        wam_sol = machine.solve_once(goal)
-        ref_sol = interp.solve_once(goal)
-        assert term_to_text(wam_sol["R"]) == term_to_text(ref_sol["R"])
+    oracle.check_text("", [f"msort({lst}, R)", f"reverse({lst}, R)",
+                           f"length({lst}, R)",
+                           f"findall(X, member(X, {lst}), R)"])
 
 
 @settings(max_examples=30, deadline=None)
 @given(a=st.integers(-50, 50), b=st.integers(1, 50))
 def test_arithmetic_agrees(a, b):
-    goals = [
-        f"R is {a} + {b} * 2",
-        f"R is {a} mod {b}",
-        f"R is {a} // {b}",
-        f"R is abs({a}) - max({a}, {b})",
-    ]
-    machine = Machine()
-    interp = Interpreter()
-    for goal in goals:
-        assert machine.solve_once(goal)["R"] == \
-            interp.solve_once(goal)["R"]
+    oracle.check_text("", [f"R is {a} + {b} * 2", f"R is {a} mod {b}",
+                           f"R is {a} // {b}",
+                           f"R is abs({a}) - max({a}, {b})"])

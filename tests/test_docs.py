@@ -209,11 +209,12 @@ class TestDatalogDoc:
             assert name in documented(glossary), name
             assert name in documented(datalog_doc), name
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_evaluate_span_documented(self, glossary, datalog_doc):
         """The datalog.evaluate span, as actually recorded under
         tracing, is in both docs with all its attribute names."""
         from repro import EduceStar
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [("a", "b"), ("b", "c")])
         kb.store_program(
             "reach(X, Y) :- edge(X, Y).\n"
@@ -229,7 +230,7 @@ class TestDatalogDoc:
 
     def test_planner_modes_documented(self, datalog_doc):
         names = documented(datalog_doc)
-        for mode in ('"auto"', '"force"', '"off"'):
+        for mode in ('"auto"', '"off"'):
             assert mode in names, mode
         assert "DEFAULT_MIN_ROWS" in names
 

@@ -145,10 +145,11 @@ class TestCorpusSweep:
 # =====================================================================
 
 class TestBottomup:
+    @pytest.mark.usefixtures("bottom_up")
     @pytest.mark.parametrize("seed", range(0, 10, 3))
     def test_analyze_passes_sum_to_fixpoint_total(self, seed):
         for case in graphs.differential_cases(seed):
-            kb = build_graph_session(case, datalog="force")
+            kb = build_graph_session(case)
             for goal in case["goals"]:
                 plan = kb.analyze(goal)
                 if plan.executed != "bottomup":
@@ -187,8 +188,9 @@ class TestBottomup:
                 ran_bottomup = bool(delta.get("datalog_bottomup"))
                 assert ran_bottomup == (predicted == "bottomup")
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_magic_adornment_in_plan(self):
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [(i, i + 1) for i in range(30)])
         kb.store_program(
             "path(X, Y) :- edge(X, Y).\n"
@@ -207,8 +209,9 @@ class TestBottomup:
         # Strata and rules were named without running anything.
         assert [n.op for n in plan.root.walk()].count("rule") >= 2
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_unbound_goal_reports_no_adornment(self):
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [(1, 2), (2, 3)])
         kb.store_program(
             "path(X, Y) :- edge(X, Y).\n"
@@ -217,11 +220,12 @@ class TestBottomup:
         assert magic.attrs["bound_args"] == 0
         assert magic.label == "none"
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_index_reuse_is_named_not_inferred(self):
         """``datalog_edb_rows`` absent from a bottom-up ANALYZE must read
         as a reuse of kept indexes — on the root and on the span — and
         never for an EDB relation that is merely empty of matches."""
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [(i, i + 1) for i in range(30)])
         kb.store_program(
             "path(X, Y) :- edge(X, Y).\n"
@@ -252,8 +256,9 @@ class TestAnalyzeAgreesWithProfile:
     PROGRAM = ("path(X, Y) :- edge(X, Y).\n"
                "path(X, Z) :- edge(X, Y), path(Y, Z).\n")
 
+    @pytest.mark.usefixtures("bottom_up")
     @pytest.mark.parametrize("mode, executed", [
-        ("off", "topdown"), ("force", "bottomup")])
+        ("off", "topdown"), ("auto", "bottomup")])
     def test_whitelisted_deltas_agree_key_for_key(self, mode, executed):
         """Twin sessions, one analyzed and one profiled: the actuals on
         the plan root are the profile's counter deltas, key for key."""
@@ -299,8 +304,9 @@ class TestStoredProcedures:
         for block in blocks:
             assert block.attrs["instructions"] > 0
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_text_rendering_shape(self):
-        kb = EduceStar(datalog="force")
+        kb = EduceStar()
         kb.store_relation("edge", [(i, i + 1) for i in range(5)])
         kb.store_program(
             "path(X, Y) :- edge(X, Y).\n"

@@ -10,7 +10,6 @@ from repro.relational.algebra import (
     Filter,
     HashJoin,
     IndexJoin,
-    Materialize,
     Project,
     RangeSelect,
     Scan,
@@ -79,13 +78,6 @@ class TestUnaryNodes:
         emp, _ = db
         rows = execute(Distinct(Project(Scan(emp), [2])))
         assert sorted(rows) == [("eng",), ("hr",), ("sales",)]
-
-    def test_materialize_reusable(self, db):
-        emp, _ = db
-        mat = Materialize(Scan(emp))
-        first = execute(mat)
-        second = execute(mat)
-        assert first == second
 
 
 class TestJoins:

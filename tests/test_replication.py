@@ -813,10 +813,11 @@ class TestCheckpointedRulebase:
     bootstrapped from it answers a recursive goal bottom-up, the way
     the primary that wrote it did."""
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_follower_answers_bottom_up(self, tmp_path):
         from repro import EduceStar
         path = str(tmp_path / "db.edb")
-        primary = EduceStar(store=ExternalStore.open(path), datalog="force")
+        primary = EduceStar(store=ExternalStore.open(path))
         primary.store_relation("link", [(1, 2), (2, 3), (3, 4)])
         primary.store_program(
             "% lint: external link/2\n"
@@ -829,7 +830,7 @@ class TestCheckpointedRulebase:
         try:
             _status, records = replica.tailer.poll(None)
             assert records == []                 # nothing past the image
-            follower = EduceStar(store=replica.store, datalog="force")
+            follower = EduceStar(store=replica.store)
             assert answers(follower.solve("reach(1, X)")) == live
             assert follower.datalog.counters()["datalog_bottomup"] == 1
         finally:

@@ -301,11 +301,22 @@ class TestRemovedOptions:
         assert kb.loader.counters()["verify_checks"] == 2
 
     def test_datalog_engine_magic_keyword(self):
+        # Bound goals always get the magic rewrite; unbound goals and
+        # abandoned rewrites run the plain fixpoint.  No switch.
         from repro.relational.datalog import DatalogEngine
         kb = EduceStar()
         with pytest.raises(TypeError, match="magic"):
             DatalogEngine(kb.store, kb.machine.reader, magic=False)
-        assert kb.datalog.magic is True
+        assert not hasattr(kb.datalog, "magic")
+
+    def test_datalog_force_mode(self):
+        # "auto" already routes every goal over DEFAULT_MIN_ROWS
+        # bottom-up; tests below it patch the constant (conftest).
+        from repro import QueryService
+        with pytest.raises(ValueError, match="force"):
+            EduceStar(datalog="force")
+        with pytest.raises(ValueError, match="force"):
+            QueryService(workers=1, datalog="force")
 
     def test_datalog_min_rows_is_a_constant(self):
         from repro.relational.datalog import (DEFAULT_MIN_ROWS,

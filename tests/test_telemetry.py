@@ -422,11 +422,11 @@ PATH_PROGRAM = (
 
 
 class TestDatalogSpans:
+    @pytest.mark.usefixtures("bottom_up")
     def test_datalog_evaluate_span_carries_trace_id(self):
         """A bottom-up ticket's fixpoint span is part of the ticket's
         trace: nested under execute, stamped with the ticket's id."""
-        svc = QueryService(workers=1, queue_size=8, tracing=True,
-                           datalog="force")
+        svc = QueryService(workers=1, queue_size=8, tracing=True)
         try:
             svc.store_relation("edge", [(1, 2), (2, 3), (3, 4)])
             svc.store_program(PATH_PROGRAM)
@@ -441,6 +441,7 @@ class TestDatalogSpans:
         finally:
             svc.shutdown()
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_replica_read_nests_datalog_span_under_ticket(self, tmp_path):
         """Cluster-wide service kwargs: a replica-drained bottom-up
         read produces the same ticket → execute → datalog.evaluate
@@ -449,7 +450,7 @@ class TestDatalogSpans:
         from repro.replication import ReplicaSet
         cluster = ReplicaSet(str(tmp_path / "db.edb"), replicas=2,
                              primary_workers=1, replica_workers=1,
-                             tracing=True, datalog="force")
+                             tracing=True)
         try:
             cluster.store_relation("edge", [(1, 2), (2, 3), (3, 4)])
             cluster.store_program(PATH_PROGRAM)

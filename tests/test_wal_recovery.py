@@ -889,6 +889,7 @@ class TestRulebaseReplay:
              "reach(X, Y) :- link(X, Y).\n"
              "reach(X, Z) :- link(X, Y), reach(Y, Z).")
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_replayed_rules_restore_bottom_up(self, tmp_path):
         from repro import EduceStar
         path = str(tmp_path / "db.edb")
@@ -897,12 +898,13 @@ class TestRulebaseReplay:
         session.store_program(self.RULES)
         del session                          # crash: no checkpoint
 
-        reopened = EduceStar.open(path, datalog="force")
+        reopened = EduceStar.open(path)
         assert reopened.store.recovery.ops_replayed.get("rules") == 1
         assert ("reach", 2) in reopened.store.datalog_rules
         assert len(list(reopened.solve("reach(1, X)"))) == 3
         assert reopened.datalog.counters()["datalog_bottomup"] == 1
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_checkpointed_rules_stay_tracked(self, tmp_path):
         """The checkpoint truncates the log and carries the rulebase:
         programs stored before it still answer bottom-up."""
@@ -913,12 +915,13 @@ class TestRulebaseReplay:
         session.store_program(self.RULES)
         session.save(path)
 
-        reopened = EduceStar.open(path, datalog="force")
+        reopened = EduceStar.open(path)
         assert reopened.store.recovery.ops_replayed.get("rules") is None
         assert ("reach", 2) in reopened.store.datalog_rules
         assert len(list(reopened.solve("reach(1, X)"))) == 2
         assert reopened.datalog.counters()["datalog_bottomup"] == 1
 
+    @pytest.mark.usefixtures("bottom_up")
     def test_replayed_retract_keeps_tracking(self, tmp_path):
         """A replayed retract removes its one clause; the procedure
         stays tracked and answers bottom-up from the clause left."""
@@ -930,7 +933,7 @@ class TestRulebaseReplay:
         session.store.retract_clause("reach", 2, 0)
         del session                          # crash: no checkpoint
 
-        reopened = EduceStar.open(path, datalog="force")
+        reopened = EduceStar.open(path)
         [clause] = reopened.store.datalog_rules.clauses()[("reach", 2)]
         assert clause.args[1].name == ","        # the recursive rule
         assert list(reopened.solve("reach(1, X)")) == []
