@@ -14,11 +14,17 @@ query service, so it is a proper latched buffer manager:
 
 * one :class:`~repro.locks.Latch` protects the frame table, the dirty
   set, the pin table and the counters;
-* **per-frame pin counts** — a reader that is iterating a page's
-  entries pins the frame (:meth:`pin`/:meth:`unpin`); the LRU eviction
-  path skips pinned frames, and when *every* frame is pinned the pool
-  grows past capacity (counted in ``buffer_pin_overflows``) rather
-  than deadlocking or evicting a page out from under a reader;
+* **per-frame pin counts** — a reader pins a leaf's frame for the
+  span of its key test and records decode (:meth:`pin`/:meth:`unpin`),
+  never across a yield to its consumer; the LRU eviction path skips
+  pinned frames, and when *every* frame is pinned the pool grows past
+  capacity (counted in ``buffer_pin_overflows``) rather than
+  deadlocking or evicting a page out from under a reader;
+* **decode memo** — a miss admits the page with its records block
+  still encoded; the reader that decodes it hands the decoded payload
+  back through :meth:`unpin`, which installs it in the same latched
+  section if the frame still holds what was read (a racing ``put``
+  wins), without dirtying the frame;
 * **miss de-duplication** — concurrent misses on the same page
   coalesce: the reading thread holds a plain in-flight lock until the
   frame is admitted (or the read fails); the others acquire and release
@@ -57,7 +63,10 @@ from .pager import DiskStore
 
 
 class BufferPool:
-    """Fixed-capacity latched LRU cache of page payloads over a DiskStore."""
+    """Fixed-capacity latched LRU cache of page payloads over a DiskStore.
+
+    The pool does not look inside a payload: it holds what the disc
+    read returned, what a writer put, or a reader's decode memo."""
 
     def __init__(self, disk: DiskStore, capacity: int = 128):
         if capacity < 1:
@@ -102,7 +111,14 @@ class BufferPool:
         """
         return self._fetch(page_id, pin=True)
 
-    def unpin(self, page_id: int) -> None:
+    def unpin(self, page_id: int, read: Any = None,
+              memo: Any = None) -> None:
+        """Release a pin.  A reader that decoded the payload *read* at
+        :meth:`pin` passes the decoded form as *memo*: in the same
+        latched section it replaces the frame, but only if the frame
+        still holds *read* — a ``put`` that landed meanwhile is newer
+        and wins.  The memo is the same page, so it never dirties the
+        frame."""
         with self._latch:
             count = self._pins.get(page_id)
             if count is None:
@@ -113,6 +129,8 @@ class BufferPool:
             else:
                 self._pins[page_id] = count - 1
             self.pins_released += 1
+            if memo is not None and self._frames.get(page_id) is read:
+                self._frames[page_id] = memo
 
     def put(self, page_id: int, payload: Any) -> None:
         """Install a new payload for the page and mark it dirty."""

@@ -24,16 +24,25 @@ produced by the order-preserving transforms in :mod:`repro.bang.relation`.
 
 A leaf page is ``(keys, records)``: the records, and their key vectors
 packed into one ``bytes`` of little-endian float64, ``ndims`` per entry.
-A miss decodes one byte string and one list, a read tests keys through
-a float view, and an insert appends to both without unpacking.  A leaf
-of any other shape is a typed :class:`~repro.errors.PageError`, and the
+On disc the two are separate blocks of one image (:mod:`repro.bang.pager`
+owns the format): a miss admits the key block and the records block
+still encoded.  A read tests keys through a float view and asks the
+pager to decode the records only when some key passes (or the box is
+full); the decoded list goes back into the buffer frame, so a later hit
+does not decode again.  A leaf of any other shape, or whose records do
+not match its keys, is a typed :class:`~repro.errors.PageError`, and the
 page is quarantined.
+
+A read yields one list per leaf — the leaf's passing records — and
+releases the leaf's pin before it yields, so a consumer that stops
+half-way (an open cursor, an abandoned generator) holds no frame.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
+from itertools import compress
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import PageError
@@ -86,8 +95,9 @@ class BangGrid:
     """The index proper: a partition tree whose leaves are disc pages.
 
     Each page payload is a packed ``(keys, records)`` pair, copied on
-    write: a scan keeps the pair it pinned while an insert installs a
-    new one.
+    write: a reader keeps the pair it pinned while an insert installs a
+    new one.  Its records may still be the encoded block a miss read;
+    :meth:`_records` decodes them.
     """
 
     def __init__(self, ndims: int, pager: Pager, bucket_capacity: int = 50):
@@ -108,8 +118,7 @@ class BangGrid:
         if len(key) != self.ndims:
             raise ValueError(f"key arity {len(key)} != {self.ndims}")
         leaf = self._descend(self.root, key)
-        keys, records = self._page(leaf.page_id,
-                                   self.pager.get(leaf.page_id))
+        keys, records = self._leaf(leaf.page_id)
         keys += _KEY_STRUCTS[self.ndims].pack(*key)
         records = records + [record]
         if len(records) > self.bucket_capacity:
@@ -209,8 +218,7 @@ class BangGrid:
         space reclamation, the analogue of the dictionary's "space should
         not be wasted" principle)."""
         leaf = self._descend(self.root, key)
-        entries = self._entries(*self._page(leaf.page_id,
-                                            self.pager.get(leaf.page_id)))
+        entries = self._entries(*self._leaf(leaf.page_id))
         kept = [(k, r) for (k, r) in entries
                 if not (k == tuple(key) and match(r))]
         removed = len(entries) - len(kept)
@@ -255,10 +263,8 @@ class BangGrid:
         if (left.is_leaf and right.is_leaf
                 and left.count + right.count <= self.bucket_capacity):
             # Merge two underfull sibling leaves into one bucket.
-            left_keys, left_records = self._page(
-                left.page_id, self.pager.get(left.page_id))
-            right_keys, right_records = self._page(
-                right.page_id, self.pager.get(right.page_id))
+            left_keys, left_records = self._leaf(left.page_id)
+            right_keys, right_records = self._leaf(right.page_id)
             records = left_records + right_records
             self.pager.put(left.page_id, (left_keys + right_keys, records))
             self.pager.free(right.page_id)
@@ -308,17 +314,38 @@ class BangGrid:
 
     # ----------------------------------------------------------------- pages
 
-    def _page(self, page_id: int, page: Any) -> Tuple[bytes, list]:
+    def _page(self, page_id: int, page: Any) -> Tuple[bytes, Any]:
         """*page* checked against the packed layout (a damaged one is
-        quarantined); ``None``, a page never written, is an empty leaf."""
+        quarantined): keys, and the record list or its encoded block;
+        ``None``, a page never written, is an empty leaf."""
         if page is None:
             return b"", []
+        step = 8 * self.ndims
         if (type(page) is tuple and len(page) == 2
-                and type(page[0]) is bytes and type(page[1]) is list
-                and len(page[0]) == 8 * self.ndims * len(page[1])):
+                and type(page[0]) is bytes and not len(page[0]) % step
+                and (type(page[1]) is bytes or (
+                    type(page[1]) is list
+                    and len(page[0]) == step * len(page[1])))):
             return page
         raise self.pager.quarantine(
             page_id, f"not a {self.ndims}-d leaf (keys, records) pair")
+
+    def _records(self, page_id: int, keys: bytes, records: Any) -> list:
+        """The record list of a checked leaf, decoding its block if a
+        miss left it encoded; one record per key vector."""
+        if type(records) is list:
+            return records
+        records = self.pager.decode(page_id, records)
+        if len(keys) != 8 * self.ndims * len(records):
+            raise self.pager.quarantine(
+                page_id, f"records block of {len(records)} records "
+                f"beside {len(keys) // (8 * self.ndims)} key vectors")
+        return records
+
+    def _leaf(self, page_id: int) -> Tuple[bytes, list]:
+        """``(keys, records)`` of a leaf, decoded (the write paths)."""
+        keys, records = self._page(page_id, self.pager.get(page_id))
+        return keys, self._records(page_id, keys, records)
 
     def _entries(self, keys: bytes, records: list) -> List[tuple]:
         """The ``(key_vector, record)`` entries of a leaf (rare paths)."""
@@ -368,53 +395,56 @@ class BangGrid:
                 if hi >= node.split:  # type: ignore[operator]
                     stack.append(node.right)  # type: ignore[arg-type]
 
-    def query(self, *boxes: Box) -> Iterator[Any]:
-        """Yield records whose key lies inside any of *boxes* (closed
-        intervals; point dims use ``lo == hi``), leaf by leaf.  Every
-        leaf a box reaches is pinned once; entries are tested only on
-        the dimensions a box constrains, and a full box yields records
-        without reading keys."""
-        ndims = self.ndims
+    def query(self, *boxes: Box) -> Iterator[list]:
+        """Yield, leaf by leaf, the list of records whose key lies inside
+        any of *boxes* (closed intervals; point dims use ``lo == hi``);
+        a leaf with none yields nothing.  Every leaf a box reaches is
+        pinned once, for its key test and decode only: entries are
+        tested on the dimensions a box constrains, the records block is
+        decoded only when a key passes, and a full box takes every
+        record without reading keys."""
         tests = [[(d, lo, hi) for d, (lo, hi) in enumerate(box)
                   if (lo, hi) != (0.0, 1.0)] for box in boxes]
+        full = not all(tests)
+        if not full and sys.byteorder != "little":  # the cast reads native
+            raise PageError("little-endian page keys, big host")
+        pager = self.pager
         for leaf in self._leaves(boxes):
-            # Pin the leaf frame while its entries stream out: the
-            # block-at-a-time contract of §2.2 — concurrent readers
-            # must not have the page evicted mid-scan.
-            page = self.pager.pin(leaf.page_id)
+            page_id = leaf.page_id
+            page = pager.pin(page_id)
+            memo = batch = None
             try:
-                keys, records = self._page(leaf.page_id, page)
-                if not all(tests):
-                    yield from records
-                    continue
-                if sys.byteorder != "little":   # the cast reads native
-                    raise PageError("little-endian page keys, big host")
-                flat = memoryview(keys).cast("d")
-                if len(tests) > 1:      # the value and var bands of terms
-                    yield from [record for i, record in enumerate(records)
-                                if any(all(lo <= flat[i * ndims + d] <= hi
-                                           for d, lo, hi in bounds)
-                                       for bounds in tests)]
-                    continue
-                bounds = tests[0]
-                d, lo, hi = bounds[0]
-                if len(bounds) == 1:
-                    yield from [record for value, record
-                                in zip(flat[d::ndims], records)
-                                if lo <= value <= hi]
-                    continue
-                hits = [i for i, value in enumerate(flat[d::ndims])
-                        if lo <= value <= hi]
-                for d, lo, hi in bounds[1:]:
-                    column = flat[d::ndims]
-                    hits = [i for i in hits if lo <= column[i] <= hi]
-                yield from [records[i] for i in hits]
+                keys, records = self._page(page_id, page)
+                passed = None if full else self._passed(keys, tests)
+                if passed is None or True in passed:
+                    decoded = self._records(page_id, keys, records)
+                    if decoded is not records:
+                        memo = (keys, decoded)
+                    batch = (list(decoded) if passed is None
+                             else list(compress(decoded, passed)))
             finally:
-                self.pager.unpin(leaf.page_id)
+                pager.unpin(page_id, page, memo)
+            if batch:
+                yield batch
 
-    def scan(self) -> Iterator[Any]:
-        """Full scan in leaf order (clustered)."""
-        yield from self.query(full_box(self.ndims))
+    def _passed(self, keys: bytes, tests: List[list]) -> List[bool]:
+        """Per entry, whether its key passes any box's tests."""
+        ndims = self.ndims
+        flat = memoryview(keys).cast("d")
+        if len(tests) > 1:      # the value and var bands of terms
+            return [any(all(lo <= flat[i * ndims + d] <= hi
+                            for d, lo, hi in bounds) for bounds in tests)
+                    for i in range(len(flat) // ndims)]
+        (d, lo, hi), *rest = tests[0]
+        passed = [lo <= value <= hi for value in flat[d::ndims]]
+        for d, lo, hi in rest:
+            passed = [ok and lo <= value <= hi
+                      for ok, value in zip(passed, flat[d::ndims])]
+        return passed
+
+    def scan(self) -> Iterator[list]:
+        """Full scan in leaf order (clustered), one list per leaf."""
+        return self.query(full_box(self.ndims))
 
     def leaves_for(self, *boxes: Box) -> int:
         """Number of leaves — pages — a query for *boxes* pins (planner

@@ -1,9 +1,16 @@
 """Paged storage with I/O accounting.
 
-The "disc" is a byte store keyed by page id; pages are pickled on write
-and unpickled on read, so a page fetch does real (de)serialisation work —
-the CPU/IO split the paper measures (§2.2, §5.4) is therefore observable,
-not merely asserted.
+The "disc" is a byte store keyed by page id.  Every page holds one
+image format, owned by this module: a ``struct`` header (key block
+length, records block length), the key block (the leaf's packed
+float64 key vectors, see :mod:`repro.bang.grid`), then the records
+block (a pickle of the leaf's record list).  :meth:`DiskStore.read`
+checks the header and splits the image without decoding the records:
+it returns ``(keys, block)``, and :meth:`Pager.decode` turns a block
+into its record list only when a reader needs the records.  A page
+fetch therefore still does real (de)serialisation work — the CPU/IO
+split the paper measures (§2.2, §5.4) stays observable — but a leaf
+whose keys all miss the query box is never unpickled.
 
 Two disc implementations share the :class:`DiskStore` interface:
 
@@ -14,12 +21,14 @@ Two disc implementations share the :class:`DiskStore` interface:
   CRC32)`` header, so torn writes and bit-rot are *detected* at read
   time rather than surfacing as garbage query answers.
 
-Corruption handling is uniform: a page whose image cannot be validated
-or deserialised raises a typed :class:`~repro.errors.PageError` and is
-**quarantined** — subsequent reads fail fast with a clear message, the
-``pages_quarantined`` gauge reflects it, and the rest of the database
-stays queryable.  Recovery (:meth:`repro.edb.store.ExternalStore.open`)
-runs :meth:`DiskStore.verify_all` to sweep for damage up front.
+Corruption handling is uniform: a page whose image cannot be validated,
+or whose records block cannot be decoded, raises a typed
+:class:`~repro.errors.PageError` and is **quarantined** — subsequent
+reads fail fast with a clear message, the ``pages_quarantined`` gauge
+reflects it, and the rest of the database stays queryable.  Recovery
+(:meth:`repro.edb.store.ExternalStore.open`) runs
+:meth:`DiskStore.verify_all`, which splits every image and decodes
+every records block, to sweep for damage up front.
 
 Counters:
 
@@ -28,7 +37,8 @@ Counters:
 * ``bytes_read`` / ``bytes_written`` — transfer volume for the cost
   model's transfer-time term;
 * ``page_corruptions`` — corrupt page images detected at read/verify
-  time (bad frame, CRC mismatch, undecodable payload);
+  time (bad frame, CRC mismatch, mis-sized image, undecodable records
+  block);
 * ``pages_quarantined`` — gauge: pages currently quarantined.
 """
 
@@ -49,9 +59,16 @@ from .faults import NULL_FAULTS, FaultInjector
 
 DEFAULT_PAGE_SIZE = 4096
 
+#: Leaf image header: key block length u32 | records block length u32.
+_LEAF = struct.Struct("<II")
+
 
 class DiskStore:
-    """The simulated disc: page id → serialized page image.
+    """The simulated disc: page id → leaf image.
+
+    A page payload is a ``(keys, records)`` pair: ``keys`` the packed
+    key block, ``records`` the record list.  :meth:`read` returns the
+    records still encoded, as the block :meth:`decode` takes.
 
     Thread safety: page table, counters and (for the file-backed
     subclass) the shared file handle are guarded by one internal I/O
@@ -103,7 +120,9 @@ class DiskStore:
         self.tracer = NULL_TRACER
         self._io_lock = threading.Lock()
 
-    def read(self, page_id: int) -> Any:
+    def read(self, page_id: int) -> Optional[Tuple[bytes, bytes]]:
+        """``(keys, block)`` of the page's image, the records block still
+        encoded; ``None`` for a page never written."""
         if self.read_latency_s:
             time.sleep(self.read_latency_s)
         with self._io_lock:
@@ -118,9 +137,12 @@ class DiskStore:
                                   bytes=self.page_size)
             if not image:
                 return None
-            return self._deserialize(page_id, image)
+            return self._split(page_id, image)
 
-    def write(self, page_id: int, payload: Any) -> None:
+    def write(self, page_id: int, payload: Tuple[bytes, list]) -> None:
+        keys, records = payload
+        block = pickle.dumps(records, protocol=4)
+        image = _LEAF.pack(len(keys), len(block)) + keys + block
         with self._io_lock:
             if not self._page_exists(page_id):
                 raise PageError(f"page {page_id} does not exist")
@@ -129,7 +151,7 @@ class DiskStore:
             if self.tracer.enabled:
                 self.tracer.event("page.write", page=page_id,
                                   bytes=self.page_size)
-            self._store_image(page_id, pickle.dumps(payload, protocol=4))
+            self._store_image(page_id, image)
             # A full rewrite replaces the damaged image: lift the
             # quarantine.
             self.quarantined.discard(page_id)
@@ -139,10 +161,26 @@ class DiskStore:
             self._pages.pop(page_id, None)
             self.quarantined.discard(page_id)
 
+    def decode(self, page_id: int, block: bytes) -> list:
+        """The record list a records block encodes; an undecodable block
+        quarantines the page."""
+        try:
+            records = pickle.loads(block)
+        except Exception as exc:
+            reason = (f"undecodable records block "
+                      f"({type(exc).__name__}: {exc})")
+        else:
+            if type(records) is list:
+                return records
+            reason = f"records block holds a {type(records).__name__}"
+        with self._io_lock:
+            raise self._corrupt(page_id, reason)
+
     def verify_all(self) -> List[int]:
-        """Validate every page image; quarantine and return the corrupt
-        ones (sorted).  Bypasses the read counters: verification is a
-        recovery sweep, not simulated query I/O."""
+        """Validate every page image — header, key block and the decoded
+        records block; quarantine and return the corrupt ones (sorted).
+        Bypasses the read counters: verification is a recovery sweep,
+        not simulated query I/O."""
         bad: List[int] = []
         for pid in sorted(self._page_ids()):
             if pid in self.quarantined:
@@ -151,7 +189,7 @@ class DiskStore:
             try:
                 image = self._load_image(pid)
                 if image:
-                    self._deserialize(pid, image)
+                    self.decode(pid, self._split(pid, image)[1])
             except PageError:
                 bad.append(pid)
         return bad
@@ -197,13 +235,15 @@ class DiskStore:
     def _store_image(self, pid: int, image: bytes) -> None:
         self._pages[pid] = image
 
-    def _deserialize(self, pid: int, image: bytes) -> Any:
-        try:
-            return pickle.loads(image)
-        except Exception as exc:
-            raise self._corrupt(
-                pid, f"undecodable page image "
-                f"({type(exc).__name__}: {exc})") from exc
+    def _split(self, pid: int, image: bytes) -> Tuple[bytes, bytes]:
+        """The key block and the (encoded) records block of *image*."""
+        if len(image) >= _LEAF.size:
+            nkeys, nblock = _LEAF.unpack_from(image)
+            end = _LEAF.size + nkeys
+            if end + nblock == len(image) and not nkeys % 8:
+                return image[_LEAF.size:end], image[end:]
+        raise self._corrupt(pid, f"not a leaf image ({len(image)} bytes, "
+                            f"header and blocks disagree)")
 
     def _corrupt(self, pid: int, reason: str) -> PageError:
         """Record a corrupt page: count it, quarantine it, and build the
@@ -394,7 +434,11 @@ class Pager:
     """Page allocation + access through a buffer pool.
 
     All page traffic goes through :class:`~repro.bang.buffer.BufferPool`;
-    the pager is the single facade storage clients use.
+    the pager is the single facade storage clients use.  A frame holds
+    a ``(keys, records)`` payload whose records are a list, or — read
+    from disc and not yet needed — the encoded block: a reader decodes
+    it with :meth:`decode` and hands the decoded payload back to
+    :meth:`unpin`, so a buffer hit never decodes twice.
     """
 
     def __init__(self, disk: Optional[DiskStore] = None,
@@ -403,7 +447,7 @@ class Pager:
         self.disk = disk or DiskStore()
         self.buffer = BufferPool(self.disk, capacity=buffer_pages)
 
-    def allocate(self, initial: Any = None) -> int:
+    def allocate(self, initial: Tuple[bytes, list]) -> int:
         pid = self.disk.allocate()
         self.buffer.install(pid, initial)
         return pid
@@ -415,8 +459,21 @@ class Pager:
         """Page payload with its buffer frame pinned against eviction."""
         return self.buffer.pin(page_id)
 
-    def unpin(self, page_id: int) -> None:
-        self.buffer.unpin(page_id)
+    def unpin(self, page_id: int, read: Any = None,
+              memo: Any = None) -> None:
+        """Release a pin; with *memo*, the decoded form of the payload
+        *read* at :meth:`pin`, which replaces the frame if it still holds
+        *read* (see :meth:`~repro.bang.buffer.BufferPool.unpin`)."""
+        self.buffer.unpin(page_id, read, memo)
+
+    def decode(self, page_id: int, block: bytes) -> list:
+        """The record list of a page's records block; an undecodable
+        block drops the frame and quarantines the page."""
+        try:
+            return self.disk.decode(page_id, block)
+        except PageError:
+            self.buffer.discard(page_id)
+            raise
 
     @contextmanager
     def pinned(self, page_id: int):

@@ -6,6 +6,10 @@ are the relation's key attributes; a tuple's key vector is computed by
 range partial-match queries cluster (§2.2: indices make the relation
 look like "a sequential file" on the probed attributes).
 
+Reads yield one list per grid leaf — the leaf's matching tuples — as
+the grid does: a leaf, not a row, crosses each layer above it, and a
+leaf with no match yields nothing.
+
 ``term`` attributes implement the paper's §3.2.2/§4 scheme — *indexing
 on type and value*:
 
@@ -28,7 +32,8 @@ import math
 from array import array
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..dictionary import fnv1a
 from ..errors import CatalogError, TypeError_
@@ -211,7 +216,9 @@ class BangRelation:
 
     def delete_where(self, assignment: Dict[int, Any]) -> int:
         """Delete every tuple matching the partial assignment."""
-        victims = list(self.query(assignment))
+        victims: List[tuple] = []
+        for batch in self.query(assignment):
+            victims += batch
         removed = 0
         for row in victims:
             removed += self.delete(row)
@@ -228,19 +235,36 @@ class BangRelation:
 
     # ------------------------------------------------------------------ read
 
-    def scan(self) -> Iterator[tuple]:
-        yield from self.grid.scan()
+    def scan(self) -> Iterator[List[tuple]]:
+        return self.grid.scan()
 
-    def query(self, assignment: Dict[int, Any]) -> Iterator[tuple]:
-        """Exact partial-match: ``{attr_index: value}``.
+    def query(self, assignment: Dict[int, Any]) -> Iterator[List[tuple]]:
+        """Exact partial-match: ``{attr_index: value}``, one list per
+        leaf.
 
         ``term`` dimensions automatically include the var band (a stored
         variable head argument matches any query value).  Results are
         post-filtered so callers get exact matches only.
         """
-        for row in self.grid.query(*self._boxes_for(assignment)):
-            if self.row_matches(row, assignment):
-                yield row
+        keep = self._exact(assignment)
+        for batch in self.grid.query(*self._boxes_for(assignment)):
+            batch = keep(batch)
+            if batch:
+                yield batch
+
+    def _exact(self, assignment: Dict[int, Any]
+               ) -> Callable[[List[tuple]], List[tuple]]:
+        """A batch filter to the rows :meth:`row_matches` accepts: the
+        grid's key test is not exact (string keys keep a prefix)."""
+        if not assignment:
+            return lambda batch: batch
+        if any(self._types[attr] == "term" for attr in assignment):
+            matches = self.row_matches
+            return lambda batch: [row for row in batch
+                                  if matches(row, assignment)]
+        get = itemgetter(*assignment)
+        want = get(assignment)
+        return lambda batch: [row for row in batch if get(row) == want]
 
     def row_matches(self, row: tuple, assignment: Dict[int, Any]) -> bool:
         """Does *row* satisfy the exact partial-match *assignment*?"""
@@ -255,8 +279,9 @@ class BangRelation:
 
     def range_query(self, attr: int, low: Any, high: Any,
                     extra: Optional[Dict[int, Any]] = None
-                    ) -> Iterator[tuple]:
-        """Tuples with ``low <= row[attr] <= high`` (plus exact *extra*).
+                    ) -> Iterator[List[tuple]]:
+        """Tuples with ``low <= row[attr] <= high`` (plus exact *extra*),
+        one list per leaf.
 
         Only meaningful on ``int``/``real``/``atom`` attributes, whose key
         transforms preserve order."""
@@ -268,27 +293,31 @@ class BangRelation:
             attr: (encode_value(attr_type, low),
                    encode_value(attr_type, high))
         }
-        for row in self.grid.query(*self._boxes_for(extra, ranges)):
-            if low <= row[attr] <= high and self.row_matches(row, extra):
-                yield row
+        keep = self._exact(extra)
+        for batch in self.grid.query(*self._boxes_for(extra, ranges)):
+            batch = keep([row for row in batch if low <= row[attr] <= high])
+            if batch:
+                yield batch
 
     def type_query(self, attr: int, band: str,
-                   extra: Optional[Dict[int, Any]] = None) -> Iterator[tuple]:
+                   extra: Optional[Dict[int, Any]] = None
+                   ) -> Iterator[List[tuple]]:
         """Tuples whose ``term`` attribute has the given type band — the
-        paper's "indexing over the type of the term" (§3.2.2)."""
+        paper's "indexing over the type of the term" (§3.2.2) — one list
+        per leaf."""
         if self._types[attr] != "term":
             raise TypeError_("term attribute", self.schema.name)
         if band not in _BANDS:
             raise TypeError_("type band", band)
         extra = extra or {}
         ranges = {attr: _band_range(band)}
-        for row in self.grid.query(*self._boxes_for(extra, ranges)):
-            value = row[attr]
-            if not (isinstance(value, tuple) and value
-                    and value[0] == band):
-                continue
-            if self.row_matches(row, extra):
-                yield row
+        keep = self._exact(extra)
+        for batch in self.grid.query(*self._boxes_for(extra, ranges)):
+            batch = keep([row for row in batch
+                          if isinstance(row[attr], tuple) and row[attr]
+                          and row[attr][0] == band])
+            if batch:
+                yield batch
 
     # ------------------------------------------------------------- planning
 

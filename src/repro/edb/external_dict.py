@@ -20,7 +20,7 @@ A write-through cache keeps resolution cheap within a session.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bang.catalog import AttributeSpec, Catalog, RelationSchema
 from ..dictionary import fnv1a
@@ -84,10 +84,13 @@ class ExternalDictionary:
             return ext_id
         return None
 
-    def name_range(self, low: str, high: str):
+    def name_range(self, low: str, high: str) -> List[tuple]:
         """All entries whose name lies in [low, high] — the range-query
         facility the paper calls out."""
-        yield from self.relation.range_query(1, low, high)
+        rows: List[tuple] = []
+        for batch in self.relation.range_query(1, low, high):
+            rows += batch
+        return rows
 
     def __len__(self) -> int:
         return len(self.relation)
@@ -100,8 +103,9 @@ class ExternalDictionary:
             return True
         self.misses += 1
         found = False
-        for row in self.relation.query({0: ext_id}):
-            self._admit(row[0], row[1], row[2])
+        for batch in self.relation.query({0: ext_id}):
+            for row in batch:
+                self._admit(row[0], row[1], row[2])
             found = True
         return found
 

@@ -79,7 +79,7 @@ from .recovery import RecoveryReport
 #   magic "EDB*" | format version u16 | flags u16 | payload length u64 |
 #   payload crc32 u32 | pickled ExternalStore
 CHECKPOINT_MAGIC = b"EDB*"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _CKPT_HEADER = struct.Struct(">4sHHQI")
 DERIVED = "derived from stored calls"
 
@@ -434,7 +434,7 @@ class ExternalStore:
             if (proc is None or proc.key_origin == "declared"
                     or known == set(proc.relation.key_dims)):
                 continue
-            rows = list(proc.relation.scan())
+            rows = [row for batch in proc.relation.scan() for row in batch]
             dims, proc.key_origin = self._layout(ind, rows)
             dims = dims or list(range(ind[1]))
             self.events.record("store.recluster", relation=proc.key,
@@ -479,13 +479,15 @@ class ExternalStore:
             assignment = assignment or {}
             if proc.mode == "facts":
                 raise CatalogError(f"{proc.key} is a facts relation")
-            rows = proc.relation.query(dict(assignment))
-            wanted = {row[arity] for row in rows}
+            wanted = {row[arity] for batch
+                      in proc.relation.query(dict(assignment))
+                      for row in batch}
             # One clustered partial-match fetch for the whole procedure:
             # the deterministic collect-at-once of §3.2.1.
             fetched = [
-                row[2] for row in self.clauses_relation.query({0: proc.key})
-                if row[1] in wanted
+                row[2] for batch
+                in self.clauses_relation.query({0: proc.key})
+                for row in batch if row[1] in wanted
             ]
             fetched.sort(key=lambda sc: sc.clause_id)
             return fetched
@@ -564,14 +566,17 @@ class ExternalStore:
                     ) -> List[tuple]:
         """Matching tuples, materialised *inside* the read lock — a lazy
         iterator would keep reading pages after the lock was released,
-        racing any concurrent update."""
+        racing any concurrent update.  The grid's leaf batches are
+        joined whole."""
         with self.reading():
             proc = self.get(name, arity)
             if proc.mode != "facts":
                 raise CatalogError(f"{proc.key} is not a facts relation")
-            if assignment:
-                return list(proc.relation.query(dict(assignment)))
-            return list(proc.relation.scan())
+            rows: List[tuple] = []
+            for batch in (proc.relation.query(dict(assignment))
+                          if assignment else proc.relation.scan()):
+                rows += batch
+            return rows
 
     def relation_of(self, name: str, arity: int) -> BangRelation:
         """Direct relational-engine access to a facts relation — the
@@ -645,7 +650,8 @@ class ExternalStore:
     def _apply_assert_rule(self, record: dict) -> None:
         proc = self.get(record["name"], record["arity"])
         existing = [
-            row[1] for row in self.clauses_relation.query({0: proc.key})
+            row[1] for batch in self.clauses_relation.query({0: proc.key})
+            for row in batch
         ]
         cid = max(existing, default=-1) + 1
         self._insert_rule_clause(proc, cid, record["clause"])

@@ -43,41 +43,43 @@ from ..wam.compiler import register_builtin_indicator
 
 
 class _Cursor:
-    """One open descriptor: relation + key + a lookahead iterator."""
+    """One open descriptor: relation + key + the current leaf batch.
+
+    The relation's read yields one list per grid leaf and holds no
+    buffer pin between batches, so a cursor left open pins nothing."""
 
     __slots__ = ("name", "arity", "relation", "assignment",
-                 "iterator", "lookahead", "exhausted")
+                 "batches", "batch", "pos")
 
     def __init__(self, name: str, arity: int, relation):
         self.name = name
         self.arity = arity
         self.relation = relation
         self.assignment: Dict[int, object] = {}
-        self.iterator: Optional[Iterator[tuple]] = None
-        self.lookahead: Optional[tuple] = None
-        self.exhausted = False
+        self.batches: Optional[Iterator[List[tuple]]] = None
+        self.batch: List[tuple] = []
+        self.pos = 0
 
     def rewind(self) -> None:
-        self.iterator = iter(self.relation.query(self.assignment)
-                             if self.assignment
-                             else self.relation.scan())
-        self.exhausted = False
-        self._advance()
+        self.batches = (self.relation.query(self.assignment)
+                        if self.assignment else self.relation.scan())
+        self.batch = next(self.batches, [])
+        self.pos = 0
 
-    def _advance(self) -> None:
-        assert self.iterator is not None
-        try:
-            self.lookahead = next(self.iterator)
-        except StopIteration:
-            self.lookahead = None
-            self.exhausted = True
+    @property
+    def lookahead(self) -> Optional[tuple]:
+        """The next tuple :meth:`take` returns, if any."""
+        if self.batches is None:
+            self.rewind()
+        return self.batch[self.pos] if self.pos < len(self.batch) else None
 
     def take(self) -> Optional[tuple]:
-        if self.iterator is None:
-            self.rewind()
         row = self.lookahead
         if row is not None:
-            self._advance()
+            self.pos += 1
+            if self.pos == len(self.batch):
+                self.batch = next(self.batches, [])  # type: ignore[arg-type]
+                self.pos = 0
         return row
 
 
@@ -230,7 +232,7 @@ def install_cursor_builtins(machine, table: CursorTable) -> None:
             if value is not None:
                 assignment[i] = value
         cursor.assignment = assignment
-        cursor.iterator = None
+        cursor.batches = None
         return True
 
     def bi_first_tuple(m, args):
@@ -252,8 +254,6 @@ def install_cursor_builtins(machine, table: CursorTable) -> None:
 
     def bi_more(m, args):
         cursor = table.get(_descr_handle(m, args[0]))
-        if cursor.iterator is None:
-            cursor.rewind()
         return cursor.lookahead is not None
 
     def bi_close_rel(m, args):
@@ -268,7 +268,7 @@ def install_cursor_builtins(machine, table: CursorTable) -> None:
         stored = table.store.lookup(name, arity)
         if stored is None or stored.mode != "facts":
             raise ExistenceError("relation", f"{name}/{arity}")
-        rows = list(stored.relation.scan())
+        rows = [row for batch in stored.relation.scan() for row in batch]
 
         def solutions():
             for row in rows:

@@ -75,6 +75,7 @@ class Interpreter:
         receives each clause group in place of :meth:`define` — the
         Educe baseline stores them (``EduceBaseline.store_program``)."""
         load_program(text, self.reader, define or self.define,
+                     define or self.define,
                      lambda name, arity: self.declared.add((name, arity)),
                      self.solve_once)
 

@@ -168,7 +168,8 @@ class RelationalOps:
         if left.arity != right.arity:
             raise CatalogError("union arity mismatch")
         rows = list(dict.fromkeys(
-            list(left.scan()) + list(right.scan())))
+            row for relation in (left, right)
+            for batch in relation.scan() for row in batch))
         self._materialise(_atom_name(m, args[2]), rows, left.arity)
         return True
 
@@ -177,8 +178,9 @@ class RelationalOps:
         right = self._relation(m, args[1])
         if left.arity != right.arity:
             raise CatalogError("difference arity mismatch")
-        exclude = set(right.scan())
-        rows = [r for r in left.scan() if r not in exclude]
+        exclude = {row for batch in right.scan() for row in batch}
+        rows = [row for batch in left.scan() for row in batch
+                if row not in exclude]
         self._materialise(_atom_name(m, args[2]), rows, left.arity)
         return True
 

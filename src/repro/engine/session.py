@@ -112,9 +112,10 @@ class EduceStar:
         ``dynamic``, ``:- pred ...``, any goal — run on this session's
         machine once the clauses before it are stored)."""
         self.parsed_chars += len(text)
-        self.machine.consult(text, define=self._store_rules)
+        self.machine.consult(text, define=self._store_rules,
+                             extend=self._extend_rules)
 
-    def _store_rules(self, name: str, arity: int,
+    def _check_heads(self, name: str, arity: int,
                      clauses: List[Term]) -> None:
         if arity and (name, arity) in self.types:
             # Store-time type checking of rule heads (§3.2.3).
@@ -122,7 +123,27 @@ class EduceStar:
                 self.types.check_summaries(
                     name, arity,
                     [summarize_arg(a) for a in split_clause(clause)[0].args])
+
+    def _store_rules(self, name: str, arity: int,
+                     clauses: List[Term]) -> None:
+        self._check_heads(name, arity, clauses)
         self.store.store_rules(name, arity, clauses, self.machine.ctx)
+
+    def _extend_rules(self, name: str, arity: int,
+                      clauses: List[Term]) -> None:
+        """A later section's clauses for a procedure the text stored (or
+        declared) earlier: appended to the stored procedure."""
+        if self.store.lookup(name, arity) is None:
+            # Declared only: the declaration left an empty main-memory
+            # procedure, which would shadow the one stored now.
+            local = self.machine.procedure(name, arity)
+            if local is not None and not local.clauses:
+                del self.machine.procedures[local.pid]
+            self._store_rules(name, arity, clauses)
+            return
+        self._check_heads(name, arity, clauses)
+        for clause in clauses:
+            self.store.assert_clause(name, arity, clause, self.machine.ctx)
 
     def store_relation(self, name: str, rows: List[tuple],
                        types: Optional[List[str]] = None,

@@ -89,17 +89,24 @@ def read_sections(text: str, reader: Reader) -> Iterator[Section]:
 
 def load_program(text: str, reader: Reader,
                  define: Callable[[str, int, List[Term]], object],
+                 extend: Callable[[str, int, List[Term]], object],
                  declare: Callable[[str, int], object],
                  solve_once: Callable[[Term], object]) -> None:
     """Load *text* into an engine, section by section: each clause group
-    goes to *define(name, arity, clauses)*, each declared indicator to
+    goes to *define(name, arity, clauses)* — or, when an earlier section
+    of the text defined or declared the procedure, to *extend*, which
+    adds the clauses after the ones it has — each declared indicator to
     *declare(name, arity)*, and the section's goal to *solve_once* — a
     directive that fails (None) raises :class:`PrologError`."""
+    seen: Set[Indicator] = set()
     for section in read_sections(text, reader):
-        for (name, arity), clauses in section.groups().items():
-            define(name, arity, clauses)
+        groups = section.groups()
+        for (name, arity), clauses in groups.items():
+            (extend if (name, arity) in seen else define)(
+                name, arity, clauses)
         for name, arity in section.declared:
             declare(name, arity)
+        seen.update(groups, section.declared)
         if section.goal is not None and solve_once(section.goal) is None:
             raise PrologError(f"directive failed: {section.goal!r}")
 

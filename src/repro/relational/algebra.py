@@ -1,15 +1,22 @@
 """Relational algebra plan nodes and the pull-based executor.
 
-Plans are trees of small dataclass-style nodes; :func:`execute` turns a
-plan into an iterator of tuples.  Access-path nodes (:class:`Select`,
+Plans are trees of small dataclass-style nodes; :func:`execute` runs a
+plan to a list of tuples.  Rows move between nodes a batch at a time —
+the access-path nodes pass on one list per grid leaf, and every other
+node turns each input batch into one output batch (§2.2: a block is
+processed while the next is read) — so no node runs a generator step
+per row.  Access-path nodes (:class:`Select`,
 :class:`RangeSelect`, :class:`Scan`) sit on BANG relations and exploit
 the grid's clustered partial-match access; :class:`HashJoin` implements
 the classic build/probe equi-join; :class:`IndexJoin` probes the inner
 relation's grid per outer row (chosen by the planner when the inner
 probe is selective).
 
-Every node counts the rows it produces (``rows_out``) so benchmarks can
-report intermediate cardinalities alongside the pager's I/O counters.
+Every node counts the rows it produces (``rows_out``, one addition per
+batch) so benchmarks can report intermediate cardinalities alongside the
+pager's I/O counters.  :meth:`Plan.batches` is the one way rows flow
+and the one place they are counted; :meth:`Plan.rows` flattens it for
+callers outside the engine.
 """
 
 from __future__ import annotations
@@ -22,18 +29,26 @@ from ..obs.tracing import NULL_TRACER
 
 
 class Plan:
-    """Base class for plan nodes."""
+    """Base class for plan nodes: each yields its output from
+    :meth:`_batches`, and :meth:`batches` counts it."""
 
     def __init__(self) -> None:
         self.rows_out = 0
 
-    def rows(self) -> Iterator[tuple]:  # pragma: no cover - abstract
+    def batches(self) -> Iterator[List[tuple]]:
+        """The node's output, one non-empty list at a time."""
+        for batch in self._batches():
+            if batch:
+                self.rows_out += len(batch)
+                yield batch
+
+    def _batches(self) -> Iterator[List[tuple]]:  # pragma: no cover
         raise NotImplementedError
 
-    def _count(self, it: Iterator[tuple]) -> Iterator[tuple]:
-        for row in it:
-            self.rows_out += 1
-            yield row
+    def rows(self) -> Iterator[tuple]:
+        """The output row by row, for callers outside the engine."""
+        for batch in self.batches():
+            yield from batch
 
 
 class Scan(Plan):
@@ -43,8 +58,8 @@ class Scan(Plan):
         super().__init__()
         self.relation = relation
 
-    def rows(self) -> Iterator[tuple]:
-        return self._count(self.relation.scan())
+    def _batches(self) -> Iterator[List[tuple]]:
+        return self.relation.scan()
 
 
 class Select(Plan):
@@ -55,8 +70,8 @@ class Select(Plan):
         self.relation = relation
         self.assignment = dict(assignment)
 
-    def rows(self) -> Iterator[tuple]:
-        return self._count(self.relation.query(self.assignment))
+    def _batches(self) -> Iterator[List[tuple]]:
+        return self.relation.query(self.assignment)
 
 
 class RangeSelect(Plan):
@@ -72,9 +87,9 @@ class RangeSelect(Plan):
         self.high = high
         self.extra = dict(extra or {})
 
-    def rows(self) -> Iterator[tuple]:
-        return self._count(self.relation.range_query(
-            self.attr, self.low, self.high, self.extra))
+    def _batches(self) -> Iterator[List[tuple]]:
+        return self.relation.range_query(self.attr, self.low, self.high,
+                                         self.extra)
 
 
 class Filter(Plan):
@@ -85,9 +100,10 @@ class Filter(Plan):
         self.child = child
         self.predicate = predicate
 
-    def rows(self) -> Iterator[tuple]:
+    def _batches(self) -> Iterator[List[tuple]]:
         pred = self.predicate
-        return self._count(row for row in self.child.rows() if pred(row))
+        return ([row for row in batch if pred(row)]
+                for batch in self.child.batches())
 
 
 class Project(Plan):
@@ -98,10 +114,10 @@ class Project(Plan):
         self.child = child
         self.columns = tuple(columns)
 
-    def rows(self) -> Iterator[tuple]:
+    def _batches(self) -> Iterator[List[tuple]]:
         cols = self.columns
-        return self._count(
-            tuple(row[c] for c in cols) for row in self.child.rows())
+        return ([tuple(row[c] for c in cols) for row in batch]
+                for batch in self.child.batches())
 
 
 class Distinct(Plan):
@@ -111,14 +127,15 @@ class Distinct(Plan):
         super().__init__()
         self.child = child
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            seen = set()
-            for row in self.child.rows():
+    def _batches(self) -> Iterator[List[tuple]]:
+        seen: set = set()
+        for batch in self.child.batches():
+            fresh = []
+            for row in batch:
                 if row not in seen:
                     seen.add(row)
-                    yield row
-        return self._count(gen())
+                    fresh.append(row)
+            yield fresh
 
 
 class HashJoin(Plan):
@@ -135,21 +152,22 @@ class HashJoin(Plan):
         self.left_attr = left_attr
         self.right_attr = right_attr
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            table: Dict[Any, List[tuple]] = {}
-            for row in self.left.rows():
-                table.setdefault(row[self.left_attr], []).append(row)
-            for row in self.right.rows():
-                for match in table.get(row[self.right_attr], ()):
-                    yield match + row
-        return self._count(gen())
+    def _batches(self) -> Iterator[List[tuple]]:
+        table: Dict[Any, List[tuple]] = {}
+        left_attr, right_attr = self.left_attr, self.right_attr
+        for batch in self.left.batches():
+            for row in batch:
+                table.setdefault(row[left_attr], []).append(row)
+        for batch in self.right.batches():
+            yield [match + row for row in batch
+                   for match in table.get(row[right_attr], ())]
 
 
 class IndexJoin(Plan):
     """Index nested-loop join: per outer row, probe the inner grid.
 
-    Output rows are ``outer_row + inner_row``.
+    Output rows are ``outer_row + inner_row``, one batch per outer
+    batch.
     """
 
     def __init__(self, outer: Plan, inner: BangRelation,
@@ -162,14 +180,15 @@ class IndexJoin(Plan):
         self.inner_attr = inner_attr
         self.inner_extra = dict(inner_extra or {})
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            for row in self.outer.rows():
+    def _batches(self) -> Iterator[List[tuple]]:
+        for batch in self.outer.batches():
+            out: List[tuple] = []
+            for row in batch:
                 assignment = dict(self.inner_extra)
                 assignment[self.inner_attr] = row[self.outer_attr]
-                for match in self.inner.query(assignment):
-                    yield row + match
-        return self._count(gen())
+                for matches in self.inner.query(assignment):
+                    out += [row + match for match in matches]
+            yield out
 
 
 class Rows(Plan):
@@ -185,8 +204,8 @@ class Rows(Plan):
         self.data = data
         self.name = name
 
-    def rows(self) -> Iterator[tuple]:
-        return self._count(iter(self.data))
+    def _batches(self) -> Iterator[List[tuple]]:
+        yield list(self.data)
 
 
 class LookupJoin(Plan):
@@ -210,14 +229,11 @@ class LookupJoin(Plan):
         self.outer_attr = outer_attr
         self.name = name
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            index = self.index
-            attr = self.outer_attr
-            for row in self.outer.rows():
-                for match in index.get(row[attr], ()):
-                    yield row + match
-        return self._count(gen())
+    def _batches(self) -> Iterator[List[tuple]]:
+        index, attr = self.index, self.outer_attr
+        return ([row + match for row in batch
+                 for match in index.get(row[attr], ())]
+                for batch in self.outer.batches())
 
 
 class CrossJoin(Plan):
@@ -232,13 +248,11 @@ class CrossJoin(Plan):
         self.left = left
         self.right = right
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            right_rows = list(self.right.rows())
-            for row in self.left.rows():
-                for other in right_rows:
-                    yield row + other
-        return self._count(gen())
+    def _batches(self) -> Iterator[List[tuple]]:
+        right_rows = [row for batch in self.right.batches()
+                      for row in batch]
+        for batch in self.left.batches():
+            yield [row + other for row in batch for other in right_rows]
 
 
 class Aggregate(Plan):
@@ -254,22 +268,21 @@ class Aggregate(Plan):
         self.func = func
         self.column = column
 
-    def rows(self) -> Iterator[tuple]:
-        def gen():
-            values = [row[self.column] for row in self.child.rows()]
-            if self.func == "count":
-                yield (len(values),)
-            elif not values:
-                yield (None,)
-            elif self.func == "sum":
-                yield (sum(values),)
-            elif self.func == "min":
-                yield (min(values),)
-            elif self.func == "max":
-                yield (max(values),)
-            else:
-                yield (sum(values) / len(values),)
-        return self._count(gen())
+    def _batches(self) -> Iterator[List[tuple]]:
+        values = [row[self.column] for batch in self.child.batches()
+                  for row in batch]
+        if self.func == "count":
+            yield [(len(values),)]
+        elif not values:
+            yield [(None,)]
+        elif self.func == "sum":
+            yield [(sum(values),)]
+        elif self.func == "min":
+            yield [(min(values),)]
+        elif self.func == "max":
+            yield [(max(values),)]
+        else:
+            yield [(sum(values) / len(values),)]
 
 
 def describe(plan: Plan) -> str:
@@ -300,7 +313,9 @@ def execute(plan: Plan, tracer=None) -> List[tuple]:
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("relational.execute") as span:
-        rows = list(plan.rows())
+        rows: List[tuple] = []
+        for batch in plan.batches():
+            rows += batch
         if span is not None:
             span.attrs["plan"] = describe(plan)
             span.attrs["rows"] = len(rows)

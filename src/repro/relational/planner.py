@@ -70,6 +70,6 @@ def plan_join(outer: Plan, outer_rows: float,
 
 def _sample_value(relation: BangRelation, attr: int):
     """A representative probe value for cost estimation."""
-    for row in relation.scan():
-        return row[attr]
+    for batch in relation.scan():
+        return batch[0][attr]
     return None

@@ -257,7 +257,8 @@ class Machine:
 
     # ===================================================== program loading
 
-    def consult(self, text: str, define: Optional[Callable] = None) -> None:
+    def consult(self, text: str, define: Optional[Callable] = None,
+                extend: Optional[Callable] = None) -> None:
         """Compile a program text into main-memory procedures.
 
         The text is read section by section (:mod:`repro.lang.program`):
@@ -265,12 +266,16 @@ class Machine:
         the next clause is parsed, ``dynamic``/``discontiguous``
         declarations make a procedure callable without clauses, and any
         other ``:- Goal`` is solved once the clauses before it are
-        loaded.  *define(name, arity, clauses)* receives each clause
-        group in place of :meth:`define_procedure` — the EDB session
-        stores them (``EduceStar.store_program``).
+        loaded; a later section's clauses for a procedure the text
+        already defined or declared are added after its clauses.
+        *define(name, arity, clauses)* and *extend* receive the clause
+        groups in place of :meth:`define_procedure` and
+        :meth:`extend_procedure` — the EDB session stores them
+        (``EduceStar.store_program``).
         """
         load_program(text, self.reader, define or self.define_procedure,
-                     self.declare_dynamic, self.solve_once)
+                     extend or self.extend_procedure, self.declare_dynamic,
+                     self.solve_once)
 
     def consult_file(self, path: str) -> None:
         """Consult a Prolog source file."""
@@ -307,6 +312,20 @@ class Machine:
             proc.code = self._build_block(proc)
         self.procedures[pid] = proc
         return proc
+
+    def extend_procedure(self, name: str, arity: int,
+                         clauses: List[Term]) -> None:
+        """Add *clauses* after those of *name/arity*, keeping its kind (a
+        procedure only declared so far is defined by them)."""
+        proc = self.procedure(name, arity)
+        if proc is None or proc.kind not in ("static", "dynamic"):
+            self.define_procedure(name, arity, clauses)
+            return
+        proc.clauses.extend(clauses)
+        if proc.kind == "static":
+            self.refresh(proc)
+        else:
+            proc.dirty = True
 
     def define_external(self, name: str, arity: int,
                         fetch: Callable) -> Procedure:

@@ -274,7 +274,7 @@ def run_query(db: WisconsinDB, qc: QueryClass,
     """Execute one variant, capturing time + I/O counters."""
     with measure(db.session) as m:
         plan = variant.build(db)
-        rows = sum(1 for _ in plan.rows())
+        rows = sum(map(len, plan.batches()))
     m.counters["tuple_ops"] = m.counters.get("tuple_ops", 0) \
         + plan_tuple_ops(plan)
     return QueryResult(qc.number, variant.name, rows, m)

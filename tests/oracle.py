@@ -141,6 +141,9 @@ class Case:
     phrasings: Dict[str, str] = field(default_factory=dict)
     #: how often a round asks each goal in one session
     repeats: int = 2
+    #: the program text runs a goal directive between the first and
+    #: the later clauses of each rule procedure
+    split: bool = False
 
     def dynamic(self) -> List[Indicator]:
         """Every procedure a mutation script writes."""
@@ -162,8 +165,10 @@ class Case:
         if facts:
             lines += [_fact(name, row) for name, rows
                       in self.relations.items() for row in rows]
-        lines += [f"{c}." for clauses in self.rules.values()
-                  for c in clauses]
+        for clauses in self.rules.values():
+            lines += [f"{c}." for c in clauses]
+            if self.split and len(clauses) > 1:
+                lines.insert(len(lines) - len(clauses) + 1, ":- true.")
         return "\n".join(lines) + "\n"
 
 
@@ -480,7 +485,8 @@ ANSWER_CAP = 100
 def generate(seed: int) -> Case:
     """A random case: a workload graph family with colours, weights and
     marks; rule procedures over it with nested heads and control
-    constructs; three rounds with two mutation scripts between them."""
+    constructs, in odd seeds cut by a goal directive after their first
+    clause; three rounds with two mutation scripts between them."""
     rng = random.Random(seed)
     edges = _graph(rng, seed)
     nodes = graphs.nodes_of(edges)
@@ -549,7 +555,8 @@ def generate(seed: int) -> Case:
 
     case = Case(f"seed{seed}", relations, key_dims, rules,
                 [([], goals), (first, goals),
-                 (second, goals + ["probe(X, Y)"])], phrasings)
+                 (second, goals + ["probe(X, Y)"])], phrasings,
+                split=seed % 2 == 1)
     return _capped(case)
 
 

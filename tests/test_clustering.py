@@ -12,6 +12,7 @@ insert per record, :meth:`BangGrid.load` divides the rows at medians.
 import os
 import random
 import shutil
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +54,7 @@ def _check_boxes(grid, model, boxes):
     are the leaves ``leaves_for`` counts."""
     for box in boxes:
         before = grid.pager.io_counters()
-        got = sorted(grid.query(box))
+        got = sorted(chain.from_iterable(grid.query(box)))
         after = grid.pager.io_counters()
         assert got == sorted(i for i, key in model.items()
                              if _inside(box, key))
@@ -117,7 +118,7 @@ def _shape(grid, node=None):
     """The tree: split planes and each leaf's records, in scan order."""
     node = node or grid.root
     if node.is_leaf:
-        return list(grid.pager.get(node.page_id)[1])
+        return list(grid._leaf(node.page_id)[1])
     return (node.dim, node.split, _shape(grid, node.left),
             _shape(grid, node.right))
 
@@ -194,7 +195,7 @@ def test_non_key_values_are_type_checked():
     relation = kb.store.lookup("r", 2).relation
     with pytest.raises(TypeError_):
         relation.insert(("x", "c"))
-    assert sorted(relation.scan()) == [(1, "a"), (2, "b")]
+    assert sorted(chain.from_iterable(relation.scan())) == [(1, "a"), (2, "b")]
 
 
 def test_a_failed_recluster_leaves_the_old_rows(monkeypatch):
@@ -209,8 +210,8 @@ def test_a_failed_recluster_leaves_the_old_rows(monkeypatch):
     with pytest.raises(StorageError):
         relation.recluster([1], rows)
     assert relation.key_dims == [0, 1]
-    assert sorted(relation.scan()) == sorted(rows)
-    assert sorted(relation.query({0: 3})) == sorted(
+    assert sorted(chain.from_iterable(relation.scan())) == sorted(rows)
+    assert sorted(chain.from_iterable(relation.query({0: 3}))) == sorted(
         row for row in rows if row[0] == 3)
 
 
@@ -413,8 +414,8 @@ ROWS = [(f"l{i % 9}", i % 2, f"s{i % 37:03d}", i) for i in range(400)]
 def _state(store):
     """What a reader can tell about ``sched/4`` and the program."""
     proc = store.lookup("sched", 4)
-    rows = sorted(proc.relation.scan())
-    probes = [sorted(proc.relation.query({2: f"s{k:03d}"}))
+    rows = sorted(chain.from_iterable(proc.relation.scan()))
+    probes = [sorted(chain.from_iterable(proc.relation.query({2: f"s{k:03d}"})))
               for k in (0, 5, 36)]
     return (proc.relation.key_dims, rows, probes,
             store.lookup("at", 2) is not None)

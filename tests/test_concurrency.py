@@ -36,6 +36,8 @@ from repro.errors import (ExistenceError, LockOrderError, PageError,
 from repro.locks import Latch, ReadWriteLock
 from repro.wam import prelude
 
+from .pages import leaf, unpacked
+
 # Differential seeds: 5 by default (CI-fast); CONCURRENCY_SEEDS=50 for
 # the full local sweep the acceptance criteria ask for.
 SEEDS = list(range(int(os.environ.get("CONCURRENCY_SEEDS", "5"))))
@@ -492,28 +494,29 @@ def test_sessions_opened_at_once_share_one_library_image(monkeypatch):
 class TestBufferPins:
     def test_pinned_frame_survives_eviction_pressure(self):
         pager = Pager(buffer_pages=2)
-        pids = [pager.allocate(initial=f"page-{i}") for i in range(4)]
+        pids = [pager.allocate(initial=leaf(f"page-{i}")) for i in range(4)]
         payload = pager.pin(pids[0])
         for pid in pids[1:]:
             pager.get(pid)  # evicts LRU — but never the pinned frame
         counters = pager.io_counters()
         assert counters["buffer_evictions"] > 0
-        assert payload == "page-0"
-        assert pager.buffer._frames[pids[0]] == "page-0"
+        assert unpacked(pager.disk, pids[0], payload) == leaf("page-0")
+        assert pager.buffer._frames[pids[0]] is payload
         pager.unpin(pids[0])
         assert pager.io_counters()["buffer_pinned"] == 0
 
     def test_unmatched_unpin_raises(self):
         pager = Pager(buffer_pages=2)
-        pid = pager.allocate(initial="p")
+        pid = pager.allocate(initial=leaf("p"))
         with pytest.raises(PageError):
             pager.unpin(pid)
 
     def test_all_pinned_pool_grows_instead_of_deadlocking(self):
         pager = Pager(buffer_pages=2)
-        pids = [pager.allocate(initial=i) for i in range(3)]
+        pids = [pager.allocate(initial=leaf(i)) for i in range(3)]
         for pid in pids:
-            assert pager.pin(pid) == pids.index(pid)
+            assert unpacked(pager.disk, pid, pager.pin(pid)) == \
+                leaf(pids.index(pid))
         counters = pager.io_counters()
         assert counters["buffer_pin_overflows"] >= 1
         assert counters["buffer_resident"] == 3
@@ -523,7 +526,7 @@ class TestBufferPins:
     def test_concurrent_misses_deduplicate_the_disc_read(self):
         disk = DiskStore()
         pager = Pager(disk=disk, buffer_pages=4)
-        pid = pager.allocate(initial="shared")
+        pid = pager.allocate(initial=leaf("shared"))
         pager.buffer.flush()
         pager.buffer.discard(pid)       # force the next get to miss
         disk.read_latency_s = 0.05
@@ -532,7 +535,7 @@ class TestBufferPins:
 
         def fetch():
             try:
-                results.append(pager.get(pid))
+                results.append(unpacked(disk, pid, pager.get(pid)))
             except BaseException as e:  # noqa: BLE001
                 errors.append(e)
 
@@ -542,13 +545,13 @@ class TestBufferPins:
         for t in threads:
             t.join(10)
         assert not errors
-        assert results == ["shared"] * 4
+        assert results == [leaf("shared")] * 4
         assert disk.io_counters()["reads"] == reads_before + 1
 
     def test_failed_in_flight_read_releases_every_waiter(self):
         disk = _FailFirstReadDisk()
         pager = Pager(disk=disk, buffer_pages=4)
-        pid = pager.allocate(initial="shared")
+        pid = pager.allocate(initial=leaf("shared"))
         pager.buffer.flush()
         pager.buffer.discard(pid)       # force the next pin to miss
         disk.read_latency_s = 0.05      # the others queue behind it
@@ -562,7 +565,7 @@ class TestBufferPins:
                 errors.append(e)
                 return
             try:
-                results.append(payload)
+                results.append(unpacked(disk, pid, payload))
             finally:
                 pager.unpin(pid)
 
@@ -576,7 +579,7 @@ class TestBufferPins:
         assert len(errors) + len(results) == 4
         assert all(isinstance(e, PageError) for e in errors)
         assert len(errors) == 1         # only the failed read's caller
-        assert results == ["shared"] * 3
+        assert results == [leaf("shared")] * 3
         assert pager.buffer._loading == {}
         counters = pager.io_counters()
         assert counters["buffer_pins"] == counters["buffer_unpins"]
@@ -584,9 +587,9 @@ class TestBufferPins:
 
     def test_pinned_context_manager_balances(self):
         pager = Pager(buffer_pages=2)
-        pid = pager.allocate(initial="x")
+        pid = pager.allocate(initial=leaf("x"))
         with pager.pinned(pid) as payload:
-            assert payload == "x"
+            assert payload == leaf("x")
             assert pager.io_counters()["buffer_pinned"] == 1
         assert pager.io_counters()["buffer_pinned"] == 0
         assert (pager.io_counters()["buffer_pins"]
@@ -645,8 +648,8 @@ class TestBufferWritebacks:
     def test_flush_does_not_hold_latch_across_disc_writes(self):
         disk = _SlowWriteDisk()
         pager = Pager(disk=disk, buffer_pages=8)
-        pager.allocate(initial="dirty")
-        clean_pid = pager.allocate(initial="clean")
+        pager.allocate(initial=leaf("dirty"))
+        clean_pid = pager.allocate(initial=leaf("clean"))
 
         flusher = threading.Thread(target=pager.flush, daemon=True)
         flusher.start()
@@ -662,7 +665,7 @@ class TestBufferWritebacks:
 
         threading.Thread(target=reader, daemon=True).start()
         assert done.wait(5), "get() stalled behind flush's disc write"
-        assert got == ["clean"]
+        assert got == [leaf("clean")]
         disk.write_gate.set()
         flusher.join(10)
 
@@ -671,11 +674,11 @@ class TestBufferWritebacks:
         pager = Pager(disk=disk, buffer_pages=1)
         pool = pager.buffer
         pid_a = disk.allocate()
-        pool.install(pid_a, "A")            # dirty, resident
+        pool.install(pid_a, leaf("A"))      # dirty, resident
         pid_b = disk.allocate()
 
         evictor = threading.Thread(target=pool.install,
-                                   args=(pid_b, "B"), daemon=True)
+                                   args=(pid_b, leaf("B")), daemon=True)
         evictor.start()                     # evicts A → slow write-back
         assert disk.write_entered.wait(10)
 
@@ -685,17 +688,17 @@ class TestBufferWritebacks:
         a_done = threading.Event()
 
         def fetch_a():
-            got_a.append(pool.get(pid_a))
+            got_a.append(unpacked(disk, pid_a, pool.get(pid_a)))
             a_done.set()
 
         threading.Thread(target=fetch_a, daemon=True).start()
         # ... while a fetch of the resident page B sails through.
         time.sleep(0.05)
-        assert pool.get(pid_b) == "B"
+        assert pool.get(pid_b) == leaf("B")
         assert not a_done.is_set()
         disk.write_gate.set()
         assert a_done.wait(10)
-        assert got_a == ["A"]
+        assert got_a == [leaf("A")]
         evictor.join(10)
         # A's eviction write-back, plus B's when fetch_a re-admitted A
         # into the single frame.
@@ -704,30 +707,32 @@ class TestBufferWritebacks:
     def test_flush_failure_keeps_unwritten_pages_dirty(self):
         disk = _FlakyDisk()
         pager = Pager(disk=disk, buffer_pages=8)
-        p1 = pager.allocate(initial="one")
-        p2 = pager.allocate(initial="two")
+        p1 = pager.allocate(initial=leaf("one"))
+        p2 = pager.allocate(initial=leaf("two"))
         with pytest.raises(PageError):
             pager.flush()
         pager.flush()                       # retries both pages
         pager.buffer.discard(p1)
         pager.buffer.discard(p2)
-        assert pager.get(p1) == "one"       # re-read from disc
-        assert pager.get(p2) == "two"
+        # re-read from disc
+        assert unpacked(disk, p1, pager.get(p1)) == leaf("one")
+        assert unpacked(disk, p2, pager.get(p2)) == leaf("two")
 
     def test_failed_eviction_writeback_readmits_frame_dirty(self):
         disk = _FlakyDisk()
         pager = Pager(disk=disk, buffer_pages=1)
         pool = pager.buffer
         pid_a = disk.allocate()
-        pool.install(pid_a, "A")
+        pool.install(pid_a, leaf("A"))
         pid_b = disk.allocate()
         with pytest.raises(PageError):
-            pool.install(pid_b, "B")        # eviction write-back fails
+            pool.install(pid_b, leaf("B"))  # eviction write-back fails
         # A's payload was the only copy: still resident and dirty.
-        assert pool.get(pid_a) == "A"
+        assert pool.get(pid_a) == leaf("A")
         pool.flush()
         pool.discard(pid_a)
-        assert pool.get(pid_a) == "A"       # survived via the retry
+        # survived via the retry
+        assert unpacked(disk, pid_a, pool.get(pid_a)) == leaf("A")
 
 
 # =====================================================================

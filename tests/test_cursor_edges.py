@@ -1,5 +1,7 @@
 """Edge cases for the cursor interface and grid compaction interplay."""
 
+from itertools import chain
+
 import pytest
 
 from repro.engine.session import EduceStar
@@ -85,11 +87,11 @@ class TestCursorAfterMutation:
         rel.delete_where({1: 0})
         rel.delete_where({1: 1})
         rel.grid.compact()
-        left = sorted(r[0] for r in rel.scan())
+        left = sorted(r[0] for r in chain.from_iterable(rel.scan()))
         assert left == [i for i in range(30) if i % 3 == 2]
         # point query still exact after merges/splices
-        assert list(rel.query({0: 2})) == [(2, 2)]
-        assert list(rel.query({0: 3})) == []
+        assert list(chain.from_iterable(rel.query({0: 2}))) == [(2, 2)]
+        assert list(chain.from_iterable(rel.query({0: 3}))) == []
 
 
 class TestCursorAfterDrop:

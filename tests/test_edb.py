@@ -1,5 +1,7 @@
 """Tests for the EDB layer: external dictionary, codec, store."""
 
+from itertools import chain
+
 import pytest
 
 from repro.bang.catalog import Catalog
@@ -180,7 +182,7 @@ class TestStoreFacts:
     def test_relation_of_gives_engine_access(self, store):
         store.store_facts("h", 1, [(5,), (6,)])
         rel = store.relation_of("h", 1)
-        assert sorted(rel.scan()) == [(5,), (6,)]
+        assert sorted(chain.from_iterable(rel.scan())) == [(5,), (6,)]
 
     def test_fetch_clauses_on_facts_rejected(self, store):
         store.store_facts("h2", 1, [(5,)])

@@ -1,7 +1,7 @@
 """Failure-injection and robustness tests for the storage stack."""
 
-import pickle
 import struct
+from itertools import chain
 
 import pytest
 
@@ -9,13 +9,15 @@ from repro.bang.grid import BangGrid
 from repro.bang.pager import DiskStore, Pager
 from repro.errors import PageError
 
+from .pages import leaf, unpacked
+
 
 class TestDiskCorruption:
     def test_corrupt_page_image_raises_on_read(self):
         disk = DiskStore()
         pid = disk.allocate()
-        disk.write(pid, ["good"])
-        disk._pages[pid] = b"\x00garbage that is not pickle"
+        disk.write(pid, leaf("good"))
+        disk._pages[pid] = b"\x00garbage that is not a leaf image"
         with pytest.raises(PageError):
             disk.read(pid)
         # detection quarantines the page: later reads fail fast too
@@ -26,19 +28,19 @@ class TestDiskCorruption:
     def test_truncated_pickle_raises(self):
         disk = DiskStore()
         pid = disk.allocate()
-        disk.write(pid, list(range(100)))
+        disk.write(pid, leaf(*range(100)))
         disk._pages[pid] = disk._pages[pid][:10]
         with pytest.raises(PageError):
             disk.read(pid)
         # a full rewrite replaces the image and lifts the quarantine
-        disk.write(pid, ["fresh"])
-        assert disk.read(pid) == ["fresh"]
+        disk.write(pid, leaf("fresh"))
+        assert unpacked(disk, pid, disk.read(pid)) == leaf("fresh")
 
     def test_missing_page_after_free(self):
         pager = Pager(buffer_pages=1)
-        pid = pager.allocate(["x"])
+        pid = pager.allocate(leaf("x"))
         # force it out of the buffer, then free the backing page
-        other = pager.allocate(["y"])
+        other = pager.allocate(leaf("y"))
         pager.get(other)
         pager.disk.free(pid)
         with pytest.raises(PageError):
@@ -49,29 +51,28 @@ class TestDiskCorruption:
 
 @pytest.mark.fault_injection
 class TestDamagedLeafPages:
-    """A leaf image that decodes but is not a packed ``(keys, records)``
-    pair of the grid's arity is a typed error, never rows."""
+    """A leaf image whose blocks decode but are not a packed ``(keys,
+    records)`` pair of the grid's arity is a typed error, never rows."""
 
-    def _grid_with_damaged_leaf(self, image_payload):
+    def _grid_with_damaged_leaf(self, payload):
         grid = BangGrid(2, Pager(buffer_pages=4), bucket_capacity=8)
         for i in range(3):
             grid.insert((0.1 * i, 0.5), i)
         grid.pager.flush()
         pid = grid.root.page_id
-        grid.pager.disk._pages[pid] = pickle.dumps(image_payload,
-                                                   protocol=4)
+        grid.pager.disk.write(pid, payload)
         grid.pager.buffer.discard(pid)    # the next read hits the disc
         return grid, pid
 
     def _assert_quarantined(self, grid, pid):
         for box in (((0.0, 1.0), (0.0, 1.0)), ((0.1, 0.1), (0.0, 1.0))):
             with pytest.raises(PageError):
-                list(grid.query(box))
+                list(chain.from_iterable(grid.query(box)))
         disk = grid.pager.disk
         assert pid in disk.quarantined
         assert disk.io_counters()["page_corruptions"] == 1
         with pytest.raises(PageError, match="quarantined"):
-            list(grid.scan())
+            list(chain.from_iterable(grid.scan()))
         counters = grid.pager.io_counters()
         assert counters["buffer_pins"] == counters["buffer_unpins"]
 
@@ -83,11 +84,16 @@ class TestDamagedLeafPages:
 
     def test_leaf_in_the_list_of_pairs_shape(self):
         grid, pid = self._grid_with_damaged_leaf(
-            [((0.1, 0.5), "a"), ((0.2, 0.5), "b")])
+            (b"", [((0.1, 0.5), "a"), ((0.2, 0.5), "b")]))
+        self._assert_quarantined(grid, pid)
+
+    def test_key_block_of_another_arity(self):
+        grid, pid = self._grid_with_damaged_leaf(
+            (struct.pack("<3d", 0.1, 0.5, 0.5), ["a"]))
         self._assert_quarantined(grid, pid)
 
     def test_insert_into_a_damaged_leaf_is_refused(self):
-        grid, pid = self._grid_with_damaged_leaf([((0.1, 0.5), "a")])
+        grid, pid = self._grid_with_damaged_leaf((b"", [((0.1, 0.5), "a")]))
         with pytest.raises(PageError):
             grid.insert((0.3, 0.3), 9)
         assert pid in grid.pager.disk.quarantined
@@ -163,7 +169,7 @@ class TestGridStress:
                 model[key] = next_id
                 grid.insert(key, next_id)
                 next_id += 1
-        assert sorted(grid.scan()) == sorted(model.values())
+        assert sorted(chain.from_iterable(grid.scan())) == sorted(model.values())
         assert grid.size == len(model)
 
     def test_every_point_query_after_stress(self):
@@ -175,7 +181,7 @@ class TestGridStress:
             grid.insert(key, i)
         for i, key in enumerate(keys):
             box = ((key[0], key[0]),)
-            assert i in list(grid.query(box))
+            assert i in list(chain.from_iterable(grid.query(box)))
 
 
 class TestDictionaryPressure:
@@ -311,7 +317,8 @@ class TestReplicationFaults:
                 replica._step(replica.poll_interval),
                 replica.records_applied >= 1)[1])
             rows = sorted(r[:1] for r in
-                          replica.store.lookup("a", 1).relation.scan())
+                          chain.from_iterable(
+                              replica.store.lookup("a", 1).relation.scan()))
             assert rows == [(7,)]
         finally:
             replica.shutdown()
@@ -362,7 +369,8 @@ class TestReplicationFaults:
             home = second.promote()
             assert second.promoted
             rows = sorted(r[:1] for r in
-                          second.store.lookup("late", 1).relation.scan())
+                          chain.from_iterable(
+                              second.store.lookup("late", 1).relation.scan()))
             assert rows == [(42,)]
             assert os.path.exists(home)
         finally:
@@ -390,7 +398,8 @@ class TestReplicationFaults:
         try:
             assert self._wait(lambda: restarted.records_applied >= 1)
             rows = sorted(r[:1] for r in
-                          restarted.store.lookup("a", 1).relation.scan())
+                          chain.from_iterable(
+                              restarted.store.lookup("a", 1).relation.scan()))
             assert rows == [(1,)]
         finally:
             restarted.shutdown()

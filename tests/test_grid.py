@@ -2,6 +2,7 @@
 
 import random
 import struct
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,20 +32,20 @@ class TestInsertQuery:
     def test_single_insert_roundtrip(self):
         g = make_grid()
         g.insert((0.5, 0.5), "rec")
-        assert list(g.scan()) == ["rec"]
+        assert list(chain.from_iterable(g.scan())) == ["rec"]
 
     def test_point_query(self):
         g = make_grid()
         g.insert((0.1, 0.2), "a")
         g.insert((0.3, 0.4), "b")
         box = ((0.1, 0.1), (0.2, 0.2))
-        assert list(g.query(box)) == ["a"]
+        assert list(chain.from_iterable(g.query(box))) == ["a"]
 
     def test_range_query(self):
         g = make_grid(ndims=1)
         for i in range(20):
             g.insert((i / 20.0,), i)
-        got = sorted(g.query(((0.25, 0.5),)))
+        got = sorted(chain.from_iterable(g.query(((0.25, 0.5),))))
         assert got == [i for i in range(20) if 0.25 <= i / 20.0 <= 0.5]
 
     def test_wrong_arity_raises(self):
@@ -65,13 +66,13 @@ class TestSplitting:
             g.insert((rng.random(), rng.random()), i)
         assert g.leaf_count > 1
         assert g.splits == g.leaf_count - 1
-        assert sorted(g.scan()) == list(range(100))
+        assert sorted(chain.from_iterable(g.scan())) == list(range(100))
 
     def test_duplicate_keys_allowed_oversized_bucket(self):
         g = make_grid(ndims=1, capacity=4)
         for i in range(20):
             g.insert((0.5,), i)
-        assert sorted(g.query(((0.5, 0.5),))) == list(range(20))
+        assert sorted(chain.from_iterable(g.query(((0.5, 0.5),)))) == list(range(20))
 
     def test_median_split_balances_skew(self):
         g = make_grid(ndims=1, capacity=10)
@@ -88,7 +89,7 @@ class TestDeletion:
         g.insert((0.5, 0.5), "b")
         removed = g.delete((0.5, 0.5), lambda r: r == "a")
         assert removed == 1
-        assert list(g.scan()) == ["b"]
+        assert list(chain.from_iterable(g.scan())) == ["b"]
         assert g.size == 1
 
     def test_delete_no_match(self):
@@ -117,9 +118,9 @@ class TestCompaction:
         g.compact()
         assert g.leaf_count < leaves_full
         assert g.merges > 0
-        assert sorted(g.scan()) == sorted(survivors)
+        assert sorted(chain.from_iterable(g.scan())) == sorted(survivors)
         for i, key in survivors.items():
-            assert i in list(g.query(((key[0], key[0]),)))
+            assert i in list(chain.from_iterable(g.query(((key[0], key[0]),))))
 
     def test_compact_frees_disc_pages(self):
         pager = Pager(buffer_pages=64)
@@ -149,7 +150,7 @@ class TestCompaction:
         for i in range(40):
             g.insert((i / 40.0,), i)
         assert g.compact() == 0
-        assert sorted(g.scan()) == list(range(40))
+        assert sorted(chain.from_iterable(g.scan())) == list(range(40))
 
     @staticmethod
     def _splice_low_slab(ndims, seed):
@@ -173,7 +174,7 @@ class TestCompaction:
             g.insert(key, 100 + j)
         for j, (x, y) in enumerate(fresh):
             box = ((x, x), (y, y))
-            assert 100 + j in list(g.query(box))
+            assert 100 + j in list(chain.from_iterable(g.query(box)))
             assert g.leaves_for(box) >= 1
 
     def test_spliced_subtree_keeps_splitting(self):
@@ -183,7 +184,7 @@ class TestCompaction:
         for j in range(400):
             g.insert((rng.random() * 0.3,), 100 + j)
         assert max(leaf_sizes(g)) <= 4
-        assert len(list(g.scan())) == g.size
+        assert len(list(chain.from_iterable(g.scan()))) == g.size
 
 
 class TestPartialMatch:
@@ -208,7 +209,7 @@ class TestPartialMatch:
         for i in range(50):
             g.insert((i / 50.0,), i)
         pager.reset_counters()
-        list(g.query(((0.0, 1.0),)))
+        list(chain.from_iterable(g.query(((0.0, 1.0),))))
         c = pager.io_counters()
         touched = c["buffer_hits"] + c["buffer_misses"]
         assert touched == g.leaf_count
@@ -269,7 +270,7 @@ def test_property_grid_equals_brute_force(drawn, seed, slab, boxes):
     ] + [((x, x), (y, y)) for x, y in model.values()]
     for box in boxes:
         before = g.pager.io_counters()
-        got = sorted(g.query(box))
+        got = sorted(chain.from_iterable(g.query(box)))
         after = g.pager.io_counters()
         want = sorted(
             i for i, (x, y) in model.items()
@@ -307,7 +308,7 @@ def test_property_packed_keys_round_trip_exactly(keys, boxes):
         if not node.is_leaf:
             stack += (node.left, node.right)
             continue
-        for key, record in g._entries(*g.pager.get(node.page_id)):
+        for key, record in g._entries(*g._leaf(node.page_id)):
             stored[record] = struct.pack("<2d", *key)
     assert stored == {i: struct.pack("<2d", *key)
                       for i, key in enumerate(keys)}
@@ -317,4 +318,4 @@ def test_property_packed_keys_round_trip_exactly(keys, boxes):
                       if (box[0] == (0.0, 1.0) or box[0][0] <= x <= box[0][1])
                       and (box[1] == (0.0, 1.0)
                            or box[1][0] <= y <= box[1][1]))
-        assert sorted(g.query(box)) == want
+        assert sorted(chain.from_iterable(g.query(box))) == want

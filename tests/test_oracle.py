@@ -103,6 +103,39 @@ def test_a_consulted_dynamic_procedure_takes_writes(make):
             for s in engine.solve("q(X)")] == ["X=1"]
 
 
+@pytest.mark.parametrize("make", [Machine, EduceStar, Interpreter])
+def test_a_later_section_adds_to_a_procedure(make):
+    """Clauses after a goal directive follow the procedure's earlier
+    clauses; they replaced them."""
+    engine = make()
+    engine.consult("p(1).\n:- true.\np(2).")
+    assert [oracle.answer_text(getattr(s, "bindings", s))
+            for s in engine.solve("p(X)")] == ["X=1", "X=2"]
+
+
+@pytest.mark.parametrize("make", [Machine, EduceStar, Interpreter])
+def test_a_procedure_declared_a_section_earlier_stays_dynamic(make):
+    """``:- dynamic`` before a goal directive keeps the clauses after it
+    writable; they came back static."""
+    engine = make()
+    engine.consult(":- dynamic q/1.\n:- true.\nq(1).")
+    assert engine.solve_once("assertz(q(2))") is not None
+    assert [oracle.answer_text(getattr(s, "bindings", s))
+            for s in engine.solve("q(X)")] == ["X=1", "X=2"]
+
+
+def test_a_stored_program_adds_later_sections_to_the_stored_procedure():
+    """``store_program`` appends a later section's clauses to the
+    procedure it stored; it refused them (the relation existed), and
+    the goal between them sees only the clauses before it."""
+    oracle.check_text("p(1).\n:- p(1), \\+ p(2).\np(2).\n"
+                      "r(X) :- p(X).\n:- true.\nr(3).",
+                      ["p(X)", "r(X)", "r(3)"])
+    kb = EduceStar()
+    kb.store_program("p(1).\n:- true.\np(2).")
+    assert kb.store.lookup("p", 1).nclauses == 2
+
+
 @pytest.mark.parametrize("called", [True, False])
 @pytest.mark.parametrize("write", ["assertz(counter(1))",
                                    "asserta(counter(1))",

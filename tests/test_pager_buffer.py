@@ -1,10 +1,14 @@
 """Tests for the paged disc store and the LRU buffer pool."""
 
+from itertools import chain
+
 import pytest
 
 from repro.bang.buffer import BufferPool
 from repro.bang.pager import DiskStore, Pager
 from repro.errors import PageError
+
+from .pages import leaf, unpacked
 
 
 class TestDiskStore:
@@ -15,8 +19,8 @@ class TestDiskStore:
     def test_write_read_roundtrip(self):
         disk = DiskStore()
         pid = disk.allocate()
-        disk.write(pid, {"rows": [1, 2, 3]})
-        assert disk.read(pid) == {"rows": [1, 2, 3]}
+        disk.write(pid, leaf(1, 2, 3))
+        assert unpacked(disk, pid, disk.read(pid)) == leaf(1, 2, 3)
 
     def test_read_fresh_page_is_none(self):
         disk = DiskStore()
@@ -27,12 +31,12 @@ class TestDiskStore:
         with pytest.raises(PageError):
             disk.read(999)
         with pytest.raises(PageError):
-            disk.write(999, [])
+            disk.write(999, leaf())
 
     def test_io_counters(self):
         disk = DiskStore(page_size=1024)
         pid = disk.allocate()
-        disk.write(pid, [1])
+        disk.write(pid, leaf(1))
         disk.read(pid)
         c = disk.io_counters()
         assert c["reads"] == 1 and c["writes"] == 1
@@ -48,7 +52,7 @@ class TestDiskStore:
     def test_reset_counters(self):
         disk = DiskStore()
         pid = disk.allocate()
-        disk.write(pid, [])
+        disk.write(pid, leaf())
         disk.reset_counters()
         assert disk.io_counters()["writes"] == 0
 
@@ -60,7 +64,7 @@ class TestBufferPool:
 
     def test_hit_avoids_disk_read(self):
         disk, pool = self._pool()
-        pool.install(disk.allocate(), ["x"])
+        pool.install(disk.allocate(), leaf("x"))
         pool.get(0)
         assert disk.reads == 0
         assert pool.hits == 1
@@ -68,19 +72,19 @@ class TestBufferPool:
     def test_miss_reads_from_disk(self):
         disk, pool = self._pool(capacity=1)
         p0, p1 = disk.allocate(), disk.allocate()
-        pool.install(p0, ["a"])
-        pool.install(p1, ["b"])  # evicts p0 (dirty -> writeback)
-        assert pool.get(p0) == ["a"]
+        pool.install(p0, leaf("a"))
+        pool.install(p1, leaf("b"))  # evicts p0 (dirty -> writeback)
+        assert unpacked(disk, p0, pool.get(p0)) == leaf("a")
         assert disk.reads == 1
         assert disk.writes >= 1
 
     def test_lru_eviction_order(self):
         disk, pool = self._pool(capacity=2)
         pages = [disk.allocate() for _ in range(3)]
-        pool.install(pages[0], [0])
-        pool.install(pages[1], [1])
+        pool.install(pages[0], leaf(0))
+        pool.install(pages[1], leaf(1))
         pool.get(pages[0])            # page0 most-recent
-        pool.install(pages[2], [2])   # evicts page1
+        pool.install(pages[2], leaf(2))   # evicts page1
         pool.flush()
         disk.reset_counters()
         pool.get(pages[0])
@@ -91,20 +95,20 @@ class TestBufferPool:
     def test_dirty_writeback_on_eviction(self):
         disk, pool = self._pool(capacity=1)
         p0 = disk.allocate()
-        pool.install(p0, ["v1"])
-        pool.put(p0, ["v2"])
+        pool.install(p0, leaf("v1"))
+        pool.put(p0, leaf("v2"))
         p1 = disk.allocate()
-        pool.install(p1, [])          # evicts dirty p0
-        assert disk.read(p0) == ["v2"]
+        pool.install(p1, leaf())      # evicts dirty p0
+        assert unpacked(disk, p0, disk.read(p0)) == leaf("v2")
 
     def test_flush_writes_all_dirty(self):
         disk, pool = self._pool(capacity=8)
         pages = [disk.allocate() for _ in range(4)]
         for i, p in enumerate(pages):
-            pool.install(p, [i])
+            pool.install(p, leaf(i))
         pool.flush()
         for i, p in enumerate(pages):
-            assert disk.read(p) == [i]
+            assert unpacked(disk, p, disk.read(p)) == leaf(i)
 
     def test_capacity_must_be_positive(self):
         disk = DiskStore()
@@ -114,7 +118,7 @@ class TestBufferPool:
     def test_counters(self):
         disk, pool = self._pool(capacity=2)
         p = disk.allocate()
-        pool.install(p, [1])
+        pool.install(p, leaf(1))
         pool.get(p)
         c = pool.counters()
         assert c["buffer_hits"] == 1
@@ -124,24 +128,24 @@ class TestBufferPool:
 class TestPagerFacade:
     def test_allocate_get_put(self):
         pager = Pager(buffer_pages=4)
-        pid = pager.allocate(["init"])
-        assert pager.get(pid) == ["init"]
-        pager.put(pid, ["new"])
-        assert pager.get(pid) == ["new"]
+        pid = pager.allocate(leaf("init"))
+        assert pager.get(pid) == leaf("init")
+        pager.put(pid, leaf("new"))
+        assert pager.get(pid) == leaf("new")
 
     def test_io_counters_merged(self):
         pager = Pager(buffer_pages=2)
         for i in range(5):
-            pager.allocate([i])
+            pager.allocate(leaf(i))
         c = pager.io_counters()
         assert "reads" in c and "buffer_hits" in c
         assert c["buffer_evictions"] >= 3
 
     def test_eviction_roundtrip_through_disk(self):
         pager = Pager(buffer_pages=2)
-        pids = [pager.allocate([i]) for i in range(10)]
+        pids = [pager.allocate(leaf(i)) for i in range(10)]
         for i, pid in enumerate(pids):
-            assert pager.get(pid) == [i]
+            assert unpacked(pager.disk, pid, pager.get(pid)) == leaf(i)
 
 
 class TestEvictionEvents:
@@ -161,7 +165,8 @@ class TestEvictionEvents:
         pager.buffer.capacity = 4
         before = pager.io_counters()["buffer_evictions"]
         while pager.io_counters()["buffer_evictions"] - before < 2000:
-            assert sorted(grid.scan()) == list(range(100))   # clean
+            # clean
+            assert sorted(chain.from_iterable(grid.scan())) == list(range(100))
         assert [e["kind"] for e in store.events.tail()] == ["store.recovery"]
         for i in range(100, 140):        # dirty pages past the capacity
             grid.insert((i / 140,), i)

@@ -1,5 +1,7 @@
 """Tests for BANG relations, typed key transforms and the catalog."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,7 +101,7 @@ class TestRelationBasics:
         rel = catalog.create_simple("r", [("a", "int"), ("b", "atom")])
         rel.insert((1, "x"))
         rel.insert((2, "y"))
-        assert sorted(rel.scan()) == [(1, "x"), (2, "y")]
+        assert sorted(chain.from_iterable(rel.scan())) == [(1, "x"), (2, "y")]
         assert len(rel) == 2
 
     def test_arity_checked(self, catalog):
@@ -110,19 +112,19 @@ class TestRelationBasics:
     def test_exact_query(self, catalog):
         rel = catalog.create_simple("r", [("a", "int"), ("b", "atom")])
         rel.insert_many([(i, f"v{i % 3}") for i in range(50)])
-        assert sorted(r[0] for r in rel.query({1: "v1"})) == \
+        assert sorted(r[0] for r in chain.from_iterable(rel.query({1: "v1"}))) == \
             [i for i in range(50) if i % 3 == 1]
 
     def test_range_query_inclusive(self, catalog):
         rel = catalog.create_simple("r", [("a", "int")])
         rel.insert_many([(i,) for i in range(30)])
-        got = sorted(r[0] for r in rel.range_query(0, 10, 20))
+        got = sorted(r[0] for r in chain.from_iterable(rel.range_query(0, 10, 20)))
         assert got == list(range(10, 21))
 
     def test_range_on_term_column_rejected(self, catalog):
         rel = catalog.create_simple("r", [("a", "term")])
         with pytest.raises(TypeError_):
-            list(rel.range_query(0, 1, 2))
+            list(chain.from_iterable(rel.range_query(0, 1, 2)))
 
     def test_delete_exact(self, catalog):
         rel = catalog.create_simple("r", [("a", "int")])
@@ -137,17 +139,18 @@ class TestRelationBasics:
         huge = 2 ** 200
         rel = catalog.create_simple("r", [("a", "int")])
         rel.insert_many([(i,) for i in range(120)] + [(huge,), (-huge,)])
-        assert len(list(rel.scan())) == 122
-        assert list(rel.query({0: huge})) == [(huge,)]
-        assert list(rel.query({0: -huge})) == [(-huge,)]
-        assert list(rel.range_query(0, 2 ** 199, 2 ** 201)) == [(huge,)]
+        assert len(list(chain.from_iterable(rel.scan()))) == 122
+        assert list(chain.from_iterable(rel.query({0: huge}))) == [(huge,)]
+        assert list(chain.from_iterable(rel.query({0: -huge}))) == [(-huge,)]
+        assert list(chain.from_iterable(
+            rel.range_query(0, 2 ** 199, 2 ** 201))) == [(huge,)]
 
     def test_delete_where(self, catalog):
         rel = catalog.create_simple("r", [("a", "int"), ("b", "atom")])
         rel.insert_many([(i, "keep" if i % 2 else "kill")
                          for i in range(20)])
         assert rel.delete_where({1: "kill"}) == 10
-        assert all(r[1] == "keep" for r in rel.scan())
+        assert all(r[1] == "keep" for r in chain.from_iterable(rel.scan()))
 
 
 class TestTermColumns:
@@ -156,30 +159,34 @@ class TestTermColumns:
         rel.insert((("atom", "foo"), 1))
         rel.insert((("var",), 2))
         rel.insert((("int", 9), 3))
-        assert sorted(r[1] for r in rel.query({0: ("atom", "foo")})) == [1, 2]
-        assert sorted(r[1] for r in rel.query({0: ("int", 9)})) == [2, 3]
+        def seconds(rows):
+            return sorted(r[1] for r in chain.from_iterable(rows))
+
+        assert seconds(rel.query({0: ("atom", "foo")})) == [1, 2]
+        assert seconds(rel.query({0: ("int", 9)})) == [2, 3]
 
     def test_struct_key_by_functor(self, catalog):
         rel = catalog.create_simple("c", [("a", "term"), ("id", "int")])
         rel.insert((("struct", "f", 2), 1))
         rel.insert((("struct", "g", 2), 2))
-        assert [r[1] for r in rel.query({0: ("struct", "f", 2)})] == [1]
+        assert [r[1] for r in chain.from_iterable(
+            rel.query({0: ("struct", "f", 2)}))] == [1]
 
     def test_type_query_bands(self, catalog):
         rel = catalog.create_simple("c", [("a", "term"), ("id", "int")])
         rows = [(("int", 1), 1), (("atom", "a"), 2), (("list",), 3),
                 (("struct", "f", 1), 4), (("var",), 5)]
         rel.insert_many(rows)
-        assert [r[1] for r in rel.type_query(0, "list")] == [3]
-        assert [r[1] for r in rel.type_query(0, "struct")] == [4]
+        assert [r[1] for r in chain.from_iterable(rel.type_query(0, "list"))] == [3]
+        assert [r[1] for r in chain.from_iterable(rel.type_query(0, "struct"))] == [4]
 
     def test_type_query_validation(self, catalog):
         rel = catalog.create_simple("c", [("a", "int")])
         with pytest.raises(TypeError_):
-            list(rel.type_query(0, "atom"))
+            list(chain.from_iterable(rel.type_query(0, "atom")))
         rel2 = catalog.create_simple("c2", [("a", "term")])
         with pytest.raises(TypeError_):
-            list(rel2.type_query(0, "weird_band"))
+            list(chain.from_iterable(rel2.type_query(0, "weird_band")))
 
 
 class TestSelectivity:
@@ -199,11 +206,11 @@ def test_property_query_equals_filter(rows):
     rel = catalog.create_simple("p", [("n", "int"), ("s", "atom")])
     rel.insert_many(rows)
     for probe in (rows[0][0], 99):
-        assert sorted(rel.query({0: probe})) == \
+        assert sorted(chain.from_iterable(rel.query({0: probe}))) == \
             sorted(r for r in rows if r[0] == probe)
     for s in ("a", "b", "c"):
-        assert sorted(rel.query({1: s})) == \
+        assert sorted(chain.from_iterable(rel.query({1: s}))) == \
             sorted(r for r in rows if r[1] == s)
     lo, hi = 10, 30
-    assert sorted(rel.range_query(0, lo, hi)) == \
+    assert sorted(chain.from_iterable(rel.range_query(0, lo, hi))) == \
         sorted(r for r in rows if lo <= r[0] <= hi)

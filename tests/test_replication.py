@@ -17,6 +17,7 @@ import os
 import pickle
 import random
 import threading
+from itertools import chain
 
 import pytest
 
@@ -202,7 +203,8 @@ class TestReplica:
                           workers=1, start=False)
         try:
             rows = sorted(r[:2] for r in
-                          replica.store.lookup("edge", 2).relation.scan())
+                          chain.from_iterable(
+                              replica.store.lookup("edge", 2).relation.scan()))
             assert rows == [(1, 2), (2, 3)]
             assert replica.bootstraps == 1
             assert replica.applied_epoch == replica.store.checkpoint_epoch
@@ -232,7 +234,8 @@ class TestReplica:
             primary.store_facts("hop", 2, [(7, 8)], types=("int", "int"))
             assert wait_until(lambda: replica.records_applied >= 1)
             rows = sorted(r[:2] for r in
-                          replica.store.lookup("hop", 2).relation.scan())
+                          chain.from_iterable(
+                              replica.store.lookup("hop", 2).relation.scan()))
             assert rows == [(7, 8)]
             assert replica.applied_epoch == primary.mutation_epoch
         finally:
@@ -267,7 +270,7 @@ class TestReplica:
             assert replica.store.wal_era == primary.wal_era
             assert replica.applied_epoch == primary.mutation_epoch
             rows = [r[:1] for r in
-                    replica.store.lookup("a", 1).relation.scan()]
+                    chain.from_iterable(replica.store.lookup("a", 1).relation.scan())]
             assert rows == [(1,)]
         finally:
             replica.shutdown()

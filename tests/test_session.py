@@ -1,5 +1,7 @@
 """End-to-end tests for EduceStar sessions and the Educe baseline."""
 
+from itertools import chain
+
 import pytest
 
 from repro.engine.educe_baseline import EduceBaseline
@@ -27,7 +29,7 @@ class TestEduceStar:
     def test_relational_interface(self, session):
         session.store_relation("t", [(1, "a"), (2, "b")])
         rel = session.relation("t", 2)
-        assert sorted(rel.scan()) == [(1, "a"), (2, "b")]
+        assert sorted(chain.from_iterable(rel.scan())) == [(1, "a"), (2, "b")]
 
     def test_counters_merge_all_layers(self, session):
         session.store_relation("r", [(1,), (2,)])

@@ -11,6 +11,7 @@ wrong data.
 import os
 import pickle
 import zlib
+from itertools import chain
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.edb.store import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 from repro.errors import CatalogError, PageError, WalError
 from repro.lang.reader import read_term, read_terms
 from repro.wam.compiler import CompileContext
+
+from .pages import leaf, unpacked
 
 
 @pytest.fixture
@@ -64,7 +67,7 @@ def scan(wal):
 
 
 def edge_rows(store):
-    return sorted(store.lookup("edge", 2).relation.scan())
+    return sorted(chain.from_iterable(store.lookup("edge", 2).relation.scan()))
 
 
 # ---------------------------------------------------------------- injector
@@ -216,21 +219,21 @@ class TestFileDiskStore:
     def test_write_read_roundtrip(self, tmp_path):
         disk = FileDiskStore(str(tmp_path / "pages"))
         pid = disk.allocate()
-        disk.write(pid, {"rows": list(range(20))})
-        assert disk.read(pid) == {"rows": list(range(20))}
+        disk.write(pid, leaf(*range(20)))
+        assert unpacked(disk, pid, disk.read(pid)) == leaf(*range(20))
 
     def test_rewrite_supersedes_and_read_sees_latest(self, tmp_path):
         disk = FileDiskStore(str(tmp_path / "pages"))
         pid = disk.allocate()
-        disk.write(pid, "v1")
-        disk.write(pid, "v2")
-        assert disk.read(pid) == "v2"
+        disk.write(pid, leaf("v1"))
+        disk.write(pid, leaf("v2"))
+        assert unpacked(disk, pid, disk.read(pid)) == leaf("v2")
 
     def test_bitflip_detected_and_quarantined(self, tmp_path):
         faults = FaultInjector()
         disk = FileDiskStore(str(tmp_path / "pages"), faults=faults)
         pid = disk.allocate()
-        disk.write(pid, list(range(50)))
+        disk.write(pid, leaf(*range(50)))
         faults.arm_bitflip_read(1, bit=200)
         with pytest.raises(PageError):
             disk.read(pid)
@@ -239,13 +242,13 @@ class TestFileDiskStore:
         with pytest.raises(PageError):
             disk.read(pid)
         # a rewrite heals the page
-        disk.write(pid, "healed")
-        assert disk.read(pid) == "healed"
+        disk.write(pid, leaf("healed"))
+        assert unpacked(disk, pid, disk.read(pid)) == leaf("healed")
 
     def test_on_disk_corruption_detected_by_crc(self, tmp_path):
         disk = FileDiskStore(str(tmp_path / "pages"))
         pid = disk.allocate()
-        disk.write(pid, list(range(50)))
+        disk.write(pid, leaf(*range(50)))
         offset, frame_len = disk._index[pid]
         with open(disk.path, "r+b") as f:
             f.seek(offset + frame_len - 1)
@@ -260,7 +263,7 @@ class TestFileDiskStore:
         disk = FileDiskStore(str(tmp_path / "pages"))
         pids = [disk.allocate() for _ in range(3)]
         for pid in pids:
-            disk.write(pid, f"page {pid}")
+            disk.write(pid, leaf(f"page {pid}"))
         offset, _ = disk._index[pids[1]]
         with open(disk.path, "r+b") as f:
             f.seek(offset)
@@ -268,29 +271,30 @@ class TestFileDiskStore:
         reads_before = disk.reads
         assert disk.verify_all() == [pids[1]]
         assert disk.reads == reads_before
-        assert disk.read(pids[2]) == f"page {pids[2]}"
+        assert unpacked(disk, pids[2], disk.read(pids[2])) == \
+            leaf(f"page {pids[2]}")
 
     def test_compaction_drops_dead_records(self, tmp_path):
         disk = FileDiskStore(str(tmp_path / "pages"))
         pid = disk.allocate()
         for i in range(10):
-            disk.write(pid, f"version {i}")
+            disk.write(pid, leaf(f"version {i}"))
         old_size = os.path.getsize(disk.path)
         disk.compact_to(str(tmp_path / "pages.2"), new_epoch=2)
         assert os.path.getsize(disk.path) < old_size
         assert disk.epoch == 2
-        assert disk.read(pid) == "version 9"
+        assert unpacked(disk, pid, disk.read(pid)) == leaf("version 9")
 
     def test_detached_store_raises_typed_error(self, tmp_path):
         import pickle
         disk = FileDiskStore(str(tmp_path / "pages"))
         pid = disk.allocate()
-        disk.write(pid, "data")
+        disk.write(pid, leaf("data"))
         clone = pickle.loads(pickle.dumps(disk))
         with pytest.raises(PageError, match="detached"):
             clone.read(pid)
         clone.reattach(disk.path)
-        assert clone.read(pid) == "data"
+        assert unpacked(clone, pid, clone.read(pid)) == leaf("data")
 
 
 # ----------------------------------------------------- checkpoint validation
@@ -669,7 +673,7 @@ def admitted_state(store):
         "epoch": store.mutation_epoch,
         "procedures": {p.key: (p.mode, p.version, p.nclauses)
                        for p in store.procedures()},
-        "rows": {p.key: sorted(map(str, p.relation.scan()))
+        "rows": {p.key: sorted(map(str, chain.from_iterable(p.relation.scan())))
                  for p in store.procedures()},
         "rulebase": {ind: [str(c) for c in clauses] for ind, clauses
                      in store.datalog_rules.clauses().items()},
