@@ -12,7 +12,7 @@ surface:
   and moves the mutation epoch; each worker's loader cache drops the
   affected procedure's blocks at its next call to it;
 * a deadline interrupting a runaway query, and a cancelled ticket;
-* the post-run accounting: pins balanced, epochs monotone;
+* the post-run accounting: the buffer within capacity, epochs monotone;
 * service telemetry: latency histograms, the flight recorder's event
   tail, and one slow query's full ticket trace
   (admit → queue_wait → execute → engine spans).
@@ -101,11 +101,12 @@ def main() -> None:
     for key in ("service_submitted", "service_completed",
                 "service_timeouts", "service_cancelled",
                 "service_queue_depth_peak",
-                "buffer_pins", "buffer_unpins", "buffer_pinned",
+                "buffer_resident", "buffer_evictions",
                 "store_mutations", "latch_contentions"):
         print(f"  {key:<24} {snap[key]}")
-    assert snap["buffer_pins"] == snap["buffer_unpins"]
-    print("  every pin released; mutation epoch = committed updates.")
+    assert snap["buffer_resident"] <= svc.store.pager.buffer.capacity
+    print("  the buffer within its capacity; "
+          "mutation epoch = committed updates.")
 
     print("\n-- 5. what the service saw (telemetry) --")
     for base in ("service_queue_wait_ms", "service_ticket_ms",

@@ -13,18 +13,18 @@ The pool is shared by every worker of a :class:`repro.service`
 query service, so it is a proper latched buffer manager:
 
 * one :class:`~repro.locks.Latch` protects the frame table, the dirty
-  set, the pin table and the counters;
-* **per-frame pin counts** — a reader pins a leaf's frame for the
-  span of its key test and records decode (:meth:`pin`/:meth:`unpin`),
-  never across a yield to its consumer; the LRU eviction path skips
-  pinned frames, and when *every* frame is pinned the pool grows past
-  capacity (counted in ``buffer_pin_overflows``) rather than
-  deadlocking or evicting a page out from under a reader;
+  set and the counters;
+* **frames, not readers** — a frame holds an immutable payload that
+  every write replaces, so the payload a reader got from :meth:`get`
+  stays valid in the reader's hands however soon its frame is evicted:
+  eviction is plain LRU and the pool never holds more frames than its
+  capacity (a failed write-back re-admits its victim, the one brief
+  excess);
 * **decode memo** — a miss admits the page with its records block
   still encoded; the reader that decodes it hands the decoded payload
-  back through :meth:`unpin`, which installs it in the same latched
-  section if the frame still holds what was read (a racing ``put``
-  wins), without dirtying the frame;
+  to :meth:`memo`, which installs it in one latched section if the
+  frame still holds what was read (a racing ``put`` wins), without
+  dirtying the frame;
 * **miss de-duplication** — concurrent misses on the same page
   coalesce: the reading thread holds a plain in-flight lock until the
   frame is admitted (or the read fails); the others acquire and release
@@ -42,9 +42,9 @@ query service, so it is a proper latched buffer manager:
   (``page.evict``); clean ones are tracer events, so a cold scan cannot
   flush the ring.
 
-Pin balance is a correctness invariant: after a quiescent run,
-``buffer_pins == buffer_unpins`` and the ``buffer_pinned`` gauge is 0 —
-the differential concurrency suite asserts exactly that.
+The pool is runtime state: a checkpoint carries the disc, and the
+:class:`~repro.bang.pager.Pager` that owns the pool builds a fresh,
+empty one on load.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict
 
-from ..errors import PageError
 from ..locks import Latch
 from ..obs.events import NULL_EVENTS
 from ..obs.registry import Histogram
@@ -83,8 +82,6 @@ class BufferPool:
         self.writeback_hist = Histogram()
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
         self._dirty: set = set()
-        #: page id → pin count (only pages with a live pin appear)
-        self._pins: Dict[int, int] = {}
         #: page id → lock held while a disc *read* or an eviction
         #: *write-back* of the page is in flight; fetches and installs
         #: of such a page acquire and release it, then retry
@@ -93,44 +90,63 @@ class BufferPool:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        self.pins_taken = 0
-        self.pins_released = 0
-        self.pin_overflows = 0
 
     # ------------------------------------------------------------------ API
 
     def get(self, page_id: int) -> Any:
         """Page payload, reading from disc on a miss."""
-        return self._fetch(page_id, pin=False)
-
-    def pin(self, page_id: int) -> Any:
-        """Page payload with its frame pinned against eviction.
-
-        Every ``pin`` must be balanced by exactly one :meth:`unpin`; the
-        ``buffer_pinned`` gauge is the number of outstanding pins.
-        """
-        return self._fetch(page_id, pin=True)
-
-    def unpin(self, page_id: int, read: Any = None,
-              memo: Any = None) -> None:
-        """Release a pin.  A reader that decoded the payload *read* at
-        :meth:`pin` passes the decoded form as *memo*: in the same
-        latched section it replaces the frame, but only if the frame
-        still holds *read* — a ``put`` that landed meanwhile is newer
-        and wins.  The memo is the same page, so it never dirties the
-        frame."""
+        while True:
+            with self._latch:
+                if page_id in self._frames:
+                    self.hits += 1
+                    self._frames.move_to_end(page_id)
+                    return self._frames[page_id]
+                in_flight = self._loading.get(page_id)
+                if in_flight is None:
+                    # This thread performs the read, holding the
+                    # in-flight lock until the frame is admitted.
+                    in_flight = threading.Lock()
+                    in_flight.acquire()
+                    self._loading[page_id] = in_flight
+                    self.misses += 1
+                    break
+            in_flight.acquire()
+            in_flight.release()
+        # Latch released: the disc read (and any simulated latency)
+        # overlaps with other threads' work.
+        started = time.perf_counter()
+        try:
+            payload = self.disk.read(page_id)
+        except BaseException:
+            with self._latch:
+                del self._loading[page_id]
+                in_flight.release()
+            raise
+        stalled_ms = (time.perf_counter() - started) * 1000.0
         with self._latch:
-            count = self._pins.get(page_id)
-            if count is None:
-                raise PageError(
-                    f"page {page_id}: unpin without a matching pin")
-            if count == 1:
-                del self._pins[page_id]
+            self.miss_stall_hist.observe(stalled_ms)
+            del self._loading[page_id]
+            in_flight.release()
+            writebacks = []
+            if page_id in self._frames:
+                # A put/install raced ahead of the read; its payload is
+                # the newer one.
+                payload = self._frames[page_id]
+                self._frames.move_to_end(page_id)
             else:
-                self._pins[page_id] = count - 1
-            self.pins_released += 1
-            if memo is not None and self._frames.get(page_id) is read:
-                self._frames[page_id] = memo
+                writebacks = self._admit_locked(page_id, payload)
+        self._complete_writebacks(writebacks)
+        return payload
+
+    def memo(self, page_id: int, read: Any, decoded: Any) -> None:
+        """Install *decoded*, a reader's decoded form of the payload
+        *read* that :meth:`get` returned, if the frame still holds
+        *read* — a ``put`` that landed meanwhile is newer and wins, and
+        an evicted frame stays evicted.  The memo is the same page, so
+        it never dirties the frame."""
+        with self._latch:
+            if self._frames.get(page_id) is read:
+                self._frames[page_id] = decoded
 
     def put(self, page_id: int, payload: Any) -> None:
         """Install a new payload for the page and mark it dirty."""
@@ -192,88 +208,12 @@ class BufferPool:
                     (time.perf_counter() - started) * 1000.0)
 
     def discard(self, page_id: int) -> None:
-        """Drop a page from the pool without write-back (page freed).
-
-        An outstanding pin entry survives the discard: the pin tracks
-        the *reader's* obligation to unpin, and pin balance must hold
-        even when a writer frees the page mid-scan.
-        """
+        """Drop a page from the pool without write-back (page freed)."""
         with self._latch:
             self._frames.pop(page_id, None)
             self._dirty.discard(page_id)
 
-    # Like DiskStore, never persist the live session's tracer; latch,
-    # pins, in-flight reads and the frames themselves are runtime state
-    # and restart empty.  A checkpoint flushes before it pickles, so the
-    # disc already holds every frame.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["tracer"] = None
-        state["events"] = None    # the ring holds locks; runtime state
-        state["_pins"] = {}
-        state["_loading"] = {}
-        state["_frames"] = OrderedDict()
-        state["_dirty"] = set()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.tracer = NULL_TRACER
-        self.events = NULL_EVENTS
-
     # ------------------------------------------------------------ internals
-
-    def _fetch(self, page_id: int, pin: bool) -> Any:
-        while True:
-            with self._latch:
-                if page_id in self._frames:
-                    self.hits += 1
-                    self._frames.move_to_end(page_id)
-                    if pin:
-                        self._pin_locked(page_id)
-                    return self._frames[page_id]
-                in_flight = self._loading.get(page_id)
-                if in_flight is None:
-                    # This thread performs the read, holding the
-                    # in-flight lock until the frame is admitted.
-                    in_flight = threading.Lock()
-                    in_flight.acquire()
-                    self._loading[page_id] = in_flight
-                    self.misses += 1
-                    break
-            in_flight.acquire()
-            in_flight.release()
-        # Latch released: the disc read (and any simulated latency)
-        # overlaps with other threads' work.
-        started = time.perf_counter()
-        try:
-            payload = self.disk.read(page_id)
-        except BaseException:
-            with self._latch:
-                del self._loading[page_id]
-                in_flight.release()
-            raise
-        stalled_ms = (time.perf_counter() - started) * 1000.0
-        with self._latch:
-            self.miss_stall_hist.observe(stalled_ms)
-            del self._loading[page_id]
-            in_flight.release()
-            writebacks = []
-            if page_id in self._frames:
-                # A put/install raced ahead of the read; its payload is
-                # the newer one.
-                payload = self._frames[page_id]
-                self._frames.move_to_end(page_id)
-            else:
-                writebacks = self._admit_locked(page_id, payload)
-            if pin:
-                self._pin_locked(page_id)
-        self._complete_writebacks(writebacks)
-        return payload
-
-    def _pin_locked(self, page_id: int) -> None:
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-        self.pins_taken += 1
 
     def _admit_locked(self, page_id: int, payload: Any) -> list:
         """Admit a frame, evicting LRU victims as needed.  Called with
@@ -283,17 +223,9 @@ class BufferPool:
         caller MUST pass the list to :meth:`_complete_writebacks` after
         releasing the latch."""
         writebacks = []
-        frames, pins = self._frames, self._pins
+        frames = self._frames
         while len(frames) >= self.capacity:
-            for victim in frames:
-                if victim not in pins:
-                    break
-            else:
-                # Every frame is pinned: grow past capacity rather than
-                # stall or steal a pinned frame.
-                self.pin_overflows += 1
-                break
-            victim_payload = frames.pop(victim)
+            victim, victim_payload = frames.popitem(last=False)
             self.evictions += 1
             dirty = victim in self._dirty
             if self.tracer.enabled:
@@ -321,8 +253,7 @@ class BufferPool:
                 with self._latch:
                     # The evicted payload was the only copy: re-admit
                     # the frame dirty rather than lose the page.  (The
-                    # pool may briefly exceed capacity, like a pin
-                    # overflow.)
+                    # pool may briefly exceed capacity.)
                     self._frames[victim] = payload
                     self._dirty.add(victim)
                     self._loading.pop(victim, None)
@@ -348,10 +279,6 @@ class BufferPool:
             "buffer_evictions": self.evictions,
             "buffer_writebacks": self.writebacks,
             "buffer_resident": len(self._frames),
-            "buffer_pins": self.pins_taken,
-            "buffer_unpins": self.pins_released,
-            "buffer_pinned": sum(self._pins.values()),
-            "buffer_pin_overflows": self.pin_overflows,
         }
         counters.update(self._latch.counters())
         return counters

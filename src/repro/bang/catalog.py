@@ -43,12 +43,6 @@ class RelationSchema:
     def arity(self) -> int:
         return len(self.attributes)
 
-    def attribute_index(self, name: str) -> int:
-        for i, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return i
-        raise CatalogError(f"{self.name}: no attribute {name!r}")
-
     def keys(self) -> List[int]:
         if self.key_dims is None:
             return list(range(self.arity))

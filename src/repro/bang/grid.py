@@ -11,7 +11,7 @@ We implement the load-bearing behaviour with a recursive binary
 partition (k-d style, cyclic dimensions, median splits for balance under
 skew): every leaf is one disc page.  Reads follow the split planes
 inserts descend by — a key goes to one side of each plane, a query box
-to every side it reaches — so a query pins exactly the leaves its box
+to every side it reaches — so a query reads exactly the leaves its box
 can route a key to and tests entries only on the dimensions the box
 constrains.  A node's ``region`` is split bookkeeping (which dimension
 to cut next, where a cut may fall); no read consults it.  BANG's
@@ -33,9 +33,11 @@ does not decode again.  A leaf of any other shape, or whose records do
 not match its keys, is a typed :class:`~repro.errors.PageError`, and the
 page is quarantined.
 
-A read yields one list per leaf — the leaf's passing records — and
-releases the leaf's pin before it yields, so a consumer that stops
-half-way (an open cursor, an abandoned generator) holds no frame.
+A read yields one list per leaf — the leaf's passing records, a new
+list — so a consumer that stops half-way (an open cursor, an abandoned
+generator) holds no frame: the buffer may evict the leaf at once, and
+the payload the read already holds stays valid, because every write
+replaces a leaf's pair instead of changing it.
 """
 
 from __future__ import annotations
@@ -65,14 +67,6 @@ def full_box(ndims: int) -> Box:
     return tuple((0.0, 1.0) for _ in range(ndims))
 
 
-def point_box(assignment: dict, ndims: int) -> Box:
-    """Box constraining the given dims to points, others unconstrained."""
-    return tuple(
-        (assignment[d], assignment[d]) if d in assignment else (0.0, 1.0)
-        for d in range(ndims)
-    )
-
-
 class _Node:
     __slots__ = ("region", "dim", "split", "left", "right", "page_id",
                  "count")
@@ -95,7 +89,7 @@ class BangGrid:
     """The index proper: a partition tree whose leaves are disc pages.
 
     Each page payload is a packed ``(keys, records)`` pair, copied on
-    write: a reader keeps the pair it pinned while an insert installs a
+    write: a reader keeps the pair it read while an insert installs a
     new one.  Its records may still be the encoded block a miss read;
     :meth:`_records` decodes them.
     """
@@ -399,10 +393,10 @@ class BangGrid:
         """Yield, leaf by leaf, the list of records whose key lies inside
         any of *boxes* (closed intervals; point dims use ``lo == hi``);
         a leaf with none yields nothing.  Every leaf a box reaches is
-        pinned once, for its key test and decode only: entries are
-        tested on the dimensions a box constrains, the records block is
-        decoded only when a key passes, and a full box takes every
-        record without reading keys."""
+        read once: entries are tested on the dimensions a box
+        constrains, the records block is decoded only when a key passes
+        (the decoded payload goes back to the buffer as a memo), and a
+        full box takes every record without reading keys."""
         tests = [[(d, lo, hi) for d, (lo, hi) in enumerate(box)
                   if (lo, hi) != (0.0, 1.0)] for box in boxes]
         full = not all(tests)
@@ -411,21 +405,17 @@ class BangGrid:
         pager = self.pager
         for leaf in self._leaves(boxes):
             page_id = leaf.page_id
-            page = pager.pin(page_id)
-            memo = batch = None
-            try:
-                keys, records = self._page(page_id, page)
-                passed = None if full else self._passed(keys, tests)
-                if passed is None or True in passed:
-                    decoded = self._records(page_id, keys, records)
-                    if decoded is not records:
-                        memo = (keys, decoded)
-                    batch = (list(decoded) if passed is None
-                             else list(compress(decoded, passed)))
-            finally:
-                pager.unpin(page_id, page, memo)
-            if batch:
-                yield batch
+            page = pager.get(page_id)
+            keys, records = self._page(page_id, page)
+            passed = None if full else self._passed(keys, tests)
+            if passed is None or True in passed:
+                decoded = self._records(page_id, keys, records)
+                if decoded is not records:
+                    pager.buffer.memo(page_id, page, (keys, decoded))
+                batch = (list(decoded) if passed is None
+                         else list(compress(decoded, passed)))
+                if batch:
+                    yield batch
 
     def _passed(self, keys: bytes, tests: List[list]) -> List[bool]:
         """Per entry, whether its key passes any box's tests."""
@@ -447,7 +437,7 @@ class BangGrid:
         return self.query(full_box(self.ndims))
 
     def leaves_for(self, *boxes: Box) -> int:
-        """Number of leaves — pages — a query for *boxes* pins (planner
+        """Number of leaves — pages — a query for *boxes* reads (planner
         aid)."""
         return sum(1 for _ in self._leaves(boxes))
 

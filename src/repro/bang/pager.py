@@ -50,7 +50,6 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import PageError
@@ -119,6 +118,10 @@ class DiskStore:
         self.__dict__.update(state)
         self.tracer = NULL_TRACER
         self._io_lock = threading.Lock()
+        # Counters are session-scoped: a loaded disc reports the work
+        # of the session that loaded it, not of the one that saved it.
+        self.reset_counters()
+        self.page_corruptions = 0
 
     def read(self, page_id: int) -> Optional[Tuple[bytes, bytes]]:
         """``(keys, block)`` of the page's image, the records block still
@@ -437,8 +440,12 @@ class Pager:
     the pager is the single facade storage clients use.  A frame holds
     a ``(keys, records)`` payload whose records are a list, or — read
     from disc and not yet needed — the encoded block: a reader decodes
-    it with :meth:`decode` and hands the decoded payload back to
-    :meth:`unpin`, so a buffer hit never decodes twice.
+    it with :meth:`decode` and hands the decoded payload to the pool's
+    :meth:`~repro.bang.buffer.BufferPool.memo`, so a buffer hit never
+    decodes twice.
+
+    A checkpoint pickles the disc and the pool's capacity; the pool is
+    runtime state, rebuilt empty on load.
     """
 
     def __init__(self, disk: Optional[DiskStore] = None,
@@ -446,6 +453,9 @@ class Pager:
         from .buffer import BufferPool  # local import to avoid cycle
         self.disk = disk or DiskStore()
         self.buffer = BufferPool(self.disk, capacity=buffer_pages)
+
+    def __reduce__(self):
+        return Pager, (self.disk, self.buffer.capacity)
 
     def allocate(self, initial: Tuple[bytes, list]) -> int:
         pid = self.disk.allocate()
@@ -455,17 +465,6 @@ class Pager:
     def get(self, page_id: int) -> Any:
         return self.buffer.get(page_id)
 
-    def pin(self, page_id: int) -> Any:
-        """Page payload with its buffer frame pinned against eviction."""
-        return self.buffer.pin(page_id)
-
-    def unpin(self, page_id: int, read: Any = None,
-              memo: Any = None) -> None:
-        """Release a pin; with *memo*, the decoded form of the payload
-        *read* at :meth:`pin`, which replaces the frame if it still holds
-        *read* (see :meth:`~repro.bang.buffer.BufferPool.unpin`)."""
-        self.buffer.unpin(page_id, read, memo)
-
     def decode(self, page_id: int, block: bytes) -> list:
         """The record list of a page's records block; an undecodable
         block drops the frame and quarantines the page."""
@@ -474,15 +473,6 @@ class Pager:
         except PageError:
             self.buffer.discard(page_id)
             raise
-
-    @contextmanager
-    def pinned(self, page_id: int):
-        """Context manager: the page payload, pinned for the extent."""
-        payload = self.buffer.pin(page_id)
-        try:
-            yield payload
-        finally:
-            self.buffer.unpin(page_id)
 
     def put(self, page_id: int, payload: Any) -> None:
         self.buffer.put(page_id, payload)

@@ -588,9 +588,15 @@ class ExternalStore:
     def store_source(self, name: str, arity: int,
                      clauses: Sequence[Term]) -> StoredProcedure:
         """Store rules as *source text* — the Educe predecessor's scheme
-        (§2.3), kept as the baseline the paper measures against."""
+        (§2.3), kept as the baseline the paper measures against.  A
+        procedure already stored as source gets the clauses appended
+        after its own, as a consulted text's later section does."""
         with self.writing():
             self._check_writable()
+            stored = self._procs.get((name, arity))
+            if stored is not None and stored.mode != "source":
+                raise CatalogError(
+                    f"{name}/{arity} is stored as {stored.mode}, not source")
             from ..lang.writer import format_clause
             payloads: List[dict] = []
             for clause in clauses:
@@ -607,18 +613,25 @@ class ExternalStore:
 
     def _apply_source(self, record: dict) -> None:
         name, arity = record["name"], record["arity"]
-        relation = self.catalog.create(self._proc_relation_schema(name, arity))
-        proc = StoredProcedure(name, arity, "source", relation)
-        self._register(proc)
-        for cid, payload in enumerate(record["clauses"]):
+        proc = self._procs.get((name, arity))
+        if proc is None:
+            relation = self.catalog.create(
+                self._proc_relation_schema(name, arity))
+            proc = StoredProcedure(name, arity, "source", relation)
+            self._register(proc)
+            first = 0
+        else:
+            first = self._next_clause_id(proc)
+            proc.version += 1
+        for cid, payload in enumerate(record["clauses"], first):
             summaries = tuple(payload["summaries"])
-            relation.insert(summaries + (cid, 0))
+            proc.relation.insert(summaries + (cid, 0))
             self.source_bytes_stored += len(payload["source"])
             self.clauses_relation.insert((proc.key, cid, StoredClause(
                 clause_id=cid, relative_code=[],
                 summaries=summaries, has_body=payload["has_body"],
                 source=payload["source"])))
-        proc.nclauses = len(record["clauses"])
+            proc.nclauses += 1
 
     # -------------------------------------------------------------- updates
 
@@ -647,13 +660,15 @@ class ExternalStore:
         proc.nclauses += 1
         proc.version += 1
 
+    def _next_clause_id(self, proc: StoredProcedure) -> int:
+        """The clause id after every one *proc* holds (retracted ids are
+        never reused)."""
+        return 1 + max((row[1] for batch in self.clauses_relation.query(
+            {0: proc.key}) for row in batch), default=-1)
+
     def _apply_assert_rule(self, record: dict) -> None:
         proc = self.get(record["name"], record["arity"])
-        existing = [
-            row[1] for batch in self.clauses_relation.query({0: proc.key})
-            for row in batch
-        ]
-        cid = max(existing, default=-1) + 1
+        cid = self._next_clause_id(proc)
         self._insert_rule_clause(proc, cid, record["clause"])
         proc.version += 1
         if proc.mode == "rules":     # source text is never evaluated bottom-up

@@ -45,8 +45,9 @@ from ..wam.compiler import register_builtin_indicator
 class _Cursor:
     """One open descriptor: relation + key + the current leaf batch.
 
-    The relation's read yields one list per grid leaf and holds no
-    buffer pin between batches, so a cursor left open pins nothing."""
+    The relation's read yields one list per grid leaf, a list of its
+    own, so a cursor left open holds no buffer frame: its leaf may be
+    evicted between two tuples."""
 
     __slots__ = ("name", "arity", "relation", "assignment",
                  "batches", "batch", "pos")

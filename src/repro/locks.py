@@ -21,12 +21,10 @@ guessed at — and both time their *waits*: a contended acquisition
 records the blocked duration in a wait histogram
 (``latch_wait_ms`` / ``lock_read_wait_ms`` / ``lock_write_wait_ms``),
 so tail contention is measurable, not just countable.  The uncontended
-fast path takes no clock reading.  A latch is pickle-transparent: it
-is runtime state, so ``__getstate__`` drops the underlying primitive
-and ``__setstate__`` rebuilds it fresh.  A read-write lock is not
-picklable at all: its one holder, the store, drops it from a
-checkpoint and builds a fresh one on load — an EDB checkpoint never
-carries a held lock.
+fast path takes no clock reading.  Neither is picklable: both are
+runtime state, and their holders (the buffer pool, the store) are
+rebuilt or drop the lock when a checkpoint loads — an EDB checkpoint
+never carries a lock.
 
 The locking order is documented in ``docs/CONCURRENCY.md``:
 store ReadWriteLock → loader latch → buffer latch → disc I/O lock.
@@ -81,17 +79,6 @@ class Latch:
 
     def __exit__(self, *exc) -> None:
         self.release()
-
-    # Latches guard runtime state only; a pickled owner (BufferPool
-    # inside an EDB checkpoint) gets a fresh, unheld latch back.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def counters(self) -> dict:
         return {

@@ -12,8 +12,6 @@ go through it:
   counters appear in every snapshot under their existing names, so all
   call sites and the :class:`~repro.engine.stats.CostModel` pricing keep
   working unchanged;
-* **own metrics** — components may also increment named counters, set
-  gauges, or observe histogram values directly on the registry;
 * **snapshot / diff** — ``snapshot()`` returns one merged dict;
   ``diff(after, before)`` is counter/gauge aware: monotonic counters
   that shrank are treated as *reset* (the delta is what accumulated
@@ -36,7 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 #: Attach-time ``gauges=`` extends this per source; see the glossary.
 DEFAULT_GAUGE_KEYS = frozenset({
     "pages", "buffer_resident", "heap_high_water", "pages_quarantined",
-    "buffer_pinned", "loader_cache_entries", "store_mutations",
+    "loader_cache_entries", "store_mutations",
     "service_queue_depth", "service_queue_depth_peak", "service_inflight",
     "service_workers", "datalog_index_rows",
 })
@@ -142,12 +140,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms plus attached counter sources."""
+    """One snapshot over attached counter (and histogram) sources."""
 
     def __init__(self):
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._sources: List[Any] = []
         self._gauge_keys = set(DEFAULT_GAUGE_KEYS)
 
@@ -166,42 +161,17 @@ class MetricsRegistry:
         self._gauge_keys.update(gauges)
         return source
 
-    def detach(self, source: Any) -> None:
-        if source in self._sources:
-            self._sources.remove(source)
-
-    # ---------------------------------------------------------- own metrics
-
-    def inc(self, name: str, delta: float = 1) -> float:
-        value = self._counters.get(name, 0) + delta
-        self._counters[name] = value
-        return value
-
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-        self._gauge_keys.add(name)
-
-    def observe(self, name: str, value: float) -> None:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram()
-        hist.observe(value)
-
-    def histogram(self, name: str) -> Optional[Histogram]:
-        return self._histograms.get(name)
-
     # ------------------------------------------------------- snapshot/diff
 
     def snapshot(self) -> Dict[str, float]:
         """Every metric this registry can see, merged into one dict.
 
         Source counters are *summed* when two sources emit the same key
-        (non-numeric values are skipped); gauges and
-        histogram summaries are included under their own names.  A
-        source may also expose ``histograms()`` (name →
-        :class:`Histogram`); same-named histograms from different
-        sources merge bucket-wise, so percentiles in the snapshot are
-        computed over the union of observations, never averaged.
+        (non-numeric values are skipped).  A source may also expose
+        ``histograms()`` (name → :class:`Histogram`); same-named
+        histograms from different sources merge bucket-wise, so
+        percentiles in the snapshot are computed over the union of
+        observations, never averaged.
         """
         merged: Dict[str, float] = {}
         hist_maps: List[Dict[str, Histogram]] = []
@@ -212,10 +182,6 @@ class MetricsRegistry:
                 _merge_into(merged, source.io_counters())
             if hasattr(source, "histograms"):
                 hist_maps.append(source.histograms())
-        _merge_into(merged, self._counters)
-        merged.update(self._gauges)
-        if self._histograms:
-            hist_maps.append(self._histograms)
         for name, hist in merge_histogram_maps(*hist_maps).items():
             if hist.count:
                 merged.update(hist.as_dict(name))
@@ -228,7 +194,7 @@ class MetricsRegistry:
         * monotonic counter, grew: ordinary difference;
         * monotonic counter, shrank: it was **reset** between the
           snapshots — report its post-reset accumulation (``after``);
-        * gauge (registered via :meth:`attach`/:meth:`gauge`): report
+        * gauge (a default gauge key or named at :meth:`attach`): report
           the ``after`` level;
         * key only in *before* (source detached / disappeared): omitted;
         * histogram family (``X.count``/``X.sum``/``X.bucket.le_*``...):

@@ -210,9 +210,6 @@ class Tracer:
         event.update(attrs)
         span.events.append(event)
 
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def take_roots(self) -> List[Span]:
         """Drain and return the finished root spans (oldest first)."""
         roots, self.roots = self.roots, []

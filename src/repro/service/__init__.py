@@ -11,8 +11,8 @@ dictionary and loader cache), all reading one shared
 Concurrency control follows the classic DBMS split (documented in
 ``docs/CONCURRENCY.md``):
 
-* short-term **latches** protect in-memory structures — buffer-pool
-  frames (with per-frame pin counts) and the loader cache;
+* short-term **latches** protect in-memory structures — the buffer
+  pool's frame table and the loader cache;
 * one long-term **read-write lock** on the store serializes updates
   against in-flight queries: queries run under the shared read lock,
   mutators take the exclusive write lock and bump the store's

@@ -134,13 +134,6 @@ def deref(term: Term) -> Term:
     return term
 
 
-def make_struct(name: str, *args: Term) -> Term:
-    """Build ``name(args...)``, collapsing to an :class:`Atom` at arity 0."""
-    if not args:
-        return Atom(name)
-    return Struct(name, args)
-
-
 def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
     """Build a Prolog list term from a Python iterable."""
     result = tail

@@ -50,7 +50,7 @@ def _inside(box, key):
 
 
 def _check_boxes(grid, model, boxes):
-    """Brute force agrees with every box, and the pages a query pins
+    """Brute force agrees with every box, and the pages a query reads
     are the leaves ``leaves_for`` counts."""
     for box in boxes:
         before = grid.pager.io_counters()
@@ -58,9 +58,9 @@ def _check_boxes(grid, model, boxes):
         after = grid.pager.io_counters()
         assert got == sorted(i for i, key in model.items()
                              if _inside(box, key))
-        pins = sum(after[c] - before[c]
-                   for c in ("buffer_hits", "buffer_misses"))
-        assert grid.leaves_for(box) == pins
+        reads = sum(after[c] - before[c]
+                    for c in ("buffer_hits", "buffer_misses"))
+        assert grid.leaves_for(box) == reads
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +146,7 @@ def test_insert_many_builds_the_tree_inserts_build():
 
 def test_multi_box_probe_pins_each_leaf_once():
     """A bound ``term`` argument probes a value band and the var band;
-    the grid walks the two boxes at once and pins every leaf once."""
+    the grid walks the two boxes at once and reads every leaf once."""
     kb = EduceStar()
     kb.store_program("p(a, 1). p(X, 2). p(b, 3). p(a, 4).")
     relation = kb.store.lookup("p", 2).relation
@@ -157,7 +157,7 @@ def test_multi_box_probe_pins_each_leaf_once():
     clauses = kb.store.fetch_clauses("p", 2, {0: ("atom", "a")})
     after = pager.io_counters()
     assert [c.clause_id for c in clauses] == [0, 1, 3]
-    # one pin of the procedure's leaf, one of the $clauses leaf
+    # one read of the procedure's leaf, one of the $clauses leaf
     assert sum(after[c] - before[c]
                for c in ("buffer_hits", "buffer_misses")) == 2
 

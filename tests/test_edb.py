@@ -218,6 +218,34 @@ class TestStoreSource:
         assert baseline.solve_once("seen(_)") is None
         assert str(baseline.solve_once("rule(X ===> b)")["X"]) == "a"
 
+    def test_a_later_section_appends_to_the_stored_source(self, tmp_path):
+        """A goal directive between a procedure's clauses splits the text
+        into sections; the baseline stores what ``consult`` loads, and
+        the append is a committed record that a reopen replays."""
+        from repro.engine.educe_baseline import EduceBaseline
+        from repro.engine.interpreter import Interpreter
+        text = "p(1).\n:- true.\np(2).\n:- true.\np(3) :- true."
+        consulted = Interpreter()
+        consulted.consult(text)
+        expected = sorted(a["X"] for a in consulted.solve("p(X)"))
+        assert expected == [1, 2, 3]
+        path = str(tmp_path / "kb.edb")
+        baseline = EduceBaseline(ExternalStore.open(path))
+        baseline.store_program(text)
+        assert sorted(a["X"] for a in baseline.solve("p(X)")) == expected
+        del baseline                              # abandoned, not saved
+        reopened = ExternalStore.open(path)
+        assert reopened.recovery.ops_replayed == {"source": 3}
+        assert reopened.get("p", 1).nclauses == 3
+        again = EduceBaseline(reopened)
+        assert sorted(a["X"] for a in again.solve("p(X)")) == expected
+
+    def test_source_does_not_append_to_compiled_rules(self, store, ctx):
+        store.store_rules("r", 1, read_terms("r(1)."), ctx)
+        with pytest.raises(CatalogError, match="r/1"):
+            store.store_source("r", 1, read_terms("r(2)."))
+        assert store.get("r", 1).nclauses == 1
+
     def test_loader_refuses_source_mode(self, store):
         """Source text is the Educe baseline's scheme; a compiled-code
         session that reaches such a procedure gets a typed error naming

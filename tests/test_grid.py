@@ -7,7 +7,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bang.grid import BangGrid, point_box
+from repro.bang.grid import BangGrid
 from repro.bang.pager import Pager
 from repro.bang.relation import squash_number
 
@@ -188,10 +188,6 @@ class TestCompaction:
 
 
 class TestPartialMatch:
-    def test_point_box_helper(self):
-        box = point_box({1: 0.5}, 3)
-        assert box == ((0.0, 1.0), (0.5, 0.5), (0.0, 1.0))
-
     def test_partial_match_visits_fewer_leaves(self):
         g = make_grid(ndims=2, capacity=4)
         rng = random.Random(7)
@@ -236,7 +232,7 @@ _axis = st.one_of(st.just((0.0, 1.0)), _coord.map(lambda v: (v, v)),
 def test_property_grid_equals_brute_force(drawn, seed, slab, boxes):
     """Every box query returns exactly the brute-force answer — also
     after deletes have compacted (and spliced) the tree and more keys
-    went in — and pins exactly the pages ``leaves_for`` predicts.
+    went in — and reads exactly the pages ``leaves_for`` predicts.
 
     Drawn keys bring edge values and duplicates; seeded uniform keys
     make the tree deep enough for deletes to splice out empty leaves."""
@@ -277,9 +273,9 @@ def test_property_grid_equals_brute_force(drawn, seed, slab, boxes):
             if box[0][0] <= x <= box[0][1]
             and box[1][0] <= y <= box[1][1])
         assert got == want
-        pins = sum(after[c] - before[c]
-                   for c in ("buffer_hits", "buffer_misses"))
-        assert g.leaves_for(box) == pins
+        reads = sum(after[c] - before[c]
+                    for c in ("buffer_hits", "buffer_misses"))
+        assert g.leaves_for(box) == reads
 
 
 # Keys the packed layout must carry bit for bit: a signed zero and the

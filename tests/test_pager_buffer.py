@@ -161,7 +161,7 @@ class TestEvictionEvents:
             grid.insert((i / 100,), i)
         pager.flush()
         for pid in list(pager.buffer._frames):
-            pager.buffer.discard(pid)    # clean: every scan pin misses
+            pager.buffer.discard(pid)    # clean: every scan read misses
         pager.buffer.capacity = 4
         before = pager.io_counters()["buffer_evictions"]
         while pager.io_counters()["buffer_evictions"] - before < 2000:
@@ -175,3 +175,64 @@ class TestEvictionEvents:
         evictions = [e for e in store.events.tail()
                      if e["kind"] == "page.evict"]
         assert evictions and all(e["dirty"] is True for e in evictions)
+
+
+class TestCheckpointCarriesNoPool:
+    """The buffer pool is runtime state: a checkpoint carries the disc
+    and the pool's capacity, and every store that starts from one —
+    loaded, reopened with nothing to replay, or a follower's bootstrap —
+    reports no buffer or disc work before its first query."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        from repro import EduceStar
+        from repro.edb.store import ExternalStore
+        path = str(tmp_path / "kb.edb")
+        store = ExternalStore.open(path)
+        store.pager.buffer.capacity = 8
+        kb = EduceStar(store=store)
+        kb.store_relation("p", [(i, i % 7) for i in range(600)])
+        assert len(list(kb.solve("p(X, 3)"))) == 86
+        store.save(path)
+        worked = store.io_counters()
+        assert worked["buffer_hits"] and worked["writes"]
+        return path
+
+    @staticmethod
+    def _assert_no_work(store):
+        counters = store.pager.io_counters()
+        work = {key: value for key, value in counters.items()
+                if key.startswith(("buffer_", "latch_"))
+                or key in ("reads", "writes", "bytes_read",
+                           "bytes_written", "page_corruptions")}
+        assert len(work) == 12 and set(work.values()) == {0}, work
+        assert not any(h.count for h in store.pager.histograms().values())
+        assert store.pager.buffer.capacity == 8
+
+    def test_a_loaded_store(self, tmp_path):
+        from repro.edb.store import ExternalStore
+        self._assert_no_work(ExternalStore.load(self._saved(tmp_path)))
+
+    def test_a_store_reopened_with_an_empty_log(self, tmp_path):
+        from repro.edb.store import ExternalStore
+        store = ExternalStore.open(self._saved(tmp_path))
+        assert store.recovery.wal_records_seen == 0
+        self._assert_no_work(store)
+
+    def test_a_bootstrapped_follower(self, tmp_path):
+        from repro.replication import Replica
+        replica = Replica("r0", self._saved(tmp_path), str(tmp_path / "r0"),
+                          workers=1, start=False)
+        try:
+            self._assert_no_work(replica.store)
+        finally:
+            replica.shutdown()
+
+    def test_the_pool_itself_is_not_picklable(self):
+        import pickle
+        pager = Pager(buffer_pages=3)
+        with pytest.raises(TypeError):
+            pickle.dumps(pager.buffer)
+        copy = pickle.loads(pickle.dumps(pager))
+        assert copy.buffer is not pager.buffer
+        assert copy.buffer.capacity == 3

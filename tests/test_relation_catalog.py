@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bang.catalog import AttributeSpec, Catalog, RelationSchema
+from repro.bang.catalog import AttributeSpec, Catalog
 from repro.bang.pager import Pager
 from repro.bang.relation import (
     encode_value,
@@ -83,13 +83,6 @@ class TestCatalog:
         catalog.create_simple("r", [("a", "int")])
         catalog.drop("r")
         assert "r" not in catalog
-
-    def test_attribute_index(self):
-        schema = RelationSchema("r", [AttributeSpec("x", "int"),
-                                      AttributeSpec("y", "atom")])
-        assert schema.attribute_index("y") == 1
-        with pytest.raises(CatalogError):
-            schema.attribute_index("z")
 
     def test_invalid_type_rejected(self):
         with pytest.raises(CatalogError):

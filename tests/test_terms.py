@@ -17,7 +17,6 @@ from repro.terms import (
     iter_subterms,
     list_to_python,
     make_list,
-    make_struct,
     rename_term,
     resolve_term,
     term_variables,
@@ -76,10 +75,6 @@ class TestStruct:
     def test_equality_structural(self):
         assert Struct("f", (1, Atom("a"))) == Struct("f", (1, Atom("a")))
         assert Struct("f", (1,)) != Struct("g", (1,))
-
-    def test_make_struct_collapses_to_atom(self):
-        assert make_struct("a") is Atom("a")
-        assert isinstance(make_struct("f", 1), Struct)
 
 
 class TestLists:
