@@ -8,11 +8,8 @@ compiled-code-in-the-EDB architecture (§3.1):
   and an abstract interpreter over the instruction CFG (A rules);
 * :mod:`~repro.analysis.determinism` — first-argument partitioning,
   switch-table coverage and dead-code reachability (D rules);
-* :mod:`~repro.analysis.lint` — source-level lint for ``.pl`` programs
-  (L rules), with inline ``% lint:`` pragma waivers;
-* :mod:`~repro.analysis.global_` — whole-program analysis of a program
-  text: predicate call graph, mode/groundness abstract interpretation
-  and determinism inference, whose one product is the linter's M rules.
+* :mod:`~repro.analysis.lint` — clause-local source lint for ``.pl``
+  programs (L rules and M201), with inline ``% lint:`` pragma waivers.
 
 The compiler and assembler verify their own output when
 :func:`enable_self_verify` has been called (the test suite turns it

@@ -8,8 +8,8 @@ Subcommands::
     python -m repro.analysis verify F.pl ... # compile + verify files
 
 Exit codes are stable for CI: **0** clean, **1** findings, **2**
-usage/parse error.  ``-q`` prints findings only.  Lint findings
-include the whole-program M rules (docs/ANALYSIS.md).
+usage/parse error.  ``-q`` prints findings only.  Lint findings are
+the L rules and M201 (docs/ANALYSIS.md).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Source-level lint for Prolog programs (L rules).
+"""Source-level lint for Prolog programs (L rules and M201).
 
 Operates on the program *text* (the unit everything in this repo ships
 Prolog as: prelude string, workload rule strings, example programs,
@@ -26,10 +26,27 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..lang.program import iter_goals, read_sections, split_clause_term
 from ..lang.reader import Reader
-from ..terms import Struct, Term, Var
-from .global_.callgraph import CONTROL_GOALS as _CONTROL
+from ..terms import Struct, Term, Var, term_variables
 
 __all__ = ["RULES", "LintFinding", "lint_text"]
+
+#: goals the compiler handles directly (no registered indicator)
+CONTROL_GOALS = {("true", 0), ("fail", 0), ("false", 0), ("!", 0),
+                 ("otherwise", 0)}
+
+#: M201's table: the argument positions (0-based) a builtin demands
+#: ground at call time, or it raises an instantiation error.  sort/2
+#: and its kin demand a proper list spine, not ground elements, so
+#: they are not listed (M201 would over-flag).
+DEMANDED: Dict[Tuple[str, int], Tuple[int, ...]] = {
+    ("is", 2): (1,),
+    ("<", 2): (0, 1), (">", 2): (0, 1), ("=<", 2): (0, 1),
+    (">=", 2): (0, 1), ("=:=", 2): (0, 1), ("=\\=", 2): (0, 1),
+    ("arg", 3): (0,),
+    ("atom_length", 2): (0,),
+    ("between", 3): (0, 1),
+    ("tab", 1): (0,),
+}
 
 #: Lint rule glossary (ids are stable; see docs/ANALYSIS.md).
 RULES: Dict[str, str] = {
@@ -54,14 +71,6 @@ RULES: Dict[str, str] = {
             "occurrence in the clause sits in a builtin's "
             "demanded-ground position — a guaranteed instantiation "
             "error if the goal is reached",
-    "M202": "provably always fails: the whole-program cardinality "
-            "analysis classed the predicate 'fails' (no clause can "
-            "produce a solution)",
-    "M203": "dead choice point: the predicate is deterministic under "
-            "its inferred call modes (an always-ground argument "
-            "discriminates every clause) but first-argument indexing "
-            "cannot see it, so the compiled code keeps a choice point "
-            "that never yields a second solution",
 }
 
 _PRAGMA_RE = re.compile(
@@ -86,18 +95,19 @@ class LintFinding:
 def lint_text(text: str, name: str = "",
               extra_defined: Tuple[Tuple[str, int], ...] = ()
               ) -> List[LintFinding]:
-    """Lint one Prolog program text; return the unwaived findings
-    (L rules from the source walk, M rules from the whole-program
-    analysis — both over one reading of the text)."""
+    """Lint one Prolog program text (read once); return the unwaived
+    findings."""
     from ..wam.prelude import library
-    from .global_ import analyze_program, program_from_sections
     _ensure_builtin_registry()
     disabled, externals, unknown_rules = _parse_pragmas(text)
     sections = list(read_sections(text, Reader()))
-    program = program_from_sections(sections,
-                                    externals | set(extra_defined))
-    defined = program.defined()
     clauses = [item for section in sections for item in section.clauses]
+    clause_map: Dict[Tuple[str, int], List[Term]] = {}
+    for ind, clause in clauses:
+        clause_map.setdefault(ind, []).append(clause)
+    defined = set(clause_map) | externals | set(extra_defined)
+    for section in sections:
+        defined.update(section.declared)
     first_arg_kinds: Dict[Tuple[str, int], List[str]] = {}
     calls: List[Tuple[Tuple[str, int], Tuple[str, int]]] = []
     findings: List[LintFinding] = []
@@ -112,6 +122,13 @@ def lint_text(text: str, name: str = "",
                 f"{len(first_arg_kinds[ind])} of {_fmt(ind)}"))
         if body is not None:
             calls.extend((ind, callee) for callee, _args in iter_goals(body))
+        for goal, var in _fresh_demanded(head, body):
+            findings.append(LintFinding(
+                "M201", _fmt(ind),
+                f"clause {len(first_arg_kinds[ind])} of {_fmt(ind)} "
+                f"calls {goal} with the unbound variable {var} in a "
+                "position that must be ground (guaranteed "
+                "instantiation error)"))
 
     # L103 — discontiguous clause blocks
     seen: Set[Tuple[str, int]] = set()
@@ -129,7 +146,7 @@ def lint_text(text: str, name: str = "",
     # L102 — undefined predicates in the call graph
     flagged: Set[Tuple[Tuple[str, int], Tuple[str, int]]] = set()
     for caller, callee in calls:
-        if callee in defined or callee in _CONTROL:
+        if callee in defined or callee in CONTROL_GOALS:
             continue
         if _builtin(callee) or callee in library():
             continue
@@ -157,7 +174,7 @@ def lint_text(text: str, name: str = "",
                 "first-argument indexing cannot discriminate"))
 
     # L105 — recursive, Datalog-shaped, yet blocked from bottom-up
-    findings.extend(_datalog_blocked(program.clauses))
+    findings.extend(_datalog_blocked(clause_map))
 
     # L106 — pragmas naming rules this linter does not define
     for rule_id in sorted(unknown_rules):
@@ -165,10 +182,6 @@ def lint_text(text: str, name: str = "",
             "L106", rule_id,
             f"'% lint: disable={rule_id}' names an unknown rule "
             "(known: " + ", ".join(sorted(RULES)) + ")"))
-
-    # M rules — whole-program mode/determinism findings over the same
-    # reading (docs/ANALYSIS.md, "M rules"); waived by the same pragmas
-    findings.extend(analyze_program(program).mode_findings())
 
     return [f for f in findings if not _waived(f, disabled)]
 
@@ -238,6 +251,29 @@ def _datalog_blocked(clause_terms: Dict[Tuple[str, int], List[Term]]
                     f"{_fmt(negated.pred)} (unstratified)"))
                 break
     return findings
+
+
+def _fresh_demanded(head: Term, body: Optional[Term]
+                    ) -> List[Tuple[str, str]]:
+    """M201: ``(goal, variable-name)`` pairs where a variable's *first
+    occurrence in the clause* sits in a builtin's demanded-ground
+    position — the call is a guaranteed instantiation error if reached
+    (a fresh variable is unbound by definition)."""
+    if body is None:
+        return []
+    seen = {id(v) for v in term_variables(head)}
+    out: List[Tuple[str, str]] = []
+    for ind, args in iter_goals(body):
+        if args is None:
+            continue
+        for pos in DEMANDED.get(ind, ()):
+            if pos < len(args):
+                fresh = next((v for v in term_variables(args[pos])
+                              if id(v) not in seen), None)
+                if fresh is not None:
+                    out.append((_fmt(ind), fresh.name or "_"))
+        seen.update(id(v) for arg in args for v in term_variables(arg))
+    return out
 
 
 # =====================================================================

@@ -290,9 +290,3 @@ class BufferPool:
         }
         hists.update(self._latch.histograms())
         return hists
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writebacks = 0

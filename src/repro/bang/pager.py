@@ -120,7 +120,8 @@ class DiskStore:
         self._io_lock = threading.Lock()
         # Counters are session-scoped: a loaded disc reports the work
         # of the session that loaded it, not of the one that saved it.
-        self.reset_counters()
+        self.reads = self.writes = 0
+        self.bytes_read = self.bytes_written = 0
         self.page_corruptions = 0
 
     def read(self, page_id: int) -> Optional[Tuple[bytes, bytes]]:
@@ -200,12 +201,6 @@ class DiskStore:
     @property
     def page_count(self) -> int:
         return len(self._pages)
-
-    def reset_counters(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     def io_counters(self) -> dict:
         return {
@@ -501,10 +496,6 @@ class Pager:
         """Duration histograms of the storage stack (buffer latch
         waits, miss stalls, write-backs); see docs/OBSERVABILITY.md."""
         return self.buffer.histograms()
-
-    def reset_counters(self) -> None:
-        self.disk.reset_counters()
-        self.buffer.reset_counters()
 
     @property
     def tracer(self):

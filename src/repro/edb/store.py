@@ -1196,9 +1196,6 @@ class ExternalStore:
             maps.append(self.wal.histograms())
         return merge_histogram_maps(*maps)
 
-    def reset_counters(self) -> None:
-        self.pager.reset_counters()
-
 
 def _collect_ext_refs(obj: Any, acc: set) -> None:
     """Accumulate every ``("ext", hash)`` marker in a relative-code

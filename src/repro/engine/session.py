@@ -89,10 +89,10 @@ class EduceStar:
         self.relops = RelationalOps(self)
         install_relop_builtins(self.machine, self.relops)
 
-        # Recursive set-at-a-time evaluation (ROADMAP item 4,
-        # docs/DATALOG.md): solve() consults the strategy planner and
-        # routes evaluable recursive goals through the semi-naive
-        # bottom-up engine instead of the WAM.
+        # Recursive set-at-a-time evaluation (docs/DATALOG.md): solve()
+        # consults the strategy planner and routes evaluable recursive
+        # goals through the semi-naive bottom-up engine instead of the
+        # WAM.
         from ..relational.datalog import DatalogEngine
         self.datalog = DatalogEngine(
             self.store, self.machine.reader, tracer=self.tracer,
@@ -477,8 +477,3 @@ class EduceStar:
         return merge_histogram_maps(self.store.histograms(),
                                     self.loader.histograms(),
                                     self.datalog.histograms())
-
-    def reset_counters(self) -> None:
-        self.machine.reset_counters()
-        self.store.reset_counters()
-        self.parsed_chars = 0

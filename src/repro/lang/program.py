@@ -11,10 +11,9 @@ extends the reader on the spot, so the following clauses parse under it;
 
 Every consumer goes through this loop: ``Machine.consult`` and
 ``Interpreter.consult`` (and, through their ``define`` sink, the two
-``store_program`` s) by way of :func:`load_program`, the linter and the
-whole-program analysis section by section — and through the term helpers
-below for what a clause's head, body and reachable goals are
-(docs/ANALYSIS.md).
+``store_program`` s) by way of :func:`load_program`, and the linter
+section by section — and through the term helpers below for what a
+clause's head, body and reachable goals are (docs/ANALYSIS.md).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Recursive set-at-a-time evaluation (ROADMAP item 4, docs/DATALOG.md).
+"""Recursive set-at-a-time evaluation (docs/DATALOG.md).
 
 The missing half of the paper's dual strategy for *recursive*
 predicates: rule extraction (:mod:`.rules`), semi-naive bottom-up

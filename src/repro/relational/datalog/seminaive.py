@@ -1,4 +1,4 @@
-"""Semi-naive bottom-up fixpoint evaluation (ROADMAP item 3).
+"""Semi-naive bottom-up fixpoint evaluation (docs/DATALOG.md).
 
 The evaluator runs one stratum at a time (bottom stratum first).  Inside
 a stratum the classic semi-naive discipline applies: after the seed pass

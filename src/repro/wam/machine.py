@@ -1347,14 +1347,3 @@ class Machine:
         if self.profiler is not None:
             out.update(self.profiler.counters())
         return out
-
-    def reset_counters(self) -> None:
-        self.instr_count = 0
-        self.data_refs = 0
-        self.cp_refs = 0
-        self.cp_created = 0
-        self.backtracks = 0
-        self.calls = 0
-        self.unify_ops = 0
-        self.compile_count = 0
-        self.next_due = self.poll_interval

@@ -352,9 +352,22 @@ class TestLint:
                              "bump(N) :- counter(N).")
         assert "L102" not in rules_of(findings)
 
+    def test_dynamic_declaration_is_external(self):
+        # A dynamic predicate with no clauses, called by an entry point.
+        findings = lint_text(":- dynamic(counter/1).\n"
+                             "bump :- counter(_).\n"
+                             "% lint: external bump/0\n")
+        assert "L102" not in rules_of(findings)
+
+    def test_pragma_external_after_the_call(self):
+        # The pragma defines the predicate wherever it stands in the file.
+        findings = lint_text("p :- helper(1).\n"
+                             "% lint: external helper/1\n")
+        assert "L102" not in rules_of(findings)
+
     def test_text_is_read_once(self, monkeypatch):
-        """The L rules and the M rules share one reading of the text
-        (and the library was read when the process first needed it)."""
+        """The L rules and M201 share one reading of the text (and the
+        library was read when the process first needed it)."""
         from repro.lang import reader
         lint_text("warm(1).")
         texts = []
@@ -415,6 +428,64 @@ class TestLint:
                 "% lint: external edge/2\n"
                 "win(X) :- edge(X, Y), \\+ win(Y).")
         assert "L105" not in rules_of(lint_text(text))
+
+    def test_l106_unknown_rule_id(self):
+        findings = lint_text("% lint: disable=Z999\np(1).\n"
+                             "main :- p(X).\n"
+                             "% lint: external main/0\n"
+                             "% lint: disable=L101\n")
+        assert any(f.rule == "L106" and f.indicator == "Z999"
+                   for f in findings)
+
+    def test_l106_itself_waivable(self):
+        clean = lint_text("% lint: disable=Z999\n"
+                          "% lint: disable=L106\n"
+                          "% lint: disable=L101\n"
+                          "p(1).\nmain :- p(X).\n"
+                          "% lint: external main/0\n")
+        assert "L106" not in rules_of(clean)
+
+    def test_pragma_on_clause_continuation_line(self):
+        """Pragmas are file-scoped comments; one trailing a clause
+        continuation line waives the same way as a line of its own."""
+        clean = lint_text("p(X) :-\n"
+                          "    q(X).   % lint: disable=L102\n"
+                          "main :- p(V).\n"
+                          "% lint: external main/0\n"
+                          "% lint: disable=L101\n")
+        assert "L102" not in rules_of(clean)
+
+
+class TestM201:
+    """The one M rule: a variable whose first occurrence sits in a
+    builtin's demanded-ground position (clause-local)."""
+
+    def test_m201_fresh_variable_demanded_ground(self):
+        findings = lint_text("p(X) :- Y is Z + 1, X = Y.\n"
+                             "main :- p(V).\n"
+                             "% lint: external main/0\n"
+                             "% lint: disable=L101\n")
+        assert any(f.rule == "M201" and f.indicator == "p/1"
+                   and "is/2" in f.message and " Z " in f.message
+                   for f in findings)
+
+    def test_m201_quiet_when_bound_upstream(self):
+        findings = lint_text("p(X, Y) :- X = 2, Y is X + 1.\n"
+                             "main :- p(A, B).\n"
+                             "% lint: external main/0\n")
+        assert "M201" not in rules_of(findings)
+
+    def test_m201_waivable(self):
+        text = ("p(X) :- Y is Z + 1, X = Y.\n"
+                "main :- p(V).\n"
+                "% lint: external main/0\n"
+                "% lint: disable=L101\n")
+        assert "M201" not in rules_of(
+            lint_text("% lint: disable=M201\n" + text))
+        assert "M201" not in rules_of(
+            lint_text("% lint: disable=M201 p/1\n" + text))
+        assert "M201" in rules_of(
+            lint_text("% lint: disable=M201 main/0\n" + text))
 
 
 # =====================================================================
@@ -569,10 +640,39 @@ class TestRegressionCorpus:
 # =====================================================================
 
 class TestCli:
+    CLEAN = ("p(1).\np(2).\nmain :- p(X), write(X).\n"
+             "% lint: external main/0\n")
+    FINDING = "p(X) :- fail.\nmain :- p(V).\n% lint: external main/0\n"
+    BROKEN = "p(1"
+
+    def write(self, tmp_path, text, name="unit.pl"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
     def test_corpus_is_clean(self, capsys):
         assert cli_main(["corpus"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
+
+    def test_corpus_has_no_m201_finding(self):
+        # Every corpus unit, linted as the corpus command lints it.
+        from repro.analysis.corpus import corpus_entries
+        assert [(entry.name, f.indicator)
+                for entry in corpus_entries()
+                for f in lint_text(entry.text, name=entry.name,
+                                   extra_defined=entry.extra_defined)
+                if f.rule == "M201"] == []
+
+    def test_lint_matrix(self, tmp_path, capsys):
+        assert cli_main(["lint", self.write(tmp_path, self.CLEAN)]) == 0
+        assert cli_main(["lint", self.write(tmp_path, self.FINDING)]) == 1
+        assert cli_main(["lint", self.write(tmp_path, self.BROKEN)]) == 2
+        assert cli_main(["lint", str(tmp_path / "missing.pl")]) == 2
+
+    def test_verify_matrix(self, tmp_path, capsys):
+        assert cli_main(["verify", self.write(tmp_path, self.CLEAN)]) == 0
+        assert cli_main(["verify", self.write(tmp_path, self.BROKEN)]) == 2
 
     def test_lint_file_with_findings_exits_1(self, tmp_path, capsys):
         f = tmp_path / "dirty.pl"
@@ -593,3 +693,20 @@ class TestCli:
 
     def test_usage_exits_2(self):
         assert cli_main(["frobnicate"]) == 2
+
+    def test_usage_error_prints_usage(self, capsys):
+        # An unknown command, or lint/verify without files, prints the
+        # usage text on stderr.
+        for argv in (["frobnicate"], ["lint"], ["verify"],
+                     ["corpus", "extra.pl"]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert "python -m repro.analysis lint F.pl" in err
+
+    def test_corpus_clean_with_no_command(self, capsys):
+        # No command means corpus; -q keeps a clean run silent.
+        assert cli_main([]) == 0
+        out = capsys.readouterr().out
+        assert "corpus units linted" in out and "0 finding(s)" in out
+        assert cli_main(["-q"]) == 0
+        assert capsys.readouterr().out == ""

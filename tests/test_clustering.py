@@ -23,6 +23,7 @@ from repro.bang.grid import BangGrid
 from repro.bang.pager import Pager
 from repro.bang.relation import encode_value, squash_number
 from repro.edb.store import ExternalStore
+from repro.engine.stats import measure
 from repro.errors import StorageError, TypeError_
 from repro.lang.program import bindable_args
 from repro.lang.reader import read_terms
@@ -103,13 +104,13 @@ def test_load_writes_each_leaf_once_and_needs_an_empty_grid():
     grid = BangGrid(2, pager, bucket_capacity=8)
     rng = random.Random(3)
     keys = [(rng.random(), rng.random()) for _ in range(400)]
-    pager.reset_counters()
-    grid.load([[k[0] for k in keys], [k[1] for k in keys]],
-              list(range(400)))
-    pager.flush()
+    with measure(pager) as run:
+        grid.load([[k[0] for k in keys], [k[1] for k in keys]],
+                  list(range(400)))
+        pager.flush()
     # every leaf page reaches the disc exactly once, and nothing is read
-    assert pager.io_counters()["writes"] == grid.leaf_count
-    assert pager.io_counters()["reads"] == 0
+    assert run["writes"] == grid.leaf_count
+    assert run["reads"] == 0
     with pytest.raises(ValueError, match="new grid"):
         grid.load([[0.5], [0.5]], ["again"])
 
@@ -134,11 +135,11 @@ def test_insert_many_builds_the_tree_inserts_build():
                  for _ in range(2))
     for i, key in enumerate(keys):
         one.insert(key, i)
-    bulk.pager.reset_counters()
-    bulk.insert_many([[k[0] for k in keys], [k[1] for k in keys]],
-                     list(range(len(keys))))
-    bulk.pager.flush()
-    assert bulk.pager.io_counters()["writes"] == bulk.leaf_count
+    with measure(bulk.pager) as run:
+        bulk.insert_many([[k[0] for k in keys], [k[1] for k in keys]],
+                         list(range(len(keys))))
+        bulk.pager.flush()
+    assert run["writes"] == bulk.leaf_count
     assert _shape(bulk) == _shape(one)
     assert (bulk.size, bulk.leaf_count, bulk.splits) == \
         (one.size, one.leaf_count, one.splits)

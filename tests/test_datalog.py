@@ -17,7 +17,8 @@ from repro.relational.algebra import (CrossJoin, Filter, LookupJoin, Rows,
 from repro.relational.datalog import (DEFAULT_MIN_ROWS, NotDatalog, analyze,
                                       choose, rule_from_clause, stratify)
 from repro.relational.datalog.magic import rewrite
-from repro.relational.datalog.rules import (V, range_restriction_violation)
+from repro.relational.datalog.rules import (V, range_restriction_violation,
+                                            tarjan_sccs)
 
 READER = Reader()
 
@@ -122,6 +123,25 @@ class TestStratify:
         assert error is None
         assert ("even", 1) in recursive and ("odd", 1) in recursive
         assert strata[("even", 1)] == strata[("odd", 1)]
+
+    def test_tarjan_on_cycle(self):
+        a, b, c = ("a", 0), ("b", 0), ("c", 0)
+        sccs = tarjan_sccs({a: {b}, b: {a, c}, c: set()})
+        assert [c] in sccs
+        assert sorted([a, b]) in [sorted(scc) for scc in sccs]
+
+    def test_sccs_reverse_topological(self):
+        graph = {("route", 2): {("lookup", 2), ("act", 3)},
+                 ("act", 3): {("mark", 1)},
+                 ("lookup", 2): set(), ("mark", 1): set(),
+                 ("path", 2): {("path", 2), ("route", 2)}}
+        sccs = tarjan_sccs(graph)
+        scc_of = {ind: i for i, scc in enumerate(sccs) for ind in scc}
+        assert sorted(scc_of) == sorted(graph)
+        for caller, callees in graph.items():
+            for callee in callees:
+                if scc_of[caller] != scc_of[callee]:
+                    assert scc_of[callee] < scc_of[caller]
 
 
 # =====================================================================

@@ -332,14 +332,6 @@ class TestAnalysisGlossary:
                                     analysis_glossary))
         assert mentioned <= known, sorted(mentioned - known)
 
-    def test_mode_lattice_documented(self, analysis_glossary):
-        """The whole-program section spells out the mode lattice and
-        the determinism classes the analysis can emit."""
-        names = documented(analysis_glossary)
-        for token in ("ground", "nonvar", "any", "fails", "det",
-                      "semidet", "multi", "nondet"):
-            assert token in names, token
-
     def test_analysis_counters_cross_referenced(self, analysis_glossary,
                                                 glossary):
         """The analysis counters — the loader gate's — exist in both

@@ -7,6 +7,7 @@ import pytest
 
 from repro.edb.store import ExternalStore
 from repro.engine.session import EduceStar
+from repro.engine.stats import measure
 from repro.errors import ExistenceError, PrologError, TypeError_
 from repro.lang.writer import term_to_text
 
@@ -83,10 +84,10 @@ class TestCursorInterface:
         drain(_).
         full_scan :- open_rel(D, emp/3), drain(D), close_rel(D).
         """)
-        kb.machine.reset_counters()
-        assert kb.solve_once("full_scan") is not None
+        with measure(kb.machine) as run:
+            assert kb.solve_once("full_scan") is not None
         # barrier + nothing per-tuple (drain's clauses are cut-guarded)
-        assert kb.machine.cp_created <= 2 + 5  # small constant, not 4/tuple
+        assert run["cp_created"] <= 2 + 5  # small constant, not 4/tuple
 
     def test_rel_tuple_nondeterministic_wrapper(self, kb):
         names = [str(s["N"]) for s in

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bang.grid import BangGrid
 from repro.bang.pager import Pager
 from repro.bang.relation import squash_number
+from repro.engine.stats import measure
 
 
 def make_grid(ndims=2, capacity=8, buffer_pages=64):
@@ -204,10 +205,9 @@ class TestPartialMatch:
         g = BangGrid(1, pager, bucket_capacity=4)
         for i in range(50):
             g.insert((i / 50.0,), i)
-        pager.reset_counters()
-        list(chain.from_iterable(g.query(((0.0, 1.0),))))
-        c = pager.io_counters()
-        touched = c["buffer_hits"] + c["buffer_misses"]
+        with measure(pager) as run:
+            list(chain.from_iterable(g.query(((0.0, 1.0),))))
+        touched = run["buffer_hits"] + run["buffer_misses"]
         assert touched == g.leaf_count
 
 

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.engine.stats import measure
 from repro.wam.machine import Machine
 
 SRC = """
@@ -79,31 +80,33 @@ class TestDeterminismEffect:
 
     def test_indexed_point_call_creates_no_choice_point(self):
         m = fresh(index=True)
-        m.reset_counters()
-        m.solve_once("kind(carrot, _)")
+        with measure(m) as run:
+            m.solve_once("kind(carrot, _)")
         # Only the query barrier; no clause choice point.
-        assert m.cp_created == 1
+        assert run["cp_created"] == 1
 
     def test_unindexed_point_call_creates_choice_point(self):
         m = fresh(index=False)
-        m.reset_counters()
-        m.solve_once("kind(carrot, _)")
-        assert m.cp_created > 1
+        with measure(m) as run:
+            m.solve_once("kind(carrot, _)")
+        assert run["cp_created"] > 1
 
     def test_cp_references_drop_with_indexing(self):
         goals = ["kind(apple, _)", "kind(42, _)", "kind(f(x), _)"]
-        indexed = fresh(index=True)
-        plain = fresh(index=False)
-        for m in (indexed, plain):
-            m.reset_counters()
-            for g in goals * 20:
-                m.solve_once(g)
-        assert indexed.cp_refs < plain.cp_refs
+        runs = []
+        for m in (fresh(index=True), fresh(index=False)):
+            with measure(m) as run:
+                for g in goals * 20:
+                    m.solve_once(g)
+            runs.append(run)
+        indexed, plain = runs
+        assert indexed["cp_refs"] < plain["cp_refs"]
 
     def test_indexing_also_prunes_failing_unifications(self):
-        indexed = fresh(index=True)
-        plain = fresh(index=False)
-        for m in (indexed, plain):
-            m.reset_counters()
-            m.solve_once("kind(pear, _)")
-        assert indexed.unify_ops <= plain.unify_ops
+        runs = []
+        for m in (fresh(index=True), fresh(index=False)):
+            with measure(m) as run:
+                m.solve_once("kind(pear, _)")
+            runs.append(run)
+        indexed, plain = runs
+        assert indexed["unify_ops"] <= plain["unify_ops"]

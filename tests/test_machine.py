@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.stats import measure
 from repro.errors import (
     EvaluationError,
     ExistenceError,
@@ -542,11 +543,12 @@ class TestCounters:
         machine.solve_once("p(X)")
         assert machine.instr_count > before
 
-    def test_reset(self, machine):
+    def test_measure_counts_from_zero(self, machine):
         machine.consult("p(a).")
         machine.solve_once("p(_)")
-        machine.reset_counters()
-        assert machine.instr_count == 0
+        with measure(machine) as run:
+            machine.solve_once("p(_)")
+        assert 0 < run["instr_count"] < machine.instr_count
 
     def test_statistics_builtin(self, machine):
         sol = machine.solve_once("statistics(inferences, N)")

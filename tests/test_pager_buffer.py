@@ -6,6 +6,7 @@ import pytest
 
 from repro.bang.buffer import BufferPool
 from repro.bang.pager import DiskStore, Pager
+from repro.engine.stats import measure
 from repro.errors import PageError
 
 from .pages import leaf, unpacked
@@ -49,13 +50,6 @@ class TestDiskStore:
         with pytest.raises(PageError):
             disk.read(pid)
 
-    def test_reset_counters(self):
-        disk = DiskStore()
-        pid = disk.allocate()
-        disk.write(pid, leaf())
-        disk.reset_counters()
-        assert disk.io_counters()["writes"] == 0
-
 
 class TestBufferPool:
     def _pool(self, capacity=3):
@@ -86,11 +80,12 @@ class TestBufferPool:
         pool.get(pages[0])            # page0 most-recent
         pool.install(pages[2], leaf(2))   # evicts page1
         pool.flush()
-        disk.reset_counters()
-        pool.get(pages[0])
-        assert disk.reads == 0        # still resident
-        pool.get(pages[1])
-        assert disk.reads == 1        # was evicted
+        with measure(disk) as run:
+            pool.get(pages[0])
+        assert run["reads"] == 0      # still resident
+        with measure(disk) as run:
+            pool.get(pages[1])
+        assert run["reads"] == 1      # was evicted
 
     def test_dirty_writeback_on_eviction(self):
         disk, pool = self._pool(capacity=1)

@@ -20,7 +20,6 @@ from repro.engine.session import EduceStar
 from repro.lang.writer import format_clause, term_to_text
 from repro.terms import (Atom, Struct, Var, deref, make_list, rename_term,
                          term_variables)
-from repro.wam.machine import Machine
 
 from . import oracle
 
@@ -277,159 +276,3 @@ def test_relops_match_python_semantics(rows):
     session.solve_once("db_project(t/2, [2], tags)")
     want = len({r[1] for r in rows})
     assert session.solve_once("db_count(tags/1, N)")["N"] == want
-
-
-# ================================================================
-# Random clause sets for the whole-program analysis fuzz below
-# ================================================================
-
-_FUZZ_ATOMS = ("a", "b", "c", "d", "e")
-
-
-def _random_program(rng):
-    lines = []
-    for name, arity in (("p", 2), ("q", 1), ("r", 3)):
-        for _ in range(rng.randint(2, 6)):
-            args = []
-            for _k in range(arity):
-                roll = rng.random()
-                if roll < 0.5:
-                    args.append(rng.choice(_FUZZ_ATOMS))
-                elif roll < 0.8:
-                    args.append(str(rng.randint(0, 5)))
-                else:
-                    args.append(f"V{rng.randint(0, 1)}")
-            lines.append(f"{name}({', '.join(args)}).")
-    # rules add call chains
-    lines.append("s(X, Y) :- p(X, Y).")
-    lines.append("s(X, Y) :- q(X), r(X, Y, _).")
-    lines.append("u(X) :- p(a, X).")
-    # and list clauses get_list/unify code
-    lines.append("t([H|T], H, T).")
-    lines.append("t([], nil, nil).")
-    return "\n".join(lines)
-
-
-# ================================================================
-# Whole-program analysis soundness (docs/ANALYSIS.md)
-# ================================================================
-
-def _is_ground_term(term):
-    if isinstance(term, Var):
-        return False
-    if isinstance(term, Struct):
-        return all(_is_ground_term(a) for a in term.args)
-    return True
-
-
-def _modes_conforming_goal(ind, call_modes, rng):
-    """A top-level goal at least as bound as the inferred call modes:
-    ground terms where the analysis proved ground/nonvar, fresh
-    variables elsewhere.  Such a call sits below the call abstraction,
-    so the inferred success modes and cardinality bounds apply."""
-    from repro.analysis.global_ import ANY
-    name, arity = ind
-    args, var_names = [], []
-    for i, m in enumerate(call_modes):
-        if m == ANY:
-            args.append(f"M{i}")
-            var_names.append((i, f"M{i}"))
-        elif rng.random() < 0.7:
-            args.append(rng.choice(_FUZZ_ATOMS))
-        else:
-            args.append(str(rng.randint(0, 5)))
-    goal = f"{name}({', '.join(args)})" if arity else name
-    return goal, var_names
-
-
-def _modes_soundness_case(seed, machine):
-    import random
-
-    from repro.analysis.global_ import (GROUND, NONVAR, analyze_program,
-                                        program_from_text)
-
-    rng = random.Random(seed)
-    program_text = _random_program(rng)
-    machine.consult(program_text)
-    report = analyze_program(program_from_text(program_text))
-    assert not report.modes.widened, (
-        f"modes fuzz seed={seed}: fixpoint widened on a program this "
-        f"small\n{program_text}")
-
-    limit = 60
-    for ind, info in sorted(report.infos.items()):
-        if info.source != "clauses":
-            continue
-        goal, var_names = _modes_conforming_goal(
-            ind, info.call_modes, rng)
-        solutions = []
-        for sol in machine.solve(goal):
-            solutions.append(dict(sol.bindings))
-            if len(solutions) >= limit:
-                break
-
-        # Success-mode soundness: every answer binding at a position
-        # inferred ground/nonvar must actually be ground/nonvar.
-        for bindings in solutions:
-            for pos, var_name in var_names:
-                value = bindings.get(var_name)
-                if value is None:
-                    continue
-                succ = info.success_modes[pos]
-                if succ == GROUND:
-                    assert _is_ground_term(value), (
-                        f"modes fuzz seed={seed}: {goal} bound "
-                        f"{var_name}={value!r} but position {pos} of "
-                        f"{info.indicator} has success mode ground\n"
-                        f"{program_text}")
-                elif succ == NONVAR:
-                    assert not isinstance(value, Var), (
-                        f"modes fuzz seed={seed}: {goal} left "
-                        f"{var_name} unbound but position {pos} of "
-                        f"{info.indicator} has success mode nonvar\n"
-                        f"{program_text}")
-
-        # Cardinality soundness: the observed solution count must sit
-        # inside the inferred [min, max] interval.
-        low, high = report.cards.cards[ind]
-        count = len(solutions)
-        assert count >= low, (
-            f"modes fuzz seed={seed}: {goal} produced {count} "
-            f"solution(s), below the inferred minimum {low} "
-            f"({info.determinism})\n{program_text}")
-        if count < limit:
-            assert count <= high, (
-                f"modes fuzz seed={seed}: {goal} produced {count} "
-                f"solution(s), above the inferred maximum {high} "
-                f"({info.determinism})\n{program_text}")
-
-
-def test_global_analysis_soundness_fuzz():
-    """≥100 random programs: for calls conforming to the inferred call
-    modes, observed runtime bindings respect the inferred success
-    modes and observed solution counts respect the inferred
-    cardinality interval."""
-    machine = Machine()
-    for seed in range(110):
-        _modes_soundness_case(seed, machine)
-
-
-def test_global_analysis_corpus_totality():
-    """The fixpoint terminates without widening on every shipped
-    corpus unit, and the analysis is total: every defined predicate
-    gets call modes, success modes, and a determinism class."""
-    from repro.analysis.corpus import corpus_entries
-    from repro.analysis.global_ import analyze_program, program_from_text
-
-    for entry in corpus_entries():
-        program = program_from_text(entry.text,
-                                    extra_defined=tuple(entry.extra_defined))
-        report = analyze_program(program)
-        assert not report.modes.widened, entry.name
-        for ind in program.clauses:
-            info = report.infos[ind]
-            assert info.call_modes is not None, (entry.name, ind)
-            assert info.success_modes is not None, (entry.name, ind)
-            assert info.determinism in ("fails", "det", "semidet",
-                                        "multi", "nondet"), \
-                (entry.name, ind)

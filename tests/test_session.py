@@ -335,8 +335,8 @@ class TestRemovedOptions:
         assert decision.attrs["strategy"] == "topdown"
 
     def test_session_has_no_global_analysis(self):
-        # The whole-program analysis is a lint pass over program text;
-        # no session caches, counts or displays it.
+        # There is no whole-program analysis: no session caches, counts
+        # or displays inferred modes.
         kb = EduceStar()
         kb.consult("p(1).")
         assert not hasattr(kb, "global_analysis")

@@ -124,16 +124,3 @@ class TestMeasureContext:
             src.n = 0
             src.n += 3
         assert m.counters == {"n": 3}
-
-    def test_session_reset_counters_inside_block(self):
-        from repro import EduceStar
-        kb = EduceStar()
-        kb.consult("p(1). p(2). p(3).")
-        kb.count_solutions("p(X)")
-        with measure(kb) as warm:
-            kb.count_solutions("p(X)")
-        with measure(kb) as m:
-            kb.reset_counters()
-            kb.count_solutions("p(X)")
-        assert m["instr_count"] == warm["instr_count"] > 0
-        assert all(v >= 0 for v in m.counters.values())

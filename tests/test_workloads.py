@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.stats import measure
 from repro.lang.writer import term_to_text
 from repro.workloads import integrity as ic
 from repro.workloads import mvv, wisconsin
@@ -204,9 +205,9 @@ class TestPreprocess:
     def test_work_grows_with_update_complexity(self, gc_engine):
         costs = []
         for update in ic.UPDATES:
-            gc_engine.reset_counters()
-            ic.run_preprocess(gc_engine, update)
-            costs.append(gc_engine.instr_count)
+            with measure(gc_engine) as run:
+                ic.run_preprocess(gc_engine, update)
+            costs.append(run["instr_count"])
         assert costs[0] < costs[2] < costs[4]
 
     def test_educestar_gets_same_residuals(self, gc_engine):
