@@ -264,8 +264,6 @@ def _fresh_demanded(head: Term, body: Optional[Term]
     seen = {id(v) for v in term_variables(head)}
     out: List[Tuple[str, str]] = []
     for ind, args in iter_goals(body):
-        if args is None:
-            continue
         for pos in DEMANDED.get(ind, ()):
             if pos < len(args):
                 fresh = next((v for v in term_variables(args[pos])

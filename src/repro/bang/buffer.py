@@ -39,8 +39,8 @@ query service, so it is a proper latched buffer manager:
   the same in-flight table as a miss read, so a concurrent fetch of
   the victim waits for the write to land instead of reading a stale
   disc image.  Only these dirty evictions reach the flight recorder
-  (``page.evict``); clean ones are tracer events, so a cold scan cannot
-  flush the ring.
+  (``page.evict``); clean ones are span events only, so a cold scan
+  cannot flush the ring.
 
 The pool is runtime state: a checkpoint carries the disc, and the
 :class:`~repro.bang.pager.Pager` that owns the pool builds a fresh,
@@ -57,7 +57,7 @@ from typing import Any, Dict
 from ..locks import Latch
 from ..obs.events import NULL_EVENTS
 from ..obs.registry import Histogram
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import event
 from .pager import DiskStore
 
 
@@ -72,7 +72,6 @@ class BufferPool:
             raise ValueError("buffer pool needs at least one frame")
         self.disk = disk
         self.capacity = capacity
-        self.tracer = NULL_TRACER  # threaded in via Pager.tracer
         self.events = NULL_EVENTS  # threaded in via Pager.events
         self._latch = Latch("buffer")
         #: wall time a miss spends in the (latch-released) disc read —
@@ -228,8 +227,7 @@ class BufferPool:
             victim, victim_payload = frames.popitem(last=False)
             self.evictions += 1
             dirty = victim in self._dirty
-            if self.tracer.enabled:
-                self.tracer.event("page.evict", page=victim, dirty=dirty)
+            event("page.evict", page=victim, dirty=dirty)
             if dirty:
                 if self.events.enabled:
                     self.events.record("page.evict", page=victim,

@@ -53,7 +53,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import PageError
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import event
 from .faults import NULL_FAULTS, FaultInjector
 
 DEFAULT_PAGE_SIZE = 4096
@@ -91,9 +91,6 @@ class DiskStore:
         self.bytes_written = 0
         self.page_corruptions = 0
         self.quarantined: Set[int] = set()
-        # Page transfers are recorded as *events* on the enclosing span
-        # (span-per-page would be far too fine-grained; see repro.obs).
-        self.tracer = NULL_TRACER
 
     def allocate(self) -> int:
         """Reserve a fresh page id (no I/O)."""
@@ -103,20 +100,15 @@ class DiskStore:
             self._register_page(pid)
             return pid
 
-    # The tracer belongs to the live session, not the persisted EDB
-    # (it can reference the whole session object graph via its
-    # snapshot callback).  The I/O lock and simulated latency are
-    # runtime state.
+    # The I/O lock and simulated latency are runtime state.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["tracer"] = None
         state["_io_lock"] = None
         state["read_latency_s"] = 0.0
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.tracer = NULL_TRACER
         self._io_lock = threading.Lock()
         # Counters are session-scoped: a loaded disc reports the work
         # of the session that loaded it, not of the one that saved it.
@@ -136,9 +128,9 @@ class DiskStore:
             image = self._load_image(page_id)
             self.reads += 1
             self.bytes_read += self.page_size
-            if self.tracer.enabled:
-                self.tracer.event("page.read", page=page_id,
-                                  bytes=self.page_size)
+            # Page transfers are *events* on the span open on this
+            # thread (span-per-page would be far too fine-grained).
+            event("page.read", page=page_id, bytes=self.page_size)
             if not image:
                 return None
             return self._split(page_id, image)
@@ -152,9 +144,7 @@ class DiskStore:
                 raise PageError(f"page {page_id} does not exist")
             self.writes += 1
             self.bytes_written += self.page_size
-            if self.tracer.enabled:
-                self.tracer.event("page.write", page=page_id,
-                                  bytes=self.page_size)
+            event("page.write", page=page_id, bytes=self.page_size)
             self._store_image(page_id, image)
             # A full rewrite replaces the damaged image: lift the
             # quarantine.
@@ -496,17 +486,6 @@ class Pager:
         """Duration histograms of the storage stack (buffer latch
         waits, miss stalls, write-backs); see docs/OBSERVABILITY.md."""
         return self.buffer.histograms()
-
-    @property
-    def tracer(self):
-        return self.disk.tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        """One assignment threads the shared tracer through the whole
-        storage stack (disc events + buffer eviction events)."""
-        self.disk.tracer = tracer
-        self.buffer.tracer = tracer
 
     @property
     def events(self):

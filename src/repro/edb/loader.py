@@ -43,7 +43,7 @@ from ..analysis.verifier import verify_code
 from ..errors import CatalogError, VerifyError
 from ..locks import Latch
 from ..obs.registry import Histogram
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import NULL_TRACER, event
 from ..wam import instructions as I
 from ..wam.block import Block
 from ..wam.compiler import CompiledClause
@@ -118,8 +118,7 @@ class DynamicLoader:
         loaded = cached is None
         if not loaded:
             if self.tracer.enabled:
-                self.tracer.event("loader.cache_hit",
-                                  procedure=f"{name}/{arity}")
+                event("loader.cache_hit", procedure=f"{name}/{arity}")
         elif proc.mode == "source":
             # The Educe baseline's scheme: that engine fetches and
             # interprets the text by itself.

@@ -62,16 +62,16 @@ class EduceStar:
         self.profiler = None
 
         # Observability (repro.obs): one registry over every counter
-        # source, one tracer shared by every layer.  Tracing is off by
-        # default; :meth:`profile` / :meth:`solve`'s ``profile=True``
-        # enable it for the extent of one query.
+        # source, one tracer shared by the session's layers; the shared
+        # storage stack reports page events to the span open on the
+        # calling thread.  Tracing is off by default; :meth:`profile` /
+        # :meth:`solve`'s ``profile=True`` enable it for one query.
         self.metrics = MetricsRegistry()
         self.metrics.attach(self)   # counters() + io_counters()
-        self.tracer = Tracer(self.metrics)
+        self.tracer = Tracer()
         self.machine.tracer = self.tracer
         self.loader.tracer = self.tracer
         self.preunifier.tracer = self.tracer
-        self.store.pager.tracer = self.tracer
         self.last_profile: Optional[QueryProfile] = None
 
         # The deterministic record-manager interface (§2.3, §3.2.1).

@@ -247,7 +247,7 @@ def measure(*counter_sources) -> ContextManager[Measurement]:
     ``io_counters()`` method (machines, pagers, loaders, sessions,
     baselines).  The sources are attached to a throw-away
     :class:`~repro.obs.registry.MetricsRegistry`, so the delta reads
-    exactly like a span's or a profile's: a counter reset inside the
+    exactly like a profile's: a counter reset inside the
     block reports the work done since the reset, a gauge its level.
     """
     registry = MetricsRegistry()

@@ -128,12 +128,11 @@ def split_clause_term(clause: Term) -> Tuple[Term, Optional[Term]]:
     return clause, None
 
 
-def iter_goals(body: Term) -> Iterator[Tuple[Indicator,
-                                             Optional[Tuple[Term, ...]]]]:
+def iter_goals(body: Term) -> Iterator[Tuple[Indicator, Tuple[Term, ...]]]:
     """Yield ``(indicator, args)`` for every goal reachable in *body*,
     descending control constructs and meta-predicate goal arguments.
-    ``args`` is None when the call's arguments are not statically
-    visible (``call/N`` with extra arguments)."""
+    A ``call/N`` goal with an atom or compound closure yields the goal
+    it calls: the closure's arguments, then the extra arguments."""
     goal = body
     while isinstance(goal, Struct) and goal.indicator == ("^", 2):
         goal = goal.args[1]
@@ -151,7 +150,9 @@ def iter_goals(body: Term) -> Iterator[Tuple[Indicator,
         target = goal.args[0]
         if isinstance(target, (Atom, Struct)):
             name, arity = indicator_of(target)
-            yield (name, arity + goal.arity - 1), None
+            closure = target.args if isinstance(target, Struct) else ()
+            yield ((name, arity + goal.arity - 1),
+                   tuple(closure) + tuple(goal.args[1:]))
     else:
         yield goal.indicator, tuple(goal.args)
 
@@ -165,7 +166,7 @@ def bindable_args(clauses: Iterable[Term]) -> Dict[Indicator, Set[int]]:
         occurs = [id(t) for t in iter_subterms(clause) if isinstance(t, Var)]
         for ind, args in iter_goals(split_clause_term(clause)[1]):
             out.setdefault(ind, set()).update(
-                pos for pos, arg in enumerate(args or ())
+                pos for pos, arg in enumerate(args)
                 if not (isinstance(deref(arg), Var)
                         and occurs.count(id(deref(arg))) == 1))
     return out

@@ -8,7 +8,8 @@ Three pieces, designed to be threaded through every layer of Educe*:
   gauges and histogram families).
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — nested spans (query → loader fetch → pre-unify → codec resolve)
-  with per-span counter deltas and page-I/O events; zero cost when
+  with wall time and page-I/O events (:func:`~repro.obs.tracing.event`
+  attaches to the span open on the calling thread); zero cost when
   disabled (:data:`~repro.obs.tracing.NULL_TRACER`).
 * the run record (``QueryProfile`` / ``Measurement``: counter delta +
   span tree + simulated-1990-ms breakdown) lives next to the cost model
@@ -33,7 +34,6 @@ session imports us), so any layer — ``wam``, ``bang``, ``edb``,
 
 from .registry import (DEFAULT_BOUNDARIES, DEFAULT_GAUGE_KEYS, Histogram,
                        MetricsRegistry, merge_histogram_maps)
-from .threadlocal import ThreadLocalCounters
 from .tracing import (NULL_TRACER, NullTracer, Span, Tracer,
                       write_json_lines)
 from .events import NULL_EVENTS, EventRing
@@ -53,7 +53,6 @@ __all__ = [
     "NullTracer",
     "PlanNode",
     "Span",
-    "ThreadLocalCounters",
     "Tracer",
     "WamProfiler",
     "attach_fixpoint",

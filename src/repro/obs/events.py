@@ -1,4 +1,4 @@
-"""The flight recorder: a bounded, lock-striped ring of runtime events.
+"""The flight recorder: a bounded ring of runtime events.
 
 Counters say how much work happened and spans say where a single query
 spent its time, but neither answers the operator's question after an
@@ -11,52 +11,48 @@ slow queries) that every layer can append to cheaply and the service's
 
 Design constraints, mirroring :mod:`repro.obs.tracing`:
 
-* **Bounded memory** — each of the ``stripes`` deques has a hard
-  ``maxlen``; the ring as a whole can never hold more than
-  ``capacity`` events.  Overflow silently drops the *oldest* events of
-  a stripe (that is what a flight recorder is) but counts the drops in
-  ``events_dropped``.
-* **Thread-safe, low contention** — events land in a stripe picked by
-  the recording thread's ident, each stripe under its own lock, so
-  concurrent workers rarely serialize on the recorder.  A global
-  monotone sequence number (``itertools.count`` — atomic under
-  CPython) gives :meth:`tail` a total order to sort by.
+* **Bounded memory** — one deque with ``maxlen=capacity`` holds the
+  ring.  Overflow drops the *oldest* events (that is what a flight
+  recorder is) and counts the drops in ``events_dropped``.
+* **Thread-safe without a lock** — a monotone sequence number
+  (``itertools.count``) is drawn and the event appended inside one
+  ``deque.extend`` call, which runs no Python code and so cannot be
+  interleaved with another thread's under the interpreter lock.  The
+  ring is therefore in ``seq`` order, and it holds the ``capacity``
+  newest events whichever threads recorded them.
 * **Near-free when disabled** — :data:`NULL_EVENTS` answers
   ``enabled = False`` and its :meth:`record` returns immediately; hot
-  paths guard with ``if events.enabled`` exactly like tracer events.
+  paths guard with ``if events.enabled``.
 * **No repro imports** — stdlib-only, importable from any layer.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["EventRing", "NULL_EVENTS"]
 
 
 class EventRing:
-    """Bounded, lock-striped ring buffer of structured events."""
+    """Bounded ring buffer of structured events, oldest first."""
 
-    def __init__(self, capacity: int = 1024, stripes: int = 8,
-                 enabled: bool = True):
+    def __init__(self, capacity: int = 1024, enabled: bool = True):
         if capacity < 1:
             raise ValueError("event ring needs a positive capacity")
-        stripes = max(1, min(stripes, capacity))
-        per_stripe = -(-capacity // stripes)  # ceil: bound is >= capacity
-        self.capacity = per_stripe * stripes
+        self.capacity = capacity
         self.enabled = enabled
         self._seq = itertools.count(1)
-        self._stripes = [
-            {"lock": threading.Lock(),
-             "events": deque(maxlen=per_stripe),
-             "recorded": 0,
-             "dropped": 0}
-            for _ in range(stripes)
-        ]
+        #: ``(event, seq)`` pairs in ``seq`` order
+        self._events: Deque[Tuple[Dict[str, Any], int]] = deque(
+            maxlen=capacity)
+        # Newest seq and drops so far when :meth:`clear` last ran: the
+        # counters are derived from the newest seq, so a clear must not
+        # read as drops.
+        self._cleared_seq = 0
+        self._cleared_dropped = 0
 
     # ------------------------------------------------------------- recording
 
@@ -64,50 +60,42 @@ class EventRing:
         """Append one event; *attrs* must be small, plain values."""
         if not self.enabled:
             return
-        event: Dict[str, Any] = {
-            "seq": next(self._seq),
-            "ts": time.time(),
-            "kind": kind,
-        }
+        event: Dict[str, Any] = {"ts": time.time(), "kind": kind}
         if attrs:
             event.update(attrs)
-        stripe = self._stripes[
-            threading.get_ident() % len(self._stripes)]
-        with stripe["lock"]:
-            events = stripe["events"]
-            if len(events) == events.maxlen:
-                stripe["dropped"] += 1
-            events.append(event)
-            stripe["recorded"] += 1
+        # The 1-tuple goes first: zip stops on it without drawing a
+        # second sequence number.
+        self._events.extend(zip((event,), self._seq))
 
     # --------------------------------------------------------------- reading
 
     def tail(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """The most recent *n* events (all retained events when None),
         oldest first, totally ordered by sequence number."""
-        merged: List[Dict[str, Any]] = []
-        for stripe in self._stripes:
-            with stripe["lock"]:
-                merged.extend(stripe["events"])
-        merged.sort(key=lambda event: event["seq"])
+        pairs = list(self._events)
         if n is not None and n >= 0:
-            merged = merged[len(merged) - min(n, len(merged)):]
-        return merged
+            pairs = pairs[len(pairs) - min(n, len(pairs)):]
+        return [{"seq": seq, **event} for event, seq in pairs]
 
     def __len__(self) -> int:
-        return sum(len(stripe["events"]) for stripe in self._stripes)
+        return len(self._events)
 
     def clear(self) -> None:
-        for stripe in self._stripes:
-            with stripe["lock"]:
-                stripe["events"].clear()
+        counters = self.counters()
+        self._cleared_seq = counters["events_recorded"]
+        self._cleared_dropped = counters["events_dropped"]
+        self._events.clear()
 
     # -------------------------------------------------------------- counters
 
     def counters(self) -> Dict[str, int]:
+        events = self._events
+        recorded = events[-1][1] if events else self._cleared_seq
+        since_clear = recorded - self._cleared_seq
         return {
-            "events_recorded": sum(s["recorded"] for s in self._stripes),
-            "events_dropped": sum(s["dropped"] for s in self._stripes),
+            "events_recorded": recorded,
+            "events_dropped": self._cleared_dropped
+            + max(0, since_clear - self.capacity),
         }
 
 
@@ -115,7 +103,7 @@ class _NullEventRing(EventRing):
     """Permanently disabled shared singleton (cannot be enabled)."""
 
     def __init__(self):
-        super().__init__(capacity=1, stripes=1, enabled=False)
+        super().__init__(capacity=1, enabled=False)
 
     @property
     def enabled(self) -> bool:  # type: ignore[override]

@@ -12,25 +12,24 @@ tree of :class:`Span` objects per query:
     │  └─ preunify.filter      (head-code execution filter)
     └─ relational.execute      (set-at-a-time plans, §4)
 
-Page-level I/O is recorded as *events* on the enclosing span rather than
-as spans of its own: a simulated page access costs 28 simulated 1990 ms
-but well under a microsecond of real work, so span-per-page would
-distort exactly the measurements this module exists to protect.
-
-Every span carries the *counter delta* observed across its extent (the
-tracer asks its :class:`~repro.obs.registry.MetricsRegistry` for a
-snapshot at entry and exit and for their ``diff``), so a span tree is a
-per-phase breakdown of the same work units the cost model prices.
+A span times its region and nothing else: the counter delta of a
+query is taken once, by its run record (:mod:`repro.engine.stats`).
+Page-level I/O is recorded as *events*, not spans (a page access is
+well under a microsecond of real work), and :func:`event` needs no
+tracer: it attaches to the innermost span open on the calling thread,
+so the storage stack, which several sessions share, reports each page
+transfer to the span of the session whose thread caused it.
 
 Design constraints:
 
 * **Zero cost when disabled.**  Components call ``tracer.span(...)``
-  unconditionally; a disabled tracer yields ``None`` without snapshotting
-  or allocating a :class:`Span`.  Event emitters guard with
-  ``tracer.enabled``.
-* **Bounded memory.**  At most ``max_spans`` spans and
-  ``max_events_per_span`` events are retained; overflow is counted in
-  ``dropped_spans`` / ``Span.events_dropped``, never silently ignored.
+  unconditionally; a disabled tracer yields ``None`` without
+  allocating a :class:`Span`, and :func:`event` outside every span
+  returns at once.
+* **Bounded memory.**  A tracer retains at most :data:`MAX_SPANS`
+  spans and a span at most :data:`MAX_EVENTS_PER_SPAN` events;
+  overflow is counted in ``dropped_spans`` / ``Span.events_dropped``,
+  never silently ignored.
 * **No repro imports.**  This module is stdlib-only so every layer
   (``wam``, ``bang``, ``edb``, ``relational``) can import it freely.
 """
@@ -38,17 +37,21 @@ Design constraints:
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+#: spans one tracer retains, and events one span retains
+MAX_SPANS = 100_000
+MAX_EVENTS_PER_SPAN = 256
+
 
 class Span:
-    """One traced region: name, wall time, attributes, counter delta."""
+    """One traced region: name, wall time, attributes, events."""
 
     __slots__ = ("name", "span_id", "parent_id", "attrs", "children",
-                 "events", "events_dropped", "counters", "start_s",
-                 "wall_s")
+                 "events", "events_dropped", "start_s", "wall_s")
 
     def __init__(self, name: str, span_id: int,
                  parent_id: Optional[int] = None,
@@ -60,7 +63,6 @@ class Span:
         self.children: List["Span"] = []
         self.events: List[Dict[str, Any]] = []
         self.events_dropped = 0
-        self.counters: Dict[str, float] = {}
         self.start_s = 0.0
         self.wall_s = 0.0
 
@@ -89,8 +91,6 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = self.attrs
-        if self.counters:
-            out["counters"] = self.counters
         if self.events:
             out["events"] = self.events
         if self.events_dropped:
@@ -102,16 +102,10 @@ class Span:
         return [json.dumps(s.to_dict(), sort_keys=True, default=str)
                 for s in self.walk()]
 
-    def format_tree(self, counters: tuple = ("instr_count", "reads"),
-                    indent: str = "") -> str:
-        """Human-readable tree with wall time and selected counters."""
-        parts = [f"{indent}{self.name}  [{self.wall_s * 1000.0:.3f} ms"]
-        for key in counters:
-            value = self.counters.get(key)
-            if value:
-                parts.append(f" {key}={value:g}")
+    def format_tree(self, indent: str = "") -> str:
+        """Human-readable tree with wall time and attributes."""
         attr_bits = [f"{k}={v}" for k, v in self.attrs.items()]
-        line = "".join(parts) + "]" + \
+        line = f"{indent}{self.name}  [{self.wall_s * 1000.0:.3f} ms]" + \
             (("  " + " ".join(attr_bits)) if attr_bits else "")
         lines = [line]
         if self.events:
@@ -119,26 +113,38 @@ class Span:
                          + (f" (+{self.events_dropped} dropped)"
                             if self.events_dropped else ""))
         for child in self.children:
-            lines.append(child.format_tree(counters, indent + "  "))
+            lines.append(child.format_tree(indent + "  "))
         return "\n".join(lines)
 
 
+class _OpenSpans(threading.local):
+    """The spans open on one thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.spans: List[Span] = []
+
+
+_open = _OpenSpans()
+
+
+def event(name: str, **attrs) -> None:
+    """Attach a point event to the innermost span open on the calling
+    thread, whichever tracer opened it (no-op outside every span)."""
+    spans = _open.spans
+    if not spans:
+        return
+    span = spans[-1]
+    if len(span.events) >= MAX_EVENTS_PER_SPAN:
+        span.events_dropped += 1
+        return
+    span.events.append({"event": name, **attrs})
+
+
 class Tracer:
-    """Records nested spans; shared by every component of one session.
+    """Records nested spans; shared by every component of one session."""
 
-    With a *registry* (a :class:`~repro.obs.registry.MetricsRegistry`)
-    each span records the registry's counter delta across its extent;
-    without one spans carry wall time, attributes and events only.
-    """
-
-    def __init__(self, registry=None,
-                 enabled: bool = False,
-                 max_spans: int = 100_000,
-                 max_events_per_span: int = 256):
-        self._registry = registry
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.max_spans = max_spans
-        self.max_events_per_span = max_events_per_span
         self._stack: List[Span] = []
         self.roots: List[Span] = []
         self.dropped_spans = 0
@@ -166,7 +172,7 @@ class Tracer:
         if not self.enabled:
             yield None
             return
-        if self._spans_recorded() >= self.max_spans:
+        if self._spans_recorded() >= MAX_SPANS:
             self.dropped_spans += 1
             yield None
             return
@@ -176,39 +182,22 @@ class Tracer:
         if self.trace_id is not None:
             span.attrs.setdefault("trace_id", self.trace_id)
         self._next_id += 1
+        thread_spans = _open.spans
         span.start_s = time.perf_counter()
-        registry = self._registry
-        before = registry.snapshot() if registry is not None else None
         self._stack.append(span)
+        thread_spans.append(span)
         try:
             yield span
         finally:
             span.wall_s = time.perf_counter() - span.start_s
-            if before is not None:
-                delta = registry.diff(registry.snapshot(), before)
-                span.counters = {k: v for k, v in delta.items() if v}
             # Pop *this* span even if an inner span leaked (generator
             # abandoned mid-consumption): discard anything above it.
-            while self._stack and self._stack[-1] is not span:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+            _pop_through(self._stack, span)
+            _pop_through(thread_spans, span)
             if parent is not None:
                 parent.children.append(span)
             else:
                 self.roots.append(span)
-
-    def event(self, name: str, **attrs) -> None:
-        """Attach a point event to the current span (no-op outside one)."""
-        if not self.enabled or not self._stack:
-            return
-        span = self._stack[-1]
-        if len(span.events) >= self.max_events_per_span:
-            span.events_dropped += 1
-            return
-        event: Dict[str, Any] = {"event": name}
-        event.update(attrs)
-        span.events.append(event)
 
     def take_roots(self) -> List[Span]:
         """Drain and return the finished root spans (oldest first)."""
@@ -226,6 +215,15 @@ class Tracer:
 
     def _spans_recorded(self) -> int:
         return self._next_id - 1 - self.dropped_spans
+
+
+def _pop_through(stack: List[Span], span: Span) -> None:
+    """Remove *span* and every span above it; a span closed already
+    (a leaked inner span finalised late) leaves *stack* as it is."""
+    for i in range(len(stack) - 1, -1, -1):
+        if stack[i] is span:
+            del stack[i:]
+            return
 
 
 class NullTracer(Tracer):

@@ -308,8 +308,8 @@ def execute(plan: Plan, tracer=None) -> List[tuple]:
 
     With a tracer, the run is recorded as a ``relational.execute`` span
     whose ``plan`` attribute carries the post-execution shape (node
-    types + per-node cardinalities) alongside the span's counter delta
-    (page reads, buffer hits, ...).
+    types + per-node cardinalities) alongside the page events of the
+    run.
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("relational.execute") as span:

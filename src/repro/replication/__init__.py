@@ -21,7 +21,7 @@ The three moving parts:
 * :class:`~repro.replication.replica.Replica` — snapshot bootstrap, a
   background apply loop with capped exponential backoff on stream
   breaks, lag gauges, and :meth:`~repro.replication.replica.Replica.
-  promote` (drain the durable tail, lift the read-only fences,
+  promote` (drain the durable tail, lift the read-only fence,
   checkpoint as the new primary — era bump included).
 * :class:`~repro.replication.cluster.ReplicaSet` — one primary plus N
   replicas behind a single façade: writes go to the primary,

@@ -37,10 +37,10 @@ one, so readers never observe a half-rebuilt database.
 
 :meth:`Replica.promote` is the failover path: stop the loop, drain
 every committed record still in the primary's log (acknowledged = WAL
-fsynced, so this is exactly the zero-loss set), lift the store and
-service fences, and checkpoint to the replica's own home — which bumps
-the checkpoint era and starts a fresh WAL generation the ex-replica
-now owns.
+fsynced, so this is exactly the zero-loss set), lift the store's
+read-only fence (the service's update path reads the same fence), and
+checkpoint to the replica's own home — which bumps the checkpoint era
+and starts a fresh WAL generation the ex-replica now owns.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class Replica:
                 f"({type(exc).__name__}: {exc})") from exc
         store.freeze(f"replica {self.name!r} of {self.primary_path}")
         service = QueryService(store=store, workers=self.workers,
-                               queue_size=self.queue_size, read_only=True,
+                               queue_size=self.queue_size,
                                **self._service_kwargs)
         # A fresh tailer before the new header: lag() never pairs the
         # new checkpoint with an offset into the log it superseded.
@@ -357,7 +357,7 @@ class Replica:
         Stops the apply loop, drains every committed record remaining
         in the (dead) primary's log — acknowledged writes are exactly
         the WAL-fsynced ones, so a complete drain is the zero-loss
-        guarantee — then lifts the read-only fences and checkpoints to
+        guarantee — then lifts the read-only fence and checkpoints to
         :attr:`home_path` (era bump, fresh WAL owned by this store).
         """
         self.faults.crash_point("replica.promote.before")
@@ -406,8 +406,6 @@ class Replica:
         self.tailer.close()
         self.faults.crash_point("replica.promote.pre_save")
         self.store.promote(self.home_path)
-        with self._service_lock:
-            self.service.make_writable()
         self.promoted = True
         self.promotions += 1
         if self.events.enabled:

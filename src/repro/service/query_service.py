@@ -27,11 +27,15 @@ Design (full locking discipline in ``docs/CONCURRENCY.md``):
   deadline; a running query is interrupted cooperatively through the
   WAM's instruction-poll hook, surfacing as
   :exc:`~repro.errors.QueryInterrupted`.
-* Service counters are striped per thread
-  (:class:`~repro.obs.threadlocal.ThreadLocalCounters`) — no lock on
-  the completion hot path — and merge into the service's
-  :class:`~repro.obs.registry.MetricsRegistry` beside the shared
-  store's I/O counters and every worker's machine/loader counters.
+* Service counters are counted under locks the service takes anyway:
+  admissions and rejections under the submit lock, terminal states
+  under the histogram lock, before the ticket finishes.  They merge
+  into the service's :class:`~repro.obs.registry.MetricsRegistry`
+  beside the shared store's I/O counters and every worker's
+  machine/loader counters.
+* Updates raise :class:`~repro.errors.ReadOnlyService` while the
+  shared store is fenced read-only (a replica's store,
+  docs/REPLICATION.md): the store's fence is the service's too.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..engine.session import EduceStar
 from ..errors import (QueryInterrupted, ReadOnlyService, ServiceClosed,
                       ServiceSaturated)
-from ..obs import MetricsRegistry, ThreadLocalCounters
+from ..obs import MetricsRegistry
 from ..obs.exposition import render_prometheus
 from ..obs.registry import Histogram
-from ..obs.tracing import NULL_TRACER, Span
+from ..obs.tracing import Span
 
 #: A query is either a Prolog goal string (solved on the worker's
 #: session, solutions collected eagerly under the read lock) or a
@@ -186,16 +190,11 @@ class QueryService:
                  queue_size: int = 64,
                  tracing: bool = False,
                  slow_query_ms: Optional[float] = None,
-                 read_only: bool = False,
                  **session_kwargs):
         if workers < 1:
             raise ValueError("need at least one worker")
         if queue_size < 1:
             raise ValueError("need a positive queue bound")
-        #: replica mode (docs/REPLICATION.md): every update entry point
-        #: raises :class:`~repro.errors.ReadOnlyService`; queries are
-        #: unaffected.  Promotion flips this via :meth:`make_writable`.
-        self.read_only = bool(read_only)
         #: trace every ticket end to end (``tracing=True``), or only
         #: capture tickets slower than ``slow_query_ms`` milliseconds.
         #: Either setting enables the worker sessions' tracers per
@@ -212,10 +211,6 @@ class QueryService:
         ]
         for session in self.sessions:
             session.machine.poll_interval = _POLL_INTERVAL
-        # Every EduceStar constructor re-points the *shared* pager's
-        # tracer at its own; under concurrency a shared mutable tracer
-        # is a race, so the pager reverts to the free null tracer.
-        self.store.pager.tracer = NULL_TRACER
 
         self._queue: "queue.Queue[QueryTicket]" = queue.Queue(queue_size)
         self._queue_bound = queue_size
@@ -245,6 +240,13 @@ class QueryService:
         self._hist_lock = threading.Lock()
         self._queue_wait_hist = Histogram()
         self._ticket_hist = Histogram()
+        # Submitted/rejected move under the submit lock, terminal
+        # states under the histogram lock; every key exists from the
+        # start, so counters() copies the dict without a lock.
+        self._counts: Dict[str, int] = dict.fromkeys((
+            "service_submitted", "service_completed", "service_failed",
+            "service_cancelled", "service_timeouts", "service_rejected",
+        ), 0)
 
         #: the flight recorder: the shared store's event ring doubles
         #: as the service ring, so storage events (evictions, WAL
@@ -259,7 +261,6 @@ class QueryService:
         #: full :meth:`telemetry` aggregate captured by :meth:`shutdown`
         self.final_telemetry: Optional[Dict[str, Any]] = None
 
-        self._stats = ThreadLocalCounters()
         self.metrics = MetricsRegistry()
         self.metrics.attach(self)   # counters() + histograms()
         self.metrics.attach(self.store)   # io_counters: pager + WAL + locks
@@ -312,7 +313,7 @@ class QueryService:
         specs = list(specs)
         with self._submit_lock:
             if self._closed:
-                self._stats.add("service_rejected", len(specs))
+                self._counts["service_rejected"] += len(specs)
                 raise ServiceClosed("service is shutting down")
             # All puts go through this lock, and concurrent gets only
             # free space, so the capacity check cannot over-admit: the
@@ -321,7 +322,7 @@ class QueryService:
             with self._gauge_lock:
                 free = self._queue_bound - self._depth
             if len(specs) > free:
-                self._stats.add("service_rejected", len(specs))
+                self._counts["service_rejected"] += len(specs)
                 raise ServiceSaturated(
                     f"queue full ({len(specs)} submitted, {free} free)")
             tickets = []
@@ -342,21 +343,17 @@ class QueryService:
                     self.events.record("ticket.admit", ticket=ticket.id,
                                        trace_id=ticket.trace_id,
                                        goal=_goal_label(ticket.goal))
-            self._stats.add("service_submitted", len(tickets))
+            self._counts["service_submitted"] += len(tickets)
         return tickets
 
     # --------------------------------------------------------------- updates
 
     def _check_mutable(self) -> None:
-        if self.read_only:
+        reason = self.store.read_only_reason
+        if reason is not None:
             raise ReadOnlyService(
-                "this service serves a read-only replica; "
+                f"this service's store is read-only ({reason}); "
                 "send writes to the primary")
-
-    def make_writable(self) -> None:
-        """Lift replica read-only mode (called by replica promotion,
-        after the underlying store's own fence is lifted)."""
-        self.read_only = False
 
     def store_program(self, text: str) -> None:
         """Store a program in the shared EDB (exclusive write lock)."""
@@ -419,8 +416,7 @@ class QueryService:
                         break
                     with self._gauge_lock:
                         self._depth -= 1
-                    self._finish_unqueued(ticket, _CANCELLED,
-                                          "service_cancelled")
+                    self._finish_unqueued(ticket, _CANCELLED)
             self._shutdown = True
             deadline = (None if timeout is None
                         else time.monotonic() + timeout)
@@ -459,11 +455,11 @@ class QueryService:
 
     def _run_ticket(self, session: EduceStar, ticket: QueryTicket) -> None:
         if ticket._cancel.is_set():
-            self._finish_unqueued(ticket, _CANCELLED, "service_cancelled")
+            self._finish_unqueued(ticket, _CANCELLED)
             return
         now = time.monotonic()
         if ticket._deadline is not None and now >= ticket._deadline:
-            self._finish_unqueued(ticket, _TIMEOUT, "service_timeouts")
+            self._finish_unqueued(ticket, _TIMEOUT)
             return
 
         dequeued = time.perf_counter()
@@ -496,7 +492,6 @@ class QueryService:
 
         machine.poll_hook = poll
         state = _FAILED
-        stat = "service_failed"
         value: object = None
         error: Optional[BaseException] = None
         try:
@@ -511,14 +506,12 @@ class QueryService:
                     value = list(session.solve(ticket.goal,
                                                limit=ticket.limit))
         except QueryInterrupted as interrupted:
-            if interrupted.reason == "deadline":
-                state, stat = _TIMEOUT, "service_timeouts"
-            else:
-                state, stat = _CANCELLED, "service_cancelled"
+            state = (_TIMEOUT if interrupted.reason == "deadline"
+                     else _CANCELLED)
         except BaseException as err:  # noqa: BLE001 - recorded on ticket
-            state, stat, error = _FAILED, "service_failed", err
+            state, error = _FAILED, err
         else:
-            state, stat = _DONE, "service_completed"
+            state = _DONE
         finally:
             machine.poll_hook = None
             finished = time.perf_counter()
@@ -537,15 +530,13 @@ class QueryService:
                     exec_start=dequeued, roots=roots, traced=trace_this)
             finally:
                 # Telemetry strictly before _finish: a consumer woken
-                # by result() must find the terminal event and the
+                # by result() must find the terminal event, counter and
                 # histogram observation already in telemetry().
                 ticket._finish(state, value=value, error=error)
-                self._stats.add(stat)
 
     # ------------------------------------------------------------- telemetry
 
-    def _finish_unqueued(self, ticket: QueryTicket, state: str,
-                         stat: str) -> None:
+    def _finish_unqueued(self, ticket: QueryTicket, state: str) -> None:
         """Terminal path for tickets that never execute — cancelled or
         expired while queued, or dropped by ``shutdown(drain=False)``.
         They still get a terminal event, a trace (queue wait only) and
@@ -561,7 +552,6 @@ class QueryService:
                                   traced=self.trace_tickets)
         finally:
             ticket._finish(state)
-            self._stats.add(stat)
 
     def _record_terminal(self, ticket: QueryTicket, state: str,
                          queue_wait_ms: float,
@@ -573,6 +563,7 @@ class QueryService:
         ticket.execute_ms = execute_ms
         ticket.total_ms = total_ms
         with self._hist_lock:
+            self._counts[_TERMINAL_COUNTER[state]] += 1
             self._queue_wait_hist.observe(queue_wait_ms)
             self._ticket_hist.observe(total_ms)
 
@@ -716,11 +707,7 @@ class QueryService:
         # sources attached per worker.
         counters = MetricsRegistry.merge(
             *(session.local_counters() for session in self.sessions))
-        counters.update(dict.fromkeys((
-            "service_submitted", "service_completed", "service_failed",
-            "service_cancelled", "service_timeouts", "service_rejected",
-        ), 0))
-        counters.update(self._stats.counters())
+        counters.update(self._counts)
         with self._gauge_lock:
             counters["service_queue_depth"] = self._depth
             counters["service_queue_depth_peak"] = self._depth_peak
@@ -739,6 +726,13 @@ _TERMINAL_EVENT = {
     _TIMEOUT: "ticket.deadline",
     _CANCELLED: "ticket.cancelled",
     _FAILED: "ticket.failed",
+}
+
+_TERMINAL_COUNTER = {
+    _DONE: "service_completed",
+    _TIMEOUT: "service_timeouts",
+    _CANCELLED: "service_cancelled",
+    _FAILED: "service_failed",
 }
 
 

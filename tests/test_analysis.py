@@ -475,6 +475,14 @@ class TestM201:
                              "% lint: external main/0\n")
         assert "M201" not in rules_of(findings)
 
+    @pytest.mark.parametrize("clause", ["r :- call(foo, Y), Y > 1.",
+                                        "r :- call(foo(1), Y), Y > 1."])
+    def test_m201_quiet_when_call_n_binds(self, clause):
+        # call/N binds its extra arguments before the comparison runs
+        findings = lint_text(clause + "\nfoo(2).\nfoo(1, 2).\n"
+                             "% lint: external r/0\n")
+        assert "M201" not in rules_of(findings)
+
     def test_m201_waivable(self):
         text = ("p(X) :- Y is Z + 1, X = Y.\n"
                 "main :- p(V).\n"

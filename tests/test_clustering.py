@@ -179,6 +179,15 @@ def test_bindable_args_skip_singletons_and_descend_meta_goals():
         ("h", 2): set()}
 
 
+def test_bindable_args_see_through_call_n():
+    """A ``call/N`` closure's goal gets the closure's arguments, then
+    the extra ones."""
+    assert bindable_args(read_terms("p :- call(q, a).")) == {
+        ("q", 1): {0}}
+    assert bindable_args(read_terms("p(Y) :- call(q(1), Y).")) == {
+        ("q", 2): {0, 1}}
+
+
 # ------------------------------------------------ layout and its checks
 
 def test_non_key_values_are_type_checked():

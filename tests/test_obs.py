@@ -18,6 +18,8 @@ from repro.obs import (
     Tracer,
     write_json_lines,
 )
+from repro.obs import tracing
+from repro.obs.tracing import event
 
 
 class FakeSource:
@@ -259,7 +261,7 @@ class TestHistogramPercentiles:
 class TestEventRing:
     def test_record_and_tail_ordered(self):
         from repro.obs import EventRing
-        ring = EventRing(capacity=16, stripes=2)
+        ring = EventRing(capacity=16)
         for i in range(5):
             ring.record("k", n=i)
         tail = ring.tail()
@@ -270,14 +272,14 @@ class TestEventRing:
 
     def test_tail_n_returns_most_recent(self):
         from repro.obs import EventRing
-        ring = EventRing(capacity=16, stripes=1)
+        ring = EventRing(capacity=16)
         for i in range(10):
             ring.record("k", n=i)
         assert [e["n"] for e in ring.tail(3)] == [7, 8, 9]
 
     def test_bounded_and_drop_counted(self):
         from repro.obs import EventRing
-        ring = EventRing(capacity=8, stripes=1)
+        ring = EventRing(capacity=8)
         for i in range(50):
             ring.record("k", n=i)
         assert len(ring) == 8
@@ -290,7 +292,7 @@ class TestEventRing:
     def test_capacity_never_exceeded_multithreaded(self):
         import threading
         from repro.obs import EventRing
-        ring = EventRing(capacity=64, stripes=4)
+        ring = EventRing(capacity=64)
 
         def hammer(tid):
             for i in range(500):
@@ -307,6 +309,57 @@ class TestEventRing:
         assert counters["events_recorded"] == 4000
         assert counters["events_recorded"] - counters["events_dropped"] \
             == len(ring)
+
+    @staticmethod
+    def _hammer(ring, threads, records):
+        """*threads* threads record *records* events each, switching
+        threads far more often than the interpreter's default."""
+        import sys
+        import threading
+
+        def hammer(tid):
+            for i in range(records):
+                ring.record("k", tid=tid, n=i)
+
+        workers = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+
+    def test_ring_keeps_the_newest_across_threads(self):
+        from repro.obs import EventRing
+        ring = EventRing(capacity=64)
+        self._hammer(ring, 8, 500)
+        # the 64 highest seq, whichever threads recorded them, in order
+        assert [e["seq"] for e in ring.tail()] == list(range(3937, 4001))
+        assert ring.counters() == {"events_recorded": 4000,
+                                   "events_dropped": 4000 - 64}
+
+    def test_ring_in_seq_order_under_contention(self):
+        # A thread switch between drawing a seq and appending would put
+        # an older event after a newer one.
+        from repro.obs import EventRing
+        ring = EventRing(capacity=40_000)
+        self._hammer(ring, 8, 5_000)
+        assert [e["seq"] for e in ring.tail()] == list(range(1, 40_001))
+
+    def test_default_ring_keeps_one_threads_events(self):
+        from repro.obs import EventRing
+        ring = EventRing()
+        for i in range(1000):
+            ring.record("k", n=i)
+        assert len(ring) == 1000
+        assert [e["n"] for e in ring.tail()] == list(range(1000))
+        assert ring.counters() == {"events_recorded": 1000,
+                                   "events_dropped": 0}
 
     def test_null_ring_disabled_and_locked(self):
         from repro.obs import NULL_EVENTS
@@ -360,44 +413,46 @@ class TestTracer:
         assert q.span_id < fetch.span_id  # ids allocated in open order
         assert tracer.roots == [q]
 
-    def test_counter_deltas_per_span(self):
-        reg = MetricsRegistry()
-        src = reg.attach(FakeSource(work=0))
-        tracer = Tracer(reg, enabled=True)
-        with tracer.span("outer"):
-            src.values["work"] += 2
-            with tracer.span("inner"):
-                src.values["work"] += 5
-        outer = tracer.roots[0]
-        assert outer.counters["work"] == 7  # includes the child's work
-        assert outer.children[0].counters["work"] == 5
-
-    def test_zero_deltas_filtered(self):
-        reg = MetricsRegistry()
-        reg.attach(FakeSource(idle=3))
-        tracer = Tracer(reg, enabled=True)
-        with tracer.span("quiet"):
-            pass
-        assert tracer.roots[0].counters == {}
-
     def test_events_attach_to_current_span(self):
         tracer = Tracer(enabled=True)
-        tracer.event("orphan")  # no current span: dropped silently
+        event("orphan")  # no current span: dropped silently
         with tracer.span("io") as span:
-            tracer.event("page.read", page=3, bytes=4096)
+            event("page.read", page=3, bytes=4096)
         assert span.events == [
             {"event": "page.read", "page": 3, "bytes": 4096}]
 
-    def test_event_budget(self):
-        tracer = Tracer(enabled=True, max_events_per_span=2)
+    def test_events_attach_to_innermost_span_of_any_tracer(self):
+        outer, inner = Tracer(enabled=True), Tracer(enabled=True)
+        with outer.span("a") as a:
+            with inner.span("b") as b:
+                event("page.read", page=1)
+            event("page.read", page=2)
+        assert [e["page"] for e in b.events] == [1]
+        assert [e["page"] for e in a.events] == [2]
+
+    def test_events_stay_on_their_own_thread(self):
+        import threading
+        tracer = Tracer(enabled=True)
+        with tracer.span("main") as span:
+            worker = threading.Thread(
+                target=event, args=("page.read",), kwargs={"page": 1})
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert span.events == []
+
+    def test_event_budget(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_EVENTS_PER_SPAN", 2)
+        tracer = Tracer(enabled=True)
         with tracer.span("io") as span:
             for i in range(5):
-                tracer.event("page.read", page=i)
+                event("page.read", page=i)
         assert len(span.events) == 2
         assert span.events_dropped == 3
 
-    def test_span_budget(self):
-        tracer = Tracer(enabled=True, max_spans=2)
+    def test_span_budget(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 2)
+        tracer = Tracer(enabled=True)
         with tracer.span("a"):
             pass
         with tracer.span("b"):
@@ -424,6 +479,8 @@ class TestTracer:
         inner_cm.__enter__()
         outer_cm.__exit__(None, None, None)  # inner never exited
         assert tracer.roots == [outer]
+        event("orphan")   # no span is open on this thread any more
+        assert outer.events == []
         with tracer.span("next") as after:   # opens as a root again
             assert after.parent_id is None
         assert tracer.roots == [outer, after]
@@ -438,7 +495,7 @@ class TestTracer:
         tracer = Tracer(enabled=True)
         with tracer.span("query", goal="p(X)"):
             with tracer.span("loader.fetch"):
-                tracer.event("page.read", page=1)
+                event("page.read", page=1)
         lines = tracer.to_json_lines()
         objs = [json.loads(line) for line in lines]
         assert [o["name"] for o in objs] == ["query", "loader.fetch"]
@@ -569,6 +626,20 @@ class TestQueryProfile:
         assert "page.read" in names
         read = next(e for e in events if e["event"] == "page.read")
         assert "page" in read and "bytes" in read
+
+    def test_page_events_reach_the_session_that_reads(self):
+        # A second session over the same store must not take the first
+        # session's page events.
+        from repro.bang.pager import Pager
+        from repro.edb.store import ExternalStore
+        store = ExternalStore(pager=Pager(buffer_pages=2))
+        kb = EduceStar(store=store)
+        kb.store_relation("num", [(i,) for i in range(2000)])
+        other = EduceStar(store=store)
+        prof = kb.profile("num(0)")
+        names = {e["event"] for s in prof.root.walk() for e in s.events}
+        assert "page.read" in names
+        assert other.tracer.roots == []
 
 
 # =====================================================================

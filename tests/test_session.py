@@ -258,7 +258,7 @@ class TestRemovedOptions:
 
     @pytest.mark.parametrize("option", [
         "poll_interval", "explain", "profiling", "profile_interval",
-        "optimize"])
+        "optimize", "read_only"])
     def test_service_keywords(self, option):
         from repro import QueryService
         with pytest.raises(TypeError, match=option):

@@ -234,6 +234,24 @@ class TestSpanGeometry:
         finally:
             svc.shutdown()
 
+    def test_scanning_ticket_trace_holds_page_reads(self):
+        """Page events reach the span open on the worker's thread, so
+        a traced ticket that misses the buffer shows its page reads."""
+        from repro.bang.pager import Pager
+        from repro.edb.store import ExternalStore
+        svc = QueryService(store=ExternalStore(pager=Pager(buffer_pages=2)),
+                           workers=2, tracing=True)
+        try:
+            svc.store_relation("num", [(i,) for i in range(2000)])
+            ticket = svc.submit("num(X), X > 1990")
+            assert len(ticket.result(timeout=30)) == 9
+            execute = ticket.trace.find("execute")[0]
+            reads = [e for s in execute.walk() for e in s.events
+                     if e["event"] == "page.read"]
+            assert reads
+        finally:
+            svc.shutdown()
+
     def test_no_tracing_means_no_traces_but_full_events(self):
         svc = make_service(tracing=False)
         try:
@@ -345,6 +363,15 @@ class TestGaugesAndHistograms:
         assert snap["service_completed"] == 3
         assert snap["service_cancelled"] == 2
 
+    def test_counted_before_the_ticket_finishes(self):
+        svc = make_service()
+        try:
+            for n in range(1, 21):
+                svc.submit("edge(X, Y)").result(timeout=30)
+                assert svc.counters()["service_completed"] == n
+        finally:
+            svc.shutdown()
+
     def test_histograms_survive_metrics_merge(self):
         svc = make_service()
         try:
@@ -369,7 +396,7 @@ class TestRingBoundedUnderLoad:
         events are still present."""
         from repro.edb.store import ExternalStore
         store = ExternalStore()
-        ring = EventRing(capacity=48, stripes=4)
+        ring = EventRing(capacity=48)
         store.events = ring
         store.pager.events = ring
         svc = QueryService(store=store, workers=4, queue_size=64)
