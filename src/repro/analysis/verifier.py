@@ -5,7 +5,8 @@ without reasoning about data flow: every instruction is a known opcode
 with operands of the right shape, every jump lands inside the block,
 every ``try_me_else``/``retry_me_else`` points at the next alternative
 of a well-nested chain, every ``escape`` names a registered built-in,
-and every dictionary reference resolves.  It is cheap (one linear scan)
+every ``arith`` tree names evaluable functions only, and every
+dictionary reference resolves.  It is cheap (one linear scan)
 and is the dynamic loader's default gate for code fetched from the EDB.
 
 The abstract pass (A rules) interprets the instruction control-flow
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import VerifyError
+from ..wam import arith
 from ..wam import instructions as I
 from ..wam.compiler import CompiledClause, is_builtin_indicator
 
@@ -138,6 +140,26 @@ def _is_name(x) -> bool:
     return isinstance(x, str) and bool(x)
 
 
+def _is_expr(x) -> bool:
+    """A well-formed ``arith`` tree of evaluable functions."""
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple) and node[:1] == ("fn",):
+            if not (len(node) > 1 and isinstance(node[1], str)
+                    and arith.is_evaluable(node[1], len(node) - 2)):
+                return False
+            stack.extend(node[2:])
+        elif not (_is_reg(node) or (_is_const(node) and node[0] != "atom")):
+            return False
+    return True
+
+
+def _is_set(x) -> bool:     # an arith target written, not read
+    return isinstance(x, tuple) and len(x) == 2 and x[0] == "set" \
+        and _is_reg(x[1])
+
+
 #: opcode -> ((checker, description), ...) for ordinary instructions;
 #: the switch instructions have bespoke checks below.
 _SHAPES: Dict[str, Tuple[Tuple[object, str], ...]] = {
@@ -176,6 +198,9 @@ _SHAPES: Dict[str, Tuple[Tuple[object, str], ...]] = {
     I.GET_LEVEL: ((_is_yreg, "permanent register"),),
     I.CUT: ((_is_yreg, "permanent register"),),
     I.ESCAPE: ((_is_name, "builtin name"), (_is_count, "arity")),
+    I.ARITH: ((lambda x: x in arith.GOALS, "arithmetic goal"),
+              (lambda x: _is_expr(x) or _is_set(x), "target"),
+              (_is_expr, "expression")),
     I.FAIL_OP: (),
     I.NOOP: (),
     I.HALT_SUCCESS: (),
@@ -236,6 +261,8 @@ def _structural(code: List[tuple], dictionary,
         for operand, (check, what) in zip(instr[1:], shape):
             if not check(operand):
                 bad("V101", i, f"{op}: malformed {what} {operand!r}")
+        if op == I.ARITH and instr[1] != "is" and _is_set(instr[2]):
+            bad("V101", i, f"arith {instr[1]!r} cannot write {instr[2]!r}")
         # jump targets (V102) and chain nesting (V104/V110)
         if op in (I.TRY_ME_ELSE, I.RETRY_ME_ELSE, I.TRY, I.RETRY,
                   I.TRUST):
@@ -545,6 +572,14 @@ class _AbstractPass:
                               f"argument register X{k}")
             # a resumed escape generator restores only its arguments
             fall(_State(frozenset(range(instr[2])), nperm, ys, mode))
+        elif op == I.ARITH:
+            reads, writes = arith.registers(instr)
+            for reg in reads:
+                self._read_reg(reg, state, i, op)
+            s = _State(xs, nperm, ys, mode)
+            for reg in writes:
+                s = self._write_reg(reg, s, i, op)
+            fall(s)
         elif op == I.EXECUTE:
             for k in range(instr[2]):
                 if k not in xs:
@@ -628,7 +663,8 @@ class _AbstractPass:
                         unsafe_at = []
                     if op == I.PUT_UNSAFE_VALUE:
                         unsafe_at.append(j)
-                    for operand in code[j][1:]:
+                    for operand in (sum(arith.registers(code[j]), [])
+                                    if op == I.ARITH else code[j][1:]):
                         if (isinstance(operand, tuple)
                                 and len(operand) == 2
                                 and operand[0] == "y"

@@ -36,6 +36,7 @@ from ..terms import (
     rename_term,
     resolve_term,
 )
+from ..wam.arith import _ARITH_CONSTANTS, _ARITH_FUNCTIONS, COMPARISONS
 from ..wam.compiler import split_clause
 
 _CUT = Atom("!")
@@ -336,13 +337,11 @@ def _eval(term: Term):
     if isinstance(term, Var):
         raise InstantiationError("arithmetic")
     if isinstance(term, Struct):
-        from ..wam.builtins import _ARITH_FUNCTIONS
         fn = _ARITH_FUNCTIONS.get((term.name, term.arity))
         if fn is None:
             raise TypeError_("evaluable", f"{term.name}/{term.arity}")
         return fn(*[_eval(a) for a in term.args])
     if isinstance(term, Atom):
-        from ..wam.builtins import _ARITH_CONSTANTS
         value = _ARITH_CONSTANTS.get(term.name)
         if value is None:
             raise TypeError_("evaluable", f"{term.name}/0")
@@ -367,19 +366,15 @@ def _bi_is(interp, goal, trail):
         yield True
 
 
-def _arith_cmp(op):
+def _arith_cmp(test):
     def fn(interp, goal, trail):
-        if op(_eval(goal.args[0]), _eval(goal.args[1])):
+        if test(_eval(goal.args[0]), _eval(goal.args[1])):
             yield True
     return fn
 
 
-_ibuiltin("=:=", 2)(_arith_cmp(lambda a, b: a == b))
-_ibuiltin("=\\=", 2)(_arith_cmp(lambda a, b: a != b))
-_ibuiltin("<", 2)(_arith_cmp(lambda a, b: a < b))
-_ibuiltin(">", 2)(_arith_cmp(lambda a, b: a > b))
-_ibuiltin("=<", 2)(_arith_cmp(lambda a, b: a <= b))
-_ibuiltin(">=", 2)(_arith_cmp(lambda a, b: a >= b))
+for _name, _test in COMPARISONS.items():
+    _ibuiltin(_name, 2)(_arith_cmp(_test))
 
 
 @_ibuiltin("=", 2)

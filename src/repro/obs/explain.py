@@ -10,7 +10,7 @@ whole-run counters alone do not say which one ran.  This module is the
   in ANALYZE mode, measured ones (``actual``: counter deltas, per-pass
   fixpoint delta row counts, answers, wall time);
 * :func:`code_shape` — the shape of one compiled block (instruction
-  count, choice instructions);
+  count, choice instructions, arithmetic goals compiled to ``arith``);
 * :func:`attach_fixpoint` — folds a semi-naive evaluation's
   :class:`~repro.relational.datalog.seminaive.PassStats` records into
   the matching ``stratum``/``rule`` nodes of a plan.
@@ -166,6 +166,7 @@ def code_shape(code: List[tuple]) -> Dict[str, Any]:
         "instructions": len(code),
         "choice_instrs": sum(1 for instr in code
                              if instr[0] in _CHOICE_OPS),
+        "arith_instrs": sum(1 for instr in code if instr[0] == "arith"),
     }
 
 

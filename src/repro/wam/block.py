@@ -18,8 +18,10 @@ block at the same time install equal results.
 * ``run`` — the instructions with their operands bound.  A bound
   instruction is its source tuple with operands *appended*
   (:data:`SOURCE_WIDTH` says where the source form ends): a constant's
-  heap cell, a functor's ``FUN`` cell, and — for instructions that
-  save the current position — the offset of the next instruction.  Cells are made from the source
+  heap cell, a functor's ``FUN`` cell, an ``arith`` instruction's
+  closure (:func:`repro.wam.arith.closure`), and — for instructions
+  that save the current position — the offset of the next
+  instruction.  Cells are made from the source
   operand's own value, so ``0.0``/``-0.0`` and ``1``/``1.0`` stay four
   different constants.
 * ``charge`` — per offset, ``(instructions, data refs)`` from that
@@ -27,15 +29,17 @@ block at the same time install equal results.
   unless the previous instruction ended a run (what a failure or an
   exception there leaves unexecuted).  A run ends at every instruction
   in :data:`ENDS_RUN`: the ones that move control, and ``escape``,
-  whose built-in may read the counters.
-* ``xregs`` — the X registers the block touches, so the register file
-  grows when a block is installed and never in a handler.
+  whose built-in may read the counters (``arith`` reads none).
+* ``xregs`` — the X registers the block touches (``arith`` trees
+  included), so the register file grows when a block is installed and
+  never in a handler.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable
 
+from . import arith
 from . import instructions as I
 
 # Rough data-reference cost (register/heap/stack accesses) per opcode,
@@ -50,7 +54,7 @@ DATA_COST = {
     I.ALLOCATE: 3, I.DEALLOCATE: 2, I.CALL: 2, I.EXECUTE: 1, I.PROCEED: 1,
     I.SWITCH_ON_TERM: 1, I.SWITCH_ON_CONSTANT: 1, I.SWITCH_ON_STRUCTURE: 2,
     I.NECK_CUT: 1, I.GET_LEVEL: 1, I.CUT: 1,
-    I.ESCAPE: 2, I.FAIL_OP: 0, I.NOOP: 0, I.HALT_SUCCESS: 0,
+    I.ESCAPE: 2, I.ARITH: 2, I.FAIL_OP: 0, I.NOOP: 0, I.HALT_SUCCESS: 0,
     I.TRY_ME_ELSE: 0, I.RETRY_ME_ELSE: 0, I.TRUST_ME: 0,
     I.TRY: 0, I.RETRY: 0, I.TRUST: 0,
 }
@@ -68,7 +72,7 @@ ENDS_RUN = frozenset({
 SOURCE_WIDTH = {
     I.GET_CONSTANT: 3, I.PUT_CONSTANT: 3, I.UNIFY_CONSTANT: 2,
     I.GET_STRUCTURE: 3, I.PUT_STRUCTURE: 3,
-    I.CALL: 3, I.TRY: 2, I.RETRY: 2, I.ESCAPE: 3,
+    I.CALL: 3, I.TRY: 2, I.RETRY: 2, I.ESCAPE: 3, I.ARITH: 4,
 }
 
 _CELL_TAG = {"atom": "CON", "int": "INT", "flt": "FLT"}
@@ -100,11 +104,13 @@ def _cell(cells: Dict[tuple, tuple], const: tuple) -> tuple:
 
 
 def _bound(instr: tuple, cells: Dict[tuple, tuple]) -> tuple:
-    """*instr*, one that carries constants or a functor, with its bound
-    operands appended (module docstring)."""
+    """*instr*, one that carries constants, a functor or arithmetic,
+    with its bound operands appended (module docstring)."""
     op = instr[0]
     if op in (I.GET_CONSTANT, I.PUT_CONSTANT, I.UNIFY_CONSTANT):
         return instr + (_cell(cells, instr[1]),)
+    if op == I.ARITH:
+        return instr + (arith.closure(instr),)
     return instr + (("FUN", instr[1]),)
 
 
@@ -142,14 +148,11 @@ class Block(list):
             else:
                 key = (count, cost, count, cost)
                 count += 1
-                if op in _REGISTERS:
-                    cost += DATA_COST[op]
-                    for k in _REGISTERS[op]:
-                        reg = instr[k]
-                        if reg[0] == "x" and reg[1] >= xregs:
-                            xregs = reg[1] + 1
-                else:
-                    cost += DATA_COST[op]
+                cost += DATA_COST[op]
+                for reg in (sum(arith.registers(instr), []) if op == I.ARITH
+                            else [instr[k] for k in _REGISTERS.get(op, ())]):
+                    if reg[0] == "x" and reg[1] >= xregs:
+                        xregs = reg[1] + 1
                 if op in SOURCE_WIDTH:
                     run[i] = _bound(instr, cells)
             charge[i + 1] = charges.get(key) or charges.setdefault(key, key)

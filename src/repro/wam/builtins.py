@@ -7,19 +7,17 @@ Each built-in is ``fn(machine, arg_cells) -> result`` where the result is
 * a generator           — a non-deterministic built-in; the machine parks
   it in a generator choice point and pulls one solution per backtrack.
 
-Arithmetic, term inspection, comparison, atom manipulation, findall and
-friends, dynamic clause management and output all live here.  The module
-registers every indicator with the compiler so goals are routed through
-``escape`` rather than ``call``.
+Arithmetic the compiler could not compile, term inspection, comparison,
+atom manipulation, findall and friends, dynamic clause management and
+output all live here.  The module registers every indicator with the
+compiler so goals are routed through ``escape`` rather than ``call``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import (
-    EvaluationError,
     InstantiationError,
     PermissionError_,
     PrologError,
@@ -28,6 +26,7 @@ from ..errors import (
 from ..lang.program import indicator_list
 from ..lang.writer import term_to_text
 from ..terms import Atom, Struct, Term, compare_terms
+from .arith import COMPARISONS, eval_arith, num_cell
 from .compiler import register_builtin_indicator, split_clause
 
 BUILTINS: Dict[Tuple[str, int], Callable] = {}
@@ -90,164 +89,14 @@ def _build_term(m, term: Term) -> tuple:
 # arithmetic
 # ====================================================================
 
-def _int_like(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def eval_arith(m, cell):
-    """Evaluate an arithmetic expression cell to a Python int/float."""
-    cell = m.deref_cell(cell)
-    tag = cell[0]
-    if tag == "INT" or tag == "FLT":
-        return cell[1]
-    if tag == "REF":
-        raise InstantiationError("arithmetic: unbound variable")
-    if tag == "CON":
-        name = m.dictionary.name(cell[1])
-        const = _ARITH_CONSTANTS.get(name)
-        if const is None:
-            raise TypeError_("evaluable", f"{name}/0")
-        return const
-    if tag == "STR":
-        a = cell[1]
-        fid = m.heap[a][1]
-        name, arity = m.dictionary.functor(fid)
-        fn = _ARITH_FUNCTIONS.get((name, arity))
-        if fn is None:
-            raise TypeError_("evaluable", f"{name}/{arity}")
-        args = [eval_arith(m, m.heap[a + k]) for k in range(1, arity + 1)]
-        return fn(*args)
-    raise TypeError_("evaluable", m.extract(cell))
-
-
-_ARITH_CONSTANTS = {
-    "pi": math.pi,
-    "e": math.e,
-    "inf": math.inf,
-    "infinite": math.inf,
-    "nan": math.nan,
-    "epsilon": 2.220446049250313e-16,
-    "max_tagged_integer": (1 << 60) - 1,
-    "random": 0.42,  # deterministic by design: see DESIGN.md
-}
-
-
-def _div(a, b):
-    if b == 0:
-        raise EvaluationError("zero_divisor")
-    if _int_like(a) and _int_like(b):
-        if a % b == 0:
-            return a // b
-        return a / b
-    return a / b
-
-
-def _intdiv(a, b):
-    if not (_int_like(a) and _int_like(b)):
-        raise TypeError_("integer", a if not _int_like(a) else b)
-    if b == 0:
-        raise EvaluationError("zero_divisor")
-    q = a // b
-    # ISO (//)/2 truncates toward zero.
-    if q < 0 and q * b != a:
-        q += 1
-    return q
-
-
-def _mod(a, b):
-    if b == 0:
-        raise EvaluationError("zero_divisor")
-    return a % b
-
-
-def _rem(a, b):
-    if b == 0:
-        raise EvaluationError("zero_divisor")
-    return a - _intdiv(a, b) * b
-
-
-def _power(a, b):
-    if _int_like(a) and _int_like(b) and b >= 0:
-        return a ** b
-    return float(a) ** float(b)
-
-
-_ARITH_FUNCTIONS = {
-    ("+", 2): lambda a, b: a + b,
-    ("-", 2): lambda a, b: a - b,
-    ("*", 2): lambda a, b: a * b,
-    ("/", 2): _div,
-    ("//", 2): _intdiv,
-    ("div", 2): lambda a, b: a // b if b else _div(a, b),
-    ("mod", 2): _mod,
-    ("rem", 2): _rem,
-    ("+", 1): lambda a: a,
-    ("-", 1): lambda a: -a,
-    ("abs", 1): abs,
-    ("sign", 1): lambda a: (a > 0) - (a < 0) if _int_like(a)
-        else math.copysign(1.0, a) if a else 0.0,
-    ("min", 2): min,
-    ("max", 2): max,
-    ("sqrt", 1): math.sqrt,
-    ("sin", 1): math.sin,
-    ("cos", 1): math.cos,
-    ("tan", 1): math.tan,
-    ("asin", 1): math.asin,
-    ("acos", 1): math.acos,
-    ("atan", 1): math.atan,
-    ("atan2", 2): math.atan2,
-    ("atan", 2): math.atan2,
-    ("exp", 1): math.exp,
-    ("log", 1): math.log,
-    ("log", 2): lambda b, x: math.log(x) / math.log(b),
-    ("**", 2): lambda a, b: float(a) ** float(b),
-    ("^", 2): _power,
-    ("float", 1): float,
-    ("integer", 1): lambda a: int(round(a)),
-    ("truncate", 1): lambda a: int(a),
-    ("round", 1): lambda a: int(math.floor(a + 0.5)),
-    ("ceiling", 1): lambda a: int(math.ceil(a)),
-    ("floor", 1): lambda a: int(math.floor(a)),
-    ("float_integer_part", 1): lambda a: float(int(a)),
-    ("float_fractional_part", 1): lambda a: a - float(int(a)),
-    (">>", 2): lambda a, b: a >> b,
-    ("<<", 2): lambda a, b: a << b,
-    ("/\\", 2): lambda a, b: a & b,
-    ("\\/", 2): lambda a, b: a | b,
-    ("xor", 2): lambda a, b: a ^ b,
-    ("\\", 1): lambda a: ~a,
-    ("gcd", 2): math.gcd,
-    ("succ", 1): lambda a: a + 1,
-    ("plus", 2): lambda a, b: a + b,
-}
-
-
-def _num_cell(value) -> tuple:
-    if _int_like(value):
-        return ("INT", value)
-    return ("FLT", float(value))
-
-
 @builtin("is", 2)
 def bi_is(m, args):
-    value = eval_arith(m, args[1])
-    return m.unify(args[0], _num_cell(value))
+    return m.unify(args[0], num_cell(eval_arith(m, args[1])))
 
 
-def _arith_compare(op):
-    def fn(m, args):
-        a = eval_arith(m, args[0])
-        b = eval_arith(m, args[1])
-        return op(a, b)
-    return fn
-
-
-builtin("=:=", 2)(_arith_compare(lambda a, b: a == b))
-builtin("=\\=", 2)(_arith_compare(lambda a, b: a != b))
-builtin("<", 2)(_arith_compare(lambda a, b: a < b))
-builtin(">", 2)(_arith_compare(lambda a, b: a > b))
-builtin("=<", 2)(_arith_compare(lambda a, b: a <= b))
-builtin(">=", 2)(_arith_compare(lambda a, b: a >= b))
+for _name, _test in COMPARISONS.items():
+    builtin(_name, 2)(lambda m, args, test=_test: test(
+        eval_arith(m, args[0]), eval_arith(m, args[1])))
 
 
 @builtin("succ", 2)
@@ -700,7 +549,7 @@ def bi_number_codes(m, args):
             value = float(text)
         except ValueError:
             raise PrologError(f"number_codes/2: bad number {text!r}")
-    return m.unify(args[0], _num_cell(value))
+    return m.unify(args[0], num_cell(value))
 
 
 @builtin("atom_number", 2)
@@ -715,7 +564,7 @@ def bi_atom_number(m, args):
                 value = float(text)
             except ValueError:
                 return False
-        return m.unify(args[1], _num_cell(value))
+        return m.unify(args[1], num_cell(value))
     num = m.deref_cell(args[1])
     if num[0] not in ("INT", "FLT"):
         raise InstantiationError("atom_number/2")
@@ -912,10 +761,10 @@ def bi_aggregate_all(m, args):
             if not numbers and name != "sum":
                 return False
             if name == "sum":
-                return m.unify(args[2], _num_cell(sum(numbers)))
+                return m.unify(args[2], num_cell(sum(numbers)))
             if name == "max":
-                return m.unify(args[2], _num_cell(max(numbers)))
-            return m.unify(args[2], _num_cell(min(numbers)))
+                return m.unify(args[2], num_cell(max(numbers)))
+            return m.unify(args[2], num_cell(min(numbers)))
     raise TypeError_("aggregate_spec", m.extract(spec))
 
 

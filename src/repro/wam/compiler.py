@@ -21,6 +21,11 @@ machine, none observable in behaviour):
 * Cut: any clause containing ``!`` gets an environment with a reserved
   permanent slot holding the choice-point level saved by ``get_level``;
   each ``!`` becomes ``cut Yk``.
+* ``is/2`` and the six comparisons compile to one ``arith`` instruction
+  over expression trees (:mod:`repro.wam.arith`) when every operand
+  variable has occurred already and everything is evaluable; ``is/2``
+  writes a first-occurrence target, no heap variable and no unify.  Any
+  other arithmetic goal escapes to the built-in, which raises its error.
 
 A variable is *permanent* when it occurs in more than one body chunk
 (head + first body goal form one chunk); permanents live in Y slots, all
@@ -36,7 +41,7 @@ from ..dictionary import SegmentedDictionary
 from ..errors import TypeError_
 from ..lang.program import META_GOAL_ARGS
 from ..terms import NIL, Atom, Struct, Term, Var, deref, indicator_of
-from . import assembler
+from . import arith, assembler
 from . import instructions as I
 
 # Predicates implemented by machine escapes; the compiler routes goals with
@@ -441,13 +446,14 @@ class ClauseCompiler:
             return
 
         name, arity, args = self._goal_parts(goal)
+        instr = (self._arith(st, name, args)
+                 if arity == 2 and name in arith.GOALS else None)
+        if instr is None:       # load argument registers
+            for i, arg in enumerate(args):
+                self._compile_put(st, code, arg, i)
 
-        # Load argument registers.
-        for i, arg in enumerate(args):
-            self._compile_put(st, code, arg, i)
-
-        if is_builtin_indicator(name, arity):
-            code.append((I.ESCAPE, name, arity))
+        if instr or is_builtin_indicator(name, arity):
+            code.append(instr or (I.ESCAPE, name, arity))
             if last:
                 self._epilogue(code, has_env)
             return
@@ -459,6 +465,38 @@ class ClauseCompiler:
             code.append((I.EXECUTE, pid, arity))
         else:
             code.append((I.CALL, pid, arity))
+
+    def _arith(self, st: "_ClauseState", name: str,
+               args: Sequence[Term]) -> Optional[tuple]:
+        """The ``arith`` instruction of an arithmetic goal, or None (it
+        escapes): ``is/2``'s target must be a variable or a number."""
+        rhs, lhs = self._expr(st, args[1]), deref(args[0])
+        if rhs is None:
+            return None
+        if name != "is" or isinstance(lhs, (int, float)):
+            lhs = self._expr(st, lhs)
+        elif isinstance(lhs, Var):      # marks it seen: nothing fails after
+            reg, first = st.var_register(lhs)
+            lhs = ("set", reg) if first else reg
+        else:
+            return None
+        return None if lhs is None else (I.ARITH, name, lhs, rhs)
+
+    def _expr(self, st: "_ClauseState", term: Term) -> Optional[tuple]:
+        """The expression tree of *term* (:mod:`repro.wam.arith`), or
+        None when it holds a fresh variable or is not evaluable."""
+        term = deref(term)
+        if isinstance(term, Var):           # seen already, or None
+            return (st.var_register(term)[0] if id(term) in st.temp_index
+                    else None)
+        if isinstance(term, (int, float)):
+            return st.const(term)
+        args = term.args if isinstance(term, Struct) else ()
+        if not (isinstance(term, (Atom, Struct))
+                and arith.is_evaluable(term.name, len(args))):
+            return None
+        trees = [self._expr(st, arg) for arg in args]
+        return None if None in trees else ("fn", term.name, *trees)
 
     @staticmethod
     def _epilogue(code: List[tuple], has_env: bool) -> None:

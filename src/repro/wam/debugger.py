@@ -21,8 +21,21 @@ from . import instructions as I
 from .block import SOURCE_WIDTH
 
 
+def _fmt_tree(node: tuple) -> str:
+    """An ``arith`` tree in prefix form, ``+(*(X3, 60), X4)``; a
+    first-occurrence target reads ``new Y0``."""
+    if node[0] == "fn":
+        args = ", ".join(map(_fmt_tree, node[2:]))
+        return f"{node[1]}({args})" if args else node[1]
+    if node[0] == "set":
+        return "new " + _fmt_tree(node[1])
+    return (node[0].upper() if node[0] in ("x", "y") else "") + str(node[1])
+
+
 def _fmt_operand(machine, op: str, pos: int, operand) -> str:
     d = machine.dictionary
+    if op == I.ARITH:
+        return operand if pos == 1 else _fmt_tree(operand)
     if isinstance(operand, tuple) and len(operand) == 2:
         kind = operand[0]
         if kind in ("x", "y"):

@@ -13,7 +13,9 @@ dispatchable representation in Python.  Operands use these conventions:
   the procedure's code block after assembly.
 
 The set follows Warren's original machine [22] plus the indexing
-instructions, cut support and an ``escape`` instruction for built-ins.
+instructions, cut support, an ``escape`` instruction for built-ins and
+``arith``: ``T is H*60+M`` is one instruction over expression trees of
+registers, numbers and function names (:mod:`repro.wam.arith`).
 """
 
 # --- get (head argument unification) ---------------------------------------
@@ -68,6 +70,7 @@ CUT = "cut"                            # (yreg,)
 
 # --- built-ins & misc -----------------------------------------------------------
 ESCAPE = "escape"                      # (builtin_name, arity)
+ARITH = "arith"                        # (goal, lhs, rhs): is/2 or a comparison
 FAIL_OP = "fail_op"                    # () unconditional failure
 NOOP = "noop"                          # ()
 HALT_SUCCESS = "halt_success"          # () sentinel: top-level goal solved

@@ -868,6 +868,7 @@ class Machine:
             I.GET_LEVEL: self._i_get_level,
             I.CUT: self._i_cut,
             I.ESCAPE: self._i_escape,
+            I.ARITH: self._i_arith,
             I.FAIL_OP: self._i_fail,
             I.NOOP: self._i_noop,
             I.HALT_SUCCESS: self._i_halt,
@@ -1209,6 +1210,10 @@ class Machine:
             return "fail"
         # Non-deterministic built-in: a generator of solutions.
         return self._escape_generator(result)
+
+    def _i_arith(self, instr):
+        if not instr[4](self):      # the closure Block.bind built
+            return "fail"
 
     def _escape_generator(self, gen):
         self._push_cp(self.code, self.pc, gen)

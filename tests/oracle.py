@@ -673,7 +673,7 @@ class _Generator:
         it may bind."""
         rng = self.rng
         used: List[str] = []
-        kind = rng.randrange(9 if self.lower else 8)
+        kind = rng.randrange(12 if self.lower else 11)
         if kind == 0:
             a = self._pick(pool, used) if rng.random() < 0.7 \
                 else rng.choice(self.nodes)
@@ -704,6 +704,20 @@ class _Generator:
         if kind == 7:
             a, b = self._pick(pool, used), self._var()
             return (f"(integer({a}) -> {b} is {a} + 1 ; {b} = none)", [b])
+        if kind == 8:       # a comparison on a weight
+            a, n = self._pick(pool, used), self._var()
+            test = rng.choice(["=:=", "=\\=", "<", ">", "=<", ">="])
+            return (f"(wv({a}, {n}), {n} {test} {rng.randrange(4)})", [n])
+        if kind == 9:       # a fresh permanent target, used after a call
+            a, n, t, b = (self._pick(pool, used), self._var(), self._var(),
+                          self._var())
+            return (f"(wv({a}, {n}), {t} is {n} * 2 + 1, edge({a}, {b}), "
+                    f"{t} > {n})", [n, t, b])
+        if kind == 10:      # an expression bound at run time
+            a, n, e, r = (self._pick(pool, used), self._var(), self._var(),
+                          self._var())
+            return (f"(wv({a}, {n}), {e} = {n} - 2, {r} is abs({e}) * {e})",
+                    [n, e, r])
         # a call to a lower procedure
         name, arity = rng.choice(self.lower)
         args, out = [], []

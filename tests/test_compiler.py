@@ -99,9 +99,29 @@ class TestRuleCompilation:
         allocate = next(i for i in cc.code if i[0] == I.ALLOCATE)
         assert allocate[1] == 0
 
-    def test_builtin_goal_compiles_to_escape(self, ctx):
+    def test_arithmetic_goal_compiles_to_arith(self, ctx):
         cc = compile_clause(read_term("p(X, Y) :- Y is X + 1"), ctx)
-        assert (I.ESCAPE, "is", 2) in cc.code
+        assert cc.code[-2:] == [
+            (I.ARITH, "is", ("x", 3), ("fn", "+", ("x", 2), ("int", 1))),
+            (I.PROCEED,)]
+        # a first-occurrence target is written, not unified
+        cc = compile_clause(read_term("p(X) :- Y is X * 2, Y > 3"), ctx)
+        assert (I.ARITH, "is", ("set", ("y", 0)),
+                ("fn", "*", ("x", 2), ("int", 2))) in cc.code
+        assert (I.ARITH, ">", ("y", 0), ("int", 3)) in cc.code
+        assert I.ESCAPE not in ops(cc)
+
+    def test_builtin_goal_compiles_to_escape(self, ctx):
+        # what the compiler cannot compile escapes to the built-in: a
+        # fresh operand, a non-evaluable atom, a non-number target, a
+        # goal reached through call/N
+        for text, escape in [("p(Y) :- Y is X + 1", ("is", 2)),
+                             ("p(X) :- X < foo", ("<", 2)),
+                             ("p(X) :- a is X", ("is", 2)),
+                             ("p(X, Y) :- call(Y is X + 1)", ("call", 1))]:
+            cc = compile_clause(read_term(text), ctx)
+            assert (I.ESCAPE, *escape) in cc.code, text
+            assert I.ARITH not in ops(cc), text
 
     def test_fail_compiles_to_fail_op(self, ctx):
         cc = compile_clause(read_term("p :- fail"), ctx)

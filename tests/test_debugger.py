@@ -97,7 +97,7 @@ class TestInstructionProfile:
                         "S is S0 + H.")
         profile = instruction_profile(machine, "sum([1,2,3], _)")
         assert profile["call"] >= 1 or profile["execute"] >= 1
-        assert profile["escape"] >= 3  # the three is/2 evaluations
+        assert profile["arith"] >= 3  # the three is/2 evaluations
 
     def test_deterministic(self, machine):
         machine.consult("p(a). p(b).")

@@ -712,8 +712,8 @@ COUNTER_KEYS = ("instr_count", "data_refs", "cp_refs", "cp_created",
 #: shape -> (solutions, counter deltas in COUNTER_KEYS order)
 COUNTER_GOLDEN = {
     "nrev": (1, (5886, 12728, 7, 1, 1, 496, 30)),
-    "queens": (4, (35407, 107031, 30562, 1456, 1455, 1611, 1298)),
-    "mvv": (1, (85415, 222542, 46768, 1114, 2456, 4369, 1460)),
+    "queens": (4, (27179, 84728, 30562, 1456, 1455, 1611, 713)),
+    "mvv": (1, (71868, 188875, 46768, 1114, 2456, 4369, 153)),
 }
 
 

@@ -200,10 +200,13 @@ class TestLoader:
 
 
 #: Two clauses with variable heads: every binding of the first argument
-#: gets the same grid answer, clause ids (0, 1).
+#: gets the same grid answer, clause ids (0, 1).  Arithmetic compiles to
+#: ``arith`` instructions, which name no atom or functor; ``atom(small)``
+#: gives the second clause a dictionary reference for its decode to
+#: resolve.
 COST = """
 cost(X, C) :- X > 10, C is X * 2.
-cost(X, C) :- X =< 10, C is X + 1.
+cost(X, C) :- X =< 10, C is X + 1, atom(small).
 """
 
 
